@@ -22,12 +22,12 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..errors import AbProtocolError
-from ..mpich.collectives import tree
 from ..mpich.communicator import Communicator
 from ..mpich.datatypes import DOUBLE, Datatype
 from ..mpich.message import TAG_BCAST, AbHeader, Envelope
 from ..sim.cpu import Ledger
 from ..sim.process import Busy, Trigger, WaitFor
+from ..topo import ranks as tree
 from .engine import AbEngine
 
 KIND = "bcast"
@@ -96,19 +96,17 @@ class AbBroadcast:
         """Send the payload down to this node's bcast-tree children *now*."""
         me = comm.rank_of_world(self.engine.rank.rank)
         root = comm.rank_of_world(header.root)
-        rel = tree.relative_rank(me, root, comm.size)
-        if rel == 0:
+        if me == root:
             raise AbProtocolError("bcast root received its own broadcast")
         # Reverse combine order: deepest subtree first (for the default
         # binomial shape this is the original descending-mask walk, bit for
         # bit; other shapes from repro.topo compose the same way).
-        shape = self.engine.rank.tree_shape
-        for child_rel in reversed(shape.children(rel, comm.size)):
-            child = comm.world_rank(
-                tree.absolute_rank(child_rel, root, comm.size))
+        _, kids = tree.family(self.engine.rank.tree_shape, comm.size, root,
+                              me)
+        for child in reversed(kids):
             self.engine.rank.progress.start_send(
-                env.data, child, TAG_BCAST, comm.coll_context, ledger,
-                ab=header)
+                env.data, comm.world_rank(child), TAG_BCAST,
+                comm.coll_context, ledger, ab=header)
             self.stats.forwards += 1
 
     # ------------------------------------------------------------------
@@ -122,25 +120,23 @@ class AbBroadcast:
             raise AbProtocolError("register_comm(comm) must precede bcast")
         self.stats.bcasts += 1
         me = comm.rank_of_world(self.engine.rank.rank)
-        rel = tree.relative_rank(me, root, comm.size)
         instance = self._next_instance(comm)
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")
         ledger.charge(self.costs.ab_decision_us, "ab")
 
-        if rel == 0:
+        if me == root:
             if data is None:
                 raise AbProtocolError("bcast root must supply data")
             buf = np.array(data, copy=True)
             header = AbHeader(root=comm.world_rank(root), instance=instance,
                               kind=KIND)
-            shape = self.engine.rank.tree_shape
-            for child_rel in reversed(shape.children(0, comm.size)):
-                child = comm.world_rank(
-                    tree.absolute_rank(child_rel, root, comm.size))
+            _, kids = tree.family(self.engine.rank.tree_shape, comm.size,
+                                  root, me)
+            for child in reversed(kids):
                 self.engine.rank.progress.start_send(
-                    buf, child, TAG_BCAST, comm.coll_context, ledger,
-                    ab=header)
+                    buf, comm.world_rank(child), TAG_BCAST,
+                    comm.coll_context, ledger, ab=header)
             yield Busy.from_ledger(ledger)
             return buf
 

@@ -39,8 +39,7 @@ import numpy as np
 
 from ..config import AbParams
 from ..errors import AbProtocolError
-from ..mpich.collectives import tree
-from ..mpich.collectives.reduce import reduce_nab
+from ..mpich.collectives.reduce import _finish_root, reduce_nab
 from ..mpich.communicator import Communicator
 from ..mpich.message import TAG_REDUCE, AbHeader, Envelope
 from ..mpich.operations import Op
@@ -48,6 +47,7 @@ from ..sim import access
 from ..sim.cpu import Ledger
 from ..sim.events import PRIORITY_TIMER
 from ..sim.process import Busy, WaitFor
+from ..topo import ranks as tree
 from .delay import exit_delay_window
 from .descriptor import DescriptorQueue, ReduceDescriptor
 from .plan import CollectivePlan
@@ -198,8 +198,9 @@ class AbEngine:
         does: message beyond the eager limit → default everywhere; root and
         leaf ranks → default behaviour with AB packet framing).
 
-        ``plan`` carries schedule-resolved neighbors (see
-        :mod:`repro.core.interpreter`); healing overrides it."""
+        ``plan`` carries schedule-resolved neighbors, and the root's steps
+        (see :mod:`repro.core.interpreter`); healing overrides the
+        neighbors."""
         size = comm.size
         me = comm.rank_of_world(self.rank.rank)
         if not (0 <= root < size):
@@ -233,10 +234,7 @@ class AbEngine:
 
         if size == 1:
             yield Busy.from_ledger(ledger)
-            if recvbuf is not None:
-                recvbuf[...] = np.asarray(sendbuf).reshape(recvbuf.shape)
-                return recvbuf
-            return np.array(sendbuf, copy=True)
+            return _finish_root(sendbuf, recvbuf)
 
         instance = self._next_instance(comm)
         ledger.charge(self.costs.tree_setup_us, "mpi")
@@ -249,17 +247,18 @@ class AbEngine:
             # default matching path by the hook.
             self.stats.root_reduces += 1
             yield Busy.from_ledger(ledger)
-            result = yield from reduce_nab(self.rank, sendbuf, op, root,
-                                           comm, recvbuf)
+            result = yield from reduce_nab(
+                self.rank, sendbuf, op, root, comm, recvbuf,
+                schedule=None if plan is None else plan.schedule)
             return result
 
         shape = self.rank.tree_shape_for(nbytes)
-        kids_rel = shape.children(rel, size)
         header = AbHeader(root=root_world, instance=instance, kind="reduce")
         if self._heal:
             # Fault-tolerant construction: crashed subtrees are replaced by
             # their live fringe, and the parent by its nearest live
             # ancestor, so the healed tree spans exactly the live ranks.
+            kids_rel = shape.children(rel, size)
             naive_parent = comm.world_rank(
                 tree.absolute_rank(shape.parent(rel, size), root, size))
             parent_world = self._live_ancestor_world(
@@ -280,12 +279,9 @@ class AbEngine:
             parent_world = plan.parent_world
             children_world = list(plan.children_world)
         else:
-            parent_world = comm.world_rank(
-                tree.absolute_rank(shape.parent(rel, size), root, size))
-            children_world = [
-                comm.world_rank(tree.absolute_rank(c, root, size))
-                for c in kids_rel
-            ]
+            parent, kids = tree.family(shape, size, root, me)
+            parent_world = comm.world_rank(parent)
+            children_world = [comm.world_rank(c) for c in kids]
         if not children_world:
             # Leaf — by tree position, or because every subtree below this
             # rank crashed: one AB-framed eager send to the parent; nothing

@@ -1,63 +1,53 @@
 """Execute a :class:`repro.schedule.ir.Schedule` through the live machinery.
 
 ``execute_schedule`` is a rank program fragment (a generator, like every
-collective): it walks this rank's step list and drives the *same* NIC /
-fabric / ledger paths the legacy collectives use, charging the identical
-costs in the identical order.  That is the whole point — for every
-registered lowering the interpreter is bit-identical to the legacy engine
-path (``tests/integration/test_schedule_interpreter.py`` pins metrics and
-sim counters), so schedules produced by rewrite passes inherit the
-engines' validated cost model for free.
+collective).  It adds no execution path of its own: it hands the schedule
+to the entry point ``mpi.<collective>`` itself uses — ``reduce_nab``,
+``bcast_binomial``, :meth:`AbEngine.reduce` — which then reads this rank's
+steps from ``schedule.steps[me]`` instead of deriving them from the
+configured tree.  Prologue charges, the host-side step walker
+(:mod:`repro.mpich.collectives.walk`) and the AB mechanisms are therefore
+the same code on both routes; ``tests/integration/test_schedule_interpreter.py``
+pins both to a fixture captured before the hand-written loops were deleted.
 
 How each lowering executes:
 
 ``reduce.nab`` / ``bcast.tree`` / ``allreduce.reduce_bcast``
-    Literal step walkers that reproduce ``reduce_nab`` / ``bcast_binomial``
-    charge-for-charge (whole-message and seg-major segmented).
+    ``reduce_nab`` / ``bcast_binomial`` with ``schedule=``; an allreduce is
+    its reduce steps, then its bcast steps, each as its own call.
 ``reduce.ab`` / ``allreduce.ab``
-    Non-root ranks derive a :class:`~repro.core.plan.CollectivePlan` from
-    the schedule and delegate to :meth:`AbEngine.reduce` — descriptors,
-    signals and the exit-delay window all run unchanged, just with
-    schedule-resolved neighbors.  The root (which can never bypass) is
-    walked by the interpreter itself.
+    :meth:`AbEngine.reduce` with a :class:`~repro.core.plan.CollectivePlan`
+    derived from the schedule — descriptors, signals and the exit-delay
+    window all run unchanged, just with schedule-resolved neighbors; the
+    root (which can never bypass) walks the schedule's steps on the host.
 ``allreduce.pipelined``
     Verified against the config-derived lowering (the AB broadcast
     extension routes by the configured tree, so a reshaped schedule cannot
     execute), then driven through :class:`~repro.pipeline.reduce.AbPipeline`.
 
 Guards: a schedule whose segmentation disagrees with the config's plan, an
-AB schedule on a non-AB build, or a rendezvous-sized payload on an AB
-schedule raise :class:`ScheduleExecutionError` before touching the
-simulator.
+AB schedule on a non-AB build, a rendezvous-sized payload on an AB
+schedule, or a step the host walker cannot execute raise
+:class:`ScheduleExecutionError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Generator, Optional
 
 import numpy as np
 
-from ..errors import MpiError, ReproError
-from ..mpich.collectives.reduce import _finish_root
+from ..mpich.collectives.bcast import bcast_binomial
+from ..mpich.collectives.reduce import reduce_nab
+from ..mpich.collectives.walk import ScheduleExecutionError
 from ..mpich.communicator import Communicator
-from ..mpich.datatypes import DOUBLE, Datatype, from_array
-from ..mpich.message import TAG_BCAST, TAG_REDUCE
+from ..mpich.datatypes import Datatype, from_array
 from ..mpich.operations import SUM, Op
-from ..schedule.ir import (BcastStep, FoldStep, RecvStep, Schedule, SendStep,
-                           WaitStep, reduce_neighbors)
-from ..sim.cpu import Ledger
-from ..sim.process import Busy
+from ..schedule.ir import Schedule, reduce_neighbors
 from .plan import CollectivePlan
 
+__all__ = ["ScheduleExecutionError", "execute_schedule"]
 
-class ScheduleExecutionError(ReproError):
-    """A schedule cannot execute under this rank's build/config."""
-
-
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
 
 def execute_schedule(rank, schedule: Schedule, sendbuf,
                      op: Op = SUM, comm: Optional[Communicator] = None,
@@ -77,17 +67,14 @@ def execute_schedule(rank, schedule: Schedule, sendbuf,
             "schedule is for %d ranks but the communicator has %d"
             % (schedule.nranks, comm.size))
     if schedule.collective == "reduce":
-        buf = np.asarray(sendbuf)
-        if schedule.lowering == "reduce.ab":
-            result = yield from _execute_reduce_ab(rank, schedule, buf, op,
-                                                   comm, recvbuf)
-        else:
-            result = yield from _execute_reduce_nab(rank, schedule, buf, op,
-                                                    comm, recvbuf)
+        result = yield from _execute_reduce(rank, schedule,
+                                            np.asarray(sendbuf), op, comm,
+                                            recvbuf)
         return result
     if schedule.collective == "bcast":
-        result = yield from _execute_bcast(rank, schedule, sendbuf, comm,
-                                           count=count, dtype=dtype)
+        result = yield from bcast_binomial(rank, sendbuf, schedule.root, comm,
+                                           count=count, dtype=dtype,
+                                           schedule=schedule)
         return result
     if schedule.collective == "allreduce":
         buf = np.asarray(sendbuf)
@@ -102,220 +89,33 @@ def execute_schedule(rank, schedule: Schedule, sendbuf,
         "no interpreter for collective %r" % (schedule.collective,))
 
 
-# ---------------------------------------------------------------------------
-# shared helpers
-# ---------------------------------------------------------------------------
-
-def _segments_for(rank, schedule: Schedule, buf: np.ndarray):
-    """Config-planned segments, checked against the schedule's ``nseg``."""
-    from ..pipeline.segmenter import plan_segments
-    pparams = rank.node.pipeline_params_for(buf.nbytes)
-    segments = plan_segments(pparams, buf)
-    planned = 0 if segments is None else len(segments)
-    if planned != schedule.nseg:
-        raise ScheduleExecutionError(
-            "schedule has nseg=%d but the config plans %d segment(s) for "
-            "%d bytes — align PipelineParams with the schedule"
-            % (schedule.nseg, planned, buf.nbytes))
-    return segments
-
-
 def _plan_from_schedule(schedule: Schedule, comm: Communicator,
                         me: int) -> CollectivePlan:
     parent, children = reduce_neighbors(schedule, me)
-    if parent is None:
+    if parent is None and me != schedule.root:
         raise ScheduleExecutionError(
-            "rank %d has no parent in the schedule (root cannot bypass)"
-            % me)
+            "rank %d has no parent in the schedule (only the root does not "
+            "send on)" % me)
     return CollectivePlan(
-        parent_world=comm.world_rank(parent),
-        children_world=tuple(comm.world_rank(c) for c in children))
+        parent_world=None if parent is None else comm.world_rank(parent),
+        children_world=tuple(comm.world_rank(c) for c in children),
+        schedule=schedule)
 
 
-# ---------------------------------------------------------------------------
-# nab reduce (whole + segmented): mirrors collectives.reduce.reduce_nab
-# ---------------------------------------------------------------------------
-
-def _execute_reduce_nab(rank, schedule: Schedule, sendbuf: np.ndarray,
-                        op: Op, comm: Communicator, recvbuf,
-                        tag: int = TAG_REDUCE) -> Generator:
-    size = comm.size
-    me = comm.rank_of_world(rank.rank)
-    costs = rank.costs
-    ledger = Ledger()
-    ledger.charge(costs.call_overhead_us, "mpi")
-
-    if size == 1:
-        result = _finish_root(sendbuf, recvbuf)
-        yield Busy.from_ledger(ledger)
+def _execute_reduce(rank, schedule: Schedule, sendbuf: np.ndarray, op: Op,
+                    comm: Communicator, recvbuf) -> Generator:
+    if schedule.lowering not in ("reduce.ab", "allreduce.ab"):
+        result = yield from reduce_nab(rank, sendbuf, op, schedule.root,
+                                       comm, recvbuf, schedule=schedule)
         return result
-
-    ledger.charge(costs.tree_setup_us, "mpi")
-    steps = schedule.steps[me]
-    segments = _segments_for(rank, schedule, sendbuf)
-    if segments is not None:
-        result = yield from _walk_reduce_segmented(
-            rank, steps, sendbuf, op, comm, recvbuf, tag, segments, ledger)
-        return result
-
-    if not any(isinstance(s, FoldStep) for s in steps):
-        # Leaf: send the application buffer directly.
-        yield Busy.from_ledger(ledger)
-        for step in steps:
-            if not isinstance(step, SendStep):
-                raise ScheduleExecutionError(
-                    "unexpected %r on a leaf of a nab reduce" % (step,))
-            yield from rank.send(np.asarray(sendbuf), step.peer, tag, comm,
-                                 _context=comm.coll_context)
-        return None
-
-    acc = np.array(sendbuf, copy=True)
-    ledger.charge(costs.copy_us(acc.nbytes), "copy")
-    yield Busy.from_ledger(ledger)
-    tmp = np.empty_like(acc)
-    for step in steps:
-        if isinstance(step, RecvStep):
-            yield from rank.recv(tmp, step.peer, tag, comm,
-                                 _context=comm.coll_context)
-        elif isinstance(step, FoldStep):
-            op_ledger = Ledger()
-            op_ledger.charge(costs.op_us(acc.size), "op")
-            op.apply(acc, tmp)
-            yield Busy.from_ledger(op_ledger)
-        elif isinstance(step, SendStep):
-            yield from rank.send(acc, step.peer, tag, comm,
-                                 _context=comm.coll_context)
-            return None
-        else:
-            raise ScheduleExecutionError(
-                "unexpected %r in a nab reduce" % (step,))
-    return _finish_root(acc, recvbuf)
-
-
-def _walk_reduce_segmented(rank, steps, sendbuf: np.ndarray, op: Op,
-                           comm: Communicator, recvbuf, tag, segments,
-                           ledger: Ledger) -> Generator:
-    costs = rank.costs
-    if not any(isinstance(s, FoldStep) for s in steps):
-        # Leaf: stream segments straight from the (flattened) app buffer.
-        yield Busy.from_ledger(ledger)
-        flat = np.ascontiguousarray(sendbuf).reshape(-1)
-        for step in steps:
-            if not isinstance(step, SendStep):
-                raise ScheduleExecutionError(
-                    "unexpected %r on a leaf of a segmented nab reduce"
-                    % (step,))
-            s = segments[step.seg]
-            yield from rank.send(flat[s.offset:s.offset + s.count],
-                                 step.peer, tag, comm,
-                                 _context=comm.coll_context)
-        return None
-
-    acc = np.ascontiguousarray(sendbuf).reshape(-1).copy()
-    ledger.charge(costs.copy_us(acc.nbytes), "copy")
-    yield Busy.from_ledger(ledger)
-    tmp = np.empty(max(s.count for s in segments), dtype=acc.dtype)
-    sent_up = False
-    for step in steps:
-        s = segments[step.seg]
-        chunk = acc[s.offset:s.offset + s.count]
-        if isinstance(step, RecvStep):
-            yield from rank.recv(tmp[:s.count], step.peer, tag, comm,
-                                 _context=comm.coll_context)
-        elif isinstance(step, FoldStep):
-            op_ledger = Ledger()
-            op_ledger.charge(costs.op_us(s.count), "op")
-            op.apply(chunk, tmp[:s.count])
-            yield Busy.from_ledger(op_ledger)
-        elif isinstance(step, SendStep):
-            yield from rank.send(chunk, step.peer, tag, comm,
-                                 _context=comm.coll_context)
-            sent_up = True
-        else:
-            raise ScheduleExecutionError(
-                "unexpected %r in a segmented nab reduce" % (step,))
-    if sent_up:
-        return None
-    return _finish_root(acc.reshape(np.asarray(sendbuf).shape), recvbuf)
-
-
-# ---------------------------------------------------------------------------
-# tree bcast (whole + segmented): mirrors collectives.bcast.bcast_binomial
-# ---------------------------------------------------------------------------
-
-def _execute_bcast(rank, schedule: Schedule, data, comm: Communicator, *,
-                   count: Optional[int] = None,
-                   dtype: Optional[Datatype] = None,
-                   tag: int = TAG_BCAST) -> Generator:
-    me = comm.rank_of_world(rank.rank)
-    costs = rank.costs
-    ledger = Ledger()
-    ledger.charge(costs.call_overhead_us, "mpi")
-    ledger.charge(costs.tree_setup_us, "mpi")
-
-    if me == schedule.root:
-        if data is None:
-            raise MpiError("bcast root must supply data")
-        buf = np.array(data, copy=True)
-    else:
-        if data is not None:
-            buf = np.asarray(data)
-        elif count is not None:
-            buf = (dtype or DOUBLE).buffer(count)
-        else:
-            raise MpiError("non-root bcast needs a buffer or a count")
-    yield Busy.from_ledger(ledger)
-
-    steps = schedule.steps[me]
-    segments = _segments_for(rank, schedule, buf)
-    if segments is not None:
-        contiguous = buf.flags.c_contiguous
-        flat = (buf if contiguous else np.ascontiguousarray(buf)).reshape(-1)
-        for step in steps:
-            if not isinstance(step, BcastStep):
-                raise ScheduleExecutionError(
-                    "unexpected %r in a bcast schedule" % (step,))
-            s = segments[step.seg]
-            chunk = flat[s.offset:s.offset + s.count]
-            if step.direction == "recv":
-                yield from rank.recv(chunk, step.peer, tag, comm,
-                                     _context=comm.coll_context)
-            else:
-                yield from rank.send(chunk, step.peer, tag, comm,
-                                     _context=comm.coll_context)
-        if not contiguous:
-            buf[...] = flat.reshape(buf.shape)
-        return buf
-
-    for step in steps:
-        if not isinstance(step, BcastStep):
-            raise ScheduleExecutionError(
-                "unexpected %r in a bcast schedule" % (step,))
-        if step.direction == "recv":
-            yield from rank.recv(buf, step.peer, tag, comm,
-                                 _context=comm.coll_context)
-        else:
-            yield from rank.send(buf, step.peer, tag, comm,
-                                 _context=comm.coll_context)
-    return buf
-
-
-# ---------------------------------------------------------------------------
-# AB reduce: plan injection (non-root) + interpreter-walked root
-# ---------------------------------------------------------------------------
-
-def _execute_reduce_ab(rank, schedule: Schedule, sendbuf: np.ndarray,
-                       op: Op, comm: Communicator, recvbuf) -> Generator:
     engine = rank.ab
     if engine is None:
         raise ScheduleExecutionError(
             "a reduce.ab schedule needs an AB-build rank")
-    size = comm.size
-    me = comm.rank_of_world(rank.rank)
 
     # Segmentation consistency first (plan_for is pure, no sim effect).
     segments = None
-    if engine.pipeline is not None and size > 1:
+    if engine.pipeline is not None and comm.size > 1:
         segments = engine.pipeline.plan_for(sendbuf)
     planned = 0 if segments is None else len(segments)
     if planned != schedule.nseg:
@@ -329,113 +129,19 @@ def _execute_reduce_ab(rank, schedule: Schedule, sendbuf: np.ndarray,
             "rendezvous-sized payload (%d bytes) cannot run an AB "
             "schedule; lower with reduce.nab instead" % sendbuf.nbytes)
 
-    if me != schedule.root:
-        plan = _plan_from_schedule(schedule, comm, me)
-        result = yield from engine.reduce(sendbuf, op, schedule.root, comm,
-                                          recvbuf, plan=plan)
-        return result
-    if segments is not None:
-        result = yield from _execute_ab_root_segmented(
-            rank, engine, schedule, sendbuf, op, comm, recvbuf, segments)
-        return result
-    result = yield from _execute_ab_root_whole(
-        rank, engine, schedule, sendbuf, op, comm, recvbuf)
+    plan = _plan_from_schedule(schedule, comm,
+                               comm.rank_of_world(rank.rank))
+    result = yield from engine.reduce(sendbuf, op, schedule.root, comm,
+                                      recvbuf, plan=plan)
     return result
-
-
-def _execute_ab_root_whole(rank, engine, schedule: Schedule,
-                           sendbuf: np.ndarray, op: Op, comm: Communicator,
-                           recvbuf) -> Generator:
-    """The AbEngine.reduce root path: framing charges, then a nab fold."""
-    costs = engine.costs
-    ledger = Ledger()
-    ledger.charge(costs.call_overhead_us, "mpi")
-    ledger.charge(costs.ab_decision_us, "ab")
-    if comm.size == 1:
-        yield Busy.from_ledger(ledger)
-        if recvbuf is not None:
-            recvbuf[...] = np.asarray(sendbuf).reshape(recvbuf.shape)
-            return recvbuf
-        return np.array(sendbuf, copy=True)
-    engine._next_instance(comm)
-    ledger.charge(costs.tree_setup_us, "mpi")
-    engine.stats.root_reduces += 1
-    yield Busy.from_ledger(ledger)
-    result = yield from _execute_reduce_nab(rank, schedule, sendbuf, op,
-                                            comm, recvbuf)
-    return result
-
-
-def _execute_ab_root_segmented(rank, engine, schedule: Schedule,
-                               sendbuf: np.ndarray, op: Op,
-                               comm: Communicator, recvbuf,
-                               segments) -> Generator:
-    """The AbPipeline.reduce root path, with fold order from the schedule."""
-    pipeline = engine.pipeline
-    costs = engine.costs
-    me = comm.rank_of_world(rank.rank)
-    ledger = Ledger()
-    ledger.charge(costs.call_overhead_us, "mpi")
-    ledger.charge(costs.ab_decision_us, "ab")
-    instance = engine._next_instance(comm)
-    ledger.charge(costs.tree_setup_us, "mpi")
-    pipeline.stats.pipelined_reduces += 1
-    flat = np.ascontiguousarray(sendbuf).reshape(-1)
-    engine.stats.root_reduces += 1
-    acc = np.array(flat, copy=True)
-    ledger.charge(costs.copy_us(acc.nbytes), "copy")
-    yield Busy.from_ledger(ledger)
-    steps = schedule.steps[me]
-    if steps:
-        tmp = np.empty(max(s.count for s in segments), dtype=acc.dtype)
-        for step in steps:
-            s = segments[step.seg]
-            if isinstance(step, RecvStep):
-                yield from engine.rank.recv(tmp[:s.count], step.peer,
-                                            TAG_REDUCE, comm,
-                                            _context=comm.coll_context)
-            elif isinstance(step, FoldStep):
-                op_ledger = Ledger()
-                op_ledger.charge(costs.op_us(s.count), "op")
-                op.apply(acc[s.offset:s.offset + s.count], tmp[:s.count])
-                pipeline.stats.root_segment_folds += 1
-                if engine.monitor is not None:
-                    engine.monitor.on_segment_fold(
-                        engine.rank.rank, comm.world_rank(step.child),
-                        comm.coll_context, instance, s.index,
-                        engine.sim.now)
-                yield Busy.from_ledger(op_ledger)
-            else:
-                raise ScheduleExecutionError(
-                    "unexpected %r at the root of a segmented AB reduce"
-                    % (step,))
-    return _finish_root(acc.reshape(np.asarray(sendbuf).shape), recvbuf)
-
-
-# ---------------------------------------------------------------------------
-# allreduce
-# ---------------------------------------------------------------------------
-
-def _split_allreduce(schedule: Schedule):
-    """Split an allreduce schedule into its reduce and bcast phases."""
-    red_steps = tuple(tuple(s for s in steps if not isinstance(s, BcastStep))
-                      for steps in schedule.steps)
-    bc_steps = tuple(tuple(s for s in steps if isinstance(s, BcastStep))
-                     for steps in schedule.steps)
-    red_lowering = ("reduce.ab" if schedule.lowering
-                    in ("allreduce.ab", "allreduce.pipelined")
-                    else "reduce.nab")
-    red = replace(schedule, collective="reduce", lowering=red_lowering,
-                  steps=red_steps)
-    bc = replace(schedule, collective="bcast", lowering="bcast.tree",
-                 steps=bc_steps)
-    return red, bc
 
 
 def _execute_allreduce_sequential(rank, schedule: Schedule,
                                   sendbuf: np.ndarray, op: Op,
                                   comm: Communicator) -> Generator:
-    """Mirrors ``allreduce_reduce_bcast``: reduce to the root, then bcast."""
+    """The schedule's reduce leg to its root, then its bcast leg — the
+    composition ``allreduce_reduce_bcast`` makes of ``mpi.reduce`` and
+    ``mpi.bcast``."""
     engine = getattr(rank, "ab", None)
     pipeline = getattr(engine, "pipeline", None)
     if (pipeline is not None and comm.size > 1
@@ -443,28 +149,24 @@ def _execute_allreduce_sequential(rank, schedule: Schedule,
         raise ScheduleExecutionError(
             "the config pipelines this allreduce; lower with "
             "allreduce.pipelined instead")
-    red, bc = _split_allreduce(schedule)
-    if red.lowering == "reduce.ab":
-        result = yield from _execute_reduce_ab(rank, red, sendbuf, op, comm,
-                                               None)
-    else:
-        result = yield from _execute_reduce_nab(rank, red, sendbuf, op, comm,
-                                                None)
-    me = comm.rank_of_world(rank.rank)
-    if me == schedule.root:
-        out = yield from _execute_bcast(rank, bc, result, comm)
+    result = yield from _execute_reduce(rank, schedule, sendbuf, op, comm,
+                                        None)
+    if comm.rank_of_world(rank.rank) == schedule.root:
+        out = yield from bcast_binomial(rank, result, schedule.root, comm,
+                                        schedule=schedule)
         return out
-    out = yield from _execute_bcast(rank, bc, None, comm,
+    out = yield from bcast_binomial(rank, None, schedule.root, comm,
                                     count=sendbuf.size,
-                                    dtype=from_array(sendbuf))
+                                    dtype=from_array(sendbuf),
+                                    schedule=schedule)
     return out.reshape(sendbuf.shape)
 
 
 def _execute_allreduce_pipelined(rank, schedule: Schedule,
                                  sendbuf: np.ndarray, op: Op,
                                  comm: Communicator) -> Generator:
-    """Mirrors ``AbPipeline.allreduce`` after proving the schedule matches
-    the configured tree (the AB broadcast extension routes by config)."""
+    """``AbPipeline.allreduce``, after proving the schedule matches the
+    configured tree (the AB broadcast extension routes by config)."""
     engine = rank.ab
     if engine is None or engine.pipeline is None:
         raise ScheduleExecutionError(
@@ -497,21 +199,7 @@ def _execute_allreduce_pipelined(rank, schedule: Schedule,
             "%r tree on rank %d; the AB broadcast extension cannot follow "
             "a reshaped schedule" % (shape.name, me))
 
-    bcaster = pipeline._broadcaster(comm)
-    pipeline.stats.pipelined_allreduces += 1
-    flat = np.ascontiguousarray(sendbuf).reshape(-1)
-    out_shape = np.asarray(sendbuf).shape
-
-    if me == schedule.root:
-        result = yield from pipeline._root_allreduce(
-            flat, segments, op, schedule.root, comm, bcaster, out_shape)
-        return result
-
-    red, _ = _split_allreduce(schedule)
-    plan = _plan_from_schedule(red, comm, me)
-    yield from engine.reduce(flat, op, schedule.root, comm, plan=plan)
-    out = np.empty_like(flat)
-    for s in segments:
-        yield from bcaster.bcast(out[s.offset:s.offset + s.count],
-                                 schedule.root, comm)
-    return out.reshape(out_shape)
+    result = yield from pipeline.allreduce(
+        sendbuf, op, comm, segments, root=schedule.root,
+        plan=_plan_from_schedule(schedule, comm, me))
+    return result

@@ -1,6 +1,6 @@
 """Collective algorithms over the binomial tree and dissemination patterns."""
 
-from . import tree
+from ...topo import ranks as tree
 from .allreduce import allreduce_reduce_bcast
 from .barrier import barrier_dissemination
 from .bcast import bcast_binomial

@@ -15,87 +15,67 @@ from typing import Generator, Optional
 import numpy as np
 
 from ...errors import MpiError
+from ...pipeline.segmenter import plan_segments
+from ...schedule.ir import Schedule
+from ...schedule.lower import bcast_rank_steps, seg_ids
 from ...sim.cpu import Ledger
-from ...sim.process import Busy
+from ...topo import ranks as tree
 from ..communicator import Communicator
 from ..datatypes import DOUBLE, Datatype
-from ..message import TAG_BCAST
-from . import tree
+from .walk import schedule_steps, walk_steps
 
 
 def bcast_binomial(rank, data: Optional[np.ndarray], root: int,
                    comm: Communicator, *, count: Optional[int] = None,
                    dtype: Optional[Datatype] = None,
-                   tag: int = TAG_BCAST) -> Generator:
+                   schedule: Optional[Schedule] = None) -> Generator:
     """Broadcast ``data`` from ``root``; every rank returns the array.
 
     Non-root ranks either pass a pre-sized ``data`` buffer or give
     ``count`` (and optionally ``dtype``, default double) for allocation.
+    This rank's steps are derived from the configured tree, or read from
+    ``schedule`` when the interpreter passes one.
+
+    With the pipeline armed (repro.pipeline) the steps are seg-major:
+    receive, then forward, one segment at a time — a node's children start
+    receiving segment k while the node still waits for k+1.  The plan
+    depends only on (config, count, itemsize), so every rank segments
+    identically.
     """
     size = comm.size
     me = comm.rank_of_world(rank.rank)
     if not (0 <= root < size):
         raise ValueError(f"root {root} outside communicator of size {size}")
-    rel = tree.relative_rank(me, root, size)
 
     costs = rank.costs
     ledger = Ledger()
     ledger.charge(costs.call_overhead_us, "mpi")
     ledger.charge(costs.tree_setup_us, "mpi")
 
-    if rel == 0:
+    if me == root:
         if data is None:
             raise MpiError("bcast root must supply data")
         buf = np.array(data, copy=True)
+    elif data is not None:
+        buf = np.asarray(data)
+    elif count is not None:
+        buf = (dtype or DOUBLE).buffer(count)
     else:
-        if data is not None:
-            buf = np.asarray(data)
-        elif count is not None:
-            buf = (dtype or DOUBLE).buffer(count)
-        else:
-            raise MpiError("non-root bcast needs a buffer or a count")
-    yield Busy.from_ledger(ledger)
-
-    shape = rank.tree_shape_for(buf.nbytes)
-    pparams = rank.node.pipeline_params_for(buf.nbytes)
-    if pparams is not None and pparams.armed:
-        from ...pipeline.segmenter import plan_segments
-        segments = plan_segments(pparams, buf)
-        if segments is not None:
-            # Segmented pipelined bcast (repro.pipeline): receive, then
-            # forward, one segment at a time — a node's children start
-            # receiving segment k while the node still waits for k+1.
-            # The plan depends only on (config, count, itemsize), so every
-            # rank segments identically; a non-contiguous user buffer is
-            # staged through a contiguous copy.
-            contiguous = buf.flags.c_contiguous
-            flat = (buf if contiguous else np.ascontiguousarray(buf)
-                    ).reshape(-1)
-            kid_ranks = [tree.absolute_rank(c, root, size)
-                         for c in reversed(shape.children(rel, size))]
-            parent = (tree.absolute_rank(shape.parent(rel, size), root,
-                                         size) if rel != 0 else None)
-            for s in segments:
-                chunk = flat[s.offset:s.offset + s.count]
-                if parent is not None:
-                    yield from rank.recv(chunk, parent, tag, comm,
-                                         _context=comm.coll_context)
-                for child in kid_ranks:
-                    yield from rank.send(chunk, child, tag, comm,
-                                         _context=comm.coll_context)
-            if not contiguous:
-                buf[...] = flat.reshape(buf.shape)
-            return buf
-
-    # Receive phase: wait for the parent's copy.
-    if rel != 0:
-        parent = tree.absolute_rank(shape.parent(rel, size), root, size)
-        yield from rank.recv(buf, parent, tag, comm,
-                             _context=comm.coll_context)
-
-    # Forward phase: reverse combine order (deepest subtree first).
-    for child_rel in reversed(shape.children(rel, size)):
-        child = tree.absolute_rank(child_rel, root, size)
-        yield from rank.send(buf, child, tag, comm,
-                             _context=comm.coll_context)
+        raise MpiError("non-root bcast needs a buffer or a count")
+    segments = plan_segments(rank.node.pipeline_params_for(buf.nbytes), buf)
+    if schedule is None:
+        shape = rank.tree_shape_for(buf.nbytes)
+        steps = bcast_rank_steps(*tree.family(shape, size, root, me),
+                                 seg_ids(len(segments or ())))
+    else:
+        steps = schedule_steps(schedule, me, segments, buf.nbytes,
+                               bcast=True)
+    # A non-contiguous user buffer is staged through a contiguous copy.
+    contiguous = buf.flags.c_contiguous
+    flat = (buf if contiguous else np.ascontiguousarray(buf)).reshape(-1)
+    yield from walk_steps(
+        rank, comm, steps, flat, segments=segments, ledger=ledger,
+        lowering="bcast.tree" if schedule is None else schedule.lowering)
+    if not contiguous:
+        buf[...] = flat.reshape(buf.shape)
     return buf

@@ -13,22 +13,37 @@ original MPICH algorithm bit for bit.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
+from ...pipeline.segmenter import plan_segments
+from ...schedule.ir import FoldStep, Schedule, SendStep
+from ...schedule.lower import reduce_rank_steps, seg_ids
 from ...sim.cpu import Ledger
 from ...sim.process import Busy
+from ...topo import ranks as tree
 from ..communicator import Communicator
-from ..message import TAG_REDUCE
 from ..operations import Op
-from . import tree
+from .walk import schedule_steps, walk_steps
 
 
 def reduce_nab(rank, sendbuf: np.ndarray, op: Op, root: int,
-               comm: Communicator, recvbuf: Optional[np.ndarray] = None,
-               tag: int = TAG_REDUCE) -> Generator:
-    """Blocking tree reduction; returns the result array at the root."""
+               comm: Communicator,
+               recvbuf: Optional[np.ndarray] = None, *,
+               schedule: Optional[Schedule] = None) -> Generator:
+    """Blocking tree reduction; returns the result array at the root.
+
+    This rank's steps are derived from the configured tree, or read from
+    ``schedule`` when the interpreter passes one.
+
+    With the pipeline armed (repro.pipeline) the steps are seg-major:
+    internal nodes receive, fold and forward segment *k* before touching
+    segment *k+1*, so the message streams through the tree instead of
+    being staged whole at every level.  Per element the fold order (own
+    contribution, then children in combine order) is that of the whole
+    message, so results match bit for bit.
+    """
     size = comm.size
     me = comm.rank_of_world(rank.rank)
     if not (0 <= root < size):
@@ -44,100 +59,42 @@ def reduce_nab(rank, sendbuf: np.ndarray, op: Op, root: int,
         return result
 
     ledger.charge(costs.tree_setup_us, "mpi")
-    nbytes = np.asarray(sendbuf).nbytes
-    shape = rank.tree_shape_for(nbytes)
-    rel = tree.relative_rank(me, root, size)
-    kids = shape.children(rel, size)
+    sendbuf = np.asarray(sendbuf)
+    segments = plan_segments(rank.node.pipeline_params_for(sendbuf.nbytes),
+                             sendbuf)
+    if schedule is None:
+        shape = rank.tree_shape_for(sendbuf.nbytes)
+        steps = reduce_rank_steps(*tree.family(shape, size, root, me),
+                                  seg_ids(len(segments or ())))
+    else:
+        steps = schedule_steps(schedule, me, segments, sendbuf.nbytes)
+    result = yield from reduce_steps(
+        rank, comm, steps, sendbuf, op, recvbuf, ledger, segments=segments,
+        lowering="reduce.nab" if schedule is None else schedule.lowering)
+    return result
 
-    pparams = rank.node.pipeline_params_for(nbytes)
-    if pparams is not None and pparams.armed:
-        from ...pipeline.segmenter import plan_segments
-        segments = plan_segments(pparams, np.asarray(sendbuf))
-        if segments is not None:
-            result = yield from _reduce_nab_segmented(
-                rank, np.asarray(sendbuf), op, root, comm, recvbuf, tag,
-                segments, ledger, shape, rel, kids)
-            return result
 
-    if not kids:
-        # Leaf: nothing to combine — send the application buffer directly.
-        yield Busy.from_ledger(ledger)
-        parent = tree.absolute_rank(shape.parent(rel, size), root, size)
-        yield from rank.send(np.asarray(sendbuf), parent, tag, comm,
-                             _context=comm.coll_context)
+def reduce_steps(rank, comm: Communicator, steps: Sequence,
+                 sendbuf: np.ndarray, op: Op,
+                 recvbuf: Optional[np.ndarray], ledger: Ledger, *,
+                 segments=None, on_fold: Optional[Callable] = None,
+                 lowering: str = "") -> Generator:
+    """Run one rank's host-side reduce ``steps`` after a prologue ``ledger``.
+
+    A rank that folds accumulates into a private copy (MPICH copies the
+    send buffer so the combine can run in place), billed to ``ledger``; a
+    rank that only sends streams straight from the application buffer.
+    Returns the result where no step sends it on (the root), else None.
+    """
+    acc = np.ascontiguousarray(sendbuf).reshape(-1)
+    if any(type(s) is FoldStep for s in steps):
+        acc = acc.copy()
+        ledger.charge(rank.costs.copy_us(acc.nbytes), "copy")
+    yield from walk_steps(rank, comm, steps, acc, op=op, segments=segments,
+                          ledger=ledger, on_fold=on_fold, lowering=lowering)
+    if any(type(s) is SendStep for s in steps):
         return None
-
-    # Accumulate into a private buffer (MPICH copies the send buffer so the
-    # combine can run in place).
-    acc = np.array(sendbuf, copy=True)
-    ledger.charge(costs.copy_us(acc.nbytes), "copy")
-    yield Busy.from_ledger(ledger)
-
-    tmp = np.empty_like(acc)
-    for child_rel in kids:
-        child = tree.absolute_rank(child_rel, root, size)
-        yield from rank.recv(tmp, child, tag, comm,
-                             _context=comm.coll_context)
-        op_ledger = Ledger()
-        op_ledger.charge(costs.op_us(acc.size), "op")
-        op.apply(acc, tmp)
-        yield Busy.from_ledger(op_ledger)
-
-    if rel != 0:
-        parent = tree.absolute_rank(shape.parent(rel, size), root, size)
-        yield from rank.send(acc, parent, tag, comm,
-                             _context=comm.coll_context)
-        return None
-    return _finish_root(acc, recvbuf)
-
-
-def _reduce_nab_segmented(rank, sendbuf: np.ndarray, op: Op, root: int,
-                          comm: Communicator,
-                          recvbuf: Optional[np.ndarray], tag: int,
-                          segments, ledger: Ledger, shape, rel: int,
-                          kids) -> Generator:
-    """Segmented store-and-forward tree reduce (repro.pipeline, NAB build).
-
-    Internal nodes receive, fold, and forward segment *k* before touching
-    segment *k+1*, so the message streams through the tree instead of
-    being staged whole at every level.  Per element the fold order (own
-    contribution, then children in combine order) is identical to the
-    unsegmented algorithm, so results match bit for bit."""
-    size = comm.size
-    costs = rank.costs
-
-    if not kids:
-        yield Busy.from_ledger(ledger)
-        flat = np.ascontiguousarray(sendbuf).reshape(-1)
-        parent = tree.absolute_rank(shape.parent(rel, size), root, size)
-        for s in segments:
-            yield from rank.send(flat[s.offset:s.offset + s.count], parent,
-                                 tag, comm, _context=comm.coll_context)
-        return None
-
-    acc = np.ascontiguousarray(sendbuf).reshape(-1).copy()
-    ledger.charge(costs.copy_us(acc.nbytes), "copy")
-    yield Busy.from_ledger(ledger)
-
-    tmp = np.empty(max(s.count for s in segments), dtype=acc.dtype)
-    parent = (tree.absolute_rank(shape.parent(rel, size), root, size)
-              if rel != 0 else None)
-    for s in segments:
-        chunk = acc[s.offset:s.offset + s.count]
-        for child_rel in kids:
-            child = tree.absolute_rank(child_rel, root, size)
-            yield from rank.recv(tmp[:s.count], child, tag, comm,
-                                 _context=comm.coll_context)
-            op_ledger = Ledger()
-            op_ledger.charge(costs.op_us(s.count), "op")
-            op.apply(chunk, tmp[:s.count])
-            yield Busy.from_ledger(op_ledger)
-        if parent is not None:
-            yield from rank.send(chunk, parent, tag, comm,
-                                 _context=comm.coll_context)
-    if parent is not None:
-        return None
-    return _finish_root(acc.reshape(sendbuf.shape), recvbuf)
+    return _finish_root(acc.reshape(np.shape(sendbuf)), recvbuf)
 
 
 def _finish_root(acc: np.ndarray, recvbuf: Optional[np.ndarray]) -> np.ndarray:

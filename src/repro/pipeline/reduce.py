@@ -32,14 +32,16 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..mpich.collectives import tree
-from ..mpich.collectives.reduce import _finish_root
+from ..mpich.collectives.reduce import reduce_steps
+from ..mpich.collectives.walk import schedule_steps, walk_steps
 from ..mpich.communicator import Communicator
 from ..mpich.message import TAG_REDUCE, AbHeader
 from ..mpich.operations import Op
 from ..sim.cpu import Ledger
 from ..sim.events import PRIORITY_TIMER
 from ..sim.process import Busy, WaitFor
+from ..schedule.lower import reduce_rank_steps, seg_ids
+from ..topo import ranks as tree
 from ..core.delay import exit_delay_window
 from ..core.descriptor import ReduceDescriptor
 from ..core.plan import CollectivePlan
@@ -166,10 +168,20 @@ class AbPipeline:
         flat = np.ascontiguousarray(sendbuf).reshape(-1)
 
         if rel == 0:
+            # The root cannot bypass (``MPI_Reduce`` must return the
+            # result, paper Sec. II) but it still benefits: it folds
+            # segment k while its children are combining k+1, instead of
+            # waiting for whole messages to be staged at every level below.
             engine.stats.root_reduces += 1
-            result = yield from self._root_fold(
-                flat, segments, op, root, comm, ledger, instance,
-                np.asarray(sendbuf).shape, recvbuf)
+            if plan is None:
+                _, kids = tree.family(shape, size, root, me)
+                steps = reduce_rank_steps(None, kids, seg_ids(len(segments)))
+            else:
+                steps = schedule_steps(plan.schedule, me, segments, nbytes)
+            result = yield from reduce_steps(
+                engine.rank, comm, steps, sendbuf, op, recvbuf, ledger,
+                segments=segments, lowering="reduce.ab",
+                on_fold=self.root_fold_hook(comm, instance))
             return result
 
         parent_world, children_world = self._neighbors(
@@ -238,11 +250,10 @@ class AbPipeline:
     # pipelined MPI_Allreduce (Träff-style reduce/bcast overlap)
     # ------------------------------------------------------------------
     def allreduce(self, sendbuf: np.ndarray, op: Op, comm: Communicator,
-                  segments: list[Segment], *,
+                  segments: list[Segment], *, root: int = 0,
                   plan: Optional[CollectivePlan] = None) -> Generator:
-        """Segmented reduce-to-0 overlapped with segmented AB broadcast."""
+        """Segmented reduce-to-root overlapped with segmented AB broadcast."""
         engine = self.engine
-        root = 0
         me = comm.rank_of_world(engine.rank.rank)
         # The broadcast extension must exist before any bcast packet can
         # arrive; every rank constructs it on its first pipelined allreduce,
@@ -282,73 +293,40 @@ class AbPipeline:
         ledger.charge(self.costs.tree_setup_us, "mpi")
         engine.stats.root_reduces += 1
         self.stats.pipelined_reduces += 1
-        size = comm.size
         tshape = engine.rank.tree_shape_for(flat.nbytes)
-        kids = [tree.absolute_rank(c, root, size)
-                for c in tshape.children(0, size)]
+        _, kids = tree.family(tshape, comm.size, root, root)
         acc = np.array(flat, copy=True)
         ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
         yield Busy.from_ledger(ledger)
-        tmp = np.empty(max(s.count for s in segments), dtype=acc.dtype)
+        on_fold = self.root_fold_hook(comm, instance)
         for s in segments:
-            yield from self._fold_root_segment(acc, tmp, s, op, kids, comm,
-                                               instance)
+            yield from walk_steps(
+                engine.rank, comm, reduce_rank_steps(None, kids, (s.index,)),
+                acc, op=op, segments=segments, on_fold=on_fold,
+                lowering="allreduce.pipelined")
             yield from bcaster.bcast(acc[s.offset:s.offset + s.count],
                                      root, comm)
         return acc.reshape(shape)
 
-    # ------------------------------------------------------------------
-    # root fold (plain pipelined reduce)
-    # ------------------------------------------------------------------
-    def _root_fold(self, flat: np.ndarray, segments: list[Segment], op: Op,
-                   root: int, comm: Communicator, ledger: Ledger,
-                   instance: int, shape, recvbuf) -> Generator:
-        """Root of a pipelined reduce: blocking seg-major fold.
-
-        The root cannot bypass (``MPI_Reduce`` must return the result,
-        paper Sec. II) but it still benefits: it folds segment k while its
-        children are combining k+1, instead of waiting for whole messages
-        to be staged at every level below.
-        """
-        engine = self.engine
-        size = comm.size
-        tshape = engine.rank.tree_shape_for(flat.nbytes)
-        kids = [tree.absolute_rank(c, root, size)
-                for c in tshape.children(0, size)]
-        acc = np.array(flat, copy=True)
-        ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
-        yield Busy.from_ledger(ledger)
-        if kids:
-            tmp = np.empty(max(s.count for s in segments), dtype=acc.dtype)
-            for s in segments:
-                yield from self._fold_root_segment(acc, tmp, s, op, kids,
-                                                   comm, instance)
-        return _finish_root(acc.reshape(shape), recvbuf)
-
-    def _fold_root_segment(self, acc: np.ndarray, tmp: np.ndarray,
-                           s: Segment, op: Op, kids: list[int],
-                           comm: Communicator, instance: int) -> Generator:
-        """Blocking-receive one segment from every child and fold it in.
+    def root_fold_hook(self, comm: Communicator, instance: int):
+        """Per-fold callback for the root's host walk of a segmented AB
+        reduce: count the fold and report it to the monitor.
 
         Per-(child → root) segment streams are emitted in ascending segment
         order (leaves stream in order; internal forwards happen in
         completion order, which the per-child FIFO makes ascending), so the
-        plain FIFO receive match picks up exactly segment ``s`` from each
-        child."""
+        walker's plain FIFO receive picks up exactly the step's segment
+        from each child."""
         engine = self.engine
-        for child in kids:
-            child_world = comm.world_rank(child)
-            yield from engine.rank.recv(tmp[:s.count], child, TAG_REDUCE,
-                                        comm, _context=comm.coll_context)
-            op_ledger = Ledger()
-            op_ledger.charge(self.costs.op_us(s.count), "op")
-            op.apply(acc[s.offset:s.offset + s.count], tmp[:s.count])
+
+        def on_fold(step) -> None:
             self.stats.root_segment_folds += 1
             if engine.monitor is not None:
                 engine.monitor.on_segment_fold(
-                    engine.rank.rank, child_world, comm.coll_context,
-                    instance, s.index, self.sim.now)
-            yield Busy.from_ledger(op_ledger)
+                    engine.rank.rank, comm.world_rank(step.child),
+                    comm.coll_context, instance, step.seg, self.sim.now)
+
+        return on_fold
 
     # ------------------------------------------------------------------
     # window machinery (internal nodes)
@@ -441,8 +419,8 @@ class AbPipeline:
         engine = self.engine
         if plan is not None and not engine._heal:
             return plan.parent_world, list(plan.children_world)
-        kids_rel = shape.children(rel, size)
         if engine._heal:
+            kids_rel = shape.children(rel, size)
             naive_parent = comm.world_rank(
                 tree.absolute_rank(shape.parent(rel, size), root, size))
             parent_world = engine._live_ancestor_world(
@@ -458,12 +436,10 @@ class AbPipeline:
                 engine._report_fault("subtree_healed", instance=instance,
                                      healed=healed)
         else:
-            parent_world = comm.world_rank(
-                tree.absolute_rank(shape.parent(rel, size), root, size))
-            children_world = [
-                comm.world_rank(tree.absolute_rank(c, root, size))
-                for c in kids_rel
-            ]
+            parent, kids = tree.family(shape, size, root,
+                                       tree.absolute_rank(rel, root, size))
+            parent_world = comm.world_rank(parent)
+            children_world = [comm.world_rank(c) for c in kids]
         return parent_world, children_world
 
     def _broadcaster(self, comm: Communicator):

@@ -9,7 +9,8 @@ instead of orderings baked into engine code.  The package provides:
 ``lower``
     Lowerings that emit schedules from the existing tree-shape registry
     (whole-message and segmented variants for nab/AB reduce, bcast and
-    allreduce).
+    allreduce), built from per-rank step functions that ``mpi.reduce`` /
+    ``mpi.bcast`` also call for their own rank.
 ``passes``
     Pure ``Schedule -> Schedule`` rewrite passes behind a registry:
     Lowery–Langou greedy segment pipelining, reduce+bcast overlap fusion,
@@ -22,9 +23,10 @@ instead of orderings baked into engine code.  The package provides:
     lowering x shape x segment size through ``repro.orchestrate`` and
     writes the table under ``benchmarks/tuned/``.
 
-Execution of a schedule through the live NIC/fabric machinery lives in
-:mod:`repro.core.interpreter` (it needs the engines; keeping it there avoids
-an import cycle).
+This package sits *below* the collectives: it imports only ``repro.topo``,
+and :mod:`repro.mpich.collectives` imports it.  Host-side steps execute in
+:mod:`repro.mpich.collectives.walk`; :mod:`repro.core.interpreter` (above
+the engines) dispatches a whole schedule onto that walker and the AB engine.
 """
 
 from .ir import (BcastStep, FoldStep, RecvStep, Schedule,

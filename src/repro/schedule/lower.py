@@ -3,23 +3,29 @@
 Every lowering has the signature ``(shape, size, *, root=0, nseg=0)`` where
 ``shape`` is a :class:`repro.topo.trees.TreeShape`, ``size`` the communicator
 size and ``nseg`` the number of pipeline segments (``0`` = whole message).
-The emitted step orders mirror the legacy engine paths exactly — child order
-follows ``shape.children`` for reduce phases and *reversed* children for
-broadcast forwarding, segments are walked seg-major — which is what lets the
-interpreter in :mod:`repro.core.interpreter` replay them bit-identically.
+Child order follows ``shape.children`` for reduce phases and *reversed*
+children for broadcast forwarding; segments are walked seg-major.
+
+A lowering is a per-rank function ``(parent, kids, segs) -> steps`` run by
+one driver (:func:`_schedule`) over every rank's :func:`repro.topo.ranks.family`.
+``mpi.reduce`` / ``mpi.bcast`` call the same per-rank functions
+(:func:`reduce_rank_steps`, :func:`bcast_rank_steps`) for their own rank
+only and hand the steps to the host walker
+(:mod:`repro.mpich.collectives.walk`), so an ``mpi.<collective>`` call and
+the interpreter executing the matching lowering run the same steps.
 
 Registered lowerings:
 
 ``reduce.nab``
     Host-level tree reduce (blocking recv+fold per child), whole or
-    seg-major segmented — the ``reduce_nab`` path.
+    seg-major segmented — what ``reduce_nab`` walks.
 ``reduce.ab``
     Application-bypass reduce: internal ranks post one NIC descriptor
     (:class:`WaitStep`) per segment, leaves just send; the root folds on the
     host exactly like ``reduce.nab``.
 ``bcast.tree``
-    Tree broadcast with reversed-child forwarding (both the nab
-    ``bcast_binomial`` and the AB broadcaster use this order).
+    Tree broadcast with reversed-child forwarding — what ``bcast_binomial``
+    walks; the AB broadcaster forwards in the same order.
 ``allreduce.reduce_bcast``
     Sequential nab reduce-to-root followed by tree bcast.
 ``allreduce.ab``
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from ..mpich.collectives import tree
+from ..topo import ranks
 from ..topo.trees import TreeShape
 from .ir import (BcastStep, FoldStep, RecvStep, Schedule, ScheduleError,
                  SendStep, WaitStep)
@@ -91,27 +97,19 @@ def _check(shape: TreeShape, size: int, root: int, nseg: int) -> None:
         raise ScheduleError("nseg must be 0 (whole message) or >= 2")
 
 
-def _segs(nseg: int):
+def seg_ids(nseg: int):
+    """Segment ids of an ``nseg``-segment plan (``-1`` = whole message)."""
     return range(nseg) if nseg else (-1,)
 
 
-def _family(shape: TreeShape, size: int, root: int, me: int):
-    """Absolute (parent, children) for communicator rank ``me``."""
-    rel = tree.relative_rank(me, root, size)
-    kids = [tree.absolute_rank(c, root, size)
-            for c in shape.children(rel, size)]
-    parent = (None if rel == 0
-              else tree.absolute_rank(shape.parent(rel, size), root, size))
-    return parent, kids
+# ---------------------------------------------------------------------------
+# per-rank steps: (parent, kids, segs) -> this rank's ordered steps
+# ---------------------------------------------------------------------------
 
-
-def _meta(shape: TreeShape) -> tuple:
-    return (("shape", shape.name),)
-
-
-def _reduce_rank_steps(parent, kids, nseg: int) -> List:
+def reduce_rank_steps(parent, kids, segs=(-1,)) -> List:
+    """Host reduce: per segment, recv+fold each child, then send up."""
     steps: List = []
-    for s in _segs(nseg):
+    for s in segs:
         for c in kids:
             steps.append(RecvStep(c, seg=s))
             steps.append(FoldStep(c, seg=s))
@@ -120,44 +118,12 @@ def _reduce_rank_steps(parent, kids, nseg: int) -> List:
     return steps
 
 
-@register_lowering("reduce.nab")
-def lower_reduce_nab(shape: TreeShape, size: int, *, root: int = 0,
-                     nseg: int = 0) -> Schedule:
-    _check(shape, size, root, nseg)
-    ranks = []
-    for me in range(size):
-        parent, kids = _family(shape, size, root, me)
-        ranks.append(tuple(_reduce_rank_steps(parent, kids, nseg)))
-    return Schedule("reduce", "reduce.nab", size, root, nseg,
-                    meta=_meta(shape), steps=tuple(ranks))
-
-
-@register_lowering("reduce.ab")
-def lower_reduce_ab(shape: TreeShape, size: int, *, root: int = 0,
-                    nseg: int = 0) -> Schedule:
-    _check(shape, size, root, nseg)
-    ranks = []
-    for me in range(size):
-        parent, kids = _family(shape, size, root, me)
-        if parent is None:
-            # The AB root folds on the host, exactly like reduce.nab.
-            steps = _reduce_rank_steps(parent, kids, nseg)
-        elif not kids:
-            steps = [SendStep(parent, seg=s) for s in _segs(nseg)]
-        else:
-            steps = []
-            for s in _segs(nseg):
-                steps.append(WaitStep(tuple(kids), seg=s))
-                steps.append(SendStep(parent, seg=s))
-        ranks.append(tuple(steps))
-    return Schedule("reduce", "reduce.ab", size, root, nseg,
-                    meta=_meta(shape), steps=tuple(ranks))
-
-
-def _bcast_rank_steps(parent, kids, nseg: int) -> List:
+def bcast_rank_steps(parent, kids, segs=(-1,)) -> List:
+    """Tree bcast: per segment, recv from the parent, forward to the
+    children deepest subtree first."""
     rkids = list(reversed(kids))
     steps: List = []
-    for s in _segs(nseg):
+    for s in segs:
         if parent is not None:
             steps.append(BcastStep(parent, "recv", seg=s))
         for c in rkids:
@@ -165,72 +131,72 @@ def _bcast_rank_steps(parent, kids, nseg: int) -> List:
     return steps
 
 
-@register_lowering("bcast.tree")
-def lower_bcast_tree(shape: TreeShape, size: int, *, root: int = 0,
-                     nseg: int = 0) -> Schedule:
-    _check(shape, size, root, nseg)
-    ranks = []
-    for me in range(size):
-        parent, kids = _family(shape, size, root, me)
-        ranks.append(tuple(_bcast_rank_steps(parent, kids, nseg)))
-    return Schedule("bcast", "bcast.tree", size, root, nseg,
-                    meta=_meta(shape), steps=tuple(ranks))
+def _ab_reduce_rank_steps(parent, kids, segs) -> List:
+    """AB reduce: internal ranks post one NIC descriptor per segment and
+    leaves just send; the root folds on the host like ``reduce.nab``."""
+    if parent is None or not kids:
+        return reduce_rank_steps(parent, kids, segs)
+    steps: List = []
+    for s in segs:
+        steps.append(WaitStep(tuple(kids), seg=s))
+        steps.append(SendStep(parent, seg=s))
+    return steps
 
 
-@register_lowering("allreduce.reduce_bcast")
-def lower_allreduce_reduce_bcast(shape: TreeShape, size: int, *, root: int = 0,
-                                 nseg: int = 0) -> Schedule:
-    red = lower_reduce_nab(shape, size, root=root, nseg=nseg)
-    bc = lower_bcast_tree(shape, size, root=root, nseg=nseg)
-    steps = tuple(r + b for r, b in zip(red.steps, bc.steps))
-    return Schedule("allreduce", "allreduce.reduce_bcast", size, root, nseg,
-                    meta=_meta(shape), steps=steps)
+def _pipelined_rank_steps(parent, kids, segs) -> List:
+    if parent is not None:
+        return (_ab_reduce_rank_steps(parent, kids, segs)
+                + bcast_rank_steps(parent, kids, segs))
+    # Root: fold segment k, immediately re-broadcast it — the overlap that
+    # keeps both reduce and bcast links busy.
+    steps: List = []
+    for s in segs:
+        steps += reduce_rank_steps(None, kids, (s,))
+        steps += bcast_rank_steps(None, kids, (s,))
+    return steps
 
 
-@register_lowering("allreduce.ab")
-def lower_allreduce_ab(shape: TreeShape, size: int, *, root: int = 0,
-                       nseg: int = 0) -> Schedule:
-    red = lower_reduce_ab(shape, size, root=root, nseg=nseg)
-    bc = lower_bcast_tree(shape, size, root=root, nseg=nseg)
-    steps = tuple(r + b for r, b in zip(red.steps, bc.steps))
-    return Schedule("allreduce", "allreduce.ab", size, root, nseg,
-                    meta=_meta(shape), steps=steps)
+def _then_bcast(reduce_steps):
+    """Sequential allreduce: ``reduce_steps`` to the root, then tree bcast."""
+    return lambda parent, kids, segs: (reduce_steps(parent, kids, segs)
+                                       + bcast_rank_steps(parent, kids, segs))
 
 
-@register_lowering("allreduce.pipelined")
-def lower_allreduce_pipelined(shape: TreeShape, size: int, *, root: int = 0,
-                              nseg: int = 0) -> Schedule:
-    _check(shape, size, root, nseg)
-    if nseg < 2:
-        raise ScheduleError("allreduce.pipelined requires nseg >= 2")
-    ranks = []
-    for me in range(size):
-        parent, kids = _family(shape, size, root, me)
-        rkids = list(reversed(kids))
-        steps: List = []
-        if parent is None:
-            # Root: fold segment k, immediately re-broadcast it — the overlap
-            # that keeps both reduce and bcast links busy.
-            for s in range(nseg):
-                for c in kids:
-                    steps.append(RecvStep(c, seg=s))
-                    steps.append(FoldStep(c, seg=s))
-                for c in rkids:
-                    steps.append(BcastStep(c, "send", seg=s))
-        else:
-            if not kids:
-                steps.extend(SendStep(parent, seg=s) for s in range(nseg))
-            else:
-                for s in range(nseg):
-                    steps.append(WaitStep(tuple(kids), seg=s))
-                    steps.append(SendStep(parent, seg=s))
-            for s in range(nseg):
-                steps.append(BcastStep(parent, "recv", seg=s))
-                for c in rkids:
-                    steps.append(BcastStep(c, "send", seg=s))
-        ranks.append(tuple(steps))
-    return Schedule("allreduce", "allreduce.pipelined", size, root, nseg,
-                    meta=_meta(shape), steps=tuple(ranks))
+def _schedule(collective: str, name: str, size: int, root: int, nseg: int,
+              meta: tuple, rank_steps: Callable) -> Schedule:
+    """The one per-rank driver: ``rank_steps(me, segs)`` for every rank."""
+    segs = seg_ids(nseg)
+    return Schedule(collective, name, size, root, nseg, meta=meta,
+                    steps=tuple(tuple(rank_steps(me, segs))
+                                for me in range(size)))
+
+
+def _meta(shape: TreeShape) -> tuple:
+    return (("shape", shape.name),)
+
+
+def _tree_lowering(name: str, rank_steps: Callable, min_nseg: int = 0) -> None:
+    """Register ``name``: ``rank_steps`` over every rank's family in the
+    ``shape`` tree rooted at ``root``."""
+
+    @register_lowering(name)
+    def lowering(shape: TreeShape, size: int, *, root: int = 0,
+                 nseg: int = 0) -> Schedule:
+        _check(shape, size, root, nseg)
+        if nseg < min_nseg:
+            raise ScheduleError("%s requires nseg >= %d" % (name, min_nseg))
+        return _schedule(
+            name.split(".")[0], name, size, root, nseg, _meta(shape),
+            lambda me, segs: rank_steps(*ranks.family(shape, size, root, me),
+                                        segs))
+
+
+_tree_lowering("reduce.nab", reduce_rank_steps)
+_tree_lowering("reduce.ab", _ab_reduce_rank_steps)
+_tree_lowering("bcast.tree", bcast_rank_steps)
+_tree_lowering("allreduce.reduce_bcast", _then_bcast(reduce_rank_steps))
+_tree_lowering("allreduce.ab", _then_bcast(_ab_reduce_rank_steps))
+_tree_lowering("allreduce.pipelined", _pipelined_rank_steps, min_nseg=2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +236,24 @@ def lower_allreduce_pap_sorted(shape: TreeShape, size: int, *, root: int = 0,
     """
     _check(shape, size, root, nseg)
     order = _check_order(order, size)
-    depth = []
-    for pos in range(size):
-        d, p = 0, pos
-        while p != 0:
-            p = shape.parent(p, size)
-            d += 1
-        depth.append(d)
+    depth = [shape.depth(pos, size) for pos in range(size)]
     by_depth = sorted(range(size), key=lambda p: (-depth[p], p))
     rank_at_pos = [0] * size
     for arrival, pos in enumerate(by_depth):
         rank_at_pos[pos] = order[arrival]
     pos_of_rank = {r: p for p, r in enumerate(rank_at_pos)}
-    ranks = []
-    for me in range(size):
+
+    def rank_steps(me, segs):
         pos = pos_of_rank[me]
         parent = (None if pos == 0
                   else rank_at_pos[shape.parent(pos, size)])
         kids = [rank_at_pos[c] for c in shape.children(pos, size)]
-        steps = (_reduce_rank_steps(parent, kids, nseg)
-                 + _bcast_rank_steps(parent, kids, nseg))
-        ranks.append(tuple(steps))
-    return Schedule("allreduce", "allreduce.pap_sorted", size,
-                    rank_at_pos[0], nseg, meta=_pap_meta(shape, order),
-                    steps=tuple(ranks))
+        return (reduce_rank_steps(parent, kids, segs)
+                + bcast_rank_steps(parent, kids, segs))
+
+    return _schedule("allreduce", "allreduce.pap_sorted", size,
+                     rank_at_pos[0], nseg, _pap_meta(shape, order),
+                     rank_steps)
 
 
 @register_lowering("allreduce.pap_prereduced")
@@ -313,18 +273,14 @@ def lower_allreduce_pap_prereduced(shape: TreeShape, size: int, *,
     chain_root = order[-1]
     nxt = {order[i]: order[i + 1] for i in range(size - 1)}
     prev = {order[i]: order[i - 1] for i in range(1, size)}
-    ranks = []
-    for me in range(size):
-        steps: List = []
-        for s in _segs(nseg):
-            if me in prev:
-                steps.append(RecvStep(prev[me], seg=s))
-                steps.append(FoldStep(prev[me], seg=s))
-            if me in nxt:
-                steps.append(SendStep(nxt[me], seg=s))
-        bparent, bkids = _family(shape, size, chain_root, me)
-        steps.extend(_bcast_rank_steps(bparent, bkids, nseg))
-        ranks.append(tuple(steps))
-    return Schedule("allreduce", "allreduce.pap_prereduced", size,
-                    chain_root, nseg, meta=_pap_meta(shape, order),
-                    steps=tuple(ranks))
+
+    def rank_steps(me, segs):
+        # The chain is a one-child tree: fold the previous arrival's
+        # partial sum, forward to the next arrival.
+        return (reduce_rank_steps(nxt.get(me),
+                                  [prev[me]] if me in prev else [], segs)
+                + bcast_rank_steps(
+                    *ranks.family(shape, size, chain_root, me), segs))
+
+    return _schedule("allreduce", "allreduce.pap_prereduced", size,
+                     chain_root, nseg, _pap_meta(shape, order), rank_steps)

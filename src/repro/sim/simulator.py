@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..errors import DeadlockError, ProcessFailed
+from ..errors import DeadlockError, ProcessFailed, ReproError
 from . import access
 from .events import Event, EventQueue, PRIORITY_DELIVERY, PRIORITY_WAKE
 from .process import Busy, Compute, Fork, SimGen, SimProcess, WaitFor
@@ -44,7 +44,8 @@ class Simulator:
         self.monitors.append(monitor)
 
     def add_counter_source(self, source: Callable[[], dict]) -> None:
-        """Register a zero-arg callable whose dict extends :meth:`counters`."""
+        """Register a zero-arg callable whose dict extends :meth:`counters`
+        (a key another source already reports makes ``counters`` raise)."""
         self._counter_sources.append(source)
 
     # ------------------------------------------------------------------
@@ -159,8 +160,16 @@ class Simulator:
             "ops": self.ops_executed,
             "processes": self.processes_spawned,
         }
+        owners = dict.fromkeys(out, "Simulator.counters")
         for source in self._counter_sources:
-            out.update(source())
+            owner = getattr(source, "__qualname__", repr(source))
+            for key, value in source().items():
+                if key in owners:
+                    raise ReproError(
+                        "counter %r is reported by both %s and %s"
+                        % (key, owners[key], owner))
+                owners[key] = owner
+                out[key] = value
         return out
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Binomial-tree rank arithmetic (paper Fig. 1).
+"""Tree rank arithmetic: root rotation, and the binomial tree (paper Fig. 1).
 
 MPICH computes everything on *relative* ranks ``rel = (rank - root) % size``
 so that any rank can be the root of the same tree shape.  A node's parent
@@ -6,6 +6,11 @@ clears the lowest set bit of its relative rank; its children set each bit
 above its lowest set bit (bounded by ``size``), in increasing-mask order —
 that order is also the order the default reduction receives and combines
 child contributions.
+
+The module imports nothing, so the tree shapes, the schedule lowerings, the
+collectives and the AB engines can all sit above it; it is also reachable
+as ``repro.mpich.collectives.tree``, its name before the lowerings moved
+below the collectives.
 """
 
 from __future__ import annotations
@@ -23,6 +28,18 @@ def absolute_rank(rel: int, root: int, size: int) -> int:
     _check(rel, size)
     _check(root, size)
     return (rel + root) % size
+
+
+def family(shape, size: int, root: int, me: int):
+    """``(parent, children)`` of communicator rank ``me`` in the ``shape``
+    tree rooted at ``root``, as communicator ranks: the parent is None at
+    the root, the children come in combine order.  ``shape`` is a
+    :class:`repro.topo.trees.TreeShape`."""
+    rel = relative_rank(me, root, size)
+    kids = [absolute_rank(c, root, size) for c in shape.children(rel, size)]
+    parent = (None if rel == 0
+              else absolute_rank(shape.parent(rel, size), root, size))
+    return parent, kids
 
 
 def parent(rel: int) -> int:

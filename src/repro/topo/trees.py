@@ -2,7 +2,7 @@
 
 A :class:`TreeShape` is a strategy over *relative* ranks (``rel =
 (rank - root) % size``, exactly the arithmetic of
-:mod:`repro.mpich.collectives.tree`): ``parent(rel, size)`` names the node
+:mod:`repro.topo.ranks`): ``parent(rel, size)`` names the node
 a contribution is combined into and ``children(rel, size)`` lists the
 contributors **in combine order** — the order the default reduction
 receives and folds child results, which every implementation must keep
@@ -12,7 +12,7 @@ Registered shapes:
 
 ``binomial``
     MPICH's default (paper Fig. 1); delegates to
-    :mod:`repro.mpich.collectives.tree` so the default configuration is
+    :mod:`repro.topo.ranks` so the default configuration is
     bit-identical to the pre-registry code.
 ``knomial``
     Radix-``k`` generalization: a node's parent clears its lowest nonzero
@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from ..mpich.collectives import tree
+from . import ranks as tree
 
 
 def _check(value: int, size: int) -> None:
@@ -81,7 +81,7 @@ class TreeShape:
     def deepest_rel(self, size: int) -> int:
         """The relative rank farthest from the root (the paper's "last
         node"); ties broken toward the largest rank, matching
-        :func:`repro.mpich.collectives.tree.deepest_relative_rank`."""
+        :func:`repro.topo.ranks.deepest_relative_rank`."""
         best = 0
         best_depth = 0
         for rel in range(size):

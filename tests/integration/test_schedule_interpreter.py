@@ -1,21 +1,27 @@
-"""Bit-identity of the schedule interpreter against the legacy engines.
+"""Bit-identity of ``mpi.<collective>`` and the schedule interpreter against
+a committed reference.
 
-The tentpole claim of repro.schedule: executing a lowered
-:class:`~repro.schedule.ir.Schedule` through
-:func:`repro.core.interpreter.execute_schedule` is *bit-identical* to the
-legacy collective implementations — not "numerically close": the same
-per-rank results, the same simulated finish time, and the same full
-``Simulator.counters()`` snapshot (events popped, driver ops, per-hop
-network counters), because the interpreter issues the exact ledger
-charges and yield points the legacy code does.
+``mpi.reduce/bcast/allreduce`` and
+:func:`repro.core.interpreter.execute_schedule` both run the one host-side
+step walker, so comparing them to each other would be new code against new
+code.  The reference is ``golden/schedule_interpreter.json``: the
+``mpi.<collective>`` side of every case, captured at the commit *before*
+the hand-written recv → fold → send loops were replaced by the walker
+(per-rank payload SHA-256, simulated finish time, full
+``Simulator.counters()`` snapshot — events popped, driver ops, per-hop
+network counters).  Both paths must reproduce it exactly, not "numerically
+close".  The fixture is never regenerated from current code.
 
-Every registered lowering is pinned here across three tree shapes, whole
-message and segmented, on both builds where applicable.
+Every registered tree lowering is pinned here across three tree shapes,
+whole message and segmented, on both builds where applicable.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,10 @@ from repro.core.interpreter import execute_schedule
 from repro.mpich.operations import SUM
 from repro.mpich.rank import MpiBuild
 from repro.runtime.program import run_program
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "schedule_interpreter.json")
+    .read_text(encoding="utf-8"))["cases"]
 
 SIZE = 8
 ELEMENTS = 1024  # 8 KiB payload -> 4 segments at 2048 B
@@ -83,17 +93,24 @@ def scheduled_program(schedule):
     return program
 
 
-def run_pair(shape: str, segmented: bool, whole_name: str, seg_name: str,
-             build: MpiBuild):
-    config = make_config(shape, segmented)
-    lowering = seg_name if segmented else whole_name
-    schedule = build_schedule(config, lowering=lowering, elements=ELEMENTS)
-    assert schedule.nseg == (4 if segmented else 0)
-    legacy = run_program(config, legacy_program(schedule.collective),
-                         build=build)
-    scheduled = run_program(config, scheduled_program(schedule),
-                            build=build)
-    return legacy, scheduled
+def payload_digest(array):
+    if array is None:
+        return None
+    array = np.ascontiguousarray(array)
+    header = "%s|%s|" % (array.dtype.str, array.shape)
+    return hashlib.sha256(header.encode() + array.tobytes()).hexdigest()
+
+
+def snapshot(out):
+    return {
+        "finished_at": out.finished_at,
+        "payload_sha256": [payload_digest(r) for r in out.results],
+        "sim_counters": dict(out.sim_counters()),
+    }
+
+
+def test_golden_covers_exactly_the_parametrized_cases():
+    assert len(GOLDEN) == len(COMBOS) * len(SHAPES) * 2
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -103,18 +120,21 @@ def run_pair(shape: str, segmented: bool, whole_name: str, seg_name: str,
                          COMBOS, ids=[c[0] for c in COMBOS])
 def test_interpreter_bit_identical_to_legacy(shape, segmented, whole_name,
                                              seg_name, build):
-    legacy, scheduled = run_pair(shape, segmented, whole_name, seg_name,
-                                 build)
-    # Same simulated universe: every event popped, every driver op, every
-    # per-hop network counter — and the same finish instant.
-    assert scheduled.finished_at == legacy.finished_at
-    assert dict(scheduled.sim_counters()) == dict(legacy.sim_counters())
-    # Same per-rank payloads, bit for bit.
-    for rank, (a, b) in enumerate(zip(legacy.results, scheduled.results)):
-        if a is None or b is None:
-            assert a is None and b is None, f"rank {rank} presence differs"
-        else:
-            assert np.array_equal(a, b), f"rank {rank} payload differs"
+    config = make_config(shape, segmented)
+    lowering = seg_name if segmented else whole_name
+    schedule = build_schedule(config, lowering=lowering, elements=ELEMENTS)
+    assert schedule.nseg == (4 if segmented else 0)
+    golden = GOLDEN["%s-%s-%s" % (whole_name,
+                                  "segmented" if segmented else "whole",
+                                  shape)]
+    # Same simulated universe as the pre-walker code: every event popped,
+    # every driver op, every per-hop network counter, the same finish
+    # instant and the same per-rank payloads, bit for bit.
+    legacy = run_program(config, legacy_program(schedule.collective),
+                         build=build)
+    assert snapshot(legacy) == golden
+    scheduled = run_program(config, scheduled_program(schedule), build=build)
+    assert snapshot(scheduled) == golden
 
 
 def test_interpreter_rejects_mismatched_segmentation():

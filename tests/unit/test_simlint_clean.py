@@ -33,14 +33,15 @@ def _copy_src(tmp_path: Path) -> Path:
 
 def test_seeded_dropped_yield_from_fails_gate(tmp_path, capsys):
     src = _copy_src(tmp_path)
-    engine = src / "repro" / "core" / "engine.py"
-    text = engine.read_text(encoding="utf-8")
-    # Drop the `yield from` off a collective call inside the AB engine.
-    assert "result = yield from reduce_nab(self.rank, sendbuf" in text
-    engine.write_text(text.replace(
-        "result = yield from reduce_nab(self.rank, sendbuf",
-        "reduce_nab(self.rank, sendbuf, op, root, comm, recvbuf)\n"
-        "            result = yield from reduce_nab(self.rank, sendbuf",
+    rank = src / "repro" / "mpich" / "rank.py"
+    text = rank.read_text(encoding="utf-8")
+    # Drop the `yield from` off a collective call inside MpiRank.reduce.
+    anchor = "result = yield from reduce_nab(self, sendbuf"
+    assert anchor in text
+    rank.write_text(text.replace(
+        anchor,
+        "reduce_nab(self, sendbuf, op, root, comm, recvbuf)\n"
+        "            " + anchor,
         1), encoding="utf-8")
     rc = main(["--baseline", str(BASELINE), str(src)])
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeadlockError, ProcessFailed
+from repro.errors import DeadlockError, ProcessFailed, ReproError
 from repro.sim.cpu import HostCpu
 from repro.sim.process import Busy, Compute, Fork, Trigger, WaitFor
 from repro.sim.simulator import Simulator
@@ -230,3 +230,25 @@ def test_determinism_same_seedless_schedule(sim):
     log2 = build(sim2)
     sim2.run()
     assert log1 == log2
+
+
+def test_counter_sources_merge_and_collisions_raise(sim):
+    def fabric_counters():
+        return {"net_hops": 3}
+
+    sim.add_counter_source(fabric_counters)
+    assert sim.counters()["net_hops"] == 3
+
+    def rogue_counters():
+        return {"rogue": 1, "net_hops": 9}
+
+    sim.add_counter_source(rogue_counters)
+    with pytest.raises(ReproError, match=r"'net_hops'.*fabric_counters.*"
+                                         r"rogue_counters"):
+        sim.counters()
+
+    # A source may not shadow the simulator's own counters either.
+    other = Simulator()
+    other.add_counter_source(lambda: {"events": 0})
+    with pytest.raises(ReproError, match=r"'events'.*Simulator\.counters"):
+        other.counters()
