@@ -375,37 +375,17 @@ def check_points(points: list, *, runs: int = 8, seed: int = 1,
 # scenario registry + CLI
 # ---------------------------------------------------------------------------
 
-def _scenario_factories() -> dict[str, Callable[..., list]]:
-    from ..orchestrate.points import (faults_smoke_points,
-                                      pap_smoke_points,
-                                      pipeline_smoke_points,
-                                      schedule_smoke_points, smoke_points,
-                                      tenancy_smoke_points,
-                                      topo_smoke_points)
-    return {
-        "fig7": smoke_points,
-        "topo": topo_smoke_points,
-        "faults": faults_smoke_points,
-        "pipeline": pipeline_smoke_points,
-        "tenancy": tenancy_smoke_points,
-        "schedule": schedule_smoke_points,
-        "pap": pap_smoke_points,
-    }
-
-
 def scenario_points(name: str, *, seed: int = 1,
                     iterations: Optional[int] = None) -> list:
-    """The sweep points behind a named scenario (the CI smoke grids)."""
-    factories = _scenario_factories()
+    """The sweep points behind a named scenario: every grid registered in
+    :data:`repro.orchestrate.points.GRIDS` is one."""
+    from ..orchestrate.points import GRIDS
     try:
-        make = factories[name]
+        grid = GRIDS[name]
     except KeyError:
         raise ValueError(f"unknown scenario {name!r}; "
-                         f"known: {sorted(factories)}") from None
-    kwargs: dict[str, Any] = {"seed": seed}
-    if iterations is not None:
-        kwargs["iterations"] = iterations
-    return make(**kwargs)
+                         f"known: {', '.join(GRIDS)}") from None
+    return grid.points(seed=seed, iterations=iterations)
 
 
 def build_report(scenario: str, verdicts: list[PointVerdict], *,
@@ -431,8 +411,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "scenario under shuffled same-time event orders and "
                     "fail on any bit-level divergence.")
     parser.add_argument("--scenario", action="append", default=None,
-                        help="scenario to check (repeatable); default: all "
-                             f"of {sorted(_scenario_factories())}")
+                        help="registered grid to check (repeatable); "
+                             "default: every grid, the minutes-long scale "
+                             "grid included")
     parser.add_argument("--runs", type=int, default=8,
                         help="perturbed schedules per point (default 8)")
     parser.add_argument("--seed", type=int, default=1,
@@ -452,7 +433,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.runs < 1:
         parser.error("--runs must be >= 1")
 
-    scenarios = args.scenario or sorted(_scenario_factories())
+    from ..orchestrate.points import GRIDS
+    scenarios = args.scenario or list(GRIDS)
     progress = None if args.quiet else (
         lambda msg: print(msg, file=sys.stderr))
     reports = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 
 from . import EXPERIMENTS
+from .common import main as run_experiment
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -17,19 +18,12 @@ def main(argv: list[str] | None = None) -> int:
               "--jobs N --bench-json [PATH]")
         return 0
     name, rest = argv[0], argv[1:]
-    if name == "all":
-        for key in ("fig6", "fig7", "fig8", "fig9", "fig10", "fig_topo",
-                    "fig_faults", "fig_pipeline", "fig_schedule",
-                    "fig_tenancy", "fig_pap", "ablations", "extensions",
-                    "scale"):
-            EXPERIMENTS[key](rest)
-        return 0
-    runner = EXPERIMENTS.get(name)
-    if runner is None:
+    if name != "all" and name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; "
               f"choose from {sorted(EXPERIMENTS)} or 'all'", file=sys.stderr)
         return 2
-    runner(rest)
+    for key in (EXPERIMENTS if name == "all" else [name]):
+        run_experiment(key, rest)
     return 0
 
 

@@ -19,14 +19,11 @@ here exactly as it does to the figure sweeps.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..bench.report import Table
 from ..config import AbParams, NicParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..orchestrate.runner import run_points
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 
 def _cpu_point(spec: ConfigSpec, build: str, *, elements: int,
@@ -178,18 +175,3 @@ def run(*, iterations: int = 60, seed: int = 1, jobs: int = 1,
     out.notes.append("past ~384B the 512B-limited build falls back to the "
                      "default path and its factor collapses toward 1.0")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=60)
-    args = parser.parse_args(argv)
-    banner("Ablations: design-choice studies")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

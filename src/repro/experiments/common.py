@@ -1,15 +1,17 @@
 """Shared plumbing for the figure-reproduction drivers.
 
-Every experiment module exposes ``run(**kwargs) -> ExperimentOutput`` plus a
-``main(argv)`` that parses the common flags.  The CLI entry point is::
+Every experiment module exposes ``run(**kwargs) -> ExperimentOutput``; the
+``EXPERIMENTS`` table in the package gives each its banner title and
+default iteration count, and :func:`main` is the one CLI behind::
 
-    python -m repro.experiments <fig6|fig7|fig8|fig9|fig10|ablations> [flags]
+    python -m repro.experiments <experiment|all> [flags]
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -102,3 +104,23 @@ def banner(title: str) -> None:
     print()
     print(f"### {title}")
     print()
+
+
+def main(name: str, argv: Optional[list[str]] = None) -> ExperimentOutput:
+    """Parse the common flags (plus the experiment module's
+    ``EXTRA_ARGUMENTS``, if any), run ``EXPERIMENTS[name]`` and render."""
+    from . import EXPERIMENTS
+    run, title, default_iterations = EXPERIMENTS[name]
+    module = sys.modules[run.__module__]
+    parser = make_parser(module.__doc__.splitlines()[0],
+                         default_iterations=default_iterations)
+    extra = [parser.add_argument(flag, **spec).dest
+             for flag, spec in getattr(module, "EXTRA_ARGUMENTS", ())]
+    args = parser.parse_args(argv)
+    banner(title)
+    out = run(iterations=effective_iterations(args), seed=args.seed,
+              jobs=args.jobs, progress=print_progress,
+              **{dest: getattr(args, dest) for dest in extra})
+    print(out.render())
+    maybe_write_bench_json(out, args)
+    return out

@@ -9,8 +9,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..apps import cg_pipelined, compare_builds, conjugate_gradient
@@ -21,8 +19,7 @@ from ..mpich.rank import MpiBuild
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..orchestrate.runner import run_points
 from ..runtime.program import run_program
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 
 def run_nicred(*, size: int = 16, iterations: int = 30, seed: int = 1,
@@ -115,19 +112,3 @@ def run(*, iterations: int = 30, seed: int = 1, jobs: int = 1,
         f"nicred latency {lat_small:.1f}us @4 elements vs {lat_big:.1f}us "
         "@512 — ref. [11]'s slow-NIC-ALU caveat")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=30)
-    args = parser.parse_args(argv)
-    banner("Extensions: NIC-based reduction, application kernels, "
-           "pipelined CG")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,16 +16,23 @@ bit-identical to a pipeline-free checkout.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..bench.sweep import latency_vs_message_size
 from ..config import PipelineParams
 from ..orchestrate.points import ConfigSpec
-from .common import (ExperimentOutput, PAPER_MSG_SIZES, banner,
-                     effective_iterations, make_parser,
-                     maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput, PAPER_MSG_SIZES
+
+#: The one experiment-specific CLI flag (``common.main`` adds each entry
+#: to the parser and passes the parsed value to :func:`run` by dest name).
+EXTRA_ARGUMENTS = (
+    ("--segment-sizes",
+     dict(type=int, nargs="*", default=[0],
+          help="PipelineParams.segment_size_bytes values to sweep "
+               "(0 = whole-message baseline; e.g. 0 2048)")),
+)
 
 
 def run(*, size: int = 32, element_sizes: Sequence[int] = PAPER_MSG_SIZES,
@@ -72,23 +79,3 @@ def run(*, size: int = 32, element_sizes: Sequence[int] = PAPER_MSG_SIZES,
                 f"{piped_ab:.1f}us vs whole-message {whole_ab:.1f}us "
                 f"({whole_ab / piped_ab:.2f}x)")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=120)
-    parser.add_argument(
-        "--segment-sizes", type=int, nargs="*", default=[0],
-        help="PipelineParams.segment_size_bytes values to sweep "
-             "(0 = whole-message baseline; e.g. 0 2048)")
-    args = parser.parse_args(argv)
-    banner("Fig. 10: reduction latency vs. message size (32 nodes)")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              segment_sizes=tuple(args.segment_sizes),
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

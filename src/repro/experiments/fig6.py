@@ -8,13 +8,11 @@ and 1000 us of skew, and the factor is greatest for small messages.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..bench.sweep import cpu_util_vs_skew
 from ..orchestrate.points import ConfigSpec
-from .common import (ExperimentOutput, PAPER_ELEMENTS, PAPER_SKEWS, banner,
-                     effective_iterations, make_parser,
-                     maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SKEWS
 
 
 def run(*, size: int = 32, skews: Sequence[float] = PAPER_SKEWS,
@@ -47,18 +45,3 @@ def run(*, size: int = 32, skews: Sequence[float] = PAPER_SKEWS,
     out.notes.append(
         f"factor grows with skew: {'yes' if monotone else 'roughly'}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=100)
-    args = parser.parse_args(argv)
-    banner("Fig. 6: CPU utilization vs. process skew (32 nodes)")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

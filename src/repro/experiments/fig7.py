@@ -8,13 +8,11 @@ scalability of the application-bypass implementation.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..bench.sweep import cpu_util_vs_nodes
 from ..orchestrate.points import ConfigSpec
-from .common import (ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES, banner,
-                     effective_iterations, make_parser,
-                     maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
 
 def run(*, sizes: Sequence[int] = PAPER_SIZES,
@@ -41,18 +39,3 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         f"({factors[0]:.2f} at {sizes[0]} nodes -> "
         f"{factors[-1]:.2f} at {sizes[-1]} nodes)")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=100)
-    args = parser.parse_args(argv)
-    banner("Fig. 7: CPU utilization vs. nodes (max skew 1000 us)")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,9 +14,7 @@ from typing import Optional, Sequence
 
 from ..bench.sweep import cpu_util_vs_nodes
 from ..orchestrate.points import ConfigSpec
-from .common import (ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES, banner,
-                     effective_iterations, make_parser,
-                     maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
 
 def crossover_size(sizes: Sequence[int], factors: Sequence[float]) -> Optional[int]:
@@ -56,18 +54,3 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         f"factor at {sizes[0]} nodes / {smallest} elements: "
         f"{f_small_first:.2f} (paper: below 1.0 — pure overhead)")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=150)
-    args = parser.parse_args(argv)
-    banner("Fig. 8: CPU utilization vs. nodes (no injected skew)")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,12 +10,11 @@ default's.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..bench.sweep import latency_vs_nodes
 from ..orchestrate.points import ConfigSpec
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 HETERO_SIZES = (2, 4, 8, 16, 32)
 HOMO_SIZES = (2, 4, 8, 16)
@@ -52,18 +51,3 @@ def run(*, hetero_sizes: Sequence[int] = HETERO_SIZES,
         "ab latency exceeds nab past small node counts: "
         f"{'yes' if big_gap > small_gap else 'NO'}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=150)
-    args = parser.parse_args(argv)
-    banner("Fig. 9: reduction latency vs. nodes (no skew)")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,8 +25,7 @@ from ..config import FaultParams, NetParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..orchestrate.runner import run_points
 from ..bench.report import Table
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 #: Burst-loss sweep: probability that any packet starts a 3-packet burst.
 RATES = (0.0, 0.01, 0.05)
@@ -153,18 +152,3 @@ def run(*, size: int = 8, elements: int = 4,
         f"invariant violations across the sweep (incl. INV-FAULT): "
         f"{violations}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=40)
-    args = parser.parse_args(argv)
-    banner("fig_faults: fault type x rate x build x topology sweep")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

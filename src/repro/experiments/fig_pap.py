@@ -15,14 +15,13 @@ stragglers' delay and overtake ab.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..config import NetParams, WorkloadParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..orchestrate.runner import run_points
 from ..bench.report import Table
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 #: (pattern tag, WorkloadParams) — the kappa axis: constant arrivals are
 #: perfectly balanced (kappa = 0); the bursty straggler group pushes the
@@ -123,18 +122,3 @@ def run(*, size: int = 16, elements: int = 512,
     out.notes.append(
         f"invariant violations across the sweep: {violations}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=8)
-    args = parser.parse_args(argv)
-    banner("fig_pap: arrival patterns x PAP-aware allreduce crossover")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

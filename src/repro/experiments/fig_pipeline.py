@@ -16,14 +16,13 @@ messages are untouched because single-chunk plans decline bit-exactly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..config import MpiParams, PipelineParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..orchestrate.runner import run_points
 from ..bench.report import Table
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 #: Segment-size axis in bytes; 0 = whole-message baseline (no override,
 #: so its BENCH variant tag matches a pipeline-free checkout).
@@ -121,18 +120,3 @@ def run(*, size: int = 16, segment_sizes: Sequence[int] = SEGMENT_SIZES,
         f"invariant violations across the sweep (incl. INV-SEGMENT): "
         f"{violations}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=60)
-    args = parser.parse_args(argv)
-    banner("fig_pipeline: segment size x message size x build x tree shape")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -20,7 +20,7 @@ halves of the story:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from ..config import MpiParams, NetParams, PipelineParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..orchestrate.runner import run_points
 from ..bench.report import Table
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 #: Message-size axis in 8-byte elements: 128 stays single-chunk at the
 #: armed segment size below; 512/1024 segment into 2/4 chunks.
@@ -170,18 +169,3 @@ def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
     out.notes.append(
         f"invariant violations across the sweep: {violations}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=40)
-    args = parser.parse_args(argv)
-    banner("fig_schedule: schedule IR crossover + persisted autotuning")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

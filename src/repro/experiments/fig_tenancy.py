@@ -16,14 +16,13 @@ neighbours pile on?
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..bench.report import Table
 from ..orchestrate.points import SweepPoint
 from ..orchestrate.runner import run_points
 from ..tenancy import ClusterSpec, JobSpec
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 #: Swept axes: jobs contending, on which interconnect, which build.
 CO_TENANTS = (1, 2, 4, 8)
@@ -135,18 +134,3 @@ def run(*, hosts: int = 32, elements: int = 2048,
         f"invariant violations across the sweep "
         f"(job-tagged, incl. INV-FIFO): {violations}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=10)
-    args = parser.parse_args(argv)
-    banner("fig_tenancy: co-tenant jobs sharing one fabric")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

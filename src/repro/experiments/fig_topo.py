@@ -12,14 +12,13 @@ shape's locality changes the picture.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..config import MpiParams, NetParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..orchestrate.runner import run_points
 from ..bench.report import Table
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 #: The swept registries: every topology, and a spread of tree shapes from
 #: flattest (knomial radix 4) to deepest (chain).
@@ -111,18 +110,3 @@ def run(*, size: int = 16, elements: int = 4,
         f"invariant violations across the sweep (incl. INV-FIFO): "
         f"{violations}")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=60)
-    args = parser.parse_args(argv)
-    banner("fig_topo: topology x tree shape x skew sweep")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

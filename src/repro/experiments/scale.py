@@ -14,13 +14,12 @@ keeps climbing — the trend the whole paper is arguing for.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import cpu_util_vs_nodes
 from ..orchestrate.points import ConfigSpec
-from .common import (ExperimentOutput, banner, effective_iterations,
-                     make_parser, maybe_write_bench_json, print_progress)
+from .common import ExperimentOutput
 
 SCALE_SIZES = (16, 32, 64, 128, 256)
 
@@ -53,18 +52,3 @@ def run(*, sizes: Sequence[int] = SCALE_SIZES, elements: int = 4,
         "E[max skew] x tree-shape while the bypass build's per-node cost "
         "keeps falling as leaves dominate the population")
     return out
-
-
-def main(argv: Optional[list[str]] = None) -> ExperimentOutput:
-    parser = make_parser(__doc__.splitlines()[0], default_iterations=20)
-    args = parser.parse_args(argv)
-    banner("Scalability extrapolation (16..256 nodes)")
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress)
-    print(out.render())
-    maybe_write_bench_json(out, args)
-    return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

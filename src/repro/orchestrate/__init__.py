@@ -13,8 +13,9 @@ Entry points:
 * ``python -m repro.experiments <fig> --jobs N`` — parallel figure sweeps;
 * ``python -m repro.orchestrate run-point '<json>'`` — replay one point
   serially (printed by worker-failure errors);
-* ``python -m repro.orchestrate smoke`` — the tiny CI sweep that emits
-  BENCH_smoke.json plus an InvariantMonitor report.
+* ``python -m repro.orchestrate smoke [grid]`` — any CI grid registered in
+  :data:`.points.GRIDS`; emits its BENCH json plus an InvariantMonitor
+  report.
 """
 
 from .benchjson import (bench_payload, git_sha, load_bench_json,

@@ -1,88 +1,40 @@
 """CLI front end: ``python -m repro.orchestrate <command>``.
 
-Commands:
-
 ``run-point '<json>'``
-    Replay a single sweep point serially in this process and print its
-    metrics.  The JSON is a :meth:`SweepPoint.to_dict` payload — exactly
-    what worker-failure errors embed in their repro command.
+    Replay one sweep point serially in this process and print its metrics
+    (the :meth:`SweepPoint.to_dict` JSON that worker-failure errors embed).
 
-``smoke [--jobs N] [--out DIR] [--seed S]``
-    Run the tiny orchestrated fig7-shaped sweep used by CI: a few
-    (size, build) points under the protocol-invariant monitor, merged
-    deterministically, written to ``BENCH_smoke.json`` plus
-    ``invariant-report.json`` in ``--out``.
+``smoke [grid] [flags]``
+    Run one registered CI grid (default: the first, ``fig7``) and write
+    ``BENCH_<bench>.json`` to ``--out``, plus
+    ``<grid>-invariant-report.json`` when its points run under the
+    protocol-invariant monitor (any violation exits 1).  ``--iterations``
+    defaults to the grid's own; ``--sizes`` reaches grids with a size
+    axis; ``--cache DIR`` serves points through the content-addressed
+    result cache and writes ``<bench>-cache-stats.json`` (a cached grid
+    does so by default, in ``<out>/result-cache``; ``--no-cache`` always
+    re-simulates).  ``smoke-<grid>`` is an alias for ``smoke <grid>``.
 
-``smoke-topo [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the topology/tree-shape registries: every
-    topology crossed with two tree shapes and both builds, written to
-    ``BENCH_topo_smoke.json`` plus ``topo-invariant-report.json``.
-
-``smoke-faults [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the fault-injection registry: one scenario per
-    injector (burst loss, link degrade, signal suppression, rank pause,
-    rank crash with tree healing) plus a fault-free baseline, written to
-    ``BENCH_faults_smoke.json`` plus ``faults-invariant-report.json``.
-
-``smoke-pipeline [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the segmented pipeline (repro.pipeline): a
-    large-message latency grid (whole-message vs fixed vs greedy
-    schedules, both builds) plus the crash+heal-mid-pipeline scenario,
-    all under the invariant monitor (INV-SEGMENT included), written to
-    ``BENCH_pipeline_smoke.json`` plus ``pipeline-invariant-report.json``.
-
-``smoke-schedule [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the schedule IR (repro.schedule): each build's
-    reduce lowering on two tree shapes, pass-off (whole message) vs
-    pass-on (``pipeline_segments`` rewrite), executed through the
-    schedule interpreter under the invariant monitor, written to
-    ``BENCH_schedule_smoke.json`` plus ``schedule-invariant-report.json``.
-
-``smoke-tenancy [--jobs N] [--out DIR] [--seed S] [--cache DIR | --no-cache]``
-    Same contract over the multi-tenant service (repro.tenancy): 1 and 2
-    co-tenant jobs on a fat-tree and a torus, both builds, with per-job
-    makespan/slowdown/fairness metrics, written to
-    ``BENCH_tenancy_smoke.json`` plus ``tenancy-invariant-report.json``.
-    Points are served through the content-addressed result cache
-    (default ``<out>/result-cache``; hit/miss counters land in
-    ``tenancy-smoke-cache-stats.json``); ``--no-cache`` always
-    re-simulates.
-
-``smoke-pap [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the PAP workload layer (repro.workload): two
-    arrival patterns (uniform_random, bursty) x four allreduce
-    algorithms (nab, ab, sra, pra) with arrival-spread/kappa metrics in
-    every row, written to ``BENCH_pap_smoke.json`` plus
-    ``pap-invariant-report.json``.
-
-``smoke-scale [--jobs N] [--out DIR] [--seed S] [--sizes N ...]``
-    The large-scale DES throughput sweep: 1024/2048/4096-rank
-    extrapolated clusters on fat-tree and torus, AB build, tiny iteration
-    counts, invariant monitor off.  Writes ``BENCH_scale.json`` with an
-    ``events_per_sec`` figure per point; the CI job's hard
-    ``timeout-minutes`` is the wall-clock gate.
-
-``refresh-baseline [--path P] [--schedule-path P] [--jobs N] [--seed S]``
-    The one-command baseline refresh for the CI perf gate: re-run the
-    exact ``smoke`` and ``smoke-schedule`` grids and overwrite the
-    committed baselines (``benchmarks/baselines/BENCH_smoke.baseline.json``
-    and ``benchmarks/baselines/BENCH_schedule_smoke.baseline.json`` by
-    default).  Run it whenever a deliberate change moves smoke metrics,
-    commit the result, and say why in the commit message.
+``refresh-baseline [grid ...] [--dir DIR]``
+    Re-run the named grids — default: every grid with a committed
+    ``BENCH_<bench>.baseline.json`` in ``--dir`` (``benchmarks/baselines``)
+    — exactly as ``smoke`` would and overwrite those files.  Run it when
+    a deliberate change moves smoke metrics or counters, commit the
+    result, and say why in the commit message.
 
 ``summarize BENCH.json ...``
-    Render one or more BENCH_*.json files as a GitHub-flavored markdown
-    table (sweep, points, sim events, wall, events/sec) — what the CI
-    jobs append to ``$GITHUB_STEP_SUMMARY``.
+    Render BENCH_*.json files as a GitHub-flavored markdown table — what
+    the CI jobs append to ``$GITHUB_STEP_SUMMARY``.
 
-``race-smoke [--scenario S ...] [--runs N] [--jobs N] [--out DIR]``
-    The determinism gate: run the named smoke scenarios (default: fig7 +
-    pipeline) under the schedule-perturbation harness
-    (:mod:`repro.analysis.races`) — FIFO baseline plus N tiebreak-shuffled
-    schedules per point — and fail on any bit-level divergence of metrics,
-    counters, or invariant reports.  Writes ``race-report.json``.
+``race-smoke [--scenario GRID ...] [--runs N]``
+    The determinism gate: run the named grids (default: fig7 + pipeline)
+    under :mod:`repro.analysis.races` — FIFO plus N tiebreak-shuffled
+    schedules per point — and fail on any bit-level divergence of
+    metrics, counters, or invariant reports.  Writes ``race-report.json``.
 
 (The compare gate lives at ``python -m repro.orchestrate.compare``.)
+
+Registered grids (``repro.orchestrate.points.GRIDS``):
 """
 
 from __future__ import annotations
@@ -94,24 +46,27 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .benchjson import events_per_sec, load_bench_json, write_bench_json
-from .points import (SweepPoint, execute_point, faults_smoke_points,
-                     pap_smoke_points, pipeline_smoke_points,
-                     scale_smoke_points, schedule_smoke_points, smoke_points,
-                     topo_smoke_points)
+from .points import GRIDS, SweepPoint, execute_point
 from .runner import run_points
 
-#: Where the CI perf gate's committed baseline lives (relative to the
-#: repo root); ``refresh-baseline`` writes here by default and CI
-#: compares every fresh BENCH_smoke.json against it.
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_smoke.baseline.json"
 
-#: Same contract for the schedule-IR grid (``smoke-schedule``).
-DEFAULT_SCHEDULE_BASELINE = \
-    "benchmarks/baselines/BENCH_schedule_smoke.baseline.json"
+def grid_table() -> str:
+    """One line per registered grid: name, default point count, files."""
+    return "\n".join(
+        f"  {g.name:<9} {len(g.points()):>2} points -> BENCH_{g.bench}.json"
+        + (", result cache on" if g.cached else "")
+        for g in GRIDS.values())
 
-#: Same contract for the PAP workload grid (``smoke-pap``).
-DEFAULT_PAP_BASELINE = \
-    "benchmarks/baselines/BENCH_pap_smoke.baseline.json"
+
+def _grid(name: str):
+    if name not in GRIDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown grid {name!r}; known: {', '.join(GRIDS)}")
+    return GRIDS[name]
+
+
+def _progress(line: str) -> None:
+    print(f"  {line}", flush=True)
 
 
 def _cmd_run_point(args: argparse.Namespace) -> int:
@@ -132,36 +87,53 @@ def _cmd_run_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_smoke_grid(args: argparse.Namespace, name: str, points,
-                    report_name: str, cache=None) -> int:
+def _cmd_smoke(args: argparse.Namespace) -> int:
+    grid = args.grid
+    axes = {}
+    if args.sizes is not None:
+        if "sizes" not in grid.builder.__kwdefaults__:
+            print(f"error: grid {grid.name!r} has no size axis",
+                  file=sys.stderr)
+            return 2
+        axes["sizes"] = tuple(args.sizes)
+    points = grid.points(seed=args.seed, iterations=args.iterations, **axes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cache = None
+    if not args.no_cache and (args.cache or grid.cached):
+        from ..tenancy import ResultCache
+        cache = ResultCache(args.cache or str(out_dir / "result-cache"))
     results = run_points(points, jobs=args.jobs, cache=cache,
-                         progress=lambda line: print(f"  {line}",
-                                                     flush=True))
-    bench_path = write_bench_json(name, results, directory=out_dir,
+                         progress=_progress)
+    bench_path = write_bench_json(grid.bench, results, directory=out_dir,
                                   jobs=args.jobs)
+    for r in results:
+        eps = events_per_sec(r.counters, r.wall_time_s)
+        rate = f", {eps:,.0f} events/s" if eps else ""
+        print(f"  {r.point.label()}: {r.counters.get('events', 0):,} events "
+              f"in {r.wall_time_s:.2f}s{rate}")
+    print(f"wrote {bench_path}")
     if cache is not None:
         stats = cache.stats()
-        stats_path = out_dir / f"{name.replace('_', '-')}-cache-stats.json"
+        stats_path = (out_dir /
+                      f"{grid.bench.replace('_', '-')}-cache-stats.json")
         stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True)
                               + "\n")
         print(f"cache: {stats['hits']} hit(s), {stats['misses']} miss(es) "
               f"({stats['entries']} stored) -> {stats_path}")
+    if all(r.invariant_report is None for r in results):
+        return 0
     report = {
         "schema": 1,
-        "points": [
-            {"key": r.point.key(), "report": r.invariant_report}
-            for r in results
-        ],
-        "violation_count": sum(
-            (r.invariant_report or {}).get("violation_count", 0)
-            for r in results),
+        "points": [{"key": r.point.key(), "report": r.invariant_report}
+                   for r in results],
+        "violation_count": sum(r.invariant_report["violation_count"]
+                               for r in results if r.invariant_report),
     }
-    report_path = out_dir / report_name
+    report_path = out_dir / f"{grid.name}-invariant-report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True)
                            + "\n")
-    print(f"wrote {bench_path} and {report_path}")
+    print(f"wrote {report_path}")
     if report["violation_count"]:
         print(f"protocol invariant violations: "
               f"{report['violation_count']}", file=sys.stderr)
@@ -169,89 +141,19 @@ def _run_smoke_grid(args: argparse.Namespace, name: str, points,
     return 0
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    points = smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "smoke", points, "invariant-report.json")
-
-
-def _cmd_smoke_topo(args: argparse.Namespace) -> int:
-    points = topo_smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "topo_smoke", points,
-                           "topo-invariant-report.json")
-
-
-def _cmd_smoke_faults(args: argparse.Namespace) -> int:
-    points = faults_smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "faults_smoke", points,
-                           "faults-invariant-report.json")
-
-
-def _cmd_smoke_pipeline(args: argparse.Namespace) -> int:
-    points = pipeline_smoke_points(seed=args.seed,
-                                   iterations=args.iterations)
-    return _run_smoke_grid(args, "pipeline_smoke", points,
-                           "pipeline-invariant-report.json")
-
-
-def _cmd_smoke_schedule(args: argparse.Namespace) -> int:
-    points = schedule_smoke_points(seed=args.seed,
-                                   iterations=args.iterations)
-    return _run_smoke_grid(args, "schedule_smoke", points,
-                           "schedule-invariant-report.json")
-
-
-def _cmd_smoke_tenancy(args: argparse.Namespace) -> int:
-    from .points import tenancy_smoke_points
-    cache = None
-    if not args.no_cache:
-        from ..tenancy import ResultCache
-        cache_dir = args.cache or str(Path(args.out) / "result-cache")
-        cache = ResultCache(cache_dir)
-    points = tenancy_smoke_points(seed=args.seed,
-                                  iterations=args.iterations)
-    return _run_smoke_grid(args, "tenancy_smoke", points,
-                           "tenancy-invariant-report.json", cache=cache)
-
-
-def _cmd_smoke_pap(args: argparse.Namespace) -> int:
-    points = pap_smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "pap_smoke", points,
-                           "pap-invariant-report.json")
-
-
-def _cmd_smoke_scale(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    points = scale_smoke_points(seed=args.seed, iterations=args.iterations,
-                                sizes=tuple(args.sizes))
-    results = run_points(points, jobs=args.jobs,
-                         progress=lambda line: print(f"  {line}",
-                                                     flush=True))
-    bench_path = write_bench_json("scale", results, directory=out_dir,
-                                  jobs=args.jobs)
-    for r in results:
-        eps = events_per_sec(r.counters, r.wall_time_s)
-        rate = f", {eps:,.0f} events/s" if eps else ""
-        print(f"  {r.point.label()}: "
-              f"{r.counters.get('events', 0):,} events in "
-              f"{r.wall_time_s:.2f}s{rate}")
-    print(f"wrote {bench_path}")
-    return 0
-
-
 def _cmd_refresh_baseline(args: argparse.Namespace) -> int:
-    grids = [
-        ("smoke", smoke_points(seed=args.seed,
-                               iterations=args.iterations), args.path),
-        ("schedule_smoke",
-         schedule_smoke_points(seed=args.seed), args.schedule_path),
-        ("pap_smoke", pap_smoke_points(seed=args.seed), args.pap_path),
-    ]
-    for name, points, path in grids:
-        results = run_points(points, jobs=args.jobs,
-                             progress=lambda line: print(f"  {line}",
-                                                         flush=True))
-        written = write_bench_json(name, results, path=path, jobs=args.jobs)
+    grids = args.grids or [
+        g for g in GRIDS.values() if Path(g.baseline_path(args.dir)).exists()]
+    if not grids:
+        print(f"error: no grid has a baseline in {args.dir}; name the "
+              f"grids to create", file=sys.stderr)
+        return 2
+    for grid in grids:
+        results = run_points(
+            grid.points(seed=args.seed, iterations=args.iterations),
+            jobs=args.jobs, progress=_progress)
+        written = write_bench_json(grid.bench, results, jobs=args.jobs,
+                                   path=grid.baseline_path(args.dir))
         print(f"wrote {written} — commit it to refresh the CI perf-gate "
               f"baseline")
     return 0
@@ -269,8 +171,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         name = payload.get("name", "?")
         for record in payload["points"]:
             key = record["key"]
-            label = (f"{key.get('kind')} n={key.get('size')} "
-                     f"{key.get('build')} ({key.get('variant')})")
+            label = (f"{key.get('experiment')}/{key.get('kind')} "
+                     f"n={key.get('size')} {key.get('build')} "
+                     f"({key.get('variant')})")
             events = record.get("counters", {}).get("events", 0)
             eps = record.get("events_per_sec")
             lines.append(
@@ -293,164 +196,84 @@ def _cmd_race_smoke(args: argparse.Namespace) -> int:
     race_argv = ["--runs", str(args.runs), "--seed", str(args.seed),
                  "--jobs", str(args.jobs),
                  "--out", str(out_dir / "race-report.json")]
-    for scenario in args.scenario:
+    for scenario in args.scenario or ("fig7", "pipeline"):
         race_argv += ["--scenario", scenario]
     if args.iterations is not None:
         race_argv += ["--iterations", str(args.iterations)]
     return races.main(race_argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    raw, table = argparse.RawDescriptionHelpFormatter, grid_table()
     parser = argparse.ArgumentParser(
-        prog="python -m repro.orchestrate",
-        description="parallel sweep orchestration utilities")
-    sub = parser.add_subparsers(dest="command")
+        prog="python -m repro.orchestrate", formatter_class=raw,
+        description=__doc__ + table)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run-point",
-                           help="replay one sweep point serially")
-    p_run.add_argument("spec", help="SweepPoint JSON (from a failure's "
-                                    "repro command)")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--jobs", type=int, default=2)
+    sweep.add_argument("--seed", type=int, default=1)
+    sweep.add_argument("--iterations", type=int, default=None,
+                       help="per-point iterations (default: the grid's own)")
 
-    p_smoke = sub.add_parser("smoke", help="tiny CI sweep with invariant "
-                                           "collection")
-    p_smoke.add_argument("--jobs", type=int, default=2)
-    p_smoke.add_argument("--seed", type=int, default=1)
-    p_smoke.add_argument("--iterations", type=int, default=10)
+    p_run = sub.add_parser("run-point", help="replay one point serially")
+    p_run.add_argument("spec", help="SweepPoint.to_dict() JSON")
+    p_run.set_defaults(run=_cmd_run_point)
+
+    p_smoke = sub.add_parser(
+        "smoke", parents=[sweep], formatter_class=raw,
+        help="run one registered CI grid (smoke-<grid> = smoke <grid>)",
+        description="registered grids:\n" + table)
+    p_smoke.set_defaults(run=_cmd_smoke)
+    p_smoke.add_argument("grid", nargs="?", type=_grid,
+                         default=next(iter(GRIDS)))
     p_smoke.add_argument("--out", default="ci-artifacts")
+    p_smoke.add_argument("--sizes", type=int, nargs="+", default=None,
+                         help="node counts, for grids with a size axis")
+    p_smoke.add_argument("--cache", default=None, metavar="DIR",
+                         help="serve points through this result cache")
+    p_smoke.add_argument("--no-cache", action="store_true",
+                         help="always re-simulate, cached grid or not")
 
-    p_topo = sub.add_parser("smoke-topo",
-                            help="topology x tree-shape CI sweep with "
-                                 "invariant collection")
-    p_topo.add_argument("--jobs", type=int, default=2)
-    p_topo.add_argument("--seed", type=int, default=1)
-    p_topo.add_argument("--iterations", type=int, default=8)
-    p_topo.add_argument("--out", default="ci-artifacts")
-
-    p_faults = sub.add_parser("smoke-faults",
-                              help="fault-injection CI sweep with "
-                                   "invariant collection")
-    p_faults.add_argument("--jobs", type=int, default=2)
-    p_faults.add_argument("--seed", type=int, default=1)
-    p_faults.add_argument("--iterations", type=int, default=6)
-    p_faults.add_argument("--out", default="ci-artifacts")
-
-    p_pipe = sub.add_parser("smoke-pipeline",
-                            help="segmented-pipeline CI sweep with "
-                                 "invariant collection")
-    p_pipe.add_argument("--jobs", type=int, default=2)
-    p_pipe.add_argument("--seed", type=int, default=1)
-    p_pipe.add_argument("--iterations", type=int, default=6)
-    p_pipe.add_argument("--out", default="ci-artifacts")
-
-    p_sched = sub.add_parser("smoke-schedule",
-                             help="schedule-IR CI sweep (lowerings x "
-                                  "tree shapes, pass-on vs pass-off) "
-                                  "with invariant collection")
-    p_sched.add_argument("--jobs", type=int, default=2)
-    p_sched.add_argument("--seed", type=int, default=1)
-    p_sched.add_argument("--iterations", type=int, default=6)
-    p_sched.add_argument("--out", default="ci-artifacts")
-
-    p_ten = sub.add_parser("smoke-tenancy",
-                           help="multi-tenant service CI sweep (1-2 "
-                                "co-tenant jobs, fat-tree + torus, both "
-                                "builds) with per-job metrics, invariant "
-                                "collection and the content-addressed "
-                                "result cache")
-    p_ten.add_argument("--jobs", type=int, default=2)
-    p_ten.add_argument("--seed", type=int, default=1)
-    p_ten.add_argument("--iterations", type=int, default=5)
-    p_ten.add_argument("--out", default="ci-artifacts")
-    p_ten.add_argument("--cache", default=None,
-                       help="result-cache directory (default: "
-                            "<out>/result-cache)")
-    p_ten.add_argument("--no-cache", action="store_true",
-                       help="always re-simulate; never read or write "
-                            "the result cache")
-
-    p_pap = sub.add_parser("smoke-pap",
-                           help="PAP workload CI sweep (arrival patterns "
-                                "x allreduce algorithms incl. sra/pra) "
-                                "with invariant collection")
-    p_pap.add_argument("--jobs", type=int, default=2)
-    p_pap.add_argument("--seed", type=int, default=1)
-    p_pap.add_argument("--iterations", type=int, default=6)
-    p_pap.add_argument("--out", default="ci-artifacts")
-
-    p_scale = sub.add_parser("smoke-scale",
-                             help="1024-4096 rank DES throughput sweep "
-                                  "(fat-tree + torus, AB build)")
-    p_scale.add_argument("--jobs", type=int, default=2)
-    p_scale.add_argument("--seed", type=int, default=1)
-    p_scale.add_argument("--iterations", type=int, default=2)
-    p_scale.add_argument("--sizes", type=int, nargs="+",
-                         default=[1024, 2048, 4096])
-    p_scale.add_argument("--out", default="ci-artifacts")
-
-    p_base = sub.add_parser("refresh-baseline",
-                            help="re-run the smoke grid and overwrite the "
-                                 "committed perf-gate baseline")
-    p_base.add_argument("--jobs", type=int, default=2)
-    p_base.add_argument("--seed", type=int, default=1)
-    p_base.add_argument("--iterations", type=int, default=10)
-    p_base.add_argument("--path", default=DEFAULT_BASELINE)
-    p_base.add_argument("--schedule-path",
-                        default=DEFAULT_SCHEDULE_BASELINE)
-    p_base.add_argument("--pap-path", default=DEFAULT_PAP_BASELINE)
+    p_base = sub.add_parser("refresh-baseline", parents=[sweep],
+                            help="re-run grids, overwrite their baselines")
+    p_base.set_defaults(run=_cmd_refresh_baseline)
+    p_base.add_argument("grids", nargs="*", type=_grid,
+                        help="default: every grid with a baseline in --dir")
+    p_base.add_argument("--dir", default="benchmarks/baselines")
 
     p_sum = sub.add_parser("summarize",
-                           help="render BENCH_*.json files as a markdown "
-                                "table (for $GITHUB_STEP_SUMMARY)")
-    p_sum.add_argument("bench", nargs="+",
-                       help="BENCH_*.json file(s) to summarize")
+                           help="render BENCH_*.json as a markdown table")
+    p_sum.set_defaults(run=_cmd_summarize)
+    p_sum.add_argument("bench", nargs="+", help="BENCH_*.json file(s)")
 
-    p_race = sub.add_parser("race-smoke",
-                            help="schedule-perturbation determinism gate "
-                                 "over the CI smoke scenarios")
-    p_race.add_argument("--scenario", action="append",
-                        default=None,
-                        help="scenario name (repeatable; default: "
-                             "fig7 + pipeline)")
+    p_race = sub.add_parser("race-smoke", parents=[sweep],
+                            help="schedule-perturbation determinism gate")
+    p_race.set_defaults(run=_cmd_race_smoke)
+    p_race.add_argument("--scenario", action="append", default=None,
+                        help="grid (repeatable; default fig7 + pipeline)")
     p_race.add_argument("--runs", type=int, default=8,
                         help="perturbed schedules per point")
-    p_race.add_argument("--jobs", type=int, default=2)
-    p_race.add_argument("--seed", type=int, default=1)
-    p_race.add_argument("--iterations", type=int, default=None,
-                        help="override per-point benchmark iterations")
     p_race.add_argument("--out", default="ci-artifacts")
+    return parser
 
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse after rewriting the generated alias ``smoke-<grid>`` to
+    ``smoke <grid>``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    alias, _, name = (argv[0] if argv else "").partition("-")
+    if alias == "smoke" and name in GRIDS:
+        argv[:1] = ["smoke", name]
+    return build_parser().parse_args(argv)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "run-point":
-        return _cmd_run_point(args)
-    if args.command == "smoke":
-        return _cmd_smoke(args)
-    if args.command == "smoke-topo":
-        return _cmd_smoke_topo(args)
-    if args.command == "smoke-faults":
-        return _cmd_smoke_faults(args)
-    if args.command == "smoke-pipeline":
-        return _cmd_smoke_pipeline(args)
-    if args.command == "smoke-schedule":
-        return _cmd_smoke_schedule(args)
-    if args.command == "smoke-tenancy":
-        return _cmd_smoke_tenancy(args)
-    if args.command == "smoke-pap":
-        return _cmd_smoke_pap(args)
-    if args.command == "smoke-scale":
-        return _cmd_smoke_scale(args)
-    if args.command == "refresh-baseline":
-        return _cmd_refresh_baseline(args)
-    if args.command == "summarize":
-        return _cmd_summarize(args)
-    if args.command == "race-smoke":
-        if args.scenario is None:
-            args.scenario = ["fig7", "pipeline"]
-        return _cmd_race_smoke(args)
-    parser.print_help()
-    return 2
+    return args.run(args)
 
 
 if __name__ == "__main__":

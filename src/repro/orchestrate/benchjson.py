@@ -24,8 +24,9 @@ Schema (version 1)::
       ]
     }
 
-``metrics`` values are pure functions of the key (the simulator is
-deterministic), so the compare CLI treats any metric difference as drift;
+``metrics`` and ``counters`` values are pure functions of the key (the
+simulator is deterministic), so the compare CLI treats any difference in
+either as drift;
 ``wall_time_s`` is host time and only gates through a percentage
 tolerance.  ``events_per_sec`` (``counters["events"] / wall_time_s``, the
 DES core's throughput) is wall-derived and therefore *also* host-noisy:

@@ -4,16 +4,20 @@ Usage::
 
     python -m repro.orchestrate.compare OLD.json NEW.json --tolerance 10
 
-Exit codes: 0 — clean; 1 — metric drift, wall-time regression past the
-tolerance, or points missing from NEW; 2 — usage error (unreadable files,
-bad schema, bad flags).
+Exit codes: 0 — clean; 1 — metric or counter drift, wall-time regression
+past the tolerance, or points missing from NEW; 2 — usage error
+(unreadable files, bad schema, bad flags).
 
 Two different gates, because the two number families have different
 physics:
 
-* **metrics** are bit-deterministic outputs of the simulator — *any*
-  relative difference beyond ``--metric-tolerance`` (default 0, i.e.
-  exact) is drift and fails the gate;
+* **metrics** and **counters** are bit-deterministic outputs of the
+  simulator — *any* relative metric difference beyond
+  ``--metric-tolerance`` (default 0, i.e. exact) is drift, and counters
+  (event counts, packet counts, pattern tags) always compare exact; both
+  fail the gate.  That makes ``compare serial.json pooled.json`` the
+  worker-count-independence check, and ``refresh-baseline`` the remedy
+  for a deliberate change;
 * **wall times** are host measurements — only a total-sweep slowdown of
   more than ``--tolerance`` percent (default 10) fails, and per-point
   slowdowns are reported but advisory.
@@ -89,6 +93,7 @@ def compare_payloads(old: dict, new: dict, *, tolerance_pct: float = 10.0,
     added = sorted(k for k in new_idx if k not in old_idx)
 
     drifts = []
+    counter_drifts = []
     walls = []
     for key in shared:
         o, n = old_idx[key], new_idx[key]
@@ -104,6 +109,12 @@ def compare_payloads(old: dict, new: dict, *, tolerance_pct: float = 10.0,
             if rel > metric_tolerance:
                 drifts.append({"key": o["key"], "metric": metric,
                                "old": ov, "new": nv, "rel": rel})
+        oc, nc = o.get("counters", {}), n.get("counters", {})
+        counter_drifts += [
+            {"key": o["key"], "counter": name,
+             "old": oc.get(name), "new": nc.get(name)}
+            for name in sorted(set(oc) | set(nc))
+            if oc.get(name) != nc.get(name)]
         walls.append({"key": o["key"], "old": o["wall_time_s"],
                       "new": n["wall_time_s"]})
 
@@ -117,11 +128,12 @@ def compare_payloads(old: dict, new: dict, *, tolerance_pct: float = 10.0,
         "missing_points": [json.loads(k) for k in missing],
         "added_points": [json.loads(k) for k in added],
         "metric_drifts": drifts,
+        "counter_drifts": counter_drifts,
         "wall": {"old_s": old_wall, "new_s": new_wall,
                  "pct": wall_pct, "tolerance_pct": tolerance_pct,
                  "regressed": wall_regressed,
                  "per_point": walls},
-        "ok": not drifts and not wall_regressed and not missing,
+        "ok": not (drifts or counter_drifts or wall_regressed or missing),
     }
 
 
@@ -156,6 +168,16 @@ def render_verdict(verdict: dict, old_name: str, new_name: str, *,
             rows).replace("\n", "\n    "))
         if cap is not None and len(drifts) > cap:
             lines.append(f"    ... and {len(drifts) - cap} more")
+
+    counter_drifts = verdict["counter_drifts"]
+    if counter_drifts:
+        lines.append(f"  COUNTER DRIFT in {len(counter_drifts)} value(s):")
+        rows = [[_label(d["key"]), d["counter"], f"{d['old']}", f"{d['new']}"]
+                for d in counter_drifts[:cap]]
+        lines.append("    " + _render_rows(
+            ["point", "counter", "old", "new"], rows).replace("\n", "\n    "))
+        if cap is not None and len(counter_drifts) > cap:
+            lines.append(f"    ... and {len(counter_drifts) - cap} more")
 
     wall = verdict["wall"]
     slow = sorted((w for w in wall["per_point"] if w["old"] > 0),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from ..config import (AbParams, ClusterConfig, FaultParams, MpiParams,
@@ -69,38 +69,23 @@ class ConfigSpec:
     pipeline: Optional[PipelineParams] = None
     workload: Optional[WorkloadParams] = None
 
+    def _overrides(self) -> dict:
+        return {name: block for name in _OVERRIDE_TYPES
+                if (block := getattr(self, name)) is not None}
+
     def build(self) -> ClusterConfig:
         try:
             make = CONFIG_FACTORIES[self.factory]
         except KeyError:
             raise ValueError(f"unknown config factory {self.factory!r}; "
                              f"known: {sorted(CONFIG_FACTORIES)}") from None
-        config = make(self.size, seed=self.seed)
-        if self.ab is not None:
-            config = config.with_ab(self.ab)
-        if self.nic is not None:
-            config = config.with_nic(self.nic)
-        if self.net is not None:
-            config = config.with_net(self.net)
-        if self.mpi is not None:
-            config = config.with_mpi(self.mpi)
-        if self.noise is not None:
-            config = config.with_noise(self.noise)
-        if self.faults is not None:
-            config = config.with_faults(self.faults)
-        if self.pipeline is not None:
-            config = config.with_pipeline(self.pipeline)
-        if self.workload is not None:
-            config = config.with_workload(self.workload)
-        return config
+        return replace(make(self.size, seed=self.seed), **self._overrides())
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {"factory": self.factory, "size": self.size,
                              "seed": self.seed}
-        for name in _OVERRIDE_TYPES:
-            block = getattr(self, name)
-            if block is not None:
-                d[name] = asdict(block)
+        d.update((name, asdict(block))
+                 for name, block in self._overrides().items())
         return d
 
     def variant(self) -> str:
@@ -108,8 +93,8 @@ class ConfigSpec:
         two points that differ only in parameter-block overrides (e.g. the
         eager-limit ablation's limited vs. baseline configs) get distinct
         BENCH keys."""
-        overrides = {name: asdict(block) for name in _OVERRIDE_TYPES
-                     if (block := getattr(self, name)) is not None}
+        overrides = {name: asdict(block)
+                     for name, block in self._overrides().items()}
         if not overrides:
             return self.factory
         digest = hashlib.sha1(
@@ -662,6 +647,51 @@ def scale_smoke_points(*, seed: int = 1, iterations: int = 2,
         for size in sizes
         for net in nets
     ]
+
+
+@dataclass(frozen=True)
+class Grid:
+    """One registered CI grid.  ``name`` is the only handle consumers use
+    (``orchestrate smoke <name>``, ``race-smoke --scenario <name>``,
+    ``refresh-baseline <name>``, the CI matrix entry and
+    ``<name>-invariant-report.json``); ``bench`` is the historical
+    ``BENCH_<bench>.json`` name, kept because committed baselines and
+    BENCH ``"name"`` fields carry it."""
+
+    name: str
+    bench: str
+    builder: Callable[..., list]
+    #: Serve points through the result cache unless told otherwise.
+    cached: bool = False
+
+    def points(self, *, seed: int = 1, iterations: Optional[int] = None,
+               **axes) -> list["SweepPoint"]:
+        """The grid's points; ``iterations=None`` keeps the builder's own
+        default, ``axes`` reach builders that take them (``sizes``)."""
+        if iterations is not None:
+            axes["iterations"] = iterations
+        return self.builder(seed=seed, **axes)
+
+    def baseline_path(self, directory: str = "benchmarks/baselines") -> str:
+        """Where the committed perf-gate baseline lives; the grid is gated
+        in CI iff this file exists."""
+        return f"{directory}/BENCH_{self.bench}.baseline.json"
+
+
+#: The one registration per grid: to add a grid, write its builder above
+#: and add a line here (plus its name in ci.yml's ``grid:`` matrix, which
+#: a tier-1 test holds equal to this table).  The first entry is the
+#: ``smoke`` command's default.
+GRIDS: dict[str, Grid] = {g.name: g for g in (
+    Grid("fig7", "smoke", smoke_points),
+    Grid("topo", "topo_smoke", topo_smoke_points),
+    Grid("faults", "faults_smoke", faults_smoke_points),
+    Grid("pipeline", "pipeline_smoke", pipeline_smoke_points),
+    Grid("schedule", "schedule_smoke", schedule_smoke_points),
+    Grid("tenancy", "tenancy_smoke", tenancy_smoke_points, cached=True),
+    Grid("pap", "pap_smoke", pap_smoke_points),
+    Grid("scale", "scale", scale_smoke_points),
+)}
 
 
 KINDS: dict[str, Callable] = {

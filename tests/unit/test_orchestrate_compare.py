@@ -53,6 +53,47 @@ def test_metric_drift_fails(tmp_path):
                  _write(tmp_path, "new.json", new)]) == EXIT_REGRESSION
 
 
+def test_counter_drift_fails_and_names_point_and_counter(tmp_path, capsys):
+    """Counters are simulator outputs like metrics: equal is clean (see
+    the self-compare above), one event more or fewer fails the gate."""
+    old = _payload()
+    new = copy.deepcopy(old)
+    new["points"][1]["counters"]["events"] += 1
+    verdict = compare_payloads(old, new)
+    assert not verdict["ok"]
+    assert not verdict["metric_drifts"]
+    assert verdict["counter_drifts"] == [
+        {"key": old["points"][1]["key"], "counter": "events",
+         "old": 100, "new": 101}]
+    assert main([_write(tmp_path, "old.json", old),
+                 _write(tmp_path, "new.json", new)]) == EXIT_REGRESSION
+    out = capsys.readouterr().out
+    assert "COUNTER DRIFT in 1 value(s)" in out
+    row = next(line for line in out.splitlines() if " events " in line)
+    assert "n=4" in row and "100" in row and "101" in row
+
+
+@pytest.mark.parametrize("side", ["old", "new"])
+def test_counter_missing_on_one_side_is_drift(side):
+    payloads = {"old": _payload(), "new": _payload()}
+    payloads[side]["points"][0]["counters"]["ops"] = 7
+    verdict = compare_payloads(payloads["old"], payloads["new"])
+    assert not verdict["ok"]
+    (drift,) = verdict["counter_drifts"]
+    assert drift["counter"] == "ops"
+    assert {drift["old"], drift["new"]} == {7, None}
+
+
+def test_string_counters_compare_by_equality():
+    old = _payload()
+    for record in old["points"]:
+        record["counters"]["workload_pattern"] = "bursty"
+    new = copy.deepcopy(old)
+    assert compare_payloads(old, new)["ok"]
+    new["points"][0]["counters"]["workload_pattern"] = "uniform_random"
+    assert len(compare_payloads(old, new)["counter_drifts"]) == 1
+
+
 def test_metric_tolerance_waives_small_drift(tmp_path):
     old = _payload()
     new = copy.deepcopy(old)

@@ -77,11 +77,19 @@ def test_diff_captures_missing_key_and_length():
 
 
 def test_scenario_points_registry():
-    for name in ("fig7", "topo", "faults", "pipeline"):
-        points = scenario_points(name)
+    from repro.orchestrate.points import GRIDS
+    for name, grid in GRIDS.items():
+        points = scenario_points(name, seed=3)
         assert points, name
-    with pytest.raises(ValueError, match="unknown scenario"):
+        assert [p.key() for p in points] == [
+            p.key() for p in grid.builder(seed=3)]
+    two = scenario_points("fig7", iterations=2)
+    assert {p.iterations for p in two} == {2}
+    with pytest.raises(ValueError, match="unknown scenario") as exc:
         scenario_points("nope")
+    message = str(exc.value)
+    assert "\n" not in message
+    assert all(name in message for name in GRIDS)
 
 
 # ----------------------------------------------------------------------
