@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import MpiBuild, homogeneous_cluster, paper_cluster
 from repro.bench import latency_benchmark, measure_one_way
-from repro.mpich.collectives import tree
+from repro.topo import ranks as tree
 
 
 def show_roster() -> None:

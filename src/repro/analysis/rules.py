@@ -177,6 +177,16 @@ SIM015_ALLOWED_PREFIXES = (
     "repro/workload/", "repro/faults/", "repro/sim/",
     "test_", "conftest")
 
+#: SIM016: an ad-hoc progress spin.  Parking on the NIC's receive
+#: notifier (``rx_notifier.wait()``) is the heart of the blocking poll
+#: loop — drain, arm, bounded wait — which exists exactly once, behind
+#: ``ProgressEngine.spin(until, deadline)``.  A second copy forks the
+#: active-depth bookkeeping, the poll billing and the exit-delay timer
+#: that the bit-identity baselines pin.  Allowed: the progress engine
+#: itself and tests.
+SIM016_RECEIVER = "rx_notifier"
+SIM016_ALLOWED_PREFIXES = ("repro/mpich/progress.py", "test_", "conftest")
+
 #: Fully-qualified callables that read the host wall clock or ambient
 #: process state.
 WALL_CLOCK_CALLS = frozenset({
@@ -641,6 +651,32 @@ class AdHocArrivalDelay(Rule):
                  f"`WorkloadParams` arrival pattern (repro.workload) so "
                  f"the delay lands in the trace the PAP oracle and "
                  f"imbalance metrics read")
+
+
+@register
+class AdHocProgressSpin(Rule):
+    """A hand-rolled blocking poll loop — waiting on the NIC receive
+    notifier outside the progress engine — regrows the copies that
+    ``ProgressEngine.spin`` collapsed into one."""
+
+    spec = RuleSpec(
+        "SIM016",
+        "ad-hoc progress spin (`rx_notifier.wait()`) outside "
+        "repro.mpich.progress (use `ProgressEngine.spin`)")
+    node_types = (ast.Call,)
+
+    def check(self, ctx: Any, node: ast.Call) -> None:
+        if ctx.path.startswith(SIM016_ALLOWED_PREFIXES):
+            return
+        func = node.func
+        if not (isinstance(func, ast.Attribute) and func.attr == "wait"
+                and callee_name(func.value) == SIM016_RECEIVER):
+            return
+        ctx.emit("SIM016", node,
+                 f"direct `{SIM016_RECEIVER}.wait()` outside the progress "
+                 f"engine — block with `yield from "
+                 f"progress.spin(until, deadline)` so the poll loop (drain, "
+                 f"billing, active depth, bounded wait) stays in one place")
 
 
 # ---------------------------------------------------------------------------

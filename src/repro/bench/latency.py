@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import ClusterConfig
-from ..mpich.collectives import tree
+from ..topo import ranks as tree
 from ..mpich.message import TAG_NOTIFY
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..config import ClusterConfig
 from ..core.nic_reduce import NicReduce
-from ..mpich.collectives import tree
+from ..topo import ranks as tree
 from ..mpich.message import TAG_NOTIFY
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild

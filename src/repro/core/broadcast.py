@@ -22,11 +22,11 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..errors import AbProtocolError
-from ..mpich.communicator import Communicator
+from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.datatypes import DOUBLE, Datatype
 from ..mpich.message import TAG_BCAST, AbHeader, Envelope
 from ..sim.cpu import Ledger
-from ..sim.process import Busy, Trigger, WaitFor
+from ..sim.process import Busy, Trigger
 from ..topo import ranks as tree
 from .engine import AbEngine
 
@@ -55,7 +55,7 @@ class AbBroadcast:
         self.sim = engine.sim
         self.stats = AbBroadcastStats()
         self._comms: dict[int, Communicator] = {}
-        self._instances: dict[int, int] = {}
+        self._instances = InstanceCounter()
         #: Data that arrived before the local bcast call: (ctx, inst) -> array.
         self._received: dict[tuple[int, int], np.ndarray] = {}
         #: Local calls blocked for data: (ctx, inst) -> trigger.
@@ -120,7 +120,7 @@ class AbBroadcast:
             raise AbProtocolError("register_comm(comm) must precede bcast")
         self.stats.bcasts += 1
         me = comm.rank_of_world(self.engine.rank.rank)
-        instance = self._next_instance(comm)
+        instance = self._instances.next(comm)
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")
         ledger.charge(self.costs.ab_decision_us, "ab")
@@ -151,20 +151,7 @@ class AbBroadcast:
         trigger = Trigger()
         self._waiting[key] = trigger
         yield Busy.from_ledger(ledger)
-        progress = self.engine.rank.progress
-        progress.active_depth += 1
-        try:
-            while not trigger.fired:
-                arm = self.engine.nic.rx_notifier.wait()
-                loop_ledger = Ledger()
-                progress.drain(loop_ledger)
-                if loop_ledger.total > 0.0:
-                    yield Busy.from_ledger(loop_ledger)
-                if trigger.fired:
-                    break
-                yield WaitFor(arm, poll_category="poll")
-        finally:
-            progress.active_depth -= 1
+        yield from self.engine.rank.progress.spin(trigger)
         return self._deliver(trigger.value, data, count, dtype)
 
     def _deliver(self, payload: np.ndarray, data: Optional[np.ndarray],
@@ -178,9 +165,3 @@ class AbBroadcast:
             buf.reshape(-1)[: payload.size] = payload.reshape(-1)
             return buf
         return payload
-
-    def _next_instance(self, comm: Communicator) -> int:
-        ctx = comm.coll_context
-        nxt = self._instances.get(ctx, 0)
-        self._instances[ctx] = nxt + 1
-        return nxt

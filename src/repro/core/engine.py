@@ -4,12 +4,17 @@ One :class:`AbEngine` is attached to each rank of an AB-build MPI library
 (:class:`repro.mpich.rank.MpiRank`).  It plays three roles:
 
 1. **Reduce entry point** (:meth:`AbEngine.reduce`) — the synchronous
-   component executed inside ``MPI_Reduce`` (paper Fig. 3): decide
-   ab-vs-fallback, build and enqueue the reduce descriptor, consume whatever
-   child contributions already arrived (from the AB unexpected queue or via
-   explicitly triggered progress), optionally linger inside the exit-delay
-   window (Sec. IV-E), then return — enabling NIC signals if any descriptor
-   is still outstanding.
+   component executed inside ``MPI_Reduce`` (paper Fig. 3), for both AB
+   routes: :meth:`AbEngine.route` decides whole-message / segmented /
+   size fallback, then an internal node opens a *window* of reduce
+   descriptors over its staging copy — the segment plan of
+   :mod:`repro.pipeline`, or one pseudo-segment (``seg == -1``) covering a
+   whole message — consuming whatever child contributions already arrived
+   (from the AB unexpected queue or via explicitly triggered progress),
+   optionally lingers inside the exit-delay window (Sec. IV-E), then
+   returns — enabling NIC signals if any descriptor is still outstanding.
+   A completing descriptor opens the window's next segment from inside
+   the progress hook (cut-through reduction).
 
 2. **Progress-engine hook** (:meth:`AbEngine.preprocess`, Fig. 4 gray boxes)
    — pre-processes every incoming packet: non-AB packets pass through;
@@ -33,20 +38,25 @@ message plus management overhead.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 import numpy as np
 
 from ..config import AbParams
 from ..errors import AbProtocolError
-from ..mpich.collectives.reduce import _finish_root, reduce_nab
-from ..mpich.communicator import Communicator
+from ..mpich.collectives.reduce import (_finish_root, reduce_nab,
+                                        reduce_steps)
+from ..mpich.collectives.walk import schedule_steps
+from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import TAG_REDUCE, AbHeader, Envelope
 from ..mpich.operations import Op
 from ..sim import access
 from ..sim.cpu import Ledger
 from ..sim.events import PRIORITY_TIMER
-from ..sim.process import Busy, WaitFor
+from ..pipeline.segmenter import Segment
+from ..schedule.lower import reduce_rank_steps, seg_ids
+from ..sim.process import Busy, Trigger
 from ..topo import ranks as tree
 from .delay import exit_delay_window
 from .descriptor import DescriptorQueue, ReduceDescriptor
@@ -106,6 +116,36 @@ def _fold_order_sensitive(op: Op, acc: np.ndarray) -> bool:
     return acc.dtype.kind not in "iub"
 
 
+@dataclass(slots=True)
+class _Window:
+    """One AB reduce instance on an internal node: the segments still to
+    open, the staging buffer their descriptors accumulate into, and the
+    tree context every descriptor of the instance is built from."""
+
+    segments: list[Segment]
+    staging: np.ndarray
+    comm: Communicator
+    shape: object
+    root: int
+    rel: int
+    instance: int
+    op: Op
+    #: Descriptors kept open at once (``max_inflight_segments``; a whole
+    #: message is a window of one).
+    width: int
+    #: ``(parent_world, children_world)`` as last derived.
+    neighbors: tuple[int, list[int]]
+    next_seg: int = 0
+    open: int = 0
+    #: Fired once every segment has been forwarded to the parent.
+    done: Trigger = field(default_factory=Trigger)
+    #: Re-entrancy latch: pushing a descriptor can synchronously fold
+    #: buffered contributions, complete it, and call back into
+    #: :meth:`AbEngine._advance`; the latch flattens that recursion into
+    #: the outer push loop.
+    advancing: bool = False
+
+
 class AbEngine:
     """Application-bypass state machine for one rank."""
 
@@ -126,9 +166,9 @@ class AbEngine:
         self.monitor = getattr(self.nic, "monitor", None)
         if self.monitor is not None:
             self.monitor.register_engine(self)
-        #: Per-collective-context instance counters; every rank advances
-        #: them identically because collectives execute in program order.
-        self._instances: dict[int, int] = {}
+        #: Reduce instance numbers (shared with the split-phase root and
+        #: the pipelined allreduce root, which consume the same sequence).
+        self.instances = InstanceCounter()
         #: Extension hooks (application-bypass broadcast) keyed by
         #: AbHeader.kind; see :mod:`repro.core.broadcast`.
         self.extensions: dict[str, object] = {}
@@ -180,16 +220,42 @@ class AbEngine:
         if self.signal_pins <= 0:
             raise AbProtocolError("unbalanced unpin_signals")
         self.signal_pins -= 1
-        if (self.signal_pins == 0 and self.descriptors.empty
-                and self.nic.signals_enabled):
-            self.nic.disable_signals(ledger if ledger is not None else Ledger())
-        if (self.signal_pins == 0 and self.descriptors.empty
-                and self.monitor is not None):
+        self._idle_if_drained(ledger if ledger is not None else Ledger())
+
+    def _idle_if_drained(self, ledger: Ledger) -> None:
+        """"Descriptor queue empty? -> Disable signals" (Fig. 5) — unless
+        an extension still has them pinned."""
+        if not self.descriptors.empty or self.signal_pins > 0:
+            return
+        if self.nic.signals_enabled:
+            self.nic.disable_signals(ledger)
+        if self.monitor is not None:
             self.monitor.on_queue_drained(self.rank.rank, self.sim.now)
 
     # ==================================================================
     # role 1: the MPI_Reduce entry point (synchronous component, Fig. 3)
     # ==================================================================
+    def route(self, sendbuf: np.ndarray, size: int):
+        """How a reduce of ``sendbuf`` over ``size`` ranks travels — the
+        one place the decision is made.  It depends only on the (globally
+        identical) config and buffer geometry, so all ranks agree without
+        negotiation.  Returns
+
+        * the pipeline's segment plan (two or more eager-sized segments):
+          segmented AB, checked first because segmentation is exactly what
+          opens the large-message AB path;
+        * ``()``: whole-message AB (a window of one);
+        * ``None``: a rendezvous-sized payload — the whole tree falls back
+          to the default reduction.
+        """
+        limit = min(self.costs.ab_eager_limit_bytes,
+                    self.costs.eager_limit_bytes)
+        if self.pipeline is not None and size > 1:
+            segments = self.pipeline.plan_for(sendbuf, limit)
+            if segments is not None:
+                return segments
+        return None if sendbuf.nbytes > limit else ()
+
     def reduce(self, sendbuf: np.ndarray, op: Op, root: int,
                comm: Communicator,
                recvbuf: Optional[np.ndarray] = None, *,
@@ -211,21 +277,10 @@ class AbEngine:
         ledger.charge(self.costs.ab_decision_us, "ab")
 
         nbytes = sendbuf.nbytes
-        if self.pipeline is not None and size > 1:
-            # Pipelined path (repro.pipeline): checked before the size
-            # fallback because segmentation is exactly what opens the
-            # large-message AB path — each segment travels eager-sized.
-            segments = self.pipeline.plan_for(sendbuf)
-            if segments is not None:
-                result = yield from self.pipeline.reduce(
-                    sendbuf, op, root, comm, recvbuf, ledger, segments,
-                    plan=plan)
-                return result
-        if nbytes > min(self.costs.ab_eager_limit_bytes,
-                        self.costs.eager_limit_bytes):
-            # Rendezvous-sized payload: the whole tree falls back (every
-            # rank sees the same size, so the decision is globally
-            # consistent and no instance number is consumed).
+        segments = self.route(sendbuf, size)
+        if segments is None:
+            # Every rank sees the same size, so the decision is globally
+            # consistent and no instance number is consumed.
             self.stats.fallback_size += 1
             yield Busy.from_ledger(ledger)
             result = yield from reduce_nab(self.rank, sendbuf, op, root,
@@ -236,60 +291,58 @@ class AbEngine:
             yield Busy.from_ledger(ledger)
             return _finish_root(sendbuf, recvbuf)
 
-        instance = self._next_instance(comm)
+        instance = self.instances.next(comm)
         ledger.charge(self.costs.tree_setup_us, "mpi")
         rel = tree.relative_rank(me, root, size)
         root_world = comm.world_rank(root)
+        shape = self.rank.tree_shape_for(nbytes)
+        width = 1
+        if segments:
+            self.pipeline.stats.pipelined_reduces += 1
+            width = self.node.pipeline_params_for(
+                nbytes).max_inflight_segments
 
         if rel == 0:
             # The root cannot bypass: MPI_Reduce must return the full result
             # (paper Sec. II).  Children's AB packets are routed to the
             # default matching path by the hook.
             self.stats.root_reduces += 1
-            yield Busy.from_ledger(ledger)
-            result = yield from reduce_nab(
-                self.rank, sendbuf, op, root, comm, recvbuf,
-                schedule=None if plan is None else plan.schedule)
+            if not segments:
+                yield Busy.from_ledger(ledger)
+                result = yield from reduce_nab(
+                    self.rank, sendbuf, op, root, comm, recvbuf,
+                    schedule=None if plan is None else plan.schedule)
+                return result
+            # Segmented, the root still benefits: it folds segment k while
+            # its children are combining k+1, instead of waiting for whole
+            # messages to be staged at every level below.
+            if plan is None:
+                _, kids = tree.family(shape, size, root, me)
+                steps = reduce_rank_steps(None, kids, seg_ids(len(segments)))
+            else:
+                steps = schedule_steps(plan.schedule, me, segments, nbytes)
+            result = yield from reduce_steps(
+                self.rank, comm, steps, sendbuf, op, recvbuf, ledger,
+                segments=segments, lowering="reduce.ab",
+                on_fold=self.pipeline.root_fold_hook(comm, instance))
             return result
 
-        shape = self.rank.tree_shape_for(nbytes)
-        header = AbHeader(root=root_world, instance=instance, kind="reduce")
-        if self._heal:
-            # Fault-tolerant construction: crashed subtrees are replaced by
-            # their live fringe, and the parent by its nearest live
-            # ancestor, so the healed tree spans exactly the live ranks.
-            kids_rel = shape.children(rel, size)
-            naive_parent = comm.world_rank(
-                tree.absolute_rank(shape.parent(rel, size), root, size))
-            parent_world = self._live_ancestor_world(
-                comm, shape, root, size, shape.parent(rel, size))
-            if parent_world != naive_parent:
-                self.stats.sends_rerouted += 1
-                self._report_fault("send_rerouted", instance=instance,
-                                   parent=parent_world)
-            children_world, healed = self._live_fringe(
-                comm, shape, root, size, kids_rel)
-            if healed:
-                self.stats.subtrees_healed += healed
-                self._report_fault("subtree_healed", instance=instance,
-                                   healed=healed)
-        elif plan is not None:
-            # Schedule-injected neighbors: the interpreter already resolved
-            # the tree; healed runs recompute above instead.
-            parent_world = plan.parent_world
-            children_world = list(plan.children_world)
-        else:
-            parent, kids = tree.family(shape, size, root, me)
-            parent_world = comm.world_rank(parent)
-            children_world = [comm.world_rank(c) for c in kids]
+        flat = np.ascontiguousarray(sendbuf).reshape(-1)
+        if not segments:
+            segments = [Segment(-1, 0, flat.size, flat.itemsize)]
+        neighbors = self.neighbors(comm, shape, root, size, rel, instance,
+                                   plan)
+        parent_world, children_world = neighbors
         if not children_world:
             # Leaf — by tree position, or because every subtree below this
-            # rank crashed: one AB-framed eager send to the parent; nothing
-            # to wait for (paper: leaves need no optimization, Sec. II).
+            # rank crashed: AB-framed eager sends to the parent, segments
+            # streamed back-to-back; nothing to wait for (paper: leaves
+            # need no optimization, Sec. II).
             self.stats.leaf_sends += 1
-            self.rank.progress.start_send(sendbuf, parent_world, TAG_REDUCE,
-                                          comm.coll_context, ledger,
-                                          ab=header)
+            for s in segments:
+                self._emit(flat[s.offset:s.offset + s.count], parent_world,
+                           comm.coll_context, root_world, instance, s.index,
+                           len(segments), ledger)
             yield Busy.from_ledger(ledger)
             return None
 
@@ -308,53 +361,25 @@ class AbEngine:
             if self.signal_pins == 0:
                 self.nic.disable_signals(ledger)
 
-            acc = np.array(sendbuf, copy=True)
-            ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
-            desc = ReduceDescriptor(
-                context_id=comm.coll_context, root_world=root_world,
-                instance=instance, parent_world=parent_world,
-                children_world=children_world, op=op, acc=acc, tag=TAG_REDUCE,
-                created_at=self.sim.now,
-                comm=comm, shape=shape, root=root, size=size, rel=rel)
-            ledger.charge(self.costs.ab_descriptor_us, "descriptor")
-            self.descriptors.push(desc)
-            self.node.tracer.emit("ab.descriptor.enqueue",
-                                  node=self.rank.rank, instance=instance,
-                                  children=len(children_world))
-            if self._timeout_us > 0.0:
-                # Recovery timer (repro.faults): if children are still
-                # pending when it fires, progress is forced, crashed
-                # subtrees are healed, and after the retry budget the
-                # partial sum is propagated (reported via INV-FAULT).
-                # TIMER class: a timeout due exactly when the completing
-                # contribution lands observes the completion (and is
-                # cancelled) rather than racing it.
-                desc.timeout_event = self.sim.schedule(
-                    self._timeout_us, self._on_descriptor_timeout, desc, 1,
-                    priority=PRIORITY_TIMER)
-
-            # Early arrivals already sit in the AB unexpected queue: consume
-            # them directly (their only copy already happened on arrival).
-            self._consume_unexpected(desc, ledger)
+            # One staging copy for the whole message; each segment's
+            # descriptor accumulates into its disjoint slice.
+            staging = np.array(flat, copy=True)
+            ledger.charge(self.costs.copy_us(staging.nbytes), "copy")
+            st = _Window(segments, staging, comm, shape, root, rel, instance,
+                         op, width, neighbors)
+            self._advance(st, ledger)
             yield Busy.from_ledger(ledger)
 
-            # Walk/poll loop with the exit-delay window (Sec. IV-E).
+            # Walk/poll with the exit-delay window (Sec. IV-E); segments
+            # still open at the deadline complete asynchronously, each one
+            # pulling the next through ``on_complete`` — full bypass.
             deadline = self.sim.now + exit_delay_window(self.params, size)
-            while not desc.removed:
-                trigger = self.nic.rx_notifier.wait()
-                loop_ledger = Ledger()
-                progress.drain(loop_ledger)
-                if loop_ledger.total > 0.0:
-                    yield Busy.from_ledger(loop_ledger)
-                if desc.removed:
+            if not st.done.fired:
+                caught = yield from progress.spin(st.done, deadline)
+                if caught:
                     self.stats.window_catches += 1
-                    break
-                if self.sim.now >= deadline:
+                else:
                     self.stats.window_expires += 1
-                    break
-                # Bounded wait: woken by the next arrival or the deadline.
-                self.sim.at(deadline, trigger.fire, None)
-                yield WaitFor(trigger, poll_category="poll")
         finally:
             progress.active_depth -= 1
             self._sync_depth -= 1
@@ -369,6 +394,132 @@ class AbEngine:
         if exit_ledger.total > 0.0:
             yield Busy.from_ledger(exit_ledger)
         return None
+
+    def neighbors(self, comm: Communicator, shape, root: int, size: int,
+                  rel: int, instance: int,
+                  plan: Optional[CollectivePlan] = None
+                  ) -> tuple[Optional[int], list[int]]:
+        """``(parent_world, children_world)`` of relative rank ``rel`` in
+        the reduce tree — the parent is None at the root.
+
+        With healing armed (repro.faults), crashed subtrees are replaced by
+        their live fringe, and the parent by its nearest live ancestor, so
+        the healed tree spans exactly the live ranks.  Otherwise a
+        schedule-injected ``plan`` short-circuits the derivation (the
+        interpreter already resolved the tree) — only on healthy runs,
+        because healing must keep re-routing mid-pipeline."""
+        if self._heal:
+            parent_world = (None if rel == 0 else self._live_parent_world(
+                comm, shape, root, size, rel, instance))
+            children_world, healed = self._live_fringe(
+                comm, shape, root, size, shape.children(rel, size))
+            if healed:
+                self.stats.subtrees_healed += healed
+                self._report_fault("subtree_healed", instance=instance,
+                                   healed=healed)
+            return parent_world, children_world
+        if plan is not None:
+            return plan.parent_world, list(plan.children_world)
+        parent, kids = tree.family(shape, size, root,
+                                   tree.absolute_rank(rel, root, size))
+        return (None if parent is None else comm.world_rank(parent),
+                [comm.world_rank(c) for c in kids])
+
+    # ------------------------------------------------------------------
+    # window machinery (internal nodes)
+    # ------------------------------------------------------------------
+    def _advance(self, st: _Window, ledger: Ledger) -> None:
+        """Open descriptors until the window is full or segments run out;
+        the window is done once they have and none is left open."""
+        if st.advancing:
+            return
+        st.advancing = True
+        nseg = len(st.segments)
+        try:
+            while st.open < st.width and st.next_seg < nseg:
+                self._push_segment(st, ledger)
+        finally:
+            st.advancing = False
+        if st.open == 0 and st.next_seg == nseg:
+            st.done.fire()
+
+    def _push_segment(self, st: _Window, ledger: Ledger) -> None:
+        s = st.segments[st.next_seg]
+        st.next_seg += 1
+        comm = st.comm
+        root_world = comm.world_rank(st.root)
+        nseg = len(st.segments)
+        if self._heal and s.index >= 0:
+            # Heal-aware neighbors at *push* time: a subtree healed while
+            # earlier segments were in flight re-parents the remaining
+            # ones.  (A whole message is pushed in the instant it was
+            # routed, so the entry derivation stands.)
+            st.neighbors = self.neighbors(comm, st.shape, st.root, comm.size,
+                                          st.rel, st.instance)
+        parent_world, children_world = st.neighbors
+        acc = st.staging[s.offset:s.offset + s.count]
+        if not children_world:
+            # Every subtree below crashed mid-pipeline: degenerate to a
+            # leaf-style stream for the remaining segments.
+            self._emit(acc, parent_world, comm.coll_context, root_world,
+                       st.instance, s.index, nseg, ledger)
+            return
+        desc = ReduceDescriptor(
+            context_id=comm.coll_context, root_world=root_world,
+            instance=st.instance, parent_world=parent_world,
+            children_world=children_world, op=st.op, acc=acc,
+            tag=TAG_REDUCE, created_at=self.sim.now,
+            comm=comm, shape=st.shape, root=st.root, size=comm.size,
+            rel=st.rel, seg=s.index, nseg=nseg,
+            on_complete=lambda d, lg, _st=st: self._segment_done(_st, lg))
+        ledger.charge(self.costs.ab_descriptor_us, "descriptor")
+        self.descriptors.push(desc)
+        st.open += 1
+        if s.index >= 0:
+            stats = self.pipeline.stats
+            stats.inflight_hwm = max(stats.inflight_hwm, st.open)
+            self.node.tracer.emit("ab.segment.enqueue",
+                                  node=self.rank.rank, instance=st.instance,
+                                  seg=s.index, nseg=nseg,
+                                  children=len(children_world))
+        else:
+            self.node.tracer.emit("ab.descriptor.enqueue",
+                                  node=self.rank.rank, instance=st.instance,
+                                  children=len(children_world))
+        if self._timeout_us > 0.0:
+            # Recovery timer (repro.faults): if children are still
+            # pending when it fires, progress is forced, crashed
+            # subtrees are healed, and after the retry budget the
+            # partial sum is propagated (reported via INV-FAULT).
+            self._arm_timeout(desc, 1)
+        # Early arrivals — sent before this call, or stalled while the
+        # window was full — already sit in the AB unexpected queue: consume
+        # them directly (their only copy already happened on arrival).  May
+        # complete the descriptor immediately and re-enter _advance via
+        # on_complete.
+        self._consume_unexpected(desc, ledger)
+
+    def _segment_done(self, st: _Window, ledger: Ledger) -> None:
+        """``on_complete`` of a window descriptor: slide the window."""
+        st.open -= 1
+        self._advance(st, ledger)
+
+    def _emit(self, data: np.ndarray, dst_world: int, context_id: int,
+              root_world: int, instance: int, seg: int, nseg: int,
+              ledger: Ledger) -> None:
+        """One AB-framed eager send up the tree (``seg == -1``: a whole
+        message)."""
+        header = AbHeader(root=root_world, instance=instance, kind="reduce",
+                          seg=seg, nseg=nseg)
+        self.rank.progress.start_send(data, dst_world, TAG_REDUCE,
+                                      context_id, ledger, ab=header)
+        if seg >= 0:
+            if self.pipeline is not None:
+                self.pipeline.stats.segments_sent += 1
+            if self.monitor is not None:
+                self.monitor.on_segment_emit(
+                    self.rank.rank, dst_world, context_id, instance, seg,
+                    self.sim.now)
 
     # ==================================================================
     # role 2: the progress-engine pre-processing hook (Fig. 4)
@@ -503,9 +654,7 @@ class AbEngine:
                 # age-based expiry would abandon live children.  Each fold
                 # is progress — restart the timer and the retry budget.
                 self.sim.cancel(desc.timeout_event)
-                desc.timeout_event = self.sim.schedule(
-                    self._timeout_us, self._on_descriptor_timeout, desc, 1,
-                    priority=PRIORITY_TIMER)
+                self._arm_timeout(desc, 1)
         if desc.complete:
             self._finish(desc, ledger, completed_async=not in_sync)
 
@@ -515,27 +664,13 @@ class AbEngine:
         if (self._heal and desc.rel is not None
                 and self._crashed(desc.parent_world)):
             # The parent crashed after this descriptor was built: climb the
-            # tree to the nearest live ancestor (the root never crashes in
-            # the supported fault model).
-            new_parent = self._live_ancestor_world(
-                desc.comm, desc.shape, desc.root, desc.size,
-                desc.shape.parent(desc.rel, desc.size))
-            if new_parent != desc.parent_world:
-                desc.parent_world = new_parent
-                self.stats.sends_rerouted += 1
-                self._report_fault("send_rerouted", instance=desc.instance,
-                                   parent=new_parent)
-        header = AbHeader(root=desc.root_world, instance=desc.instance,
-                          kind="reduce", seg=desc.seg, nseg=desc.nseg)
-        self.rank.progress.start_send(desc.acc, desc.parent_world, desc.tag,
-                                      desc.context_id, ledger, ab=header)
-        if desc.seg >= 0:
-            if self.pipeline is not None:
-                self.pipeline.stats.segments_sent += 1
-            if self.monitor is not None:
-                self.monitor.on_segment_emit(
-                    self.rank.rank, desc.parent_world, desc.context_id,
-                    desc.instance, desc.seg, self.sim.now)
+            # tree to the nearest live ancestor.
+            desc.parent_world = self._live_parent_world(
+                desc.comm, desc.shape, desc.root, desc.size, desc.rel,
+                desc.instance, desc.parent_world)
+        self._emit(desc.acc, desc.parent_world, desc.context_id,
+                   desc.root_world, desc.instance, desc.seg, desc.nseg,
+                   ledger)
         self.descriptors.remove(desc)
         if desc.timeout_event is not None:
             self.sim.cancel(desc.timeout_event)
@@ -557,18 +692,12 @@ class AbEngine:
                                   span=self.sim.now - desc.created_at)
         callback = desc.on_complete
         if callback is not None:
-            # Window advance (repro.pipeline): runs before the queue-drained
-            # check below so a callback that opens the next segment's
-            # descriptor keeps signals armed without a disable/enable flap.
+            # Window advance: runs before the queue-drained check below so
+            # a callback that opens the next segment's descriptor keeps
+            # signals armed without a disable/enable flap.
             desc.on_complete = None
             callback(desc, ledger)
-        if (self.descriptors.empty and self.signal_pins == 0
-                and self.nic.signals_enabled):
-            # "Descriptor queue empty? -> Disable signals" (Fig. 5).
-            self.nic.disable_signals(ledger)
-        if (self.descriptors.empty and self.signal_pins == 0
-                and self.monitor is not None):
-            self.monitor.on_queue_drained(self.rank.rank, self.sim.now)
+        self._idle_if_drained(ledger)
 
     def _consume_unexpected(self, desc: ReduceDescriptor,
                             ledger: Ledger) -> None:
@@ -603,16 +732,25 @@ class AbEngine:
         oracle = self._crash_oracle
         return oracle is not None and oracle(world_rank, self.sim.now)
 
-    def _live_ancestor_world(self, comm, shape, root: int, size: int,
-                             prel: int) -> int:
-        """World rank of the nearest live ancestor, starting at rel
-        ``prel`` and climbing toward the root (rel 0, assumed live)."""
-        while prel != 0:
-            world = comm.world_rank(tree.absolute_rank(prel, root, size))
-            if not self._crashed(world):
-                return world
+    def _live_parent_world(self, comm, shape, root: int, size: int, rel: int,
+                           instance: int, known: Optional[int] = None) -> int:
+        """World rank of ``rel``'s nearest live ancestor, climbing toward
+        the root (rel 0, assumed live: the root never crashes in the
+        supported fault model).  A re-route is counted when it is not
+        ``known`` — the parent a descriptor was built with; by default the
+        tree's own."""
+        prel = shape.parent(rel, size)
+        world = comm.world_rank(tree.absolute_rank(prel, root, size))
+        if known is None:
+            known = world
+        while prel != 0 and self._crashed(world):
             prel = shape.parent(prel, size)
-        return comm.world_rank(tree.absolute_rank(0, root, size))
+            world = comm.world_rank(tree.absolute_rank(prel, root, size))
+        if world != known:
+            self.stats.sends_rerouted += 1
+            self._report_fault("send_rerouted", instance=instance,
+                               parent=world)
+        return world
 
     def _live_fringe(self, comm, shape, root: int, size: int,
                      rels) -> tuple[list[int], int]:
@@ -633,6 +771,14 @@ class AbEngine:
             worlds.extend(sub)
             healed += sub_healed
         return worlds, healed
+
+    def _arm_timeout(self, desc: ReduceDescriptor, attempt: int) -> None:
+        """(Re)start ``desc``'s recovery timer.  TIMER class: a timeout due
+        exactly when the completing contribution lands observes the
+        completion (and is cancelled) rather than racing it."""
+        desc.timeout_event = self.sim.schedule(
+            self._timeout_us, self._on_descriptor_timeout, desc, attempt,
+            priority=PRIORITY_TIMER)
 
     def _on_descriptor_timeout(self, desc: ReduceDescriptor,
                                attempt: int) -> None:
@@ -667,9 +813,7 @@ class AbEngine:
                 return
         if attempt < self._timeout_retries:
             self.stats.descriptor_retries += 1
-            desc.timeout_event = self.sim.schedule(
-                self._timeout_us, self._on_descriptor_timeout, desc,
-                attempt + 1, priority=PRIORITY_TIMER)
+            self._arm_timeout(desc, attempt + 1)
             return
         for child in desc.pending_children():
             desc.mark_done(child)
@@ -714,16 +858,3 @@ class AbEngine:
         if self.monitor is not None:
             self.monitor.on_fault_report(self.rank.rank, kind,
                                          self.sim.now, **context)
-
-    # ------------------------------------------------------------------
-    def _next_instance(self, comm: Communicator) -> int:
-        ctx = comm.coll_context
-        nxt = self._instances.get(ctx, 0)
-        self._instances[ctx] = nxt + 1
-        return nxt
-
-    @property
-    def outstanding(self) -> int:
-        """Number of reductions currently delegated to asynchronous
-        processing on this rank."""
-        return len(self.descriptors)

@@ -113,18 +113,14 @@ def _execute_reduce(rank, schedule: Schedule, sendbuf: np.ndarray, op: Op,
         raise ScheduleExecutionError(
             "a reduce.ab schedule needs an AB-build rank")
 
-    # Segmentation consistency first (plan_for is pure, no sim effect).
-    segments = None
-    if engine.pipeline is not None and comm.size > 1:
-        segments = engine.pipeline.plan_for(sendbuf)
-    planned = 0 if segments is None else len(segments)
+    # Segmentation consistency first (routing is pure, no sim effect).
+    segments = engine.route(sendbuf, comm.size)
+    planned = len(segments or ())
     if planned != schedule.nseg:
         raise ScheduleExecutionError(
             "schedule has nseg=%d but the AB pipeline plans %d segment(s) "
             "for %d bytes" % (schedule.nseg, planned, sendbuf.nbytes))
-    if segments is None and sendbuf.nbytes > min(
-            engine.costs.ab_eager_limit_bytes,
-            engine.costs.eager_limit_bytes):
+    if segments is None:
         raise ScheduleExecutionError(
             "rendezvous-sized payload (%d bytes) cannot run an AB "
             "schedule; lower with reduce.nab instead" % sendbuf.nbytes)
@@ -142,10 +138,7 @@ def _execute_allreduce_sequential(rank, schedule: Schedule,
     """The schedule's reduce leg to its root, then its bcast leg — the
     composition ``allreduce_reduce_bcast`` makes of ``mpi.reduce`` and
     ``mpi.bcast``."""
-    engine = getattr(rank, "ab", None)
-    pipeline = getattr(engine, "pipeline", None)
-    if (pipeline is not None and comm.size > 1
-            and pipeline.plan_for(sendbuf) is not None):
+    if rank.ab is not None and rank.ab.route(sendbuf, comm.size):
         raise ScheduleExecutionError(
             "the config pipelines this allreduce; lower with "
             "allreduce.pipelined instead")
@@ -172,10 +165,9 @@ def _execute_allreduce_pipelined(rank, schedule: Schedule,
         raise ScheduleExecutionError(
             "an allreduce.pipelined schedule needs an AB build with an "
             "armed pipeline")
-    pipeline = engine.pipeline
-    segments = pipeline.plan_for(sendbuf)
-    planned = 0 if segments is None else len(segments)
-    if planned != schedule.nseg or segments is None:
+    segments = engine.route(sendbuf, comm.size)
+    planned = len(segments or ())
+    if planned != schedule.nseg or not segments:
         raise ScheduleExecutionError(
             "schedule has nseg=%d but the AB pipeline plans %d segment(s) "
             "for %d bytes" % (schedule.nseg, planned, sendbuf.nbytes))
@@ -199,7 +191,7 @@ def _execute_allreduce_pipelined(rank, schedule: Schedule,
             "%r tree on rank %d; the AB broadcast extension cannot follow "
             "a reshaped schedule" % (shape.name, me))
 
-    result = yield from pipeline.allreduce(
+    result = yield from engine.pipeline.allreduce(
         sendbuf, op, comm, segments, root=schedule.root,
         plan=_plan_from_schedule(schedule, comm, me))
     return result

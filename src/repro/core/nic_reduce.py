@@ -30,13 +30,13 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..errors import AbProtocolError
-from ..mpich.collectives import tree
-from ..mpich.communicator import Communicator
+from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import AbHeader, Envelope, TransferKind
 from ..mpich.operations import Op
 from ..gm.packet import Packet, PacketType
 from ..sim.cpu import Ledger
 from ..sim.process import Busy
+from ..topo import ranks as tree
 
 #: Base tag for root-side result delivery; instance number is added so
 #: out-of-order completions across back-to-back reductions cannot cross.
@@ -220,7 +220,7 @@ class NicReduce:
         self.node = mpi_rank.node
         self.costs = mpi_rank.costs
         self.unit = NicReduceUnit(mpi_rank.node)
-        self._instances: dict[int, int] = {}
+        self._instances = InstanceCounter()
 
     def register_comm(self, comm: Communicator) -> None:
         """Collective: every participating rank registers the communicator
@@ -235,7 +235,7 @@ class NicReduce:
         if not (0 <= root < comm.size):
             raise ValueError(f"root {root} outside comm of size {comm.size}")
         self.unit.stats.reduces += 1
-        instance = self._next_instance(comm)
+        instance = self._instances.next(comm)
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")
         # Host hand-off: doorbell plus DMA of the contribution into NIC
@@ -256,9 +256,3 @@ class NicReduce:
         yield Busy.from_ledger(ledger)
         yield from self.rank.progress.wait(request)
         return buffer
-
-    def _next_instance(self, comm: Communicator) -> int:
-        ctx = comm.coll_context
-        nxt = self._instances.get(ctx, 0)
-        self._instances[ctx] = nxt + 1
-        return nxt

@@ -23,12 +23,11 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..errors import AbProtocolError
-from ..mpich.collectives import tree
 from ..mpich.communicator import Communicator
 from ..mpich.message import TAG_REDUCE, Envelope, TransferKind
 from ..mpich.operations import Op
 from ..sim.cpu import Ledger
-from ..sim.process import Busy, Trigger, WaitFor
+from ..sim.process import Busy, Trigger
 from .engine import AbEngine
 
 EXT_KEY = "ireduce_root"
@@ -106,18 +105,19 @@ class SplitPhaseReduce:
               comm: Communicator) -> Generator:
         """Initiate; returns a :class:`ReduceHandle` without blocking."""
         self.stats.starts += 1
+        sendbuf = np.asarray(sendbuf)
         me = comm.rank_of_world(self.engine.rank.rank)
         if me != root:
             # The ordinary AB path already returns without blocking for
             # non-root ranks; the eager snapshot makes the send buffer
             # immediately reusable.
-            yield from self.engine.reduce(np.asarray(sendbuf), op, root, comm)
+            yield from self.engine.reduce(sendbuf, op, root, comm)
             handle = ReduceHandle(comm, root, -1, is_root=False)
             handle.trigger.fire(None)
             return handle
 
         self.stats.root_starts += 1
-        instance = self.engine._next_instance(comm)
+        instance = self.engine.instances.next(comm)
         handle = ReduceHandle(comm, root, instance, is_root=True)
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")
@@ -132,18 +132,17 @@ class SplitPhaseReduce:
 
         acc = np.array(sendbuf, copy=True)
         ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
-        children = {
-            comm.world_rank(tree.absolute_rank(c, root, size))
-            for c in self.engine.rank.tree_shape.children(0, size)
-        }
+        # The tree every non-root rank sends along: message-size-aware
+        # shape, healed when faults are armed.
+        _, children = self.engine.neighbors(
+            comm, self.engine.rank.tree_shape_for(sendbuf.nbytes), root,
+            size, 0, instance)
         # Segmented reduction (repro.pipeline): non-root ranks stream
         # per-segment contributions, so the root state tracks (child, seg)
-        # pairs and folds each arrival into its slice.  plan_for uses only
-        # (config, buffer geometry), so the segmentation decision here
-        # matches the one every non-root rank makes.
-        pipeline = getattr(self.engine, "pipeline", None)
-        segments = (pipeline.plan_for(np.asarray(sendbuf))
-                    if pipeline is not None else None)
+        # pairs and folds each arrival into its slice.  The routing
+        # decision uses only (config, buffer geometry), so it matches the
+        # one every non-root rank makes.
+        segments = self.engine.route(sendbuf, size) or None
         if segments is not None:
             pending = {(c, s.index) for c in children for s in segments}
         else:
@@ -179,22 +178,7 @@ class SplitPhaseReduce:
     def wait(self, handle: ReduceHandle) -> Generator:
         """Block until locally complete; root returns the result array."""
         self.stats.waits += 1
-        if handle.done:
-            return handle.result
-        progress = self.engine.rank.progress
-        progress.active_depth += 1
-        try:
-            while not handle.trigger.fired:
-                arm = self.engine.nic.rx_notifier.wait()
-                ledger = Ledger()
-                progress.drain(ledger)
-                if ledger.total > 0.0:
-                    yield Busy.from_ledger(ledger)
-                if handle.trigger.fired:
-                    break
-                yield WaitFor(arm, poll_category="poll")
-        finally:
-            progress.active_depth -= 1
+        yield from self.engine.rank.progress.spin(handle.trigger)
         return handle.result
 
     # ------------------------------------------------------------------

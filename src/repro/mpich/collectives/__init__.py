@@ -1,6 +1,5 @@
 """Collective algorithms over the binomial tree and dissemination patterns."""
 
-from ...topo import ranks as tree
 from .allreduce import allreduce_reduce_bcast
 from .barrier import barrier_dissemination
 from .bcast import bcast_binomial
@@ -9,7 +8,6 @@ from .reduce import reduce_nab
 from .scatter import allgather_ring, scatter
 
 __all__ = [
-    "tree",
     "reduce_nab",
     "bcast_binomial",
     "barrier_dissemination",

@@ -23,14 +23,12 @@ from ..operations import Op
 def allreduce_reduce_bcast(rank, sendbuf: np.ndarray, op: Op,
                            comm: Communicator) -> Generator:
     """Reduce to comm rank 0, then broadcast; every rank returns the total."""
-    ab = getattr(rank, "ab", None)
-    pipeline = getattr(ab, "pipeline", None) if ab is not None else None
-    if pipeline is not None and comm.size > 1:
-        segments = pipeline.plan_for(sendbuf)
-        if segments is not None:
-            result = yield from pipeline.allreduce(sendbuf, op, comm,
-                                                   segments)
-            return result
+    ab = rank.ab
+    segments = ab.route(sendbuf, comm.size) if ab is not None else None
+    if segments:
+        result = yield from ab.pipeline.allreduce(sendbuf, op, comm,
+                                                  segments)
+        return result
 
     result = yield from rank.reduce(sendbuf, op=op, root=0, comm=comm)
     me = comm.rank_of_world(rank.rank)

@@ -19,6 +19,25 @@ def _fresh_context() -> int:
     return next(_context_ids)
 
 
+class InstanceCounter:
+    """Per-collective-context instance numbers for one protocol on one
+    rank (:attr:`~repro.mpich.message.AbHeader.instance`).  Every rank
+    advances its counter identically because collectives execute in
+    program order, so the numbers agree globally without negotiation."""
+
+    __slots__ = ("_next",)
+
+    def __init__(self) -> None:
+        self._next: dict[int, int] = {}
+
+    def next(self, comm: "Communicator") -> int:
+        """Number of this rank's next collective on ``comm``."""
+        ctx = comm.coll_context
+        instance = self._next.get(ctx, 0)
+        self._next[ctx] = instance + 1
+        return instance
+
+
 class Communicator:
     """A group of world ranks with private matching contexts."""
 

@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import MatchError
 from ..gm.packet import Packet, PacketType
 from ..sim.cpu import Ledger
-from ..sim.process import Busy, WaitFor
+from ..sim.process import Busy, Trigger, WaitFor
 from .matching import MatchingEngine, PostedRecv
 from .message import AbHeader, Envelope, TransferKind
 from .requests import Request, Status
@@ -314,27 +314,43 @@ class ProgressEngine:
     # ------------------------------------------------------------------
     # blocking (process-context) helpers
     # ------------------------------------------------------------------
-    def wait(self, request: Request) -> Generator:
-        """Spin the progress engine until ``request`` completes.
+    def spin(self, until: Trigger,
+             deadline: Optional[float] = None) -> Generator:
+        """Drain the receive queue, then block for the next arrival, until
+        ``until`` has fired — the one blocking poll loop (every synchronous
+        wait in the library is this loop on a different trigger).
 
         The spun interval is charged to the CPU (category ``poll``) — this
-        is the synchronous waiting cost of default MPICH.
+        is the synchronous waiting cost of default MPICH.  With a
+        ``deadline`` (absolute simulated time) each wait is bounded: it is
+        woken by the next arrival or the deadline, whichever is first.
+        Returns True once ``until`` has fired (immediately, scheduling
+        nothing, if it already had), False if the deadline passed first.
         """
-        if request.done:
-            return request.status
         self.active_depth += 1
         try:
-            while True:
+            while not until.fired:
                 trigger = self.nic.rx_notifier.wait()
                 ledger = Ledger()
                 self.drain(ledger)
                 if ledger.total > 0.0:
                     yield Busy.from_ledger(ledger)
-                if request.done:
-                    return request.status
+                if until.fired:
+                    break
+                if deadline is not None:
+                    if self.sim.now >= deadline:
+                        return False
+                    self.sim.at(deadline, trigger.fire, None)
                 yield WaitFor(trigger, poll_category="poll")
+            return True
         finally:
             self.active_depth -= 1
+
+    def wait(self, request: Request) -> Generator:
+        """Spin the progress engine until ``request`` completes."""
+        if not request.done:
+            yield from self.spin(request.completion)
+        return request.status
 
     def wait_all(self, requests: list[Request]) -> Generator:
         """Wait for every request in ``requests``."""

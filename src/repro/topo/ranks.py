@@ -8,9 +8,7 @@ that order is also the order the default reduction receives and combines
 child contributions.
 
 The module imports nothing, so the tree shapes, the schedule lowerings, the
-collectives and the AB engines can all sit above it; it is also reachable
-as ``repro.mpich.collectives.tree``, its name before the lowerings moved
-below the collectives.
+collectives and the AB engines can all sit above it.
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ fails the test by raising.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro import MpiBuild, NetParams, quiet_cluster
 from repro.bench.faulted import fault_reduce_benchmark
-from repro.config import AbParams, FaultParams
+from repro.config import AbParams, FaultParams, PipelineParams
 from repro.mpich.operations import SUM
 from repro.orchestrate.points import faults_smoke_points
 from repro.orchestrate.runner import run_points
@@ -95,6 +96,45 @@ def test_crash_with_tree_heal_completes_at_32_ranks():
     assert res.sim_counters["ranks_crashed"] == 1
     assert res.sim_counters["subtrees_healed"] >= 1
     assert res.sim_counters["faults_injected"] == 1
+
+
+# ---------------------------------------------------------------------------
+# one heal-aware neighbour derivation behind both AB routes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pipeline, elements, pushes", [
+    (None, 4, 0),
+    (PipelineParams(segment_size_bytes=2048, max_inflight_segments=2),
+     1024, 4),
+], ids=["whole", "segmented"])
+def test_healed_tree_is_the_same_on_both_routes(pipeline, elements, pushes):
+    """Rank 6 (child of 4, parent of 7) is dead before the reduce starts.
+    Every derivation reports the same healed tree on either route: rank 4
+    bypasses one crashed child and adopts 7, rank 7 re-routes to 4.  The
+    routes differ only in how often they derive: once at entry, plus —
+    for a segmented internal node — once per segment descriptor pushed
+    (a subtree healed mid-pipeline re-parents the remaining segments)."""
+    config = quiet_cluster(8, seed=0).with_faults(
+        FaultParams(crash_rank=6, crash_at_us=0.0, tree_heal=True,
+                    descriptor_timeout_us=300.0, timeout_retries=2))
+    if pipeline is not None:
+        config = config.with_pipeline(pipeline)
+
+    def program(mpi):
+        result = yield from mpi.reduce(contribution(mpi.rank, elements),
+                                       op=SUM, root=0)
+        yield from mpi.compute(200.0)
+        return result
+
+    out = run_ranks(8, program, build=MpiBuild.AB, config=config)
+    assert np.array_equal(out.results[0],
+                          expected_sum(8, elements) - 7.0)
+    stats = {r: out.contexts[r].ab_engine.stats for r in range(8)}
+    assert stats[4].subtrees_healed == 1 + pushes
+    assert stats[7].sends_rerouted == 1            # a leaf: entry only
+    assert sum(s.subtrees_healed for s in stats.values()) == 1 + pushes
+    assert sum(s.sends_rerouted for s in stats.values()) == 1
+    assert sum(s.descriptors_timed_out for s in stats.values()) == 0
 
 
 # ---------------------------------------------------------------------------

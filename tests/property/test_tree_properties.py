@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.mpich.collectives import tree
+from repro.topo import ranks as tree
 
 sizes = st.integers(min_value=1, max_value=300)
 

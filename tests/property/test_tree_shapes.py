@@ -7,12 +7,12 @@ For all shapes and all sizes 1..64 (non-powers-of-two included):
 * combine order is deterministic across fresh instances,
 * ``deepest_rel`` really is a deepest rank,
 * the binomial shape is bit-compatible with the original
-  ``mpich.collectives.tree`` arithmetic (and k-nomial radix 2 with it).
+  ``topo.ranks`` arithmetic (and k-nomial radix 2 with it).
 """
 
 import pytest
 
-from repro.mpich.collectives import tree
+from repro.topo import ranks as tree
 from repro.topo.trees import TREE_SHAPES, make_tree_shape
 
 SIZES = list(range(1, 65))

@@ -265,6 +265,32 @@ def test_exit_delay_window_catches_children():
         assert eng.stats.window_catches == 1
 
 
+@pytest.mark.parametrize("coeff_us, caught", [(500.0, True), (5.0, False)])
+def test_exit_delay_window_spans_the_segment_window(coeff_us, caught):
+    """The segmented route lingers in the same exit-delay window: one catch
+    (every segment folded and forwarded inside MPI_Reduce, no signals) or
+    one expiry (the segments complete asynchronously) per call — not one
+    per segment."""
+    from repro.config import PipelineParams
+
+    def program(mpi):
+        yield from mpi.reduce(contribution(mpi.rank, 1024), op=SUM, root=0)
+        yield from mpi.barrier()
+
+    cfg = ab_config(8, exit_delay_policy="fixed",
+                    exit_delay_coeff_us=coeff_us).with_pipeline(
+        PipelineParams(segment_size_bytes=2048, max_inflight_segments=2))
+    out = run_ranks(8, program, build=MpiBuild.AB, config=cfg)
+    assert (out.cluster.total_signals() == 0) == caught
+    for rank in (2, 4, 6):
+        eng = out.contexts[rank].ab_engine
+        assert eng.pipeline.stats.pipelined_reduces == 1
+        assert eng.stats.window_catches == (1 if caught else 0)
+        assert eng.stats.window_expires == (0 if caught else 1)
+        assert eng.stats.descriptors_completed_sync == (4 if caught else 0)
+        assert eng.stats.descriptors_completed_async == (0 if caught else 4)
+
+
 def test_reuse_mpich_queues_ablation_costs_more():
     def program(mpi):
         if mpi.rank == 3:

@@ -162,3 +162,97 @@ def test_interrupt_penalty_observable_in_latency():
     # the signal was delivered mid-poll and ignored, and its cost shows up
     assert engine.stats.signals_ignored >= 1
     assert blocked_us > 60.0
+
+
+# ----------------------------------------------------------------------
+# ProgressEngine.spin — the one blocking poll loop
+# ----------------------------------------------------------------------
+def _spin_cluster():
+    """A 2-rank cluster whose ``sim.at`` calls that arm a wake-up trigger
+    (the per-wait deadline timer of a bounded spin) are counted."""
+    cluster = Cluster(quiet_cluster(2))
+    timers = []
+    real_at = cluster.sim.at
+
+    def counting_at(time, fn, *args, **kwargs):
+        if getattr(fn, "__name__", "") == "fire":
+            timers.append(time)
+        return real_at(time, fn, *args, **kwargs)
+
+    cluster.sim.at = counting_at
+    return cluster, timers
+
+
+def test_spin_on_a_fired_trigger_schedules_nothing():
+    from repro.sim.process import Trigger
+    cluster, ranks = make_engine()
+    engine = ranks[0].progress
+    queued = len(cluster.sim.queue)
+    fired = Trigger()
+    fired.fire()
+    gen = engine.spin(fired, deadline=10.0)
+    with pytest.raises(StopIteration) as stop:
+        next(gen)
+    assert stop.value.value is True
+    assert len(cluster.sim.queue) == queued
+    assert engine.stats.drains == 0
+    assert engine.active_depth == 0
+
+
+def test_spin_catches_an_arrival_before_the_deadline():
+    from repro.runtime.program import run_program
+    cluster, timers = _spin_cluster()
+
+    def program(mpi):
+        if mpi.rank == 0:
+            yield from mpi.compute(50.0)
+            yield from mpi.send(np.ones(1), 1, tag=3)
+            return None
+        request = yield from mpi.mpi.irecv(np.zeros(1), 0, tag=3)
+        deadline = mpi.now + 500.0
+        caught = yield from mpi.mpi.progress.spin(request.completion,
+                                                  deadline)
+        return caught, mpi.now < deadline
+
+    out = run_program(cluster, program)
+    assert out.results[1] == (True, True)
+    assert len(timers) == 1               # one wait, one deadline timer
+    assert out.contexts[1].mpi.progress.active_depth == 0
+
+
+def test_spin_expires_at_the_deadline_with_one_timer_per_wait():
+    from repro.runtime.program import run_program
+    from repro.sim.process import Trigger
+    cluster, timers = _spin_cluster()
+
+    def program(mpi):
+        if mpi.rank == 0:
+            # Traffic that wakes the spinner without satisfying it: a
+            # second wait, hence a second timer, is armed after it.
+            yield from mpi.compute(30.0)
+            yield from mpi.send(np.ones(1), 1, tag=3)
+            return None
+        deadline = mpi.now + 100.0
+        caught = yield from mpi.mpi.progress.spin(Trigger(), deadline)
+        return caught, mpi.now - deadline, deadline
+
+    out = run_program(cluster, program)
+    caught, overshoot, deadline = out.results[1]
+    assert caught is False
+    # Woken at the deadline; only the final (empty) poll is billed past it.
+    assert overshoot == pytest.approx(
+        out.contexts[1].mpi.costs.poll_empty_us)
+    assert timers == [deadline, deadline]
+    assert out.contexts[1].mpi.progress.active_depth == 0
+
+
+def test_spin_restores_active_depth_on_exception():
+    from repro.sim.process import Trigger
+    cluster, ranks = make_engine()
+    engine = ranks[0].progress
+    gen = engine.spin(Trigger())
+    next(gen)                             # parked on the empty-poll charge
+    assert engine.active_depth == 1
+    with pytest.raises(RuntimeError):
+        gen.throw(RuntimeError("rank program died"))
+    assert engine.active_depth == 0

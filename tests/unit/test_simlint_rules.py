@@ -765,6 +765,49 @@ def test_sim015_pragma_suppression(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# SIM016 — ad-hoc progress spin
+# ----------------------------------------------------------------------
+SIM016_SPIN = """
+    def block_until(engine, done):
+        while not done():
+            trigger = engine.nic.rx_notifier.wait()
+            yield trigger
+"""
+
+
+def test_sim016_hand_rolled_spin_flagged(tmp_path):
+    findings = lint_source(tmp_path, SIM016_SPIN,
+                           relpath="repro/core/broadcast2.py")
+    assert rules_of(findings) == ["SIM016"]
+    assert "progress.spin" in findings[0].message
+
+
+def test_sim016_progress_engine_and_tests_allowed(tmp_path):
+    for relpath in ("repro/mpich/progress.py", "tests/unit/test_spin.py"):
+        assert lint_source(tmp_path, SIM016_SPIN, relpath=relpath) == [], \
+            relpath
+
+
+def test_sim016_other_waits_not_flagged(tmp_path):
+    # Only the NIC receive notifier counts: waiting on a request through
+    # the progress engine, or on some other notifier, is fine.
+    findings = lint_source(tmp_path, """
+        def recv(rank, request, node):
+            yield from rank.progress.wait(request)
+            return node.tx_notifier.wait()
+    """, relpath="repro/core/ext.py")
+    assert findings == []
+
+
+def test_sim016_pragma_suppression(tmp_path):
+    findings = lint_source(tmp_path, """
+        def probe(nic):
+            return nic.rx_notifier.wait()  # simlint: ignore[SIM016]
+    """, relpath="repro/apps/probe.py")
+    assert findings == []
+
+
+# ----------------------------------------------------------------------
 # rule registry configuration (disable / severity overrides)
 # ----------------------------------------------------------------------
 def test_override_disables_rule(tmp_path):
@@ -819,6 +862,7 @@ def test_registry_lists_all_rules():
     from repro.analysis.rules import REGISTRY, rule_table
     table = rule_table()
     assert {"SIM000", "SIM001", "SIM009", "SIM010", "SIM011",
-            "SIM012", "SIM013", "SIM014", "SIM015"} <= set(table)
+            "SIM012", "SIM013", "SIM014", "SIM015",
+            "SIM016"} <= set(table)
     assert REGISTRY["SIM012"].spec.severity == "warning"
     assert REGISTRY["SIM010"].spec.sim_scope_only

@@ -132,3 +132,35 @@ def test_handle_properties():
 
     out = run_ranks(4, program, build=MpiBuild.AB)
     assert out.results[0] == 4.0
+
+
+def test_root_children_follow_the_auto_resolved_tree(tmp_path, monkeypatch):
+    """Regression: under ``tree_shape="auto"`` the non-root ranks send along
+    the tuned-table shape for the message size, so the root must take its
+    children from the same derivation — not from ``rank.tree_shape``, the
+    binomial fallback, which left it waiting on ranks that report to
+    someone else (DeadlockError on a table that resolves to ``chain``)."""
+    import dataclasses
+
+    from repro.config import quiet_cluster
+    from repro.schedule.table import (TABLE_ENV, TunedEntry, TuningTable,
+                                      clear_table_cache)
+
+    path = tmp_path / "table.json"
+    TuningTable(entries=[
+        TunedEntry(topology="crossbar", nranks=8, min_msg_bytes=0,
+                   max_msg_bytes=1 << 62, tree_shape="chain", tree_radix=2),
+    ]).dump(path)
+    monkeypatch.setenv(TABLE_ENV, str(path))
+    clear_table_cache()
+    try:
+        config = quiet_cluster(8, seed=0)
+        config = config.with_mpi(dataclasses.replace(config.mpi,
+                                                     tree_shape="auto"))
+        out = run_ranks(8, split_program(), build=MpiBuild.AB,
+                        config=config)
+        assert out.contexts[1].node.tree_shape_for(32).name == "chain"
+    finally:
+        clear_table_cache()
+    results, _ = out.results[0]
+    assert np.allclose(results[0], expected_sum(8, 4))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpich.collectives import tree
+from repro.topo import ranks as tree
 
 
 def test_paper_figure_one_tree():
