@@ -9,13 +9,11 @@ from conftest import JOBS, SEED, iters, run_once, save_bench_json, \
 
 
 def test_ablation_exit_delay(benchmark):
-    points = []
-
     def run():
         return ablations.ablate_exit_delay(iterations=iters(60), seed=SEED,
-                                           jobs=JOBS, collect=points)
+                                           jobs=JOBS)
 
-    table = run_once(benchmark, run)
+    table, points = run_once(benchmark, run)
     save_table("ablation_exit_delay", table.render())
     save_bench_json("ablation_exit_delay", points)
     print()
@@ -26,13 +24,11 @@ def test_ablation_exit_delay(benchmark):
 
 
 def test_ablation_signal_cost(benchmark):
-    points = []
-
     def run():
         return ablations.ablate_signal_cost(iterations=iters(60), seed=SEED,
-                                            jobs=JOBS, collect=points)
+                                            jobs=JOBS)
 
-    table = run_once(benchmark, run)
+    table, points = run_once(benchmark, run)
     save_table("ablation_signal_cost", table.render())
     save_bench_json("ablation_signal_cost", points)
     print()
@@ -47,14 +43,11 @@ def test_ablation_signal_cost(benchmark):
 
 
 def test_ablation_queue_strategy(benchmark):
-    points = []
-
     def run():
         return ablations.ablate_queue_strategy(iterations=iters(60),
-                                               seed=SEED, jobs=JOBS,
-                                               collect=points)
+                                               seed=SEED, jobs=JOBS)
 
-    table = run_once(benchmark, run)
+    table, points = run_once(benchmark, run)
     save_table("ablation_queue_strategy", table.render())
     save_bench_json("ablation_queue_strategy", points)
     print()
@@ -65,14 +58,11 @@ def test_ablation_queue_strategy(benchmark):
 
 
 def test_ablation_eager_limit(benchmark):
-    points = []
-
     def run():
         return ablations.ablate_eager_limit(iterations=iters(20, 2),
-                                            seed=SEED, jobs=JOBS,
-                                            collect=points)
+                                            seed=SEED, jobs=JOBS)
 
-    table = run_once(benchmark, run)
+    table, points = run_once(benchmark, run)
     save_table("ablation_eager_limit", table.render())
     save_bench_json("ablation_eager_limit", points)
     print()

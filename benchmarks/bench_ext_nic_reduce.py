@@ -12,8 +12,9 @@ Expected trade-off:
 """
 
 from repro.bench.report import Table
+from repro.bench.sweep import sweep
+from repro.experiments.extensions import NICRED_IMPLS
 from repro.orchestrate.points import ConfigSpec, SweepPoint
-from repro.orchestrate.runner import run_points
 
 from conftest import JOBS, SEED, iters, run_once, save_bench_json, \
     save_table
@@ -23,38 +24,35 @@ def test_ext_nic_reduce(benchmark):
     size = 16
     element_sizes = (4, 32, 128, 512)
     spec = ConfigSpec("paper", size, SEED)
-    points = [
-        SweepPoint(experiment="ext_nic_reduce", kind=kind, config=spec,
-                   build=build, elements=elements, max_skew_us=1000.0,
-                   iterations=iters(20, 2))
-        for elements in element_sizes
-        for build, kind in (("nab", "cpu_util"), ("ab", "cpu_util"),
-                            ("ab", "nicred_cpu_util"))
-    ] + [
-        SweepPoint(experiment="ext_nic_reduce", kind="nicred_latency",
-                   config=spec, build="ab", elements=elements,
-                   iterations=iters(20, 2))
-        for elements in (4, 512)
-    ]
 
     def run():
-        return run_points(points, jobs=JOBS)
+        cpu = sweep(
+            {"elements": element_sizes, "impl": tuple(NICRED_IMPLS)},
+            lambda elements, impl: SweepPoint(
+                experiment="ext_nic_reduce", kind=NICRED_IMPLS[impl][1],
+                config=spec, build=NICRED_IMPLS[impl][0],
+                elements=elements, max_skew_us=1000.0,
+                iterations=iters(20, 2)),
+            jobs=JOBS)
+        latency = sweep(
+            {"elements": (4, 512)},
+            lambda elements: SweepPoint(
+                experiment="ext_nic_reduce", kind="nicred_latency",
+                config=spec, build="ab", elements=elements,
+                iterations=iters(20, 2)),
+            jobs=JOBS)
+        return cpu, latency
 
-    results = run_once(benchmark, run)
-    save_bench_json("ext_nic_reduce", results)
-    cpu = results[:-2]
-    rows = {e: (cpu[i * 3].metrics["avg_util_us"],
-                cpu[i * 3 + 1].metrics["avg_util_us"],
-                cpu[i * 3 + 2].metrics["avg_util_us"])
-            for i, e in enumerate(element_sizes)}
-    lat = {4: results[-2].metrics["avg_latency_us"],
-           512: results[-1].metrics["avg_latency_us"]}
+    cpu, latency = run_once(benchmark, run)
+    save_bench_json("ext_nic_reduce", cpu.points + latency.points)
+    rows = {e: tuple(cpu[e, impl].metrics["avg_util_us"]
+                     for impl in ("nab", "host-ab", "nic-based"))
+            for e in element_sizes}
+    lat = {e: latency[e].metrics["avg_latency_us"] for e in (4, 512)}
     table = Table(f"Extension: host CPU utilization under 1000us skew "
                   f"({size} nodes) — nab vs host-ab vs NIC-based",
-                  "elements", sorted(rows))
-    table.add_series("nab", [rows[e][0] for e in sorted(rows)])
-    table.add_series("host-ab", [rows[e][1] for e in sorted(rows)])
-    table.add_series("nic-based", [rows[e][2] for e in sorted(rows)])
+                  "elements", element_sizes)
+    cpu.fill(table, "avg_util_us", along="elements", label="{impl}")
     text = table.render() + (
         f"\n\nnicred latency: {lat[4]:.1f}us @4 elements, "
         f"{lat[512]:.1f}us @512 elements (slow LANai ALU)")

@@ -10,10 +10,9 @@ clean self-compare of the emitted BENCH_fig_topo.json.
 
 import pytest
 
-from repro.experiments.fig_topo import build_points
+from repro.experiments import fig_topo
 from repro.orchestrate.benchjson import load_bench_json
 from repro.orchestrate.compare import compare_payloads
-from repro.orchestrate.runner import run_points
 
 from conftest import JOBS, SEED, iters, run_once, save_bench_json
 
@@ -24,16 +23,14 @@ def test_fig_topo_parallel_merge_matches_serial(benchmark):
     jobs = max(2, JOBS)
     # size 16 spans two fat-tree edge switches (8 hosts each), so
     # cross-edge traffic really takes the 3-hop spine path
-    points = build_points(size=16, elements=4,
-                          shapes=(("binomial", 2), ("chain", 2)),
-                          skews=(1000.0,),
-                          iterations=iters(8, 5), seed=SEED)
-    serial = run_points(points, jobs=1)
+    def grid(jobs):
+        return fig_topo.run(size=16, elements=4,
+                            shapes=(("binomial", 2), ("chain", 2)),
+                            skews=(1000.0,), iterations=iters(8, 5),
+                            seed=SEED, jobs=jobs).points
 
-    def run():
-        return run_points(points, jobs=jobs)
-
-    parallel = run_once(benchmark, run)
+    serial = grid(1)
+    parallel = run_once(benchmark, lambda: grid(jobs))
     # bit-identical across --jobs, for every topology and tree shape
     assert [r.point.key() for r in parallel] == \
         [r.point.key() for r in serial]
@@ -51,4 +48,4 @@ def test_fig_topo_parallel_merge_matches_serial(benchmark):
     payload = load_bench_json(path)
     verdict = compare_payloads(payload, payload)
     assert verdict["ok"]
-    assert verdict["shared_points"] == len(points)
+    assert verdict["shared_points"] == len(serial) == 3 * 2 * 2

@@ -121,71 +121,26 @@ def rule_table() -> dict[str, str]:
 #: import-level rule catches aliasing tricks and dead imports alike).
 SIM008_MODULES = frozenset({"random", "time"})
 
-#: SIM007: network primitives whose construction belongs to the pluggable
-#: topology layer, and the packages allowed to build them directly.
-SIM007_CLASSES = frozenset({"CrossbarSwitch", "Link"})
-SIM007_ALLOWED_PREFIXES = ("repro/network/", "repro/topo/")
 
-#: SIM013: the shared-fabric primitives a *job* must never build for
-#: itself — under multi-tenancy every job receives host slots on the one
-#: cluster the scheduler owns (see DESIGN.md §14), so constructing a
-#: fabric/topology/cluster in job-level code forks the simulated world.
-#: Allowed: the tenancy/orchestration service layers that own the shared
-#: cluster, the legacy single-job entry point (``repro.runtime``), the
-#: layers that implement the primitives themselves, and tests.
-SIM013_CLASSES = frozenset({
-    "Fabric", "Cluster", "Topology", "CrossbarTopology",
-    "FatTreeTopology", "TorusTopology", "make_topology"})
-#: (Paths are normalized to start at the last ``repro`` component; test
-#: files reduce to their basename — hence the ``test_``/``conftest``
-#: entries.)
-SIM013_ALLOWED_PREFIXES = (
-    "repro/tenancy/", "repro/orchestrate/", "repro/runtime/",
-    "repro/cluster/", "repro/network/", "repro/topo/",
-    "test_", "conftest")
+@dataclass(frozen=True)
+class Boundary:
+    """One layering boundary: calls named ``names`` are the business of
+    the files under ``allowed`` only.  (Paths are normalized to start at
+    the last ``repro`` component; test files reduce to their basename —
+    hence the ``test_``/``conftest`` entries.)"""
 
-#: SIM009: segmented-pipeline primitives whose construction belongs to
-#: the segment planner / AB engine, and the packages allowed to build
-#: them directly.
-SIM009_CLASSES = frozenset({"Segment", "Segmenter", "ReduceDescriptor"})
-SIM009_ALLOWED_PREFIXES = ("repro/pipeline/", "repro/core/")
+    names: frozenset[str]
+    allowed: tuple[str, ...]
+    #: Finding text; ``{name}`` is the flagged callee.
+    message: str
+    #: Module-path parts that mark the repro primitive: a same-named
+    #: callable imported from a module whose dotted path has none of them
+    #: is somebody else's class and is not flagged.  Empty = any callee.
+    module_hints: tuple[str, ...] = ()
+    #: Only method-style calls (``x.name(...)``); a non-empty string also
+    #: pins the receiver's terminal name (``rx_notifier.wait()``).
+    method_of: Optional[str] = None
 
-#: SIM014: the primitives that spell out a collective's send/recv
-#: ordering by hand — posting NIC descriptors (``start_send``) or
-#: framing AB protocol headers (``AbHeader``).  Since repro.schedule,
-#: collective orderings are data: lower to a Schedule (or call the
-#: engine/MPI APIs) instead of hand-constructing the wire order, so the
-#: validator can prove the ordering deadlock-free and the interpreter
-#: stays the single execution path.  Allowed: the layers that implement
-#: collectives (schedule/core/mpich/pipeline) and tests.
-SIM014_CALLS = frozenset({"start_send"})
-SIM014_CLASSES = frozenset({"AbHeader"})
-SIM014_ALLOWED_PREFIXES = (
-    "repro/schedule/", "repro/core/", "repro/mpich/", "repro/pipeline/",
-    "test_", "conftest")
-
-#: SIM015: ad-hoc pre-collective delay injection.  Freezing a host CPU
-#: (``cpu.freeze``) to fake a late arrival bypasses the workload layer —
-#: the delay never lands in the arrival trace, so the PAP oracle,
-#: imbalance metrics (spread/kappa) and the disarmed-neutrality guarantee
-#: all silently lie.  Arrival patterns belong in ``WorkloadParams`` /
-#: ``repro.workload``.  Allowed: the workload layer itself, the fault
-#: injectors (rank pause/crash are faults, not arrivals), the sim layer
-#: that implements the primitive, and tests.
-SIM015_CALLS = frozenset({"freeze"})
-SIM015_ALLOWED_PREFIXES = (
-    "repro/workload/", "repro/faults/", "repro/sim/",
-    "test_", "conftest")
-
-#: SIM016: an ad-hoc progress spin.  Parking on the NIC's receive
-#: notifier (``rx_notifier.wait()``) is the heart of the blocking poll
-#: loop — drain, arm, bounded wait — which exists exactly once, behind
-#: ``ProgressEngine.spin(until, deadline)``.  A second copy forks the
-#: active-depth bookkeeping, the poll billing and the exit-delay timer
-#: that the bit-identity baselines pin.  Allowed: the progress engine
-#: itself and tests.
-SIM016_RECEIVER = "rx_notifier"
-SIM016_ALLOWED_PREFIXES = ("repro/mpich/progress.py", "test_", "conftest")
 
 #: Fully-qualified callables that read the host wall clock or ambient
 #: process state.
@@ -450,31 +405,50 @@ class LoopVariableCapture(Rule):
                      f"argument (`lambda _v={captured[0]}: ...`)")
 
 
+class LayeringRule(Rule):
+    """Base of the layering rules: flags calls that cross one of the
+    subclass's :class:`Boundary` rows."""
+
+    node_types = (ast.Call,)
+    boundaries: ClassVar[tuple[Boundary, ...]] = ()
+
+    def check(self, ctx: Any, node: ast.Call) -> None:
+        name = callee_name(node.func)
+        for boundary in self.boundaries:
+            if (name not in boundary.names
+                    or ctx.path.startswith(boundary.allowed)):
+                continue
+            if boundary.method_of is not None and not (
+                    isinstance(node.func, ast.Attribute)
+                    and (not boundary.method_of
+                         or callee_name(node.func.value)
+                         == boundary.method_of)):
+                continue
+            if boundary.module_hints:
+                dotted = ctx.dotted(node.func) or name
+                if dotted != name and not any(
+                        part in boundary.module_hints
+                        for part in dotted.split(".")):
+                    continue
+            ctx.emit(self.spec.id, node, boundary.message.format(name=name))
+            return
+
+
 @register
-class DirectNetworkCtor(Rule):
+class DirectNetworkCtor(LayeringRule):
+    """Network primitives whose construction belongs to the pluggable
+    topology layer."""
+
     spec = RuleSpec(
         "SIM007",
         "direct switch/link construction outside topo/network factories")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM007_ALLOWED_PREFIXES):
-            return
-        name = callee_name(node.func)
-        if name not in SIM007_CLASSES:
-            return
-        # Only flag the repro network primitives: a same-named class from
-        # an unrelated module resolves to a dotted path without any
-        # network/topo component.
-        dotted = ctx.dotted(node.func) or name
-        if dotted != name and not any(
-                part in ("network", "topo", "switch", "link")
-                for part in dotted.split(".")):
-            return
-        ctx.emit("SIM007", node,
-                 f"direct `{name}(...)` construction bypasses the "
-                 f"pluggable topology layer — configure "
-                 f"`NetParams.topology` / use `repro.topo.make_topology`")
+    boundaries = (Boundary(
+        frozenset({"CrossbarSwitch", "Link"}),
+        ("repro/network/", "repro/topo/"),
+        "direct `{name}(...)` construction bypasses the pluggable "
+        "topology layer — configure `NetParams.topology` / use "
+        "`repro.topo.make_topology`",
+        module_hints=("network", "topo", "switch", "link")),)
 
 
 @register
@@ -503,38 +477,33 @@ class NondetImport(Rule):
 
 
 @register
-class DirectSegmentCtor(Rule):
+class DirectSegmentCtor(LayeringRule):
+    """Segmented-pipeline primitives whose construction belongs to the
+    segment planner / AB engine — and the segment *size*: a literal
+    nonzero ``segment_size_bytes=`` is only the config front door's
+    business (``PipelineParams(segment_size_bytes=...)`` is the one
+    sanctioned spelling)."""
+
     spec = RuleSpec(
         "SIM009",
         "segment/descriptor construction or hard-coded segment size "
         "outside pipeline/core")
-    node_types = (ast.Call,)
+    boundaries = (Boundary(
+        frozenset({"Segment", "Segmenter", "ReduceDescriptor"}),
+        ("repro/pipeline/", "repro/core/"),
+        "direct `{name}(...)` construction outside "
+        "repro.pipeline/repro.core — every rank must derive the identical "
+        "segment plan from `PipelineParams` (use `plan_segments` / the "
+        "engine API)",
+        module_hints=("pipeline", "segmenter", "descriptor", "core")),)
 
     def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM009_ALLOWED_PREFIXES):
-            return
+        super().check(ctx, node)
+        (boundary,) = self.boundaries
         name = callee_name(node.func)
-        if name is None:
-            return
-        if name in SIM009_CLASSES:
-            # Only flag the repro pipeline/engine primitives: a same-named
-            # class from an unrelated module resolves to a dotted path
-            # without any pipeline/core component.
-            dotted = ctx.dotted(node.func) or name
-            if dotted != name and not any(
-                    part in ("pipeline", "segmenter", "descriptor", "core")
-                    for part in dotted.split(".")):
-                return
-            ctx.emit("SIM009", node,
-                     f"direct `{name}(...)` construction outside "
-                     f"repro.pipeline/repro.core — every rank must derive "
-                     f"the identical segment plan from `PipelineParams` "
-                     f"(use `plan_segments` / the engine API)")
-            return
-        # Literal nonzero segment sizes are only the config front door's
-        # business: PipelineParams(segment_size_bytes=...) is the one
-        # sanctioned spelling.
-        if name == "PipelineParams":
+        if (name is None or name == "PipelineParams"
+                or name in boundary.names
+                or ctx.path.startswith(boundary.allowed)):
             return
         for kw in node.keywords:
             if (kw.arg == "segment_size_bytes"
@@ -549,134 +518,115 @@ class DirectSegmentCtor(Rule):
 
 
 @register
-class JobLevelFabricCtor(Rule):
-    """Jobs must receive the shared fabric from the scheduler — a
-    ``Fabric``/``Cluster``/``Topology`` built inside job-level code is a
-    private world whose contention, routes, and invariants the tenancy
-    layer can't see."""
+class JobLevelFabricCtor(LayeringRule):
+    """The shared-fabric primitives a *job* must never build for itself:
+    under multi-tenancy every job receives host slots on the one cluster
+    the scheduler owns (see DESIGN.md §14), so a ``Fabric``/``Cluster``/
+    ``Topology`` built inside job-level code is a private world whose
+    contention, routes, and invariants the tenancy layer can't see.
+    Allowed: the tenancy/orchestration service layers that own the shared
+    cluster, the legacy single-job entry point (``repro.runtime``), the
+    layers that implement the primitives themselves, and tests."""
 
     spec = RuleSpec(
         "SIM013",
         "fabric/cluster/topology construction in job-level code "
         "(jobs receive the shared fabric from the scheduler)")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM013_ALLOWED_PREFIXES):
-            return
-        name = callee_name(node.func)
-        if name not in SIM013_CLASSES:
-            return
-        # Only flag the repro fabric primitives: a same-named class from
-        # an unrelated module resolves to a dotted path without any
-        # cluster/network/topo component.
-        dotted = ctx.dotted(node.func) or name
-        if dotted != name and not any(
-                part in ("cluster", "network", "topo", "fabric", "runtime")
-                for part in dotted.split(".")):
-            return
-        ctx.emit("SIM013", node,
-                 f"direct `{name}(...)` construction in job-level code — "
-                 f"jobs must receive host slots on the shared fabric from "
-                 f"the tenancy scheduler (declare a `ClusterSpec` and "
-                 f"submit `JobSpec`s, or use `repro.runtime.run_program`)")
+    boundaries = (Boundary(
+        frozenset({"Fabric", "Cluster", "Topology", "CrossbarTopology",
+                   "FatTreeTopology", "TorusTopology", "make_topology"}),
+        ("repro/tenancy/", "repro/orchestrate/", "repro/runtime/",
+         "repro/cluster/", "repro/network/", "repro/topo/",
+         "test_", "conftest"),
+        "direct `{name}(...)` construction in job-level code — jobs must "
+        "receive host slots on the shared fabric from the tenancy "
+        "scheduler (declare a `ClusterSpec` and submit `JobSpec`s, or use "
+        "`repro.runtime.run_program`)",
+        module_hints=("cluster", "network", "topo", "fabric", "runtime")),)
 
 
 @register
-class HandRolledCollectiveOrder(Rule):
-    """A send/recv ordering spelled out by hand — NIC descriptor posts or
-    AB header framing outside the collective layers — bypasses the
-    schedule IR's validator (matched sends, deadlock-freedom) and forks
-    the execution path the interpreter keeps bit-identical."""
+class HandRolledCollectiveOrder(LayeringRule):
+    """A send/recv ordering spelled out by hand — posting NIC descriptors
+    (``start_send``) or framing AB protocol headers (``AbHeader``)
+    outside the collective layers.  Since repro.schedule, collective
+    orderings are data: lower to a Schedule (or call the engine/MPI
+    APIs), so the validator can prove the ordering deadlock-free (matched
+    sends) and the interpreter stays the single, bit-identical execution
+    path.  Allowed: the layers that implement collectives
+    (schedule/core/mpich/pipeline) and tests."""
 
     spec = RuleSpec(
         "SIM014",
         "hand-constructed collective send/recv ordering outside "
         "repro.schedule/repro.core (lower to a Schedule instead)")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM014_ALLOWED_PREFIXES):
-            return
-        name = callee_name(node.func)
-        if name in SIM014_CALLS and isinstance(node.func, ast.Attribute):
-            ctx.emit("SIM014", node,
-                     f"direct `{name}(...)` descriptor post outside the "
-                     f"collective layers — lower the ordering to a "
-                     f"`repro.schedule` Schedule (validated, "
-                     f"interpreter-executed) or go through the engine/MPI "
-                     f"APIs")
-            return
-        if name in SIM014_CLASSES:
-            # Only flag the repro protocol header: a same-named class from
-            # an unrelated module resolves to a dotted path without any
-            # mpich/message component.
-            dotted = ctx.dotted(node.func) or name
-            if dotted != name and not any(
-                    part in ("mpich", "message")
-                    for part in dotted.split(".")):
-                return
-            ctx.emit("SIM014", node,
-                     f"hand-framed `{name}(...)` outside the collective "
-                     f"layers — AB wire framing belongs to the engine; "
-                     f"express the collective as a `repro.schedule` "
-                     f"Schedule and let the interpreter execute it")
+    _allowed = ("repro/schedule/", "repro/core/", "repro/mpich/",
+                "repro/pipeline/", "test_", "conftest")
+    boundaries = (
+        Boundary(
+            frozenset({"start_send"}), _allowed,
+            "direct `{name}(...)` descriptor post outside the collective "
+            "layers — lower the ordering to a `repro.schedule` Schedule "
+            "(validated, interpreter-executed) or go through the "
+            "engine/MPI APIs",
+            method_of=""),
+        Boundary(
+            frozenset({"AbHeader"}), _allowed,
+            "hand-framed `{name}(...)` outside the collective layers — AB "
+            "wire framing belongs to the engine; express the collective as "
+            "a `repro.schedule` Schedule and let the interpreter execute "
+            "it",
+            module_hints=("mpich", "message")))
 
 
 @register
-class AdHocArrivalDelay(Rule):
+class AdHocArrivalDelay(LayeringRule):
     """A pre-collective delay injected by hand — freezing a host CPU
-    outside the workload/fault layers — invents an arrival pattern the
-    workload trace never records, so the PAP arrival oracle, the
-    spread/kappa metrics in BENCH json, and the disarmed-neutrality
-    regression all drift from what actually ran."""
+    (``cpu.freeze``) outside the workload/fault layers — invents an
+    arrival pattern the workload trace never records, so the PAP arrival
+    oracle, the spread/kappa metrics in BENCH json, and the
+    disarmed-neutrality regression all drift from what actually ran.
+    Arrival patterns belong in ``WorkloadParams`` / ``repro.workload``.
+    Allowed: the workload layer itself, the fault injectors (rank
+    pause/crash are faults, not arrivals), the sim layer that implements
+    the primitive, and tests."""
 
     spec = RuleSpec(
         "SIM015",
         "ad-hoc pre-collective delay injection outside repro.workload "
         "(arm WorkloadParams / use an arrival pattern instead)")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM015_ALLOWED_PREFIXES):
-            return
-        if not isinstance(node.func, ast.Attribute):
-            return
-        name = callee_name(node.func)
-        if name not in SIM015_CALLS:
-            return
-        ctx.emit("SIM015", node,
-                 f"direct `{name}(...)` delay injection outside the "
-                 f"workload layer — model late arrivals with an armed "
-                 f"`WorkloadParams` arrival pattern (repro.workload) so "
-                 f"the delay lands in the trace the PAP oracle and "
-                 f"imbalance metrics read")
+    boundaries = (Boundary(
+        frozenset({"freeze"}),
+        ("repro/workload/", "repro/faults/", "repro/sim/",
+         "test_", "conftest"),
+        "direct `{name}(...)` delay injection outside the workload layer "
+        "— model late arrivals with an armed `WorkloadParams` arrival "
+        "pattern (repro.workload) so the delay lands in the trace the PAP "
+        "oracle and imbalance metrics read",
+        method_of=""),)
 
 
 @register
-class AdHocProgressSpin(Rule):
-    """A hand-rolled blocking poll loop — waiting on the NIC receive
-    notifier outside the progress engine — regrows the copies that
-    ``ProgressEngine.spin`` collapsed into one."""
+class AdHocProgressSpin(LayeringRule):
+    """A hand-rolled blocking poll loop.  Parking on the NIC's receive
+    notifier (``rx_notifier.wait()``) is the heart of the poll loop —
+    drain, arm, bounded wait — which exists exactly once, behind
+    ``ProgressEngine.spin(until, deadline)``.  A second copy forks the
+    active-depth bookkeeping, the poll billing and the exit-delay timer
+    that the bit-identity baselines pin.  Allowed: the progress engine
+    itself and tests."""
 
     spec = RuleSpec(
         "SIM016",
         "ad-hoc progress spin (`rx_notifier.wait()`) outside "
         "repro.mpich.progress (use `ProgressEngine.spin`)")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM016_ALLOWED_PREFIXES):
-            return
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "wait"
-                and callee_name(func.value) == SIM016_RECEIVER):
-            return
-        ctx.emit("SIM016", node,
-                 f"direct `{SIM016_RECEIVER}.wait()` outside the progress "
-                 f"engine — block with `yield from "
-                 f"progress.spin(until, deadline)` so the poll loop (drain, "
-                 f"billing, active depth, bounded wait) stays in one place")
+    boundaries = (Boundary(
+        frozenset({"wait"}),
+        ("repro/mpich/progress.py", "test_", "conftest"),
+        "direct `rx_notifier.wait()` outside the progress engine — block "
+        "with `yield from progress.spin(until, deadline)` so the poll loop "
+        "(drain, billing, active depth, bounded wait) stays in one place",
+        method_of="rx_notifier"),)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,9 @@ from .cpu_util import APP_CATEGORIES, CpuUtilResult, cpu_util_benchmark
 from .faulted import FaultReduceResult, fault_reduce_benchmark
 from .latency import LatencyResult, latency_benchmark, measure_one_way
 from .nicred import nicred_cpu_util, nicred_latency
-from .report import Series, Table, summary_line
+from .report import Series, Table
 from .skew import SkewModel, conservative_latency_estimate
 from .stats import SampleSummary, factor_with_ci, summarize
-from .sweep import (cpu_util_vs_nodes, cpu_util_vs_skew, latency_vs_nodes,
-                    latency_vs_message_size)
 
 __all__ = [
     "cpu_util_benchmark", "CpuUtilResult", "APP_CATEGORIES",
@@ -17,7 +15,5 @@ __all__ = [
     "nicred_cpu_util", "nicred_latency",
     "SkewModel", "conservative_latency_estimate",
     "SampleSummary", "summarize", "factor_with_ci",
-    "Table", "Series", "summary_line",
-    "cpu_util_vs_skew", "cpu_util_vs_nodes", "latency_vs_nodes",
-    "latency_vs_message_size",
+    "Table", "Series",
 ]

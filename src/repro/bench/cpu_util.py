@@ -37,7 +37,7 @@ from ..mpich.rank import MpiBuild
 from ..runtime.program import build_cluster, run_program
 from ..sim.trace import Tracer
 from .skew import SkewModel, conservative_latency_estimate
-from .stats import SampleSummary, summarize
+from .stats import BenchResult, SampleSummary, summarize
 
 #: CPU categories that are *application* time, excluded from the direct
 #: accounting cross-check (everything else is reduction/progress work).
@@ -45,8 +45,10 @@ APP_CATEGORIES = ("app",)
 
 
 @dataclass
-class CpuUtilResult:
+class CpuUtilResult(BenchResult):
     """Output of one CPU-utilization benchmark run."""
+
+    BENCH_METRICS = ("avg_util_us", "direct_avg_util_us", "signals")
 
     build: MpiBuild
     size: int
@@ -66,12 +68,9 @@ class CpuUtilResult:
     checked_reductions: int
     #: Dispersion summary over the per-iteration cluster means.
     summary: Optional[SampleSummary] = None
-    #: Simulator work counters for the run (events popped / driver ops),
-    #: the denominator of the orchestrator's events-per-second metric.
-    events: int = 0
-    ops: int = 0
-    #: Full ``Simulator.counters()`` snapshot, including the fabric's
-    #: per-hop network counters (hot-spot data for BENCH_*.json).
+    #: Full ``Simulator.counters()`` snapshot: events popped / driver ops
+    #: plus the fabric's per-hop network counters (hot-spot data for
+    #: BENCH_*.json).
     sim_counters: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
@@ -152,7 +151,6 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
     paper_matrix = np.array([r[0] for r in result.results])   # (size, iters)
     direct_matrix = np.array([r[1] for r in result.results])
     signals = result.cluster.total_signals()
-    counters = result.sim_counters()
     return CpuUtilResult(
         build=build,
         size=size,
@@ -165,7 +163,5 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
         signals=signals,
         checked_reductions=check_counts[0],
         summary=summarize(paper_matrix.mean(axis=0)),
-        events=counters["events"],
-        ops=counters["ops"],
-        sim_counters=dict(counters),
+        sim_counters=dict(result.sim_counters()),
     )

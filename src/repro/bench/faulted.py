@@ -29,11 +29,15 @@ from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import run_program
 from ..sim.trace import Tracer
+from .stats import BenchResult
 
 
 @dataclass
-class FaultReduceResult:
+class FaultReduceResult(BenchResult):
     """Output of one fault-schedule reduce run."""
+
+    BENCH_METRICS = ("first_result", "last_result", "completed_ranks",
+                     "survivor_ok", "makespan_us", "signals")
 
     build: MpiBuild
     size: int
@@ -63,8 +67,6 @@ class FaultReduceResult:
     makespan_us: float
     #: Total NIC signals raised across the cluster.
     signals: int
-    events: int = 0
-    ops: int = 0
     #: Full ``Simulator.counters()`` snapshot — includes the fault
     #: schedule's counters (faults_injected, retransmissions, ...) when
     #: one is armed.
@@ -116,7 +118,6 @@ def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
                and faults.crash_at_us <= run.finished_at)
     expected_survivors = (expected_full - float(faults.crash_rank + 1)
                           if crashed else expected_full)
-    counters = run.sim_counters()
     return FaultReduceResult(
         build=build,
         size=size,
@@ -133,7 +134,5 @@ def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
             or (crashed and last == expected_full)),
         makespan_us=float(run.finished_at),
         signals=run.cluster.total_signals(),
-        events=counters["events"],
-        ops=counters["ops"],
-        sim_counters=dict(counters),
+        sim_counters=dict(run.sim_counters()),
     )

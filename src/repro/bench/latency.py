@@ -30,12 +30,15 @@ from ..mpich.rank import MpiBuild
 from ..runtime.program import run_program
 from ..sim.trace import Tracer
 from .skew import SkewModel
-from .stats import SampleSummary, summarize
+from .stats import BenchResult, SampleSummary, summarize
 
 
 @dataclass
-class LatencyResult:
+class LatencyResult(BenchResult):
     """Output of one latency benchmark run."""
+
+    BENCH_METRICS = ("avg_latency_us", "median_latency_us", "one_way_us",
+                     "signals")
 
     build: MpiBuild
     size: int
@@ -49,12 +52,9 @@ class LatencyResult:
     signals: int
     #: Dispersion summary over the per-iteration latency samples.
     summary: "SampleSummary" = None
-    #: Simulator work counters for the measured run (ping-pong calibration
-    #: excluded) — see CpuUtilResult.events.
-    events: int = 0
-    ops: int = 0
-    #: Full ``Simulator.counters()`` snapshot of the measured run,
-    #: including the fabric's per-hop network counters.
+    #: Full ``Simulator.counters()`` snapshot of the measured run (the
+    #: ping-pong calibration excluded), including the fabric's per-hop
+    #: network counters.
     sim_counters: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
@@ -128,7 +128,6 @@ def latency_benchmark(config: ClusterConfig, build: MpiBuild, *,
 
     out = run_program(config, program, build=build, tracer=tracer)
     samples = np.asarray(out.results[last], dtype=np.float64)
-    counters = out.sim_counters()
     return LatencyResult(
         build=build,
         size=size,
@@ -141,7 +140,5 @@ def latency_benchmark(config: ClusterConfig, build: MpiBuild, *,
         samples=samples,
         signals=out.cluster.total_signals(),
         summary=summarize(samples),
-        events=counters["events"],
-        ops=counters["ops"],
-        sim_counters=dict(counters),
+        sim_counters=dict(out.sim_counters()),
     )

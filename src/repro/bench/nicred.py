@@ -3,7 +3,7 @@
 Same measurement methodology as :mod:`repro.bench.cpu_util` and
 :mod:`repro.bench.latency`, with :class:`repro.core.nic_reduce.NicReduce`
 standing in for ``MPI_Reduce``.  Used by the extension benchmark and the
-``python -m repro.experiments ext`` driver.
+``python -m repro.experiments extensions`` driver.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from ..schedule.lower import lower
 from ..schedule.table import config_tree_shape
 from ..sim.trace import Tracer
 from .skew import arrival_spread_stats, conservative_latency_estimate
-from .stats import SampleSummary, summarize
+from .stats import BenchResult, SampleSummary, summarize
 
 #: Algorithm tag -> MpiBuild for the run.  The schedule-driven variants
 #: execute host-level reduce steps, i.e. the nab engine underneath.
@@ -58,8 +58,10 @@ _PAP_LOWERINGS = {
 
 
 @dataclass
-class PapResult:
+class PapResult(BenchResult):
     """Output of one PAP allreduce benchmark run."""
+
+    BENCH_METRICS = ("avg_makespan_us", "median_makespan_us", "signals")
 
     algo: str
     build: MpiBuild
@@ -76,9 +78,12 @@ class PapResult:
     arrival_stats: dict = field(default_factory=dict)
     signals: int = 0
     summary: Optional[SampleSummary] = None
-    events: int = 0
-    ops: int = 0
     sim_counters: dict = field(default_factory=dict)
+
+    def metrics(self) -> dict:
+        # Spread stats + kappa describe the trace, not the algorithm —
+        # still per-point so every BENCH row is self-contained.
+        return {**super().metrics(), **self.arrival_stats}
 
     def __str__(self) -> str:
         kappa = self.arrival_stats.get("arrival_kappa")
@@ -170,7 +175,6 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
     starts = np.array([r[0] for r in out.results])   # (size, iterations)
     dones = np.array([r[1] for r in out.results])
     samples = dones.max(axis=0) - starts.min(axis=0)
-    counters = out.sim_counters()
     return PapResult(
         algo=algo,
         build=build,
@@ -185,7 +189,5 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
                                            shape=shape),
         signals=out.cluster.total_signals(),
         summary=summarize(samples),
-        events=counters["events"],
-        ops=counters["ops"],
-        sim_counters=dict(counters),
+        sim_counters=dict(out.sim_counters()),
     )

@@ -9,7 +9,7 @@ Figs. 6-10 can be read straight off the terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -78,23 +78,6 @@ class Table:
             lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
         return "\n".join(lines)
 
-    def as_dict(self) -> dict:
-        """Machine-readable form (used by EXPERIMENTS.md generation)."""
-        return {
-            "title": self.title,
-            "x_label": self.x_label,
-            "x": self.x_values,
-            "series": {s.label: s.values for s in self.series},
-        }
-
 
 def _fmt_x(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else f"{x:g}"
-
-
-def summary_line(name: str, value: float, unit: str = "",
-                 note: Optional[str] = None) -> str:
-    text = f"{name}: {value:.2f}{unit}"
-    if note:
-        text += f"   ({note})"
-    return text

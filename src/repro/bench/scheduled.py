@@ -28,12 +28,15 @@ from ..schedule.passes import apply_passes
 from ..schedule.table import config_tree_shape, resolve_pipeline_params
 from ..sim.trace import Tracer
 from .skew import SkewModel
-from .stats import SampleSummary, summarize
+from .stats import BenchResult, SampleSummary, summarize
 
 
 @dataclass
-class ScheduledResult:
+class ScheduledResult(BenchResult):
     """Output of one scheduled-collective benchmark run."""
+
+    BENCH_METRICS = ("avg_latency_us", "median_latency_us", "nseg", "steps",
+                     "signals")
 
     build: MpiBuild
     size: int
@@ -50,8 +53,6 @@ class ScheduledResult:
     samples: np.ndarray
     signals: int
     summary: Optional[SampleSummary] = None
-    events: int = 0
-    ops: int = 0
     sim_counters: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
@@ -143,7 +144,6 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
 
     out = run_program(config, program, build=build, tracer=tracer)
     samples = np.asarray(out.results[0], dtype=np.float64)
-    counters = out.sim_counters()
     return ScheduledResult(
         build=build,
         size=size,
@@ -159,7 +159,5 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
         samples=samples,
         signals=out.cluster.total_signals(),
         summary=summarize(samples),
-        events=counters["events"],
-        ops=counters["ops"],
-        sim_counters=dict(counters),
+        sim_counters=dict(out.sim_counters()),
     )

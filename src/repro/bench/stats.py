@@ -9,8 +9,38 @@ resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+
+
+class BenchResult:
+    """What every benchmark result dataclass shares: the scalar fields it
+    contributes to BENCH json and the simulator work counters of its run.
+
+    A subclass names its BENCH metrics once in :attr:`BENCH_METRICS`; the
+    orchestrator (``execute_point``) reads :meth:`metrics` and
+    ``sim_counters`` and nothing else."""
+
+    #: Field names recorded as BENCH metrics, as floats.
+    BENCH_METRICS: ClassVar[tuple[str, ...]] = ()
+    #: Full ``Simulator.counters()`` snapshot of the measured run (set by
+    #: the subclass dataclass).
+    sim_counters: dict
+
+    def metrics(self) -> dict:
+        return {name: float(getattr(self, name))
+                for name in self.BENCH_METRICS}
+
+    @property
+    def events(self) -> int:
+        """Events popped — the denominator of events-per-second."""
+        return self.sim_counters["events"]
+
+    @property
+    def ops(self) -> int:
+        """Process-driver operations executed."""
+        return self.sim_counters["ops"]
 
 
 @dataclass(frozen=True)

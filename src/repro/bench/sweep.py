@@ -1,172 +1,113 @@
-"""Parameter-sweep driver shared by the figure experiments.
+"""The one sweep-then-tabulate primitive behind every experiment driver.
 
-Every paper figure is a sweep of the CPU-utilization or latency benchmark
-over one axis (skew, node count, message size) with two builds and one or
-more message sizes.  Each grid cell is one independent, bit-deterministic
-simulator run, so the grids are built as
-:class:`~repro.orchestrate.points.SweepPoint` lists and executed through
-:func:`~repro.orchestrate.runner.run_points` — serially for ``jobs=1``,
-fanned out over worker processes otherwise, with identical metrics either
-way.  The results come back as :class:`~repro.bench.report.Table` objects
-with both the raw series and the factor-of-improvement (nab / ab) rows
-the paper plots, plus the per-point results that feed ``BENCH_*.json``.
+Every figure of the paper — and every beyond-paper grid — is one
+microbenchmark swept over a few named axes (build, message size, node
+count, skew, topology, ...).  Each grid cell is one independent,
+bit-deterministic simulator run, so a driver declares its axes **once**:
+
+    cells = sweep({"build": BUILD_TAGS, "elements": sizes, "skew": skews},
+                  lambda build, elements, skew: SweepPoint(...),
+                  jobs=jobs, progress=progress)
+
+:func:`sweep` submits the cells' points in the product order of the axes
+(first axis slowest — the order BENCH json and the progress lines keep)
+through :func:`~repro.orchestrate.runner.run_points`, serially for
+``jobs=1`` and over worker processes otherwise with identical metrics
+either way, and hands back :class:`Cells`: the results addressed **by
+axis value**, never by position, so reordering a loop in the tabulation
+cannot mislabel a series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import itertools
+from typing import Callable, Mapping, Optional, Sequence
 
-from ..orchestrate.points import ConfigSpec, PointResult, SweepPoint
+from ..orchestrate.points import PointResult, SweepPoint
 from ..orchestrate.runner import run_points
 from .report import Table
-
-SpecFactory = Callable[[int], ConfigSpec]
 
 BUILD_TAGS = ("nab", "ab")
 
 
-@dataclass
-class SweepRun:
-    """One executed grid: the rendered table, the raw per-cell benchmark
-    results keyed like before, and the orchestrator point results."""
+class Cells:
+    """One executed grid: ``cells[topo, build]`` is the
+    :class:`PointResult` of the cell with those axis values (given in the
+    axes' declaration order), ``cells.points`` every result in submission
+    order — the payload of ``BENCH_<name>.json``."""
 
-    table: Table
-    raw: dict = field(default_factory=dict)
-    points: list[PointResult] = field(default_factory=list)
+    def __init__(self, axes: Mapping[str, Sequence], index: dict,
+                 points: list[PointResult]):
+        self.axes = {name: tuple(values) for name, values in axes.items()}
+        self._index = index
+        self.points = points
 
-    def __iter__(self):
-        # Legacy unpacking: ``table, raw = sweep(...)`` still works.
-        yield self.table
-        yield self.raw
+    def __getitem__(self, cell) -> PointResult:
+        cell = cell if isinstance(cell, tuple) else (cell,)
+        try:
+            return self._index[cell]
+        except KeyError:
+            raise KeyError(
+                f"no cell {dict(zip(self.axes, cell))} in this grid (axes "
+                f"{list(self.axes)}): outside the axes or skipped by "
+                f"make()") from None
+
+    def series(self, metric: str, *, along: str, **fixed) -> list[float]:
+        """``metric`` at every value of the ``along`` axis, every other
+        axis pinned by name in ``fixed``."""
+        if set(fixed) | {along} != set(self.axes) or along in fixed:
+            raise ValueError(
+                f"series(along={along!r}, {', '.join(fixed) or '-'}) must "
+                f"pin every axis but one of {list(self.axes)} by name")
+        return [self[tuple(x if name == along else fixed[name]
+                           for name in self.axes)].metrics[metric]
+                for x in self.axes[along]]
+
+    def fill(self, table: Table, metric: str, *, along: str, label: str,
+             **pinned) -> None:
+        """Add to ``table`` one ``metric`` series along ``along`` per
+        combination of the axes not ``pinned`` (in declaration order),
+        each labelled ``label.format(**cell)``."""
+        free = [name for name in self.axes
+                if name != along and name not in pinned]
+        for combo in itertools.product(*(self.axes[n] for n in free)):
+            cell = {**pinned, **dict(zip(free, combo))}
+            table.add_series(label.format(**cell),
+                             self.series(metric, along=along, **cell))
+
+    def violations(self) -> int:
+        """Invariant violations reported across the grid (points that ran
+        without ``collect_invariants`` report none)."""
+        return sum((r.invariant_report or {}).get("violation_count", 0)
+                   for r in self.points)
 
 
-def _run_grid(points: list[SweepPoint], *, jobs: int,
-              progress) -> list[PointResult]:
-    return run_points(points, jobs=jobs, progress=progress)
+def sweep(axes: Mapping[str, Sequence],
+          make: Callable[..., Optional[SweepPoint]], *, jobs: int = 1,
+          progress: Optional[Callable[[str], None]] = None) -> Cells:
+    """Run the grid ``axes`` declares: ``make(**cell)`` builds each cell's
+    point (``None`` skips the cell — a non-rectangular grid)."""
+    for name, values in axes.items():
+        if len(set(values)) != len(values):
+            raise ValueError(f"axis {name!r} repeats a value: "
+                             f"{list(values)}")
+    made = [(cell, make(**dict(zip(axes, cell))))
+            for cell in itertools.product(*axes.values())]
+    kept = [(cell, point) for cell, point in made if point is not None]
+    results = run_points([point for _cell, point in kept], jobs=jobs,
+                         progress=progress)
+    index = {cell: res for (cell, _point), res in zip(kept, results)}
+    return Cells(axes, index, results)
 
 
-def cpu_util_vs_skew(spec: ConfigSpec, *, skews: Sequence[float],
-                     element_sizes: Sequence[int], iterations: int = 100,
-                     warmup: int = 3, jobs: int = 1,
-                     experiment: str = "fig6",
-                     progress: Optional[Callable[[str], None]] = None
-                     ) -> SweepRun:
-    """Fig. 6 grid: fixed cluster, varying max skew and message size."""
-    table = Table(
-        f"Average CPU utilization vs. max skew ({spec.size} nodes)",
-        "skew_us", skews)
-    points = [
-        SweepPoint(experiment=experiment, kind="cpu_util", config=spec,
-                   build=tag, elements=elements, max_skew_us=skew,
-                   iterations=iterations, warmup=warmup)
-        for tag in BUILD_TAGS
-        for elements in element_sizes
-        for skew in skews
-    ]
-    results = _run_grid(points, jobs=jobs, progress=progress)
-    raw: dict[tuple[str, int], list] = {}
-    cursor = iter(results)
-    for tag in BUILD_TAGS:
-        for elements in element_sizes:
-            cell = [next(cursor) for _ in skews]
-            raw[(tag, elements)] = [r.result for r in cell]
-            table.add_series(f"{tag}-{elements}",
-                             [r.metrics["avg_util_us"] for r in cell])
-    for elements in element_sizes:
+def build_by_size_table(cells: Cells, title: str, x_label: str, *,
+                        along: str) -> Table:
+    """The Fig. 6-8 layout over a (build, elements, ``along``) grid: one
+    ``<build>-<elements>`` CPU-utilization series per build and message
+    size, then the factor of improvement (nab / ab) per message size."""
+    table = Table(title, x_label, cells.axes[along])
+    cells.fill(table, "avg_util_us", along=along, label="{build}-{elements}")
+    for elements in cells.axes["elements"]:
         table.factor_series(f"factor-{elements}", f"nab-{elements}",
                             f"ab-{elements}")
-    return SweepRun(table, raw, results)
-
-
-def cpu_util_vs_nodes(spec_for_size: SpecFactory, *,
-                      sizes: Sequence[int], element_sizes: Sequence[int],
-                      max_skew_us: float, iterations: int = 100,
-                      warmup: int = 3, jobs: int = 1,
-                      experiment: str = "fig7",
-                      progress: Optional[Callable[[str], None]] = None
-                      ) -> SweepRun:
-    """Fig. 7 / Fig. 8 grid: varying node count at a fixed skew."""
-    table = Table(
-        f"Average CPU utilization vs. nodes (max skew {max_skew_us:.0f}us)",
-        "nodes", sizes)
-    points = [
-        SweepPoint(experiment=experiment, kind="cpu_util",
-                   config=spec_for_size(size), build=tag, elements=elements,
-                   max_skew_us=max_skew_us, iterations=iterations,
-                   warmup=warmup)
-        for tag in BUILD_TAGS
-        for elements in element_sizes
-        for size in sizes
-    ]
-    results = _run_grid(points, jobs=jobs, progress=progress)
-    raw: dict[tuple[str, int], list] = {}
-    cursor = iter(results)
-    for tag in BUILD_TAGS:
-        for elements in element_sizes:
-            cell = [next(cursor) for _ in sizes]
-            raw[(tag, elements)] = [r.result for r in cell]
-            table.add_series(f"{tag}-{elements}",
-                             [r.metrics["avg_util_us"] for r in cell])
-    for elements in element_sizes:
-        table.factor_series(f"factor-{elements}", f"nab-{elements}",
-                            f"ab-{elements}")
-    return SweepRun(table, raw, results)
-
-
-def latency_vs_nodes(spec_for_size: SpecFactory, *,
-                     sizes: Sequence[int], elements: int = 1,
-                     iterations: int = 200, warmup: int = 3, jobs: int = 1,
-                     experiment: str = "fig9",
-                     progress: Optional[Callable[[str], None]] = None
-                     ) -> SweepRun:
-    """Fig. 9 grid: reduction latency vs. node count (no injected skew)."""
-    table = Table(
-        f"Total reduction latency vs. nodes ({elements}-element messages)",
-        "nodes", sizes)
-    points = [
-        SweepPoint(experiment=experiment, kind="latency",
-                   config=spec_for_size(size), build=tag, elements=elements,
-                   iterations=iterations, warmup=warmup)
-        for tag in BUILD_TAGS
-        for size in sizes
-    ]
-    results = _run_grid(points, jobs=jobs, progress=progress)
-    raw: dict[str, list] = {}
-    cursor = iter(results)
-    for tag in BUILD_TAGS:
-        cell = [next(cursor) for _ in sizes]
-        raw[tag] = [r.result for r in cell]
-        table.add_series(tag, [r.metrics["avg_latency_us"] for r in cell])
-    table.factor_series("ab/nab", "ab", "nab")
-    return SweepRun(table, raw, results)
-
-
-def latency_vs_message_size(spec: ConfigSpec, *,
-                            element_sizes: Sequence[int],
-                            iterations: int = 200, warmup: int = 3,
-                            jobs: int = 1, experiment: str = "fig10",
-                            progress: Optional[Callable[[str], None]] = None
-                            ) -> SweepRun:
-    """Fig. 10 grid: latency vs. message size on the full cluster."""
-    table = Table(
-        f"Total reduction latency vs. message size ({spec.size} nodes)",
-        "elements", element_sizes)
-    points = [
-        SweepPoint(experiment=experiment, kind="latency", config=spec,
-                   build=tag, elements=elements, iterations=iterations,
-                   warmup=warmup)
-        for tag in BUILD_TAGS
-        for elements in element_sizes
-    ]
-    results = _run_grid(points, jobs=jobs, progress=progress)
-    raw: dict[str, list] = {}
-    cursor = iter(results)
-    for tag in BUILD_TAGS:
-        cell = [next(cursor) for _ in element_sizes]
-        raw[tag] = [r.result for r in cell]
-        table.add_series(tag, [r.metrics["avg_latency_us"] for r in cell])
-    table.add_series("ab-nab gap",
-                     [a.avg_latency_us - n.avg_latency_us
-                      for a, n in zip(raw["ab"], raw["nab"])])
-    return SweepRun(table, raw, results)
+    return table

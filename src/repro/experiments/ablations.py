@@ -20,10 +20,14 @@ here exactly as it does to the figure sweeps.
 from __future__ import annotations
 
 from ..bench.report import Table
+from ..bench.sweep import BUILD_TAGS, sweep
 from ..config import AbParams, NicParams
-from ..orchestrate.points import ConfigSpec, SweepPoint
-from ..orchestrate.runner import run_points
+from ..orchestrate.points import ConfigSpec, PointResult, SweepPoint
 from .common import ExperimentOutput
+
+#: What each study hands back: its table and the orchestrator results
+#: behind it (the BENCH json payload).
+Study = tuple[Table, list[PointResult]]
 
 
 def _cpu_point(spec: ConfigSpec, build: str, *, elements: int,
@@ -35,141 +39,115 @@ def _cpu_point(spec: ConfigSpec, build: str, *, elements: int,
 
 
 def ablate_exit_delay(*, size: int = 32, iterations: int = 60, seed: int = 1,
-                      jobs: int = 1, progress=None,
-                      collect=None) -> Table:
+                      jobs: int = 1, progress=None) -> Study:
     policies = (("none", 0.0), ("fixed", 8.0), ("log", 2.0), ("linear", 0.5))
-    table = Table("Ablation: exit-delay policy (32 nodes, 4 elements)",
-                  "variant", list(range(len(policies))))
-    points = []
-    for policy, coeff in policies:
-        spec = ConfigSpec("paper", size, seed,
-                          ab=AbParams(exit_delay_policy=policy,
-                                      exit_delay_coeff_us=coeff))
-        points.append(_cpu_point(spec, "ab", elements=4, skew=1000.0,
-                                 iterations=iterations,
-                                 experiment="ablation_exit_delay"))
-        points.append(_cpu_point(spec, "ab", elements=4, skew=0.0,
-                                 iterations=iterations,
-                                 experiment="ablation_exit_delay"))
-    results = run_points(points, jobs=jobs, progress=progress)
-    if collect is not None:
-        collect.extend(results)
-    skewed = [r.metrics["avg_util_us"] for r in results[0::2]]
-    unskewed = [r.metrics["avg_util_us"] for r in results[1::2]]
-    signals = [r.metrics["signals"] for r in results[1::2]]
-    table.add_series("util@skew1000", skewed)
-    table.add_series("util@noskew", unskewed)
-    table.add_series("signals@noskew", signals)
+    cells = sweep(
+        {"policy": policies, "skew": (1000.0, 0.0)},
+        lambda policy, skew: _cpu_point(
+            ConfigSpec("paper", size, seed,
+                       ab=AbParams(exit_delay_policy=policy[0],
+                                   exit_delay_coeff_us=policy[1])),
+            "ab", elements=4, skew=skew, iterations=iterations,
+            experiment="ablation_exit_delay"),
+        jobs=jobs, progress=progress)
     labels = [f"{policy}({coeff:g})" for policy, coeff in policies]
-    table.title += "  [variants: " + ", ".join(
-        f"{i}={lbl}" for i, lbl in enumerate(labels)) + "]"
-    return table
+    table = Table("Ablation: exit-delay policy (32 nodes, 4 elements)"
+                  "  [variants: " + ", ".join(
+                      f"{i}={lbl}" for i, lbl in enumerate(labels)) + "]",
+                  "variant", range(len(policies)))
+    table.add_series("util@skew1000", cells.series(
+        "avg_util_us", along="policy", skew=1000.0))
+    table.add_series("util@noskew", cells.series(
+        "avg_util_us", along="policy", skew=0.0))
+    table.add_series("signals@noskew", cells.series(
+        "signals", along="policy", skew=0.0))
+    return table, cells.points
 
 
 def ablate_signal_cost(*, size: int = 32, iterations: int = 60, seed: int = 1,
-                       jobs: int = 1, progress=None,
-                       collect=None) -> Table:
+                       jobs: int = 1, progress=None) -> Study:
     overheads = (2.0, 5.0, 10.0, 20.0)
+    cells = sweep(
+        {"overhead": overheads, "build": BUILD_TAGS},
+        lambda overhead, build: _cpu_point(
+            ConfigSpec("paper", size, seed,
+                       nic=NicParams(signal_overhead_us=overhead)),
+            build, elements=4, skew=1000.0, iterations=iterations,
+            experiment="ablation_signal_cost"),
+        jobs=jobs, progress=progress)
     table = Table("Ablation: per-signal kernel overhead (32 nodes, "
                   "4 elements, skew 1000us)", "signal_us", overheads)
-    points = []
-    for overhead in overheads:
-        spec = ConfigSpec("paper", size, seed,
-                          nic=NicParams(signal_overhead_us=overhead))
-        for build in ("nab", "ab"):
-            points.append(_cpu_point(spec, build, elements=4, skew=1000.0,
-                                     iterations=iterations,
-                                     experiment="ablation_signal_cost"))
-    results = run_points(points, jobs=jobs, progress=progress)
-    if collect is not None:
-        collect.extend(results)
-    nab_utils = [r.metrics["avg_util_us"] for r in results[0::2]]
-    ab_utils = [r.metrics["avg_util_us"] for r in results[1::2]]
+    nab_utils = cells.series("avg_util_us", along="overhead", build="nab")
+    ab_utils = cells.series("avg_util_us", along="overhead", build="ab")
     table.add_series("ab util", ab_utils)
     table.add_series("factor", [n / a for n, a in zip(nab_utils, ab_utils)])
-    return table
+    return table, cells.points
 
 
 def ablate_queue_strategy(*, size: int = 32, iterations: int = 60,
-                          seed: int = 1, jobs: int = 1, progress=None,
-                          collect=None) -> Table:
+                          seed: int = 1, jobs: int = 1,
+                          progress=None) -> Study:
     variants = (False, True)
+    cells = sweep(
+        {"reuse": variants, "skew": (1000.0, 0.0)},
+        lambda reuse, skew: _cpu_point(
+            ConfigSpec("paper", size, seed,
+                       ab=AbParams(reuse_mpich_queues=reuse)),
+            "ab", elements=128, skew=skew, iterations=iterations,
+            experiment="ablation_queue_strategy"),
+        jobs=jobs, progress=progress)
     table = Table("Ablation: custom AB queue vs. reusing MPICH non-blocking "
                   "machinery (32 nodes, 128 elements)", "reuse_mpich",
                   [int(v) for v in variants])
-    points = []
-    for reuse in variants:
-        spec = ConfigSpec("paper", size, seed,
-                          ab=AbParams(reuse_mpich_queues=reuse))
-        points.append(_cpu_point(spec, "ab", elements=128, skew=1000.0,
-                                 iterations=iterations,
-                                 experiment="ablation_queue_strategy"))
-        points.append(_cpu_point(spec, "ab", elements=128, skew=0.0,
-                                 iterations=iterations,
-                                 experiment="ablation_queue_strategy"))
-    results = run_points(points, jobs=jobs, progress=progress)
-    if collect is not None:
-        collect.extend(results)
-    table.add_series("util@skew1000",
-                     [r.metrics["avg_util_us"] for r in results[0::2]])
-    table.add_series("util@noskew",
-                     [r.metrics["avg_util_us"] for r in results[1::2]])
-    return table
+    table.add_series("util@skew1000", cells.series(
+        "avg_util_us", along="reuse", skew=1000.0))
+    table.add_series("util@noskew", cells.series(
+        "avg_util_us", along="reuse", skew=0.0))
+    return table, cells.points
 
 
 def ablate_eager_limit(*, size: int = 16, iterations: int = 40, seed: int = 1,
-                       jobs: int = 1, progress=None,
-                       collect=None) -> Table:
+                       jobs: int = 1, progress=None) -> Study:
     """Message sizes straddling a lowered AB eager limit: beyond it the
     protocol must fall back to the default path and the ab advantage
     disappears (but correctness holds)."""
     limit_bytes = 512
     element_sizes = (16, 48, 64, 80, 128)  # 128B .. 1KiB around the limit
-    table = Table(f"Ablation: AB eager-limit fallback (limit={limit_bytes}B, "
-                  f"{size} nodes, skew 1000us)", "elements", element_sizes)
     limited = ConfigSpec("paper", size, seed,
                          ab=AbParams(eager_limit_bytes=limit_bytes))
     baseline = ConfigSpec("paper", size, seed)
-    points = []
-    for elements in element_sizes:
-        points.append(_cpu_point(limited, "ab", elements=elements,
-                                 skew=1000.0, iterations=iterations,
-                                 experiment="ablation_eager_limit"))
-        points.append(_cpu_point(baseline, "ab", elements=elements,
-                                 skew=1000.0, iterations=iterations,
-                                 experiment="ablation_eager_limit"))
-        points.append(_cpu_point(baseline, "nab", elements=elements,
-                                 skew=1000.0, iterations=iterations,
-                                 experiment="ablation_eager_limit"))
-    results = run_points(points, jobs=jobs, progress=progress)
-    if collect is not None:
-        collect.extend(results)
-    utils = [r.metrics["avg_util_us"] for r in results[0::3]]
-    utils_nolimit = [r.metrics["avg_util_us"] for r in results[1::3]]
-    nab_utils = [r.metrics["avg_util_us"] for r in results[2::3]]
+    variants = {"ab-limited": (limited, "ab"), "ab": (baseline, "ab"),
+                "nab": (baseline, "nab")}
+    cells = sweep(
+        {"elements": element_sizes, "variant": tuple(variants)},
+        lambda elements, variant: _cpu_point(
+            *variants[variant], elements=elements, skew=1000.0,
+            iterations=iterations, experiment="ablation_eager_limit"),
+        jobs=jobs, progress=progress)
+    table = Table(f"Ablation: AB eager-limit fallback (limit={limit_bytes}B, "
+                  f"{size} nodes, skew 1000us)", "elements", element_sizes)
+    utils, utils_nolimit, nab_utils = (
+        cells.series("avg_util_us", along="elements", variant=variant)
+        for variant in ("ab-limited", "ab", "nab"))
     table.add_series("ab util (limit 512B)", utils)
     table.add_series("ab util (limit 16K)", utils_nolimit)
     table.add_series("factor vs nab",
                      [n / lim for n, lim in zip(nab_utils, utils)])
-    return table
+    return table, cells.points
 
 
 def run(*, iterations: int = 60, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     out = ExperimentOutput("ablations")
-    out.tables.append(ablate_exit_delay(iterations=iterations, seed=seed,
-                                        jobs=jobs, progress=progress,
-                                        collect=out.points))
-    out.tables.append(ablate_signal_cost(iterations=iterations, seed=seed,
-                                         jobs=jobs, progress=progress,
-                                         collect=out.points))
-    out.tables.append(ablate_queue_strategy(iterations=iterations, seed=seed,
-                                            jobs=jobs, progress=progress,
-                                            collect=out.points))
-    out.tables.append(ablate_eager_limit(iterations=max(20, iterations // 2),
-                                         seed=seed, jobs=jobs,
-                                         progress=progress,
-                                         collect=out.points))
+    common = dict(seed=seed, jobs=jobs, progress=progress)
+    for table, points in (
+            ablate_exit_delay(iterations=iterations, **common),
+            ablate_signal_cost(iterations=iterations, **common),
+            ablate_queue_strategy(iterations=iterations, **common),
+            ablate_eager_limit(iterations=max(20, iterations // 2),
+                               **common)):
+        out.tables.append(table)
+        out.points.extend(points)
     out.notes.append("exit-delay variants trade signal count against "
                      "lingering CPU; the shipped default is 'none'")
     out.notes.append("past ~384B the 512B-limited build falls back to the "

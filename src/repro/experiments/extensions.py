@@ -14,38 +14,36 @@ import numpy as np
 from ..apps import cg_pipelined, compare_builds, conjugate_gradient
 from ..bench.nicred import nicred_latency
 from ..bench.report import Table
+from ..bench.sweep import sweep
 from ..config import paper_cluster
 from ..mpich.rank import MpiBuild
-from ..orchestrate.points import ConfigSpec, SweepPoint
-from ..orchestrate.runner import run_points
+from ..orchestrate.points import ConfigSpec, PointResult, SweepPoint
 from ..runtime.program import run_program
 from .common import ExperimentOutput
 
 
+#: Reduction implementation -> (build, point kind); the series labels of
+#: the NIC-reduction comparison.
+NICRED_IMPLS = {"nab": ("nab", "cpu_util"), "host-ab": ("ab", "cpu_util"),
+                "nic-based": ("ab", "nicred_cpu_util")}
+
+
 def run_nicred(*, size: int = 16, iterations: int = 30, seed: int = 1,
-               jobs: int = 1, progress=None, collect=None) -> Table:
+               jobs: int = 1, progress=None
+               ) -> tuple[Table, list[PointResult]]:
     element_sizes = (4, 32, 128, 512)
+    spec = ConfigSpec("paper", size, seed)
+    cells = sweep(
+        {"elements": element_sizes, "impl": tuple(NICRED_IMPLS)},
+        lambda elements, impl: SweepPoint(
+            experiment="ext_nicred", kind=NICRED_IMPLS[impl][1],
+            config=spec, build=NICRED_IMPLS[impl][0], elements=elements,
+            max_skew_us=1000.0, iterations=iterations),
+        jobs=jobs, progress=progress)
     table = Table(f"NIC-based vs host-ab vs nab: CPU util @1000us skew "
                   f"({size} nodes)", "elements", element_sizes)
-    spec = ConfigSpec("paper", size, seed)
-    points = []
-    for elements in element_sizes:
-        for build, kind in (("nab", "cpu_util"), ("ab", "cpu_util"),
-                            ("ab", "nicred_cpu_util")):
-            points.append(SweepPoint(
-                experiment="ext_nicred", kind=kind, config=spec,
-                build=build, elements=elements, max_skew_us=1000.0,
-                iterations=iterations))
-    results = run_points(points, jobs=jobs, progress=progress)
-    if collect is not None:
-        collect.extend(results)
-    table.add_series("nab",
-                     [r.metrics["avg_util_us"] for r in results[0::3]])
-    table.add_series("host-ab",
-                     [r.metrics["avg_util_us"] for r in results[1::3]])
-    table.add_series("nic-based",
-                     [r.metrics["avg_util_us"] for r in results[2::3]])
-    return table
+    cells.fill(table, "avg_util_us", along="elements", label="{impl}")
+    return table, cells.points
 
 
 def run_apps(*, size: int = 16, seed: int = 1, progress=None) -> Table:
@@ -99,10 +97,10 @@ def run_pipelined_cg(*, size: int = 16, iterations: int = 12, seed: int = 1,
 
 def run(*, iterations: int = 30, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    out = ExperimentOutput("extensions")
-    out.tables.append(run_nicred(iterations=iterations, seed=seed,
-                                 jobs=jobs, progress=progress,
-                                 collect=out.points))
+    nicred_table, nicred_points = run_nicred(
+        iterations=iterations, seed=seed, jobs=jobs, progress=progress)
+    out = ExperimentOutput("extensions", [nicred_table],
+                           points=nicred_points)
     out.tables.append(run_apps(seed=seed, progress=progress))
     out.notes.append(run_pipelined_cg(seed=seed, progress=progress))
     cfg = paper_cluster(16, seed=seed)

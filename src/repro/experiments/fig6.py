@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..bench.sweep import cpu_util_vs_skew
-from ..orchestrate.points import ConfigSpec
+from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
+from ..orchestrate.points import ConfigSpec, SweepPoint
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SKEWS
 
 
@@ -19,12 +19,17 @@ def run(*, size: int = 32, skews: Sequence[float] = PAPER_SKEWS,
         element_sizes: Sequence[int] = PAPER_ELEMENTS,
         iterations: int = 100, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    sweep = cpu_util_vs_skew(ConfigSpec("paper", size, seed), skews=skews,
-                             element_sizes=element_sizes,
-                             iterations=iterations, jobs=jobs,
-                             experiment="fig6", progress=progress)
-    table = sweep.table
-    out = ExperimentOutput("fig6", [table], points=sweep.points)
+    cells = sweep(
+        {"build": BUILD_TAGS, "elements": element_sizes, "skew": skews},
+        lambda build, elements, skew: SweepPoint(
+            experiment="fig6", kind="cpu_util",
+            config=ConfigSpec("paper", size, seed), build=build,
+            elements=elements, max_skew_us=skew, iterations=iterations),
+        jobs=jobs, progress=progress)
+    table = build_by_size_table(
+        cells, f"Average CPU utilization vs. max skew ({size} nodes)",
+        "skew_us", along="skew")
+    out = ExperimentOutput("fig6", [table], points=cells.points)
 
     # Headline checks mirrored from the paper's text.
     factors = {

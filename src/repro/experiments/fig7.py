@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..bench.sweep import cpu_util_vs_nodes
-from ..orchestrate.points import ConfigSpec
+from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
+from ..orchestrate.points import ConfigSpec, SweepPoint
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
 
@@ -19,13 +19,19 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         element_sizes: Sequence[int] = PAPER_ELEMENTS,
         max_skew_us: float = 1000.0, iterations: int = 100, seed: int = 1,
         jobs: int = 1, progress=None) -> ExperimentOutput:
-    sweep = cpu_util_vs_nodes(
-        lambda n: ConfigSpec("paper", n, seed),
-        sizes=sizes, element_sizes=element_sizes, max_skew_us=max_skew_us,
-        iterations=iterations, jobs=jobs, experiment="fig7",
-        progress=progress)
-    table = sweep.table
-    out = ExperimentOutput("fig7", [table], points=sweep.points)
+    cells = sweep(
+        {"build": BUILD_TAGS, "elements": element_sizes, "size": sizes},
+        lambda build, elements, size: SweepPoint(
+            experiment="fig7", kind="cpu_util",
+            config=ConfigSpec("paper", size, seed), build=build,
+            elements=elements, max_skew_us=max_skew_us,
+            iterations=iterations),
+        jobs=jobs, progress=progress)
+    table = build_by_size_table(
+        cells,
+        f"Average CPU utilization vs. nodes (max skew {max_skew_us:.0f}us)",
+        "nodes", along="size")
+    out = ExperimentOutput("fig7", [table], points=cells.points)
 
     smallest = min(element_sizes)
     factors = table._find(f"factor-{smallest}").values

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..bench.sweep import cpu_util_vs_nodes
-from ..orchestrate.points import ConfigSpec
+from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
+from ..orchestrate.points import ConfigSpec, SweepPoint
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
 
@@ -29,13 +29,17 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         element_sizes: Sequence[int] = PAPER_ELEMENTS,
         iterations: int = 150, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    sweep = cpu_util_vs_nodes(
-        lambda n: ConfigSpec("paper", n, seed),
-        sizes=sizes, element_sizes=element_sizes, max_skew_us=0.0,
-        iterations=iterations, jobs=jobs, experiment="fig8",
-        progress=progress)
-    table = sweep.table
-    out = ExperimentOutput("fig8", [table], points=sweep.points)
+    cells = sweep(
+        {"build": BUILD_TAGS, "elements": element_sizes, "size": sizes},
+        lambda build, elements, size: SweepPoint(
+            experiment="fig8", kind="cpu_util",
+            config=ConfigSpec("paper", size, seed), build=build,
+            elements=elements, iterations=iterations),
+        jobs=jobs, progress=progress)
+    table = build_by_size_table(
+        cells, "Average CPU utilization vs. nodes (max skew 0us)",
+        "nodes", along="size")
+    out = ExperimentOutput("fig8", [table], points=cells.points)
 
     largest = max(element_sizes)
     f_large = table._find(f"factor-{largest}").values

@@ -12,32 +12,46 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..bench.sweep import latency_vs_nodes
-from ..orchestrate.points import ConfigSpec
+from ..bench.report import Table
+from ..bench.sweep import BUILD_TAGS, Cells, sweep
+from ..orchestrate.points import ConfigSpec, SweepPoint
 from .common import ExperimentOutput
 
 HETERO_SIZES = (2, 4, 8, 16, 32)
 HOMO_SIZES = (2, 4, 8, 16)
 
 
+def _panel(panel: str, factory: str, cluster: str, sizes: Sequence[int], *,
+           iterations: int, seed: int, jobs: int,
+           progress) -> tuple[Table, Cells]:
+    """One Fig. 9 panel: latency vs. node count on one cluster preset."""
+    cells = sweep(
+        {"build": BUILD_TAGS, "size": sizes},
+        lambda build, size: SweepPoint(
+            experiment=f"fig{panel}", kind="latency",
+            config=ConfigSpec(factory, size, seed), build=build,
+            elements=1, iterations=iterations),
+        jobs=jobs, progress=progress)
+    table = Table(
+        f"Fig {panel}: Total reduction latency vs. nodes "
+        f"(1-element messages) [{cluster}]", "nodes", sizes)
+    cells.fill(table, "avg_latency_us", along="size", label="{build}")
+    table.factor_series("ab/nab", "ab", "nab")
+    return table, cells
+
+
 def run(*, hetero_sizes: Sequence[int] = HETERO_SIZES,
         homo_sizes: Sequence[int] = HOMO_SIZES,
         iterations: int = 150, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    sweep_a = latency_vs_nodes(
-        lambda n: ConfigSpec("paper", n, seed),
-        sizes=hetero_sizes, elements=1, iterations=iterations, jobs=jobs,
-        experiment="fig9a", progress=progress)
-    table_a = sweep_a.table
-    table_a.title = "Fig 9a: " + table_a.title + " [heterogeneous]"
-    sweep_b = latency_vs_nodes(
-        lambda n: ConfigSpec("homogeneous", n, seed),
-        sizes=homo_sizes, elements=1, iterations=iterations, jobs=jobs,
-        experiment="fig9b", progress=progress)
-    table_b = sweep_b.table
-    table_b.title = "Fig 9b: " + table_b.title + " [homogeneous 700MHz]"
+    common = dict(iterations=iterations, seed=seed, jobs=jobs,
+                  progress=progress)
+    table_a, cells_a = _panel("9a", "paper", "heterogeneous", hetero_sizes,
+                              **common)
+    table_b, cells_b = _panel("9b", "homogeneous", "homogeneous 700MHz",
+                              homo_sizes, **common)
     out = ExperimentOutput("fig9", [table_a, table_b],
-                           points=sweep_a.points + sweep_b.points)
+                           points=cells_a.points + cells_b.points)
 
     nab_a = table_a._find("nab").values
     ab_a = table_a._find("ab").values

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..bench.report import Table
+from ..bench.sweep import BUILD_TAGS, sweep
 from ..config import FaultParams, NetParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
-from ..orchestrate.runner import run_points
-from ..bench.report import Table
 from .common import ExperimentOutput
 
 #: Burst-loss sweep: probability that any packet starts a 3-packet burst.
@@ -68,87 +68,59 @@ def _net_for(topo: str) -> NetParams:
     return NetParams(topology=topo)
 
 
-def build_points(*, size: int = 8, elements: int = 4,
-                 rates: Sequence[float] = RATES,
-                 topologies: Sequence[str] = TOPOLOGIES,
-                 scenarios: Sequence[tuple] = SCENARIOS,
-                 iterations: int = 40, seed: int = 1,
-                 collect_invariants: bool = True) -> list[SweepPoint]:
-    """The sweep grid, in the deterministic order the result cursor in
-    :func:`run` expects: the loss sweep first, then the scenarios."""
-    points = [
-        SweepPoint(
-            experiment="fig_faults", kind="fault_reduce",
-            config=ConfigSpec("paper", size, seed,
-                              net=_net_for(topo),
-                              faults=_loss_faults(rate)),
-            build=build, elements=elements, iterations=iterations,
-            collect_invariants=collect_invariants)
-        for topo in topologies
-        for build in ("nab", "ab")
-        for rate in rates
-    ]
-    points += [
-        SweepPoint(
-            experiment="fig_faults", kind="fault_reduce",
-            config=ConfigSpec("paper", size, seed, faults=faults),
-            build=build, elements=elements, iterations=iterations,
-            collect_invariants=collect_invariants)
-        for _label, faults, builds in scenarios
-        for build in builds
-    ]
-    return points
-
-
 def run(*, size: int = 8, elements: int = 4,
         rates: Sequence[float] = RATES,
         topologies: Sequence[str] = TOPOLOGIES,
         scenarios: Sequence[tuple] = SCENARIOS,
         iterations: int = 40, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    points = build_points(size=size, elements=elements, rates=rates,
-                          topologies=topologies, scenarios=scenarios,
-                          iterations=iterations, seed=seed)
-    results = run_points(points, jobs=jobs, progress=progress)
+    def point(build: str, **config) -> SweepPoint:
+        return SweepPoint(
+            experiment="fig_faults", kind="fault_reduce",
+            config=ConfigSpec("paper", size, seed, **config),
+            build=build, elements=elements, iterations=iterations,
+            collect_invariants=True)
+
+    loss = sweep(
+        {"topo": topologies, "build": BUILD_TAGS, "rate": rates},
+        lambda topo, build, rate: point(build, net=_net_for(topo),
+                                        faults=_loss_faults(rate)),
+        jobs=jobs, progress=progress)
+    by_label = {label: (faults, builds)
+                for label, faults, builds in scenarios}
+    injected = sweep(
+        {"scenario": tuple(by_label), "build": BUILD_TAGS},
+        lambda scenario, build: (
+            point(build, faults=by_label[scenario][0])
+            if build in by_label[scenario][1] else None),
+        jobs=jobs, progress=progress)
 
     table = Table(
         f"fig_faults: reduce makespan (us) vs burst loss rate, n={size}",
-        "burst_prob", list(rates))
-    cursor = iter(results)
-    wrong = 0
-    retransmissions = 0
-    for topo in topologies:
-        for build in ("nab", "ab"):
-            res = [next(cursor) for _ in rates]
-            table.add_series(f"{topo}-{build}",
-                             [r.metrics["makespan_us"] for r in res])
-            wrong += sum(1 for r in res if not r.metrics["survivor_ok"])
-            retransmissions += sum(
-                int(r.counters.get("retransmissions", 0)) for r in res)
-
-    out = ExperimentOutput("fig_faults", [table], points=results)
-    scenario_lines = []
-    for label, _faults, builds in scenarios:
+        "burst_prob", rates)
+    loss.fill(table, "makespan_us", along="rate", label="{topo}-{build}")
+    out = ExperimentOutput("fig_faults", [table],
+                           points=loss.points + injected.points)
+    for label, (_faults, builds) in by_label.items():
         for build in builds:
-            r = next(cursor)
-            wrong += 0 if r.metrics["survivor_ok"] else 1
+            r = injected[label, build]
             extras = {k: int(v) for k, v in r.counters.items()
                       if k in ("subtrees_healed", "descriptors_timed_out",
                                "signals_suppressed", "ranks_paused")
                       and v}
-            scenario_lines.append(
+            out.notes.append(
                 f"{label}/{build}: makespan {r.metrics['makespan_us']:.0f}us "
                 f"last={r.metrics['last_result']:g} "
                 f"faults={int(r.counters.get('faults_injected', 0))}"
                 + (f" {extras}" if extras else ""))
-    out.notes.extend(scenario_lines)
+    retransmissions = sum(int(r.counters.get("retransmissions", 0))
+                          for r in loss.points)
     out.notes.append(
         f"retransmissions across the loss sweep: {retransmissions}")
+    wrong = sum(1 for r in out.points if not r.metrics["survivor_ok"])
     out.notes.append(
         f"points with a wrong surviving-rank result: {wrong}")
-    violations = sum((r.invariant_report or {}).get("violation_count", 0)
-                     for r in results)
     out.notes.append(
         f"invariant violations across the sweep (incl. INV-FAULT): "
-        f"{violations}")
+        f"{loss.violations() + injected.violations()}")
     return out

@@ -22,73 +22,36 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from ..bench.report import Table
+from ..bench.sweep import BUILD_TAGS, sweep
 from ..config import MpiParams, NetParams, PipelineParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
-from ..orchestrate.runner import run_points
-from ..bench.report import Table
 from .common import ExperimentOutput
 
 #: Message-size axis in 8-byte elements: 128 stays single-chunk at the
 #: armed segment size below; 512/1024 segment into 2/4 chunks.
 MSG_SIZES = (128, 512, 1024)
 TREE_SHAPES = ("binomial", "chain")
-BUILDS = ("nab", "ab")
 #: Per-build reduce lowerings (the schedule the build would execute).
 LOWERINGS = {"nab": "reduce.nab", "ab": "reduce.ab"}
-#: (tag, pipeline override or None, passes) — pass-off vs pass-on.
-VARIANTS = (
-    ("whole", None, ()),
-    ("pass",
-     PipelineParams(segment_size_bytes=2048, max_inflight_segments=3),
-     ("pipeline_segments",)),
-)
-#: Autotune cells: (topology, elements); must overlap the tuned table's
+#: tag -> (pipeline override or None, passes) — pass-off vs pass-on.
+VARIANTS = {
+    "whole": (None, ()),
+    "pass": (PipelineParams(segment_size_bytes=2048,
+                            max_inflight_segments=3),
+             ("pipeline_segments",)),
+}
+#: Autotune cells, topology x elements; must overlap the tuned table's
 #: (topology, nranks, size-bucket) coverage for "auto" to bite.
-AUTO_CELLS = (("crossbar", 128), ("crossbar", 1024),
-              ("torus", 128), ("torus", 1024))
-
-
-def build_points(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
-                 shapes: Sequence[str] = TREE_SHAPES,
-                 iterations: int = 40, seed: int = 1,
-                 collect_invariants: bool = True) -> list[SweepPoint]:
-    """The grid, in the deterministic order :func:`run`'s cursor expects:
-    the crossover block first, then the autotune block."""
-    points = [
-        SweepPoint(
-            experiment=f"fig_schedule-{tag}", kind="schedule",
-            config=ConfigSpec("paper", size, seed,
-                              mpi=MpiParams(tree_shape=shape),
-                              pipeline=pipeline),
-            build=build, elements=elements, iterations=iterations,
-            # Single-chunk sizes decline segmentation bit-exactly, so the
-            # pass-on variant drops the rewrite there (nothing to pipeline)
-            # and the crossover plot shows identical small-message cells.
-            options={"lowering": LOWERINGS[build],
-                     "passes": (list(passes) if pipeline is None
-                                or elements * 8
-                                > pipeline.segment_size_bytes else [])},
-            collect_invariants=collect_invariants)
-        for shape in shapes
-        for build in BUILDS
-        for tag, pipeline, passes in VARIANTS
-        for elements in msg_sizes
-    ]
-    for topo, elements in AUTO_CELLS:
-        net = NetParams(topology=topo) if topo != "crossbar" else None
-        for tag, mpi, pipeline in (
-                ("static", None, None),
-                ("auto", MpiParams(tree_shape="auto"),
-                 PipelineParams(segment_size_bytes="auto"))):
-            points.append(SweepPoint(
-                experiment=f"fig_schedule-{tag}", kind="latency",
-                config=ConfigSpec("paper", size, seed, net=net, mpi=mpi,
-                                  pipeline=pipeline),
-                build="ab", elements=elements, iterations=iterations,
-                collect_invariants=collect_invariants))
-    return points
+AUTO_TOPOLOGIES = ("crossbar", "torus")
+AUTO_ELEMENTS = (128, 1024)
+#: tag -> (mpi override, pipeline override): the static binomial default
+#: vs. the config that consults the tuned table.
+AUTO_MODES = {
+    "static": (None, None),
+    "auto": (MpiParams(tree_shape="auto"),
+             PipelineParams(segment_size_bytes="auto")),
+}
 
 
 def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
@@ -96,76 +59,94 @@ def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
         seed: int = 1, jobs: int = 1, progress=None) -> ExperimentOutput:
     from ..schedule.table import (clear_table_cache, resolve_pipeline_params,
                                   resolve_tree_shape)
-    points = build_points(size=size, msg_sizes=msg_sizes, shapes=shapes,
-                          iterations=iterations, seed=seed)
-    results = run_points(points, jobs=jobs, progress=progress)
 
-    tables = []
-    cursor = iter(results)
-    headline = []
+    def crossover_point(shape: str, build: str, variant: str,
+                        elements: int) -> SweepPoint:
+        pipeline, passes = VARIANTS[variant]
+        # Single-chunk sizes decline segmentation bit-exactly, so the
+        # pass-on variant drops the rewrite there (nothing to pipeline)
+        # and the crossover plot shows identical small-message cells.
+        if (pipeline is not None
+                and elements * 8 <= pipeline.segment_size_bytes):
+            passes = ()
+        return SweepPoint(
+            experiment=f"fig_schedule-{variant}", kind="schedule",
+            config=ConfigSpec("paper", size, seed,
+                              mpi=MpiParams(tree_shape=shape),
+                              pipeline=pipeline),
+            build=build, elements=elements, iterations=iterations,
+            options={"lowering": LOWERINGS[build], "passes": list(passes)},
+            collect_invariants=True)
+
+    def auto_point(topo: str, elements: int, mode: str) -> SweepPoint:
+        mpi, pipeline = AUTO_MODES[mode]
+        return SweepPoint(
+            experiment=f"fig_schedule-{mode}", kind="latency",
+            config=ConfigSpec(
+                "paper", size, seed,
+                net=NetParams(topology=topo) if topo != "crossbar" else None,
+                mpi=mpi, pipeline=pipeline),
+            build="ab", elements=elements, iterations=iterations,
+            collect_invariants=True)
+
+    crossover = sweep(
+        {"shape": shapes, "build": BUILD_TAGS, "variant": tuple(VARIANTS),
+         "elements": msg_sizes}, crossover_point,
+        jobs=jobs, progress=progress)
+    auto = sweep(
+        {"topo": AUTO_TOPOLOGIES, "elements": AUTO_ELEMENTS,
+         "mode": tuple(AUTO_MODES)}, auto_point,
+        jobs=jobs, progress=progress)
+    out = ExperimentOutput("fig_schedule",
+                           points=crossover.points + auto.points)
+
+    largest = msg_sizes[-1]
     for shape in shapes:
         table = Table(
             f"fig_schedule: scheduled reduce latency (us) vs message "
-            f"size, {shape} tree, n={size}", "elements", list(msg_sizes))
-        series = {}
-        for build in BUILDS:
-            for tag, _pipeline, _passes in VARIANTS:
-                cell = [next(cursor) for _ in msg_sizes]
-                series[(build, tag)] = cell
-                table.add_series(
-                    f"{build}-{tag}",
-                    [r.metrics["avg_latency_us"] for r in cell])
-        for build in BUILDS:
+            f"size, {shape} tree, n={size}", "elements", msg_sizes)
+        crossover.fill(table, "avg_latency_us", along="elements",
+                       label="{build}-{variant}", shape=shape)
+        for build in BUILD_TAGS:
             table.factor_series(f"{build} pass speedup",
                                 f"{build}-whole", f"{build}-pass")
-        tables.append(table)
-        whole = series[("ab", "whole")][-1].metrics["avg_latency_us"]
-        best = series[("ab", "pass")][-1].metrics["avg_latency_us"]
-        headline.append(
-            f"{shape}: {msg_sizes[-1]} elements, ab whole {whole:.1f}us "
+        out.tables.append(table)
+        whole, best = (
+            crossover[shape, "ab", variant, largest].metrics[
+                "avg_latency_us"] for variant in ("whole", "pass"))
+        out.notes.append(
+            f"{shape}: {largest} elements, ab whole {whole:.1f}us "
             f"-> pipeline_segments pass {best:.1f}us "
             f"({whole / best:.2f}x)")
 
-    auto_elems = sorted({elems for _topo, elems in AUTO_CELLS})
-    auto_topos = tuple(dict.fromkeys(topo for topo, _e in AUTO_CELLS))
     auto_table = Table(
         f"fig_schedule: auto vs static-binomial AB latency (us), n={size}",
-        "elements", auto_elems)
-    rows: dict = {(topo, tag): [] for topo in auto_topos
-                  for tag in ("static", "auto")}
-    resolved = []
-    clear_table_cache()
-    for topo, elems in AUTO_CELLS:
-        rows[(topo, "static")].append(next(cursor))
-        auto_r = next(cursor)
-        rows[(topo, "auto")].append(auto_r)
-        cfg = auto_r.point.config.build()
-        tshape = resolve_tree_shape(cfg, elems * 8)
-        pparams = resolve_pipeline_params(cfg, elems * 8)
-        seg = (f"seg={pparams.segment_size_bytes}"
-               f"w{pparams.max_inflight_segments}"
-               if pparams.armed else "whole")
-        resolved.append((topo, elems, tshape.name, seg))
-    for topo in auto_topos:
-        for tag in ("static", "auto"):
-            auto_table.add_series(
-                f"{topo}-{tag}",
-                [r.metrics["avg_latency_us"] for r in rows[(topo, tag)]])
+        "elements", AUTO_ELEMENTS)
+    for topo in AUTO_TOPOLOGIES:
+        auto.fill(auto_table, "avg_latency_us", along="elements",
+                  label="{topo}-{mode}", topo=topo)
         auto_table.factor_series(f"{topo} auto speedup",
                                  f"{topo}-static", f"{topo}-auto")
-    tables.append(auto_table)
+    out.tables.append(auto_table)
 
+    resolved = []
+    clear_table_cache()
+    for topo in AUTO_TOPOLOGIES:
+        for elems in AUTO_ELEMENTS:
+            cfg = auto[topo, elems, "auto"].point.config.build()
+            tshape = resolve_tree_shape(cfg, elems * 8)
+            pparams = resolve_pipeline_params(cfg, elems * 8)
+            seg = (f"seg={pparams.segment_size_bytes}"
+                   f"w{pparams.max_inflight_segments}"
+                   if pparams.armed else "whole")
+            resolved.append((topo, elems, tshape.name, seg))
     winners = {(name, seg) for _t, _e, name, seg in resolved}
-    headline.append(
+    out.notes.append(
         f"tuned table resolves {len(winners)} distinct winner(s) "
         f"across {len(resolved)} (topology, msgsize) cells: "
         + "; ".join(f"{t}/{e * 8}B -> {name} {seg}"
                     for t, e, name, seg in resolved))
-
-    out = ExperimentOutput("fig_schedule", tables, points=results)
-    out.notes.extend(headline)
-    violations = sum((r.invariant_report or {}).get("violation_count", 0)
-                     for r in results)
     out.notes.append(
-        f"invariant violations across the sweep: {violations}")
+        f"invariant violations across the sweep: "
+        f"{crossover.violations() + auto.violations()}")
     return out

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..bench.report import Table
+from ..bench.sweep import BUILD_TAGS, sweep
 from ..config import MpiParams, NetParams
 from ..orchestrate.points import ConfigSpec, SweepPoint
-from ..orchestrate.runner import run_points
-from ..bench.report import Table
 from .common import ExperimentOutput
 
 #: The swept registries: every topology, and a spread of tree shapes from
@@ -31,68 +31,47 @@ def _shape_label(shape: str, radix: int) -> str:
     return f"knomial{radix}" if shape == "knomial" else shape
 
 
-def build_points(*, size: int = 16, elements: int = 4,
-                 topologies: Sequence[str] = TOPOLOGIES,
-                 shapes: Sequence[tuple] = TREE_SHAPES,
-                 skews: Sequence[float] = SKEWS,
-                 iterations: int = 60, seed: int = 1,
-                 collect_invariants: bool = True) -> list[SweepPoint]:
-    """The sweep grid (topology x tree shape x build x skew), in the
-    deterministic order the result cursor below expects."""
-    return [
-        SweepPoint(
-            experiment="fig_topo", kind="cpu_util",
-            config=ConfigSpec(
-                "paper", size, seed,
-                net=NetParams(topology=topo),
-                mpi=MpiParams(tree_shape=shape, tree_radix=radix)),
-            build=build, elements=elements, max_skew_us=skew,
-            iterations=iterations,
-            collect_invariants=collect_invariants)
-        for topo in topologies
-        for shape, radix in shapes
-        for build in ("nab", "ab")
-        for skew in skews
-    ]
-
-
 def run(*, size: int = 16, elements: int = 4,
         topologies: Sequence[str] = TOPOLOGIES,
         shapes: Sequence[tuple] = TREE_SHAPES,
         skews: Sequence[float] = SKEWS,
         iterations: int = 60, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    points = build_points(size=size, elements=elements,
-                          topologies=topologies, shapes=shapes, skews=skews,
-                          iterations=iterations, seed=seed)
-    results = run_points(points, jobs=jobs, progress=progress)
+    trees = {_shape_label(*shape): shape for shape in shapes}
+    cells = sweep(
+        {"topo": topologies, "shape": tuple(trees), "build": BUILD_TAGS,
+         "skew": skews},
+        lambda topo, shape, build, skew: SweepPoint(
+            experiment="fig_topo", kind="cpu_util",
+            config=ConfigSpec(
+                "paper", size, seed,
+                net=NetParams(topology=topo),
+                mpi=MpiParams(tree_shape=trees[shape][0],
+                              tree_radix=trees[shape][1])),
+            build=build, elements=elements, max_skew_us=skew,
+            iterations=iterations, collect_invariants=True),
+        jobs=jobs, progress=progress)
 
     table = Table(
         f"fig_topo: CPU util (us) vs skew, n={size}, {elements} elements",
-        "skew_us", list(skews))
-    cursor = iter(results)
-    max_util: dict[str, float] = {}
+        "skew_us", skews)
+    cells.fill(table, "avg_util_us", along="skew",
+               label="{topo}/{shape}-{build}")
     hot: dict[str, float] = {}
     factors: list[tuple[str, float]] = []
     for topo in topologies:
-        for shape, radix in shapes:
-            label = f"{topo}/{_shape_label(shape, radix)}"
-            by_build = {}
-            for build in ("nab", "ab"):
-                res = [next(cursor) for _ in skews]
-                values = [r.metrics["avg_util_us"] for r in res]
-                table.add_series(f"{label}-{build}", values)
-                by_build[build] = values
-                for r in res:
-                    hot[label] = max(
-                        hot.get(label, 0.0),
-                        float(r.counters.get("net_max_port_utilization",
-                                             0.0)))
+        for shape in trees:
+            label = f"{topo}/{shape}"
+            hot[label] = max(
+                float(cells[topo, shape, build, skew].counters.get(
+                    "net_max_port_utilization", 0.0))
+                for build in BUILD_TAGS for skew in skews)
             # AB improvement factor at maximal skew for this combination.
-            factors.append(
-                (label, by_build["nab"][-1] / by_build["ab"][-1]))
+            at_max = {build: cells[topo, shape, build, skews[-1]]
+                      .metrics["avg_util_us"] for build in BUILD_TAGS}
+            factors.append((label, at_max["nab"] / at_max["ab"]))
 
-    out = ExperimentOutput("fig_topo", [table], points=results)
+    out = ExperimentOutput("fig_topo", [table], points=cells.points)
     best = max(factors, key=lambda kv: kv[1])
     worst = min(factors, key=lambda kv: kv[1])
     out.notes.append(
@@ -104,9 +83,7 @@ def run(*, size: int = 16, elements: int = 4,
         out.notes.append(
             f"hottest network port utilization: {hottest[1]:.3f} "
             f"({hottest[0]})")
-    violations = sum((r.invariant_report or {}).get("violation_count", 0)
-                     for r in results)
     out.notes.append(
         f"invariant violations across the sweep (incl. INV-FIFO): "
-        f"{violations}")
+        f"{cells.violations()}")
     return out

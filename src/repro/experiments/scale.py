@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import cpu_util_vs_nodes
-from ..orchestrate.points import ConfigSpec
+from ..bench.sweep import BUILD_TAGS, sweep
+from ..orchestrate.points import ConfigSpec, SweepPoint
 from .common import ExperimentOutput
 
 SCALE_SIZES = (16, 32, 64, 128, 256)
@@ -27,20 +27,22 @@ SCALE_SIZES = (16, 32, 64, 128, 256)
 def run(*, sizes: Sequence[int] = SCALE_SIZES, elements: int = 4,
         max_skew_us: float = 1000.0, iterations: int = 20, seed: int = 1,
         jobs: int = 1, progress=None) -> ExperimentOutput:
-    sweep = cpu_util_vs_nodes(
-        lambda n: ConfigSpec("extrapolated", n, seed),
-        sizes=sizes, element_sizes=(elements,), max_skew_us=max_skew_us,
-        iterations=iterations, jobs=jobs, experiment="scale",
-        progress=progress)
+    cells = sweep(
+        {"build": BUILD_TAGS, "size": sizes},
+        lambda build, size: SweepPoint(
+            experiment="scale", kind="cpu_util",
+            config=ConfigSpec("extrapolated", size, seed), build=build,
+            elements=elements, max_skew_us=max_skew_us,
+            iterations=iterations),
+        jobs=jobs, progress=progress)
     table = Table(
         f"Scalability extrapolation: factor of improvement vs. nodes "
         f"(skew {max_skew_us:.0f}us, {elements} elements)",
         "nodes", sizes)
-    table.add_series("nab", sweep.table._find(f"nab-{elements}").values)
-    table.add_series("ab", sweep.table._find(f"ab-{elements}").values)
+    cells.fill(table, "avg_util_us", along="size", label="{build}")
     table.factor_series("factor", "nab", "ab")
 
-    out = ExperimentOutput("scale", [table], points=sweep.points)
+    out = ExperimentOutput("scale", [table], points=cells.points)
     factors = table._find("factor").values
     grows = all(b > a for a, b in zip(factors, factors[1:]))
     out.notes.append(

@@ -75,9 +75,20 @@ def bench_payload(name: str, results: Sequence[PointResult], *,
     points = []
     total_events = 0
     counted_wall = 0.0
+    first: dict[str, PointResult] = {}
     for res in results:
+        # SweepPoint.key() omits executor options, so two points that
+        # differ only there would collapse into one record on load.
+        key = res.point.key()
+        twin = first.setdefault(_key_string(key), res)
+        if twin is not res:
+            raise ValueError(
+                f"BENCH_{name}: two points share one key — "
+                f"{twin.point.label()} options={twin.point.options} and "
+                f"{res.point.label()} options={res.point.options}; put the "
+                f"distinguishing option in the experiment tag")
         points.append({
-            "key": res.point.key(),
+            "key": key,
             "metrics": dict(res.metrics),
             "wall_time_s": res.wall_time_s,
             "counters": dict(res.counters),
@@ -126,13 +137,37 @@ def load_bench_json(path: Union[str, Path]) -> dict:
         raise ValueError(f"{path}: unsupported schema "
                          f"{payload.get('schema')!r} "
                          f"(expected {SCHEMA_VERSION})")
+    try:
+        point_index(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return payload
 
 
+def _key_string(key: dict) -> str:
+    return json.dumps(key, sort_keys=True)
+
+
+def key_label(key: dict) -> str:
+    """One-line human label of a BENCH point key."""
+    return (f"{key.get('experiment')}/{key.get('kind')} "
+            f"n={key.get('size')} skew={key.get('skew_us'):g} "
+            f"{key.get('build')} elems={key.get('elements')} "
+            f"seed={key.get('seed')}")
+
+
 def point_index(payload: dict) -> dict:
-    """Map canonical key-string -> point record, for compare joins."""
-    index = {}
-    for record in payload["points"]:
-        key = json.dumps(record["key"], sort_keys=True)
-        index[key] = record
+    """Map canonical key-string -> point record, for compare joins.
+    Raises ValueError when two records share a key: the second would
+    replace the first and a point would go unchecked."""
+    index: dict[str, dict] = {}
+    position: dict[str, int] = {}
+    for i, record in enumerate(payload["points"]):
+        key = _key_string(record["key"])
+        if key in index:
+            raise ValueError(
+                f"duplicate BENCH key: points #{position[key]} and #{i} are "
+                f"both {key_label(record['key'])} "
+                f"(variant {record['key'].get('variant')})")
+        index[key], position[key] = record, i
     return index

@@ -30,7 +30,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .benchjson import load_bench_json, point_index
+from .benchjson import key_label, load_bench_json, point_index
 
 EXIT_CLEAN = 0
 EXIT_REGRESSION = 1
@@ -64,13 +64,6 @@ def _rel_diff(old: float, new: float) -> float:
         return 0.0
     denom = max(abs(old), abs(new))
     return abs(new - old) / denom if denom else 0.0
-
-
-def _label(key: dict) -> str:
-    return (f"{key.get('experiment')}/{key.get('kind')} "
-            f"n={key.get('size')} skew={key.get('skew_us'):g} "
-            f"{key.get('build')} elems={key.get('elements')} "
-            f"seed={key.get('seed')}")
 
 
 def _render_rows(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -151,14 +144,14 @@ def render_verdict(verdict: dict, old_name: str, new_name: str, *,
     if missing:
         lines.append(f"  MISSING from new: {len(missing)} point(s)")
         for key in missing[:cap]:
-            lines.append(f"    - {_label(key)}")
+            lines.append(f"    - {key_label(key)}")
         if cap is not None and len(missing) > cap:
             lines.append(f"    ... and {len(missing) - cap} more")
 
     drifts = verdict["metric_drifts"]
     if drifts:
         lines.append(f"  METRIC DRIFT in {len(drifts)} value(s):")
-        rows = [[_label(d["key"]), d["metric"], f"{d['old']}",
+        rows = [[key_label(d["key"]), d["metric"], f"{d['old']}",
                  f"{d['new']}",
                  ("inf" if d["rel"] == float("inf")
                   else f"{d['rel'] * 100.0:.4g}%")]
@@ -172,7 +165,7 @@ def render_verdict(verdict: dict, old_name: str, new_name: str, *,
     counter_drifts = verdict["counter_drifts"]
     if counter_drifts:
         lines.append(f"  COUNTER DRIFT in {len(counter_drifts)} value(s):")
-        rows = [[_label(d["key"]), d["counter"], f"{d['old']}", f"{d['new']}"]
+        rows = [[key_label(d["key"]), d["counter"], f"{d['old']}", f"{d['new']}"]
                 for d in counter_drifts[:cap]]
         lines.append("    " + _render_rows(
             ["point", "counter", "old", "new"], rows).replace("\n", "\n    "))
@@ -187,7 +180,7 @@ def render_verdict(verdict: dict, old_name: str, new_name: str, *,
                  f"tolerance {wall['tolerance_pct']:g}%)"
                  + ("  REGRESSED" if wall["regressed"] else ""))
     if slow and wall["regressed"]:
-        rows = [[_label(w["key"]), f"{w['old']:.3f}s", f"{w['new']:.3f}s",
+        rows = [[key_label(w["key"]), f"{w['old']:.3f}s", f"{w['new']:.3f}s",
                  f"{(w['new'] / w['old'] - 1) * 100.0:+.1f}%"]
                 for w in slow]
         lines.append("    slowest movers:")

@@ -147,7 +147,13 @@ class SweepPoint:
     options: dict = field(default_factory=dict)
 
     def key(self) -> dict:
-        """The identity the merge and BENCH_*.json are keyed by."""
+        """The identity the merge and BENCH_*.json are keyed by.
+
+        ``options`` are not part of it (the schema predates them and the
+        committed baselines pin it), so a grid whose points differ only
+        in an option carries that option in the experiment tag
+        (``pap_smoke-bursty-sra``, ``tenancy_smoke-2j``);
+        ``bench_payload`` refuses two points that share a key."""
         key = {
             "experiment": self.experiment,
             "kind": self.kind,
@@ -224,9 +230,6 @@ class PointResult:
     wall_time_s: float
     #: Simulator work counters (events/ops/processes) for the run.
     counters: dict
-    #: The full benchmark result object (CpuUtilResult / LatencyResult),
-    #: for table assembly in the parent.  None for metric-only kinds.
-    result: Any = None
     #: InvariantMonitor report when point.collect_invariants was set.
     invariant_report: Optional[dict] = None
 
@@ -234,68 +237,61 @@ class PointResult:
 # ---------------------------------------------------------------------------
 # executors
 # ---------------------------------------------------------------------------
+#
+# A kind's adapter maps point fields onto one benchmark call and returns
+# what it measured: an object with ``metrics()`` (flat floats for BENCH
+# json) and ``sim_counters`` — a ``repro.bench`` / ``repro.tenancy``
+# result, which names its own metrics, or :class:`Scalars` for the
+# metric-only kinds.  Only those two travel back to the parent process.
+
+class Scalars:
+    """What a metric-only kind measures: named floats and no simulator
+    counters (the closed-form NIC-reduction model, the chaos drill)."""
+
+    def __init__(self, **values: float):
+        self.values = values
+        self.sim_counters: dict = {}
+
+    def metrics(self) -> dict:
+        return {name: float(v) for name, v in self.values.items()}
+
 
 def _run_cpu_util(point: SweepPoint, config: ClusterConfig):
     from ..bench.cpu_util import cpu_util_benchmark
-    r = cpu_util_benchmark(config, build_from_tag(point.build),
-                           elements=point.elements,
-                           max_skew_us=point.max_skew_us,
-                           iterations=point.iterations, warmup=point.warmup)
-    metrics = {
-        "avg_util_us": r.avg_util_us,
-        "direct_avg_util_us": r.direct_avg_util_us,
-        "signals": float(r.signals),
-    }
-    counters = dict(r.sim_counters) or {"events": r.events, "ops": r.ops}
-    return r, metrics, counters
+    return cpu_util_benchmark(config, build_from_tag(point.build),
+                              elements=point.elements,
+                              max_skew_us=point.max_skew_us,
+                              iterations=point.iterations,
+                              warmup=point.warmup)
 
 
 def _run_latency(point: SweepPoint, config: ClusterConfig):
     from ..bench.latency import latency_benchmark
-    r = latency_benchmark(config, build_from_tag(point.build),
-                          elements=point.elements,
-                          iterations=point.iterations, warmup=point.warmup)
-    metrics = {
-        "avg_latency_us": r.avg_latency_us,
-        "median_latency_us": r.median_latency_us,
-        "one_way_us": r.one_way_us,
-        "signals": float(r.signals),
-    }
-    counters = dict(r.sim_counters) or {"events": r.events, "ops": r.ops}
-    return r, metrics, counters
+    return latency_benchmark(config, build_from_tag(point.build),
+                             elements=point.elements,
+                             iterations=point.iterations,
+                             warmup=point.warmup)
 
 
 def _run_nicred_cpu(point: SweepPoint, config: ClusterConfig):
     from ..bench.nicred import nicred_cpu_util
-    util = nicred_cpu_util(config, elements=point.elements,
-                           max_skew_us=point.max_skew_us,
-                           iterations=point.iterations)
-    return util, {"avg_util_us": float(util)}, {}
+    return Scalars(avg_util_us=nicred_cpu_util(
+        config, elements=point.elements, max_skew_us=point.max_skew_us,
+        iterations=point.iterations))
 
 
 def _run_nicred_latency(point: SweepPoint, config: ClusterConfig):
     from ..bench.nicred import nicred_latency
-    lat = nicred_latency(config, elements=point.elements,
-                         iterations=point.iterations)
-    return lat, {"avg_latency_us": float(lat)}, {}
+    return Scalars(avg_latency_us=nicred_latency(
+        config, elements=point.elements, iterations=point.iterations))
 
 
 def _run_fault_reduce(point: SweepPoint, config: ClusterConfig):
     from ..bench.faulted import fault_reduce_benchmark
-    r = fault_reduce_benchmark(
+    return fault_reduce_benchmark(
         config, build_from_tag(point.build), elements=point.elements,
         iterations=point.iterations,
         gap_us=float(point.options.get("gap_us", 200.0)))
-    metrics = {
-        "first_result": r.first_result,
-        "last_result": r.last_result,
-        "completed_ranks": float(r.completed_ranks),
-        "survivor_ok": float(r.survivor_ok),
-        "makespan_us": r.makespan_us,
-        "signals": float(r.signals),
-    }
-    counters = dict(r.sim_counters) or {"events": r.events, "ops": r.ops}
-    return r, metrics, counters
 
 
 def _run_tenancy(point: SweepPoint, config: ClusterConfig):
@@ -303,16 +299,13 @@ def _run_tenancy(point: SweepPoint, config: ClusterConfig):
     fabric (repro.tenancy).  ``point.options`` carries the ClusterSpec
     and JobSpec dicts; ``point.config`` mirrors the spec's lowered
     ConfigSpec so the BENCH key's variant digest reflects the topology
-    knobs.  Returns no live result object (a Cluster does not cross the
-    process-pool pickle boundary); everything BENCH needs is in the
-    metrics."""
+    knobs."""
     from ..tenancy import ClusterSpec, JobSpec, run_tenancy
     del config  # the spec rebuilds its own config (kept in options)
     spec = ClusterSpec.from_dict(point.options["cluster"])
     jobs = [JobSpec.from_dict(j) for j in point.options["jobs"]]
-    r = run_tenancy(spec, jobs,
-                    solo_baseline=bool(point.options.get("solo", True)))
-    return None, r.metrics(), dict(r.sim_counters)
+    return run_tenancy(spec, jobs,
+                       solo_baseline=bool(point.options.get("solo", True)))
 
 
 def _run_chaos(point: SweepPoint, config: ClusterConfig):
@@ -332,7 +325,7 @@ def _run_chaos(point: SweepPoint, config: ClusterConfig):
     if attempts <= succeed_after:
         raise RuntimeError(f"chaos point failing on purpose "
                            f"(attempt {attempts}/{succeed_after})")
-    return None, {"attempts": float(attempts)}, {}
+    return Scalars(attempts=attempts)
 
 
 def _run_schedule(point: SweepPoint, config: ClusterConfig):
@@ -343,20 +336,11 @@ def _run_schedule(point: SweepPoint, config: ClusterConfig):
     from ..bench.scheduled import scheduled_benchmark
     passes = tuple(tuple(p) if isinstance(p, list) else p
                    for p in point.options.get("passes", ()))
-    r = scheduled_benchmark(
+    return scheduled_benchmark(
         config, build_from_tag(point.build),
         lowering=point.options.get("lowering", "reduce.nab"),
         passes=passes, elements=point.elements,
         iterations=point.iterations, warmup=point.warmup)
-    metrics = {
-        "avg_latency_us": r.avg_latency_us,
-        "median_latency_us": r.median_latency_us,
-        "nseg": float(r.nseg),
-        "steps": float(r.steps),
-        "signals": float(r.signals),
-    }
-    counters = dict(r.sim_counters) or {"events": r.events, "ops": r.ops}
-    return r, metrics, counters
 
 
 def _run_pap(point: SweepPoint, config: ClusterConfig):
@@ -364,29 +348,18 @@ def _run_pap(point: SweepPoint, config: ClusterConfig):
     config's arrival pattern with the algorithm named in ``options``
     (nab/ab/pipelined legacy paths or the schedule-driven sra/pra)."""
     from ..bench.pap import pap_benchmark
-    r = pap_benchmark(config, algo=point.options.get("algo", "nab"),
-                      elements=point.elements,
-                      iterations=point.iterations, warmup=point.warmup)
-    metrics = {
-        "avg_makespan_us": r.avg_makespan_us,
-        "median_makespan_us": r.median_makespan_us,
-        "signals": float(r.signals),
-    }
-    # Spread stats + kappa describe the trace, not the algorithm — still
-    # per-point so every BENCH row is self-contained.
-    metrics.update(r.arrival_stats)
-    counters = dict(r.sim_counters) or {"events": r.events, "ops": r.ops}
-    return r, metrics, counters
+    return pap_benchmark(config, algo=point.options.get("algo", "nab"),
+                         elements=point.elements,
+                         iterations=point.iterations, warmup=point.warmup)
 
 
 def pap_smoke_points(*, seed: int = 1, iterations: int = 6, size: int = 8,
                      collect_invariants: bool = True) -> list["SweepPoint"]:
     """CI smoke grid for the PAP workload layer (repro.workload): two
     arrival patterns x four allreduce algorithms on one quiet cluster.
-    The algorithm rides in the experiment tag (``pap_smoke-bursty-sra``)
-    because SweepPoint.key() does not cover executor options; the
-    workload override alone also distinguishes the config variant
-    digest per pattern."""
+    The algorithm rides in the experiment tag (see ``SweepPoint.key``);
+    the workload override distinguishes the config variant digest per
+    pattern."""
     patterns = {
         "uniform": WorkloadParams(pattern="uniform_random", scale_us=400.0),
         "bursty": WorkloadParams(pattern="bursty", scale_us=1200.0,
@@ -549,9 +522,7 @@ def schedule_smoke_points(*, seed: int = 1, iterations: int = 6,
     (the ``pipeline_segments`` rewrite produces the segmentation the armed
     config plans).  1024 doubles on the chain shape is where pipelining
     visibly wins — the crossover ``fig_schedule`` plots.  The pass variant
-    is encoded in the experiment tag because SweepPoint.key() does not
-    cover executor options (the pipeline override alone also changes the
-    config variant digest, but the tag keeps BENCH rows readable)."""
+    rides in the experiment tag (see ``SweepPoint.key``)."""
     lowerings = {"nab": "reduce.nab", "ab": "reduce.ab"}
     variants = [
         # (tag, pipeline override or None, passes)
@@ -587,8 +558,7 @@ def tenancy_smoke_points(*, seed: int = 1, iterations: int = 5,
     decides contention).  Jobs alternate reduce/allreduce and arrive
     staggered.  Each point also runs the per-job solo baselines, so
     slowdown and min-max fairness land in BENCH json.  The co-tenant
-    count is encoded in the experiment tag (``tenancy_smoke-2j``)
-    because SweepPoint.key() does not cover executor options."""
+    count rides in the experiment tag (see ``SweepPoint.key``)."""
     from ..tenancy import ClusterSpec, JobSpec
     clusters = [
         ClusterSpec(hosts=16, factory="quiet", seed=seed,
@@ -739,7 +709,7 @@ def execute_point(point: SweepPoint) -> PointResult:
         set_default_tiebreak_seed(point.tiebreak_seed)
     t0 = time.perf_counter()
     try:
-        result, metrics, counters = runner(point, config)
+        measured = runner(point, config)
     finally:
         # Restore unconditionally: pool workers are reused across points,
         # so a leaked tiebreak seed would silently perturb later points.
@@ -757,6 +727,7 @@ def execute_point(point: SweepPoint) -> PointResult:
             "violations": [v.to_dict() for m in monitor
                            for v in m.violations],
         }
-    return PointResult(point=point, metrics=metrics, wall_time_s=wall,
-                       counters=counters, result=result,
+    return PointResult(point=point, metrics=measured.metrics(),
+                       wall_time_s=wall,
+                       counters=dict(measured.sim_counters),
                        invariant_report=invariant_report)

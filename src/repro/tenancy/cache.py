@@ -12,8 +12,7 @@ What is cached is exactly what BENCH json records per point: metrics,
 worker wall time, sim counters and the invariant report.  ``wall_time_s``
 is the *original* measurement, not the (near-zero) cache-hit time, which
 is what makes a warm re-run's BENCH points byte-identical to the cold
-run's.  The live benchmark ``result`` object is not cached (it is not
-serializable and only table-assembly inside one process uses it).
+run's.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class ResultCache:
             metrics=dict(record["metrics"]),
             wall_time_s=float(record["wall_time_s"]),
             counters=dict(record["counters"]),
-            result=None,
             invariant_report=record.get("invariant_report"),
         )
 

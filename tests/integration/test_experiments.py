@@ -4,25 +4,48 @@ the full-size runs live in benchmarks/)."""
 import pytest
 
 from repro.experiments import ablations, fig6, fig7, fig8, fig9, fig10, \
-    fig_topo
+    fig_faults, fig_topo
 from repro.experiments.fig8 import crossover_size
 
 
 def test_fig6_driver_small():
-    out = fig6.run(size=8, skews=(0.0, 500.0), element_sizes=(4,),
-                   iterations=10, seed=1)
+    # The paper's 32 nodes: below that the unskewed cells are Fig. 8's
+    # regime, where ab pays its overhead and loses.
+    skews, sizes = (0.0, 500.0), (4, 128)
+    out = fig6.run(size=32, skews=skews, element_sizes=sizes,
+                   iterations=6, seed=1)
     table = out.tables[0]
+    assert [s.label for s in table.series] == [
+        "nab-4", "nab-128", "ab-4", "ab-128", "factor-4", "factor-128"]
     assert table._find("nab-4").values[1] > table._find("nab-4").values[0]
-    factors = table._find("factor-4").values
-    assert factors[1] > 1.0
+    # Paper headline: the bypass build wins at every (skew, size) cell.
+    for elements in sizes:
+        nab = table._find(f"nab-{elements}").values
+        ab = table._find(f"ab-{elements}").values
+        assert all(a <= n for a, n in zip(ab, nab)), (elements, ab, nab)
+        assert table._find(f"factor-{elements}").values == \
+            [n / a for n, a in zip(nab, ab)]
+    # ...and each series really is its (build, size) cell of the sweep.
+    by_cell = {(r.point.build, r.point.elements, r.point.max_skew_us):
+               r.metrics["avg_util_us"] for r in out.points}
+    assert table._find("ab-128").values == \
+        [by_cell["ab", 128, skew] for skew in skews]
     assert out.notes
 
 
 def test_fig7_driver_small():
-    out = fig7.run(sizes=(2, 8), element_sizes=(4,), iterations=10, seed=1)
-    factors = out.tables[0]._find("factor-4").values
-    assert len(factors) == 2
-    assert factors[1] > factors[0]
+    sizes = (2, 4, 8)
+    out = fig7.run(sizes=sizes, element_sizes=(4,), iterations=10, seed=1)
+    table = out.tables[0]
+    assert table.x_values == list(sizes)
+    factors = table._find("factor-4").values
+    # Paper headline: the factor of improvement grows with system size.
+    assert len(factors) == 3
+    assert factors[0] < factors[1] < factors[2]
+    by_cell = {(r.point.build, r.point.config.size):
+               r.metrics["avg_util_us"] for r in out.points}
+    assert table._find("nab-4").values == [by_cell["nab", n] for n in sizes]
+    assert table._find("ab-4").values == [by_cell["ab", n] for n in sizes]
 
 
 def test_fig8_driver_small():
@@ -62,6 +85,33 @@ def test_fig_topo_driver_small():
                for n in out.notes)
 
 
+def test_fig_faults_driver_small():
+    out = fig_faults.run(size=8, rates=(0.0, 0.05), topologies=("crossbar",),
+                         iterations=4, seed=1)
+    table = out.tables[0]
+    assert table.x_values == [0.0, 0.05]
+    assert [s.label for s in table.series] == ["crossbar-nab", "crossbar-ab"]
+    # Each series is its build's loss sweep, addressed by point, not by
+    # position in the result list.
+    loss = {(r.point.build, r.point.config.faults is not None):
+            r.metrics["makespan_us"]
+            for r in out.points if r.point.config.net is not None}
+    for build in ("nab", "ab"):
+        assert table._find(f"crossbar-{build}").values == \
+            [loss[build, False], loss[build, True]]
+    # One note per (scenario, build) the scenario table allows, in its
+    # own order — suppression and crash are AB-only.
+    scenario_notes = [n.split(":")[0] for n in out.notes if "/" in n]
+    assert scenario_notes == [
+        "degrade/nab", "degrade/ab", "suppress/ab", "pause/nab", "pause/ab",
+        "crash+heal/ab"]
+    crash = next(n for n in out.notes if n.startswith("crash+heal/ab"))
+    assert "last=29" in crash and "subtrees_healed" in crash
+    assert "points with a wrong surviving-rank result: 0" in out.notes
+    assert any("invariant violations" in n and n.endswith(": 0")
+               for n in out.notes)
+
+
 def test_crossover_size_helper():
     assert crossover_size((2, 4, 8), (0.5, 1.2, 1.4)) == 4
     assert crossover_size((2, 4), (0.5, 0.6)) is None
@@ -69,8 +119,14 @@ def test_crossover_size_helper():
 
 
 def test_ablation_exit_delay_small():
-    table = ablations.ablate_exit_delay(size=8, iterations=8, seed=1)
+    table, points = ablations.ablate_exit_delay(size=8, iterations=8, seed=1)
     assert len(table._find("signals@noskew").values) == 4
+    # policy-major, skewed before unskewed; 'none' raises the most signals
+    assert [(r.point.config.ab.exit_delay_policy, r.point.max_skew_us)
+            for r in points[:3]] == [("none", 1000.0), ("none", 0.0),
+                                     ("fixed", 1000.0)]
+    assert table._find("signals@noskew").values[0] == \
+        points[1].metrics["signals"]
 
 
 def test_cli_dispatcher():

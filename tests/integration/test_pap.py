@@ -258,6 +258,21 @@ def test_fig_pap_shows_both_crossover_directions():
         for a in ("sra", "pra"))
     assert ab_constant < best_pap_constant   # balanced arrivals: ab wins
     assert best_pap_bursty < ab_bursty       # straggler group: PAP wins
+    # The table's series are those cells by name: one row per pattern
+    # (x = its kappa), one series per algorithm plus the two factors.
+    (table,) = out.tables
+    assert [s.label for s in table.series] == [
+        "nab", "ab", "pipelined", "sra", "pra", "ab/sra", "ab/pra"]
+    assert table.x_values == [
+        round(cells[f"fig_pap-{p}-ab"].metrics["arrival_kappa"], 2)
+        for p in ("constant", "bursty")]
+    for algo in fig_pap.ALGOS:
+        assert table._find(algo).values == [
+            cells[f"fig_pap-{p}-{algo}"].metrics["avg_makespan_us"]
+            for p in ("constant", "bursty")]
+    assert out.notes[0].startswith("crossbar/constant (kappa=")
+    assert "-> ab wins" in out.notes[0]
+    assert out.notes[1].startswith("crossbar/bursty (kappa=")
     # No invariant violations anywhere in the sweep.
     assert all((r.invariant_report or {}).get("violation_count", 0) == 0
                for r in out.points)

@@ -233,6 +233,22 @@ def test_max_rows_caps_missing_points():
     assert "more" not in full and full.count("skew=") == 12
 
 
+def test_duplicate_key_is_a_clean_load_error(tmp_path, capsys):
+    """Two records with one key would collapse in the compare join and
+    leave a point unchecked; the gate refuses the file instead."""
+    good = _write(tmp_path, "good.json", _payload())
+    dup = _payload()
+    dup["points"].append(copy.deepcopy(dup["points"][0]))
+    with pytest.raises(ValueError, match="points #0 and #2"):
+        compare_payloads(dup, dup)
+    assert main([good, _write(tmp_path, "dup.json", dup)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: new (") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "duplicate BENCH key: points #0 and #2" in err
+    assert "t/cpu_util n=2" in err
+
+
 def test_both_load_errors_reported_in_one_run(tmp_path, capsys):
     """When baseline AND candidate are unreadable, one run names both."""
     missing = str(tmp_path / "missing.json")

@@ -9,8 +9,9 @@ import pytest
 from repro.bench.cpu_util import cpu_util_benchmark
 from repro.config import AbParams, NetParams
 from repro.mpich.rank import MpiBuild
-from repro.orchestrate.points import (ConfigSpec, SweepPoint, execute_point,
-                                      smoke_points)
+from repro.orchestrate.benchjson import bench_payload
+from repro.orchestrate.points import (ConfigSpec, PointResult, SweepPoint,
+                                      execute_point, smoke_points)
 
 
 def test_config_spec_round_trip_plain():
@@ -81,6 +82,27 @@ def test_execute_point_matches_direct_benchmark():
     assert res.counters["events"] == direct.events
     assert res.wall_time_s > 0.0
     assert res.invariant_report is None  # not requested
+
+
+def test_bench_payload_refuses_option_only_twins():
+    """SweepPoint.key() does not cover executor options, so two points
+    that differ only there share a BENCH key; writing both must fail
+    naming both points, not silently emit a file that loads as one."""
+    def result(gap_us: float) -> PointResult:
+        point = SweepPoint(experiment="t", kind="fault_reduce",
+                           config=ConfigSpec("paper", 4, 1), build="ab",
+                           elements=4, iterations=2,
+                           options={"gap_us": gap_us})
+        return PointResult(point=point, metrics={"makespan_us": gap_us},
+                           wall_time_s=0.1, counters={})
+    twins = [result(200.0), result(1200.0)]
+    assert twins[0].point.key() == twins[1].point.key()
+    with pytest.raises(ValueError) as exc:
+        bench_payload("t", twins)
+    message = str(exc.value)
+    assert "'gap_us': 200.0" in message and "'gap_us': 1200.0" in message
+    assert message.count(twins[0].point.label()) == 2
+    assert len(bench_payload("t", twins[:1])["points"]) == 1
 
 
 def test_execute_point_collects_invariants():

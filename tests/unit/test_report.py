@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.bench.report import Series, Table, summary_line
+from repro.bench.report import Series, Table
 
 
 def make_table():
@@ -57,21 +57,9 @@ def test_render_aligns_columns():
     assert len(widths) == 1
 
 
-def test_as_dict_roundtrip():
-    t = make_table()
-    d = t.as_dict()
-    assert d["x"] == [1, 2, 4]
-    assert d["series"]["ab"] == [5.0, 8.0, 10.0]
-
-
 def test_x_formatting_integers_vs_floats():
     t = Table("T", "x", [1.0, 2.5])
     t.add_series("s", [0.0, 0.0])
     text = t.render()
     assert " 1 " in text or text.splitlines()[3].strip().startswith("1")
     assert "2.5" in text
-
-
-def test_summary_line():
-    assert summary_line("lat", 12.345, "us") == "lat: 12.35us"
-    assert "note" in summary_line("x", 1.0, note="note")

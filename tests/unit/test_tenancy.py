@@ -190,7 +190,6 @@ def test_cache_round_trip(tmp_path):
     assert served.wall_time_s == 0.25                # original wall time
     assert served.counters == {"events": 99}
     assert served.invariant_report == {"clean": True}
-    assert served.result is None                     # live object not cached
     assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
     assert os.path.exists(tmp_path / "rc" / f"{key}.json")
 
