@@ -478,14 +478,16 @@ class AbEngine:
         if s.index >= 0:
             stats = self.pipeline.stats
             stats.inflight_hwm = max(stats.inflight_hwm, st.open)
-            self.node.tracer.emit("ab.segment.enqueue",
-                                  node=self.rank.rank, instance=st.instance,
-                                  seg=s.index, nseg=nseg,
-                                  children=len(children_world))
-        else:
-            self.node.tracer.emit("ab.descriptor.enqueue",
-                                  node=self.rank.rank, instance=st.instance,
-                                  children=len(children_world))
+        tracer = self.node.tracer
+        if tracer.enabled:
+            if s.index >= 0:
+                tracer.emit("ab.segment.enqueue", node=self.rank.rank,
+                            instance=st.instance, seg=s.index, nseg=nseg,
+                            children=len(children_world))
+            else:
+                tracer.emit("ab.descriptor.enqueue", node=self.rank.rank,
+                            instance=st.instance,
+                            children=len(children_world))
         if self._timeout_us > 0.0:
             # Recovery timer (repro.faults): if children are still
             # pending when it fires, progress is forced, crashed
@@ -679,17 +681,17 @@ class AbEngine:
             self.stats.descriptors_completed_async += 1
         else:
             self.stats.descriptors_completed_sync += 1
-        if desc.seg >= 0:
-            self.node.tracer.emit("ab.segment.complete",
-                                  node=self.rank.rank, instance=desc.instance,
-                                  seg=desc.seg, nseg=desc.nseg,
-                                  mode="async" if completed_async else "sync",
-                                  span=self.sim.now - desc.created_at)
-        else:
-            self.node.tracer.emit("ab.descriptor.complete",
-                                  node=self.rank.rank, instance=desc.instance,
-                                  mode="async" if completed_async else "sync",
-                                  span=self.sim.now - desc.created_at)
+        tracer = self.node.tracer
+        if tracer.enabled:
+            mode = "async" if completed_async else "sync"
+            span = self.sim.now - desc.created_at
+            if desc.seg >= 0:
+                tracer.emit("ab.segment.complete", node=self.rank.rank,
+                            instance=desc.instance, seg=desc.seg,
+                            nseg=desc.nseg, mode=mode, span=span)
+            else:
+                tracer.emit("ab.descriptor.complete", node=self.rank.rank,
+                            instance=desc.instance, mode=mode, span=span)
         callback = desc.on_complete
         if callback is not None:
             # Window advance: runs before the queue-drained check below so

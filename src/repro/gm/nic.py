@@ -175,9 +175,10 @@ class Nic:
             self.stats.segment_bytes_sent += packet.nbytes
         if self.reliable is not None:
             self.reliable.register_send(packet)
-        self.tracer.emit("nic.send", node=self.node_id, pkt=packet.seq,
-                         dst=packet.dst, ptype=packet.ptype.value,
-                         nbytes=packet.nbytes, wire_at=finish)
+        if self.tracer.enabled:
+            self.tracer.emit("nic.send", node=self.node_id, pkt=packet.seq,
+                             dst=packet.dst, ptype=packet.ptype.value,
+                             nbytes=packet.nbytes, wire_at=finish)
         self.fabric.inject(packet, self.node_id, packet.dst, finish)
 
     def retransmit(self, packet: Packet) -> None:
@@ -187,8 +188,9 @@ class Nic:
                     packet.nbytes / self.dma_bytes_per_us +
                     self.params.lanai_send_us * self.lanai_scale)
         self.tx_free_at = start + duration
-        self.tracer.emit("nic.retransmit", node=self.node_id,
-                         pkt=packet.seq, dst=packet.dst, gseq=packet.gseq)
+        if self.tracer.enabled:
+            self.tracer.emit("nic.retransmit", node=self.node_id,
+                             pkt=packet.seq, dst=packet.dst, gseq=packet.gseq)
         self.fabric.inject(packet, self.node_id, packet.dst,
                            self.tx_free_at)
 
@@ -317,8 +319,9 @@ class Nic:
         self.stats.bytes_received += packet.nbytes
         if packet.seg >= 0:
             self.stats.segment_packets_received += 1
-        self.tracer.emit("nic.recv", node=self.node_id, pkt=packet.seq,
-                         src=packet.src, ptype=packet.ptype.value)
+        if self.tracer.enabled:
+            self.tracer.emit("nic.recv", node=self.node_id, pkt=packet.seq,
+                             src=packet.src, ptype=packet.ptype.value)
         self.rx_notifier.notify(packet)
         if packet.ptype is PacketType.AB_COLLECTIVE:
             if self.signals_enabled and self._signal_handler is not None:
@@ -351,7 +354,8 @@ class Nic:
             self.stats.signals_suppressed += 1
             return
         self.stats.signals_raised += 1
-        self.tracer.emit("nic.signal", node=self.node_id)
+        if self.tracer.enabled:
+            self.tracer.emit("nic.signal", node=self.node_id)
         handler = self._signal_handler
         overhead = self.params.signal_overhead_us * self.host_scale
         self.cpu.run_handler(lambda ledger: handler(ledger, overhead))

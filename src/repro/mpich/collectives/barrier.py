@@ -34,5 +34,9 @@ def barrier_dissemination(rank, comm: Communicator,
                                          _context=comm.coll_context)
         send_req = yield from rank.isend(_TOKEN, dst, tag, comm,
                                          _context=comm.coll_context)
-        yield from rank.progress.wait(send_req)
-        yield from rank.progress.wait(recv_req)
+        # The eager token send is complete on return and the receive often
+        # is: a finished request needs no wait generator.
+        if not send_req.done:
+            yield from rank.progress.wait(send_req)
+        if not recv_req.done:
+            yield from rank.progress.wait(recv_req)

@@ -241,8 +241,10 @@ class ProgressEngine:
                      context_id: int, ledger: Ledger,
                      ab: Optional[AbHeader]) -> Request:
         ledger.charge(self.costs.host_send_overhead_us, "send")
-        snapshot = np.array(data, copy=True)
-        nbytes = snapshot.nbytes
+        nbytes = data.nbytes
+        # A zero-byte payload (the barrier token) has no contents a later
+        # write could change: it is its own snapshot.
+        snapshot = np.array(data, copy=True) if nbytes else data
         # Eager mode: copy into the pre-pinned GM bounce buffer.
         ledger.charge(self.costs.copy_us(nbytes), "copy")
         self.stats.send_copies += 1

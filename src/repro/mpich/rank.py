@@ -90,8 +90,9 @@ class MpiRank:
         """Blocking send (completes when the transfer is locally done)."""
         request = yield from self.isend(data, dest, tag, comm,
                                         _context=_context)
-        status = yield from self.progress.wait(request)
-        return status
+        if not request.done:  # an eager send is complete on return
+            yield from self.progress.wait(request)
+        return request.status
 
     def irecv(self, buffer: Optional[np.ndarray], source: int,
               tag: int = ANY_TAG, comm: Optional[Communicator] = None, *,
@@ -113,13 +114,13 @@ class MpiRank:
         """Blocking receive; returns the :class:`Status`."""
         request = yield from self.irecv(buffer, source, tag, comm,
                                         _context=_context)
-        status = yield from self.progress.wait(request)
-        return status
+        if not request.done:  # else it matched an unexpected message
+            yield from self.progress.wait(request)
+        return request.status
 
     def wait(self, request: Request) -> Generator:
         """Block until a previously returned request completes."""
-        status = yield from self.progress.wait(request)
-        return status
+        return self.progress.wait(request)
 
     def test(self, request: Request) -> Generator:
         """``MPI_Test``: one progress poll; returns the status if the
@@ -179,12 +180,8 @@ class MpiRank:
         comm = comm or self.comm_world
         sendbuf = np.asarray(sendbuf)
         if self.ab is not None:
-            result = yield from self.ab.reduce(sendbuf, op, root, comm,
-                                               recvbuf)
-        else:
-            result = yield from reduce_nab(self, sendbuf, op, root, comm,
-                                           recvbuf)
-        return result
+            return self.ab.reduce(sendbuf, op, root, comm, recvbuf)
+        return reduce_nab(self, sendbuf, op, root, comm, recvbuf)
 
     def bcast(self, data: Optional[np.ndarray], root: int = 0,
               comm: Optional[Communicator] = None,
@@ -192,51 +189,42 @@ class MpiRank:
               dtype=None) -> Generator:
         """``MPI_Bcast``; returns the broadcast array on every rank."""
         from .collectives.bcast import bcast_binomial
-        comm = comm or self.comm_world
-        result = yield from bcast_binomial(self, data, root, comm,
-                                           count=count, dtype=dtype)
-        return result
+        return bcast_binomial(self, data, root, comm or self.comm_world,
+                              count=count, dtype=dtype)
 
     def barrier(self, comm: Optional[Communicator] = None) -> Generator:
         """``MPI_Barrier`` (dissemination algorithm)."""
         from .collectives.barrier import barrier_dissemination
-        comm = comm or self.comm_world
-        yield from barrier_dissemination(self, comm)
+        return barrier_dissemination(self, comm or self.comm_world)
 
     def allreduce(self, sendbuf: np.ndarray, op: Op = SUM,
                   comm: Optional[Communicator] = None) -> Generator:
         """``MPI_Allreduce`` (reduce-to-0 + broadcast, MPICH 1.2.x style)."""
         from .collectives.allreduce import allreduce_reduce_bcast
-        comm = comm or self.comm_world
-        result = yield from allreduce_reduce_bcast(self, np.asarray(sendbuf),
-                                                   op, comm)
-        return result
+        return allreduce_reduce_bcast(self, np.asarray(sendbuf), op,
+                                      comm or self.comm_world)
 
     def gather(self, senddata: np.ndarray, root: int = 0,
                comm: Optional[Communicator] = None) -> Generator:
         """``MPI_Gather``; root returns a list indexed by comm rank."""
         from .collectives.gather import gather_linear
-        comm = comm or self.comm_world
-        result = yield from gather_linear(self, np.asarray(senddata), root,
-                                          comm)
-        return result
+        return gather_linear(self, np.asarray(senddata), root,
+                             comm or self.comm_world)
 
     def scatter(self, senddata: Optional[np.ndarray], recvbuf: np.ndarray,
                 root: int = 0,
                 comm: Optional[Communicator] = None) -> Generator:
         """``MPI_Scatter`` with an explicit receive buffer."""
         from .collectives.scatter import scatter
-        comm = comm or self.comm_world
-        result = yield from scatter(self, senddata, recvbuf, root, comm)
-        return result
+        return scatter(self, senddata, recvbuf, root,
+                       comm or self.comm_world)
 
     def allgather(self, senddata: np.ndarray,
                   comm: Optional[Communicator] = None) -> Generator:
         """``MPI_Allgather`` (ring); returns an array indexed by rank."""
         from .collectives.scatter import allgather_ring
-        comm = comm or self.comm_world
-        result = yield from allgather_ring(self, np.asarray(senddata), comm)
-        return result
+        return allgather_ring(self, np.asarray(senddata),
+                              comm or self.comm_world)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MpiRank {self.rank} build={self.build.value}>"

@@ -107,7 +107,8 @@ class Fabric:
         self._arbitrate_scheduled = False
         batch = self._pending
         self._pending = []
-        batch.sort(key=lambda entry: (entry[1], entry[2]))
+        if len(batch) > 1:  # the common instant carries one packet
+            batch.sort(key=lambda entry: (entry[1], entry[2]))
         for packet, src, dst, at in batch:
             self._transit(packet, src, dst, at)
 

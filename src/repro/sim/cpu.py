@@ -34,6 +34,7 @@ subtract-the-known-delays protocol.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Optional
 
 from .events import PRIORITY_WAKE
@@ -66,9 +67,10 @@ class Ledger:
         """Add ``duration`` us under ``category``; returns the new total."""
         if duration < 0:
             raise ValueError(f"negative charge: {duration}")
-        self.charges[category] = self.charges.get(category, 0.0) + duration
-        self.total += duration
-        return self.total
+        charges = self.charges
+        charges[category] = charges.get(category, 0.0) + duration
+        total = self.total = self.total + duration
+        return total
 
 
 class HostCpu:
@@ -95,7 +97,7 @@ class HostCpu:
         self._segment: Optional[tuple[float, str, Optional[dict]]] = None
         self._poll_start = 0.0
         self._poll_category = ""
-        self._pending_handlers: list[Callable[[Ledger], None]] = []
+        self._pending_handlers: deque[Callable[[Ledger], None]] = deque()
         self.preemptions = 0
         self.deferred_handlers = 0
         self.handler_runs = 0
@@ -148,27 +150,37 @@ class HostCpu:
         ``charges`` optionally provides a multi-category breakdown (whose sum
         should equal ``duration``) recorded instead of the single category.
         """
-        self._assert_free("begin_busy")
+        if self.state is not IDLE:
+            self._assert_free("begin_busy")
         self.state = BUSY
         self._segment = (duration, category, charges)
         self._resume_cb = resume
+        sim = self.sim
         # A frozen CPU (rank_pause) cannot start work until it thaws.
-        self._wake_time = max(self.sim.now, self._frozen_until) + duration
+        start = sim.now
+        if self._frozen_until > start:
+            start = self._frozen_until
+        self._wake_time = wake = start + duration
         # WAKE class: a segment ending at time t observes every hardware
         # delivery of time t (determinism contract, DESIGN.md §12).
-        self._wake_event = self.sim.at(self._wake_time, self._busy_done,
-                                       priority=PRIORITY_WAKE)
+        self._wake_event = sim.queue.push(wake, self._busy_done, (),
+                                          PRIORITY_WAKE)
 
     def begin_compute(self, duration: float, category: str,
                       resume: Callable[[], None]) -> None:
         """Start an interruptible application-compute segment."""
-        self._assert_free("begin_compute")
+        if self.state is not IDLE:
+            self._assert_free("begin_compute")
         self.state = COMPUTE
         self._segment = (duration, category, None)
         self._resume_cb = resume
-        self._wake_time = max(self.sim.now, self._frozen_until) + duration
-        self._wake_event = self.sim.at(self._wake_time, self._compute_done,
-                                       priority=PRIORITY_WAKE)
+        sim = self.sim
+        start = sim.now
+        if self._frozen_until > start:
+            start = self._frozen_until
+        self._wake_time = wake = start + duration
+        self._wake_event = sim.queue.push(wake, self._compute_done, (),
+                                          PRIORITY_WAKE)
 
     def begin_poll(self, category: str) -> None:
         """Enter the spinning-in-a-blocking-MPI-call state."""
@@ -301,17 +313,20 @@ class HostCpu:
 
     def _busy_done(self) -> None:
         duration, category, charges = self._segment
+        # Billed in place (no per-category call): every amount was already
+        # checked non-negative by ``Busy`` / ``Ledger.charge``.
+        usage = self.usage
         if charges:
             for cat, dur in charges.items():
-                self.charge(dur, cat)
+                usage[cat] = usage.get(cat, 0.0) + dur
         else:
-            self.charge(duration, category)
+            usage[category] = usage.get(category, 0.0) + duration
         # Handlers deferred during the segment run now, back to back; the
         # process resumes only after they complete.
         extra = 0.0
-        while self._pending_handlers:
-            handler = self._pending_handlers.pop(0)
-            extra += self._execute(handler)
+        pending = self._pending_handlers
+        while pending:
+            extra += self._execute(pending.popleft())
         penalty = self.consume_interrupt_penalty()
         if penalty > 0.0:
             # Ignored signals during (or right after) the segment: the
@@ -340,7 +355,7 @@ class HostCpu:
         resume()
 
     def _assert_free(self, op: str) -> None:
-        if self.state != IDLE:
+        if self.state is not IDLE:
             raise RuntimeError(
                 f"{op} on {self.name} while in state {self.state}: "
                 "each node runs exactly one MPI process"

@@ -68,7 +68,7 @@ fault-recovery timers cancelled on every completed descriptor — shows up in
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from . import access
@@ -135,7 +135,11 @@ class Event:
     fn / args:
         The callback and its positional arguments.
     cancelled:
-        Set by :meth:`cancel`; cancelled events are skipped on pop.
+        True once the event is *spent*: set by :meth:`cancel` (the queue
+        then skips it on pop) and by the queue itself when it hands the
+        event out to fire, so a late ``Simulator.cancel`` of an event
+        that already ran is a no-op instead of a second decrement of the
+        live count.
     """
 
     __slots__ = ("time", "priority", "seq", "key", "fn", "args", "cancelled")
@@ -221,10 +225,10 @@ class EventQueue:
              args: tuple = (),
              priority: int = PRIORITY_DELIVERY) -> Event:
         """Schedule ``fn(*args)`` at absolute time ``time``."""
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         seed = self.tiebreak_seed
-        key = None if seed is None else tiebreak_key(seed, self._seq)
-        ev = Event(time, self._seq, fn, args, key, priority)
+        key = seq if seed is None else tiebreak_key(seed, seq)
+        ev = Event(time, seq, fn, args, key, priority)
         current = self._current
         # Exact float equality is the *design* here, not an accident: the
         # calendar keys buckets on raw timestamps, and "same instant"
@@ -234,17 +238,18 @@ class EventQueue:
         if current and time == self._current_time:  # simlint: ignore[SIM003]
             # The instant is mid-drain: join it directly so the new event
             # still fires this instant, in (priority, key, seq) position.
-            heapq.heappush(current, (ev.priority, ev.key, ev.seq, ev))
+            heappush(current, (priority, key, seq, ev))
         else:
             if current and time < self._current_time:
                 # A push into the past of the draining instant (never the
                 # simulator — it cannot schedule before ``now`` — but the
                 # raw queue API allows it and the heap honoured it).
                 self._reinstate_current()
-            bucket = self._buckets.get(time)
+            buckets = self._buckets
+            bucket = buckets.get(time)
             if bucket is None:
-                self._buckets[time] = [ev]
-                heapq.heappush(self._times, time)
+                buckets[time] = [ev]
+                heappush(self._times, time)
             else:
                 bucket.append(ev)
         self._live += 1
@@ -264,7 +269,7 @@ class EventQueue:
         bucket = self._buckets.get(t)
         if bucket is None:
             self._buckets[t] = events
-            heapq.heappush(self._times, t)
+            heappush(self._times, t)
         else:
             bucket.extend(events)
 
@@ -278,14 +283,15 @@ class EventQueue:
                 if times and times[0] < self._current_time:
                     self._reinstate_current()
                     continue
-                ev = heapq.heappop(current)[3]
+                ev = heappop(current)[3]
                 if ev.cancelled:
                     continue
+                ev.cancelled = True  # fired = spent (see Event)
                 self._live -= 1
                 return ev
             if not times:
                 return None
-            t = heapq.heappop(times)
+            t = heappop(times)
             bucket = buckets.pop(t, None)
             if bucket is None:
                 continue  # stale heap entry left by peek-time compaction
@@ -299,6 +305,7 @@ class EventQueue:
                 self._current_time = t
                 if ev.cancelled:
                     continue
+                ev.cancelled = True
                 self._live -= 1
                 return ev
             items: list[_CurrentItem] = [
@@ -307,7 +314,7 @@ class EventQueue:
             ]
             if not items:
                 continue
-            heapq.heapify(items)
+            heapify(items)
             self._current = items
             self._current_time = t
 
@@ -321,19 +328,19 @@ class EventQueue:
             current = self._current
         while current:
             if current[0][3].cancelled:
-                heapq.heappop(current)
+                heappop(current)
             else:
                 return self._current_time
         while times:
             t = times[0]
             bucket = buckets.get(t)
             if bucket is None:
-                heapq.heappop(times)
+                heappop(times)
                 continue
             live = [e for e in bucket if not e.cancelled]
             if not live:
                 del buckets[t]
-                heapq.heappop(times)
+                heappop(times)
                 continue
             if len(live) != len(bucket):
                 buckets[t] = live  # compact so repeated peeks stay cheap

@@ -40,9 +40,32 @@ Commands
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Protocol
 
 SimGen = Generator["Command", Any, Any]
+
+
+class Cpu(Protocol):
+    """What the process driver needs of a process's CPU
+    (:class:`~repro.sim.cpu.HostCpu` is the one implementation)."""
+
+    #: Fail-stop flag: a process whose CPU crashed never advances again.
+    crashed: bool
+
+    def begin_busy(self, duration: float, category: str,
+                   resume: Callable[[], None],
+                   charges: Optional[dict] = None) -> None: ...
+
+    def begin_compute(self, duration: float, category: str,
+                      resume: Callable[[], None]) -> None: ...
+
+    def begin_poll(self, category: str) -> None: ...
+
+    def end_poll(self) -> None: ...
+
+    def consume_interrupt_penalty(self) -> float: ...
+
+    def thaw_delay(self) -> float: ...
 
 
 class Command:
@@ -71,8 +94,15 @@ class Busy(Command):
 
     @classmethod
     def from_ledger(cls, ledger: Any) -> "Busy":
-        """Busy segment whose cost breakdown comes from a CPU ledger."""
-        return cls(ledger.total, "work", dict(ledger.charges))
+        """Busy segment whose cost breakdown comes from a CPU ledger
+        (a snapshot: later charges do not leak into the command)."""
+        # Filled in directly: a ledger total is a sum of amounts
+        # ``Ledger.charge`` already checked, and this runs once per Busy.
+        busy = cls.__new__(cls)
+        busy.duration = ledger.total
+        busy.category = "work"
+        busy.charges = dict(ledger.charges)
+        return busy
 
 
 class Compute(Command):
@@ -103,7 +133,7 @@ class Fork(Command):
     __slots__ = ("gen", "name", "cpu")
 
     def __init__(self, gen: SimGen, name: str = "child",
-                 cpu: Optional[Any] = None):
+                 cpu: Optional[Cpu] = None):
         self.gen = gen
         self.name = name
         self.cpu = cpu
@@ -176,13 +206,17 @@ class SimProcess:
     """Bookkeeping for one running generator."""
 
     __slots__ = ("gen", "name", "cpu", "done", "result", "error", "finished_at",
-                 "_completion")
+                 "resume", "_completion")
 
     def __init__(self, gen: SimGen, name: str,
-                 cpu: Optional[Any] = None):
+                 cpu: Optional[Cpu] = None):
         self.gen = gen
         self.name = name
         self.cpu = cpu  # HostCpu or None for hardware/helper processes
+        #: ``resume()`` sends ``None`` into the generator: the one callable
+        #: every Busy/Compute segment of this process completes into, bound
+        #: by :meth:`Simulator.spawn` once instead of once per segment.
+        self.resume: Callable[[], None]
         self.done = False
         self.result: Any = None
         self.error: Optional[BaseException] = None

@@ -10,12 +10,13 @@ function of ``(time, insertion sequence)``, so every run is bit-identical.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..errors import DeadlockError, ProcessFailed, ReproError
 from . import access
 from .events import Event, EventQueue, PRIORITY_DELIVERY, PRIORITY_WAKE
-from .process import Busy, Compute, Fork, SimGen, SimProcess, WaitFor
+from .process import Busy, Compute, Cpu, Fork, SimGen, SimProcess, WaitFor
 from .trace import Tracer
 
 
@@ -70,7 +71,8 @@ class Simulator:
         return self.queue.push(time, fn, args, priority)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
+        """Cancel a previously scheduled event (a no-op on one that was
+        already cancelled or has already fired: either way it is spent)."""
         if not event.cancelled:
             event.cancel()
             self.queue.note_cancelled()
@@ -79,9 +81,10 @@ class Simulator:
     # processes
     # ------------------------------------------------------------------
     def spawn(self, gen: SimGen, name: str = "proc",
-              cpu: Optional[Any] = None) -> SimProcess:
+              cpu: Optional[Cpu] = None) -> SimProcess:
         """Register a generator as a process and start it at the current time."""
         proc = SimProcess(gen, name, cpu)
+        proc.resume = partial(self._step, proc, None)
         self.processes.append(proc)
         self._live_processes += 1
         self.processes_spawned += 1
@@ -91,52 +94,64 @@ class Simulator:
     def run(self, until: Optional[float] = None, *,
             max_events: Optional[int] = None,
             error_on_deadlock: bool = True) -> float:
-        """Drain the event queue (optionally bounded); returns final time."""
+        """Drain the event queue (optionally bounded); returns final time.
+
+        One loop for every caller: the bounds and the armed hooks are
+        folded into locals once, so the unbounded, unhooked production
+        run pays one test of a local for each per event.  A monitor or
+        tracer installed while a run is in flight takes effect at the
+        next ``run``.
+        """
         queue = self.queue
+        pop = queue.pop
         monitors = self.monitors
         tracer = access.TRACER
+        hooked = bool(monitors) or tracer is not None
+        # -1 never equals the non-negative count: no event limit.
+        limit = -1 if max_events is None else max(0, max_events)
         processed = 0
-        while True:
-            if max_events is not None and processed >= max_events:
-                break
-            if until is not None:
-                next_time = queue.peek_time()
-                if next_time is None:
-                    # Queue drained before the bound: the clock still
-                    # advances to `until`, exactly as it does when an
-                    # event beyond the bound remains queued.
-                    if until > self.now:
+        try:
+            while processed != limit:
+                if until is not None:
+                    next_time = queue.peek_time()
+                    if next_time is None:
+                        # Queue drained before the bound: the clock still
+                        # advances to `until`, exactly as it does when an
+                        # event beyond the bound remains queued.
+                        if until > self.now:
+                            self.now = until
+                        break
+                    if next_time > until:
+                        # Leave the event queued so the run can be resumed.
                         self.now = until
+                        break
+                ev = pop()
+                if ev is None:
                     break
-                if next_time > until:
-                    # Leave the event queued so the run can be resumed.
-                    self.now = until
-                    break
-            ev = queue.pop()
-            if ev is None:
-                break
-            if monitors:
-                for monitor in monitors:
-                    monitor.on_event(ev.time, self.now)
-            if tracer is not None:
-                tracer.on_event_begin(ev)
-            self.now = ev.time
-            ev.fn(*ev.args)
-            processed += 1
-        self.events_processed += processed
+                if hooked:
+                    for monitor in monitors:
+                        monitor.on_event(ev.time, self.now)
+                    if tracer is not None:
+                        tracer.on_event_begin(ev)
+                self.now = ev.time
+                # Counted before it fires: an event whose callback raises
+                # was still popped and executed.
+                processed += 1
+                ev.fn(*ev.args)
+        finally:
+            self.events_processed += processed
         if error_on_deadlock and until is None and max_events is None:
             # Processes whose CPU fail-stopped (repro.faults rank_crash)
             # are dead by design, not deadlocked.
             blocked = [p.name for p in self.processes
                        if not p.done
-                       and not (p.cpu is not None
-                                and getattr(p.cpu, "crashed", False))]
+                       and not (p.cpu is not None and p.cpu.crashed)]
             if blocked:
                 raise DeadlockError(blocked)
         return self.now
 
     def run_process(self, gen: SimGen, name: str = "main",
-                    cpu: Optional[Any] = None) -> Any:
+                    cpu: Optional[Cpu] = None) -> Any:
         """Convenience: spawn ``gen``, run to completion, return its value."""
         proc = self.spawn(gen, name, cpu)
         self.run()
@@ -178,7 +193,8 @@ class Simulator:
     def _step(self, proc: SimProcess, value: Any = None) -> None:
         if proc.done:
             return
-        if proc.cpu is not None and getattr(proc.cpu, "crashed", False):
+        cpu = proc.cpu
+        if cpu is not None and cpu.crashed:
             return  # fail-stopped rank: the process never advances again
         self.ops_executed += 1
         try:
@@ -200,50 +216,47 @@ class Simulator:
 
         kind = type(cmd)
         if kind is Busy:
-            if proc.cpu is None:
+            if cpu is None:
                 self.schedule(cmd.duration, self._step, proc, None)
             else:
-                proc.cpu.begin_busy(cmd.duration, cmd.category,
-                                    lambda: self._step(proc, None),
-                                    charges=cmd.charges)
+                cpu.begin_busy(cmd.duration, cmd.category, proc.resume,
+                               cmd.charges)
         elif kind is Compute:
-            if proc.cpu is None:
+            if cpu is None:
                 self.schedule(cmd.duration, self._step, proc, None)
             else:
-                proc.cpu.begin_compute(cmd.duration, cmd.category,
-                                       lambda: self._step(proc, None))
+                cpu.begin_compute(cmd.duration, cmd.category, proc.resume)
         elif kind is WaitFor:
-            if cmd.poll_category is not None and proc.cpu is not None:
-                cpu = proc.cpu
+            if cmd.poll_category is not None and cpu is not None:
                 cpu.begin_poll(cmd.poll_category)
-
-                def _poll_woken(val: Any, _cpu: Any = cpu,
-                                _proc: Any = proc) -> None:
-                    if getattr(_cpu, "crashed", False):
-                        return
-                    # Signals ignored while spinning still stole the CPU:
-                    # the poller notices the wake-up late by that much.
-                    # A frozen CPU (rank_pause) additionally cannot notice
-                    # the wake-up until it thaws.
-                    penalty = (_cpu.consume_interrupt_penalty()
-                               + _cpu.thaw_delay())
-
-                    def _resume() -> None:
-                        _cpu.end_poll()
-                        self._step(_proc, val)
-
-                    # WAKE class: a poller resuming at time t observes
-                    # every hardware delivery of time t (e.g. an rx
-                    # completion landing at the exact wake instant).
-                    self.schedule(penalty, _resume, priority=PRIORITY_WAKE)
-
-                cmd.trigger.add_waiter(_poll_woken)
+                cmd.trigger.add_waiter(partial(self._poll_woken, proc, cpu))
             else:
-                cmd.trigger.add_waiter(
-                    lambda val, _proc=proc: self.schedule(0.0, self._step, _proc, val))
+                cmd.trigger.add_waiter(partial(self._wake, proc))
         elif kind is Fork:
             child = self.spawn(cmd.gen, cmd.name, cmd.cpu)
             self.schedule(0.0, self._step, proc, child)
         else:
             raise TypeError(f"process {proc.name!r} yielded {cmd!r}, "
                             "expected a sim command")
+
+    def _wake(self, proc: SimProcess, value: Any) -> None:
+        """A passive ``WaitFor`` fired: resume the process this instant."""
+        self.queue.push(self.now, self._step, (proc, value))
+
+    def _poll_woken(self, proc: SimProcess, cpu: Cpu, value: Any) -> None:
+        """A polled ``WaitFor`` fired: the spinning CPU notices it."""
+        if cpu.crashed:
+            return
+        # Signals ignored while spinning still stole the CPU: the poller
+        # notices the wake-up late by that much.  A frozen CPU
+        # (rank_pause) additionally cannot notice it until it thaws.
+        penalty = cpu.consume_interrupt_penalty() + cpu.thaw_delay()
+        # WAKE class: a poller resuming at time t observes every hardware
+        # delivery of time t (e.g. an rx completion landing at the exact
+        # wake instant).
+        self.queue.push(self.now + penalty, self._poll_resume,
+                        (proc, cpu, value), PRIORITY_WAKE)
+
+    def _poll_resume(self, proc: SimProcess, cpu: Cpu, value: Any) -> None:
+        cpu.end_poll()
+        self._step(proc, value)

@@ -1,0 +1,157 @@
+"""``Simulator.run`` has one behaviour, however it is bounded or hooked.
+
+The event loop hoists its ``until`` / ``max_events`` / hook tests out of
+the per-event path (DESIGN.md §13), so these tests pin what that must not
+change: a simulation driven in one-event or one-instant slices is the same
+simulation, armed hooks see every event exactly once, and the per-point
+work counters of the paper regime are what they were — an accidental event
+merge (or split) fails here, in tier-1, not in a CI grid.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.invariants import InvariantMonitor
+from repro.analysis.races import HappensBeforeTracer
+from repro.config import FaultParams, NetParams
+from repro.orchestrate.points import ConfigSpec, SweepPoint, execute_point
+from repro.sim import access
+from repro.sim.events import EventQueue
+from repro.sim.simulator import Simulator
+
+_REAL_RUN = Simulator.run
+_REAL_POP = EventQueue.pop
+
+
+def _cpu_util_point(build: str = "ab") -> SweepPoint:
+    return SweepPoint("loop-cpu_util", "cpu_util", ConfigSpec("paper", 8, 3),
+                      build, 4, max_skew_us=1000.0, iterations=6)
+
+
+def _lossy_point() -> SweepPoint:
+    lossy = ConfigSpec(
+        "paper", 8, 3,
+        net=NetParams(topology="fattree", fattree_hosts_per_switch=4),
+        faults=FaultParams(burst_prob=0.02, burst_len=3,
+                           descriptor_timeout_us=20000.0, timeout_retries=3))
+    return SweepPoint("loop-fault_reduce", "fault_reduce", lossy, "ab", 4,
+                      iterations=30)
+
+
+POINTS = [pytest.param(_cpu_util_point, id="cpu_util-ab-8"),
+          pytest.param(_lossy_point, id="fault_reduce-lossy-8")]
+
+
+# ---------------------------------------------------------------------------
+# (i) bounded slices == one unbounded run
+# ---------------------------------------------------------------------------
+
+def _whole(sim: Simulator) -> None:
+    _REAL_RUN(sim)
+
+
+def _one_event_slices(sim: Simulator) -> None:
+    while sim.queue:
+        _REAL_RUN(sim, max_events=1)
+    _REAL_RUN(sim)          # empty queue: only the deadlock check is left
+
+
+def _one_instant_slices(sim: Simulator) -> None:
+    # `until` = the next event's own time: the slice fires that whole
+    # instant, stops at the first later event and leaves it queued.
+    while (t := sim.queue.peek_time()) is not None:
+        _REAL_RUN(sim, until=t)
+    _REAL_RUN(sim)
+
+
+def _drive(point: SweepPoint, driver, monkeypatch) -> dict:
+    """Run ``point`` with every unbounded ``sim.run()`` replaced by
+    ``driver``; returns everything observable about the run."""
+    fired: list = []
+    final_now: list = []
+
+    def recording_pop(queue):
+        ev = _REAL_POP(queue)
+        if ev is not None:
+            fired.append((ev.time, ev.priority, ev.seq, ev.label()))
+        return ev
+
+    def sliced_run(sim, *args, **kwargs):
+        assert not args and not kwargs      # the benches run unbounded
+        driver(sim)
+        final_now.append(sim.now)
+        return sim.now
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EventQueue, "pop", recording_pop)
+        patch.setattr(Simulator, "run", sliced_run)
+        result = execute_point(point)
+    return {"fired": fired, "now": final_now, "metrics": result.metrics,
+            "counters": result.counters}
+
+
+@pytest.mark.parametrize("make_point", POINTS)
+def test_bounded_slices_are_the_same_simulation(make_point, monkeypatch):
+    whole = _drive(make_point(), _whole, monkeypatch)
+    assert whole["counters"]["events"] == len(whole["fired"]) > 1000
+    for driver in (_one_event_slices, _one_instant_slices):
+        sliced = _drive(make_point(), driver, monkeypatch)
+        assert sliced["fired"] == whole["fired"], driver.__name__
+        assert sliced == whole, driver.__name__
+
+
+# ---------------------------------------------------------------------------
+# (ii) armed hooks see every event exactly once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make_point", POINTS)
+def test_monitor_hook_fires_once_per_event(make_point, monkeypatch):
+    calls = []
+    real_on_event = InvariantMonitor.on_event
+
+    def counting_on_event(self, event_time, now):
+        calls.append(event_time)
+        real_on_event(self, event_time, now)
+
+    monkeypatch.setattr(InvariantMonitor, "on_event", counting_on_event)
+    # The suite's conftest arms an InvariantMonitor on every cluster.
+    result = execute_point(make_point())
+    assert len(calls) == result.counters["events"] > 1000
+
+
+@pytest.mark.parametrize("make_point", POINTS)
+def test_tracer_hook_fires_once_per_event(make_point):
+    tracer = HappensBeforeTracer()
+    prev = access.get_access_tracer()
+    access.set_access_tracer(tracer)
+    try:
+        result = execute_point(make_point())
+    finally:
+        access.set_access_tracer(prev)
+    begun = sum(1 for rec in tracer.records if rec.executed)
+    assert begun == result.counters["events"] > 1000
+    # Every push was announced too: fired + cancelled + (none left queued).
+    assert len(tracer.records) == (result.counters["events"]
+                                   + result.counters["events_cancelled"])
+
+
+# ---------------------------------------------------------------------------
+# (iii) the paper-8 work counters, pinned
+# ---------------------------------------------------------------------------
+
+#: One Busy = one event + one op; one poll wake = one event.  These move
+#: only when the simulated protocol does — a perf change must not.
+PAPER8_COUNTERS = {
+    "nab": {"events": 2279, "events_cancelled": 0, "ops": 1455,
+            "processes": 8},
+    "ab": {"events": 2126, "events_cancelled": 18, "ops": 1284,
+           "processes": 8},
+}
+
+
+@pytest.mark.parametrize("build", ["nab", "ab"])
+def test_paper8_work_counters_are_pinned(build):
+    counters = execute_point(_cpu_util_point(build)).counters
+    assert {key: counters[key] for key in PAPER8_COUNTERS[build]} \
+        == PAPER8_COUNTERS[build]

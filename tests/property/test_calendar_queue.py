@@ -10,8 +10,11 @@ FIFO mode and under a tiebreak-shuffle seed.
 
 These tests drive the real queue and a brute-force oracle (min over the
 live set) through hypothesis-generated schedules and compare every
-observable: which event pops, what ``peek_time`` reports, and the live
-count.  The same-instant ordering laws themselves live in
+observable: which event pops, what ``peek_time`` reports, the live count
+and the cancelled count.  Cancels go through ``Simulator.cancel``'s rule
+and may name *any* event ever pushed: one that already fired or was
+already cancelled is spent, and cancelling it must change nothing.  The
+same-instant ordering laws themselves live in
 ``test_tiebreak_properties.py``; this file pins the data structure.
 """
 
@@ -31,30 +34,37 @@ TIMES = (0.0, 1.0, 1.5, 2.0, 7.25)
 
 
 class OracleQueue:
-    """Brute force: pop = min over the live set by the total event order."""
+    """Brute force: pop = min over the live set by the total event order.
+
+    Keeps its own record of what is live (it shares the ``Event`` objects
+    with the real queue but never reads their ``cancelled`` flag)."""
 
     def __init__(self) -> None:
         self.live: list = []
+        self.cancelled = 0
 
     def push(self, ev) -> None:
         self.live.append(ev)
 
     def pop(self):
-        candidates = [e for e in self.live if not e.cancelled]
-        if not candidates:
-            self.live = []
+        if not self.live:
             return None
-        best = min(candidates,
+        best = min(self.live,
                    key=lambda e: (e.time, e.priority, e.key, e.seq))
         self.live.remove(best)
         return best
 
+    def cancel(self, ev) -> None:
+        """Only a pending event can be cancelled; a spent one is a no-op."""
+        if ev in self.live:
+            self.live.remove(ev)
+            self.cancelled += 1
+
     def peek_time(self):
-        candidates = [e for e in self.live if not e.cancelled]
-        return min(e.time for e in candidates) if candidates else None
+        return min(e.time for e in self.live) if self.live else None
 
     def __len__(self) -> int:
-        return sum(1 for e in self.live if not e.cancelled)
+        return len(self.live)
 
 
 def _ops():
@@ -89,13 +99,16 @@ def _run_schedule(seed, ops):
                 f"{want and (want.time, want.priority, want.seq)}")
         elif op[0] == "peek":
             assert queue.peek_time() == oracle.peek_time()
-        else:  # cancel the op[1]-th still-live pushed event, if any
-            candidates = [e for e in oracle.live if not e.cancelled]
-            if candidates:
-                victim = candidates[op[1] % len(candidates)]
+        elif pushed:
+            # Cancel the op[1]-th event ever pushed — pending, already
+            # fired or already cancelled — the way Simulator.cancel does.
+            victim = pushed[op[1] % len(pushed)]
+            if not victim.cancelled:
                 victim.cancel()
                 queue.note_cancelled()
-    assert len(queue) == len(oracle)
+            oracle.cancel(victim)
+        assert len(queue) == len(oracle)
+        assert queue.cancelled == oracle.cancelled
     # Drain both: the tails must agree event-for-event.
     while True:
         got, want = queue.pop(), oracle.pop()

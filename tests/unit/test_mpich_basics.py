@@ -146,6 +146,18 @@ def test_request_completion_trigger():
     assert seen == [status]
 
 
+def test_request_completion_asked_for_after_the_fact():
+    """The trigger is built on first use; built late it is already fired."""
+    req = Request("send")
+    status = Status(3, 1, 32)
+    req.complete(status)
+    assert req.completion.fired and req.completion.value is status
+    seen = []
+    req.completion.add_waiter(seen.append)
+    assert seen == [status]
+    assert req.completion is req.completion     # one trigger per request
+
+
 def test_request_kind_validation():
     with pytest.raises(ValueError):
         Request("other")

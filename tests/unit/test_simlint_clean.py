@@ -33,33 +33,36 @@ def _copy_src(tmp_path: Path) -> Path:
 
 def test_seeded_dropped_yield_from_fails_gate(tmp_path, capsys):
     src = _copy_src(tmp_path)
-    rank = src / "repro" / "mpich" / "rank.py"
-    text = rank.read_text(encoding="utf-8")
-    # Drop the `yield from` off a collective call inside MpiRank.reduce.
-    anchor = "result = yield from reduce_nab(self, sendbuf"
+    engine = src / "repro" / "core" / "engine.py"
+    text = engine.read_text(encoding="utf-8")
+    # Lose the `from` off the AB engine's fallback to the default reduce:
+    # the driver would be handed a raw generator and skip the collective.
+    anchor = "yield from reduce_nab("
     assert anchor in text
-    rank.write_text(text.replace(
-        anchor,
-        "reduce_nab(self, sendbuf, op, root, comm, recvbuf)\n"
-        "            " + anchor,
-        1), encoding="utf-8")
+    engine.write_text(text.replace(anchor, "yield reduce_nab(", 1),
+                      encoding="utf-8")
     rc = main(["--baseline", str(BASELINE), str(src)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "SIM001" in out and "reduce_nab" in out
 
 
+def _prepend_to_body(text: str, def_line: str, statement: str) -> str:
+    """Insert ``statement`` as the first body line of the function whose
+    ``def`` line is ``def_line``, at that body's own indentation."""
+    head, sep, body = text.partition(def_line + "\n")
+    assert sep, f"{def_line!r} not found"
+    indent = body[:len(body) - len(body.lstrip(" "))]
+    return head + sep + indent + statement + "\n" + body
+
+
 def test_seeded_wall_clock_fails_gate(tmp_path, capsys):
     src = _copy_src(tmp_path)
     simulator = src / "repro" / "sim" / "simulator.py"
     text = simulator.read_text(encoding="utf-8")
-    assert "self.events_processed += processed" in text
-    simulator.write_text(text.replace(
-        "self.events_processed += processed",
-        "import time\n"
-        "        self._wall = time.time()\n"
-        "        self.events_processed += processed",
-        1), encoding="utf-8")
+    simulator.write_text(_prepend_to_body(
+        text, "    def live_process_count(self) -> int:",
+        "import time; self._wall = time.time()"), encoding="utf-8")
     rc = main(["--baseline", str(BASELINE), str(src)])
     out = capsys.readouterr().out
     assert rc == 1

@@ -169,6 +169,88 @@ def test_process_exception_wrapped(sim):
     assert exc.value.process_name == "bad"
 
 
+def test_events_processed_survives_a_raising_callback(sim):
+    """The counters a failed run leaves behind still say what fired."""
+    def bad():
+        yield Busy(1.0)
+        raise ValueError("boom")
+
+    sim.spawn(bad(), "bad")
+    with pytest.raises(ProcessFailed):
+        sim.run()
+    # The spawn step and the Busy completion both fired (the second one
+    # is the event whose callback raised).
+    assert sim.events_processed == 2
+    assert sim.counters()["events"] == 2
+
+
+def test_cancel_after_fire_is_a_noop(sim):
+    """A fired event is spent: cancelling it must not touch the queue."""
+    fired = []
+    ev = sim.schedule(1.0, fired.append, "x")
+    sim.run()
+    sim.cancel(ev)
+    assert fired == ["x"]
+    assert len(sim.queue) == 0 and not sim.queue
+    assert sim.counters()["events_cancelled"] == 0
+    # ...and the queue is still usable afterwards.
+    sim.schedule(1.0, fired.append, "y")
+    assert len(sim.queue) == 1
+    sim.run()
+    assert fired == ["x", "y"]
+
+
+def test_cancel_from_inside_the_firing_event_is_a_noop(sim):
+    holder = []
+
+    def cancel_self():
+        sim.cancel(holder[0])
+
+    holder.append(sim.schedule(1.0, cancel_self))
+    later = sim.schedule(2.0, lambda: None)
+    sim.run(until=1.5)
+    assert len(sim.queue) == 1          # only `later` is pending
+    sim.cancel(later)
+    sim.cancel(later)                   # double cancel: counted once
+    assert len(sim.queue) == 0
+    assert sim.counters()["events_cancelled"] == 1
+
+
+def test_freeze_during_process_busy_rearms_wake_event(sim):
+    """The driver's Busy fast path leaves freeze() a cancellable event."""
+    cpu = HostCpu(sim, "cpu0")
+    resumed = []
+
+    def main():
+        yield Busy(10.0, "copy")
+        resumed.append(sim.now)
+
+    sim.spawn(main(), "main", cpu=cpu)
+    sim.schedule(3.0, cpu.freeze, 20.0)
+    sim.run()
+    assert resumed == [30.0]
+    assert cpu.usage == {"copy": 10.0}
+    assert sim.counters()["events_cancelled"] == 1   # the original wake-up
+    assert len(sim.queue) == 0
+
+
+def test_crash_during_process_busy_cancels_wake_event(sim):
+    cpu = HostCpu(sim, "cpu0")
+    resumed = []
+
+    def main():
+        yield Busy(10.0, "copy")
+        resumed.append(sim.now)
+
+    proc = sim.spawn(main(), "main", cpu=cpu)
+    sim.schedule(3.0, cpu.crash)
+    sim.run()                           # crashed, so not a deadlock
+    assert resumed == [] and not proc.done
+    assert sim.counters()["events_cancelled"] == 1
+    assert len(sim.queue) == 0
+    assert sim.now == 3.0               # the cancelled wake-up never fired
+
+
 def test_deadlock_detection(sim):
     def stuck():
         yield WaitFor(Trigger())   # never fires
