@@ -21,9 +21,11 @@ How each lowering executes:
     window all run unchanged, just with schedule-resolved neighbors; the
     root (which can never bypass) walks the schedule's steps on the host.
 ``allreduce.pipelined``
-    Verified against the config-derived lowering (the AB broadcast
+    This rank's steps are verified against its own config-derived
+    :func:`~repro.schedule.lower.pipelined_rank_steps` (the AB broadcast
     extension routes by the configured tree, so a reshaped schedule cannot
-    execute), then driven through :class:`~repro.pipeline.reduce.AbPipeline`.
+    execute) — O(own steps) per call, like everything else a rank does —
+    then driven through :class:`~repro.pipeline.reduce.AbPipeline`.
 
 Guards: a schedule whose segmentation disagrees with the config's plan, an
 AB schedule on a non-AB build, a rendezvous-sized payload on an AB
@@ -44,6 +46,8 @@ from ..mpich.communicator import Communicator
 from ..mpich.datatypes import Datatype, from_array
 from ..mpich.operations import SUM, Op
 from ..schedule.ir import Schedule, reduce_neighbors
+from ..schedule.lower import pipelined_rank_steps, seg_ids
+from ..topo import ranks as tree
 from .plan import CollectivePlan
 
 __all__ = ["ScheduleExecutionError", "execute_schedule"]
@@ -173,9 +177,8 @@ def _execute_allreduce_pipelined(rank, schedule: Schedule,
             "for %d bytes" % (schedule.nseg, planned, sendbuf.nbytes))
 
     # The broadcast extension derives its forwarding tree from the config,
-    # so the schedule must agree with the config-derived lowering; a
-    # reshaped pipelined allreduce is not executable.
-    from ..schedule.lower import LOWERINGS
+    # so this rank's steps must agree with its own config-derived
+    # lowering; a reshaped pipelined allreduce is not executable.
     me = comm.rank_of_world(rank.rank)
     shape = rank.tree_shape_for(sendbuf.nbytes)
     if shape.name != rank.tree_shape.name:
@@ -183,9 +186,10 @@ def _execute_allreduce_pipelined(rank, schedule: Schedule,
             "auto-resolved reduce tree %r differs from the broadcast tree "
             "%r; pipelined allreduce schedules need one tree"
             % (shape.name, rank.tree_shape.name))
-    expected = LOWERINGS["allreduce.pipelined"](
-        shape, comm.size, root=schedule.root, nseg=schedule.nseg)
-    if expected.steps[me] != schedule.steps[me]:
+    expected = pipelined_rank_steps(
+        *tree.family(shape, comm.size, schedule.root, me),
+        seg_ids(schedule.nseg))
+    if tuple(expected) != schedule.steps[me]:
         raise ScheduleExecutionError(
             "allreduce.pipelined schedule disagrees with the configured "
             "%r tree on rank %d; the AB broadcast extension cannot follow "

@@ -5,7 +5,8 @@ A collective run is represented as an explicit :class:`~repro.schedule.ir.Schedu
 instead of orderings baked into engine code.  The package provides:
 
 ``ir``
-    The frozen, JSON-round-trippable IR plus structural validation.
+    The frozen, JSON-round-trippable IR plus structural validation —
+    O(steps), behind a typed JSON front door (:class:`ScheduleError`).
 ``lower``
     Lowerings that emit schedules from the existing tree-shape registry
     (whole-message and segmented variants for nab/AB reduce, bcast and
@@ -29,7 +30,7 @@ and :mod:`repro.mpich.collectives` imports it.  Host-side steps execute in
 the engines) dispatches a whole schedule onto that walker and the AB engine.
 """
 
-from .ir import (BcastStep, FoldStep, RecvStep, Schedule,
+from .ir import (BcastStep, FoldStep, RecvStep, Schedule, ScheduleError,
                  ScheduleValidationError, SendStep, Step, WaitStep,
                  reduce_neighbors)
 from .lower import LOWERINGS, lower, register_lowering
@@ -41,7 +42,8 @@ from .table import (TunedEntry, TuningTable, clear_table_cache,
 
 __all__ = [
     "Step", "SendStep", "RecvStep", "FoldStep", "BcastStep", "WaitStep",
-    "Schedule", "ScheduleValidationError", "reduce_neighbors",
+    "Schedule", "ScheduleError", "ScheduleValidationError",
+    "reduce_neighbors",
     "LOWERINGS", "lower", "register_lowering",
     "PASSES", "PassError", "register_pass", "get_pass", "apply_passes",
     "TunedEntry", "TuningTable", "default_table_path", "load_default_table",

@@ -26,16 +26,18 @@ Segment ids are ``-1`` for whole-message schedules (``nseg == 0``) and
 Validation (:meth:`Schedule.validate`) checks structure, that the send and
 receive multisets match exactly on each channel, that every fold has an
 unconsumed operand, and — by abstractly executing all ranks against buffered
-channels — that no rank blocks forever.
+channels — that no rank blocks forever.  Lowering, validation and the JSON
+round trip are all O(steps) (DESIGN.md §15); :meth:`Schedule.from_json` is
+the front door for outside input and answers anything malformed with one
+:class:`ScheduleError` line.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from ..errors import ReproError
 
@@ -51,24 +53,69 @@ class ScheduleValidationError(ScheduleError):
 
 
 class Step:
-    """Base class for schedule steps (frozen dataclass subclasses)."""
+    """Base class for schedule steps (frozen dataclass subclasses).
+
+    Every step class ends in a ``seg`` field.  :func:`_step_type` reflects
+    over a class's fields once, at import, into ``_fields`` (names in
+    declaration = JSON order), ``_json_fields`` (name, default, JSON
+    decoder) and ``_json_keys``; nothing on the per-step paths below calls
+    :func:`dataclasses.fields`.
+    """
 
     op = "step"
+    _fields: tuple = ()
+    _json_fields: tuple = ()
+    _json_keys: frozenset = frozenset()
 
     def with_seg(self, seg: int) -> "Step":
         """Return a copy of this step tagged with segment id ``seg``."""
-        return replace(self, seg=seg)
+        return self.__class__(
+            *[getattr(self, name) for name in self._fields[:-1]], seg)
 
     def to_dict(self) -> dict:
         d = {"step": self.op}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            d[f.name] = value
+        for name in self._fields:
+            d[name] = getattr(self, name)
         return d
 
 
+STEP_TYPES: dict = {}
+
+
+def _str_from_json(kind: str, name: str, value) -> str:
+    if type(value) is not str:
+        raise ScheduleError(
+            "%s.%s must be a string, got %r" % (kind, name, value))
+    return value
+
+
+def _ints_from_json(kind: str, name: str, value) -> tuple:
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise ScheduleError(
+            "%s.%s must be a list of ints, got %r" % (kind, name, value))
+    return tuple(value)
+
+
+#: Field annotation -> JSON decoder; None is the inline ``type(v) is int``
+#: test of :func:`step_from_dict` (``1.0``, ``"1"`` and ``true`` are not ints).
+_JSON_DECODERS = {"int": None, "str": _str_from_json, "tuple": _ints_from_json}
+
+
+def _step_type(cls):
+    """Class decorator: register a step dataclass under its ``op`` tag and
+    build its field tables (see :class:`Step`)."""
+    fields = dataclasses.fields(cls)
+    cls._fields = tuple(f.name for f in fields)
+    cls._json_fields = tuple(
+        (f.name, f.default,
+         _JSON_DECODERS[getattr(f.type, "__name__", f.type)])
+        for f in fields)
+    cls._json_keys = frozenset(cls._fields) | {"step"}
+    STEP_TYPES[cls.op] = cls
+    return cls
+
+
+@_step_type
 @dataclass(frozen=True)
 class SendStep(Step):
     peer: int
@@ -76,6 +123,7 @@ class SendStep(Step):
     op = "send"
 
 
+@_step_type
 @dataclass(frozen=True)
 class RecvStep(Step):
     peer: int
@@ -83,6 +131,7 @@ class RecvStep(Step):
     op = "recv"
 
 
+@_step_type
 @dataclass(frozen=True)
 class FoldStep(Step):
     child: int
@@ -90,6 +139,7 @@ class FoldStep(Step):
     op = "fold"
 
 
+@_step_type
 @dataclass(frozen=True)
 class BcastStep(Step):
     peer: int
@@ -104,6 +154,7 @@ class BcastStep(Step):
                 % (self.direction,))
 
 
+@_step_type
 @dataclass(frozen=True)
 class WaitStep(Step):
     children: tuple = ()
@@ -113,22 +164,60 @@ class WaitStep(Step):
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
 
+    def to_dict(self) -> dict:
+        return {"step": "wait", "children": list(self.children),
+                "seg": self.seg}
 
-STEP_TYPES = {cls.op: cls for cls in (SendStep, RecvStep, FoldStep,
-                                      BcastStep, WaitStep)}
 
 AnyStep = Union[SendStep, RecvStep, FoldStep, BcastStep, WaitStep]
 
 
 def step_from_dict(d: dict) -> AnyStep:
+    """One step from its JSON object, typed by the class's annotations: an
+    ``int`` field takes a real ``int`` only, and no key may be unknown."""
+    if type(d) is not dict:
+        raise ScheduleError("a step must be a JSON object, got %r" % (d,))
     kind = d.get("step")
-    cls = STEP_TYPES.get(kind)
+    cls = STEP_TYPES.get(kind) if type(kind) is str else None
     if cls is None:
         raise ScheduleError("unknown step tag %r" % (kind,))
-    kwargs = {f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d}
-    if cls is WaitStep and "children" in kwargs:
-        kwargs["children"] = tuple(kwargs["children"])
-    return cls(**kwargs)
+    args = []
+    for name, default, from_json in cls._json_fields:
+        value = d.get(name, default)
+        if value is dataclasses.MISSING:
+            raise ScheduleError("%s step has no %r" % (kind, name))
+        if from_json is None:
+            if type(value) is not int:
+                raise ScheduleError(
+                    "%s.%s must be an int, got %r" % (kind, name, value))
+        elif value is not default:
+            value = from_json(kind, name, value)
+        args.append(value)
+    if not cls._json_keys.issuperset(d):
+        _refuse_unknown_keys("%s step" % kind, d, cls._json_keys)
+    return cls(*args)
+
+
+def _refuse_unknown_keys(what: str, d: dict, known: frozenset) -> None:
+    raise ScheduleError(
+        "%s has unknown key(s) %s"
+        % (what, ", ".join(sorted(repr(k) for k in set(d) - known))))
+
+
+_JSON_KINDS = {int: "an int", str: "a string", list: "a list"}
+_SCHEDULE_KEYS = frozenset(("schema", "collective", "lowering", "nranks",
+                            "root", "nseg", "meta", "ranks"))
+
+
+def _json_field(d: dict, name: str, kind: type, default=dataclasses.MISSING):
+    """Top-level field ``name`` of a schedule object, of exactly ``kind``."""
+    value = d.get(name, default)
+    if value is dataclasses.MISSING:
+        raise ScheduleError("schedule has no %r" % (name,))
+    if type(value) is not kind:
+        raise ScheduleError("%s must be %s, got %r"
+                            % (name, _JSON_KINDS[kind], value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -144,6 +233,7 @@ class Schedule:
     steps: tuple = ()                    # per-rank tuples of Step
 
     def __post_init__(self) -> None:
+        # O(ranks), not O(steps): tuple() of a tuple is that tuple.
         object.__setattr__(self, "meta", tuple(tuple(kv) for kv in self.meta))
         object.__setattr__(self, "steps", tuple(tuple(s) for s in self.steps))
 
@@ -180,20 +270,48 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
+        """The schedule a :meth:`to_dict` object describes.  The front door
+        for outside input: anything malformed is one :class:`ScheduleError`
+        line naming the place (``ranks[3][7]: send.peer must be an int, got
+        '1'``), never a traceback from inside."""
+        if type(d) is not dict:
+            raise ScheduleError(
+                "a schedule must be a JSON object, got %r" % (d,))
         schema = d.get("schema")
         if schema != SCHEDULE_SCHEMA:
             raise ScheduleError(
                 "unsupported schedule schema %r (expected %d)"
                 % (schema, SCHEDULE_SCHEMA))
+        if not _SCHEDULE_KEYS.issuperset(d):
+            _refuse_unknown_keys("schedule", d, _SCHEDULE_KEYS)
+        meta = _json_field(d, "meta", list, [])
+        for i, kv in enumerate(meta):
+            if (type(kv) is not list or len(kv) != 2
+                    or type(kv[0]) is not str or type(kv[1]) is not str):
+                raise ScheduleError(
+                    "meta[%d] must be a [key, value] pair of strings, got %r"
+                    % (i, kv))
+        steps = []
+        for rank in _json_field(d, "ranks", list, []):
+            if type(rank) is not list:
+                raise ScheduleError("ranks[%d] must be a list of steps, got %r"
+                                    % (len(steps), rank))
+            row: list = []
+            try:
+                for step in rank:
+                    row.append(step_from_dict(step))
+            except ScheduleError as exc:
+                raise ScheduleError("ranks[%d][%d]: %s"
+                                    % (len(steps), len(row), exc)) from None
+            steps.append(tuple(row))
         return cls(
-            collective=d["collective"],
-            lowering=d["lowering"],
-            nranks=int(d["nranks"]),
-            root=int(d.get("root", 0)),
-            nseg=int(d.get("nseg", 0)),
-            meta=tuple((str(k), str(v)) for k, v in d.get("meta", [])),
-            steps=tuple(tuple(step_from_dict(s) for s in rank)
-                        for rank in d.get("ranks", [])),
+            collective=_json_field(d, "collective", str),
+            lowering=_json_field(d, "lowering", str),
+            nranks=_json_field(d, "nranks", int),
+            root=_json_field(d, "root", int, 0),
+            nseg=_json_field(d, "nseg", int, 0),
+            meta=tuple(tuple(kv) for kv in meta),
+            steps=tuple(steps),
         )
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
@@ -201,20 +319,27 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except (TypeError, ValueError) as exc:
+            raise ScheduleError("schedule is not valid JSON: %s" % exc) from None
+        return cls.from_dict(d)
 
     # ------------------------------------------------------------------
     # validation
 
     def validate(self) -> "Schedule":
-        """Raise :class:`ScheduleValidationError` on any defect; return self."""
-        self._check_structure()
-        self._check_matching()
-        self._check_fold_operands()
+        """Raise :class:`ScheduleValidationError` on any defect; return self.
+
+        O(steps): one sweep for structure, matching and fold operands, one
+        worklist run for progress.
+        """
+        self._check_header()
+        self._check_steps()
         self._check_progress()
         return self
 
-    def _check_structure(self) -> None:
+    def _check_header(self) -> None:
         if self.collective not in ("reduce", "bcast", "allreduce"):
             raise ScheduleValidationError(
                 "unknown collective %r" % (self.collective,))
@@ -229,25 +354,72 @@ class Schedule:
             raise ScheduleValidationError(
                 "schedule has %d rank step lists for %d ranks"
                 % (len(self.steps), self.nranks))
-        segs = (range(self.nseg) if self.nseg else (-1,))
-        valid_segs = frozenset(segs)
+
+    def _check_steps(self) -> None:
+        """Structure, then matching, then fold operands — three checks, one
+        sweep, one dispatch on ``type(step)`` per step.
+
+        A structure defect raises where it is met (nothing outranks it).
+        Matching needs every step, so it is judged after the sweep; the
+        first fold defect met is only remembered and raised if matching
+        holds, which keeps the precedence of three separate sweeps.
+        """
+        nranks = self.nranks
+        valid_segs = frozenset(range(self.nseg) if self.nseg else (-1,))
+        balance: dict = {}      # channel key -> sends minus receives
+        fold_defect = None
         for me, rank in enumerate(self.steps):
+            unfolded: dict = {}     # (child, seg) -> receives not yet folded
             for step in rank:
-                peers: Iterable[int]
-                if isinstance(step, WaitStep):
+                kind = type(step)
+                if kind is WaitStep:
                     peers = step.children
-                    if not step.children:
+                    if not peers:
                         raise ScheduleValidationError(
                             "rank %d: WaitStep with no children" % me)
-                elif isinstance(step, FoldStep):
-                    peers = (step.child,)
-                elif isinstance(step, (SendStep, RecvStep, BcastStep)):
-                    peers = (step.peer,)
+                    if len(set(peers)) != len(peers):
+                        # One contribution per child: the AB route posts
+                        # one descriptor slot per *distinct* child.
+                        raise ScheduleValidationError(
+                            "rank %d: WaitStep lists child %d twice"
+                            % (me, next(c for i, c in enumerate(peers)
+                                        if c in peers[:i])))
+                    for peer in peers:
+                        key = ("p2p", peer, me, step.seg)
+                        balance[key] = balance.get(key, 0) - 1
                 else:
-                    raise ScheduleValidationError(
-                        "rank %d: unknown step %r" % (me, step))
+                    if kind is SendStep:
+                        peer = step.peer
+                        key = ("p2p", me, peer, step.seg)
+                        balance[key] = balance.get(key, 0) + 1
+                    elif kind is RecvStep:
+                        peer = step.peer
+                        key = ("p2p", peer, me, step.seg)
+                        balance[key] = balance.get(key, 0) - 1
+                        operand = (peer, step.seg)
+                        unfolded[operand] = unfolded.get(operand, 0) + 1
+                    elif kind is FoldStep:
+                        peer = step.child
+                        operand = (peer, step.seg)
+                        have = unfolded.get(operand, 0)
+                        if have:
+                            unfolded[operand] = have - 1
+                        elif fold_defect is None:
+                            fold_defect = (me, peer, step.seg)
+                    elif kind is BcastStep:
+                        peer = step.peer
+                        if step.direction == "send":
+                            key = ("bc", me, peer, step.seg)
+                            balance[key] = balance.get(key, 0) + 1
+                        else:
+                            key = ("bc", peer, me, step.seg)
+                            balance[key] = balance.get(key, 0) - 1
+                    else:
+                        raise ScheduleValidationError(
+                            "rank %d: unknown step %r" % (me, step))
+                    peers = (peer,)
                 for peer in peers:
-                    if not (0 <= peer < self.nranks):
+                    if not (0 <= peer < nranks):
                         raise ScheduleValidationError(
                             "rank %d: peer %d out of range in %r"
                             % (me, peer, step))
@@ -258,102 +430,83 @@ class Schedule:
                     raise ScheduleValidationError(
                         "rank %d: segment id %d invalid for nseg=%d in %r"
                         % (me, step.seg, self.nseg, step))
-
-    def _check_matching(self) -> None:
-        produced: Counter = Counter()
-        consumed: Counter = Counter()
-        for me, rank in enumerate(self.steps):
-            for step in rank:
-                if isinstance(step, SendStep):
-                    produced[("p2p", me, step.peer, step.seg)] += 1
-                elif isinstance(step, RecvStep):
-                    consumed[("p2p", step.peer, me, step.seg)] += 1
-                elif isinstance(step, WaitStep):
-                    for child in step.children:
-                        consumed[("p2p", child, me, step.seg)] += 1
-                elif isinstance(step, BcastStep):
-                    if step.direction == "send":
-                        produced[("bc", me, step.peer, step.seg)] += 1
-                    else:
-                        consumed[("bc", step.peer, me, step.seg)] += 1
-        unmatched_recv = consumed - produced
-        if unmatched_recv:
-            key = next(iter(sorted(unmatched_recv)))
+        if any(balance.values()):
+            for what, sign in (("receive without a matching send", -1),
+                               ("send without a matching receive", 1)):
+                unmatched = [k for k, v in balance.items() if v * sign > 0]
+                if unmatched:
+                    channel, src, dst, seg = min(unmatched)
+                    raise ScheduleValidationError(
+                        "%s: channel=%s %d->%d seg=%d (%d unmatched key(s))"
+                        % (what, channel, src, dst, seg, len(unmatched)))
+        if fold_defect is not None:
             raise ScheduleValidationError(
-                "receive without a matching send: channel=%s %d->%d seg=%d "
-                "(%d unmatched key(s))"
-                % (key[0], key[1], key[2], key[3], len(unmatched_recv)))
-        unmatched_send = produced - consumed
-        if unmatched_send:
-            key = next(iter(sorted(unmatched_send)))
-            raise ScheduleValidationError(
-                "send without a matching receive: channel=%s %d->%d seg=%d "
-                "(%d unmatched key(s))"
-                % (key[0], key[1], key[2], key[3], len(unmatched_send)))
-
-    def _check_fold_operands(self) -> None:
-        for me, rank in enumerate(self.steps):
-            pending: Counter = Counter()
-            for step in rank:
-                if isinstance(step, RecvStep):
-                    pending[(step.peer, step.seg)] += 1
-                elif isinstance(step, FoldStep):
-                    key = (step.child, step.seg)
-                    if pending[key] <= 0:
-                        raise ScheduleValidationError(
-                            "rank %d: fold of child %d seg %d has no "
-                            "unconsumed receive" % (me, step.child, step.seg))
-                    pending[key] -= 1
+                "rank %d: fold of child %d seg %d has no unconsumed receive"
+                % fold_defect)
 
     def _check_progress(self) -> None:
-        """Abstractly execute all ranks; sends buffer, receives block."""
-        channels: Counter = Counter()
+        """Abstractly execute all ranks; sends buffer, receives block.
+
+        A worklist: a rank runs until it blocks on one channel key
+        ``(channel, src, me, seg)``, is parked under that key, and is
+        queued again only by the send that lands on it.  Sends never block
+        and every key has exactly one consumer (its ``me``), so a step that
+        can run in some order can run in every order: the set of steps that
+        complete — hence the stuck set and the message — does not depend on
+        who is visited when, and each step is visited O(1) times.  A
+        :class:`WaitStep` takes its children's contributions one at a time
+        in order, which completes exactly when all of them arrive.
+        """
+        steps = self.steps
         cursors = [0] * self.nranks
-
-        def runnable(me: int, step: AnyStep) -> bool:
-            if isinstance(step, (SendStep, FoldStep)):
-                return True
-            if isinstance(step, RecvStep):
-                return channels[("p2p", step.peer, me, step.seg)] > 0
-            if isinstance(step, WaitStep):
-                return all(channels[("p2p", c, me, step.seg)] > 0
-                           for c in step.children)
-            if step.direction == "send":
-                return True
-            return channels[("bc", step.peer, me, step.seg)] > 0
-
-        def execute(me: int, step: AnyStep) -> None:
-            if isinstance(step, SendStep):
-                channels[("p2p", me, step.peer, step.seg)] += 1
-            elif isinstance(step, RecvStep):
-                channels[("p2p", step.peer, me, step.seg)] -= 1
-            elif isinstance(step, WaitStep):
-                for c in step.children:
-                    channels[("p2p", c, me, step.seg)] -= 1
-            elif isinstance(step, BcastStep):
-                if step.direction == "send":
-                    channels[("bc", me, step.peer, step.seg)] += 1
-                else:
-                    channels[("bc", step.peer, me, step.seg)] -= 1
-
-        progressed = True
-        while progressed:
-            progressed = False
-            for me, rank in enumerate(self.steps):
-                while cursors[me] < len(rank):
-                    step = rank[cursors[me]]
-                    if not runnable(me, step):
+        channels: dict = {}     # key -> messages sent and not yet received
+        parked: dict = {}       # key -> the rank blocked on it
+        taken: dict = {}        # rank parked inside a WaitStep -> children done
+        ready = list(range(self.nranks))
+        while ready:
+            me = ready.pop()
+            rank = steps[me]
+            i = cursors[me]
+            while i < len(rank):
+                step = rank[i]
+                kind = type(step)
+                if kind is SendStep or (kind is BcastStep
+                                        and step.direction == "send"):
+                    key = ("p2p" if kind is SendStep else "bc",
+                           me, step.peer, step.seg)
+                    channels[key] = channels.get(key, 0) + 1
+                    waiter = parked.pop(key, None)
+                    if waiter is not None:
+                        ready.append(waiter)
+                elif kind is not FoldStep:
+                    if kind is WaitStep:
+                        channel, sources = "p2p", step.children
+                        j = taken.pop(me, 0)
+                    else:
+                        channel = "p2p" if kind is RecvStep else "bc"
+                        sources = (step.peer,)
+                        j = 0
+                    while j < len(sources):
+                        key = (channel, sources[j], me, step.seg)
+                        have = channels.get(key, 0)
+                        if not have:
+                            break
+                        channels[key] = have - 1
+                        j += 1
+                    if j < len(sources):
+                        parked[key] = me
+                        if j:
+                            taken[me] = j
                         break
-                    execute(me, step)
-                    cursors[me] += 1
-                    progressed = True
+                i += 1
+            cursors[me] = i
         stuck = [me for me in range(self.nranks)
-                 if cursors[me] < len(self.steps[me])]
+                 if cursors[me] < len(steps[me])]
         if stuck:
             me = stuck[0]
             raise ScheduleValidationError(
                 "deadlock: %d rank(s) blocked forever (rank %d stuck at %r)"
-                % (len(stuck), me, self.steps[me][cursors[me]]))
+                % (len(stuck), me, steps[me][cursors[me]]))
 
 
 def reduce_neighbors(schedule: Schedule, rank: int):

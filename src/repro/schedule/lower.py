@@ -12,7 +12,10 @@ one driver (:func:`_schedule`) over every rank's :func:`repro.topo.ranks.family`
 (:func:`reduce_rank_steps`, :func:`bcast_rank_steps`) for their own rank
 only and hand the steps to the host walker
 (:mod:`repro.mpich.collectives.walk`), so an ``mpi.<collective>`` call and
-the interpreter executing the matching lowering run the same steps.
+the interpreter executing the matching lowering run the same steps; the
+interpreter's pipelined-allreduce guard derives its own rank's
+:func:`pipelined_rank_steps` the same way.  Anything a rank does per call is
+therefore O(its own steps); only :func:`lower` is O(all steps).
 
 Registered lowerings:
 
@@ -49,6 +52,8 @@ Registered lowerings:
 
 from __future__ import annotations
 
+import inspect
+import operator
 from typing import Callable, Dict, List
 
 from ..topo import ranks
@@ -67,6 +72,11 @@ def register_lowering(name: str):
             raise ScheduleError("duplicate lowering %r" % (name,))
         LOWERINGS[name] = fn
         fn.lowering_name = name
+        # What lower() may forward besides root= and nseg=, read off the
+        # signature once so a misspelt keyword is refused by name.
+        fn.lowering_options = frozenset(
+            p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind is p.KEYWORD_ONLY) - {"root", "nseg"}
         return fn
 
     return deco
@@ -77,7 +87,8 @@ def lower(name: str, shape: TreeShape, size: int, *, root: int = 0,
     """Emit a schedule with the named lowering.
 
     Extra keyword arguments are forwarded to the lowering (the PAP-aware
-    lowerings take ``order=``, the arrival order from the workload layer).
+    lowerings take ``order=``, the arrival order from the workload layer);
+    one the lowering does not take is a :class:`ScheduleError`.
     """
     try:
         fn = LOWERINGS[name]
@@ -85,6 +96,12 @@ def lower(name: str, shape: TreeShape, size: int, *, root: int = 0,
         raise ScheduleError(
             "unknown lowering %r (have: %s)"
             % (name, ", ".join(sorted(LOWERINGS)))) from None
+    unknown = sorted(set(kwargs) - fn.lowering_options)
+    if unknown:
+        raise ScheduleError(
+            "lowering %r takes no %s= argument (it takes: %s)"
+            % (name, "=, ".join(unknown),
+               ", ".join(["root", "nseg"] + sorted(fn.lowering_options))))
     return fn(shape, size, root=root, nseg=nseg, **kwargs)
 
 
@@ -143,7 +160,9 @@ def _ab_reduce_rank_steps(parent, kids, segs) -> List:
     return steps
 
 
-def _pipelined_rank_steps(parent, kids, segs) -> List:
+def pipelined_rank_steps(parent, kids, segs) -> List:
+    """Pipelined allreduce: segmented AB reduce then segmented bcast; the
+    root interleaves the two per segment."""
     if parent is not None:
         return (_ab_reduce_rank_steps(parent, kids, segs)
                 + bcast_rank_steps(parent, kids, segs))
@@ -196,7 +215,7 @@ _tree_lowering("reduce.ab", _ab_reduce_rank_steps)
 _tree_lowering("bcast.tree", bcast_rank_steps)
 _tree_lowering("allreduce.reduce_bcast", _then_bcast(reduce_rank_steps))
 _tree_lowering("allreduce.ab", _then_bcast(_ab_reduce_rank_steps))
-_tree_lowering("allreduce.pipelined", _pipelined_rank_steps, min_nseg=2)
+_tree_lowering("allreduce.pipelined", pipelined_rank_steps, min_nseg=2)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +227,12 @@ def _check_order(order, size: int) -> tuple:
     """Normalise an arrival order (earliest rank first) to a permutation."""
     if order is None:
         return tuple(range(size))
-    order = tuple(int(r) for r in order)
+    try:
+        order = tuple(operator.index(r) for r in order)
+    except TypeError:
+        raise ScheduleError(
+            "order must be a sequence of integer ranks, got %r"
+            % (order,)) from None
     if sorted(order) != list(range(size)):
         raise ScheduleError(
             "order must be a permutation of 0..%d, got %r" % (size - 1, order))

@@ -51,8 +51,8 @@ COMBOS = [
 ]
 
 
-def make_config(shape: str, segmented: bool):
-    config = quiet_cluster(SIZE, seed=7)
+def make_config(shape: str, segmented: bool, size: int = SIZE):
+    config = quiet_cluster(size, seed=7)
     config = config.with_mpi(dataclasses.replace(config.mpi,
                                                  tree_shape=shape))
     if segmented:
@@ -153,3 +153,37 @@ def test_interpreter_rejects_mismatched_segmentation():
 
     with pytest.raises(ProcessFailed, match="nseg"):
         run_program(config, program, build=MpiBuild.AB)
+
+
+def _family_calls_per_rank(size: int, monkeypatch) -> set:
+    """How many ``ranks.family`` derivations one ``allreduce.pipelined``
+    execution costs a rank, with ``size`` ranks: the distinct per-rank
+    counts (the root derives once more than the rest)."""
+    from collections import Counter
+    from repro.topo import ranks
+    config = make_config("binomial", True, size)
+    schedule = build_schedule(config, lowering="allreduce.pipelined",
+                              elements=ELEMENTS)
+    per_rank: Counter = Counter()
+    real = ranks.family
+
+    def counted(shape, size, root, me):
+        per_rank[me] += 1
+        return real(shape, size, root, me)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ranks, "family", counted)
+        out = run_program(config, scheduled_program(schedule),
+                          build=MpiBuild.AB)
+    assert all(r[0] == size * (size + 1) / 2 for r in out.results)
+    assert sorted(per_rank) == list(range(size))
+    return set(per_rank.values())
+
+
+def test_pipelined_guard_costs_each_rank_its_own_steps_only(monkeypatch):
+    """The interpreter proves *this rank's* steps against the configured
+    tree; it used to re-lower all ``comm.size`` ranks inside every rank on
+    every call (32 more family derivations per rank at 64 ranks than at
+    32)."""
+    assert (_family_calls_per_rank(32, monkeypatch)
+            == _family_calls_per_rank(64, monkeypatch))

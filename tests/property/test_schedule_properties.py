@@ -7,6 +7,11 @@ validator must reject the mutations that correspond to real protocol
 bugs — a dropped send (unmatched recv), a reordered fold (operand not
 yet received), a dangling wait (children that never send).  Hypothesis
 drives all three over the full lowering registry.
+
+The last test is a differential: *arbitrary* step lists (not only what the
+lowerings emit), mutated, must get the same verdict and the same message
+from ``Schedule.validate`` as from the round-robin validator it replaced,
+kept verbatim in ``tests/schedule_oracle.py``.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.schedule import (LOWERINGS, FoldStep, RecvStep, Schedule,
-                            ScheduleValidationError, SendStep, WaitStep,
-                            lower)
+import schedule_oracle
+from repro.schedule import (LOWERINGS, BcastStep, FoldStep, RecvStep,
+                            Schedule, ScheduleValidationError, SendStep,
+                            WaitStep, lower)
 from repro.topo.trees import make_tree_shape
 
 SHAPES = (("binomial", 2), ("knomial", 4), ("chain", 2), ("bine", 2))
@@ -140,3 +146,122 @@ def test_validator_rejects_dangling_wait(shape, size, nseg, data):
     broken = _mutate_rank(schedule, rank, steps)
     with pytest.raises(ScheduleValidationError):
         broken.validate()
+
+
+# ---------------------------------------------------------------------------
+# differential: worklist validator == round-robin oracle, verdict and text
+# ---------------------------------------------------------------------------
+
+def _consume(rng, steps, sources, seg):
+    """Take one contribution from each of ``sources``: one NIC wait, or
+    host receives with their folds right behind, deferred, or missing."""
+    if sources and rng.random() < 0.35:
+        steps.append(WaitStep(tuple(sources), seg))
+        return
+    deferred = []
+    for src in sources:
+        steps.append(RecvStep(src, seg))
+        fold = rng.random()
+        if fold < 0.6:
+            steps.append(FoldStep(src, seg))
+        elif fold < 0.9:
+            deferred.append(FoldStep(src, seg))
+    steps.extend(deferred)
+
+
+@st.composite
+def arbitrary_schedules(draw):
+    """A deadlock-free schedule over a random DAG: every message's send is
+    appended (to its source) before its receive (to its destination), so
+    the order of construction is itself a run that completes."""
+    rng = draw(st.randoms(use_true_random=False))
+    nranks = draw(st.integers(min_value=2, max_value=24))
+    nseg = draw(st.integers(min_value=0, max_value=4))
+    collective = draw(st.sampled_from(("reduce", "bcast", "allreduce")))
+    order = list(range(nranks))
+    rng.shuffle(order)                      # order[0] is the root
+    ranks = [[] for _ in range(nranks)]
+    for seg in (range(nseg) if nseg else (-1,)):
+        if collective != "bcast":
+            inbox = {r: [] for r in order}
+            for pos in range(nranks - 1, 0, -1):
+                me = order[pos]
+                _consume(rng, ranks[me], inbox[me], seg)
+                # one parent is a tree; a second makes it a DAG
+                fanout = 2 if pos > 1 and rng.random() < 0.2 else 1
+                for parent in rng.sample(order[:pos], fanout):
+                    ranks[me].append(SendStep(parent, seg))
+                    inbox[parent].append(me)
+            _consume(rng, ranks[order[0]], inbox[order[0]], seg)
+        if collective != "reduce":
+            for pos in range(1, nranks):
+                parent, child = rng.choice(order[:pos]), order[pos]
+                ranks[parent].append(BcastStep(child, "send", seg))
+                ranks[child].append(BcastStep(parent, "recv", seg))
+    return rng, Schedule(collective, "arbitrary", nranks, order[0], nseg,
+                         steps=ranks)
+
+
+def _retarget(rng, step, nranks):
+    """Point one operand of ``step`` somewhere else — possibly at its own
+    rank or one past the last rank.  A WaitStep never gains a child it
+    already lists: that is the one rule the oracle does not have."""
+    if isinstance(step, WaitStep):
+        fresh = [r for r in range(nranks + 1) if r not in step.children]
+        children = list(step.children)
+        children[rng.randrange(len(children))] = rng.choice(fresh)
+        return dataclasses.replace(step, children=tuple(children))
+    name = "child" if isinstance(step, FoldStep) else "peer"
+    return dataclasses.replace(step, **{name: rng.randrange(nranks + 1)})
+
+
+def _blocks(step):
+    return (isinstance(step, (RecvStep, WaitStep))
+            or isinstance(step, BcastStep) and step.direction == "recv")
+
+
+def _mutate(rng, schedule):
+    """Drop, duplicate, swap adjacent or retarget one step of one rank.
+    Half the swaps go for a send with a blocking step right behind it —
+    hoisting the block over the send is what makes a cycle, and the
+    deadlock branch is the one under test."""
+    busy = [r for r, steps in enumerate(schedule.steps) if steps]
+    if not busy:
+        return schedule
+    rank = rng.choice(busy)
+    steps = list(schedule.steps[rank])
+    i = rng.randrange(len(steps))
+    kind = rng.choice(("drop", "duplicate", "swap", "swap", "retarget"))
+    if kind == "drop":
+        del steps[i]
+    elif kind == "duplicate":
+        steps.insert(i, steps[i])
+    elif kind == "swap" and len(steps) > 1:
+        hoists = [k for k in range(len(steps) - 1)
+                  if not _blocks(steps[k]) and _blocks(steps[k + 1])]
+        i = (rng.choice(hoists) if hoists and rng.random() < 0.5
+             else min(i, len(steps) - 2))
+        steps[i], steps[i + 1] = steps[i + 1], steps[i]
+    else:
+        steps[i] = _retarget(rng, steps[i], schedule.nranks)
+    return _mutate_rank(schedule, rank, steps)
+
+
+def _verdict(validate, schedule):
+    try:
+        validate(schedule)
+    except ScheduleValidationError as exc:
+        return str(exc)
+    return None
+
+
+@given(drawn=arbitrary_schedules(),
+       mutations=st.integers(min_value=0, max_value=2))
+@settings(max_examples=400, deadline=None)
+def test_worklist_validator_agrees_with_round_robin_oracle(drawn, mutations):
+    rng, schedule = drawn
+    assert _verdict(Schedule.validate, schedule) is None
+    for _ in range(mutations):
+        schedule = _mutate(rng, schedule)
+    assert (_verdict(Schedule.validate, schedule)
+            == _verdict(schedule_oracle.validate, schedule))
