@@ -17,6 +17,8 @@ variants through the interpreter to compare latency end to end.
 Run:  python examples/custom_pass.py
 """
 
+from dataclasses import replace
+
 from repro.bench.scheduled import build_schedule, scheduled_benchmark
 from repro.config import PipelineParams, quiet_cluster
 from repro.mpich.rank import MpiBuild
@@ -34,8 +36,8 @@ def to_chain(schedule: Schedule) -> Schedule:
 
 
 def main():
-    config = quiet_cluster(SIZE, seed=11).with_pipeline(
-        PipelineParams(segment_size_bytes=2048, max_inflight_segments=3))
+    config = replace(quiet_cluster(SIZE, seed=11), pipeline=PipelineParams(
+        segment_size_bytes=2048, max_inflight_segments=3))
 
     # ---- the rewrite, on the IR alone (no simulation needed) -----------
     before = build_schedule(config, lowering="reduce.ab", elements=ELEMENTS)

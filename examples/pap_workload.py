@@ -14,6 +14,8 @@ overlaps the stragglers' delay, so SRA finishes earlier than ab.
 Run:  python examples/pap_workload.py
 """
 
+from dataclasses import replace
+
 from repro.bench.pap import pap_benchmark
 from repro.config import WorkloadParams, quiet_cluster
 from repro.sim.random import RngStreams
@@ -41,8 +43,8 @@ def main() -> None:
     print(f"iteration 0 arrival spread: {recorded.spread(0):.0f}us, "
           f"last to arrive: rank {recorded.order(0)[-1]}")
 
-    config = quiet_cluster(SIZE, seed=31).with_workload(
-        WorkloadParams(pattern="trace_replay", trace=replayed.delays))
+    config = replace(quiet_cluster(SIZE, seed=31), workload=WorkloadParams(
+        pattern="trace_replay", trace=replayed.delays))
     print(f"\nreplaying through allreduce on {SIZE} ranks:")
     makespans = {}
     for algo in ("ab", "sra"):

@@ -629,6 +629,32 @@ class AdHocProgressSpin(LayeringRule):
         method_of="rx_notifier"),)
 
 
+@register
+class TreeDerivedOutsideTheHelper(LayeringRule):
+    """A ``ranks.family`` call — deriving a rank's parent and children from
+    the configured tree — outside the one place a collective does it.
+    Every entry point takes its rank's own ``steps=`` and reads its
+    neighbours off them; a second derivation routes by *config* where the
+    first routed by *schedule*, which is how the AB broadcast came to
+    forward along a different tree than the reduce climbed.  Allowed: the
+    tree shapes and lowerings themselves, the derivation helper's module
+    (``own_steps``), the NIC reduction (its own protocol, no steps yet)
+    and tests."""
+
+    spec = RuleSpec(
+        "SIM017",
+        "tree neighbours derived from config (`ranks.family`) outside "
+        "repro.topo/repro.schedule and the `own_steps` helper")
+    boundaries = (Boundary(
+        frozenset({"family"}),
+        ("repro/topo/", "repro/schedule/", "repro/mpich/collectives/walk.py",
+         "repro/core/nic_reduce.py", "test_", "conftest"),
+        "direct `{name}(...)` re-derives the tree from config — take "
+        "neighbours from your steps (`steps=` / `own_steps`, then "
+        "`reduce_neighbors` / `bcast_children`)",
+        module_hints=("topo", "ranks", "tree")),)
+
+
 # ---------------------------------------------------------------------------
 # the determinism dataflow rules (SIM010–SIM012)
 # ---------------------------------------------------------------------------

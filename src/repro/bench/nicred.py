@@ -12,11 +12,11 @@ import numpy as np
 
 from ..config import ClusterConfig
 from ..core.nic_reduce import NicReduce
-from ..topo import ranks as tree
 from ..mpich.message import TAG_NOTIFY
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import run_program
+from ..schedule.table import config_tree_shape
 from .skew import SkewModel, conservative_latency_estimate
 
 
@@ -58,7 +58,8 @@ def nicred_latency(config: ClusterConfig, *, elements: int,
                    iterations: int, warmup: int = 3) -> float:
     """Last-node-to-notification reduction latency with NIC combining."""
     size = config.size
-    last = tree.deepest_relative_rank(size)
+    last = config_tree_shape(
+        config, elements * np.dtype(np.float64).itemsize).deepest_rel(size)
     token = np.zeros(1)
     total = warmup + iterations
 

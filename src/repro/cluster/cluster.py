@@ -123,11 +123,10 @@ class Cluster:
             nstats = node.nic.stats
             out["segment_packets_sent"] += nstats.segment_packets_sent
             out["segment_bytes_sent"] += nstats.segment_bytes_sent
-            engine = getattr(node, "ab_engine", None)
-            pipeline = getattr(engine, "pipeline", None)
-            if pipeline is None:
+            engine = node.ab_engine
+            if engine is None or engine.pipeline is None:
                 continue
-            s = pipeline.stats
+            s = engine.pipeline.stats
             out["segments_sent"] += s.segments_sent
             out["segments_folded"] += s.segments_folded
             out["segments_folded_async"] += s.segments_folded_async

@@ -537,33 +537,6 @@ class ClusterConfig:
             raise ConfigError(f"size {n} outside 1..{len(self.machines)}")
         return replace(self, machines=self.machines[:n])
 
-    def with_seed(self, seed: int) -> "ClusterConfig":
-        return replace(self, seed=seed)
-
-    def with_noise(self, noise: NoiseParams) -> "ClusterConfig":
-        return replace(self, noise=noise)
-
-    def with_ab(self, ab: AbParams) -> "ClusterConfig":
-        return replace(self, ab=ab)
-
-    def with_nic(self, nic: NicParams) -> "ClusterConfig":
-        return replace(self, nic=nic)
-
-    def with_net(self, net: NetParams) -> "ClusterConfig":
-        return replace(self, net=net)
-
-    def with_mpi(self, mpi: MpiParams) -> "ClusterConfig":
-        return replace(self, mpi=mpi)
-
-    def with_faults(self, faults: FaultParams) -> "ClusterConfig":
-        return replace(self, faults=faults)
-
-    def with_pipeline(self, pipeline: PipelineParams) -> "ClusterConfig":
-        return replace(self, pipeline=pipeline)
-
-    def with_workload(self, workload: WorkloadParams) -> "ClusterConfig":
-        return replace(self, workload=workload)
-
 
 def interlaced_roster(total: int = 32) -> tuple[MachineSpec, ...]:
     """The paper's machine file: the two 16-node groups interlaced so that

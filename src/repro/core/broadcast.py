@@ -2,7 +2,9 @@
 Buntinas, Panda & Brightwell, "Application-Bypass Broadcast in MPICH over
 GM", CCGrid 2003).
 
-A broadcast travels down the same binomial tree the reduction climbs up.
+A stand-alone broadcast travels down the configured tree; the down phase
+of a schedule (the pipelined allreduce) travels where each rank's own
+``BcastStep`` sends point (:meth:`AbBroadcast.follow`).
 The bypass opportunity is the *forwarding*: when an internal node's copy of
 the data arrives, the progress hook forwards it to the node's children
 immediately — whether or not the application has called ``MPI_Bcast`` yet —
@@ -17,17 +19,19 @@ interest, ranks that enable this extension keep NIC signals pinned on (see
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from ..errors import AbProtocolError
+from ..mpich.collectives.walk import own_steps
 from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.datatypes import DOUBLE, Datatype
 from ..mpich.message import TAG_BCAST, AbHeader, Envelope
+from ..schedule.ir import bcast_children
+from ..schedule.lower import bcast_rank_steps
 from ..sim.cpu import Ledger
 from ..sim.process import Busy, Trigger
-from ..topo import ranks as tree
 from .engine import AbEngine
 
 KIND = "bcast"
@@ -55,6 +59,9 @@ class AbBroadcast:
         self.sim = engine.sim
         self.stats = AbBroadcastStats()
         self._comms: dict[int, Communicator] = {}
+        #: Broadcasts that follow a schedule instead of the configured
+        #: tree: (ctx, inst) -> the peers this rank sends the data on to.
+        self._scheduled: dict[tuple[int, int], Sequence[int]] = {}
         self._instances = InstanceCounter()
         #: Data that arrived before the local bcast call: (ctx, inst) -> array.
         self._received: dict[tuple[int, int], np.ndarray] = {}
@@ -67,6 +74,31 @@ class AbBroadcast:
         """Make a communicator's tree known before any data can arrive
         (collective: every participating rank must register it)."""
         self._comms[comm.coll_context] = comm
+
+    def follow(self, comm: Communicator, forward_to: Sequence[int],
+               broadcasts: int) -> None:
+        """Register ``comm`` and send this rank's next ``broadcasts``
+        broadcasts on it on to ``forward_to`` — the peers of the caller's
+        own ``BcastStep`` sends, as communicator ranks — instead of to its
+        children in the configured tree.  Collective, and it must precede
+        the arrival of the first of them (DESIGN.md §15 argues why calling
+        it on allreduce entry does)."""
+        self.register_comm(comm)
+        first = self._instances.peek(comm)
+        for instance in range(first, first + broadcasts):
+            self._scheduled[comm.coll_context, instance] = forward_to
+
+    def _children(self, comm: Communicator, instance: int, root: int,
+                  nbytes: int) -> Sequence[int]:
+        """Where this rank sends broadcast ``instance`` from ``root`` on
+        to, deepest subtree first (for the default binomial shape this is
+        the original descending-mask walk, bit for bit).  Asked once per
+        broadcast: by the root's call, or by the hook that forwards."""
+        forward_to = self._scheduled.pop((comm.coll_context, instance), None)
+        if forward_to is None:
+            forward_to = bcast_children(own_steps(
+                self.engine.rank, comm, root, nbytes, None, bcast_rank_steps))
+        return forward_to
 
     # ------------------------------------------------------------------
     # hook side (runs inside the progress engine, sync or async)
@@ -94,16 +126,11 @@ class AbBroadcast:
     def _forward(self, env: Envelope, header: AbHeader, comm: Communicator,
                  ledger: Ledger) -> None:
         """Send the payload down to this node's bcast-tree children *now*."""
-        me = comm.rank_of_world(self.engine.rank.rank)
-        root = comm.rank_of_world(header.root)
-        if me == root:
+        if header.root == self.engine.rank.rank:
             raise AbProtocolError("bcast root received its own broadcast")
-        # Reverse combine order: deepest subtree first (for the default
-        # binomial shape this is the original descending-mask walk, bit for
-        # bit; other shapes from repro.topo compose the same way).
-        _, kids = tree.family(self.engine.rank.tree_shape, comm.size, root,
-                              me)
-        for child in reversed(kids):
+        root = comm.rank_of_world(header.root)
+        for child in self._children(comm, header.instance, root,
+                                    env.nbytes):
             self.engine.rank.progress.start_send(
                 env.data, comm.world_rank(child), TAG_BCAST,
                 comm.coll_context, ledger, ab=header)
@@ -131,9 +158,7 @@ class AbBroadcast:
             buf = np.array(data, copy=True)
             header = AbHeader(root=comm.world_rank(root), instance=instance,
                               kind=KIND)
-            _, kids = tree.family(self.engine.rank.tree_shape, comm.size,
-                                  root, me)
-            for child in reversed(kids):
+            for child in self._children(comm, instance, root, buf.nbytes):
                 self.engine.rank.progress.start_send(
                     buf, comm.world_rank(child), TAG_BCAST,
                     comm.coll_context, ledger, ab=header)

@@ -39,15 +39,14 @@ message plus management overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
-from ..config import AbParams
 from ..errors import AbProtocolError
 from ..mpich.collectives.reduce import (_finish_root, reduce_nab,
                                         reduce_steps)
-from ..mpich.collectives.walk import schedule_steps
+from ..mpich.collectives.walk import own_steps
 from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import TAG_REDUCE, AbHeader, Envelope
 from ..mpich.operations import Op
@@ -55,12 +54,12 @@ from ..sim import access
 from ..sim.cpu import Ledger
 from ..sim.events import PRIORITY_TIMER
 from ..pipeline.segmenter import Segment
-from ..schedule.lower import reduce_rank_steps, seg_ids
+from ..schedule.ir import reduce_neighbors
+from ..schedule.lower import ab_reduce_rank_steps
 from ..sim.process import Busy, Trigger
 from ..topo import ranks as tree
 from .delay import exit_delay_window
 from .descriptor import DescriptorQueue, ReduceDescriptor
-from .plan import CollectivePlan
 from .unexpected import AbUnexpectedQueue
 
 
@@ -149,12 +148,13 @@ class _Window:
 class AbEngine:
     """Application-bypass state machine for one rank."""
 
-    def __init__(self, rank, params: AbParams):
+    def __init__(self, rank):
         self.rank = rank
         self.node = rank.node
         self.costs = rank.costs
         self.sim = rank.sim
-        self.params = params
+        config = rank.node.config
+        self.params = config.ab
         self.nic = rank.node.nic
         self.descriptors = DescriptorQueue()
         self.descriptors.owner = rank.rank
@@ -184,26 +184,23 @@ class AbEngine:
         # timeout is 0 (no timers armed) and healing is off, so the engine
         # behaves bit-identically to a build without the fault subsystem.
         rank.node.ab_engine = self
-        faults = getattr(rank.node.config, "faults", None)
-        self._timeout_us = (float(faults.descriptor_timeout_us)
-                            if faults is not None else 0.0)
-        self._timeout_retries = (int(faults.timeout_retries)
-                                 if faults is not None else 0)
+        faults = config.faults
+        self._timeout_us = float(faults.descriptor_timeout_us)
+        self._timeout_retries = int(faults.timeout_retries)
         #: ``(world_rank, now) -> bool`` — the fault schedule's perfect
         #: failure detector; None on fault-free clusters.
-        self._crash_oracle = getattr(rank.node, "crash_oracle", None)
+        self._crash_oracle = rank.node.crash_oracle
         #: ``(context, instance, seg, child)`` keys whose descriptor
         #: abandoned the child: a late segment packet matching one is
         #: discarded on arrival (see :meth:`preprocess`).
         self._stale_segments: set[tuple[int, int, int, int]] = set()
-        self._heal = bool(faults is not None and faults.tree_heal
+        self._heal = bool(faults.tree_heal
                           and self._crash_oracle is not None)
         #: Segmented pipelined collectives (repro.pipeline).  Built only
         #: when the config block is armed, so disarmed runs never construct
         #: the subsystem and stay bit-identical to a build without it.
         self.pipeline = None
-        pparams = getattr(rank.node.config, "pipeline", None)
-        if pparams is not None and pparams.armed:
+        if config.pipeline.armed:
             from ..pipeline.reduce import AbPipeline
             self.pipeline = AbPipeline(self)
 
@@ -259,14 +256,15 @@ class AbEngine:
     def reduce(self, sendbuf: np.ndarray, op: Op, root: int,
                comm: Communicator,
                recvbuf: Optional[np.ndarray] = None, *,
-               plan: Optional[CollectivePlan] = None) -> Generator:
+               steps: Optional[Sequence] = None) -> Generator:
         """Application-bypass ``MPI_Reduce`` (falls back where the paper
         does: message beyond the eager limit → default everywhere; root and
         leaf ranks → default behaviour with AB packet framing).
 
-        ``plan`` carries schedule-resolved neighbors, and the root's steps
-        (see :mod:`repro.core.interpreter`); healing overrides the
-        neighbors."""
+        The root walks ``steps`` on the host; every other rank reads its
+        parent and children off them (:func:`reduce_neighbors`; healing
+        overrides both).  Given none, they are the ``reduce.ab`` steps
+        :func:`own_steps` derives from the configured tree."""
         size = comm.size
         me = comm.rank_of_world(self.rank.rank)
         if not (0 <= root < size):
@@ -284,13 +282,15 @@ class AbEngine:
             self.stats.fallback_size += 1
             yield Busy.from_ledger(ledger)
             result = yield from reduce_nab(self.rank, sendbuf, op, root,
-                                           comm, recvbuf)
+                                           comm, recvbuf, steps=steps)
             return result
 
         if size == 1:
             yield Busy.from_ledger(ledger)
             return _finish_root(sendbuf, recvbuf)
 
+        steps = own_steps(self.rank, comm, root, nbytes, segments,
+                          ab_reduce_rank_steps, steps)
         instance = self.instances.next(comm)
         ledger.charge(self.costs.tree_setup_us, "mpi")
         rel = tree.relative_rank(me, root, size)
@@ -310,28 +310,21 @@ class AbEngine:
             if not segments:
                 yield Busy.from_ledger(ledger)
                 result = yield from reduce_nab(
-                    self.rank, sendbuf, op, root, comm, recvbuf,
-                    schedule=None if plan is None else plan.schedule)
+                    self.rank, sendbuf, op, root, comm, recvbuf, steps=steps)
                 return result
             # Segmented, the root still benefits: it folds segment k while
             # its children are combining k+1, instead of waiting for whole
             # messages to be staged at every level below.
-            if plan is None:
-                _, kids = tree.family(shape, size, root, me)
-                steps = reduce_rank_steps(None, kids, seg_ids(len(segments)))
-            else:
-                steps = schedule_steps(plan.schedule, me, segments, nbytes)
             result = yield from reduce_steps(
                 self.rank, comm, steps, sendbuf, op, recvbuf, ledger,
-                segments=segments, lowering="reduce.ab",
+                segments=segments,
                 on_fold=self.pipeline.root_fold_hook(comm, instance))
             return result
 
         flat = np.ascontiguousarray(sendbuf).reshape(-1)
         if not segments:
             segments = [Segment(-1, 0, flat.size, flat.itemsize)]
-        neighbors = self.neighbors(comm, shape, root, size, rel, instance,
-                                   plan)
+        neighbors = self.neighbors(comm, shape, root, rel, instance, steps)
         parent_world, children_world = neighbors
         if not children_world:
             # Leaf — by tree position, or because every subtree below this
@@ -395,19 +388,19 @@ class AbEngine:
             yield Busy.from_ledger(exit_ledger)
         return None
 
-    def neighbors(self, comm: Communicator, shape, root: int, size: int,
-                  rel: int, instance: int,
-                  plan: Optional[CollectivePlan] = None
+    def neighbors(self, comm: Communicator, shape, root: int, rel: int,
+                  instance: int, steps: Sequence = ()
                   ) -> tuple[Optional[int], list[int]]:
-        """``(parent_world, children_world)`` of relative rank ``rel`` in
-        the reduce tree — the parent is None at the root.
+        """``(parent_world, children_world)`` of this rank (relative rank
+        ``rel``) in the reduce tree — the parent is None at the root.
 
-        With healing armed (repro.faults), crashed subtrees are replaced by
-        their live fringe, and the parent by its nearest live ancestor, so
-        the healed tree spans exactly the live ranks.  Otherwise a
-        schedule-injected ``plan`` short-circuits the derivation (the
-        interpreter already resolved the tree) — only on healthy runs,
-        because healing must keep re-routing mid-pipeline."""
+        On a healthy run they are read off the rank's own ``steps``.  With
+        healing armed (repro.faults) the ``shape`` tree wins instead,
+        because healing must keep re-routing mid-pipeline: crashed
+        subtrees are replaced by their live fringe, and the parent by its
+        nearest live ancestor, so the healed tree spans exactly the live
+        ranks."""
+        size = comm.size
         if self._heal:
             parent_world = (None if rel == 0 else self._live_parent_world(
                 comm, shape, root, size, rel, instance))
@@ -418,10 +411,7 @@ class AbEngine:
                 self._report_fault("subtree_healed", instance=instance,
                                    healed=healed)
             return parent_world, children_world
-        if plan is not None:
-            return plan.parent_world, list(plan.children_world)
-        parent, kids = tree.family(shape, size, root,
-                                   tree.absolute_rank(rel, root, size))
+        parent, kids = reduce_neighbors(steps)
         return (None if parent is None else comm.world_rank(parent),
                 [comm.world_rank(c) for c in kids])
 
@@ -454,8 +444,8 @@ class AbEngine:
             # earlier segments were in flight re-parents the remaining
             # ones.  (A whole message is pushed in the instant it was
             # routed, so the entry derivation stands.)
-            st.neighbors = self.neighbors(comm, st.shape, st.root, comm.size,
-                                          st.rel, st.instance)
+            st.neighbors = self.neighbors(comm, st.shape, st.root, st.rel,
+                                          st.instance)
         parent_world, children_world = st.neighbors
         acc = st.staging[s.offset:s.offset + s.count]
         if not children_world:

@@ -11,7 +11,8 @@ Clusters: Is It Beneficial?").
 
 Mechanics: every rank's contribution is handed to its own NIC once; the
 LANai control programs combine partial results *in NIC SRAM* as
-``NIC_COLLECTIVE`` packets climb the binomial tree.  Intermediate hosts are
+``NIC_COLLECTIVE`` packets climb the configured tree
+(``MpiParams.tree_shape``).  Intermediate hosts are
 never involved — no signals, no copies, no polling: their reduction CPU
 cost is exactly the one hand-off.  The root's NIC DMAs the finished result
 up to its host.
@@ -108,7 +109,7 @@ class NicReduceUnit:
         if env.ab is None or env.ab.kind != KIND:
             raise AbProtocolError("NIC unit got a non-nicred packet")
         state = self._state_for(env.context_id, env.ab.instance, env.ab.root,
-                                None)
+                                None, env.nbytes)
         self._fold(state, env.src, env.data)
 
     def contribute_local(self, context_id: int, instance: int,
@@ -121,7 +122,7 @@ class NicReduceUnit:
 
     # ------------------------------------------------------------------
     def _state_for(self, context_id: int, instance: int, root_world: int,
-                   op: Optional[Op]) -> _NicState:
+                   op: Optional[Op], nbytes: int) -> _NicState:
         key = (context_id, instance)
         state = self._states.get(key)
         if state is not None:
@@ -130,17 +131,11 @@ class NicReduceUnit:
         if comm is None:
             raise AbProtocolError(
                 f"nicred packet for unregistered context {context_id}")
-        size = comm.size
-        me = comm.rank_of_world(self.node.id)
-        root = comm.rank_of_world(root_world)
-        rel = tree.relative_rank(me, root, size)
-        children = {
-            comm.world_rank(tree.absolute_rank(c, root, size))
-            for c in tree.children(rel, size)
-        }
-        parent_world = (None if rel == 0 else comm.world_rank(
-            tree.absolute_rank(tree.parent(rel), root, size)))
-        expected = children | {LOCAL}
+        parent, kids = tree.family(
+            self.node.tree_shape_for(nbytes), comm.size,
+            comm.rank_of_world(root_world), comm.rank_of_world(self.node.id))
+        parent_world = None if parent is None else comm.world_rank(parent)
+        expected = {comm.world_rank(c) for c in kids} | {LOCAL}
         state = _NicState(context_id, instance, root_world, parent_world,
                           expected, op, self.sim.now)
         self._states[key] = state
@@ -149,7 +144,8 @@ class NicReduceUnit:
 
     def _combine_local(self, context_id: int, instance: int, root_world: int,
                        op: Op, data: np.ndarray) -> None:
-        state = self._state_for(context_id, instance, root_world, op)
+        state = self._state_for(context_id, instance, root_world, op,
+                                data.nbytes)
         if state.op is None:
             state.op = op
         self._fold(state, LOCAL, data)

@@ -23,9 +23,11 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..errors import AbProtocolError
+from ..mpich.collectives.walk import own_steps
 from ..mpich.communicator import Communicator
 from ..mpich.message import TAG_REDUCE, Envelope, TransferKind
 from ..mpich.operations import Op
+from ..schedule.lower import reduce_rank_steps
 from ..sim.cpu import Ledger
 from ..sim.process import Busy, Trigger
 from .engine import AbEngine
@@ -132,17 +134,19 @@ class SplitPhaseReduce:
 
         acc = np.array(sendbuf, copy=True)
         ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
-        # The tree every non-root rank sends along: message-size-aware
-        # shape, healed when faults are armed.
-        _, children = self.engine.neighbors(
-            comm, self.engine.rank.tree_shape_for(sendbuf.nbytes), root,
-            size, 0, instance)
         # Segmented reduction (repro.pipeline): non-root ranks stream
         # per-segment contributions, so the root state tracks (child, seg)
         # pairs and folds each arrival into its slice.  The routing
         # decision uses only (config, buffer geometry), so it matches the
         # one every non-root rank makes.
         segments = self.engine.route(sendbuf, size) or None
+        # The tree every non-root rank sends along: message-size-aware
+        # shape, healed when faults are armed.
+        rank = self.engine.rank
+        _, children = self.engine.neighbors(
+            comm, rank.tree_shape_for(sendbuf.nbytes), root, 0, instance,
+            own_steps(rank, comm, root, sendbuf.nbytes, segments,
+                      reduce_rank_steps))
         if segments is not None:
             pending = {(c, s.index) for c in children for s in segments}
         else:

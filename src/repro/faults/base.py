@@ -124,7 +124,7 @@ class FaultSchedule:
             for node in self.cluster.nodes:
                 if node.nic.reliable is not None:
                     retransmissions += node.nic.reliable.stats.retransmissions
-                engine = getattr(node, "ab_engine", None)
+                engine = node.ab_engine
                 if engine is not None:
                     descriptors_timed_out += engine.stats.descriptors_timed_out
                     subtrees_healed += engine.stats.subtrees_healed

@@ -10,31 +10,29 @@ original mask-walk algorithm bit for bit.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from ...errors import MpiError
 from ...pipeline.segmenter import plan_segments
-from ...schedule.ir import Schedule
-from ...schedule.lower import bcast_rank_steps, seg_ids
+from ...schedule.lower import bcast_rank_steps
 from ...sim.cpu import Ledger
-from ...topo import ranks as tree
 from ..communicator import Communicator
 from ..datatypes import DOUBLE, Datatype
-from .walk import schedule_steps, walk_steps
+from .walk import own_steps, walk_steps
 
 
 def bcast_binomial(rank, data: Optional[np.ndarray], root: int,
                    comm: Communicator, *, count: Optional[int] = None,
                    dtype: Optional[Datatype] = None,
-                   schedule: Optional[Schedule] = None) -> Generator:
+                   steps: Optional[Sequence] = None) -> Generator:
     """Broadcast ``data`` from ``root``; every rank returns the array.
 
     Non-root ranks either pass a pre-sized ``data`` buffer or give
     ``count`` (and optionally ``dtype``, default double) for allocation.
-    This rank's steps are derived from the configured tree, or read from
-    ``schedule`` when the interpreter passes one.
+    This rank walks ``steps``, or, given none, the steps
+    :func:`~.walk.own_steps` derives from the configured tree.
 
     With the pipeline armed (repro.pipeline) the steps are seg-major:
     receive, then forward, one segment at a time — a node's children start
@@ -63,19 +61,13 @@ def bcast_binomial(rank, data: Optional[np.ndarray], root: int,
     else:
         raise MpiError("non-root bcast needs a buffer or a count")
     segments = plan_segments(rank.node.pipeline_params_for(buf.nbytes), buf)
-    if schedule is None:
-        shape = rank.tree_shape_for(buf.nbytes)
-        steps = bcast_rank_steps(*tree.family(shape, size, root, me),
-                                 seg_ids(len(segments or ())))
-    else:
-        steps = schedule_steps(schedule, me, segments, buf.nbytes,
-                               bcast=True)
+    steps = own_steps(rank, comm, root, buf.nbytes, segments,
+                      bcast_rank_steps, steps)
     # A non-contiguous user buffer is staged through a contiguous copy.
     contiguous = buf.flags.c_contiguous
     flat = (buf if contiguous else np.ascontiguousarray(buf)).reshape(-1)
-    yield from walk_steps(
-        rank, comm, steps, flat, segments=segments, ledger=ledger,
-        lowering="bcast.tree" if schedule is None else schedule.lowering)
+    yield from walk_steps(rank, comm, steps, flat, segments=segments,
+                          ledger=ledger)
     if not contiguous:
         buf[...] = flat.reshape(buf.shape)
     return buf

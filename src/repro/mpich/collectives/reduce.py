@@ -18,24 +18,23 @@ from typing import Callable, Generator, Optional, Sequence
 import numpy as np
 
 from ...pipeline.segmenter import plan_segments
-from ...schedule.ir import FoldStep, Schedule, SendStep
-from ...schedule.lower import reduce_rank_steps, seg_ids
+from ...schedule.ir import FoldStep, SendStep
+from ...schedule.lower import reduce_rank_steps
 from ...sim.cpu import Ledger
 from ...sim.process import Busy
-from ...topo import ranks as tree
 from ..communicator import Communicator
 from ..operations import Op
-from .walk import schedule_steps, walk_steps
+from .walk import own_steps, walk_steps
 
 
 def reduce_nab(rank, sendbuf: np.ndarray, op: Op, root: int,
                comm: Communicator,
                recvbuf: Optional[np.ndarray] = None, *,
-               schedule: Optional[Schedule] = None) -> Generator:
+               steps: Optional[Sequence] = None) -> Generator:
     """Blocking tree reduction; returns the result array at the root.
 
-    This rank's steps are derived from the configured tree, or read from
-    ``schedule`` when the interpreter passes one.
+    This rank walks ``steps``, or, given none, the steps
+    :func:`~.walk.own_steps` derives from the configured tree.
 
     With the pipeline armed (repro.pipeline) the steps are seg-major:
     internal nodes receive, fold and forward segment *k* before touching
@@ -45,7 +44,6 @@ def reduce_nab(rank, sendbuf: np.ndarray, op: Op, root: int,
     message, so results match bit for bit.
     """
     size = comm.size
-    me = comm.rank_of_world(rank.rank)
     if not (0 <= root < size):
         raise ValueError(f"root {root} outside communicator of size {size}")
 
@@ -62,23 +60,18 @@ def reduce_nab(rank, sendbuf: np.ndarray, op: Op, root: int,
     sendbuf = np.asarray(sendbuf)
     segments = plan_segments(rank.node.pipeline_params_for(sendbuf.nbytes),
                              sendbuf)
-    if schedule is None:
-        shape = rank.tree_shape_for(sendbuf.nbytes)
-        steps = reduce_rank_steps(*tree.family(shape, size, root, me),
-                                  seg_ids(len(segments or ())))
-    else:
-        steps = schedule_steps(schedule, me, segments, sendbuf.nbytes)
-    result = yield from reduce_steps(
-        rank, comm, steps, sendbuf, op, recvbuf, ledger, segments=segments,
-        lowering="reduce.nab" if schedule is None else schedule.lowering)
+    steps = own_steps(rank, comm, root, sendbuf.nbytes, segments,
+                      reduce_rank_steps, steps)
+    result = yield from reduce_steps(rank, comm, steps, sendbuf, op, recvbuf,
+                                     ledger, segments=segments)
     return result
 
 
 def reduce_steps(rank, comm: Communicator, steps: Sequence,
                  sendbuf: np.ndarray, op: Op,
                  recvbuf: Optional[np.ndarray], ledger: Ledger, *,
-                 segments=None, on_fold: Optional[Callable] = None,
-                 lowering: str = "") -> Generator:
+                 segments=None,
+                 on_fold: Optional[Callable] = None) -> Generator:
     """Run one rank's host-side reduce ``steps`` after a prologue ``ledger``.
 
     A rank that folds accumulates into a private copy (MPICH copies the
@@ -91,7 +84,7 @@ def reduce_steps(rank, comm: Communicator, steps: Sequence,
         acc = acc.copy()
         ledger.charge(rank.costs.copy_us(acc.nbytes), "copy")
     yield from walk_steps(rank, comm, steps, acc, op=op, segments=segments,
-                          ledger=ledger, on_fold=on_fold, lowering=lowering)
+                          ledger=ledger, on_fold=on_fold)
     if any(type(s) is SendStep for s in steps):
         return None
     return _finish_root(acc.reshape(np.shape(sendbuf)), recvbuf)

@@ -1,14 +1,17 @@
 """The host-side step walker: one rank's schedule steps, executed in order.
 
-Every blocking (non-bypass) collective path is "derive my steps, walk
-them": ``reduce_nab`` and ``bcast_binomial`` derive this rank's steps from
-the configured tree (:mod:`repro.schedule.lower`) or, when the schedule
-interpreter (:mod:`repro.core.interpreter`) hands them a
-:class:`~repro.schedule.ir.Schedule`, read them from it; the root of an AB
-reduce — which can never bypass — walks its steps with a per-fold callback
-for the pipeline's counters.  What differs between the callers is the
-*prologue* (the ledger charges billed before the first step) and where the
-steps come from; the receive → fold → send order itself lives only here.
+Every collective entry point — ``reduce_nab``, ``bcast_binomial``,
+:meth:`AbEngine.reduce <repro.core.engine.AbEngine.reduce>`,
+:meth:`AbPipeline.allreduce <repro.pipeline.reduce.AbPipeline.allreduce>` —
+takes one optional ``steps=``: this rank's own step tuple.
+:func:`own_steps` is where it comes from when the caller gives none (an
+``mpi.<collective>`` call): the one derivation from the configured tree.
+The schedule interpreter (:mod:`repro.core.interpreter`) passes
+``schedule.steps[me]``, and from there both run the same code.  Every
+blocking (non-bypass) path then walks its steps here; what differs between
+the callers is the *prologue* (the ledger charges billed before the first
+step).  The receive → fold → send order itself lives only in
+:func:`walk_steps`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from typing import Callable, Generator, Optional, Sequence
 import numpy as np
 
 from ...errors import ReproError
-from ...schedule.ir import (BcastStep, FoldStep, RecvStep, Schedule,
-                            SendStep)
+from ...schedule.ir import BcastStep, FoldStep, RecvStep, SendStep
+from ...schedule.lower import seg_ids
 from ...sim.cpu import Ledger
 from ...sim.process import Busy
+from ...topo import ranks as tree
 from ..communicator import Communicator
 from ..message import TAG_BCAST, TAG_REDUCE
 from ..operations import Op
@@ -31,28 +35,36 @@ class ScheduleExecutionError(ReproError):
     """A schedule cannot execute under this rank's build/config."""
 
 
-def schedule_steps(schedule: Schedule, me: int, segments, nbytes: int, *,
-                   bcast: bool = False) -> Sequence:
-    """Rank ``me``'s steps of ``schedule`` — of an allreduce, its reduce leg
-    or its ``bcast`` leg — refused, before anything is simulated, unless
-    the schedule was lowered for the config's segment plan."""
-    planned = len(segments or ())
-    if planned != schedule.nseg:
-        raise ScheduleExecutionError(
-            "schedule has nseg=%d but the config plans %d segment(s) for "
-            "%d bytes — align PipelineParams with the schedule"
-            % (schedule.nseg, planned, nbytes))
-    steps = schedule.steps[me]
-    if schedule.collective == "allreduce":
-        steps = [s for s in steps if (type(s) is BcastStep) == bcast]
+def own_steps(rank, comm: Communicator, root: int, nbytes: int, segments,
+              derive: Callable, steps: Optional[Sequence] = None) -> Sequence:
+    """This rank's steps of a collective rooted at ``root`` over an
+    ``nbytes`` payload cut into ``segments`` (None or empty: whole message).
+
+    With ``steps`` None they are derived: ``derive`` — a per-rank function
+    of :mod:`repro.schedule.lower` — over this rank's family in the
+    configured tree, resolved once from the message size.  A caller's own
+    ``steps`` are refused, before anything is simulated, unless they span
+    exactly the config's segment plan.
+    """
+    nseg = len(segments or ())
+    if steps is None:
+        return derive(
+            *tree.family(rank.tree_shape_for(nbytes), comm.size, root,
+                         comm.rank_of_world(rank.rank)), seg_ids(nseg))
+    if steps:
+        span = 1 + max(step.seg for step in steps)   # whole message: -1
+        if span != nseg:
+            raise ScheduleExecutionError(
+                "its steps span nseg=%d but the config plans %d segment(s) "
+                "for %d bytes — align PipelineParams with the schedule"
+                % (span, nseg, nbytes))
     return steps
 
 
 def walk_steps(rank, comm: Communicator, steps: Sequence, buf: np.ndarray, *,
                op: Optional[Op] = None, segments=None,
                ledger: Optional[Ledger] = None,
-               on_fold: Optional[Callable] = None,
-               lowering: str = "") -> Generator:
+               on_fold: Optional[Callable] = None) -> Generator:
     """Walk ``steps`` (one rank's) over the flat buffer ``buf``.
 
     ``buf`` is the accumulator of a reduce (folds land in it, sends read
@@ -99,6 +111,4 @@ def walk_steps(rank, comm: Communicator, steps: Sequence, buf: np.ndarray, *,
                                  _context=context)
         else:
             raise ScheduleExecutionError(
-                "rank %d cannot walk %r of a %s schedule on the host"
-                % (comm.rank_of_world(rank.rank), step,
-                   lowering or "hand-built"))
+                "%r cannot be walked on the host" % (step,))

@@ -37,6 +37,10 @@ class InstanceCounter:
         self._next[ctx] = instance + 1
         return instance
 
+    def peek(self, comm: "Communicator") -> int:
+        """What :meth:`next` will return, without advancing."""
+        return self._next.get(comm.coll_context, 0)
+
 
 class Communicator:
     """A group of world ranks with private matching contexts."""

@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
 from typing import Any, Callable, Optional
 
 from ..config import (AbParams, ClusterConfig, FaultParams, MpiParams,
@@ -39,17 +40,10 @@ CONFIG_FACTORIES: dict[str, Callable[..., ClusterConfig]] = {
 }
 
 #: Optional parameter-block overrides a spec may carry, applied with
-#: dataclasses.replace semantics after the factory runs.
-_OVERRIDE_TYPES = {
-    "ab": AbParams,
-    "nic": NicParams,
-    "net": NetParams,
-    "mpi": MpiParams,
-    "noise": NoiseParams,
-    "faults": FaultParams,
-    "pipeline": PipelineParams,
-    "workload": WorkloadParams,
-}
+#: dataclasses.replace semantics after the factory runs: every
+#: parameter-block field of ClusterConfig, by name.
+_OVERRIDE_TYPES = {f.name: type(f.default) for f in fields(ClusterConfig)
+                   if is_dataclass(f.default)}
 
 
 @dataclass(frozen=True)

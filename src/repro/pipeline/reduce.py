@@ -32,18 +32,18 @@ work on them unchanged.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from itertools import groupby
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
-from ..mpich.collectives.walk import walk_steps
+from ..mpich.collectives.walk import own_steps, walk_steps
 from ..mpich.communicator import Communicator
 from ..mpich.operations import Op
 from ..sim.cpu import Ledger
 from ..sim.process import Busy
-from ..schedule.lower import reduce_rank_steps
-from ..topo import ranks as tree
-from ..core.plan import CollectivePlan
+from ..schedule.ir import BcastStep, bcast_children
+from ..schedule.lower import pipelined_rank_steps
 from .segmenter import Segment, plan_segments
 
 
@@ -113,40 +113,52 @@ class AbPipeline:
     # ------------------------------------------------------------------
     def allreduce(self, sendbuf: np.ndarray, op: Op, comm: Communicator,
                   segments: list[Segment], *, root: int = 0,
-                  plan: Optional[CollectivePlan] = None) -> Generator:
-        """Segmented reduce-to-root overlapped with segmented AB broadcast."""
+                  steps: Optional[Sequence] = None) -> Generator:
+        """Segmented reduce-to-root overlapped with segmented AB broadcast.
+
+        Both legs follow this rank's ``steps`` — given none, the
+        ``allreduce.pipelined`` steps :func:`own_steps` derives from the
+        configured tree, once for both."""
         engine = self.engine
         me = comm.rank_of_world(engine.rank.rank)
-        # The broadcast extension must exist before any bcast packet can
-        # arrive; every rank constructs it on its first pipelined allreduce,
-        # which is guaranteed to precede the root's first segment broadcast
-        # (that needs every rank's contribution first).
-        bcaster = self._broadcaster(comm)
-        self.stats.pipelined_allreduces += 1
         flat = np.ascontiguousarray(sendbuf).reshape(-1)
         shape = np.asarray(sendbuf).shape
+        steps = own_steps(engine.rank, comm, root, flat.nbytes, segments,
+                          pipelined_rank_steps, steps)
+        # The broadcast extension must know where this rank forwards each
+        # segment to before any bcast packet can arrive; every rank says so
+        # on entry, which is guaranteed to precede the root's first segment
+        # broadcast (that needs every rank's contribution first).
+        bcaster = self._broadcaster()
+        bcaster.follow(comm, bcast_children(steps), len(segments))
+        self.stats.pipelined_allreduces += 1
 
         if me == root:
             result = yield from self._root_allreduce(
-                flat, segments, op, root, comm, bcaster, shape)
-            return result
-
-        # Up phase: the ordinary entry point routes the buffer the same way
-        # and runs the segmented reduce (leaf stream or descriptor window); it
-        # returns with segments still in flight, which is exactly the
-        # overlap the down phase then rides.
-        yield from engine.reduce(flat, op, root, comm, plan=plan)
-        out = np.empty_like(flat)
-        for s in segments:
-            yield from bcaster.bcast(out[s.offset:s.offset + s.count],
-                                     root, comm)
-        return out.reshape(shape)
+                flat, segments, steps, op, root, comm, bcaster)
+        else:
+            # Up phase: the ordinary entry point routes the buffer the same
+            # way and runs the segmented reduce (leaf stream or descriptor
+            # window) off the reduce phase of these steps; it returns with
+            # segments still in flight, which is exactly the overlap the
+            # down phase then rides.
+            yield from engine.reduce(flat, op, root, comm, steps=steps)
+            result = np.empty_like(flat)
+            for step in steps:
+                if type(step) is BcastStep and step.direction == "recv":
+                    s = segments[step.seg]
+                    yield from bcaster.bcast(
+                        result[s.offset:s.offset + s.count], root, comm)
+        return result.reshape(shape)
 
     def _root_allreduce(self, flat: np.ndarray, segments: list[Segment],
-                        op: Op, root: int, comm: Communicator, bcaster,
-                        shape) -> Generator:
+                        steps: Sequence, op: Op, root: int,
+                        comm: Communicator, bcaster) -> Generator:
         """Root: fold segment k, broadcast it, move to k+1 — the reduce of
-        later segments overlaps the broadcast of earlier ones."""
+        later segments overlaps the broadcast of earlier ones.  The order
+        is that of the root's own interleaved steps: each run of reduce
+        steps is walked on the host, each run of ``BcastStep`` sends is one
+        AB broadcast per segment."""
         engine = self.engine
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")
@@ -155,20 +167,21 @@ class AbPipeline:
         ledger.charge(self.costs.tree_setup_us, "mpi")
         engine.stats.root_reduces += 1
         self.stats.pipelined_reduces += 1
-        tshape = engine.rank.tree_shape_for(flat.nbytes)
-        _, kids = tree.family(tshape, comm.size, root, root)
         acc = np.array(flat, copy=True)
         ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
         yield Busy.from_ledger(ledger)
         on_fold = self.root_fold_hook(comm, instance)
-        for s in segments:
-            yield from walk_steps(
-                engine.rank, comm, reduce_rank_steps(None, kids, (s.index,)),
-                acc, op=op, segments=segments, on_fold=on_fold,
-                lowering="allreduce.pipelined")
-            yield from bcaster.bcast(acc[s.offset:s.offset + s.count],
-                                     root, comm)
-        return acc.reshape(shape)
+        for down, run in groupby(steps, lambda s: type(s) is BcastStep):
+            if not down:
+                yield from walk_steps(engine.rank, comm, list(run), acc,
+                                      op=op, segments=segments,
+                                      on_fold=on_fold)
+                continue
+            for seg in dict.fromkeys(step.seg for step in run):
+                s = segments[seg]
+                yield from bcaster.bcast(acc[s.offset:s.offset + s.count],
+                                         root, comm)
+        return acc
 
     def root_fold_hook(self, comm: Communicator, instance: int):
         """Per-fold callback for the root's host walk of a segmented AB
@@ -190,10 +203,6 @@ class AbPipeline:
 
         return on_fold
 
-    def _broadcaster(self, comm: Communicator):
+    def _broadcaster(self):
         from ..core.broadcast import KIND, AbBroadcast
-        bcaster = self.engine.extensions.get(KIND)
-        if bcaster is None:
-            bcaster = AbBroadcast(self.engine)
-        bcaster.register_comm(comm)
-        return bcaster
+        return self.engine.extensions.get(KIND) or AbBroadcast(self.engine)

@@ -22,7 +22,6 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..config import AbParams
 from ..core.engine import AbEngine
 from ..mpich.communicator import Communicator
 from ..mpich.operations import SUM, Op
@@ -33,8 +32,7 @@ from ..sim.process import Busy, Compute
 class MpiContext:
     """One rank's application handle."""
 
-    def __init__(self, node, comm_world: Communicator, build: MpiBuild,
-                 ab_params: Optional[AbParams] = None):
+    def __init__(self, node, comm_world: Communicator, build: MpiBuild):
         self.node = node
         self.sim = node.sim
         self.comm_world = comm_world
@@ -42,8 +40,7 @@ class MpiContext:
         self.mpi = MpiRank(node, comm_world, build)
         self.ab_engine: Optional[AbEngine] = None
         if build is MpiBuild.AB:
-            params = ab_params if ab_params is not None else node.config.ab
-            self.ab_engine = AbEngine(self.mpi, params)
+            self.ab_engine = AbEngine(self.mpi)
             self.mpi.install_ab(self.ab_engine)
 
     # -- identity ---------------------------------------------------------

@@ -152,8 +152,8 @@ class ProfiledMpi:
         pure planning function, so profiling never perturbs the run."""
         if data is None:
             return None
-        params = getattr(self.mpi.node.config, "pipeline", None)
-        if params is None or not params.armed:
+        params = self.mpi.node.config.pipeline
+        if not params.armed:
             return None
         from ..pipeline import plan_segments
         plan = plan_segments(params, np.asarray(data))

@@ -68,18 +68,14 @@ def run_program(config_or_cluster: Union[ClusterConfig, Cluster],
     else:
         cluster = Cluster(config_or_cluster, tracer)
     world = world_communicator(cluster.size)
-    ab_params = cluster.config.ab
-    contexts = [
-        MpiContext(node, world, build, ab_params)
-        for node in cluster.nodes
-    ]
+    contexts = [MpiContext(node, world, build) for node in cluster.nodes]
     processes = [
         cluster.sim.spawn(program(ctx), name=f"{name}{ctx.rank}",
                           cpu=ctx.node.cpu)
         for ctx in contexts
     ]
     cluster.sim.run()
-    monitor = getattr(cluster, "monitor", None)
+    monitor = cluster.monitor
     if monitor is not None:
         # End-of-run protocol invariants: queues drained, signals idle,
         # copy accounting consistent (repro.analysis.invariants).

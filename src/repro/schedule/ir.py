@@ -509,27 +509,32 @@ class Schedule:
                 % (len(stuck), me, steps[me][cursors[me]]))
 
 
-def reduce_neighbors(schedule: Schedule, rank: int):
-    """Derive (parent, children) for ``rank`` from its reduce-phase steps.
+def reduce_neighbors(steps):
+    """``(parent, children)`` of the rank whose ``steps`` these are, read off
+    its reduce phase.
 
-    The parent is the peer of the first :class:`SendStep`; children appear in
-    first-occurrence order across :class:`FoldStep`/:class:`WaitStep`.
-    Returns ``(None, ())`` for the root of a trivial schedule.
+    The parent is the peer of the first :class:`SendStep` (None where
+    nothing is sent on: the root); children appear in first-occurrence order
+    across :class:`FoldStep`/:class:`WaitStep`.
     """
     parent: Optional[int] = None
-    children: list = []
-    seen = set()
-    for step in schedule.steps[rank]:
-        if isinstance(step, SendStep):
+    children: dict = {}
+    for step in steps:
+        kind = type(step)
+        if kind is SendStep:
             if parent is None:
                 parent = step.peer
-        elif isinstance(step, FoldStep):
-            if step.child not in seen:
-                seen.add(step.child)
-                children.append(step.child)
-        elif isinstance(step, WaitStep):
-            for c in step.children:
-                if c not in seen:
-                    seen.add(c)
-                    children.append(c)
+        elif kind is FoldStep:
+            children[step.child] = None
+        elif kind is WaitStep:
+            for child in step.children:
+                children[child] = None
     return parent, tuple(children)
+
+
+def bcast_children(steps) -> tuple:
+    """The peers the rank whose ``steps`` these are forwards a broadcast
+    to, in first-send order (deepest subtree first for the tree lowerings)."""
+    return tuple(dict.fromkeys(
+        step.peer for step in steps
+        if type(step) is BcastStep and step.direction == "send"))

@@ -8,14 +8,12 @@ children for broadcast forwarding; segments are walked seg-major.
 
 A lowering is a per-rank function ``(parent, kids, segs) -> steps`` run by
 one driver (:func:`_schedule`) over every rank's :func:`repro.topo.ranks.family`.
-``mpi.reduce`` / ``mpi.bcast`` call the same per-rank functions
-(:func:`reduce_rank_steps`, :func:`bcast_rank_steps`) for their own rank
-only and hand the steps to the host walker
-(:mod:`repro.mpich.collectives.walk`), so an ``mpi.<collective>`` call and
-the interpreter executing the matching lowering run the same steps; the
-interpreter's pipelined-allreduce guard derives its own rank's
-:func:`pipelined_rank_steps` the same way.  Anything a rank does per call is
-therefore O(its own steps); only :func:`lower` is O(all steps).
+An ``mpi.<collective>`` call runs the same per-rank function
+(:func:`reduce_rank_steps`, :func:`ab_reduce_rank_steps`,
+:func:`bcast_rank_steps`, :func:`pipelined_rank_steps`) for its own rank only
+(:func:`repro.mpich.collectives.walk.own_steps`), so it and the interpreter
+executing the matching lowering run the same steps.  Anything a rank does
+per call is therefore O(its own steps); only :func:`lower` is O(all steps).
 
 Registered lowerings:
 
@@ -148,14 +146,15 @@ def bcast_rank_steps(parent, kids, segs=(-1,)) -> List:
     return steps
 
 
-def _ab_reduce_rank_steps(parent, kids, segs) -> List:
+def ab_reduce_rank_steps(parent, kids, segs) -> List:
     """AB reduce: internal ranks post one NIC descriptor per segment and
     leaves just send; the root folds on the host like ``reduce.nab``."""
     if parent is None or not kids:
         return reduce_rank_steps(parent, kids, segs)
+    kids = tuple(kids)
     steps: List = []
     for s in segs:
-        steps.append(WaitStep(tuple(kids), seg=s))
+        steps.append(WaitStep(kids, seg=s))
         steps.append(SendStep(parent, seg=s))
     return steps
 
@@ -164,7 +163,7 @@ def pipelined_rank_steps(parent, kids, segs) -> List:
     """Pipelined allreduce: segmented AB reduce then segmented bcast; the
     root interleaves the two per segment."""
     if parent is not None:
-        return (_ab_reduce_rank_steps(parent, kids, segs)
+        return (ab_reduce_rank_steps(parent, kids, segs)
                 + bcast_rank_steps(parent, kids, segs))
     # Root: fold segment k, immediately re-broadcast it — the overlap that
     # keeps both reduce and bcast links busy.
@@ -211,10 +210,10 @@ def _tree_lowering(name: str, rank_steps: Callable, min_nseg: int = 0) -> None:
 
 
 _tree_lowering("reduce.nab", reduce_rank_steps)
-_tree_lowering("reduce.ab", _ab_reduce_rank_steps)
+_tree_lowering("reduce.ab", ab_reduce_rank_steps)
 _tree_lowering("bcast.tree", bcast_rank_steps)
 _tree_lowering("allreduce.reduce_bcast", _then_bcast(reduce_rank_steps))
-_tree_lowering("allreduce.ab", _then_bcast(_ab_reduce_rank_steps))
+_tree_lowering("allreduce.ab", _then_bcast(ab_reduce_rank_steps))
 _tree_lowering("allreduce.pipelined", pipelined_rank_steps, min_nseg=2)
 
 

@@ -55,10 +55,8 @@ class TenantContext(MpiContext):
     job, while ``node``/``rank`` keep addressing the shared world.
     """
 
-    def __init__(self, node, comm: Communicator, placement: Placement,
-                 ab_params=None):
-        super().__init__(node, comm, _BUILDS[placement.job.build],
-                         ab_params)
+    def __init__(self, node, comm: Communicator, placement: Placement):
+        super().__init__(node, comm, _BUILDS[placement.job.build])
         self.placement = placement
 
     @property
@@ -165,14 +163,13 @@ def _run_jobs_on_cluster(spec: ClusterSpec, placements: list,
         comm = Communicator(p.slots, name=f"job{p.job_id}")
         procs = []
         for jrank, slot in enumerate(p.slots):
-            ctx = TenantContext(cluster.nodes[slot], comm, p,
-                                ab_params=config.ab)
+            ctx = TenantContext(cluster.nodes[slot], comm, p)
             procs.append(cluster.sim.spawn(
                 job_program(ctx, p.job),
                 name=f"{p.job.name}.r{jrank}", cpu=ctx.node.cpu))
         processes[p.job_id] = procs
     cluster.sim.run()
-    monitor = getattr(cluster, "monitor", None)
+    monitor = cluster.monitor
     if monitor is not None:
         monitor.finalize()
     samples = {job_id: [proc.result for proc in procs]

@@ -82,9 +82,9 @@ def test_crash_with_tree_heal_completes_at_32_ranks():
     survivors must keep completing reduces with the surviving-rank sum
     and the orphaned subtrees must be healed onto a live ancestor."""
     size = 32
-    config = quiet_cluster(size, seed=2).with_faults(
-        FaultParams(crash_rank=24, crash_at_us=900.0, tree_heal=True,
-                    descriptor_timeout_us=300.0, timeout_retries=2))
+    config = replace(quiet_cluster(size, seed=2), faults=FaultParams(
+        crash_rank=24, crash_at_us=900.0, tree_heal=True,
+        descriptor_timeout_us=300.0, timeout_retries=2))
     res = fault_reduce_benchmark(config, MpiBuild.AB,
                                  iterations=6, gap_us=200.0)
     full = float(size * (size + 1) // 2)          # 528
@@ -114,11 +114,11 @@ def test_healed_tree_is_the_same_on_both_routes(pipeline, elements, pushes):
     routes differ only in how often they derive: once at entry, plus —
     for a segmented internal node — once per segment descriptor pushed
     (a subtree healed mid-pipeline re-parents the remaining segments)."""
-    config = quiet_cluster(8, seed=0).with_faults(
-        FaultParams(crash_rank=6, crash_at_us=0.0, tree_heal=True,
-                    descriptor_timeout_us=300.0, timeout_retries=2))
+    config = replace(quiet_cluster(8, seed=0), faults=FaultParams(
+        crash_rank=6, crash_at_us=0.0, tree_heal=True,
+        descriptor_timeout_us=300.0, timeout_retries=2))
     if pipeline is not None:
-        config = config.with_pipeline(pipeline)
+        config = replace(config, pipeline=pipeline)
 
     def program(mpi):
         result = yield from mpi.reduce(contribution(mpi.rank, elements),
@@ -152,8 +152,8 @@ def test_pause_longer_than_exit_delay_window_is_wall_clock_bounded():
         base,
         ab=replace(base.ab, exit_delay_policy="fixed",
                    exit_delay_coeff_us=window),
-    ).with_faults(FaultParams(pause_rank=5, pause_at_us=50.0,
-                              pause_duration_us=pause))
+        faults=FaultParams(pause_rank=5, pause_at_us=50.0,
+                           pause_duration_us=pause))
     res = fault_reduce_benchmark(config, MpiBuild.AB,
                                  iterations=1, gap_us=200.0)
     assert res.survivor_ok
@@ -172,8 +172,8 @@ def test_pause_parent_poll_charge_stays_within_window():
         base,
         ab=replace(base.ab, exit_delay_policy="fixed",
                    exit_delay_coeff_us=window),
-    ).with_faults(FaultParams(pause_rank=5, pause_at_us=50.0,
-                              pause_duration_us=pause))
+        faults=FaultParams(pause_rank=5, pause_at_us=50.0,
+                           pause_duration_us=pause))
     out = run_ranks(size, _reduce_program(1), build=MpiBuild.AB,
                     config=config)
     assert np.array_equal(out.results[0][0], expected_sum(size, 4))
@@ -190,10 +190,10 @@ def test_link_degrade_slows_the_run_but_never_the_answer():
     base = quiet_cluster(8, seed=3)
     healthy = fault_reduce_benchmark(base, MpiBuild.AB, iterations=4)
     degraded = fault_reduce_benchmark(
-        base.with_faults(FaultParams(degrade_start_us=0.0,
-                                     degrade_end_us=1.0e6,
-                                     degrade_latency_factor=4.0,
-                                     degrade_bandwidth_factor=3.0)),
+        replace(base, faults=FaultParams(degrade_start_us=0.0,
+                                         degrade_end_us=1.0e6,
+                                         degrade_latency_factor=4.0,
+                                         degrade_bandwidth_factor=3.0)),
         MpiBuild.AB, iterations=4)
     assert healthy.survivor_ok and degraded.survivor_ok
     assert degraded.last_result == healthy.last_result

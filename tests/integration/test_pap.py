@@ -13,6 +13,8 @@ dominates.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def test_disarmed_workload_is_bit_identical():
     plain = run_ranks(SIZE, program, seed=5)
     disarmed = run_ranks(
         SIZE, program,
-        config=quiet_cluster(SIZE, seed=5).with_workload(WorkloadParams()))
+        config=replace(quiet_cluster(SIZE, seed=5), workload=WorkloadParams()))
     assert plain.finished_at == disarmed.finished_at
     assert plain.sim_counters() == disarmed.sim_counters()
     for a, b in zip(plain.results, disarmed.results):
@@ -82,8 +84,8 @@ def test_zero_delay_armed_workload_changes_no_timing():
     the disarmed timings exactly — the injected delay is 0.0 and float
     addition of 0.0 is exact.  Only the workload counters may appear."""
     base = quiet_cluster(SIZE, seed=9)
-    armed = base.with_workload(WorkloadParams(pattern="constant",
-                                              scale_us=0.0))
+    armed = replace(base, workload=WorkloadParams(pattern="constant",
+                                                  scale_us=0.0))
     r_plain = pap_benchmark(base, algo="nab", elements=128, iterations=4,
                             warmup=1)
     r_armed = pap_benchmark(armed, algo="nab", elements=128, iterations=4,
@@ -104,7 +106,7 @@ def test_cpu_util_benchmark_disarmed_unchanged_by_wiring():
     base = cpu_util_benchmark(quiet_cluster(4, seed=3), MpiBuild.DEFAULT,
                               elements=4, iterations=10, warmup=2)
     explicit = cpu_util_benchmark(
-        quiet_cluster(4, seed=3).with_workload(WorkloadParams()),
+        replace(quiet_cluster(4, seed=3), workload=WorkloadParams()),
         MpiBuild.DEFAULT, elements=4, iterations=10, warmup=2)
     assert base.avg_util_us == explicit.avg_util_us
     assert base.direct_avg_util_us == explicit.direct_avg_util_us
@@ -115,7 +117,7 @@ def test_cpu_util_benchmark_disarmed_unchanged_by_wiring():
 def test_cpu_util_benchmark_accepts_armed_workload():
     """Armed path: delays are injected, counted, and reported."""
     r = cpu_util_benchmark(
-        quiet_cluster(4, seed=3).with_workload(BURSTY),
+        replace(quiet_cluster(4, seed=3), workload=BURSTY),
         MpiBuild.DEFAULT, elements=4, iterations=10, warmup=2)
     assert r.sim_counters["workload_pattern"] == "bursty"
     assert r.sim_counters["workload_delays"] == 4 * 12
@@ -207,7 +209,7 @@ def test_pap_execution_float64_within_tolerance(name):
 def test_pap_benchmark_runs_sra_and_pra_under_bursty():
     """End-to-end: the benchmark itself asserts every rank's sums, so a
     green run is a correctness statement; also pin the reported stats."""
-    config = quiet_cluster(SIZE, seed=11).with_workload(BURSTY)
+    config = replace(quiet_cluster(SIZE, seed=11), workload=BURSTY)
     for algo in ("sra", "pra"):
         r = pap_benchmark(config, algo=algo, elements=128, iterations=4,
                           warmup=1)
@@ -223,13 +225,13 @@ def test_pap_benchmark_guards():
     with pytest.raises(ValueError):
         pap_benchmark(config, algo="pipelined")  # pipeline disarmed
     from repro.config import PipelineParams
-    piped = config.with_pipeline(PipelineParams(segment_size_bytes=2048))
+    piped = replace(config, pipeline=PipelineParams(segment_size_bytes=2048))
     with pytest.raises(ValueError):
         pap_benchmark(piped, algo="sra")  # whole-message only
 
 
 def test_pap_benchmark_deterministic():
-    config = quiet_cluster(SIZE, seed=17).with_workload(BURSTY)
+    config = replace(quiet_cluster(SIZE, seed=17), workload=BURSTY)
     a = pap_benchmark(config, algo="sra", elements=128, iterations=3,
                       warmup=1)
     b = pap_benchmark(config, algo="sra", elements=128, iterations=3,

@@ -12,6 +12,8 @@ ASSERT-mode InvariantMonitor (tests/conftest.py), so any INV-* violation
 raising.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro import MpiBuild, quiet_cluster
@@ -45,7 +47,7 @@ def _reduce_program(elements, iterations=3):
 def _run(size, program, *, pipeline=None, build=MpiBuild.AB, seed=3):
     config = quiet_cluster(size, seed=seed)
     if pipeline is not None:
-        config = config.with_pipeline(pipeline)
+        config = replace(config, pipeline=pipeline)
     return run_ranks(size, program, build=build, config=config)
 
 
@@ -115,6 +117,50 @@ def test_pipelined_allreduce_traeff_overlap():
     assert armed.sim_counters()["pipelined_allreduces"] > 0
 
 
+def test_auto_resolved_allreduce_uses_one_tree_for_both_legs(tmp_path,
+                                                             monkeypatch):
+    """Regression: under ``tree_shape="auto"`` the pipelined allreduce
+    resolves the tuned-table shape once, from the message size, and both
+    legs follow it.  The AB broadcast used to forward along
+    ``rank.tree_shape`` — the binomial fallback — while the reduce climbed
+    the tuned chain (forwards 0/4/0/8/0/4 on ranks 1..6 instead of one
+    chain child each)."""
+    from repro.config import MpiParams
+    from repro.schedule.table import (TABLE_ENV, TunedEntry, TuningTable,
+                                      clear_table_cache)
+
+    size, elements, nseg = 8, 1024, 4
+    path = tmp_path / "table.json"
+    TuningTable(entries=[
+        TunedEntry(topology="crossbar", nranks=size, min_msg_bytes=0,
+                   max_msg_bytes=1 << 62, tree_shape="chain", tree_radix=2,
+                   segment_size_bytes=2048, max_inflight_segments=3),
+    ]).dump(path)
+    monkeypatch.setenv(TABLE_ENV, str(path))
+    clear_table_cache()
+
+    def program(mpi):
+        data = np.arange(elements, dtype=np.float64) * (mpi.rank + 1)
+        result = yield from mpi.allreduce(data, op=SUM)
+        return result
+
+    try:
+        config = replace(
+            quiet_cluster(size, seed=3), mpi=MpiParams(tree_shape="auto"),
+            pipeline=PipelineParams(segment_size_bytes="auto"))
+        out = run_ranks(size, program, build=MpiBuild.AB, config=config)
+    finally:
+        clear_table_cache()
+    expected = np.arange(elements, dtype=np.float64) * (size * (size + 1) / 2)
+    for result in out.results:
+        assert np.array_equal(result, expected)
+    forwards = [ctx.ab_engine.extensions["bcast"].stats.forwards
+                for ctx in out.contexts]
+    assert forwards == [0] + [nseg] * (size - 2) + [0]
+    for ctx in out.contexts:
+        assert ctx.ab_engine.pipeline.stats.pipelined_allreduces == 1
+
+
 def test_armed_runs_are_deterministic():
     program = _reduce_program(2048)
     a = _run(16, program, pipeline=ARMED)
@@ -137,11 +183,12 @@ def test_crash_heals_mid_pipeline_with_segments_in_flight():
     sum.  Pacing stays inside the healed parent's RX budget — see
     DESIGN.md §11 on why overpacing would turn into honest abandons."""
     size = 32
-    config = quiet_cluster(size, seed=2).with_faults(
-        FaultParams(crash_rank=24, crash_at_us=900.0, tree_heal=True,
-                    descriptor_timeout_us=300.0, timeout_retries=2)
-    ).with_pipeline(PipelineParams(segment_size_bytes=2048,
-                                   max_inflight_segments=3))
+    config = replace(
+        quiet_cluster(size, seed=2),
+        faults=FaultParams(crash_rank=24, crash_at_us=900.0, tree_heal=True,
+                           descriptor_timeout_us=300.0, timeout_retries=2),
+        pipeline=PipelineParams(segment_size_bytes=2048,
+                                max_inflight_segments=3))
     res = fault_reduce_benchmark(config, MpiBuild.AB, elements=2048,
                                  iterations=6, gap_us=1200.0)
     full = size * (size + 1) / 2

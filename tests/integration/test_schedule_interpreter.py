@@ -53,10 +53,10 @@ COMBOS = [
 
 def make_config(shape: str, segmented: bool, size: int = SIZE):
     config = quiet_cluster(size, seed=7)
-    config = config.with_mpi(dataclasses.replace(config.mpi,
-                                                 tree_shape=shape))
+    config = dataclasses.replace(config, mpi=dataclasses.replace(
+        config.mpi, tree_shape=shape))
     if segmented:
-        config = config.with_pipeline(PipelineParams(
+        config = dataclasses.replace(config, pipeline=PipelineParams(
             segment_size_bytes=2048, max_inflight_segments=3))
     return config
 
@@ -155,15 +155,48 @@ def test_interpreter_rejects_mismatched_segmentation():
         run_program(config, program, build=MpiBuild.AB)
 
 
-def _family_calls_per_rank(size: int, monkeypatch) -> set:
-    """How many ``ranks.family`` derivations one ``allreduce.pipelined``
-    execution costs a rank, with ``size`` ranks: the distinct per-rank
-    counts (the root derives once more than the rest)."""
+@pytest.mark.parametrize("via", ["lowered", "reshape_tree"])
+def test_reshaped_pipelined_allreduce_follows_its_schedule(via):
+    """A chain ``allreduce.pipelined`` under a *binomial* config — lowered
+    directly, or rewritten by the ``reshape_tree`` pass — executes: the AB
+    broadcast forwards where the steps point, not along the configured
+    tree (it used to be refused: "cannot follow a reshaped schedule")."""
+    from repro.schedule import apply_passes, lower
+    from repro.topo import make_tree_shape
+    config = make_config("binomial", True)
+    if via == "lowered":
+        schedule = lower("allreduce.pipelined", make_tree_shape("chain"),
+                         SIZE, nseg=4)
+    else:
+        schedule = apply_passes(
+            build_schedule(config, lowering="allreduce.pipelined",
+                           elements=ELEMENTS),
+            [("reshape_tree", {"shape": "chain"})])
+    schedule.validate()
+
+    def program(mpi):
+        data = np.arange(ELEMENTS, dtype=np.float64) * (mpi.rank + 1)
+        result = yield from execute_schedule(mpi.mpi, schedule, data, SUM)
+        return result
+
+    # run_program builds the cluster under the suite's ASSERT-mode
+    # invariant monitor (conftest): a protocol break would raise.
+    out = run_program(config, program, build=MpiBuild.AB)
+    assert out.cluster.monitor.checks > 0 and out.cluster.monitor.ok
+    expected = np.add.reduce([np.arange(ELEMENTS, dtype=np.float64) * (r + 1)
+                              for r in range(SIZE)])
+    for result in out.results:
+        assert np.array_equal(result, expected)
+    forwards = [ctx.ab_engine.extensions["bcast"].stats.forwards
+                for ctx in out.contexts]
+    assert forwards == [0] + [4] * (SIZE - 2) + [0]   # one chain child each
+
+
+def _family_calls(config, program, build, monkeypatch):
+    """``ranks.family`` derivations per rank while ``program`` runs, and
+    the run's output."""
     from collections import Counter
     from repro.topo import ranks
-    config = make_config("binomial", True, size)
-    schedule = build_schedule(config, lowering="allreduce.pipelined",
-                              elements=ELEMENTS)
     per_rank: Counter = Counter()
     real = ranks.family
 
@@ -173,17 +206,151 @@ def _family_calls_per_rank(size: int, monkeypatch) -> set:
 
     with monkeypatch.context() as patch:
         patch.setattr(ranks, "family", counted)
-        out = run_program(config, scheduled_program(schedule),
-                          build=MpiBuild.AB)
-    assert all(r[0] == size * (size + 1) / 2 for r in out.results)
-    assert sorted(per_rank) == list(range(size))
-    return set(per_rank.values())
+        out = run_program(config, program, build=build)
+    return per_rank, out
 
 
 def test_pipelined_guard_costs_each_rank_its_own_steps_only(monkeypatch):
-    """The interpreter proves *this rank's* steps against the configured
-    tree; it used to re-lower all ``comm.size`` ranks inside every rank on
-    every call (32 more family derivations per rank at 64 ranks than at
-    32)."""
-    assert (_family_calls_per_rank(32, monkeypatch)
-            == _family_calls_per_rank(64, monkeypatch))
+    """Executing a schedule reads ``schedule.steps[me]`` and nothing else:
+    no rank derives the tree, at any width.  (The interpreter used to
+    re-lower all ``comm.size`` ranks inside every rank on every call, then
+    its own rank's steps five times over.)"""
+    for size in (32, 64):
+        config = make_config("binomial", True, size)
+        schedule = build_schedule(config, lowering="allreduce.pipelined",
+                                  elements=ELEMENTS)
+        per_rank, out = _family_calls(config, scheduled_program(schedule),
+                                      MpiBuild.AB, monkeypatch)
+        assert all(r[0] == size * (size + 1) / 2 for r in out.results)
+        assert not per_rank
+
+
+#: Every registered lowering, whole and — where the config can execute
+#: it — segmented: (lowering, segmented, build).
+DERIVATION_CASES = (
+    [(whole, False, build) for whole, _, build in COMBOS]
+    + [(seg, True, build) for _, seg, build in COMBOS]
+    + [("allreduce.pap_sorted", False, MpiBuild.DEFAULT),
+       ("allreduce.pap_prereduced", False, MpiBuild.DEFAULT)])
+
+
+def test_derivation_cases_cover_every_registered_lowering():
+    from repro.schedule import LOWERINGS
+    assert {name for name, _, _ in DERIVATION_CASES} == set(LOWERINGS)
+
+
+@pytest.mark.parametrize(
+    "lowering,segmented,build", DERIVATION_CASES,
+    ids=["%s-%s" % (name, "segmented" if seg else "whole")
+         for name, seg, _ in DERIVATION_CASES])
+def test_execute_schedule_never_derives_the_tree(lowering, segmented, build,
+                                                 monkeypatch):
+    config = make_config("chain", segmented)
+    schedule = build_schedule(config, lowering=lowering, elements=ELEMENTS)
+    per_rank, _ = _family_calls(config, scheduled_program(schedule), build,
+                                monkeypatch)
+    assert not per_rank
+
+
+def test_mpi_allreduce_derives_the_tree_once_per_rank(monkeypatch):
+    """The AB pipelined ``mpi.allreduce`` derives its rank's steps once and
+    both legs follow them (it used to derive five times: the reduce, the
+    root's children, the broadcast's forwarders twice, the guard)."""
+    config = make_config("binomial", True)
+    per_rank, out = _family_calls(config, legacy_program("allreduce"),
+                                  MpiBuild.AB, monkeypatch)
+    assert out.contexts[0].ab_engine.pipeline.stats.pipelined_allreduces == 1
+    assert per_rank == {me: 1 for me in range(SIZE)}
+
+
+# ---------------------------------------------------------------------------
+# every refusal (ROADMAP 3d): one line, naming the rank and the lowering
+# ---------------------------------------------------------------------------
+
+def _lowered(name, *, size=SIZE, nseg=0):
+    from repro.schedule import lower
+    from repro.topo import make_tree_shape
+    return lower(name, make_tree_shape("binomial"), size, nseg=nseg)
+
+
+def _hand_built(collective, lowering, steps):
+    from repro.schedule import Schedule
+    return Schedule(collective, lowering, len(steps), steps=steps)
+
+
+def _refusal_cases():
+    from repro.schedule import SendStep, WaitStep
+    whole, segmented = (make_config("binomial", s) for s in (False, True))
+    # ("raise site[/variant]", config, build, schedule, elements, the rank
+    # refused first, why)
+    return [
+        ("communicator-size", whole, MpiBuild.DEFAULT,
+         _lowered("reduce.nab", size=4), ELEMENTS, 0,
+         "it is for 4 ranks but the communicator has 8"),
+        ("unknown-collective", whole, MpiBuild.DEFAULT,
+         _hand_built("scan", "hand.built", ((),) * SIZE), ELEMENTS, 0,
+         "no interpreter for collective 'scan'"),
+        ("needs-ab-build/default-build", whole, MpiBuild.DEFAULT,
+         _lowered("reduce.ab"), ELEMENTS, 0, "it needs an AB build"),
+        ("needs-ab-build/disarmed-pipeline", whole, MpiBuild.AB,
+         _lowered("allreduce.pipelined", nseg=4), ELEMENTS, 0,
+         "it needs an AB build with an armed pipeline"),
+        ("rendezvous-sized-ab", whole, MpiBuild.AB,
+         _lowered("reduce.ab"), 4096, 0,
+         "a rendezvous-sized payload (32768 bytes) cannot take the AB "
+         "route; lower with reduce.nab instead"),
+        ("non-root-keeps-its-result", whole, MpiBuild.AB,
+         _hand_built("reduce", "reduce.ab", ((),) * SIZE), ELEMENTS, 1,
+         "its steps send the partial result to nobody (only the root may "
+         "keep it)"),
+        ("sequential-under-pipelining-config", segmented, MpiBuild.AB,
+         _lowered("allreduce.ab", nseg=4), ELEMENTS, 0,
+         "the config pipelines this allreduce; lower with "
+         "allreduce.pipelined instead"),
+        ("segment-plan-mismatch", segmented, MpiBuild.DEFAULT,
+         _lowered("reduce.nab"), ELEMENTS, 0,
+         "its steps span nseg=0 but the config plans 4 segment(s) for 8192 "
+         "bytes — align PipelineParams with the schedule"),
+        ("nic-step-on-the-host", whole, MpiBuild.DEFAULT,
+         _hand_built("reduce", "hand.built",
+                     ((WaitStep((1,)),), (SendStep(0),)) + ((),) * 6),
+         ELEMENTS, 0,
+         "WaitStep(children=(1,), seg=-1) cannot be walked on the host"),
+    ]
+
+
+REFUSALS = _refusal_cases()
+
+
+def test_refusal_cases_cover_every_raise_site():
+    """One case per ``raise ScheduleExecutionError`` in ``src/``, plus the
+    interpreter's own re-raise that names rank and lowering."""
+    import re
+    src = Path(__file__).parents[2] / "src" / "repro"
+    sites = sum(len(re.findall(r"raise ScheduleExecutionError\b",
+                               path.read_text(encoding="utf-8")))
+                for path in src.rglob("*.py"))
+    assert sites == len({case[0].split("/")[0] for case in REFUSALS}) + 1
+    assert sites <= 9
+
+
+@pytest.mark.parametrize("config,build,schedule,elements,rank,why",
+                         [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_every_refusal_is_one_line_naming_rank_and_lowering(
+        config, build, schedule, elements, rank, why):
+    from repro.core.interpreter import ScheduleExecutionError
+    from repro.errors import ProcessFailed
+
+    def program(mpi):
+        data = np.ones(elements)
+        result = yield from execute_schedule(mpi.mpi, schedule, data, SUM)
+        return result
+
+    with pytest.raises(ProcessFailed) as failure:
+        run_program(config, program, build=build)
+    error = failure.value.__cause__
+    assert type(error) is ScheduleExecutionError
+    assert str(error) == ("rank %d cannot execute this %s schedule: %s"
+                          % (rank, schedule.lowering, why))
+    assert "\n" not in str(error)

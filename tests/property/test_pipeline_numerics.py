@@ -45,9 +45,9 @@ def run_reduce(size, op, make_data, *, pipeline=None, shape="binomial",
     """One reduce to root 0; returns the root's result array."""
     config = quiet_cluster(size, seed=0)
     if shape != "binomial":
-        config = config.with_mpi(replace(config.mpi, tree_shape=shape))
+        config = replace(config, mpi=replace(config.mpi, tree_shape=shape))
     if pipeline is not None:
-        config = config.with_pipeline(pipeline)
+        config = replace(config, pipeline=pipeline)
 
     def program(mpi):
         result = yield from mpi.reduce(make_data(mpi.rank), op=op, root=0)

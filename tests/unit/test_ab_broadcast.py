@@ -146,3 +146,46 @@ def test_bcast_signals_stay_pinned():
     for ctx in out.contexts:
         assert ctx.node.nic.signals_enabled
         assert ctx.ab_engine.signal_pins == 1
+
+
+def test_stand_alone_bcast_between_scheduled_allreduces():
+    """A pipelined allreduce tells the broadcaster where its segments go
+    (its steps' chain, here — not the configured binomial tree), keyed by
+    broadcast instance: a stand-alone bcast from another root, issued by a
+    fast rank while slower ranks are still inside the allreduce, is routed
+    by the configured tree and the next allreduce by its own steps."""
+    from dataclasses import replace
+
+    from repro.config import PipelineParams, quiet_cluster
+    from repro.core.interpreter import execute_schedule
+    from repro.mpich.operations import SUM
+    from repro.schedule import lower
+    from repro.topo import make_tree_shape
+
+    size, elements, rounds = 8, 1024, 3
+    config = replace(quiet_cluster(size, seed=7), pipeline=PipelineParams(
+        segment_size_bytes=2048, max_inflight_segments=3))
+    chain = lower("allreduce.pipelined", make_tree_shape("chain"), size,
+                  nseg=4).validate()
+
+    def program(mpi):
+        bcaster = AbBroadcast(mpi.ab_engine)
+        bcaster.register_comm(mpi.comm_world)
+        data = np.arange(elements, dtype=np.float64) * (mpi.rank + 1)
+        seen = []
+        for i in range(rounds):
+            total = yield from execute_schedule(mpi.mpi, chain, data, SUM)
+            if mpi.rank == 3:
+                token = yield from bcaster.bcast(np.full(4, 42.0 + i), 3,
+                                                 mpi.comm_world)
+            else:
+                token = yield from bcaster.bcast(None, 3, mpi.comm_world,
+                                                 count=4)
+            seen.append((total[1], token[0]))
+        return seen
+
+    out = run_ranks(size, program, build=MpiBuild.AB, config=config)
+    expected = [(size * (size + 1) / 2, 42.0 + i) for i in range(rounds)]
+    assert all(seen == expected for seen in out.results)
+    for ctx in out.contexts:
+        assert ctx.ab_engine.extensions["bcast"]._scheduled == {}

@@ -1,5 +1,7 @@
 """Behavioural tests for the application-bypass engine (paper Figs. 3-5)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import contribution, expected_sum, run_ranks
 def ab_config(size, seed=0, **ab_kwargs):
     cfg = quiet_cluster(size, seed=seed)
     if ab_kwargs:
-        cfg = cfg.with_ab(AbParams(**ab_kwargs))
+        cfg = replace(cfg, ab=AbParams(**ab_kwargs))
     return cfg
 
 
@@ -277,9 +279,10 @@ def test_exit_delay_window_spans_the_segment_window(coeff_us, caught):
         yield from mpi.reduce(contribution(mpi.rank, 1024), op=SUM, root=0)
         yield from mpi.barrier()
 
-    cfg = ab_config(8, exit_delay_policy="fixed",
-                    exit_delay_coeff_us=coeff_us).with_pipeline(
-        PipelineParams(segment_size_bytes=2048, max_inflight_segments=2))
+    cfg = replace(
+        ab_config(8, exit_delay_policy="fixed", exit_delay_coeff_us=coeff_us),
+        pipeline=PipelineParams(segment_size_bytes=2048,
+                                max_inflight_segments=2))
     out = run_ranks(8, program, build=MpiBuild.AB, config=cfg)
     assert (out.cluster.total_signals() == 0) == caught
     for rank in (2, 4, 6):

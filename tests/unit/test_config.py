@@ -1,5 +1,7 @@
 """Unit tests for configuration and cluster presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (MACHINE_P3_700, MACHINE_P3_1000,
@@ -74,10 +76,12 @@ def test_with_helpers_return_new_configs():
     cfg = paper_cluster(4)
     ab = AbParams(exit_delay_policy="log")
     nic = NicParams(signal_overhead_us=20.0)
-    assert cfg.with_ab(ab).ab is ab
-    assert cfg.with_nic(nic).nic is nic
-    assert cfg.with_seed(5).seed == 5
+    assert replace(cfg, ab=ab).ab is ab
+    assert replace(cfg, nic=nic).nic is nic
+    assert replace(cfg, seed=5).seed == 5
     assert cfg.ab is not ab  # original untouched (frozen dataclasses)
+    with pytest.raises(ConfigError):  # replace() re-runs __post_init__
+        replace(cfg, noise=NoiseParams(spike_prob=1.5))
 
 
 def test_noise_validation():

@@ -7,6 +7,8 @@ and small end-to-end fault_reduce runs whose counters surface through
 ``Simulator.counters()``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import MpiBuild, quiet_cluster
@@ -241,9 +243,9 @@ def test_fault_free_run_has_no_fault_counters():
 
 
 def test_burst_loss_is_hidden_by_reliable_delivery():
-    config = quiet_cluster(8, seed=5).with_faults(
-        FaultParams(burst_prob=0.2, burst_len=2,
-                    descriptor_timeout_us=20000.0, timeout_retries=3))
+    config = replace(quiet_cluster(8, seed=5), faults=FaultParams(
+        burst_prob=0.2, burst_len=2,
+        descriptor_timeout_us=20000.0, timeout_retries=3))
     res = fault_reduce_benchmark(config, MpiBuild.AB, iterations=3)
     assert res.survivor_ok
     assert res.first_result == res.last_result == 36.0
@@ -255,9 +257,8 @@ def test_burst_loss_is_hidden_by_reliable_delivery():
 
 
 def test_signal_suppression_still_completes():
-    config = quiet_cluster(8, seed=1).with_faults(
-        FaultParams(suppress_node=4, suppress_start_us=0.0,
-                    suppress_end_us=1500.0))
+    config = replace(quiet_cluster(8, seed=1), faults=FaultParams(
+        suppress_node=4, suppress_start_us=0.0, suppress_end_us=1500.0))
     res = fault_reduce_benchmark(config, MpiBuild.AB, iterations=3)
     assert res.survivor_ok
     assert res.last_result == 36.0

@@ -1,5 +1,7 @@
 """Tests for GM token-based flow control (send tokens / receive buffers)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import run_ranks
 
 def make_pair(send_tokens=16, recv_tokens=64):
     nic = NicParams(send_tokens=send_tokens, recv_tokens=recv_tokens)
-    cluster = Cluster(quiet_cluster(2).with_nic(nic))
+    cluster = Cluster(replace(quiet_cluster(2), nic=nic))
     return cluster, cluster.nodes[0].nic, cluster.nodes[1].nic
 
 
@@ -57,7 +59,7 @@ def test_flow_control_transparent_to_mpi():
     """A many-message exchange completes correctly even with tiny token
     pools (the MPI layer never sees the throttling, only the timing)."""
     nic = NicParams(send_tokens=2, recv_tokens=3)
-    config = quiet_cluster(2).with_nic(nic)
+    config = replace(quiet_cluster(2), nic=nic)
     n = 20
 
     def program(mpi):

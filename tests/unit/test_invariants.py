@@ -9,6 +9,7 @@ deliberately violated and the monitor must flag it.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def build_ab_cluster(size=4, mode=COLLECT, seed=0):
     monitor = InvariantMonitor(mode=mode)
     cluster = Cluster(cfg, monitor=monitor)
     world = world_communicator(size)
-    contexts = [MpiContext(node, world, MpiBuild.AB, cfg.ab)
+    contexts = [MpiContext(node, world, MpiBuild.AB)
                 for node in cluster.nodes]
     return cluster, contexts, monitor
 
@@ -145,8 +146,8 @@ def test_multi_hop_runs_are_fifo_clean(topology):
         yield from mpi.barrier()
         return result
 
-    cfg = quiet_cluster(8, seed=0).with_net(
-        NetParams(topology=topology, fattree_hosts_per_switch=4))
+    cfg = replace(quiet_cluster(8, seed=0), net=NetParams(
+        topology=topology, fattree_hosts_per_switch=4))
     monitor = InvariantMonitor(mode=ASSERT)
     cluster = Cluster(cfg, monitor=monitor)
     run_program(cluster, program, build=MpiBuild.AB)

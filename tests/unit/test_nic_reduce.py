@@ -114,3 +114,28 @@ def test_nicred_vs_host_ab_host_cpu():
 
     for internal in (2, 4, 6):
         assert host_cpu(out_nic, internal) < host_cpu(out_ab, internal)
+
+
+def test_nicred_follows_the_configured_tree_shape():
+    """The NIC units combine along ``MpiParams.tree_shape`` like every
+    other collective: on a chain every NIC folds its own contribution plus
+    its single child's (the last rank only its own)."""
+    from dataclasses import replace
+
+    from repro.config import MpiParams, quiet_cluster
+    from repro.bench.nicred import nicred_latency
+
+    size = 8
+    config = replace(quiet_cluster(size, seed=0),
+                     mpi=MpiParams(tree_shape="chain"))
+    out = run_ranks(size, nicred_program(), config=config)
+    results, _ = out.results[0]
+    assert np.array_equal(results[0], expected_sum(size, 8))
+    combines = [ctx.mpi.node.nic.collective_unit.stats.nic_combines
+                for ctx in out.contexts]
+    assert combines == [2] * (size - 1) + [1]     # 1 + children, per node
+    # The latency protocol times the chain's last node, not the binomial's.
+    chain = nicred_latency(config, elements=8, iterations=2, warmup=1)
+    binomial = nicred_latency(quiet_cluster(size, seed=0), elements=8,
+                              iterations=2, warmup=1)
+    assert chain > binomial

@@ -1,5 +1,7 @@
 """Tests for the PMPI-style profiling wrapper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,8 +85,8 @@ def test_profile_segment_accounting():
     from repro import quiet_cluster
     out = run_ranks(
         4, program, build=MpiBuild.AB,
-        config=quiet_cluster(4, seed=0).with_pipeline(
-            PipelineParams(segment_size_bytes=2048)))
+        config=replace(quiet_cluster(4, seed=0),
+                       pipeline=PipelineParams(segment_size_bytes=2048)))
     profile = out.results[1]
     red = profile.ops["reduce"]
     assert red.calls == 2

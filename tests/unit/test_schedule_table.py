@@ -45,9 +45,9 @@ def tuned(tmp_path, monkeypatch):
 
 def auto_config(size=8):
     config = paper_cluster(size, seed=1)
-    config = config.with_mpi(dataclasses.replace(config.mpi,
-                                                 tree_shape="auto"))
-    return config.with_pipeline(dataclasses.replace(
+    config = dataclasses.replace(config, mpi=dataclasses.replace(
+        config.mpi, tree_shape="auto"))
+    return dataclasses.replace(config, pipeline=dataclasses.replace(
         config.pipeline, segment_size_bytes="auto"))
 
 

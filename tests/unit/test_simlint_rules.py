@@ -808,6 +808,43 @@ def test_sim016_pragma_suppression(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# SIM017 — tree neighbours re-derived from config
+# ----------------------------------------------------------------------
+SIM017_DERIVE = """
+    from ..topo import ranks as tree
+
+    def forward(rank, comm, root, me):
+        _, kids = tree.family(rank.tree_shape, comm.size, root, me)
+        return kids
+"""
+
+
+def test_sim017_config_derived_neighbours_flagged(tmp_path):
+    findings = lint_source(tmp_path, SIM017_DERIVE,
+                           relpath="repro/core/broadcast2.py")
+    assert rules_of(findings) == ["SIM017"]
+    assert "take neighbours from your steps" in findings[0].message
+
+
+def test_sim017_derivation_layers_and_tests_allowed(tmp_path):
+    for relpath in ("repro/topo/ranks2.py", "repro/schedule/lower2.py",
+                    "repro/mpich/collectives/walk.py",
+                    "repro/core/nic_reduce.py", "tests/unit/test_tree.py"):
+        assert lint_source(tmp_path, SIM017_DERIVE, relpath=relpath) == [], \
+            relpath
+
+
+def test_sim017_unrelated_family_not_flagged(tmp_path):
+    findings = lint_source(tmp_path, """
+        from fonts import catalog
+
+        def pick(name):
+            return catalog.family(name)
+    """, relpath="repro/report/fonts.py")
+    assert findings == []
+
+
+# ----------------------------------------------------------------------
 # rule registry configuration (disable / severity overrides)
 # ----------------------------------------------------------------------
 def test_override_disables_rule(tmp_path):
@@ -863,6 +900,6 @@ def test_registry_lists_all_rules():
     table = rule_table()
     assert {"SIM000", "SIM001", "SIM009", "SIM010", "SIM011",
             "SIM012", "SIM013", "SIM014", "SIM015",
-            "SIM016"} <= set(table)
+            "SIM016", "SIM017"} <= set(table)
     assert REGISTRY["SIM012"].spec.severity == "warning"
     assert REGISTRY["SIM010"].spec.sim_scope_only

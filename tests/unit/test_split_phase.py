@@ -155,8 +155,8 @@ def test_root_children_follow_the_auto_resolved_tree(tmp_path, monkeypatch):
     clear_table_cache()
     try:
         config = quiet_cluster(8, seed=0)
-        config = config.with_mpi(dataclasses.replace(config.mpi,
-                                                     tree_shape="auto"))
+        config = dataclasses.replace(config, mpi=dataclasses.replace(
+            config.mpi, tree_shape="auto"))
         out = run_ranks(8, split_program(), build=MpiBuild.AB,
                         config=config)
         assert out.contexts[1].node.tree_shape_for(32).name == "chain"

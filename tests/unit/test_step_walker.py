@@ -59,5 +59,6 @@ def test_step_the_host_cannot_walk_is_refused_in_one_line():
         run_ranks(2, scheduled(schedule, lambda rank: np.ones(4)))
     error = failure.value.__cause__
     assert isinstance(error, ScheduleExecutionError)
-    assert str(error) == ("rank 0 cannot walk WaitStep(children=(1,), "
-                          "seg=-1) of a hand.built schedule on the host")
+    assert str(error) == ("rank 0 cannot execute this hand.built schedule: "
+                          "WaitStep(children=(1,), seg=-1) cannot be walked "
+                          "on the host")

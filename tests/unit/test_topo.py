@@ -6,6 +6,8 @@ counters surfaced through ``Simulator.counters()``, and per-(src, dst)
 FIFO preservation on multi-hop paths.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,9 +222,10 @@ def test_fabric_counters_include_topology_hops():
 def test_reduce_correct_on_every_topology_and_shape(topology, shape,
                                                     radix, build):
     size, elements = 8, 4
-    config = quiet_cluster(size).with_net(
-        NetParams(topology=topology, fattree_hosts_per_switch=4)
-    ).with_mpi(MpiParams(tree_shape=shape, tree_radix=radix))
+    config = replace(
+        quiet_cluster(size),
+        net=NetParams(topology=topology, fattree_hosts_per_switch=4),
+        mpi=MpiParams(tree_shape=shape, tree_radix=radix))
 
     def program(mpi):
         data = contribution(mpi.rank, elements)

@@ -2,6 +2,7 @@
 the ArrivalTrace container, and the WorkloadModel oracle/counters."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -61,7 +62,7 @@ def test_trace_lists_coerced_to_tuples():
 
 def test_cluster_config_validates_workload():
     with pytest.raises(ConfigError):
-        quiet_cluster(4).with_workload(WorkloadParams(pattern="bogus"))
+        replace(quiet_cluster(4), workload=WorkloadParams(pattern="bogus"))
 
 
 # ---------------------------------------------------------------------------
