@@ -35,6 +35,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
+from ..config import check_name
 from ..sim.access import (READ, WRITE, Location, get_access_tracer,
                           set_access_tracer)
 from ..sim.events import tiebreak_key
@@ -380,12 +381,8 @@ def scenario_points(name: str, *, seed: int = 1,
     """The sweep points behind a named scenario: every grid registered in
     :data:`repro.orchestrate.points.GRIDS` is one."""
     from ..orchestrate.points import GRIDS
-    try:
-        grid = GRIDS[name]
-    except KeyError:
-        raise ValueError(f"unknown scenario {name!r}; "
-                         f"known: {', '.join(GRIDS)}") from None
-    return grid.points(seed=seed, iterations=iterations)
+    check_name("scenario", name, GRIDS)
+    return GRIDS[name].points(seed=seed, iterations=iterations)
 
 
 def build_report(scenario: str, verdicts: list[PointVerdict], *,

@@ -655,6 +655,27 @@ class TreeDerivedOutsideTheHelper(LayeringRule):
         module_hints=("topo", "ranks", "tree")),)
 
 
+@register
+class JsonDecodedOutsideTheCodec(LayeringRule):
+    """A ``json.load``/``json.loads`` call in the package outside the
+    record codec (``repro.config``: ``loads`` / ``decode`` / ``typed``),
+    the one place where a misspelt key, a ``4.7`` for an int or truncated
+    text is a ``RecordError`` line.  A second parser is a second, laxer
+    front door.  Allowed: the codec's module, ``repro.analysis`` (which
+    reads its own baseline file) and tests."""
+
+    spec = RuleSpec(
+        "SIM018",
+        "JSON decoded outside the record codec (`repro.config.loads` / "
+        "`decode`)")
+    boundaries = (Boundary(
+        frozenset({"load", "loads"}),
+        ("repro/config.py", "repro/analysis/", "test_", "conftest"),
+        "`json.{name}(...)` — decode outside input through the record "
+        "codec (`repro.config.loads`, then `decode` / `typed`)",
+        method_of="json"),)
+
+
 # ---------------------------------------------------------------------------
 # the determinism dataflow rules (SIM010–SIM012)
 # ---------------------------------------------------------------------------

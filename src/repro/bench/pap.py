@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import ClusterConfig
+from ..config import ClusterConfig, check_name
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import build_cluster, run_program
@@ -97,12 +97,8 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
                   iterations: int = 10, warmup: int = 2,
                   tracer: Optional[Tracer] = None) -> PapResult:
     """Measure allreduce makespan under ``config.workload`` with ``algo``."""
-    try:
-        build = PAP_ALGOS[algo]
-    except KeyError:
-        raise ValueError(
-            f"unknown PAP algorithm {algo!r}; "
-            f"known: {', '.join(sorted(PAP_ALGOS))}") from None
+    check_name("PAP algorithm", algo, PAP_ALGOS)
+    build = PAP_ALGOS[algo]
     size = config.size
     if size < 2:
         raise ValueError("the PAP benchmark needs at least two nodes")

@@ -11,8 +11,11 @@ DESIGN.md §6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import functools
+import json
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import NoneType, UnionType
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .units import gbit_per_s
@@ -197,8 +200,6 @@ class AbParams:
     #: Coefficient: window = coeff * log2(size) ("log"), coeff * size
     #: ("linear"), or just coeff ("fixed").
     exit_delay_coeff_us: float = 2.0
-    #: Poll granularity while lingering inside the exit-delay window.
-    exit_delay_poll_us: float = 0.5
     #: Messages larger than this fall back to the default nab reduction
     #: (the paper implements eager mode only).
     eager_limit_bytes: int = 16384
@@ -279,7 +280,7 @@ class FaultParams:
     #: Serialization-time multiplier inside the window (1.0 = unchanged).
     degrade_bandwidth_factor: float = 1.0
     #: Source nodes whose egress traffic is degraded; empty = every link.
-    degrade_links: tuple = ()
+    degrade_links: tuple[int, ...] = ()
 
     # -- nic_signal_suppress: swallow AB collective signals -------------
     #: Node whose NIC stops raising signals during the window (-1 = off).
@@ -374,7 +375,7 @@ class PipelineParams:
     #: "auto" consults the persisted tuning table per message size
     #: (``repro.schedule.table``), falling back to disarmed when no entry
     #: matches.
-    segment_size_bytes: "int | str" = 0
+    segment_size_bytes: int | str = 0
     #: Maximum number of per-segment reduce descriptors an internal node
     #: keeps open at once (the in-flight window per child; later segments
     #: open as earlier ones complete, driven by the asynchronous side).
@@ -453,7 +454,7 @@ class WorkloadParams:
     compute_sigma: float = 1.0
     #: Trace-replay: per-iteration tuples of per-rank delays (us).  Rows
     #: cycle when the run needs more iterations than the trace holds.
-    trace: tuple = ()
+    trace: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self) -> None:
         # JSON round trips hand lists back; keep the block hashable.
@@ -609,3 +610,172 @@ def quiet_cluster(size: int, *, seed: int = 0) -> ClusterConfig:
         noise=NO_NOISE,
         seed=seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# records: the one typed JSON codec behind every front door (DESIGN.md §17)
+# ---------------------------------------------------------------------------
+
+
+class RecordError(ConfigError, ValueError):
+    """Outside input — JSON text, or what it parsed to — does not describe
+    the record it claims to be.  One line naming the place and the value."""
+
+
+#: Annotation -> (the JSON types a value may have, "a one", "several").
+#: Types are exact: ``true`` is not an int, ``1.0`` and ``"1"`` are not
+#: ints, an int is a number.  A bare ``tuple`` is any list, and the null in
+#: ``Optional[X]`` means what leaving the key out means.
+_KINDS = {
+    int: ((int,), "an int", "ints"),
+    float: ((float, int), "a number", "numbers"),
+    str: ((str,), "a string", "strings"),
+    bool: ((bool,), "a bool", "bools"),
+    dict: ((dict,), "an object", "objects"),
+    tuple: ((list,), "a list", "lists"),
+    NoneType: ((NoneType,), "null", "nulls"),
+}
+
+
+def loads(text, where: str):
+    """``json.loads`` for outside input: text that is not JSON is a
+    :class:`RecordError` naming ``where`` it was meant for."""
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise RecordError("%s is not valid JSON: %s" % (where, exc)) from None
+
+
+def check_name(what: str, name, known, error=RecordError) -> None:
+    """Refuse a ``name`` that the registry ``known`` does not hold."""
+    if name not in known:
+        raise error(f"unknown {what} {name!r}; known: {sorted(known)}")
+
+
+def _shape(hint):
+    """``(fits, convert, a_one, several)`` of an annotation: the test a JSON
+    value must pass as a whole, ``convert(path, value, unknown)`` to what it
+    decodes to (None: to itself), and how messages name one such value and
+    several."""
+    origin, args = get_origin(hint), get_args(hint)
+    if is_dataclass(hint):
+        def convert(path, v, unknown):
+            return _walk(hint, v, path, path + ".", unknown)
+        return (lambda v: type(v) is dict), convert, "an object", "objects"
+    if origin in (tuple, list) and args:        # tuple[X, ...], list[X]
+        fits_each, convert_each, _, several = _shape(args[0])
+
+        def convert(path, v, unknown):
+            if convert_each is None:
+                return origin(v)
+            return origin(convert_each("%s[%d]" % (path, i), item, unknown)
+                          for i, item in enumerate(v))
+        return ((lambda v: type(v) is list and all(map(fits_each, v))),
+                convert, "a list of " + several, "lists of " + several)
+    if origin in (Union, UnionType):            # int | str, Optional[X]
+        shapes = [_shape(arg) for arg in args]
+
+        def convert(path, v, unknown):
+            as_one = next(s for s in shapes if s[0](v))[1]
+            return v if as_one is None else as_one(path, v, unknown)
+        return ((lambda v: any(s[0](v) for s in shapes)), convert,
+                *(" or ".join(s[n] for s in shapes) for n in (2, 3)))
+    types, a_one, several = _KINDS[hint]
+    return ((lambda v: type(v) in types),
+            (lambda path, v, unknown: float(v)) if hint is float else None,
+            a_one, several)
+
+
+@functools.cache
+def typed(hint):
+    """The typed-field primitive: annotation ``hint`` compiled, once, into
+    ``check(path, value, unknown=None)``, which returns the decoded value
+    or raises :class:`RecordError` ``<path> must be <kind>, got <value>``
+    (``unknown`` collects the unknown keys of records inside)."""
+    fits, convert, a_one, _ = _shape(hint)
+
+    def check(path, value, unknown=None):
+        if not fits(value):
+            raise RecordError("%s must be %s, got %r" % (path, a_one, value))
+        return value if convert is None else convert(path, value, unknown)
+    return check
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """``(name, required, check)`` per field of record class ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, f.default is MISSING and f.default_factory is MISSING,
+         typed(hints[f.name])) for f in fields(cls))
+
+
+def _walk(cls, d: dict, where: str, prefix: str, unknown: list,
+          own=(), given=()):
+    plan = [entry for entry in _plan(cls) if entry[0] not in given]
+    known = {name for name, _, _ in plan}.union(own)
+    if not known.issuperset(d):
+        unknown.append("%s has unknown key(s) %s" % (
+            where, ", ".join(sorted(repr(k) for k in set(d) - known))))
+    kwargs = dict(given)
+    for name, required, check in plan:
+        if name in d:
+            kwargs[name] = check(prefix + name, d[name], unknown)
+        elif required:
+            raise RecordError("%s has no %r" % (where, name))
+    return cls(**kwargs)
+
+
+def decode(cls, d, where: str, *, schema: Optional[int] = None, own=(),
+           **given):
+    """The ``cls`` record that JSON object ``d`` describes, typed by the
+    dataclass declaration alone: each key decodes as its field's annotation
+    says (:func:`typed`), a missing key takes the dataclass default or is
+    refused, and no key may be unknown, here or in a record inside (``config
+    has unknown key(s) 'nett'``; all of them in one line).  ``where`` names
+    the record in messages, ``schema`` is the version its ``"schema"`` key
+    must carry, ``own`` names keys the door reads by itself and ``given``
+    supplies fields it has decoded by hand."""
+    if type(d) is not dict:
+        raise RecordError("a %s must be a JSON object, got %r" % (where, d))
+    if schema is not None:
+        if type(d.get("schema")) is not int or d["schema"] != schema:
+            raise RecordError("unsupported %s schema %r (expected %d)"
+                              % (where, d.get("schema"), schema))
+        own = (*own, "schema")
+    unknown: list = []
+    record = _walk(cls, d, where, "", unknown, own, given)
+    if unknown:
+        raise RecordError("; ".join(unknown))
+    return record
+
+
+def encode(value, **given):
+    """The JSON form of a record: its fields in declaration order, records
+    and tuples inside walked, ``None`` left out.  ``given`` replaces fields
+    the door writes by hand (``None`` drops one)."""
+    if is_dataclass(value):
+        out = {f.name: given[f.name] if f.name in given
+               else encode(getattr(value, f.name)) for f in fields(value)}
+        return {name: v for name, v in out.items() if v is not None}
+    if type(value) in (tuple, list):
+        return [encode(item) for item in value]
+    return value
+
+
+class Record:
+    """Mixin: a dataclass whose JSON object is its declaration.  ``WHERE``
+    names it in messages; ``validate`` (nothing, unless the class says
+    otherwise) sees every decoded record before the caller does."""
+
+    def validate(self) -> None:
+        pass
+
+    def to_dict(self) -> dict:
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        record = decode(cls, d, cls.WHERE)
+        record.validate()
+        return record

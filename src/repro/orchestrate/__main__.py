@@ -45,6 +45,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ..config import loads
+from ..errors import ConfigError
 from .benchjson import events_per_sec, load_bench_json, write_bench_json
 from .points import GRIDS, SweepPoint, execute_point
 from .runner import run_points
@@ -71,12 +73,10 @@ def _progress(line: str) -> None:
 
 def _cmd_run_point(args: argparse.Namespace) -> int:
     try:
-        spec = json.loads(args.spec)
-        point = SweepPoint.from_dict(spec)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        res = execute_point(SweepPoint.from_dict(loads(args.spec, "point")))
+    except ConfigError as exc:
         print(f"error: bad point spec: {exc}", file=sys.stderr)
         return 2
-    res = execute_point(point)
     print(json.dumps({
         "key": res.point.key(),
         "metrics": res.metrics,

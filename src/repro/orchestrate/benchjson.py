@@ -43,6 +43,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from ..config import RecordError, loads, typed
 from .points import PointResult
 
 SCHEMA_VERSION = 1
@@ -129,18 +130,31 @@ def write_bench_json(name: str, results: Sequence[PointResult], *,
 
 
 def load_bench_json(path: Union[str, Path]) -> dict:
-    """Load and minimally validate a BENCH_*.json payload."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or "points" not in payload:
-        raise ValueError(f"{path}: not a BENCH json (no 'points')")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema "
-                         f"{payload.get('schema')!r} "
-                         f"(expected {SCHEMA_VERSION})")
+    """Load a BENCH_*.json payload, checking once the shape its consumers
+    index into (``points``: objects whose ``key``/``metrics``/``counters``
+    are objects, metric values and ``wall_time_s`` numbers, no key twice);
+    anything else is one :class:`~repro.config.RecordError` line."""
     try:
+        payload = loads(Path(path).read_bytes(), "BENCH json")
+        if type(payload) is not dict or "points" not in payload:
+            raise RecordError("not a BENCH json (no 'points')")
+        schema = payload.get("schema")
+        if type(schema) is not int or schema != SCHEMA_VERSION:
+            raise RecordError(f"unsupported schema {schema!r} "
+                              f"(expected {SCHEMA_VERSION})")
+        is_object, is_number = typed(dict), typed(float)
+        for i, record in enumerate(typed(tuple)("points", payload["points"])):
+            at = f"points[{i}]"
+            is_object(at, record)
+            is_object(f"{at}.key", record.get("key"))
+            is_object(f"{at}.counters", record.get("counters", {}))
+            is_number(f"{at}.wall_time_s", record.get("wall_time_s"))
+            for name, value in is_object(
+                    f"{at}.metrics", record.get("metrics")).items():
+                is_number(f"{at}.metrics.{name}", value)
         point_index(payload)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise RecordError(f"{path}: {exc}") from None
     return payload
 
 
@@ -149,9 +163,12 @@ def _key_string(key: dict) -> str:
 
 
 def key_label(key: dict) -> str:
-    """One-line human label of a BENCH point key."""
+    """One-line human label of a BENCH point key — of any object."""
+    skew = key.get("skew_us")
+    if type(skew) in (int, float):
+        skew = f"{skew:g}"
     return (f"{key.get('experiment')}/{key.get('kind')} "
-            f"n={key.get('size')} skew={key.get('skew_us'):g} "
+            f"n={key.get('size')} skew={skew} "
             f"{key.get('build')} elems={key.get('elements')} "
             f"seed={key.get('seed')}")
 

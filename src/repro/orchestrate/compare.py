@@ -26,7 +26,6 @@ physics:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -82,8 +81,8 @@ def compare_payloads(old: dict, new: dict, *, tolerance_pct: float = 10.0,
     old_idx = point_index(old)
     new_idx = point_index(new)
     shared = [k for k in old_idx if k in new_idx]
-    missing = sorted(k for k in old_idx if k not in new_idx)
-    added = sorted(k for k in new_idx if k not in old_idx)
+    missing = [old_idx[k]["key"] for k in sorted(old_idx) if k not in new_idx]
+    added = [new_idx[k]["key"] for k in sorted(new_idx) if k not in old_idx]
 
     drifts = []
     counter_drifts = []
@@ -118,8 +117,8 @@ def compare_payloads(old: dict, new: dict, *, tolerance_pct: float = 10.0,
 
     return {
         "shared_points": len(shared),
-        "missing_points": [json.loads(k) for k in missing],
-        "added_points": [json.loads(k) for k in added],
+        "missing_points": missing,
+        "added_points": added,
         "metric_drifts": drifts,
         "counter_drifts": counter_drifts,
         "wall": {"old_s": old_wall, "new_s": new_wall,
@@ -204,7 +203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for role, path in (("old", args.old), ("new", args.new)):
         try:
             payloads[role] = load_bench_json(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             errors.append(f"error: {role} ({path}): {exc}")
     if errors:
         for line in errors:

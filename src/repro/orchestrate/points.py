@@ -19,15 +19,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
-                         replace)
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import Callable, Optional
 
 from ..config import (AbParams, ClusterConfig, FaultParams, MpiParams,
                       NetParams, NicParams, NoiseParams, PipelineParams,
-                      WorkloadParams, extrapolated_cluster,
-                      homogeneous_cluster, paper_cluster, quiet_cluster)
+                      Record, WorkloadParams, check_name, encode,
+                      extrapolated_cluster, homogeneous_cluster,
+                      paper_cluster, quiet_cluster)
 from ..mpich.rank import MpiBuild
+from ..topo import TOPOLOGIES, TREE_SHAPES
 
 #: Named cluster factories a ConfigSpec may reference.  Registry-based so
 #: a spec survives a JSON round trip (the repro command for a crashed
@@ -39,18 +40,14 @@ CONFIG_FACTORIES: dict[str, Callable[..., ClusterConfig]] = {
     "quiet": quiet_cluster,
 }
 
-#: Optional parameter-block overrides a spec may carry, applied with
-#: dataclasses.replace semantics after the factory runs: every
-#: parameter-block field of ClusterConfig, by name.
-_OVERRIDE_TYPES = {f.name: type(f.default) for f in fields(ClusterConfig)
-                   if is_dataclass(f.default)}
-
 
 @dataclass(frozen=True)
-class ConfigSpec:
+class ConfigSpec(Record):
     """Serializable recipe for a ClusterConfig: factory name + size + seed
-    plus optional parameter-block overrides."""
+    plus optional parameter-block overrides, applied with
+    dataclasses.replace semantics after the factory runs."""
 
+    WHERE = "config"
     factory: str
     size: int
     seed: int
@@ -63,64 +60,46 @@ class ConfigSpec:
     pipeline: Optional[PipelineParams] = None
     workload: Optional[WorkloadParams] = None
 
-    def _overrides(self) -> dict:
-        return {name: block for name in _OVERRIDE_TYPES
-                if (block := getattr(self, name)) is not None}
-
     def build(self) -> ClusterConfig:
-        try:
-            make = CONFIG_FACTORIES[self.factory]
-        except KeyError:
-            raise ValueError(f"unknown config factory {self.factory!r}; "
-                             f"known: {sorted(CONFIG_FACTORIES)}") from None
-        return replace(make(self.size, seed=self.seed), **self._overrides())
-
-    def to_dict(self) -> dict:
-        d: dict[str, Any] = {"factory": self.factory, "size": self.size,
-                             "seed": self.seed}
-        d.update((name, asdict(block))
-                 for name, block in self._overrides().items())
-        return d
+        """The config this recipe describes; a name no registry holds is
+        one :class:`~repro.config.RecordError` here, not a lookup failure
+        deep inside cluster construction."""
+        check_name("config factory", self.factory, CONFIG_FACTORIES)
+        config = replace(
+            CONFIG_FACTORIES[self.factory](self.size, seed=self.seed),
+            **{name: block for name, block in vars(self).items()
+               if is_dataclass(block)})
+        check_name("topology", config.net.topology, TOPOLOGIES)
+        check_name("tree shape", config.mpi.tree_shape,
+                   (*TREE_SHAPES, "auto"))
+        return config
 
     def variant(self) -> str:
         """Short stable tag for the (factory, overrides) combination, so
         two points that differ only in parameter-block overrides (e.g. the
         eager-limit ablation's limited vs. baseline configs) get distinct
         BENCH keys."""
-        overrides = {name: asdict(block)
-                     for name, block in self._overrides().items()}
+        overrides = encode(self, factory=None, size=None, seed=None)
         if not overrides:
             return self.factory
         digest = hashlib.sha1(
             json.dumps(overrides, sort_keys=True).encode()).hexdigest()[:8]
         return f"{self.factory}+{digest}"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConfigSpec":
-        kwargs: dict[str, Any] = {"factory": d["factory"],
-                                  "size": int(d["size"]),
-                                  "seed": int(d["seed"])}
-        for name, block_type in _OVERRIDE_TYPES.items():
-            if d.get(name) is not None:
-                kwargs[name] = block_type(**d[name])
-        return cls(**kwargs)
-
 
 BUILD_TAGS = {"nab": MpiBuild.DEFAULT, "ab": MpiBuild.AB}
 
 
 def build_from_tag(tag: str) -> MpiBuild:
-    try:
-        return BUILD_TAGS[tag]
-    except KeyError:
-        raise ValueError(f"unknown build tag {tag!r}; "
-                         f"known: {sorted(BUILD_TAGS)}") from None
+    check_name("build tag", tag, BUILD_TAGS)
+    return BUILD_TAGS[tag]
 
 
 @dataclass
-class SweepPoint:
+class SweepPoint(Record):
     """One independent simulation run inside a sweep."""
 
+    WHERE = "point"
     experiment: str              # e.g. "fig7"
     kind: str                    # executor name in KINDS
     config: ConfigSpec
@@ -169,40 +148,6 @@ class SweepPoint:
         return (f"{self.experiment}/{self.kind} n={self.config.size} "
                 f"elems={self.elements} skew={self.max_skew_us:g} "
                 f"build={self.build} seed={self.config.seed}")
-
-    def to_dict(self) -> dict:
-        d = {
-            "experiment": self.experiment,
-            "kind": self.kind,
-            "config": self.config.to_dict(),
-            "build": self.build,
-            "elements": self.elements,
-            "max_skew_us": self.max_skew_us,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "collect_invariants": self.collect_invariants,
-            "options": self.options,
-        }
-        if self.tiebreak_seed is not None:
-            d["tiebreak_seed"] = self.tiebreak_seed
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepPoint":
-        return cls(
-            experiment=d["experiment"],
-            kind=d["kind"],
-            config=ConfigSpec.from_dict(d["config"]),
-            build=d["build"],
-            elements=int(d["elements"]),
-            max_skew_us=float(d.get("max_skew_us", 0.0)),
-            iterations=int(d.get("iterations", 100)),
-            warmup=int(d.get("warmup", 3)),
-            collect_invariants=bool(d.get("collect_invariants", False)),
-            tiebreak_seed=(None if d.get("tiebreak_seed") is None
-                           else int(d["tiebreak_seed"])),
-            options=dict(d.get("options", {})),
-        )
 
     def repro_command(self) -> str:
         """Shell command that replays exactly this point, serially, in a
@@ -678,11 +623,8 @@ def execute_point(point: SweepPoint) -> PointResult:
     at module top level (picklable by reference) and free of global state
     beyond the registries above.
     """
-    try:
-        runner = KINDS[point.kind]
-    except KeyError:
-        raise ValueError(f"unknown point kind {point.kind!r}; "
-                         f"known: {sorted(KINDS)}") from None
+    check_name("point kind", point.kind, KINDS)
+    runner = KINDS[point.kind]
     config = point.config.build()
 
     monitor = None

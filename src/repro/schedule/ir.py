@@ -37,8 +37,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
+from ..config import RecordError, decode, encode, loads, typed
 from ..errors import ReproError
 
 SCHEDULE_SCHEMA = 1
@@ -57,15 +58,15 @@ class Step:
 
     Every step class ends in a ``seg`` field.  :func:`_step_type` reflects
     over a class's fields once, at import, into ``_fields`` (names in
-    declaration = JSON order), ``_json_fields`` (name, default, JSON
-    decoder) and ``_json_keys``; nothing on the per-step paths below calls
-    :func:`dataclasses.fields`.
+    declaration = JSON order), ``_checks`` (name, default, message path,
+    annotation, the record codec's check for it) and ``_keys``;
+    nothing on the per-step paths below calls :func:`dataclasses.fields`.
     """
 
     op = "step"
     _fields: tuple = ()
-    _json_fields: tuple = ()
-    _json_keys: frozenset = frozenset()
+    _checks: tuple = ()
+    _keys: frozenset = frozenset()
 
     def with_seg(self, seg: int) -> "Step":
         """Return a copy of this step tagged with segment id ``seg``."""
@@ -82,35 +83,16 @@ class Step:
 STEP_TYPES: dict = {}
 
 
-def _str_from_json(kind: str, name: str, value) -> str:
-    if type(value) is not str:
-        raise ScheduleError(
-            "%s.%s must be a string, got %r" % (kind, name, value))
-    return value
-
-
-def _ints_from_json(kind: str, name: str, value) -> tuple:
-    if type(value) is not list or any(type(v) is not int for v in value):
-        raise ScheduleError(
-            "%s.%s must be a list of ints, got %r" % (kind, name, value))
-    return tuple(value)
-
-
-#: Field annotation -> JSON decoder; None is the inline ``type(v) is int``
-#: test of :func:`step_from_dict` (``1.0``, ``"1"`` and ``true`` are not ints).
-_JSON_DECODERS = {"int": None, "str": _str_from_json, "tuple": _ints_from_json}
-
-
 def _step_type(cls):
     """Class decorator: register a step dataclass under its ``op`` tag and
     build its field tables (see :class:`Step`)."""
+    hints = get_type_hints(cls)
     fields = dataclasses.fields(cls)
     cls._fields = tuple(f.name for f in fields)
-    cls._json_fields = tuple(
-        (f.name, f.default,
-         _JSON_DECODERS[getattr(f.type, "__name__", f.type)])
-        for f in fields)
-    cls._json_keys = frozenset(cls._fields) | {"step"}
+    cls._checks = tuple(
+        (f.name, f.default, "%s.%s" % (cls.op, f.name), hints[f.name],
+         typed(hints[f.name])) for f in fields)
+    cls._keys = frozenset(cls._fields) | {"step"}
     STEP_TYPES[cls.op] = cls
     return cls
 
@@ -157,7 +139,7 @@ class BcastStep(Step):
 @_step_type
 @dataclass(frozen=True)
 class WaitStep(Step):
-    children: tuple = ()
+    children: tuple[int, ...] = ()
     seg: int = -1
     op = "wait"
 
@@ -173,51 +155,28 @@ AnyStep = Union[SendStep, RecvStep, FoldStep, BcastStep, WaitStep]
 
 
 def step_from_dict(d: dict) -> AnyStep:
-    """One step from its JSON object, typed by the class's annotations: an
-    ``int`` field takes a real ``int`` only, and no key may be unknown."""
+    """One step from its JSON object, typed by the class's annotations as
+    every record is (:func:`repro.config.decode`; this loop is that walk
+    over tables built at import, because it runs once per step)."""
     if type(d) is not dict:
-        raise ScheduleError("a step must be a JSON object, got %r" % (d,))
+        raise RecordError("a step must be a JSON object, got %r" % (d,))
     kind = d.get("step")
     cls = STEP_TYPES.get(kind) if type(kind) is str else None
     if cls is None:
-        raise ScheduleError("unknown step tag %r" % (kind,))
+        raise RecordError("unknown step tag %r" % (kind,))
     args = []
-    for name, default, from_json in cls._json_fields:
-        value = d.get(name, default)
-        if value is dataclasses.MISSING:
-            raise ScheduleError("%s step has no %r" % (kind, name))
-        if from_json is None:
-            if type(value) is not int:
-                raise ScheduleError(
-                    "%s.%s must be an int, got %r" % (kind, name, value))
-        elif value is not default:
-            value = from_json(kind, name, value)
-        args.append(value)
-    if not cls._json_keys.issuperset(d):
-        _refuse_unknown_keys("%s step" % kind, d, cls._json_keys)
+    for name, default, path, hint, check in cls._checks:
+        if name in d:
+            value = d[name]     # exactly the annotated type: nothing to check
+            args.append(value if type(value) is hint else check(path, value))
+        elif default is dataclasses.MISSING:
+            raise RecordError("%s step has no %r" % (kind, name))
+        else:
+            args.append(default)
+    if not cls._keys.issuperset(d):
+        raise RecordError("%s step has unknown key(s) %s" % (kind, ", ".join(
+            sorted(repr(k) for k in set(d) - cls._keys))))
     return cls(*args)
-
-
-def _refuse_unknown_keys(what: str, d: dict, known: frozenset) -> None:
-    raise ScheduleError(
-        "%s has unknown key(s) %s"
-        % (what, ", ".join(sorted(repr(k) for k in set(d) - known))))
-
-
-_JSON_KINDS = {int: "an int", str: "a string", list: "a list"}
-_SCHEDULE_KEYS = frozenset(("schema", "collective", "lowering", "nranks",
-                            "root", "nseg", "meta", "ranks"))
-
-
-def _json_field(d: dict, name: str, kind: type, default=dataclasses.MISSING):
-    """Top-level field ``name`` of a schedule object, of exactly ``kind``."""
-    value = d.get(name, default)
-    if value is dataclasses.MISSING:
-        raise ScheduleError("schedule has no %r" % (name,))
-    if type(value) is not kind:
-        raise ScheduleError("%s must be %s, got %r"
-                            % (name, _JSON_KINDS[kind], value))
-    return value
 
 
 @dataclass(frozen=True)
@@ -257,16 +216,8 @@ class Schedule:
     # JSON round trip
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEDULE_SCHEMA,
-            "collective": self.collective,
-            "lowering": self.lowering,
-            "nranks": self.nranks,
-            "root": self.root,
-            "nseg": self.nseg,
-            "meta": [list(kv) for kv in self.meta],
-            "ranks": [[s.to_dict() for s in rank] for rank in self.steps],
-        }
+        return {"schema": SCHEDULE_SCHEMA, **encode(self, steps=None),
+                "ranks": [[s.to_dict() for s in rank] for rank in self.steps]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
@@ -274,45 +225,35 @@ class Schedule:
         for outside input: anything malformed is one :class:`ScheduleError`
         line naming the place (``ranks[3][7]: send.peer must be an int, got
         '1'``), never a traceback from inside."""
-        if type(d) is not dict:
-            raise ScheduleError(
-                "a schedule must be a JSON object, got %r" % (d,))
-        schema = d.get("schema")
-        if schema != SCHEDULE_SCHEMA:
-            raise ScheduleError(
-                "unsupported schedule schema %r (expected %d)"
-                % (schema, SCHEDULE_SCHEMA))
-        if not _SCHEDULE_KEYS.issuperset(d):
-            _refuse_unknown_keys("schedule", d, _SCHEDULE_KEYS)
-        meta = _json_field(d, "meta", list, [])
-        for i, kv in enumerate(meta):
-            if (type(kv) is not list or len(kv) != 2
-                    or type(kv[0]) is not str or type(kv[1]) is not str):
-                raise ScheduleError(
-                    "meta[%d] must be a [key, value] pair of strings, got %r"
-                    % (i, kv))
-        steps = []
-        for rank in _json_field(d, "ranks", list, []):
-            if type(rank) is not list:
-                raise ScheduleError("ranks[%d] must be a list of steps, got %r"
-                                    % (len(steps), rank))
-            row: list = []
-            try:
-                for step in rank:
-                    row.append(step_from_dict(step))
-            except ScheduleError as exc:
-                raise ScheduleError("ranks[%d][%d]: %s"
-                                    % (len(steps), len(row), exc)) from None
-            steps.append(tuple(row))
-        return cls(
-            collective=_json_field(d, "collective", str),
-            lowering=_json_field(d, "lowering", str),
-            nranks=_json_field(d, "nranks", int),
-            root=_json_field(d, "root", int, 0),
-            nseg=_json_field(d, "nseg", int, 0),
-            meta=tuple(tuple(kv) for kv in meta),
-            steps=tuple(steps),
-        )
+        try:
+            # Schema, keys and header fields first; the steps are walked
+            # only for an object that passed, and put in at the end.
+            header = decode(cls, d, "schedule", schema=SCHEDULE_SCHEMA,
+                            own=("meta", "ranks"), meta=(), steps=())
+            meta = d.get("meta", [])
+            for i, kv in enumerate(typed(tuple)("meta", meta)):
+                if (type(kv) is not list or len(kv) != 2
+                        or type(kv[0]) is not str or type(kv[1]) is not str):
+                    raise RecordError(
+                        "meta[%d] must be a [key, value] pair of strings, "
+                        "got %r" % (i, kv))
+            steps = []
+            for rank in typed(tuple)("ranks", d.get("ranks", [])):
+                if type(rank) is not list:
+                    raise RecordError(
+                        "ranks[%d] must be a list of steps, got %r"
+                        % (len(steps), rank))
+                row: list = []
+                try:
+                    for step in rank:
+                        row.append(step_from_dict(step))
+                except (RecordError, ScheduleError) as exc:
+                    raise RecordError("ranks[%d][%d]: %s" % (
+                        len(steps), len(row), exc)) from None
+                steps.append(tuple(row))
+        except RecordError as exc:
+            raise ScheduleError(str(exc)) from None
+        return replace(header, meta=meta, steps=steps)
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
@@ -320,9 +261,9 @@ class Schedule:
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
         try:
-            d = json.loads(text)
-        except (TypeError, ValueError) as exc:
-            raise ScheduleError("schedule is not valid JSON: %s" % exc) from None
+            d = loads(text, "schedule")
+        except RecordError as exc:
+            raise ScheduleError(str(exc)) from None
         return cls.from_dict(d)
 
     # ------------------------------------------------------------------

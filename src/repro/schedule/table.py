@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..config import RecordError, check_name, decode, encode, loads
+from ..topo import TOPOLOGIES, TREE_SHAPES
 from ..topo.trees import TreeShape, make_tree_shape
 
 TABLE_SCHEMA = 1
@@ -55,51 +56,34 @@ class TunedEntry:
     tree_radix: int = 2
     segment_size_bytes: int = 0
     max_inflight_segments: int = 4
-    source: Tuple[Tuple[str, str], ...] = ()
+    #: Provenance (experiment, seed, measured latency); read by people only.
+    source: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source",
-                           tuple(tuple(kv) for kv in self.source))
+        check_name("topology", self.topology, TOPOLOGIES)
+        check_name("tree shape", self.tree_shape, TREE_SHAPES)
+        for rule, holds in (
+                ("nranks >= 1", self.nranks >= 1),
+                ("tree_radix >= 2", self.tree_radix >= 2),
+                ("0 <= min_msg_bytes <= max_msg_bytes",
+                 0 <= self.min_msg_bytes <= self.max_msg_bytes),
+                ("segment_size_bytes >= 0", self.segment_size_bytes >= 0),
+                ("max_inflight_segments >= 1",
+                 self.max_inflight_segments >= 1)):
+            if not holds:
+                raise RecordError(f"a tuned entry needs {rule}: {self}")
 
     def matches(self, topology: str, nranks: int, nbytes: int) -> bool:
         return (self.topology == topology and self.nranks == nranks
                 and self.min_msg_bytes <= nbytes <= self.max_msg_bytes)
-
-    def to_dict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "nranks": self.nranks,
-            "min_msg_bytes": self.min_msg_bytes,
-            "max_msg_bytes": self.max_msg_bytes,
-            "tree_shape": self.tree_shape,
-            "tree_radix": self.tree_radix,
-            "segment_size_bytes": self.segment_size_bytes,
-            "max_inflight_segments": self.max_inflight_segments,
-            "source": {k: v for k, v in self.source},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TunedEntry":
-        return cls(
-            topology=str(d["topology"]),
-            nranks=int(d["nranks"]),
-            min_msg_bytes=int(d["min_msg_bytes"]),
-            max_msg_bytes=int(d["max_msg_bytes"]),
-            tree_shape=str(d.get("tree_shape", FALLBACK_TREE_SHAPE)),
-            tree_radix=int(d.get("tree_radix", 2)),
-            segment_size_bytes=int(d.get("segment_size_bytes", 0)),
-            max_inflight_segments=int(d.get("max_inflight_segments", 4)),
-            source=tuple(sorted((str(k), str(v))
-                                for k, v in dict(d.get("source", {})).items())),
-        )
 
 
 @dataclass
 class TuningTable:
     """A versioned, ordered list of tuned entries."""
 
-    entries: List[TunedEntry] = field(default_factory=list)
     tool: str = "repro.schedule.tune"
+    entries: List[TunedEntry] = field(default_factory=list)
 
     def lookup(self, topology: str, nranks: int,
                nbytes: int) -> Optional[TunedEntry]:
@@ -110,22 +94,11 @@ class TuningTable:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "schema": TABLE_SCHEMA,
-            "tool": self.tool,
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        return {"schema": TABLE_SCHEMA, **encode(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TuningTable":
-        schema = d.get("schema")
-        if schema != TABLE_SCHEMA:
-            raise ConfigError(
-                "unsupported tuning-table schema %r (expected %d)"
-                % (schema, TABLE_SCHEMA))
-        return cls(entries=[TunedEntry.from_dict(e)
-                            for e in d.get("entries", [])],
-                   tool=str(d.get("tool", "repro.schedule.tune")))
+        return decode(cls, d, "tuning table", schema=TABLE_SCHEMA)
 
     def dump(self, path: Path) -> None:
         path = Path(path)
@@ -135,10 +108,15 @@ class TuningTable:
 
     @classmethod
     def load(cls, path: Path) -> "TuningTable":
+        """The table in ``path`` (a missing file is an empty table); a
+        damaged one is one :class:`~repro.config.RecordError` line."""
         path = Path(path)
         if not path.exists():
-            return cls(entries=[])
-        return cls.from_dict(json.loads(path.read_text()))
+            return cls()
+        try:
+            return cls.from_dict(loads(path.read_text(), "tuning table"))
+        except RecordError as exc:
+            raise RecordError(f"{path}: {exc}") from None
 
 
 _TABLE_CACHE: Dict[str, TuningTable] = {}

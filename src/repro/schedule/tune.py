@@ -121,13 +121,13 @@ def tune(*, nranks: int = 8, seed: int = 1, iterations: int = 5,
             tree_shape=shape, tree_radix=radix,
             segment_size_bytes=seg,
             max_inflight_segments=(window or 4),
-            source=tuple(sorted({
-                "experiment": cell[best_idx].point.experiment,
-                "seed": str(seed),
-                "iterations": str(iterations),
-                "elements": str(elements),
+            source={
                 "avg_latency_us": f"{best_lat:.6f}",
-            }.items()))))
+                "elements": str(elements),
+                "experiment": cell[best_idx].point.experiment,
+                "iterations": str(iterations),
+                "seed": str(seed),
+            }))
     # File order is the lookup order: cells are disjoint, so ordering by
     # (topology, bucket) is purely cosmetic.
     entries.sort(key=lambda e: (TOPOLOGIES.index(e.topology),

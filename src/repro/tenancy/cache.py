@@ -22,6 +22,7 @@ import json
 import os
 from typing import Optional
 
+from ..config import RecordError, decode, encode, loads
 from ..orchestrate.benchjson import SCHEMA_VERSION
 from ..orchestrate.points import PointResult, SweepPoint
 
@@ -55,38 +56,29 @@ class ResultCache:
     def get(self, point: SweepPoint) -> Optional[PointResult]:
         """Served copy of ``point``'s result, or None (counted as a miss).
 
-        Unreadable/corrupt entries count as misses and are overwritten by
-        the next :meth:`put`.
+        Unreadable, corrupt and wrong-shaped entries count as misses and
+        are overwritten by the next :meth:`put`.
         """
         path = self._path(point_cache_key(point))
         try:
-            with open(path) as fh:
-                record = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            with open(path, "rb") as fh:
+                result = decode(
+                    PointResult, loads(fh.read(), "cache record"),
+                    "cache record", point=point,
+                    own=("cache_schema", "bench_schema", "key", "point"))
+        except (OSError, RecordError):
             self.misses += 1
             return None
         self.hits += 1
-        return PointResult(
-            point=point,
-            metrics=dict(record["metrics"]),
-            wall_time_s=float(record["wall_time_s"]),
-            counters=dict(record["counters"]),
-            invariant_report=record.get("invariant_report"),
-        )
+        return result
 
     def put(self, result: PointResult) -> str:
         """Store a completed point; returns its content address."""
         key = point_cache_key(result.point)
-        record = {
-            "cache_schema": CACHE_SCHEMA,
-            "bench_schema": SCHEMA_VERSION,
-            "key": key,
-            "point": result.point.to_dict(),
-            "metrics": dict(result.metrics),
-            "wall_time_s": result.wall_time_s,
-            "counters": dict(result.counters),
-            "invariant_report": result.invariant_report,
-        }
+        record = {"cache_schema": CACHE_SCHEMA, "bench_schema": SCHEMA_VERSION,
+                  "key": key, **encode(result),
+                  # written even when null: the record's shape is fixed
+                  "invariant_report": result.invariant_report}
         tmp = self._path(key) + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(record, fh, sort_keys=True, indent=1)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet
 
+from ..config import check_name
 from ..topo.torus import _auto_width
 from .spec import ClusterSpec, JobSpec
 
@@ -39,11 +40,8 @@ def register_placement(name: str) -> Callable:
 
 
 def make_placement(name: str) -> "PlacementPolicy":
-    try:
-        return PLACEMENTS[name]
-    except KeyError:
-        raise ValueError(f"unknown placement policy {name!r}; "
-                         f"known: {sorted(PLACEMENTS)}") from None
+    check_name("placement policy", name, PLACEMENTS)
+    return PLACEMENTS[name]
 
 
 def locality_block_size(spec: ClusterSpec) -> int:

@@ -17,10 +17,10 @@ store, hash (the result cache keys on it via the orchestrator's
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
-from ..config import ClusterConfig, MpiParams, NetParams
+from ..config import ClusterConfig, MpiParams, NetParams, Record, check_name
+from ..topo import TOPOLOGIES, TREE_SHAPES
 
 #: Collectives a JobSpec may request (dispatched by repro.tenancy.workload).
 COLLECTIVES = ("reduce", "allreduce", "bcast", "barrier")
@@ -34,8 +34,10 @@ class SpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Record):
     """One tenant's collective job (placement-free)."""
+
+    WHERE = "job"
 
     #: Human-readable job name; must be unique within one submission batch
     #: (it names the job's RNG streams and sim processes).
@@ -87,30 +89,12 @@ class JobSpec:
         if not self.placement:
             raise SpecError(f"job {self.name!r}: placement must be named")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobSpec":
-        spec = cls(
-            name=str(d["name"]),
-            nranks=int(d["nranks"]),
-            collective=str(d.get("collective", "reduce")),
-            elements=int(d.get("elements", 4)),
-            build=str(d.get("build", "ab")),
-            iterations=int(d.get("iterations", 10)),
-            warmup=int(d.get("warmup", 2)),
-            max_skew_us=float(d.get("max_skew_us", 0.0)),
-            arrival_us=float(d.get("arrival_us", 0.0)),
-            placement=str(d.get("placement", "packed")),
-        )
-        spec.validate()
-        return spec
-
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Record):
     """The shared cluster every tenant contends on (job-free)."""
+
+    WHERE = "cluster"
 
     #: Total host slots (one rank per slot).
     hosts: int
@@ -138,61 +122,31 @@ class ClusterSpec:
         from ..orchestrate.points import CONFIG_FACTORIES
         if self.hosts < 1:
             raise SpecError("cluster hosts must be >= 1")
-        if self.factory not in CONFIG_FACTORIES:
-            raise SpecError(f"unknown config factory {self.factory!r}; "
-                            f"known: {sorted(CONFIG_FACTORIES)}")
+        check_name("config factory", self.factory, CONFIG_FACTORIES, SpecError)
+        check_name("topology", self.topology, TOPOLOGIES, SpecError)
+        check_name("tree shape", self.tree_shape, (*TREE_SHAPES, "auto"),
+                   SpecError)
 
     def to_config_spec(self):
         """Lower to the orchestrator's serializable ConfigSpec.
 
-        Overrides are attached only when a knob differs from the
-        parameter-block default, so a default-knob ClusterSpec lowers to
-        the exact same ConfigSpec (same ``variant()`` digest, same BENCH
-        keys) a pre-tenancy sweep would have produced.
+        A block is attached only when it differs from the parameter-block
+        default, so a default-knob ClusterSpec lowers to the exact same
+        ConfigSpec (same ``variant()`` digest, same BENCH keys) a
+        pre-tenancy sweep would have produced.
         """
         from ..orchestrate.points import ConfigSpec
         self.validate()
-        net_default = NetParams()
-        net = None
-        if (self.topology != net_default.topology
-                or self.fattree_hosts_per_switch
-                != net_default.fattree_hosts_per_switch
-                or self.fattree_oversubscription
-                != net_default.fattree_oversubscription
-                or self.torus_width != net_default.torus_width):
-            net = replace(net_default,
-                          topology=self.topology,
-                          fattree_hosts_per_switch=(
-                              self.fattree_hosts_per_switch),
-                          fattree_oversubscription=(
-                              self.fattree_oversubscription),
-                          torus_width=self.torus_width)
-        mpi_default = MpiParams()
-        mpi = None
-        if (self.tree_shape != mpi_default.tree_shape
-                or self.tree_radix != mpi_default.tree_radix):
-            mpi = replace(mpi_default, tree_shape=self.tree_shape,
-                          tree_radix=self.tree_radix)
+        net = NetParams(
+            topology=self.topology,
+            fattree_hosts_per_switch=self.fattree_hosts_per_switch,
+            fattree_oversubscription=self.fattree_oversubscription,
+            torus_width=self.torus_width)
+        mpi = MpiParams(tree_shape=self.tree_shape,
+                        tree_radix=self.tree_radix)
         return ConfigSpec(self.factory, self.hosts, self.seed,
-                          net=net, mpi=mpi)
+                          net=None if net == NetParams() else net,
+                          mpi=None if mpi == MpiParams() else mpi)
 
     def build_config(self) -> ClusterConfig:
         return self.to_config_spec().build()
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusterSpec":
-        kwargs: dict[str, Any] = {"hosts": int(d["hosts"])}
-        for name, conv in (("factory", str), ("seed", int),
-                           ("topology", str),
-                           ("fattree_hosts_per_switch", int),
-                           ("fattree_oversubscription", float),
-                           ("torus_width", int), ("tree_shape", str),
-                           ("tree_radix", int)):
-            if name in d:
-                kwargs[name] = conv(d[name])
-        spec = cls(**kwargs)
-        spec.validate()
-        return spec

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..config import check_name
 from ..network.link import Link
 from ..network.switch import CrossbarSwitch
 
@@ -134,9 +135,5 @@ def register_topology(name: str):
 def make_topology(params, nodes: int) -> Topology:
     """Instantiate the topology selected by ``params.topology``."""
     name = getattr(params, "topology", "crossbar")
-    try:
-        cls = TOPOLOGIES[name]
-    except KeyError:
-        raise ValueError(f"unknown topology {name!r}; "
-                         f"known: {sorted(TOPOLOGIES)}") from None
-    return cls(params, nodes)
+    check_name("topology", name, TOPOLOGIES)
+    return TOPOLOGIES[name](params, nodes)

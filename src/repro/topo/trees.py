@@ -37,6 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
+from ..config import check_name
 from . import ranks as tree
 
 
@@ -269,9 +270,5 @@ TREE_SHAPES: dict[str, Callable[[int], TreeShape]] = {
 def make_tree_shape(name: str, radix: int = 2) -> TreeShape:
     """Instantiate a registered tree shape (``MpiParams.tree_shape`` /
     ``MpiParams.tree_radix``)."""
-    try:
-        factory = TREE_SHAPES[name]
-    except KeyError:
-        raise ValueError(f"unknown tree shape {name!r}; "
-                         f"known: {sorted(TREE_SHAPES)}") from None
-    return factory(radix)
+    check_name("tree shape", name, TREE_SHAPES)
+    return TREE_SHAPES[name](radix)

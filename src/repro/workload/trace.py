@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ..config import RecordError, decode, encode, loads, typed
 from ..errors import ReproError
 
 TRACE_SCHEMA = 1
@@ -26,7 +27,7 @@ class WorkloadError(ReproError):
 class ArrivalTrace:
     """Immutable ``[iteration][rank]`` matrix of arrival delays (us)."""
 
-    delays: tuple = ()
+    delays: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -85,22 +86,21 @@ class ArrivalTrace:
     # JSON round trip (byte-stable)
 
     def to_dict(self) -> dict:
-        return {"schema": TRACE_SCHEMA,
-                "nranks": self.nranks,
-                "delays": [list(row) for row in self.delays]}
+        return {"schema": TRACE_SCHEMA, "nranks": self.nranks,
+                **encode(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArrivalTrace":
-        schema = d.get("schema")
-        if schema != TRACE_SCHEMA:
+        try:
+            trace = decode(cls, d, "trace", schema=TRACE_SCHEMA,
+                           own=("nranks",))
+            nranks = typed(int)("nranks", d.get("nranks"))
+        except RecordError as exc:
+            raise WorkloadError(str(exc)) from None
+        if nranks != trace.nranks:
             raise WorkloadError(
-                f"unsupported trace schema {schema!r} "
-                f"(expected {TRACE_SCHEMA})")
-        trace = cls(delays=tuple(tuple(row) for row in d.get("delays", ())))
-        if d.get("nranks") != trace.nranks:
-            raise WorkloadError(
-                f"trace header says nranks={d.get('nranks')!r} but rows "
-                f"have {trace.nranks}")
+                f"trace header says nranks={nranks} but rows have "
+                f"{trace.nranks}")
         return trace
 
     def to_json(self, *, indent: int | None = None) -> str:
@@ -110,4 +110,4 @@ class ArrivalTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "ArrivalTrace":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text, "trace"))

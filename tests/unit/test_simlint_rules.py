@@ -845,6 +845,45 @@ def test_sim017_unrelated_family_not_flagged(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# SIM018 — JSON decoded outside the record codec
+# ----------------------------------------------------------------------
+SIM018_PARSE = """
+    import json
+
+    def read(path, text):
+        with open(path) as fh:
+            stored = json.load(fh)
+        return stored, json.loads(text)
+"""
+
+
+def test_sim018_json_parse_outside_the_codec_flagged(tmp_path):
+    findings = lint_source(tmp_path, SIM018_PARSE,
+                           relpath="repro/tenancy/cache2.py")
+    assert rules_of(findings) == ["SIM018", "SIM018"]
+    assert "decode outside input through the record codec" \
+        in findings[0].message
+
+
+def test_sim018_codec_analysis_and_tests_allowed(tmp_path):
+    for relpath in ("repro/config.py", "repro/analysis/baseline2.py",
+                    "tests/unit/test_doors.py"):
+        assert lint_source(tmp_path, SIM018_PARSE, relpath=relpath) == [], \
+            relpath
+
+
+def test_sim018_writing_json_and_other_loads_not_flagged(tmp_path):
+    findings = lint_source(tmp_path, """
+        import json
+        import pickle
+
+        def write(record, blob):
+            return json.dumps(record), pickle.loads(blob)
+    """, relpath="repro/report/out.py")
+    assert findings == []
+
+
+# ----------------------------------------------------------------------
 # rule registry configuration (disable / severity overrides)
 # ----------------------------------------------------------------------
 def test_override_disables_rule(tmp_path):
@@ -900,6 +939,6 @@ def test_registry_lists_all_rules():
     table = rule_table()
     assert {"SIM000", "SIM001", "SIM009", "SIM010", "SIM011",
             "SIM012", "SIM013", "SIM014", "SIM015",
-            "SIM016", "SIM017"} <= set(table)
+            "SIM016", "SIM017", "SIM018"} <= set(table)
     assert REGISTRY["SIM012"].spec.severity == "warning"
     assert REGISTRY["SIM010"].spec.sim_scope_only
