@@ -12,20 +12,22 @@ Three layers keep the codebase safe to refactor aggressively:
   simulator, the GM NICs and the AB engines and checks the paper's Sec. IV
   descriptor/signal protocol and Sec. V copy accounting at runtime;
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis`` with text/JSON
-  output and a checked-in baseline, wired into the tier-1 test suite.
+  output, wired into the tier-1 test suite.
+
+simlint lints *this* repository: every registered rule runs, at the
+severity its ``RuleSpec`` declares, and a finding that is meant to stay is
+suppressed where it is with ``# simlint: ignore[SIMnnn]``.
 """
 
-from .baseline import Baseline, BaselineError
 from .findings import Finding, Violation, normalize_path
 from .invariants import (ASSERT, COLLECT, InvariantMonitor,
                          make_default_monitor, set_default_monitor_factory)
-from .simlint import RULES, Linter, lint_paths
+from .simlint import RULES, lint_paths
 
 __all__ = [
     "ASSERT", "COLLECT",
-    "Baseline", "BaselineError",
     "Finding", "Violation", "normalize_path",
     "InvariantMonitor", "make_default_monitor",
     "set_default_monitor_factory",
-    "RULES", "Linter", "lint_paths",
+    "RULES", "lint_paths",
 ]

@@ -1,7 +1,8 @@
 """Command-line front end: ``python -m repro.analysis [options] paths...``
 
-Exit codes: 0 — clean (possibly after baseline filtering); 1 — new
-findings; 2 — usage error (bad flags, missing paths, unreadable baseline).
+Exit codes: 0 — no error-severity finding; 1 — findings; 2 — usage error
+(bad flags, missing paths).  Warnings (SIM012) are reported and counted
+but do not gate.
 """
 
 from __future__ import annotations
@@ -12,57 +13,32 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .baseline import Baseline, BaselineError
-from .rules import REGISTRY, SEVERITIES, RuleOverride
-from .simlint import RULES, Linter, SIM_SCOPED_PACKAGES
+from .rules import REGISTRY
+from .simlint import RULES, lint_paths
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="simlint: sim-aware static analysis for the repro "
                     "codebase")
     parser.add_argument("paths", nargs="*", help="files or directories")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="baseline JSON of accepted findings")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="(re)write --baseline from current findings "
-                             "and exit 0")
-    parser.add_argument("--select", metavar="RULES",
-                        help="comma-separated rule IDs to run "
-                             "(default: all)")
-    parser.add_argument("--disable", metavar="RULE", action="append",
-                        default=[],
-                        help="disable one rule (repeatable)")
-    parser.add_argument("--severity", metavar="RULE=LEVEL", action="append",
-                        default=[],
-                        help="override a rule's severity, e.g. "
-                             "SIM012=error (repeatable; levels: "
-                             + "/".join(SEVERITIES) + ")")
-    parser.add_argument("--fail-on-warnings", action="store_true",
-                        help="exit 1 on warning-severity findings too "
-                             "(default: only errors gate)")
     parser.add_argument("--out", metavar="FILE",
                         help="also write the report (in the chosen "
                              "--format) to FILE, e.g. a CI artifact")
-    parser.add_argument("--sim-scope", metavar="PKGS",
-                        default=",".join(sorted(SIM_SCOPED_PACKAGES)),
-                        help="repro sub-packages where determinism rules "
-                             "apply")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_CLEAN
 
@@ -83,54 +59,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    select = None
-    if args.select:
-        select = {r.strip() for r in args.select.split(",") if r.strip()}
-        unknown = select - set(RULES)
-        if unknown:
-            print(f"error: unknown rule(s): {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-
-    overrides: dict[str, RuleOverride] = {}
-    for rule_id in args.disable:
-        if rule_id not in RULES:
-            print(f"error: unknown rule: {rule_id}", file=sys.stderr)
-            return EXIT_USAGE
-        overrides[rule_id] = RuleOverride(enabled=False)
-    for spec in args.severity:
-        rule_id, _, level = spec.partition("=")
-        if rule_id not in RULES or level not in SEVERITIES:
-            print(f"error: bad --severity {spec!r} (want RULE="
-                  f"{'|'.join(SEVERITIES)})", file=sys.stderr)
-            return EXIT_USAGE
-        prev = overrides.get(rule_id, RuleOverride())
-        overrides[rule_id] = RuleOverride(enabled=prev.enabled,
-                                          severity=level)
-
-    sim_scope = {p.strip() for p in args.sim_scope.split(",") if p.strip()}
-    linter = Linter(select=select, sim_scope=sim_scope, overrides=overrides)
-    findings = linter.lint_paths(args.paths)
-
-    if args.write_baseline:
-        if not args.baseline:
-            print("error: --write-baseline requires --baseline FILE",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        Baseline.from_findings(findings).save(args.baseline)
-        print(f"wrote baseline with {len(findings)} finding(s) to "
-              f"{args.baseline}")
-        return EXIT_CLEAN
-
-    baselined = stale = 0
-    if args.baseline and Path(args.baseline).exists():
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        findings, baselined, stale = baseline.filter(findings)
-
+    findings = lint_paths(args.paths)
     errors = [f for f in findings if f.severity == "error"]
     warnings = [f for f in findings if f.severity != "error"]
 
@@ -144,19 +73,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "counts": counts,
             "errors": len(errors),
             "warnings": len(warnings),
-            "baselined": baselined,
-            "stale_baseline_entries": stale,
         }, indent=2, sort_keys=True)
     else:
         lines = [f.render() for f in findings]
         summary = [f"{len(findings)} finding(s)"]
         if warnings:
             summary.append(f"{len(warnings)} warning(s)")
-        if baselined:
-            summary.append(f"{baselined} baselined")
-        if stale:
-            summary.append(f"{stale} stale baseline entr(ies) — "
-                           f"consider --write-baseline")
         lines.append("simlint: " + ", ".join(summary))
         output = "\n".join(lines)
     print(output)
@@ -164,5 +86,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.out, "w") as fh:
             fh.write(output + "\n")
 
-    gating = findings if args.fail_on_warnings else errors
-    return EXIT_FINDINGS if gating else EXIT_CLEAN
+    return EXIT_FINDINGS if errors else EXIT_CLEAN

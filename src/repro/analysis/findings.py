@@ -4,15 +4,10 @@ A :class:`Finding` is one linter diagnostic; a :class:`Violation` is one
 runtime protocol-invariant breach recorded by
 :class:`repro.analysis.invariants.InvariantMonitor`.  Both are plain data
 so they serialize to JSON for reports and CI output.
-
-Findings carry a *fingerprint* — a stable hash of ``(normalized path, rule,
-stripped line text)`` — so the baseline survives unrelated edits that merely
-shift line numbers.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import PurePath
 from typing import Any, Optional
@@ -22,9 +17,9 @@ def normalize_path(path: Any) -> str:
     """Location-independent path key: everything from the last ``repro``
     package component on, else the basename.
 
-    This makes fingerprints identical whether the tree is linted as
-    ``src/repro/...``, an installed copy, or a test scratch directory that
-    mirrors the package layout.
+    This makes the path-scoped rules see the same file whether the tree
+    is linted as ``src/repro/...``, an installed copy, or a test scratch
+    directory that mirrors the package layout.
     """
     parts = PurePath(path).as_posix().split("/")
     if "repro" in parts:
@@ -42,16 +37,10 @@ class Finding:
     line: int
     col: int
     message: str
+    #: The source line, where a ``# simlint: ignore[...]`` pragma is read.
     line_text: str = ""
     #: "error" gates CI; "warning" reports without failing the run.
-    #: Excluded from the fingerprint so severity reconfiguration never
-    #: invalidates a baseline.
     severity: str = "error"
-
-    @property
-    def fingerprint(self) -> str:
-        key = f"{self.path}|{self.rule}|{self.line_text.strip()}"
-        return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         sev = "" if self.severity == "error" else f" {self.severity}"
@@ -66,7 +55,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "severity": self.severity,
-            "fingerprint": self.fingerprint,
         }
 
 

@@ -401,7 +401,7 @@ def build_report(scenario: str, verdicts: list[PointVerdict], *,
     }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.races",
         description="Schedule-perturbation determinism sanitizer: re-run a "
@@ -426,6 +426,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="write the JSON race report to this file")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress per-point progress lines")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")

@@ -1,20 +1,19 @@
-"""The pluggable simlint rule registry.
+"""The simlint rule registry.
 
 Each lint rule is a small class registered under a stable ID with a
-:class:`RuleSpec` (summary, default severity, whether it only applies in
+:class:`RuleSpec` (summary, severity, whether it only applies in
 simulation-scoped packages).  The driver (:mod:`repro.analysis.simlint`)
 does **one** shared AST walk per file and dispatches each node to the
 rules subscribed to its type, so adding a rule never adds a pass.
 
-Per-run configuration is a :class:`LintConfig`: rules can be disabled,
-their severity overridden (``error`` gates CI, ``warning`` reports only),
-and the sim-scope package set swapped — from the CLI
-(``--disable/--severity/--select/--sim-scope``) or programmatically.
+Every registered rule runs, at the severity its spec declares (``error``
+gates CI, ``warning`` reports only); a finding that is meant to stay is
+suppressed where it is, with ``# simlint: ignore[SIMnnn]``.
 
 Rules see a ``ctx`` object (``LintContext`` in the driver) exposing the
 shared per-file analyses: import alias resolution (``ctx.dotted``), the
 cross-file generator-name set (``ctx.gen_call_name``), set-typed value
-inference (``ctx.is_unordered_iter``), callback-name inference
+inference (``ctx.unordered_reason``), callback-name inference
 (``ctx.callback_functions``), the enclosing loop/function stacks, and
 ``ctx.emit(rule_id, node, message)``.
 """
@@ -24,56 +23,21 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, Optional, Sequence
+from typing import Any, ClassVar, Optional
 
 ERROR = "error"
 WARNING = "warning"
-SEVERITIES = (ERROR, WARNING)
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """Identity and default policy of one rule."""
+    """Identity and policy of one rule."""
 
     id: str
     summary: str
     severity: str = ERROR
-    #: Rule only fires in files under the configured sim-scope packages.
+    #: Rule only fires in files under ``simlint.SIM_SCOPED_PACKAGES``.
     sim_scope_only: bool = False
-    #: Disabled rules still register (visible in --list-rules) but never
-    #: run unless explicitly enabled.
-    default_enabled: bool = True
-
-
-@dataclass(frozen=True)
-class RuleOverride:
-    """Per-rule configuration overrides (None = keep the spec default)."""
-
-    enabled: Optional[bool] = None
-    severity: Optional[str] = None
-
-
-class LintConfig:
-    """Resolved per-run rule configuration."""
-
-    def __init__(self, *, select: Optional[Iterable[str]] = None,
-                 overrides: Optional[dict[str, RuleOverride]] = None):
-        self.select = frozenset(select) if select is not None else None
-        self.overrides = dict(overrides or {})
-
-    def enabled(self, spec: RuleSpec) -> bool:
-        if self.select is not None:
-            return spec.id in self.select
-        override = self.overrides.get(spec.id)
-        if override is not None and override.enabled is not None:
-            return override.enabled
-        return spec.default_enabled
-
-    def severity(self, spec: RuleSpec) -> str:
-        override = self.overrides.get(spec.id)
-        if override is not None and override.severity is not None:
-            return override.severity
-        return spec.severity
 
 
 class Rule:
@@ -93,7 +57,7 @@ class Rule:
 
 
 #: All registered rules by ID (import order == registration order; the
-#: driver instantiates every enabled one per file).
+#: driver instantiates every one per file).
 REGISTRY: dict[str, type[Rule]] = {}
 
 
@@ -661,8 +625,7 @@ class JsonDecodedOutsideTheCodec(LayeringRule):
     record codec (``repro.config``: ``loads`` / ``decode`` / ``typed``),
     the one place where a misspelt key, a ``4.7`` for an int or truncated
     text is a ``RecordError`` line.  A second parser is a second, laxer
-    front door.  Allowed: the codec's module, ``repro.analysis`` (which
-    reads its own baseline file) and tests."""
+    front door.  Allowed: the codec's module and tests."""
 
     spec = RuleSpec(
         "SIM018",
@@ -670,7 +633,7 @@ class JsonDecodedOutsideTheCodec(LayeringRule):
         "`decode`)")
     boundaries = (Boundary(
         frozenset({"load", "loads"}),
-        ("repro/config.py", "repro/analysis/", "test_", "conftest"),
+        ("repro/config.py", "test_", "conftest"),
         "`json.{name}(...)` — decode outside input through the record "
         "codec (`repro.config.loads`, then `decode` / `typed`)",
         method_of="json"),)
@@ -744,8 +707,8 @@ class SharedFloatAccumulation(Rule):
     arithmetic across whatever order same-time callbacks happen to fire
     in; unless the values are exact, results differ under a reshuffled
     schedule.  Heuristic (callback = ``on_*``/``_on_*`` or a function
-    passed to ``schedule``/``at``/``push``), so it reports as a warning
-    by default."""
+    passed to ``schedule``/``at``/``push``), so it reports as a
+    warning."""
 
     spec = RuleSpec(
         "SIM012",

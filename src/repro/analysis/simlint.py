@@ -45,12 +45,12 @@ SIM012    float accumulation into shared state from an event callback
 
 Architecture: each rule is a class registered in
 :mod:`repro.analysis.rules` with a :class:`~repro.analysis.rules.RuleSpec`
-(summary, default severity, sim-scope-only flag).  This module owns the
-*driver*: file discovery, the cross-file generator-name pass, the shared
-per-file AST walk that dispatches nodes to subscribed rules, suppression
-pragmas, and dedup/sort of findings.  Per-run policy (enable/disable,
-severity overrides, rule selection) is a
-:class:`~repro.analysis.rules.LintConfig`.
+(summary, severity, sim-scope-only flag).  This module owns the *driver*:
+file discovery, the cross-file generator-name pass, the shared per-file
+AST walk that dispatches nodes to subscribed rules, suppression pragmas,
+and dedup/sort of findings.  There is no per-run policy: every registered
+rule runs at its declared severity, and the pragma is the one way to
+accept a finding.
 
 Detection of dropped SimGens is *two-pass*: pass 1 collects every function
 or method defined in the linted file set and records whether it is a
@@ -68,9 +68,8 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .findings import Finding, normalize_path
-from .rules import (REGISTRY, RECEIVER_GEN_CALLS, LintConfig, Rule,
-                    RuleOverride, callee_name, is_generator_def, is_set_expr,
-                    rule_table)
+from .rules import (REGISTRY, RECEIVER_GEN_CALLS, Rule, callee_name,
+                    is_generator_def, is_set_expr, rule_table)
 
 #: Rule-ID -> summary table (backwards-compatible face of the registry).
 RULES: dict[str, str] = rule_table()
@@ -109,13 +108,10 @@ class LintContext:
     shared dataflow facts, traversal state, and the ``emit`` sink."""
 
     def __init__(self, norm_path: str, source: str, tree: ast.AST,
-                 gen_names: frozenset[str], sim_scoped: bool,
-                 config: LintConfig):
+                 gen_names: frozenset[str]):
         self.path = norm_path
         self.lines = source.splitlines()
         self.gen_names = gen_names
-        self.sim_scoped = sim_scoped
-        self.config = config
         self.findings: list[Finding] = []
         # traversal state, maintained by _Walker
         self.imports: dict[str, str] = {}       # alias -> module path
@@ -176,18 +172,13 @@ class LintContext:
 
     # -- shared helpers ------------------------------------------------
     def emit(self, rule_id: str, node: ast.AST, message: str) -> None:
-        spec = REGISTRY[rule_id].spec
-        if not self.config.enabled(spec):
-            return
-        if spec.sim_scope_only and not self.sim_scoped:
-            return
         line = getattr(node, "lineno", 1)
         text = self.lines[line - 1] if 0 < line <= len(self.lines) else ""
         self.findings.append(Finding(
             rule=rule_id, path=self.path, line=line,
             col=getattr(node, "col_offset", 0) + 1,
             message=message, line_text=text,
-            severity=self.config.severity(spec)))
+            severity=REGISTRY[rule_id].spec.severity))
 
     def dotted(self, node: ast.AST) -> Optional[str]:
         """Resolve a call target to a dotted module path via imports."""
@@ -325,97 +316,71 @@ def _suppressed_rules(line_text: str) -> Optional[frozenset[str]]:
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
-class Linter:
-    """Two-pass linter over a set of files/directories."""
+def discover(paths: Iterable[Path | str]) -> list[Path]:
+    """The ``*.py`` files under ``paths``, each once, in a fixed order."""
+    files: list[Path] = []
+    for path in paths:
+        path = Path(path)
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.py")))
+        else:
+            files.append(path)
+    seen: set[Path] = set()
+    unique = []
+    for f in files:
+        resolved = f.resolve()
+        if resolved not in seen:
+            seen.add(resolved)
+            unique.append(f)
+    return unique
 
-    def __init__(self, select: Optional[Iterable[str]] = None,
-                 sim_scope: Optional[Iterable[str]] = None,
-                 overrides: Optional[dict[str, RuleOverride]] = None):
-        self.config = LintConfig(select=select, overrides=overrides)
-        self.sim_scope = (frozenset(sim_scope) if sim_scope is not None
-                          else SIM_SCOPED_PACKAGES)
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def discover(paths: Iterable[Path | str]) -> list[Path]:
-        files: list[Path] = []
-        for path in paths:
-            path = Path(path)
-            if path.is_dir():
-                files.extend(sorted(path.rglob("*.py")))
-            else:
-                files.append(path)
-        # De-duplicate while keeping deterministic order.
-        seen: set[Path] = set()
-        unique = []
-        for f in files:
-            resolved = f.resolve()
-            if resolved not in seen:
-                seen.add(resolved)
-                unique.append(f)
-        return unique
+def _sim_scoped(norm_path: str) -> bool:
+    parts = norm_path.split("/")
+    return (len(parts) >= 3 and parts[0] == "repro"
+            and parts[1] in SIM_SCOPED_PACKAGES)
 
-    def _sim_scoped(self, norm_path: str) -> bool:
-        parts = norm_path.split("/")
-        return (len(parts) >= 3 and parts[0] == "repro"
-                and parts[1] in self.sim_scope)
 
-    def _active_rules(self, sim_scoped: bool) -> list[Rule]:
-        rules = []
-        for cls in REGISTRY.values():
-            if not self.config.enabled(cls.spec):
+def lint_paths(paths: Iterable[Path | str]) -> list[Finding]:
+    """Lint every file under ``paths`` with every registered rule (two
+    passes: the generator-name set spans the whole file set)."""
+    sources: dict[Path, str] = {}
+    trees: dict[Path, ast.AST] = {}
+    findings: list[Finding] = []
+    for file in discover(paths):
+        try:
+            source = file.read_text(encoding="utf-8")
+        except OSError as exc:
+            findings.append(Finding(
+                "SIM000", normalize_path(file), 1, 1,
+                f"cannot read file: {exc}"))
+            continue
+        sources[file] = source
+        try:
+            trees[file] = ast.parse(source, filename=str(file))
+        except SyntaxError as exc:
+            findings.append(Finding(
+                "SIM000", normalize_path(file), exc.lineno or 1,
+                (exc.offset or 0) + 1, f"syntax error: {exc.msg}"))
+
+    gen_names = collect_generator_names(trees.values())
+
+    for file, tree in trees.items():
+        norm = normalize_path(file)
+        ctx = LintContext(norm, sources[file], tree, gen_names)
+        sim_scoped = _sim_scoped(norm)
+        rules = [cls() for cls in REGISTRY.values()
+                 if sim_scoped or not cls.spec.sim_scope_only]
+        for rule in rules:
+            rule.begin_file(ctx, tree)
+        _Walker(ctx, rules).visit(tree)
+        for finding in ctx.findings:
+            ignored = _suppressed_rules(finding.line_text)
+            if ignored is not None and (not ignored
+                                        or finding.rule in ignored):
                 continue
-            if cls.spec.sim_scope_only and not sim_scoped:
-                continue
-            rules.append(cls())
-        return rules
-
-    # ------------------------------------------------------------------
-    def lint_paths(self, paths: Iterable[Path | str]) -> list[Finding]:
-        files = self.discover(paths)
-        sources: dict[Path, str] = {}
-        trees: dict[Path, ast.AST] = {}
-        findings: list[Finding] = []
-        for file in files:
-            try:
-                source = file.read_text(encoding="utf-8")
-            except OSError as exc:
-                findings.append(Finding(
-                    "SIM000", normalize_path(file), 1, 1,
-                    f"cannot read file: {exc}"))
-                continue
-            sources[file] = source
-            try:
-                trees[file] = ast.parse(source, filename=str(file))
-            except SyntaxError as exc:
-                findings.append(Finding(
-                    "SIM000", normalize_path(file), exc.lineno or 1,
-                    (exc.offset or 0) + 1, f"syntax error: {exc.msg}"))
-
-        gen_names = collect_generator_names(trees.values())
-
-        for file, tree in trees.items():
-            norm = normalize_path(file)
-            sim_scoped = self._sim_scoped(norm)
-            ctx = LintContext(norm, sources[file], tree, gen_names,
-                              sim_scoped, self.config)
-            rules = self._active_rules(sim_scoped)
-            for rule in rules:
-                rule.begin_file(ctx, tree)
-            _Walker(ctx, rules).visit(tree)
-            for finding in ctx.findings:
-                ignored = _suppressed_rules(finding.line_text)
-                if ignored is not None and (not ignored
-                                            or finding.rule in ignored):
-                    continue
-                findings.append(finding)
-        unique = {(f.path, f.line, f.col, f.rule, f.message): f
-                  for f in findings}
-        return sorted(unique.values(),
-                      key=lambda f: (f.path, f.line, f.col, f.rule))
-
-
-def lint_paths(paths: Iterable[Path | str], *,
-               select: Optional[Iterable[str]] = None) -> list[Finding]:
-    """Convenience wrapper: lint with default configuration."""
-    return Linter(select=select).lint_paths(paths)
+            findings.append(finding)
+    unique = {(f.path, f.line, f.col, f.rule, f.message): f
+              for f in findings}
+    return sorted(unique.values(),
+                  key=lambda f: (f.path, f.line, f.col, f.rule))

@@ -35,7 +35,6 @@ from ..config import ClusterConfig
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import build_cluster, run_program
-from ..sim.trace import Tracer
 from .skew import SkewModel, conservative_latency_estimate
 from .stats import BenchResult, SampleSummary, summarize
 
@@ -84,8 +83,8 @@ class CpuUtilResult(BenchResult):
 def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
                        elements: int = 4, max_skew_us: float = 0.0,
                        iterations: int = 100, warmup: int = 3,
-                       catchup_us: Optional[float] = None,
-                       tracer: Optional[Tracer] = None) -> CpuUtilResult:
+                       catchup_us: Optional[float] = None
+                       ) -> CpuUtilResult:
     """Run the paper's CPU-utilization microbenchmark on ``config``."""
     if iterations < 1:
         raise ValueError("need at least one measured iteration")
@@ -108,7 +107,7 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
     cluster = None
     workload = None
     if config.workload.armed:
-        cluster = build_cluster(config, tracer)
+        cluster = build_cluster(config)
         workload = cluster.workload
         trace = workload.prepare(
             total_iters,
@@ -146,7 +145,7 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
         return samples, direct
 
     result = run_program(cluster if cluster is not None else config,
-                         program, build=build, tracer=tracer)
+                         program, build=build)
 
     paper_matrix = np.array([r[0] for r in result.results])   # (size, iters)
     direct_matrix = np.array([r[1] for r in result.results])

@@ -20,7 +20,6 @@ result exposes the first/last root values so callers can pin both ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from ..config import ClusterConfig
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import run_program
-from ..sim.trace import Tracer
 from .stats import BenchResult
 
 
@@ -82,9 +80,7 @@ class FaultReduceResult(BenchResult):
 
 def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
                            elements: int = 4, iterations: int = 8,
-                           gap_us: float = 200.0,
-                           tracer: Optional[Tracer] = None
-                           ) -> FaultReduceResult:
+                           gap_us: float = 200.0) -> FaultReduceResult:
     """Run ``iterations`` barrier-free reduces under ``config.faults``."""
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -106,7 +102,7 @@ def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
             yield from mpi.compute(gap_us)
         return done, root_values
 
-    run = run_program(config, program, build=build, tracer=tracer)
+    run = run_program(config, program, build=build)
 
     completed = sum(1 for r in run.results if r is not None)
     root_done, root_values = run.results[0] if run.results[0] else (0, [])

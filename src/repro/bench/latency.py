@@ -18,17 +18,14 @@ overhead as the node count grows (paper Fig. 9 discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..config import ClusterConfig
-from ..topo import ranks as tree
 from ..mpich.message import TAG_NOTIFY
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import run_program
-from ..sim.trace import Tracer
 from .skew import SkewModel
 from .stats import BenchResult, SampleSummary, summarize
 
@@ -89,18 +86,16 @@ def measure_one_way(config: ClusterConfig, peer_a: int, peer_b: int,
 
 def latency_benchmark(config: ClusterConfig, build: MpiBuild, *,
                       elements: int = 1, iterations: int = 200,
-                      warmup: int = 3, root: int = 0,
-                      tracer: Optional[Tracer] = None) -> LatencyResult:
-    """Run the paper's reduction-latency microbenchmark on ``config``."""
+                      warmup: int = 3) -> LatencyResult:
+    """Run the paper's reduction-latency microbenchmark on ``config``
+    (reductions are rooted at rank 0)."""
     size = config.size
     if size < 2:
         raise ValueError("latency benchmark needs at least two nodes")
     from ..schedule.table import config_tree_shape
     shape = config_tree_shape(config, elements * np.dtype(np.float64).itemsize)
-    last_rel = shape.deepest_rel(size)
-    last = tree.absolute_rank(last_rel, root, size)
-    if last == root:  # size == 1 handled above; defensive
-        last = (root + 1) % size
+    root = 0
+    last = shape.deepest_rel(size)
 
     one_way = measure_one_way(config, root, last)
     total_iters = warmup + iterations
@@ -126,7 +121,7 @@ def latency_benchmark(config: ClusterConfig, build: MpiBuild, *,
                     samples.append((mpi.now - t0) - one_way)
         return samples if rank == last else None
 
-    out = run_program(config, program, build=build, tracer=tracer)
+    out = run_program(config, program, build=build)
     samples = np.asarray(out.results[last], dtype=np.float64)
     return LatencyResult(
         build=build,

@@ -36,7 +36,6 @@ from ..mpich.rank import MpiBuild
 from ..runtime.program import build_cluster, run_program
 from ..schedule.lower import lower
 from ..schedule.table import config_tree_shape
-from ..sim.trace import Tracer
 from .skew import arrival_spread_stats, conservative_latency_estimate
 from .stats import BenchResult, SampleSummary, summarize
 
@@ -94,8 +93,7 @@ class PapResult(BenchResult):
 
 
 def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
-                  iterations: int = 10, warmup: int = 2,
-                  tracer: Optional[Tracer] = None) -> PapResult:
+                  iterations: int = 10, warmup: int = 2) -> PapResult:
     """Measure allreduce makespan under ``config.workload`` with ``algo``."""
     check_name("PAP algorithm", algo, PAP_ALGOS)
     build = PAP_ALGOS[algo]
@@ -114,7 +112,7 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
     nbytes = elements * np.dtype(np.float64).itemsize
     shape = config_tree_shape(config, nbytes)
 
-    cluster = build_cluster(config, tracer)
+    cluster = build_cluster(config)
     workload = cluster.workload          # None when disarmed
     trace = None
     if workload is not None:
@@ -167,7 +165,7 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
                 dones.append(mpi.now)
         return starts, dones
 
-    out = run_program(cluster, program, build=build, tracer=tracer)
+    out = run_program(cluster, program, build=build)
     starts = np.array([r[0] for r in out.results])   # (size, iterations)
     dones = np.array([r[1] for r in out.results])
     samples = dones.max(axis=0) - starts.min(axis=0)

@@ -26,7 +26,6 @@ from ..schedule.ir import Schedule
 from ..schedule.lower import lower
 from ..schedule.passes import apply_passes
 from ..schedule.table import config_tree_shape, resolve_pipeline_params
-from ..sim.trace import Tracer
 from .skew import SkewModel
 from .stats import BenchResult, SampleSummary, summarize
 
@@ -103,8 +102,8 @@ def build_schedule(config: ClusterConfig, *, lowering: str,
 def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
                         lowering: str = "reduce.nab",
                         passes: Sequence = (), elements: int = 1024,
-                        iterations: int = 20, warmup: int = 2,
-                        tracer: Optional[Tracer] = None) -> ScheduledResult:
+                        iterations: int = 20, warmup: int = 2
+                        ) -> ScheduledResult:
     """Time a schedule-driven collective; the root measures call-to-result."""
     from ..core.interpreter import execute_schedule
     size = config.size
@@ -142,7 +141,7 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
                     f"expected {expected}")
         return samples if rank == 0 else None
 
-    out = run_program(config, program, build=build, tracer=tracer)
+    out = run_program(config, program, build=build)
     samples = np.asarray(out.results[0], dtype=np.float64)
     return ScheduledResult(
         build=build,

@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Optional
 
 from ..analysis.invariants import make_default_monitor
 from ..config import ClusterConfig
+from ..gm.reliability import ReliabilityStats
 from ..network.fabric import Fabric
 from ..sim.random import RngStreams
 from ..sim.simulator import Simulator
 from ..sim.trace import Tracer
 from .node import Node
+
+
+#: Counter fields that are high-water marks: a cluster's is the largest
+#: one, not their sum.
+_PEAK_FIELDS = ("max_window", "inflight_hwm")
+
+
+def _fold(stats_class, stats: list, prefix: str = "") -> dict:
+    """Cluster-wide value of every counter ``stats_class`` declares, over
+    the per-NIC / per-rank ``stats`` (all zero over none)."""
+    out = {}
+    for f in fields(stats_class):
+        values = [getattr(s, f.name) for s in stats]
+        out[prefix + f.name] = (max(values, default=0)
+                                if f.name in _PEAK_FIELDS else sum(values))
+    return out
 
 
 class Cluster:
@@ -86,54 +104,20 @@ class Cluster:
     def _reliability_counters(self) -> dict:
         """Aggregate go-back-N protocol effort across every lossy NIC so
         BENCH json records how hard reliable delivery worked."""
-        out = {
-            "rel_acks_sent": 0, "rel_acks_received": 0,
-            "rel_retransmissions": 0, "rel_duplicates_discarded": 0,
-            "rel_gaps_discarded": 0, "rel_timer_fires": 0,
-            "rel_max_window": 0,
-        }
-        for node in self.nodes:
-            channel = node.nic.reliable
-            if channel is None:
-                continue
-            s = channel.stats
-            out["rel_acks_sent"] += s.acks_sent
-            out["rel_acks_received"] += s.acks_received
-            out["rel_retransmissions"] += s.retransmissions
-            out["rel_duplicates_discarded"] += s.duplicates_discarded
-            out["rel_gaps_discarded"] += s.gaps_discarded
-            out["rel_timer_fires"] += s.timer_fires
-            out["rel_max_window"] = max(out["rel_max_window"], s.max_window)
-        return out
+        return _fold(ReliabilityStats,
+                     [n.nic.reliable.stats for n in self.nodes
+                      if n.nic.reliable is not None], "rel_")
 
     def _pipeline_counters(self) -> dict:
         """Aggregate segmented-pipeline effort (repro.pipeline) across the
         cluster: engine-side window behaviour plus NIC-side segment
         traffic.  On the default (non-AB) build only the NIC counters move;
         the engine gauges stay zero."""
-        out = {
-            "segments_sent": 0, "segments_folded": 0,
-            "segments_folded_async": 0, "root_segment_folds": 0,
-            "pipeline_stalls": 0, "inflight_hwm": 0,
-            "pipelined_reduces": 0, "pipelined_allreduces": 0,
-            "stale_segments_dropped": 0,
-            "segment_packets_sent": 0, "segment_bytes_sent": 0,
-        }
-        for node in self.nodes:
-            nstats = node.nic.stats
-            out["segment_packets_sent"] += nstats.segment_packets_sent
-            out["segment_bytes_sent"] += nstats.segment_bytes_sent
-            engine = node.ab_engine
-            if engine is None or engine.pipeline is None:
-                continue
-            s = engine.pipeline.stats
-            out["segments_sent"] += s.segments_sent
-            out["segments_folded"] += s.segments_folded
-            out["segments_folded_async"] += s.segments_folded_async
-            out["root_segment_folds"] += s.root_segment_folds
-            out["pipeline_stalls"] += s.pipeline_stalls
-            out["stale_segments_dropped"] += s.stale_segments_dropped
-            out["pipelined_reduces"] += s.pipelined_reduces
-            out["pipelined_allreduces"] += s.pipelined_allreduces
-            out["inflight_hwm"] = max(out["inflight_hwm"], s.inflight_hwm)
+        from ..pipeline.reduce import PipelineStats
+        out = _fold(PipelineStats,
+                    [n.ab_engine.pipeline.stats for n in self.nodes
+                     if n.ab_engine is not None
+                     and n.ab_engine.pipeline is not None])
+        for name in ("segment_packets_sent", "segment_bytes_sent"):
+            out[name] = sum(getattr(n.nic.stats, name) for n in self.nodes)
         return out

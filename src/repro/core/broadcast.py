@@ -19,6 +19,7 @@ interest, ranks that enable this extension keep NIC signals pinned on (see
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 import numpy as np
@@ -37,17 +38,14 @@ from .engine import AbEngine
 KIND = "bcast"
 
 
+@dataclass(slots=True)
 class AbBroadcastStats:
-    __slots__ = ("bcasts", "forwards", "early_arrivals", "late_calls",
-                 "copies", "copied_bytes")
-
-    def __init__(self) -> None:
-        self.bcasts = 0
-        self.forwards = 0
-        self.early_arrivals = 0   # data arrived before the local call
-        self.late_calls = 0       # local call had to block for data
-        self.copies = 0
-        self.copied_bytes = 0
+    bcasts: int = 0
+    forwards: int = 0
+    early_arrivals: int = 0   # data arrived before the local call
+    late_calls: int = 0       # local call had to block for data
+    copies: int = 0
+    copied_bytes: int = 0
 
 
 class AbBroadcast:

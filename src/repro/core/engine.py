@@ -46,7 +46,7 @@ import numpy as np
 from ..errors import AbProtocolError
 from ..mpich.collectives.reduce import (_finish_root, reduce_nab,
                                         reduce_steps)
-from ..mpich.collectives.walk import own_steps
+from ..mpich.collectives.walk import ScheduleExecutionError, own_steps
 from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import TAG_REDUCE, AbHeader, Envelope
 from ..mpich.operations import Op
@@ -63,40 +63,31 @@ from .descriptor import DescriptorQueue, ReduceDescriptor
 from .unexpected import AbUnexpectedQueue
 
 
+@dataclass(slots=True)
 class AbStats:
     """Per-rank counters for the application-bypass machinery."""
 
-    __slots__ = ("ab_reduces", "fallback_size", "root_reduces", "leaf_sends",
-                 "children_sync", "children_async", "children_from_unexpected",
-                 "expected_zero_copy", "unexpected_one_copy",
-                 "ab_copies", "ab_copied_bytes",
-                 "descriptors_completed_sync", "descriptors_completed_async",
-                 "window_expires", "window_catches",
-                 "descriptors_timed_out", "descriptor_retries",
-                 "subtrees_healed", "children_abandoned", "sends_rerouted")
-
-    def __init__(self) -> None:
-        self.ab_reduces = 0
-        self.fallback_size = 0
-        self.root_reduces = 0
-        self.leaf_sends = 0
-        self.children_sync = 0
-        self.children_async = 0
-        self.children_from_unexpected = 0
-        self.expected_zero_copy = 0
-        self.unexpected_one_copy = 0
-        self.ab_copies = 0
-        self.ab_copied_bytes = 0
-        self.descriptors_completed_sync = 0
-        self.descriptors_completed_async = 0
-        self.window_expires = 0
-        self.window_catches = 0
-        # Fault-recovery counters (repro.faults; all zero on healthy runs).
-        self.descriptors_timed_out = 0
-        self.descriptor_retries = 0
-        self.subtrees_healed = 0
-        self.children_abandoned = 0
-        self.sends_rerouted = 0
+    ab_reduces: int = 0
+    fallback_size: int = 0
+    root_reduces: int = 0
+    leaf_sends: int = 0
+    children_sync: int = 0
+    children_async: int = 0
+    children_from_unexpected: int = 0
+    expected_zero_copy: int = 0
+    unexpected_one_copy: int = 0
+    ab_copies: int = 0
+    ab_copied_bytes: int = 0
+    descriptors_completed_sync: int = 0
+    descriptors_completed_async: int = 0
+    window_expires: int = 0
+    window_catches: int = 0
+    # Fault-recovery counters (repro.faults; all zero on healthy runs).
+    descriptors_timed_out: int = 0
+    descriptor_retries: int = 0
+    subtrees_healed: int = 0
+    children_abandoned: int = 0
+    sends_rerouted: int = 0
 
 
 #: Ops whose element-wise fold is exact and commutative for every dtype,
@@ -262,9 +253,10 @@ class AbEngine:
         leaf ranks → default behaviour with AB packet framing).
 
         The root walks ``steps`` on the host; every other rank reads its
-        parent and children off them (:func:`reduce_neighbors`; healing
-        overrides both).  Given none, they are the ``reduce.ab`` steps
-        :func:`own_steps` derives from the configured tree."""
+        parent and children off them (:func:`reduce_neighbors`).  Given
+        none, they are the ``reduce.ab`` steps :func:`own_steps` derives
+        from the configured tree — the only tree armed healing can
+        re-route along, so a caller's steps that leave it are refused."""
         size = comm.size
         me = comm.rank_of_world(self.rank.rank)
         if not (0 <= root < size):
@@ -289,13 +281,15 @@ class AbEngine:
             yield Busy.from_ledger(ledger)
             return _finish_root(sendbuf, recvbuf)
 
+        rel = tree.relative_rank(me, root, size)
+        shape = self.rank.tree_shape_for(nbytes)
+        if self._heal and steps is not None:
+            self._refuse_off_tree(steps, shape, size, root, rel)
         steps = own_steps(self.rank, comm, root, nbytes, segments,
                           ab_reduce_rank_steps, steps)
         instance = self.instances.next(comm)
         ledger.charge(self.costs.tree_setup_us, "mpi")
-        rel = tree.relative_rank(me, root, size)
         root_world = comm.world_rank(root)
-        shape = self.rank.tree_shape_for(nbytes)
         width = 1
         if segments:
             self.pipeline.stats.pipelined_reduces += 1
@@ -395,11 +389,11 @@ class AbEngine:
         ``rel``) in the reduce tree — the parent is None at the root.
 
         On a healthy run they are read off the rank's own ``steps``.  With
-        healing armed (repro.faults) the ``shape`` tree wins instead,
-        because healing must keep re-routing mid-pipeline: crashed
-        subtrees are replaced by their live fringe, and the parent by its
-        nearest live ancestor, so the healed tree spans exactly the live
-        ranks."""
+        healing armed (repro.faults) they come from the ``shape`` tree —
+        which the steps follow, see :meth:`_refuse_off_tree` — because
+        healing must keep re-routing mid-pipeline: crashed subtrees are
+        replaced by their live fringe, and the parent by its nearest live
+        ancestor, so the healed tree spans exactly the live ranks."""
         size = comm.size
         if self._heal:
             parent_world = (None if rel == 0 else self._live_parent_world(
@@ -723,6 +717,23 @@ class AbEngine:
     def _crashed(self, world_rank: int) -> bool:
         oracle = self._crash_oracle
         return oracle is not None and oracle(world_rank, self.sim.now)
+
+    @staticmethod
+    def _refuse_off_tree(steps: Sequence, shape, size: int, root: int,
+                         rel: int) -> None:
+        """Healing needs the whole tree, which only the config ``shape``
+        has: a caller's ``steps`` whose neighbours are not this rank's
+        healthy family in it would be silently overridden by
+        :meth:`neighbors` while the root walked them."""
+        healthy = (
+            None if rel == 0
+            else tree.absolute_rank(shape.parent(rel, size), root, size),
+            tuple(tree.absolute_rank(c, root, size)
+                  for c in shape.children(rel, size)))
+        if reduce_neighbors(steps) != healthy:
+            raise ScheduleExecutionError(
+                "tree healing re-routes along the configured %s tree, which "
+                "its steps do not follow" % shape.name)
 
     def _live_parent_world(self, comm, shape, root: int, size: int, rel: int,
                            instance: int, known: Optional[int] = None) -> int:

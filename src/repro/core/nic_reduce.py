@@ -26,6 +26,7 @@ freedom at the price of latency that grows steeply with message size.  The
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np
@@ -68,16 +69,13 @@ class _NicState:
         self.buffered: list[tuple[object, np.ndarray]] = []
 
 
+@dataclass(slots=True)
 class NicReduceStats:
-    __slots__ = ("reduces", "nic_combines", "forwards", "root_deliveries",
-                 "max_states")
-
-    def __init__(self) -> None:
-        self.reduces = 0
-        self.nic_combines = 0
-        self.forwards = 0
-        self.root_deliveries = 0
-        self.max_states = 0
+    reduces: int = 0
+    nic_combines: int = 0
+    forwards: int = 0
+    root_deliveries: int = 0
+    max_states: int = 0
 
 
 LOCAL = "local"

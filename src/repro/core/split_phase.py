@@ -18,6 +18,7 @@ roots is outstanding, so completion needs no application involvement.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np
@@ -80,16 +81,13 @@ class _RootState:
         return any(key[0] == child for key in self.pending)
 
 
+@dataclass(slots=True)
 class SplitPhaseStats:
-    __slots__ = ("starts", "root_starts", "async_root_children",
-                 "pre_arrived_children", "waits")
-
-    def __init__(self) -> None:
-        self.starts = 0
-        self.root_starts = 0
-        self.async_root_children = 0
-        self.pre_arrived_children = 0
-        self.waits = 0
+    starts: int = 0
+    root_starts: int = 0
+    async_root_children: int = 0
+    pre_arrived_children: int = 0
+    waits: int = 0
 
 
 class SplitPhaseReduce:

@@ -87,7 +87,7 @@ def print_progress(line: str) -> None:
 
 def maybe_write_bench_json(out: ExperimentOutput,
                            args: argparse.Namespace) -> None:
-    """Honour --bench-json: record the sweep for the perf-regression gate
+    """Honour --bench-json: record the sweep for the bit-identity gate
     (``python -m repro.orchestrate.compare OLD NEW``)."""
     if getattr(args, "bench_json", None) is None:
         return

@@ -29,6 +29,7 @@ sleep forever.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..config import NicParams
@@ -46,34 +47,28 @@ from .packet import Packet, PacketType
 SignalHandler = Callable[[Ledger, float], None]
 
 
+@dataclass(slots=True)
 class NicStats:
     """Counters exposed for tests and reports."""
 
-    __slots__ = ("packets_sent", "packets_received", "bytes_sent",
-                 "bytes_received", "signals_raised", "signals_suppressed",
-                 "signal_toggles", "send_token_stalls", "recv_token_stalls",
-                 "crash_drops", "segment_packets_sent",
-                 "segment_packets_received", "segment_bytes_sent")
-
-    def __init__(self) -> None:
-        self.packets_sent = 0
-        self.packets_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.signals_raised = 0
-        self.signals_suppressed = 0
-        self.signal_toggles = 0
-        #: Sends delayed waiting for a GM send token (flow control).
-        self.send_token_stalls = 0
-        #: Arrivals delayed waiting for a host receive buffer.
-        self.recv_token_stalls = 0
-        #: Arrivals discarded because this NIC is crashed (repro.faults).
-        self.crash_drops = 0
-        #: Segment-tagged collective traffic (repro.pipeline; zero unless
-        #: the pipeline subsystem is armed).
-        self.segment_packets_sent = 0
-        self.segment_packets_received = 0
-        self.segment_bytes_sent = 0
+    packets_sent: int = 0
+    packets_received: int = 0
+    bytes_sent: int = 0
+    bytes_received: int = 0
+    signals_raised: int = 0
+    signals_suppressed: int = 0
+    signal_toggles: int = 0
+    #: Sends delayed waiting for a GM send token (flow control).
+    send_token_stalls: int = 0
+    #: Arrivals delayed waiting for a host receive buffer.
+    recv_token_stalls: int = 0
+    #: Arrivals discarded because this NIC is crashed (repro.faults).
+    crash_drops: int = 0
+    #: Segment-tagged collective traffic (repro.pipeline; zero unless
+    #: the pipeline subsystem is armed).
+    segment_packets_sent: int = 0
+    segment_packets_received: int = 0
+    segment_bytes_sent: int = 0
 
 
 class Nic:

@@ -22,6 +22,7 @@ configuration bypasses it entirely (DESIGN.md §6.8).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from ..sim.events import PRIORITY_TIMER
 from .packet import Packet, PacketType
@@ -48,20 +49,16 @@ class _PeerTx:
         self.timer = None
 
 
+@dataclass(slots=True)
 class ReliabilityStats:
-    __slots__ = ("acks_sent", "acks_received", "retransmissions",
-                 "duplicates_discarded", "gaps_discarded", "timer_fires",
-                 "max_window")
-
-    def __init__(self) -> None:
-        self.acks_sent = 0
-        self.acks_received = 0
-        self.retransmissions = 0
-        self.duplicates_discarded = 0
-        self.gaps_discarded = 0
-        self.timer_fires = 0
-        #: High-water mark of the unacked (go-back-N) window, any peer.
-        self.max_window = 0
+    acks_sent: int = 0
+    acks_received: int = 0
+    retransmissions: int = 0
+    duplicates_discarded: int = 0
+    gaps_discarded: int = 0
+    timer_fires: int = 0
+    #: High-water mark of the unacked (go-back-N) window, any peer.
+    max_window: int = 0
 
 
 class ReliableChannel:

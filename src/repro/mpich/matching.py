@@ -15,6 +15,7 @@ assertions our tests verify rather than take on faith.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,19 +61,16 @@ class UnexpectedEntry:
         self.arrived_at = arrived_at
 
 
+@dataclass(slots=True)
 class MatchStats:
     """Counters for queue activity and copy accounting."""
 
-    __slots__ = ("expected_msgs", "unexpected_msgs", "copies", "copied_bytes",
-                 "max_unexpected_len", "max_posted_len")
-
-    def __init__(self) -> None:
-        self.expected_msgs = 0
-        self.unexpected_msgs = 0
-        self.copies = 0
-        self.copied_bytes = 0
-        self.max_unexpected_len = 0
-        self.max_posted_len = 0
+    expected_msgs: int = 0
+    unexpected_msgs: int = 0
+    copies: int = 0
+    copied_bytes: int = 0
+    max_unexpected_len: int = 0
+    max_posted_len: int = 0
 
     def count_copy(self, nbytes: int) -> None:
         self.copies += 1

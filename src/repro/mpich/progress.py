@@ -29,6 +29,7 @@ same by routing both through the progress engine).
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Generator, Optional, Protocol
 
 import numpy as np
@@ -70,21 +71,17 @@ class _RndvRecv:
         self.registration = registration
 
 
+@dataclass(slots=True)
 class ProgressStats:
-    __slots__ = ("drains", "packets_processed", "signals_ignored",
-                 "signal_progress_runs", "sends_eager", "sends_rndv",
-                 "send_copies", "send_copied_bytes", "self_sends")
-
-    def __init__(self) -> None:
-        self.drains = 0
-        self.packets_processed = 0
-        self.signals_ignored = 0
-        self.signal_progress_runs = 0
-        self.sends_eager = 0
-        self.sends_rndv = 0
-        self.send_copies = 0
-        self.send_copied_bytes = 0
-        self.self_sends = 0
+    drains: int = 0
+    packets_processed: int = 0
+    signals_ignored: int = 0
+    signal_progress_runs: int = 0
+    sends_eager: int = 0
+    sends_rndv: int = 0
+    send_copies: int = 0
+    send_copied_bytes: int = 0
+    self_sends: int = 0
 
 
 _rndv_seq = itertools.count(1)
@@ -224,12 +221,9 @@ class ProgressEngine:
     # ------------------------------------------------------------------
     def start_send(self, data: np.ndarray, dest: int, tag: int,
                    context_id: int, ledger: Ledger, *,
-                   ab: Optional[AbHeader] = None,
-                   eager_limit: Optional[int] = None) -> Request:
+                   ab: Optional[AbHeader] = None) -> Request:
         """Begin a send; returns its request (eager completes immediately)."""
-        nbytes = data.nbytes
-        limit = self.costs.eager_limit_bytes if eager_limit is None else eager_limit
-        if nbytes <= limit:
+        if data.nbytes <= self.costs.eager_limit_bytes:
             return self._start_eager(data, dest, tag, context_id, ledger, ab)
         if ab is not None:
             raise MatchError("application-bypass messages must be eager "

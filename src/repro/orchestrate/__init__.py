@@ -1,11 +1,11 @@
-"""Parallel experiment orchestration and the perf-regression harness.
+"""Parallel experiment orchestration and the bit-identity gate.
 
 The sweep shape behind every figure in the paper — a grid of independent,
 seed-keyed, bit-deterministic simulator runs — is embarrassingly parallel.
 This package fans those grids out across worker processes
 (:mod:`.runner`), records each sweep as a machine-readable
-``BENCH_<name>.json`` (:mod:`.benchjson`), and gates perf regressions by
-diffing two such files (:mod:`.compare`, also
+``BENCH_<name>.json`` (:mod:`.benchjson`), and gates drift in the
+simulated numbers by diffing two such files exactly (:mod:`.compare`, also
 ``python -m repro.orchestrate.compare``).
 
 Entry points:

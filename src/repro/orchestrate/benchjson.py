@@ -27,8 +27,8 @@ Schema (version 1)::
 ``metrics`` and ``counters`` values are pure functions of the key (the
 simulator is deterministic), so the compare CLI treats any difference in
 either as drift;
-``wall_time_s`` is host time and only gates through a percentage
-tolerance.  ``events_per_sec`` (``counters["events"] / wall_time_s``, the
+``wall_time_s`` is host time, which ``summarize`` prints and nothing
+gates.  ``events_per_sec`` (``counters["events"] / wall_time_s``, the
 DES core's throughput) is wall-derived and therefore *also* host-noisy:
 it lives beside ``wall_time_s``, never inside ``metrics``, so a slow
 runner can't fail the exact-metric gate.  Null when a point's executor

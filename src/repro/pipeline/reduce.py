@@ -32,6 +32,7 @@ work on them unchanged.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Generator, Optional, Sequence
 
@@ -47,35 +48,30 @@ from ..schedule.lower import pipelined_rank_steps
 from .segmenter import Segment, plan_segments
 
 
+@dataclass(slots=True)
 class PipelineStats:
     """Per-rank counters for the pipelined collectives."""
 
-    __slots__ = ("pipelined_reduces", "pipelined_allreduces",
-                 "segments_sent", "segments_folded", "segments_folded_async",
-                 "root_segment_folds", "pipeline_stalls", "inflight_hwm",
-                 "stale_segments_dropped")
-
-    def __init__(self) -> None:
-        #: Collectives that took the pipelined path on this rank.
-        self.pipelined_reduces = 0
-        self.pipelined_allreduces = 0
-        #: Segment-tagged AB sends (leaf streams + internal forwards).
-        self.segments_sent = 0
-        #: Segment folds on internal nodes, and the subset performed by the
-        #: asynchronous component (progress driven by signals/other calls).
-        self.segments_folded = 0
-        self.segments_folded_async = 0
-        #: Segment folds performed synchronously at the root.
-        self.root_segment_folds = 0
-        #: Segmented packets that arrived before their descriptor was open
-        #: (window exhausted or sender raced ahead) and had to be buffered —
-        #: each is one copy the pipeline failed to bypass.
-        self.pipeline_stalls = 0
-        #: High-water mark of simultaneously open segment descriptors.
-        self.inflight_hwm = 0
-        #: Late segments from an already-abandoned child, discarded on
-        #: arrival (fault runs only; zero on healthy clusters).
-        self.stale_segments_dropped = 0
+    #: Collectives that took the pipelined path on this rank.
+    pipelined_reduces: int = 0
+    pipelined_allreduces: int = 0
+    #: Segment-tagged AB sends (leaf streams + internal forwards).
+    segments_sent: int = 0
+    #: Segment folds on internal nodes, and the subset performed by the
+    #: asynchronous component (progress driven by signals/other calls).
+    segments_folded: int = 0
+    segments_folded_async: int = 0
+    #: Segment folds performed synchronously at the root.
+    root_segment_folds: int = 0
+    #: Segmented packets that arrived before their descriptor was open
+    #: (window exhausted or sender raced ahead) and had to be buffered —
+    #: each is one copy the pipeline failed to bypass.
+    pipeline_stalls: int = 0
+    #: High-water mark of simultaneously open segment descriptors.
+    inflight_hwm: int = 0
+    #: Late segments from an already-abandoned child, discarded on
+    #: arrival (fault runs only; zero on healthy clusters).
+    stale_segments_dropped: int = 0
 
 
 class AbPipeline:

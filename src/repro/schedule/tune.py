@@ -135,7 +135,7 @@ def tune(*, nranks: int = 8, seed: int = 1, iterations: int = 5,
     return TuningTable(entries=entries)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.schedule.tune",
         description="autotune tree shape + segmentation per (message "
@@ -150,7 +150,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--cache", default=None,
                         help="content-addressed result-cache directory "
                              "(re-runs are served from it)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     cache = None
     if args.cache:

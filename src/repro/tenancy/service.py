@@ -38,7 +38,6 @@ from ..cluster.cluster import Cluster
 from ..mpich.communicator import Communicator
 from ..mpich.rank import MpiBuild
 from ..runtime.context import MpiContext
-from ..sim.trace import Tracer
 from .scheduler import Placement, Scheduler
 from .spec import ClusterSpec, JobSpec
 from .workload import JobRankSample, job_program
@@ -145,14 +144,13 @@ class TenancyResult:
         return out
 
 
-def _run_jobs_on_cluster(spec: ClusterSpec, placements: list,
-                         tracer: Optional[Tracer] = None):
+def _run_jobs_on_cluster(spec: ClusterSpec, placements: list):
     """One simulation: every placement's job on one shared cluster.
 
     Returns ``(cluster, {job_id: [JobRankSample, ...]})``.
     """
     config = spec.build_config()
-    cluster = Cluster(config, tracer)
+    cluster = Cluster(config)
     for p in placements:
         for slot in p.slots:
             node = cluster.nodes[slot]
@@ -201,8 +199,8 @@ def _job_result(placement: Placement, samples: list,
     )
 
 
-def run_tenancy(spec: ClusterSpec, jobs, *, solo_baseline: bool = True,
-                tracer: Optional[Tracer] = None) -> TenancyResult:
+def run_tenancy(spec: ClusterSpec, jobs, *,
+                solo_baseline: bool = True) -> TenancyResult:
     """Schedule ``jobs`` on one shared cluster and run them to completion.
 
     With ``solo_baseline`` (the default) each job is additionally re-run
@@ -213,7 +211,7 @@ def run_tenancy(spec: ClusterSpec, jobs, *, solo_baseline: bool = True,
     so results are bit-deterministic.
     """
     placements = Scheduler(spec).schedule(jobs)
-    cluster, samples = _run_jobs_on_cluster(spec, placements, tracer)
+    cluster, samples = _run_jobs_on_cluster(spec, placements)
     results = [_job_result(p, samples[p.job_id], cluster)
                for p in placements]
     if solo_baseline:

@@ -267,10 +267,18 @@ def test_mpi_allreduce_derives_the_tree_once_per_rank(monkeypatch):
 # every refusal (ROADMAP 3d): one line, naming the rank and the lowering
 # ---------------------------------------------------------------------------
 
-def _lowered(name, *, size=SIZE, nseg=0):
+def _lowered(name, *, size=SIZE, nseg=0, shape="binomial"):
     from repro.schedule import lower
     from repro.topo import make_tree_shape
-    return lower(name, make_tree_shape("binomial"), size, nseg=nseg)
+    return lower(name, make_tree_shape(shape), size, nseg=nseg)
+
+
+def _armed_healing(config):
+    """Tree healing armed, and a crash that never happens."""
+    from repro.config import FaultParams
+    return dataclasses.replace(config, faults=FaultParams(
+        crash_rank=5, crash_at_us=1e12, tree_heal=True,
+        descriptor_timeout_us=300, timeout_retries=2))
 
 
 def _hand_built(collective, lowering, steps):
@@ -316,6 +324,10 @@ def _refusal_cases():
                      ((WaitStep((1,)),), (SendStep(0),)) + ((),) * 6),
          ELEMENTS, 0,
          "WaitStep(children=(1,), seg=-1) cannot be walked on the host"),
+        ("steps-leave-the-healing-tree", _armed_healing(whole), MpiBuild.AB,
+         _lowered("reduce.ab", shape="chain"), ELEMENTS, 0,
+         "tree healing re-routes along the configured binomial tree, which "
+         "its steps do not follow"),
     ]
 
 
@@ -331,7 +343,7 @@ def test_refusal_cases_cover_every_raise_site():
                                path.read_text(encoding="utf-8")))
                 for path in src.rglob("*.py"))
     assert sites == len({case[0].split("/")[0] for case in REFUSALS}) + 1
-    assert sites <= 9
+    assert sites <= 10
 
 
 @pytest.mark.parametrize("config,build,schedule,elements,rank,why",
@@ -354,3 +366,15 @@ def test_every_refusal_is_one_line_naming_rank_and_lowering(
     assert str(error) == ("rank %d cannot execute this %s schedule: %s"
                           % (rank, schedule.lowering, why))
     assert "\n" not in str(error)
+
+
+def test_armed_healing_executes_steps_that_follow_the_config_tree():
+    """The other half of the steps-leave-the-healing-tree refusal: a
+    schedule lowered over the configured shape runs under armed healing,
+    bit-identical to the same run with the fault block disarmed."""
+    config = make_config("binomial", False)
+    program = scheduled_program(_lowered("reduce.ab"))
+    healthy = run_program(config, program, build=MpiBuild.AB)
+    armed = run_program(_armed_healing(config), program, build=MpiBuild.AB)
+    assert armed.results[0][0] == SIZE * (SIZE + 1) / 2
+    assert armed.results[0].tobytes() == healthy.results[0].tobytes()

@@ -1,14 +1,14 @@
-"""Exit codes, JSON schema and baseline round-trip for the analysis CLI."""
+"""Exit codes, JSON schema and the option surface of the analysis CLI."""
 
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, BaselineError
 from repro.analysis.cli import (EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main)
 
 CLEAN_SOURCE = """
@@ -70,10 +70,34 @@ def test_exit_usage_on_bad_flag(capsys):
     assert main(["--format", "yaml", "x.py"]) == EXIT_USAGE
 
 
-def test_exit_usage_on_unknown_rule(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [
+    ["--baseline", "b.json"], ["--write-baseline"], ["--select", "SIM002"],
+    ["--disable", "SIM002"], ["--severity", "SIM012=error"],
+    ["--fail-on-warnings"], ["--sim-scope", "sim"]],
+    ids=lambda flag: flag[0])
+def test_removed_flag_is_a_usage_error(flag, tmp_path, capsys):
+    """simlint has no per-run policy: every rule, at its declared
+    severity, suppressed only by the inline pragma."""
     write_module(tmp_path, CLEAN_SOURCE)
-    assert main(["--select", "SIM999", str(tmp_path)]) == EXIT_USAGE
-    assert "unknown rule" in capsys.readouterr().err
+    assert main(flag + [str(tmp_path)]) == EXIT_USAGE
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
+def test_help_lists_exactly_the_three_options(capsys):
+    assert main(["--help"]) == EXIT_CLEAN
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"--help", "--format", "--out", "--list-rules"}
+
+
+def test_warnings_are_reported_but_do_not_gate(tmp_path, capsys):
+    write_module(tmp_path, """
+        class Nic:
+            def on_packet(self, value):
+                self.total += value
+    """)
+    assert main([str(tmp_path)]) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "SIM012 warning" in out and "1 warning(s)" in out
 
 
 def test_list_rules(capsys):
@@ -92,14 +116,13 @@ def test_json_output_schema(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
     assert set(payload) == {"version", "findings", "counts", "errors",
-                            "warnings", "baselined",
-                            "stale_baseline_entries"}
+                            "warnings"}
     assert payload["counts"]["SIM001"] == 1
     assert payload["counts"]["SIM002"] == 1
     assert payload["errors"] >= 2
     for finding in payload["findings"]:
         assert set(finding) == {"rule", "path", "line", "col", "message",
-                                "severity", "fingerprint"}
+                                "severity"}
         assert finding["severity"] in ("error", "warning")
         assert finding["path"].startswith("repro/")
         assert finding["line"] > 0 and finding["col"] > 0
@@ -111,71 +134,3 @@ def test_json_output_clean(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == [] and payload["counts"] == {}
 
-
-# ----------------------------------------------------------------------
-# baseline round-trip
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path, capsys):
-    write_module(tmp_path, DIRTY_SOURCE)
-    baseline = tmp_path / "baseline.json"
-
-    # 1. Dirty tree without a baseline: findings.
-    assert main([str(tmp_path / "repro")]) == EXIT_FINDINGS
-    # 2. Accept current debt into the baseline.
-    assert main(["--baseline", str(baseline), "--write-baseline",
-                 str(tmp_path / "repro")]) == EXIT_CLEAN
-    # SIM001 + SIM002 + SIM008 (the `import time` line).
-    assert len(Baseline.load(baseline)) == 3
-    # 3. Same tree against the baseline: clean.
-    capsys.readouterr()
-    assert main(["--baseline", str(baseline),
-                 str(tmp_path / "repro")]) == EXIT_CLEAN
-    assert "3 baselined" in capsys.readouterr().out
-    # 4. New debt on top of the baseline: findings again.
-    write_module(tmp_path, DIRTY_SOURCE.replace(
-        "t = time.time()", "t = time.time()\n    u = time.monotonic()"))
-    assert main(["--baseline", str(baseline),
-                 str(tmp_path / "repro")]) == EXIT_FINDINGS
-    # 5. Fix everything: clean, and the stale entries are reported.
-    write_module(tmp_path, CLEAN_SOURCE)
-    capsys.readouterr()
-    assert main(["--baseline", str(baseline),
-                 str(tmp_path / "repro")]) == EXIT_CLEAN
-    assert "stale baseline" in capsys.readouterr().out
-    # 6. Rewriting the baseline empties it (the remove half of the trip).
-    assert main(["--baseline", str(baseline), "--write-baseline",
-                 str(tmp_path / "repro")]) == EXIT_CLEAN
-    assert len(Baseline.load(baseline)) == 0
-
-
-def test_write_baseline_requires_baseline_path(tmp_path, capsys):
-    write_module(tmp_path, CLEAN_SOURCE)
-    assert main(["--write-baseline", str(tmp_path)]) == EXIT_USAGE
-
-
-def test_corrupt_baseline_is_usage_error(tmp_path, capsys):
-    write_module(tmp_path, CLEAN_SOURCE)
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert main(["--baseline", str(bad), str(tmp_path)]) == EXIT_USAGE
-
-
-def test_baseline_budget_is_per_occurrence(tmp_path):
-    write_module(tmp_path, DIRTY_SOURCE)
-    from repro.analysis import lint_paths
-    findings = lint_paths([tmp_path])
-    baseline = Baseline.from_findings(findings)
-    new, baselined, stale = baseline.filter(findings)
-    assert (new, baselined, stale) == ([], len(findings), 0)
-    # Duplicate occurrences beyond the budget surface as new findings.
-    doubled = findings + findings
-    new, baselined, stale = baseline.filter(doubled)
-    assert len(new) == len(findings) and baselined == len(findings)
-
-
-def test_baseline_rejects_bad_version(tmp_path):
-    path = tmp_path / "b.json"
-    path.write_text(json.dumps({"version": 99, "entries": []}),
-                    encoding="utf-8")
-    with pytest.raises(BaselineError):
-        Baseline.load(path)

@@ -1,4 +1,4 @@
-"""The CI gate: ``src/`` must lint clean against the committed baseline.
+"""The CI gate: ``src/`` must lint clean.
 
 This is the enforcement point the analysis subsystem exists for — it runs
 as part of the tier-1 suite, so a dropped ``yield from`` or a stray
@@ -16,13 +16,12 @@ from repro.analysis.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 
-def test_src_lints_clean_against_committed_baseline(capsys):
-    rc = main(["--baseline", str(BASELINE), str(SRC)])
+def test_src_lints_clean(capsys):
+    rc = main([str(SRC)])
     out = capsys.readouterr().out
-    assert rc == 0, f"simlint found new debt in src/:\n{out}"
+    assert rc == 0, f"simlint found debt in src/:\n{out}"
 
 
 def _copy_src(tmp_path: Path) -> Path:
@@ -41,7 +40,7 @@ def test_seeded_dropped_yield_from_fails_gate(tmp_path, capsys):
     assert anchor in text
     engine.write_text(text.replace(anchor, "yield reduce_nab(", 1),
                       encoding="utf-8")
-    rc = main(["--baseline", str(BASELINE), str(src)])
+    rc = main([str(src)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "SIM001" in out and "reduce_nab" in out
@@ -63,7 +62,7 @@ def test_seeded_wall_clock_fails_gate(tmp_path, capsys):
     simulator.write_text(_prepend_to_body(
         text, "    def live_process_count(self) -> int:",
         "import time; self._wall = time.time()"), encoding="utf-8")
-    rc = main(["--baseline", str(BASELINE), str(src)])
+    rc = main([str(src)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "SIM002" in out and "time.time" in out
