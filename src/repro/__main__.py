@@ -12,11 +12,11 @@ def main() -> int:
           "Large-Scale Clusters (CLUSTER 2003), simulation reproduction")
     print()
     print("entry points:")
-    print("  python -m repro.experiments <fig6|fig7|fig8|fig9|fig10|"
-          "ablations|extensions|scale|all>")
+    print("  python -m repro.experiments <name|all>  # no name: lists them")
+    print("  python -m repro.orchestrate smoke [grid] # the CI grids")
     print("  pytest tests/                       # unit/integration/property")
     print("  pytest benchmarks/ --benchmark-only # regenerate every figure")
-    print("  python examples/quickstart.py       # (and 5 more examples)")
+    print("  python examples/quickstart.py       # (and 8 more examples)")
     print()
     print("docs: README.md, DESIGN.md (system inventory), "
           "EXPERIMENTS.md (paper-vs-measured)")

@@ -22,11 +22,6 @@ class AppComparison:
     default_stats: list[KernelStats]
     ab_stats: list[KernelStats]
 
-    def mean_collective_us(self, build: MpiBuild) -> float:
-        stats = (self.default_stats if build is MpiBuild.DEFAULT
-                 else self.ab_stats)
-        return float(np.mean([s.collective_us for s in stats]))
-
     def nonroot_mean_collective_us(self, build: MpiBuild) -> float:
         stats = (self.default_stats if build is MpiBuild.DEFAULT
                  else self.ab_stats)

@@ -34,10 +34,6 @@ class KernelStats:
     checks: int = 0               # verified global values
     extras: dict = field(default_factory=dict)
 
-    @property
-    def collective_fraction(self) -> float:
-        return self.collective_us / self.wall_us if self.wall_us else 0.0
-
 
 def jacobi(iterations: int = 25, *, base_compute_us: float = 80.0,
            imbalance: float = 0.5, elements: int = 1):

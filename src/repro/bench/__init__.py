@@ -6,7 +6,7 @@ from .latency import LatencyResult, latency_benchmark, measure_one_way
 from .nicred import nicred_cpu_util, nicred_latency
 from .report import Series, Table
 from .skew import SkewModel, conservative_latency_estimate
-from .stats import SampleSummary, factor_with_ci, summarize
+from .stats import SampleSummary, summarize
 
 __all__ = [
     "cpu_util_benchmark", "CpuUtilResult", "APP_CATEGORIES",
@@ -14,6 +14,6 @@ __all__ = [
     "latency_benchmark", "LatencyResult", "measure_one_way",
     "nicred_cpu_util", "nicred_latency",
     "SkewModel", "conservative_latency_estimate",
-    "SampleSummary", "summarize", "factor_with_ci",
+    "SampleSummary", "summarize",
     "Table", "Series",
 ]

@@ -72,13 +72,6 @@ class CpuUtilResult(BenchResult):
     #: BENCH_*.json).
     sim_counters: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        return (f"cpu-util[{self.build.value}] n={self.size} "
-                f"elems={self.elements} skew={self.max_skew_us:.0f}us "
-                f"-> {self.avg_util_us:.2f}us "
-                f"(direct {self.direct_avg_util_us:.2f}us, "
-                f"{self.signals} signals)")
-
 
 def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
                        elements: int = 4, max_skew_us: float = 0.0,

@@ -70,13 +70,6 @@ class FaultReduceResult(BenchResult):
     #: one is armed.
     sim_counters: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        return (f"fault-reduce[{self.build.value}] n={self.size} "
-                f"iters={self.iterations} -> last={self.last_result:g} "
-                f"(expect {self.expected_survivors:g}, "
-                f"survivor_ok={self.survivor_ok}, "
-                f"{self.completed_ranks}/{self.size} ranks finished)")
-
 
 def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
                            elements: int = 4, iterations: int = 8,

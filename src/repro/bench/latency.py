@@ -54,12 +54,6 @@ class LatencyResult(BenchResult):
     #: network counters.
     sim_counters: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        return (f"latency[{self.build.value}] n={self.size} "
-                f"elems={self.elements} -> {self.avg_latency_us:.2f}us "
-                f"(one-way {self.one_way_us:.2f}us, "
-                f"{self.signals} signals)")
-
 
 def measure_one_way(config: ClusterConfig, peer_a: int, peer_b: int,
                     *, pingpongs: int = 50) -> float:

@@ -84,13 +84,6 @@ class PapResult(BenchResult):
         # still per-point so every BENCH row is self-contained.
         return {**super().metrics(), **self.arrival_stats}
 
-    def __str__(self) -> str:
-        kappa = self.arrival_stats.get("arrival_kappa")
-        return (f"pap[{self.algo}] pattern={self.pattern} n={self.size} "
-                f"elems={self.elements}"
-                + (f" kappa={kappa:.2f}" if kappa is not None else "")
-                + f" -> {self.avg_makespan_us:.2f}us")
-
 
 def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
                   iterations: int = 10, warmup: int = 2) -> PapResult:

@@ -54,12 +54,6 @@ class ScheduledResult(BenchResult):
     summary: Optional[SampleSummary] = None
     sim_counters: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        return (f"scheduled[{self.build.value}] {self.lowering} "
-                f"shape={self.tree_shape} n={self.size} "
-                f"elems={self.elements} nseg={self.nseg} "
-                f"-> {self.avg_latency_us:.2f}us")
-
 
 def build_schedule(config: ClusterConfig, *, lowering: str,
                    passes: Sequence = (), elements: int,

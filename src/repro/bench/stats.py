@@ -32,16 +32,6 @@ class BenchResult:
         return {name: float(getattr(self, name))
                 for name in self.BENCH_METRICS}
 
-    @property
-    def events(self) -> int:
-        """Events popped — the denominator of events-per-second."""
-        return self.sim_counters["events"]
-
-    @property
-    def ops(self) -> int:
-        """Process-driver operations executed."""
-        return self.sim_counters["ops"]
-
 
 @dataclass(frozen=True)
 class SampleSummary:
@@ -56,16 +46,6 @@ class SampleSummary:
     #: Half-width of the ~95% confidence interval on the mean
     #: (1.96 * std / sqrt(n); normal approximation).
     ci95: float
-
-    @property
-    def relative_ci(self) -> float:
-        """CI half-width as a fraction of the mean (0 when mean is 0)."""
-        return self.ci95 / self.mean if self.mean else 0.0
-
-    def __str__(self) -> str:
-        return (f"{self.mean:.2f} ± {self.ci95:.2f} us "
-                f"(n={self.n}, sd={self.std:.2f}, "
-                f"range {self.minimum:.2f}..{self.maximum:.2f})")
 
 
 def summarize(samples) -> SampleSummary:
@@ -83,14 +63,3 @@ def summarize(samples) -> SampleSummary:
         median=float(np.median(arr)),
         ci95=1.96 * std / float(np.sqrt(arr.size)) if arr.size > 1 else 0.0,
     )
-
-
-def factor_with_ci(numerator: SampleSummary,
-                   denominator: SampleSummary) -> tuple[float, float]:
-    """Ratio of means with a first-order-propagated ~95% CI half-width."""
-    if denominator.mean == 0.0:
-        raise ValueError("denominator mean is zero")
-    factor = numerator.mean / denominator.mean
-    rel = float(np.sqrt(numerator.relative_ci ** 2 +
-                        denominator.relative_ci ** 2))
-    return factor, factor * rel

@@ -91,13 +91,6 @@ class Cluster:
     def size(self) -> int:
         return len(self.nodes)
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    def cpu_usage_table(self) -> list[dict[str, float]]:
-        """Per-node CPU accounting snapshots (for reports and tests)."""
-        return [n.cpu.usage_snapshot() for n in self.nodes]
-
     def total_signals(self) -> int:
         return sum(n.nic.stats.signals_raised for n in self.nodes)
 

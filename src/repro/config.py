@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType, UnionType
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -530,13 +530,6 @@ class ClusterConfig:
     @property
     def size(self) -> int:
         return len(self.machines)
-
-    def with_size(self, n: int) -> "ClusterConfig":
-        """First ``n`` nodes of this roster (paper: interlaced machine list,
-        so any prefix is a balanced mix)."""
-        if not (1 <= n <= len(self.machines)):
-            raise ConfigError(f"size {n} outside 1..{len(self.machines)}")
-        return replace(self, machines=self.machines[:n])
 
 
 def interlaced_roster(total: int = 32) -> tuple[MachineSpec, ...]:

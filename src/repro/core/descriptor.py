@@ -165,7 +165,9 @@ class DescriptorQueue:
         per-segment descriptors open at once — and a later instance may
         open its window while an earlier one still has stragglers — so
         segmented packets carry their (instance, seg) identity and are
-        matched on it exactly.
+        matched on it exactly.  With tree healing armed whole messages
+        (``seg == -1``) are matched this way too: a heal can leave an older
+        descriptor pending on a sender that will never serve it.
         """
         if access.TRACER is not None:
             access.trace(access.READ, ("descriptors", self.owner),
@@ -199,6 +201,3 @@ class DescriptorQueue:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)

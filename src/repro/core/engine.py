@@ -541,10 +541,15 @@ class AbEngine:
                 if self.pipeline is not None:
                     self.pipeline.stats.stale_segments_dropped += 1
                 return True
+        if header.seg >= 0 or self._heal:
             # Segmented packet (repro.pipeline): the window keeps several
             # per-segment descriptors of one instance open at once, so the
             # FIFO sender match is ambiguous — match the exact (instance,
-            # segment) named by the header.
+            # segment) named by the header.  Armed healing does the same to
+            # a whole message: an older descriptor may have adopted this
+            # sender after its contribution went to a rank that then died,
+            # and that stale slot must not take a later instance's packet
+            # (the retry budget abandons it).
             desc = self.descriptors.match_segment(
                 env.src, env.context_id, header.instance, header.seg)
         else:
@@ -693,7 +698,7 @@ class AbEngine:
         copy they already paid on arrival is their only one (Sec. V-B).
         """
         for child in desc.pending_children():
-            if desc.seg >= 0:
+            if desc.seg >= 0 or self._heal:
                 entry = self.unexpected.take_for(child, desc.instance,
                                                  desc.seg)
             else:

@@ -50,10 +50,6 @@ class ReduceHandle:
         self.trigger = Trigger()
 
     @property
-    def done(self) -> bool:
-        return self.trigger.fired
-
-    @property
     def result(self) -> Optional[np.ndarray]:
         return self.trigger.value
 

@@ -45,8 +45,8 @@ class AbUnexpectedEntry:
         self.header = header
         self.data = data
         self.arrived_at = arrived_at
-        #: Set when taken through either index; the other index (and the
-        #: insertion-order view) lazily drop flagged entries.
+        #: Set when taken through either index; the other index lazily
+        #: drops flagged entries.
         self.consumed = False
 
 
@@ -59,16 +59,13 @@ class AbUnexpectedQueue:
     races the happens-before checker must see.
     """
 
-    __slots__ = ("_by_sender", "_by_key", "_order", "_size",
+    __slots__ = ("_by_sender", "_by_key", "_size",
                  "inserted", "consumed", "max_len", "owner")
 
     def __init__(self) -> None:
         self._by_sender: dict[int, deque[AbUnexpectedEntry]] = {}
         self._by_key: dict[tuple[int, int, int],
                            deque[AbUnexpectedEntry]] = {}
-        #: All entries in insertion order (for diagnostics); consumed
-        #: entries are trimmed lazily from the front.
-        self._order: deque[AbUnexpectedEntry] = deque()
         self._size = 0
         self.inserted = 0
         self.consumed = 0
@@ -92,10 +89,6 @@ class AbUnexpectedQueue:
         if key_q is None:
             key_q = self._by_key[key] = deque()
         key_q.append(entry)
-        order = self._order
-        order.append(entry)
-        while order and order[0].consumed:
-            order.popleft()
         self._size += 1
         self.inserted += 1
         if self._size > self.max_len:
@@ -124,7 +117,8 @@ class AbUnexpectedQueue:
                  seg: int) -> Optional[AbUnexpectedEntry]:
         """Exact-match take for a segmented entry (repro.pipeline): the
         per-sender FIFO rule cannot tell two buffered segments of the same
-        instance apart, so segmented consumers name the segment."""
+        instance apart, so segmented consumers name the segment (and, with
+        tree healing armed, whole-message consumers the instance)."""
         if access.TRACER is not None:
             access.trace(access.WRITE, ("ab_unexpected", self.owner),
                          note=f"take_for src={src_world} inst={instance} "
@@ -135,9 +129,6 @@ class AbUnexpectedQueue:
             if not entry.consumed:
                 return self._claim(entry)
         return None
-
-    def peek_senders(self) -> list[int]:
-        return [e.src_world for e in self._order if not e.consumed]
 
     @property
     def empty(self) -> bool:

@@ -12,7 +12,7 @@ With ``FaultParams`` at defaults nothing here is ever imported by the
 runtime, and a fault-free run is bit-identical to one without this package.
 """
 
-from .base import (FaultInjector, FaultSchedule, INJECTORS, injector_names,
+from .base import (FaultInjector, FaultSchedule, INJECTORS,
                    register_injector)
 from . import injectors as _builtin_injectors  # noqa: F401  (registration)
 
@@ -20,6 +20,5 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "INJECTORS",
-    "injector_names",
     "register_injector",
 ]

@@ -33,11 +33,6 @@ def register_injector(name):
     return deco
 
 
-def injector_names():
-    """Sorted names of all registered injectors."""
-    return sorted(INJECTORS)
-
-
 class FaultInjector:
     """Base class for pluggable fault injectors.
 

@@ -3,16 +3,11 @@
 from .allreduce import allreduce_reduce_bcast
 from .barrier import barrier_dissemination
 from .bcast import bcast_binomial
-from .gather import gather_linear
 from .reduce import reduce_nab
-from .scatter import allgather_ring, scatter
 
 __all__ = [
     "reduce_nab",
     "bcast_binomial",
     "barrier_dissemination",
     "allreduce_reduce_bcast",
-    "gather_linear",
-    "scatter",
-    "allgather_ring",
 ]

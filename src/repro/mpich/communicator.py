@@ -2,8 +2,10 @@
 
 Each communicator owns two context ids, MPICH-style: one for point-to-point
 traffic and one for collectives, so user messages can never match collective
-internals.  Sub-communicators (``dup`` / ``split``) let tests run concurrent
-reductions over disjoint or identical rank sets without cross-talk.
+internals.  A sub-communicator is a ``Communicator`` over a subset of the
+world ranks, built once and shared by its members (``repro.tenancy`` gives
+every job one), so concurrent reductions over disjoint or identical rank sets
+cannot cross-talk.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class InstanceCounter:
 class Communicator:
     """A group of world ranks with private matching contexts."""
 
-    __slots__ = ("world_ranks", "_rank_of", "context_id", "name", "_derived")
+    __slots__ = ("world_ranks", "_rank_of", "context_id", "name")
 
     def __init__(self, world_ranks: tuple[int, ...], name: str = "comm"):
         if len(set(world_ranks)) != len(world_ranks):
@@ -54,11 +56,6 @@ class Communicator:
         self._rank_of = {w: i for i, w in enumerate(world_ranks)}
         self.context_id = _fresh_context()
         self.name = name
-        # Cache of derived communicators.  Communicator derivation is a
-        # collective operation: every rank calling dup()/split() with equal
-        # arguments must end up with the *same* context ids, which in this
-        # in-process simulation means the same object.
-        self._derived: dict = {}
 
     # -- structure -------------------------------------------------------
     @property
@@ -86,47 +83,6 @@ class Communicator:
             raise MpiError(f"rank {comm_rank} outside {self.name} "
                            f"(size {self.size})")
         return self.world_ranks[comm_rank]
-
-    def contains_world(self, world_rank: int) -> bool:
-        return world_rank in self._rank_of
-
-    # -- derivation --------------------------------------------------------
-    # Derivations are collective: the per-parent cache guarantees that all
-    # ranks calling with equal arguments receive identical context ids.
-
-    def dup(self, name: str = "") -> "Communicator":
-        """Same group, fresh contexts (isolates concurrent collectives).
-
-        Calls with the same ``name`` (from any rank) return the same
-        communicator; use distinct names for independent duplicates.
-        """
-        key = ("dup", name)
-        if key not in self._derived:
-            self._derived[key] = Communicator(self.world_ranks,
-                                              name or f"{self.name}.dup")
-        return self._derived[key]
-
-    def split(self, colors: dict[int, int], name: str = "") -> dict[int, "Communicator"]:
-        """Partition by color; returns ``color -> sub-communicator``.
-
-        ``colors`` maps every world rank in this communicator to a color.
-        Rank order within each sub-communicator follows world-rank order.
-        Every rank must pass the same mapping (it is a collective call).
-        """
-        missing = [w for w in self.world_ranks if w not in colors]
-        if missing:
-            raise MpiError(f"split colors missing ranks {missing}")
-        key = ("split", tuple(sorted(colors.items())), name)
-        if key not in self._derived:
-            groups: dict[int, list[int]] = {}
-            for w in self.world_ranks:
-                groups.setdefault(colors[w], []).append(w)
-            self._derived[key] = {
-                color: Communicator(tuple(ws),
-                                    name or f"{self.name}.split{color}")
-                for color, ws in groups.items()
-            }
-        return self._derived[key]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator {self.name} size={self.size} ctx={self.context_id}>"

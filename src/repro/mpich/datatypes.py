@@ -24,9 +24,6 @@ class Datatype:
         """Allocate an uninitialized buffer of ``count`` elements."""
         return np.empty(count, dtype=self.np_dtype)
 
-    def zeros(self, count: int) -> np.ndarray:
-        return np.zeros(count, dtype=self.np_dtype)
-
 
 DOUBLE = Datatype("double", 8, np.dtype(np.float64))
 FLOAT = Datatype("float", 4, np.dtype(np.float32))

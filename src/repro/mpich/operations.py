@@ -20,66 +20,37 @@ import numpy as np
 class Op:
     """A reduction operator."""
 
-    __slots__ = ("name", "fn", "commutative", "ufunc")
+    __slots__ = ("name", "fn", "commutative")
 
-    def __init__(self, name: str, fn: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
-                 commutative: bool = True, ufunc=None):
+    def __init__(self, name: str, fn: Callable[..., None],
+                 commutative: bool = True):
         self.name = name
+        #: ``fn(a, b, out=)``, the calling convention of a numpy binary
+        #: ufunc — every built-in *is* one, so ``apply`` folds with a
+        #: single C-level call (the fold kernel is the inner loop of every
+        #: segmented reduce: a Python frame per segment is measurable at
+        #: large scale).
         self.fn = fn
         self.commutative = commutative
-        #: Raw numpy binary ufunc, when the op *is* one (all built-ins).
-        #: ``apply`` then folds with a single C-level call instead of
-        #: going through the ``fn`` wrapper — the fold kernel is the
-        #: inner loop of every segmented reduce, so the extra Python
-        #: frame per segment is measurable at large scale.
-        self.ufunc = ufunc
 
     def apply(self, acc: np.ndarray, operand: np.ndarray) -> None:
         """In-place ``acc = acc (op) operand``."""
         if acc.shape != operand.shape:
             raise ValueError(
                 f"operand shape {operand.shape} != accumulator {acc.shape}")
-        u = self.ufunc
-        if u is not None:
-            u(acc, operand, out=acc)
-        else:
-            self.fn(acc, operand, acc)
-
-    def identity_like(self, array: np.ndarray) -> np.ndarray:
-        """Identity element buffer (only defined for the built-in ops)."""
-        ident = _IDENTITIES.get(self.name)
-        if ident is None:
-            raise ValueError(f"no identity for op {self.name!r}")
-        out = np.empty_like(array)
-        out[...] = ident(array.dtype)
-        return out
+        self.fn(acc, operand, out=acc)
 
     def __repr__(self) -> str:
         return f"<Op {self.name}>"
 
 
-def _ufunc(u) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
-    def apply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        u(a, b, out=out)
-    return apply
-
-
-SUM = Op("sum", _ufunc(np.add), ufunc=np.add)
-PROD = Op("prod", _ufunc(np.multiply), ufunc=np.multiply)
-MIN = Op("min", _ufunc(np.minimum), ufunc=np.minimum)
-MAX = Op("max", _ufunc(np.maximum), ufunc=np.maximum)
-BAND = Op("band", _ufunc(np.bitwise_and), ufunc=np.bitwise_and)
-BOR = Op("bor", _ufunc(np.bitwise_or), ufunc=np.bitwise_or)
-BXOR = Op("bxor", _ufunc(np.bitwise_xor), ufunc=np.bitwise_xor)
-
-_IDENTITIES = {
-    "sum": lambda dt: np.zeros((), dtype=dt)[()],
-    "prod": lambda dt: np.ones((), dtype=dt)[()],
-    "min": lambda dt: (np.iinfo(dt).max if np.issubdtype(dt, np.integer)
-                       else np.inf),
-    "max": lambda dt: (np.iinfo(dt).min if np.issubdtype(dt, np.integer)
-                       else -np.inf),
-}
+SUM = Op("sum", np.add)
+PROD = Op("prod", np.multiply)
+MIN = Op("min", np.minimum)
+MAX = Op("max", np.maximum)
+BAND = Op("band", np.bitwise_and)
+BOR = Op("bor", np.bitwise_or)
+BXOR = Op("bxor", np.bitwise_xor)
 
 BUILTIN_OPS = (SUM, PROD, MIN, MAX)
 

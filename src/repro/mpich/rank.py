@@ -122,48 +122,6 @@ class MpiRank:
         """Block until a previously returned request completes."""
         return self.progress.wait(request)
 
-    def test(self, request: Request) -> Generator:
-        """``MPI_Test``: one progress poll; returns the status if the
-        request completed, else None (never blocks)."""
-        ledger = Ledger()
-        ledger.charge(self.costs.call_overhead_us, "mpi")
-        self.progress.active_depth += 1
-        try:
-            self.progress.drain(ledger)
-        finally:
-            self.progress.active_depth -= 1
-        yield Busy.from_ledger(ledger)
-        return request.status if request.done else None
-
-    def iprobe(self, source: int, tag: int = ANY_TAG,
-               comm: Optional[Communicator] = None) -> Generator:
-        """``MPI_Iprobe``: poll once; True if a matching message is queued
-        (unexpected) or arrives during the poll."""
-        comm = comm or self.comm_world
-        world_source = comm.world_rank(source) if source >= 0 else source
-        ledger = Ledger()
-        ledger.charge(self.costs.call_overhead_us, "mpi")
-        self.progress.active_depth += 1
-        try:
-            self.progress.drain(ledger)
-        finally:
-            self.progress.active_depth -= 1
-        yield Busy.from_ledger(ledger)
-        for entry in self.progress.matching.unexpected:
-            if entry.envelope.matches(world_source, tag, comm.pt2pt_context):
-                return True
-        return False
-
-    def sendrecv(self, senddata: np.ndarray, dest: int,
-                 recvbuf: Optional[np.ndarray], source: int,
-                 tag: int = 0, comm: Optional[Communicator] = None) -> Generator:
-        """Combined send+receive (deadlock-free: send first, then wait)."""
-        recv_req = yield from self.irecv(recvbuf, source, tag, comm)
-        send_req = yield from self.isend(senddata, dest, tag, comm)
-        yield from self.progress.wait(send_req)
-        status = yield from self.progress.wait(recv_req)
-        return status
-
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
@@ -203,28 +161,6 @@ class MpiRank:
         from .collectives.allreduce import allreduce_reduce_bcast
         return allreduce_reduce_bcast(self, np.asarray(sendbuf), op,
                                       comm or self.comm_world)
-
-    def gather(self, senddata: np.ndarray, root: int = 0,
-               comm: Optional[Communicator] = None) -> Generator:
-        """``MPI_Gather``; root returns a list indexed by comm rank."""
-        from .collectives.gather import gather_linear
-        return gather_linear(self, np.asarray(senddata), root,
-                             comm or self.comm_world)
-
-    def scatter(self, senddata: Optional[np.ndarray], recvbuf: np.ndarray,
-                root: int = 0,
-                comm: Optional[Communicator] = None) -> Generator:
-        """``MPI_Scatter`` with an explicit receive buffer."""
-        from .collectives.scatter import scatter
-        return scatter(self, senddata, recvbuf, root,
-                       comm or self.comm_world)
-
-    def allgather(self, senddata: np.ndarray,
-                  comm: Optional[Communicator] = None) -> Generator:
-        """``MPI_Allgather`` (ring); returns an array indexed by rank."""
-        from .collectives.scatter import allgather_ring
-        return allgather_ring(self, np.asarray(senddata),
-                              comm or self.comm_world)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MpiRank {self.rank} build={self.build.value}>"

@@ -25,21 +25,15 @@ class CrossbarSwitch:
                           for p in range(ports)]
         self.forwarded = 0
 
-    def traverse(self, at: float, out_port: int, nbytes: int) -> float:
-        """Route a packet head arriving at ``at`` toward ``out_port``.
-
-        Returns the time the packet's last byte leaves the output port.
-        Cut-through: serialization on the input link overlaps with the
-        output link, so total wire occupancy is charged once (here).
-        """
-        _, finish = self.traverse_timed(at, out_port, nbytes)
-        return finish
-
     def traverse_timed(self, at: float, out_port: int,
                        nbytes: int) -> tuple[float, float]:
-        """Like :meth:`traverse` but also returns when the output port was
-        granted — multi-hop topologies advance the packet head from that
-        grant time (cut-through), not from the drain finish."""
+        """Route a packet head arriving at ``at`` toward ``out_port``.
+
+        Returns when the output port was granted and when the packet's
+        last byte leaves it.  Cut-through: serialization on the input link
+        overlaps with the output link, so total wire occupancy is charged
+        once (here), and multi-hop topologies advance the packet head from
+        the grant time, not from the drain finish."""
         if not (0 <= out_port < self.ports):
             raise ValueError(f"port {out_port} out of range 0..{self.ports - 1}")
         self.forwarded += 1

@@ -24,17 +24,8 @@ from .points import (ConfigSpec, PointResult, SweepPoint, execute_point)
 from .runner import PointFailed, run_points
 
 
-def __getattr__(name):
-    # Lazy so `python -m repro.orchestrate.compare` doesn't trip the
-    # "found in sys.modules before execution" runpy warning.
-    if name == "compare_payloads":
-        from .compare import compare_payloads
-        return compare_payloads
-    raise AttributeError(name)
-
 __all__ = [
     "ConfigSpec", "SweepPoint", "PointResult", "execute_point",
     "run_points", "PointFailed",
     "bench_payload", "write_bench_json", "load_bench_json", "git_sha",
-    "compare_payloads",
 ]

@@ -41,6 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same(a, b) -> bool:
+    """``==``, except that NaN — the one value ``!=`` itself — agrees
+    with NaN (and with nothing else)."""
+    return a == b or (a != a and b != b)
+
+
 def _drifts(old: dict, new: dict, family: str, label: str) -> list[dict]:
     """Every ``family`` value (``metrics`` / ``counters``) of one shared
     point that differs, or exists on one side only (reported as None)."""
@@ -48,7 +54,7 @@ def _drifts(old: dict, new: dict, family: str, label: str) -> list[dict]:
     return [{"key": old["key"], label: name,
              "old": ov.get(name), "new": nv.get(name)}
             for name in sorted(set(ov) | set(nv))
-            if ov.get(name) != nv.get(name)]
+            if not _same(ov.get(name), nv.get(name))]
 
 
 def compare_payloads(old: dict, new: dict) -> dict:
@@ -119,7 +125,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             payloads[role] = load_bench_json(path)
         except (OSError, ValueError) as exc:
-            errors.append(f"error: {role} ({path}): {exc}")
+            # Both name the file themselves; here it is said once.
+            why = (exc.strerror if isinstance(exc, OSError)
+                   else str(exc).removeprefix(f"{path}: "))
+            errors.append(f"error: {role} ({path}): {why}")
     if errors:
         for line in errors:
             print(line, file=sys.stderr)

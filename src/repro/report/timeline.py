@@ -21,7 +21,7 @@ Each node gets one lane.  Markers:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..sim.trace import Tracer
 
@@ -86,28 +86,3 @@ def descriptor_spans(tracer: Tracer) -> list[dict]:
             "mode": rec["mode"],
         })
     return spans
-
-
-def segment_spans(tracer: Tracer) -> list[dict]:
-    """Per-segment descriptor lifetimes (repro.pipeline): one entry per
-    ``ab.segment.complete``, carrying the window position and mode."""
-    spans = []
-    for rec in tracer.of_kind("ab.segment.complete"):
-        spans.append({
-            "node": rec["node"],
-            "instance": rec["instance"],
-            "seg": rec["seg"],
-            "nseg": rec["nseg"],
-            "span_us": rec["span"],
-            "mode": rec["mode"],
-        })
-    return spans
-
-
-def signal_counts(tracer: Tracer, nodes: Sequence[int]) -> dict[int, int]:
-    """Per-node count of delivered NIC signals."""
-    counts = {n: 0 for n in nodes}
-    for rec in tracer.of_kind("nic.signal"):
-        if rec["node"] in counts:
-            counts[rec["node"]] += 1
-    return counts

@@ -26,7 +26,7 @@ from ..core.engine import AbEngine
 from ..mpich.communicator import Communicator
 from ..mpich.operations import SUM, Op
 from ..mpich.rank import MpiBuild, MpiRank
-from ..sim.process import Busy, Compute
+from ..sim.process import Compute
 
 
 class MpiContext:
@@ -78,11 +78,6 @@ class MpiContext:
         if duration_us > 0.0:
             yield Compute(duration_us, category)
 
-    def work(self, duration_us: float, category: str = "app") -> Generator:
-        """Non-interruptible work segment (signals deferred to its end)."""
-        if duration_us > 0.0:
-            yield Busy(duration_us, category)
-
     # -- MPI operations ------------------------------------------------------
     # Pure pass-throughs hand back the library's generator itself: one
     # frame fewer on every resume of the rank program than re-yielding it.
@@ -114,14 +109,6 @@ class MpiContext:
 
     def allreduce(self, sendbuf, op: Op = SUM, comm=None) -> Generator:
         return self.mpi.allreduce(np.asarray(sendbuf), op, comm)
-
-    def gather(self, senddata, root: int = 0, comm=None) -> Generator:
-        return self.mpi.gather(np.asarray(senddata), root, comm)
-
-    # -- diagnostics -----------------------------------------------------------
-    def cpu_usage(self) -> dict[str, float]:
-        """Per-category CPU time accounted on this node so far."""
-        return self.node.cpu.usage_snapshot()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MpiContext rank={self.rank}/{self.size} {self.build.value}>"

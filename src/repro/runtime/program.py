@@ -31,20 +31,13 @@ class ProgramResult:
     results: list[Any]
     finished_at: float
 
-    @property
-    def sim(self):
-        return self.cluster.sim
-
     def sim_counters(self) -> dict[str, int]:
         """Event/op/process counts for this run (see Simulator.counters)."""
         return self.cluster.sim.counters()
 
     def cpu_usage(self, rank: int) -> dict[str, float]:
-        return self.cluster.nodes[rank].cpu.usage_snapshot()
-
-    def total_cpu(self, rank: int, *, exclude: tuple[str, ...] = ("app",)) -> float:
-        """Accounted CPU time on ``rank``, excluding app compute by default."""
-        return self.cluster.nodes[rank].cpu.total_usage(exclude=exclude)
+        """Per-category CPU time accounted on ``rank`` (a copy)."""
+        return dict(self.cluster.nodes[rank].cpu.usage)
 
 
 def build_cluster(config: ClusterConfig,

@@ -14,8 +14,7 @@ instead of orderings baked into engine code.  The package provides:
     ``mpi.bcast`` also call for their own rank.
 ``passes``
     Pure ``Schedule -> Schedule`` rewrite passes behind a registry:
-    Lowery–Langou greedy segment pipelining, reduce+bcast overlap fusion,
-    and tree reshaping.
+    Lowery–Langou greedy segment pipelining and tree reshaping.
 ``table``
     The persisted tuning table consulted by ``tree_shape="auto"`` /
     ``segment_size_bytes="auto"`` configs, with a deterministic fallback.

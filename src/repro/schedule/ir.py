@@ -199,9 +199,6 @@ class Schedule:
     # ------------------------------------------------------------------
     # convenience
 
-    def rank_steps(self, rank: int) -> tuple:
-        return self.steps[rank]
-
     @property
     def step_count(self) -> int:
         return sum(len(s) for s in self.steps)

@@ -11,11 +11,6 @@ Built-in passes:
     whole-message reduce/bcast schedule once per segment, forwarding each
     segment as soon as it is folded.  Produces exactly the step order the
     segmented lowerings emit directly.
-``fuse_overlap``
-    Reduce+bcast overlap fusion: rewrite the root of a segmented
-    ``allreduce.ab`` schedule to re-broadcast each segment as soon as it is
-    folded (other ranks already interleave through the NIC), yielding the
-    ``allreduce.pipelined`` form.
 ``reshape_tree``
     Re-lower the schedule onto a different tree shape from the
     ``repro.topo`` registry, preserving collective, root and segmentation.
@@ -23,12 +18,11 @@ Built-in passes:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import replace
 from typing import Callable, Dict, Iterable
 
 from ..topo.trees import make_tree_shape
-from .ir import BcastStep, Schedule, ScheduleError
+from .ir import Schedule, ScheduleError
 
 PASSES: Dict[str, Callable[..., Schedule]] = {}
 
@@ -87,31 +81,6 @@ def pipeline_segments(schedule: Schedule, *, nseg: int) -> Schedule:
         for rank in schedule.steps)
     out = replace(schedule, nseg=nseg, steps=steps)
     return out.with_meta("pass", "pipeline_segments(%d)" % nseg)
-
-
-@register_pass("fuse_overlap")
-def fuse_overlap(schedule: Schedule) -> Schedule:
-    """Fuse a segmented ``allreduce.ab`` into the pipelined overlap form."""
-    if schedule.collective != "allreduce" or schedule.lowering != "allreduce.ab":
-        raise PassError(
-            "fuse_overlap expects an allreduce.ab schedule, got %s/%s"
-            % (schedule.collective, schedule.lowering))
-    if schedule.nseg < 2:
-        raise PassError("fuse_overlap needs a segmented schedule (nseg >= 2)")
-    reduce_by_seg = defaultdict(list)
-    bcast_by_seg = defaultdict(list)
-    for step in schedule.steps[schedule.root]:
-        if isinstance(step, BcastStep):
-            bcast_by_seg[step.seg].append(step)
-        else:
-            reduce_by_seg[step.seg].append(step)
-    fused_root = tuple(
-        step for k in range(schedule.nseg)
-        for step in reduce_by_seg[k] + bcast_by_seg[k])
-    steps = tuple(fused_root if me == schedule.root else rank
-                  for me, rank in enumerate(schedule.steps))
-    out = replace(schedule, lowering="allreduce.pipelined", steps=steps)
-    return out.with_meta("pass", "fuse_overlap")
 
 
 @register_pass("reshape_tree")

@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.sim.simulator.Simulator` — event loop + process driver
 * :class:`~repro.sim.cpu.HostCpu` / :class:`~repro.sim.cpu.Ledger` —
   preemptive CPU with per-category accounting
-* command objects ``Busy``, ``Compute``, ``WaitFor``, ``Fork`` and the
+* command objects ``Busy``, ``Compute``, ``WaitFor`` and the
   synchronization primitives ``Trigger`` / ``Notifier``
 * :class:`~repro.sim.random.RngStreams` — deterministic named RNG streams
 * :class:`~repro.sim.trace.Tracer` — optional structured tracing
@@ -13,7 +13,7 @@ Public surface:
 
 from .cpu import BUSY, COMPUTE, IDLE, POLL, HostCpu, Ledger
 from .events import Event, EventQueue
-from .process import (Busy, Command, Compute, Fork, Notifier, SimProcess,
+from .process import (Busy, Command, Compute, Notifier, SimProcess,
                       Trigger, WaitFor)
 from .random import RngStreams
 from .simulator import Simulator
@@ -21,7 +21,7 @@ from .trace import Tracer
 
 __all__ = [
     "Simulator", "Event", "EventQueue",
-    "Busy", "Compute", "WaitFor", "Fork", "Command",
+    "Busy", "Compute", "WaitFor", "Command",
     "Trigger", "Notifier", "SimProcess",
     "HostCpu", "Ledger", "IDLE", "BUSY", "COMPUTE", "POLL",
     "RngStreams", "Tracer",

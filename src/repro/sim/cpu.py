@@ -136,9 +136,6 @@ class HostCpu:
         return sum(self.usage[k] for k in sorted(self.usage)
                    if k not in exclude)
 
-    def usage_snapshot(self) -> dict[str, float]:
-        return dict(self.usage)
-
     # ------------------------------------------------------------------
     # process-driver entry points (called by the Simulator)
     # ------------------------------------------------------------------

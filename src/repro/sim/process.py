@@ -32,10 +32,6 @@ Commands
     CPU is charged for the entire blocked interval under that category —
     modelling MPICH's busy-polling blocking receives.  If ``None``, the wait
     is passive (CPU idle).
-
-``Fork(gen, name, cpu)``
-    Spawn a child process.  The command completes immediately, returning the
-    new :class:`SimProcess`.
 """
 
 from __future__ import annotations
@@ -127,18 +123,6 @@ class WaitFor(Command):
         self.poll_category = poll_category
 
 
-class Fork(Command):
-    """Spawn a child process; completes immediately with the new process."""
-
-    __slots__ = ("gen", "name", "cpu")
-
-    def __init__(self, gen: SimGen, name: str = "child",
-                 cpu: Optional[Cpu] = None):
-        self.gen = gen
-        self.name = name
-        self.cpu = cpu
-
-
 class Trigger:
     """One-shot synchronization point.
 
@@ -196,10 +180,6 @@ class Notifier:
         for trig in pending:
             trig.fire(value)
         return len(pending)
-
-    @property
-    def waiter_count(self) -> int:
-        return len(self._pending)
 
 
 class SimProcess:

@@ -42,8 +42,3 @@ class RngStreams:
     def node_stream(self, purpose: str, node_id: int) -> np.random.Generator:
         """Per-node stream, e.g. ``node_stream('os_noise', 7)``."""
         return self.stream(f"{purpose}/{node_id}")
-
-    def spawn(self, suffix: str) -> "RngStreams":
-        """Derive an independent child seed space (for nested experiments)."""
-        key = zlib.crc32(suffix.encode("utf-8"))
-        return RngStreams((self.seed * 1_000_003 + key) & 0x7FFFFFFF)

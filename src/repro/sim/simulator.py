@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 from ..errors import DeadlockError, ProcessFailed, ReproError
 from . import access
 from .events import Event, EventQueue, PRIORITY_DELIVERY, PRIORITY_WAKE
-from .process import Busy, Compute, Cpu, Fork, SimGen, SimProcess, WaitFor
+from .process import Busy, Compute, Cpu, SimGen, SimProcess, WaitFor
 from .trace import Tracer
 
 
@@ -232,9 +232,6 @@ class Simulator:
                 cmd.trigger.add_waiter(partial(self._poll_woken, proc, cpu))
             else:
                 cmd.trigger.add_waiter(partial(self._wake, proc))
-        elif kind is Fork:
-            child = self.spawn(cmd.gen, cmd.name, cmd.cpu)
-            self.schedule(0.0, self._step, proc, child)
         else:
             raise TypeError(f"process {proc.name!r} yielded {cmd!r}, "
                             "expected a sim command")

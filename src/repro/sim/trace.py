@@ -8,7 +8,7 @@ filtered with ordinary comprehensions.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 
 class Tracer:
@@ -40,18 +40,3 @@ class Tracer:
     def of_kind(self, kind: str) -> list[dict[str, Any]]:
         """All collected records with the given kind."""
         return [r for r in self.records if r["kind"] == kind]
-
-    def kinds(self) -> set[str]:
-        return {r["kind"] for r in self.records}
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def format(self, records: Optional[Iterable[dict]] = None) -> str:
-        """Human-readable dump, one record per line."""
-        lines = []
-        for r in (records if records is not None else self.records):
-            fields = " ".join(f"{k}={v}" for k, v in r.items()
-                              if k not in ("t", "kind"))
-            lines.append(f"[{r['t']:12.3f}] {r['kind']:<24} {fields}")
-        return "\n".join(lines)

@@ -39,10 +39,6 @@ class Placement:
     job_id: int
     slots: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.slots)
-
 
 @dataclass
 class Scheduler:
@@ -50,7 +46,7 @@ class Scheduler:
 
     spec: ClusterSpec
     _free: set = field(init=False)
-    _placements: list = field(init=False, default_factory=list)
+    _admitted: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.spec.validate()
@@ -59,10 +55,6 @@ class Scheduler:
     @property
     def free_slots(self) -> tuple[int, ...]:
         return tuple(sorted(self._free))
-
-    @property
-    def placements(self) -> tuple[Placement, ...]:
-        return tuple(self._placements)
 
     def submit(self, job: JobSpec) -> Placement:
         """Admit one job: pick slots via its placement policy, mark them
@@ -83,10 +75,10 @@ class Scheduler:
                 f"placement policy {job.placement!r} returned invalid "
                 f"slots {slots} for job {job.name!r} "
                 f"(free: {self.free_slots})")
-        placement = Placement(job=job, job_id=len(self._placements),
+        placement = Placement(job=job, job_id=self._admitted,
                               slots=tuple(sorted(slots)))
         self._free -= set(slots)
-        self._placements.append(placement)
+        self._admitted += 1
         return placement
 
     def schedule(self, jobs) -> list[Placement]:
@@ -97,7 +89,3 @@ class Scheduler:
         if len(set(names)) != len(names):
             raise AdmissionError(f"duplicate job names in batch: {names}")
         return [self.submit(job) for job in jobs]
-
-    def release(self, placement: Placement) -> None:
-        """Return a finished job's slots to the free pool."""
-        self._free |= set(placement.slots)

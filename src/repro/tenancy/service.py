@@ -39,7 +39,7 @@ from ..mpich.communicator import Communicator
 from ..mpich.rank import MpiBuild
 from ..runtime.context import MpiContext
 from .scheduler import Placement, Scheduler
-from .spec import ClusterSpec, JobSpec
+from .spec import ClusterSpec
 from .workload import JobRankSample, job_program
 
 _BUILDS = {"nab": MpiBuild.DEFAULT, "ab": MpiBuild.AB}
@@ -58,22 +58,9 @@ class TenantContext(MpiContext):
         super().__init__(node, comm, _BUILDS[placement.job.build])
         self.placement = placement
 
-    @property
-    def job(self) -> JobSpec:
-        return self.placement.job
-
-    @property
-    def job_id(self) -> int:
-        return self.placement.job_id
-
-    @property
-    def job_rank(self) -> int:
-        """This rank's position inside the job (0..job.nranks-1)."""
-        return self.comm_world.rank_of_world(self.node.id)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<TenantContext job={self.job.name!r} "
-                f"rank={self.job_rank}/{self.size} on node {self.node.id}>")
+        return (f"<TenantContext job={self.placement.job.name!r} "
+                f"size={self.size} on node {self.node.id}>")
 
 
 @dataclass
@@ -110,12 +97,6 @@ class TenancyResult:
     cluster: Cluster
     finished_at: float
     sim_counters: dict = field(default_factory=dict)
-
-    def job(self, name: str) -> JobResult:
-        for j in self.jobs:
-            if j.name == name:
-                return j
-        raise KeyError(f"no job named {name!r}")
 
     def metrics(self) -> dict:
         """Flat float metrics for BENCH json (bit-deterministic)."""

@@ -107,12 +107,3 @@ def job_program(mpi, job: JobSpec):
     yield from mpi.barrier()
     sample.end_us = mpi.now
     return sample
-
-
-def make_job_program(job: JobSpec):
-    """Bind ``job`` into a ``program(mpi)`` callable for run_program or
-    the tenancy service."""
-    def program(mpi):
-        result = yield from job_program(mpi, job)
-        return result
-    return program

@@ -62,11 +62,6 @@ def children(rel: int, size: int) -> list[int]:
     return result
 
 
-def is_leaf(rel: int, size: int) -> bool:
-    """A leaf has no children in a tree of ``size`` nodes."""
-    return not children(rel, size)
-
-
 def depth(rel: int) -> int:
     """Hops to the root: the number of set bits (each hop clears one)."""
     return bin(rel).count("1")
@@ -91,20 +86,6 @@ def deepest_relative_rank(size: int) -> int:
             best = rel
             best_depth = d
     return best
-
-
-def subtree_size(rel: int, size: int) -> int:
-    """Number of nodes (including ``rel``) in ``rel``'s subtree."""
-    _check(rel, size)
-    total = 1
-    for child in children(rel, size):
-        total += subtree_size(child, size)
-    return total
-
-
-def tree_edges(size: int) -> list[tuple[int, int]]:
-    """All (parent, child) relative-rank pairs — used by tests/diagrams."""
-    return [(parent(rel), rel) for rel in range(1, size)]
 
 
 def _check(value: int, size: int) -> None:

@@ -92,10 +92,6 @@ class TreeShape:
                 best_depth = d
         return best
 
-    def edges(self, size: int) -> list[tuple[int, int]]:
-        """All (parent, child) pairs — used by tests and diagrams."""
-        return [(self.parent(rel, size), rel) for rel in range(1, size)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TreeShape {self.name}>"
 

@@ -2,38 +2,13 @@
 
 The simulator's clock is a ``float`` measured in **microseconds** — the
 natural unit for the paper, whose skews, latencies and CPU utilizations are
-all reported in microseconds.  These helpers exist so that configuration code
-reads unambiguously (``ms(1.5)`` instead of a bare ``1500.0``).
+all reported in microseconds.
 
 Sizes are **bytes**; bandwidths are **bytes per microsecond** (1 byte/us ==
 1 MB/s exactly in this convention: 1e6 bytes / 1e6 us).
 """
 
 from __future__ import annotations
-
-#: One microsecond (the base time unit).
-USEC: float = 1.0
-
-#: One millisecond, expressed in microseconds.
-MSEC: float = 1_000.0
-
-#: One second, expressed in microseconds.
-SEC: float = 1_000_000.0
-
-
-def us(value: float) -> float:
-    """Microseconds (identity; for symmetry with :func:`ms` / :func:`s`)."""
-    return float(value)
-
-
-def ms(value: float) -> float:
-    """Milliseconds → microseconds."""
-    return float(value) * MSEC
-
-
-def s(value: float) -> float:
-    """Seconds → microseconds."""
-    return float(value) * SEC
 
 
 def gbit_per_s(value: float) -> float:
@@ -43,27 +18,3 @@ def gbit_per_s(value: float) -> float:
     bytes/us.
     """
     return float(value) * 1e9 / 8.0 / 1e6
-
-
-def mbyte_per_s(value: float) -> float:
-    """Megabytes per second → bytes per microsecond."""
-    return float(value) * 1e6 / 1e6
-
-
-def per_byte_us(bandwidth_bytes_per_us: float) -> float:
-    """Invert a bandwidth into a per-byte cost in microseconds."""
-    if bandwidth_bytes_per_us <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    return 1.0 / bandwidth_bytes_per_us
-
-
-#: Size of one "double word" element (the paper reports message sizes in
-#: double-word elements, i.e. 8-byte IEEE doubles).
-DOUBLE_BYTES: int = 8
-
-
-def elements_to_bytes(elements: int) -> int:
-    """Convert a double-word element count to bytes."""
-    if elements < 0:
-        raise ValueError("element count must be non-negative")
-    return int(elements) * DOUBLE_BYTES

@@ -1,9 +1,13 @@
-"""AB reductions on derived communicators and interleaved contexts —
-instance counters are per collective context, and this pins that down."""
+"""AB reductions on sub-communicators and interleaved contexts —
+instance counters are per collective context, and this pins that down.
+
+A communicator is built once, outside the rank program, and shared by its
+members: every rank must see the same context ids."""
 
 import numpy as np
 import pytest
 
+from repro.mpich.communicator import Communicator
 from repro.mpich.operations import SUM
 from repro.mpich.rank import MpiBuild
 from conftest import contribution, expected_sum, run_ranks
@@ -11,11 +15,10 @@ from conftest import contribution, expected_sum, run_ranks
 
 def test_ab_reduce_on_split_halves():
     size = 8
+    halves = [Communicator(tuple(range(color, size, 2))) for color in (0, 1)]
 
     def program(mpi):
-        world = mpi.comm_world
-        colors = {w: w % 2 for w in world.world_ranks}
-        sub = world.split(colors)[mpi.rank % 2]
+        sub = halves[mpi.rank % 2]
         if mpi.rank == 6:
             yield from mpi.compute(150.0)     # straggler in the odd half
         result = yield from mpi.reduce(np.array([float(mpi.rank)]), op=SUM,
@@ -35,10 +38,10 @@ def test_ab_reduces_interleaved_across_communicators():
     """World-comm and sub-comm reductions interleave; per-context instance
     counters must keep every late message matched to the right one."""
     size = 8
+    dup = Communicator(tuple(range(size)), "interleave")
 
     def program(mpi):
         world = mpi.comm_world
-        dup = world.dup("interleave")
         results = []
         for i in range(3):
             if mpi.rank == 3:
@@ -85,10 +88,10 @@ def test_ab_reduce_different_roots_same_comm_interleaved():
 
 
 def test_ab_quiesces_on_subcommunicators():
+    halves = [Communicator(tuple(range(4))), Communicator(tuple(range(4, 8)))]
+
     def program(mpi):
-        world = mpi.comm_world
-        colors = {w: 0 if w < 4 else 1 for w in world.world_ranks}
-        sub = world.split(colors)[0 if mpi.rank < 4 else 1]
+        sub = halves[mpi.rank // 4]
         for _ in range(4):
             yield from mpi.reduce(np.ones(2), op=SUM,
                                   root=0, comm=sub)

@@ -20,7 +20,8 @@ from repro import MpiBuild, NetParams, quiet_cluster
 from repro.bench.faulted import fault_reduce_benchmark
 from repro.config import AbParams, FaultParams, PipelineParams
 from repro.mpich.operations import SUM
-from repro.orchestrate.points import faults_smoke_points
+from repro.orchestrate.points import (ConfigSpec, SweepPoint, execute_point,
+                                      faults_smoke_points)
 from repro.orchestrate.runner import run_points
 
 from conftest import contribution, expected_sum, run_ranks
@@ -96,6 +97,29 @@ def test_crash_with_tree_heal_completes_at_32_ranks():
     assert res.sim_counters["ranks_crashed"] == 1
     assert res.sim_counters["subtrees_healed"] >= 1
     assert res.sim_counters["faults_injected"] == 1
+
+
+def test_crash_composes_with_bursty_loss():
+    """Crash x loss (ROADMAP 2d).  Rank 7 sent its instance-1 contribution
+    to rank 6, which then died; rank 4's instance-1 descriptor adopted 7
+    all the same, and 7's re-routed instance-3 packet — retransmission
+    had delayed everything in between — met that stale slot first.  With
+    healing armed a whole message matches the descriptor of its own
+    instance, so the stale slot is abandoned by the retry budget instead
+    of raising "FIFO ordering violated"."""
+    point = SweepPoint(
+        experiment="crash_x_loss", kind="fault_reduce",
+        config=ConfigSpec("paper", 8, 3, faults=FaultParams(
+            crash_rank=6, crash_at_us=400.0, tree_heal=True,
+            descriptor_timeout_us=300.0, timeout_retries=2,
+            burst_prob=0.1, burst_len=3)),
+        build="ab", elements=4, iterations=6, collect_invariants=True)
+    res = execute_point(point)
+    assert res.invariant_report["checks"] > 0
+    assert res.invariant_report["violation_count"] == 0
+    assert res.metrics["survivor_ok"] == 1.0
+    assert res.metrics["last_result"] == 36.0 - 7.0
+    assert res.counters["burst_packets_dropped"] > 0
 
 
 # ---------------------------------------------------------------------------

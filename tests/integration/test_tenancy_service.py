@@ -14,7 +14,7 @@ from repro.orchestrate.points import tenancy_smoke_points
 from repro.orchestrate.runner import run_points
 from repro.runtime.program import run_program
 from repro.tenancy import (ClusterSpec, JobSpec, ResultCache, Scheduler,
-                           make_job_program, run_tenancy)
+                           job_program, run_tenancy)
 from repro.tenancy.service import _run_jobs_on_cluster
 
 
@@ -37,7 +37,7 @@ def test_solo_tenancy_job_matches_legacy_run_program(build):
     assert placements[0].slots == tuple(range(8))
     cluster, samples = _run_jobs_on_cluster(spec, placements)
     legacy = run_program(
-        spec.build_config(), make_job_program(job),
+        spec.build_config(), lambda mpi: job_program(mpi, job),
         build=MpiBuild.AB if build == "ab" else MpiBuild.DEFAULT)
 
     tenancy_samples = sorted(samples[0], key=lambda s: s.world_rank)

@@ -76,16 +76,6 @@ def test_placement_is_deterministic(workload):
     assert first == second
 
 
-@given(feasible_workloads())
-@settings(max_examples=100, deadline=None)
-def test_release_returns_slots_to_the_free_pool(workload):
-    spec, jobs = workload
-    scheduler = Scheduler(spec)
-    for placement in scheduler.schedule(jobs):
-        scheduler.release(placement)
-    assert set(scheduler.free_slots) == set(range(spec.hosts))
-
-
 @given(clusters, st.sampled_from(POLICIES))
 @settings(max_examples=100, deadline=None)
 def test_policy_output_from_raw_free_set(spec, policy_name):

@@ -26,7 +26,7 @@ from repro.core.interpreter import execute_schedule
 from repro.mpich.operations import SUM
 from repro.mpich.rank import MpiBuild
 from repro.runtime.program import run_program
-from repro.schedule import Schedule, get_pass
+from repro.schedule import Schedule
 from repro.schedule.lower import (ab_reduce_rank_steps, bcast_rank_steps,
                                   reduce_rank_steps, seg_ids)
 
@@ -61,16 +61,17 @@ def two_tree_allreduces(draw):
 
 def two_tree_schedule(lowering, reduce_steps, size, root, nseg, up, down):
     segs = seg_ids(nseg)
-    schedule = Schedule(
-        "allreduce", lowering, size, root, nseg,
-        steps=tuple(reduce_steps(*up[me], segs)
-                    + bcast_rank_steps(*down[me], segs)
-                    for me in range(size))).validate()
+    steps = [reduce_steps(*up[me], segs) + bcast_rank_steps(*down[me], segs)
+             for me in range(size)]
     if lowering == "allreduce.ab" and nseg:
         # The AB build pipelines a segmented allreduce: the root
         # interleaves fold and re-broadcast per segment.
-        schedule = get_pass("fuse_overlap")(schedule).validate()
-    return schedule
+        lowering = "allreduce.pipelined"
+        steps[root] = [step for s in segs
+                       for step in (reduce_steps(*up[root], (s,))
+                                    + bcast_rank_steps(*down[root], (s,)))]
+    return Schedule("allreduce", lowering, size, root, nseg,
+                    steps=steps).validate()
 
 
 def contribution(rank: int) -> np.ndarray:

@@ -86,7 +86,7 @@ def test_validator_rejects_dropped_send(name, shape, size, nseg, data):
     if not senders:
         return  # size-2 bcast etc.: nothing to drop on this axis
     rank = data.draw(st.sampled_from(senders))
-    steps = list(schedule.rank_steps(rank))
+    steps = list(schedule.steps[rank])
     idx = next(i for i, s in enumerate(steps) if isinstance(s, SendStep))
     del steps[idx]
     broken = _mutate_rank(schedule, rank, steps)
@@ -114,7 +114,7 @@ def test_validator_rejects_reordered_fold(name, shape, size, nseg, data):
     if not candidates:
         return  # reduce.ab leaves fold to the NIC (WaitStep)
     rank, i = data.draw(st.sampled_from(candidates))
-    steps = list(schedule.rank_steps(rank))
+    steps = list(schedule.steps[rank])
     steps[i - 1], steps[i] = steps[i], steps[i - 1]
     broken = _mutate_rank(schedule, rank, steps)
     with pytest.raises(ScheduleValidationError):
@@ -131,7 +131,7 @@ def test_validator_rejects_dangling_wait(shape, size, nseg, data):
     if not waiters:
         return  # flat tree: root folds, everyone else is a leaf
     rank = data.draw(st.sampled_from(waiters))
-    steps = list(schedule.rank_steps(rank))
+    steps = list(schedule.steps[rank])
     idx = next(i for i, s in enumerate(steps) if isinstance(s, WaitStep))
     wait = steps[idx]
     # Retarget the wait at a rank that is NOT one of its children (the

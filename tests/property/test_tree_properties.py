@@ -21,12 +21,6 @@ def test_parent_is_inverse_of_children(size):
 
 
 @given(sizes)
-def test_subtree_sizes_sum_to_whole(size):
-    assert 1 + sum(tree.subtree_size(c, size)
-                   for c in tree.children(0, size)) == size
-
-
-@given(sizes)
 def test_depth_decreases_toward_root(size):
     for rel in range(1, size):
         assert tree.depth(tree.parent(rel)) == tree.depth(rel) - 1
@@ -65,8 +59,6 @@ def test_children_are_in_increasing_mask_order(size):
 
 @given(sizes)
 def test_tree_edges_form_a_tree(size):
-    edges = tree.tree_edges(size)
-    assert len(edges) == size - 1
     # connected: walking parents from any node reaches the root
     for rel in range(1, size):
         cur, hops = rel, 0

@@ -16,7 +16,6 @@ def test_cluster_wires_every_node():
         assert node.nic.node_id == i
         assert node.cpu is node.nic.cpu
         assert node.rng is cluster.rng
-    assert cluster.node(3) is cluster.nodes[3]
 
 
 def test_tracer_clock_bound():
@@ -57,9 +56,8 @@ def test_ab_costs_resolved():
 def test_cpu_usage_table_and_signal_totals():
     cluster = Cluster(quiet_cluster(3))
     cluster.nodes[1].cpu.charge(4.0, "poll")
-    table = cluster.cpu_usage_table()
-    assert table[1] == {"poll": 4.0}
-    assert table[0] == {}
+    assert cluster.nodes[1].cpu.usage == {"poll": 4.0}
+    assert cluster.nodes[0].cpu.usage == {}
     assert cluster.total_signals() == 0
 
 

@@ -124,25 +124,12 @@ def test_allreduce(size):
         assert np.allclose(out.results[r], expected_sum(size, 4))
 
 
-def test_gather():
-    def program(mpi):
-        result = yield from mpi.gather(np.array([float(mpi.rank) * 2]),
-                                       root=1)
-        return result
-
-    out = run_ranks(4, program)
-    gathered = out.results[1]
-    assert [g[0] for g in gathered] == [0.0, 2.0, 4.0, 6.0]
-    assert out.results[0] is None
-
-
 def test_reduce_on_subcommunicator():
+    halves = [Communicator(tuple(range(color, 8, 2))) for color in (0, 1)]
+
     def program(mpi):
-        world = mpi.comm_world
-        colors = {w: w % 2 for w in world.world_ranks}
-        sub = world.split(colors)[mpi.rank % 2]
         result = yield from mpi.reduce(np.array([1.0]), op=SUM, root=0,
-                                       comm=sub)
+                                       comm=halves[mpi.rank % 2])
         return None if result is None else float(result[0])
 
     out = run_ranks(8, program)

@@ -31,8 +31,6 @@ def test_subgroup_translation():
     assert comm.size == 3
     assert comm.world_rank(1) == 5
     assert comm.rank_of_world(9) == 2
-    assert comm.contains_world(5)
-    assert not comm.contains_world(4)
     with pytest.raises(MpiError):
         comm.world_rank(3)
     with pytest.raises(MpiError):
@@ -42,25 +40,3 @@ def test_subgroup_translation():
 def test_duplicate_ranks_rejected():
     with pytest.raises(MpiError):
         Communicator((1, 1, 2))
-
-
-def test_dup_same_group_new_context():
-    comm = world_communicator(3)
-    dup = comm.dup()
-    assert dup.world_ranks == comm.world_ranks
-    assert dup.context_id != comm.context_id
-
-
-def test_split_partitions_by_color():
-    comm = world_communicator(6)
-    colors = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1}
-    parts = comm.split(colors)
-    assert parts[0].world_ranks == (0, 2, 4)
-    assert parts[1].world_ranks == (1, 3, 5)
-    assert parts[0].context_id != parts[1].context_id
-
-
-def test_split_missing_color_rejected():
-    comm = world_communicator(3)
-    with pytest.raises(MpiError):
-        comm.split({0: 0, 1: 0})

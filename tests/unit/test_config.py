@@ -61,17 +61,6 @@ def test_quiet_cluster_is_noise_free():
     assert cfg.noise.spike_prob == 0.0
 
 
-def test_with_size_prefix():
-    cfg = paper_cluster(32)
-    small = cfg.with_size(8)
-    assert small.size == 8
-    assert small.machines == cfg.machines[:8]
-    with pytest.raises(ConfigError):
-        cfg.with_size(0)
-    with pytest.raises(ConfigError):
-        cfg.with_size(33)
-
-
 def test_with_helpers_return_new_configs():
     cfg = paper_cluster(4)
     ab = AbParams(exit_delay_policy="log")

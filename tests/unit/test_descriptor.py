@@ -103,14 +103,6 @@ def test_queue_remove_unknown_rejected():
         q.remove(make_desc())
 
 
-def test_queue_iterates_fifo():
-    q = DescriptorQueue()
-    descs = [make_desc(instance=i) for i in range(3)]
-    for d in descs:
-        q.push(d)
-    assert list(q) == descs
-
-
 # ---------------------------------------------------------------------------
 # AbUnexpectedQueue
 # ---------------------------------------------------------------------------
@@ -138,5 +130,4 @@ def test_ab_unexpected_stats():
     assert (q.inserted, q.max_len, len(q)) == (2, 2, 2)
     q.take(1)
     assert q.consumed == 1
-    assert q.peek_senders() == [2]
     assert not q.empty

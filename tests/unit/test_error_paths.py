@@ -63,15 +63,6 @@ def test_bcast_nonroot_without_buffer_or_count():
     assert isinstance(exc.value.original, MpiError)
 
 
-def test_gather_bad_root():
-    def program(mpi):
-        yield from mpi.gather(np.zeros(1), root=7)
-
-    with pytest.raises(ProcessFailed) as exc:
-        run_ranks(2, program)
-    assert isinstance(exc.value.original, ValueError)
-
-
 def test_mismatched_collective_order_deadlocks_cleanly():
     """Ranks disagreeing on the collective (a classic app bug) must fail
     with a diagnosable deadlock, not hang or corrupt data."""

@@ -60,16 +60,16 @@ def test_link_rejects_bad_args():
 
 def test_switch_adds_latency():
     sw = CrossbarSwitch(4, latency_us=0.5, link_bytes_per_us=100.0)
-    finish = sw.traverse(0.0, 2, 100)
+    finish = sw.traverse_timed(0.0, 2, 100)[1]
     assert finish == pytest.approx(0.5 + 1.0)
     assert sw.forwarded == 1
 
 
 def test_switch_output_port_contention():
     sw = CrossbarSwitch(4, latency_us=0.0, link_bytes_per_us=100.0)
-    f1 = sw.traverse(0.0, 1, 1000)   # occupies port 1 until 10
-    f2 = sw.traverse(0.0, 1, 100)    # queues behind it
-    f3 = sw.traverse(0.0, 2, 100)    # different port: no contention
+    f1 = sw.traverse_timed(0.0, 1, 1000)[1]   # occupies port 1 until 10
+    f2 = sw.traverse_timed(0.0, 1, 100)[1]    # queues behind it
+    f3 = sw.traverse_timed(0.0, 2, 100)[1]    # different port: no contention
     assert f1 == pytest.approx(10.0)
     assert f2 == pytest.approx(11.0)
     assert f3 == pytest.approx(1.0)
@@ -78,7 +78,7 @@ def test_switch_output_port_contention():
 def test_switch_port_bounds():
     sw = CrossbarSwitch(2, 0.1, 100.0)
     with pytest.raises(ValueError):
-        sw.traverse(0.0, 2, 10)
+        sw.traverse_timed(0.0, 2, 10)
 
 
 # ---------------------------------------------------------------------------

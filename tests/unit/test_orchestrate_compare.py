@@ -255,6 +255,31 @@ def test_both_load_errors_reported_in_one_run(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_bad_file_is_named_once(tmp_path, capsys):
+    """``load_bench_json`` names the file for library callers; the CLI,
+    which prints ``role (path)`` itself, does not repeat it."""
+    corrupt = _write(tmp_path, "corrupt.json", _payload(points=7))
+    missing = str(tmp_path / "missing.json")
+    assert main([missing, corrupt]) == EXIT_USAGE
+    old_line, new_line = capsys.readouterr().err.splitlines()
+    assert old_line == f"error: old ({missing}): No such file or directory"
+    assert new_line == (f"error: new ({corrupt}): points must be a list, "
+                        f"got 7")
+
+
+def test_nan_agrees_with_nan_and_with_nothing_else(tmp_path):
+    """``nan != nan``: a metric that is NaN on both sides is not drift,
+    NaN against a number is — through the file door too."""
+    old = _payload()
+    old["points"][0]["metrics"]["avg_util_us"] = math.nan
+    path = _write(tmp_path, "nan.json", old)
+    assert main([path, path]) == EXIT_CLEAN
+    verdict = compare_payloads(_payload(), old)
+    assert not verdict["ok"]
+    (drift,) = verdict["metric_drifts"]
+    assert drift["old"] == 10.0 and math.isnan(drift["new"])
+
+
 def test_events_per_sec_in_every_payload():
     """Every point record and the payload top level carry events/sec,
     derived from counters — and never inside ``metrics``, where the

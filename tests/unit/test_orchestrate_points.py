@@ -79,7 +79,7 @@ def test_execute_point_matches_direct_benchmark():
     direct = cpu_util_benchmark(spec.build(), MpiBuild.AB, elements=4,
                                 max_skew_us=1000.0, iterations=5)
     assert res.metrics["avg_util_us"] == direct.avg_util_us
-    assert res.counters["events"] == direct.events
+    assert res.counters["events"] == direct.sim_counters["events"]
     assert res.wall_time_s > 0.0
     assert res.invariant_report is None  # not requested
 

@@ -36,11 +36,10 @@ def test_notifier_wait_then_notify():
     n = Notifier()
     t1 = n.wait()
     t2 = n.wait()
-    assert n.waiter_count == 2
     assert n.notify("x") == 2
     assert t1.fired and t2.fired
     assert t1.value == "x"
-    assert n.waiter_count == 0
+    assert n.notify("y") == 0           # a notify clears its waiters
 
 
 def test_notifier_notify_without_waiters():

@@ -177,18 +177,6 @@ def test_rendezvous_unexpected_rts():
     assert out.results[1] == 7.0
 
 
-def test_sendrecv_exchange():
-    def program(mpi):
-        peer = 1 - mpi.rank
-        buf = np.zeros(1)
-        yield from mpi.mpi.sendrecv(np.array([float(mpi.rank)]), peer,
-                                    buf, peer, tag=4)
-        return buf[0]
-
-    out = run_ranks(2, program)
-    assert out.results == [1.0, 0.0]
-
-
 def test_self_send():
     def program(mpi):
         buf = np.zeros(2)

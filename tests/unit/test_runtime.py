@@ -82,23 +82,10 @@ def test_rank_exception_propagates_with_name():
 def test_compute_zero_is_noop():
     def program(mpi):
         yield from mpi.compute(0.0)
-        yield from mpi.work(0.0)
         return mpi.now
 
     out = run_ranks(1, program)
     assert out.results[0] == 0.0
-
-
-def test_cpu_usage_accessors():
-    def program(mpi):
-        yield from mpi.work(5.0, "custom")
-        yield from mpi.compute(7.0)
-        return mpi.cpu_usage()
-
-    out = run_ranks(1, program)
-    assert out.results[0]["custom"] == 5.0
-    assert out.cpu_usage(0)["app"] == 7.0
-    assert out.total_cpu(0) == 5.0          # app excluded by default
 
 
 def test_deterministic_repeat_runs():

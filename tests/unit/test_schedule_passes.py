@@ -3,8 +3,7 @@
 Passes are pure Schedule -> Schedule transforms, so every claim here is
 provable on the IR alone, no simulation: the ``pipeline_segments``
 rewrite of a whole-message lowering equals the directly segmented
-lowering; ``fuse_overlap`` turns a sequential segmented allreduce into
-the pipelined lowering; ``reshape_tree`` re-lowers onto a new shape.
+lowering; ``reshape_tree`` re-lowers onto a new shape.
 """
 
 from __future__ import annotations
@@ -52,26 +51,6 @@ def test_pipeline_segments_rejects_allreduce():
     whole = lower("allreduce.ab", BINOMIAL, 8)
     with pytest.raises(ScheduleError):
         apply_passes(whole, [("pipeline_segments", {"nseg": 2})])
-
-
-# ----------------------------------------------------------------------
-# fuse_overlap: reduce+bcast -> pipelined allreduce
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("size", [2, 5, 8, 16])
-@pytest.mark.parametrize("nseg", [2, 4])
-def test_fuse_overlap_equals_pipelined_lowering(size, nseg):
-    sequential = lower("allreduce.ab", BINOMIAL, size, nseg=nseg)
-    fused = apply_passes(sequential, ["fuse_overlap"])
-    direct = lower("allreduce.pipelined", BINOMIAL, size, nseg=nseg)
-    assert _strip_meta(fused).steps == _strip_meta(direct).steps
-    assert fused.lowering == "allreduce.pipelined"
-    fused.validate()
-
-
-def test_fuse_overlap_rejects_whole_message():
-    whole = lower("allreduce.ab", BINOMIAL, 8)
-    with pytest.raises(ScheduleError):
-        apply_passes(whole, ["fuse_overlap"])
 
 
 # ----------------------------------------------------------------------

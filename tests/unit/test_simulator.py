@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, ProcessFailed, ReproError
 from repro.sim.cpu import HostCpu
-from repro.sim.process import Busy, Compute, Fork, Trigger, WaitFor
+from repro.sim.process import Busy, Compute, Trigger, WaitFor
 from repro.sim.simulator import Simulator
 
 
@@ -136,25 +136,6 @@ def test_waitfor_fired_trigger_completes_immediately(sim):
         return value
 
     assert sim.run_process(main()) == 99
-
-
-def test_fork_spawns_child(sim):
-    order = []
-
-    def child(tag):
-        yield Busy(1.0)
-        order.append(tag)
-        return tag
-
-    def main():
-        c1 = yield Fork(child("a"), "child-a")
-        c2 = yield Fork(child("b"), "child-b")
-        yield WaitFor(c1.completion)
-        yield WaitFor(c2.completion)
-        return order
-
-    result = sim.run_process(main())
-    assert sorted(result) == ["a", "b"]
 
 
 def test_process_exception_wrapped(sim):

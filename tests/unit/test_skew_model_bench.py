@@ -68,13 +68,3 @@ def test_last_node_is_deepest():
     r = latency_benchmark(paper_cluster(8, seed=1), MpiBuild.DEFAULT,
                           elements=1, iterations=5)
     assert r.last_node == 7     # rel 7 has depth 3 in the 8-rank tree
-
-
-def test_result_str_formats():
-    r = cpu_util_benchmark(paper_cluster(2, seed=1), MpiBuild.AB,
-                           elements=4, iterations=5)
-    text = str(r)
-    assert "cpu-util[ab]" in text and "n=2" in text
-    lat = latency_benchmark(paper_cluster(2, seed=1), MpiBuild.AB,
-                            elements=1, iterations=5)
-    assert "latency[ab]" in str(lat)

@@ -123,9 +123,9 @@ def test_handle_properties():
         split = SplitPhaseReduce(mpi.ab_engine)
         h = yield from split.start(np.array([1.0]), SUM, 0, mpi.comm_world)
         if mpi.rank != 0:
-            assert h.done                 # non-root completes at start
+            assert h.trigger.fired        # non-root completes at start
         result = yield from split.wait(h)
-        assert h.done
+        assert h.trigger.fired
         yield from mpi.compute(100.0)
         yield from mpi.barrier()
         return None if result is None else float(result[0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.stats import SampleSummary, factor_with_ci, summarize
+from repro.bench.stats import summarize
 
 
 def test_summarize_basic():
@@ -29,29 +29,6 @@ def test_summarize_empty_rejected():
 def test_summarize_flattens():
     s = summarize(np.ones((3, 4)))
     assert s.n == 12 and s.mean == 1.0 and s.std == 0.0
-
-
-def test_relative_ci():
-    s = summarize([10.0, 10.0, 10.0])
-    assert s.relative_ci == 0.0
-    z = SampleSummary(n=2, mean=0.0, std=1.0, minimum=-1, maximum=1,
-                      median=0.0, ci95=1.0)
-    assert z.relative_ci == 0.0   # guarded division
-
-
-def test_str_rendering():
-    text = str(summarize([1.0, 3.0]))
-    assert "±" in text and "n=2" in text
-
-
-def test_factor_with_ci():
-    num = summarize([100.0, 110.0, 90.0, 100.0])
-    den = summarize([20.0, 22.0, 18.0, 20.0])
-    factor, half = factor_with_ci(num, den)
-    assert factor == pytest.approx(5.0)
-    assert half > 0.0
-    with pytest.raises(ValueError):
-        factor_with_ci(num, SampleSummary(1, 0.0, 0.0, 0, 0, 0, 0))
 
 
 def test_benchmarks_attach_summaries():

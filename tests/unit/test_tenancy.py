@@ -136,15 +136,6 @@ def test_batch_rejects_duplicate_names():
                         JobSpec(name="same", nranks=1)])
 
 
-def test_release_recycles_slots():
-    sched = Scheduler(ClusterSpec(hosts=4))
-    first = sched.submit(JobSpec(name="a", nranks=4))
-    sched.release(first)
-    second = sched.submit(JobSpec(name="b", nranks=4))
-    assert second.slots == first.slots
-    assert second.job_id == 1           # ids never recycle
-
-
 def test_malformed_policy_fails_admission():
     from repro.tenancy.placement import PlacementPolicy
 

@@ -13,7 +13,7 @@ def test_paper_figure_one_tree():
     assert tree.children(4, 8) == [5, 6]
     assert tree.children(6, 8) == [7]
     for leaf in (1, 3, 5, 7):
-        assert tree.is_leaf(leaf, 8)
+        assert tree.children(leaf, 8) == []
     assert tree.parent(3) == 2
     assert tree.parent(6) == 4
     assert tree.parent(7) == 6
@@ -62,20 +62,6 @@ def test_max_depth_and_deepest():
     # non-power-of-two: deepest is the largest max-popcount rank
     assert tree.deepest_relative_rank(6) == 5       # 101
     assert tree.max_depth(6) == 2
-
-
-def test_subtree_sizes_partition():
-    for size in (8, 12, 32):
-        total = 1 + sum(tree.subtree_size(c, size)
-                        for c in tree.children(0, size))
-        assert total == size
-    assert tree.subtree_size(16, 32) == 16
-    assert tree.subtree_size(1, 32) == 1
-
-
-def test_tree_edges():
-    edges = tree.tree_edges(4)
-    assert set(edges) == {(0, 1), (0, 2), (2, 3)}
 
 
 def test_bounds_checking():
