@@ -27,9 +27,9 @@ from .config import (AbParams, ClusterConfig, FaultParams, MachineSpec,
                      quiet_cluster)
 from .errors import (AbProtocolError, ConfigError, DeadlockError, GmError,
                      MpiError, ProcessFailed, ReproError, SimulationError)
-from .mpich import (MAX, MIN, PROD, SUM, Communicator, MpiBuild, Op,
+from .mpich import (MAX, MIN, PROD, SUM, Communicator, MpiBuild, MpiRank, Op,
                     user_op, world_communicator)
-from .runtime import MpiContext, ProgramResult, build_cluster, run_program
+from .runtime import ProgramResult, build_cluster, run_program
 
 __version__ = "1.0.0"
 
@@ -41,9 +41,9 @@ __all__ = [
     "paper_cluster", "homogeneous_cluster", "quiet_cluster",
     "interlaced_roster",
     # runtime
-    "run_program", "build_cluster", "MpiContext", "ProgramResult",
+    "run_program", "build_cluster", "ProgramResult",
     # MPI surface
-    "MpiBuild", "Communicator", "world_communicator",
+    "MpiRank", "MpiBuild", "Communicator", "world_communicator",
     "Op", "SUM", "PROD", "MIN", "MAX", "user_op",
     # errors
     "ReproError", "SimulationError", "DeadlockError", "ProcessFailed",

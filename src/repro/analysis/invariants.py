@@ -97,7 +97,6 @@ class InvariantMonitor:
         self.checks = 0
         self._engines: dict[int, object] = {}
         self._cluster = None
-        self._finalized = False
         self._fifo_last: dict[tuple[int, int], float] = {}
         #: Recovery-layer fault reports (INV-FAULT's "reported" arm).
         self.fault_reports: list[dict] = []
@@ -311,7 +310,6 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
     def finalize(self) -> dict:
         """End-of-run checks; returns the structured report."""
-        self._finalized = True
         faulted = self._faults is not None
         for node_id, engine in sorted(self._engines.items()):
             now = engine.sim.now

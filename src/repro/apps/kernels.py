@@ -15,7 +15,7 @@ the quantity application bypass attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,8 @@ class KernelStats:
     rank: int
     iterations: int
     collective_us: float          # wall time inside collective calls
-    compute_us: float             # requested application compute
     wall_us: float                # total kernel wall time
     checks: int = 0               # verified global values
-    extras: dict = field(default_factory=dict)
 
 
 def jacobi(iterations: int = 25, *, base_compute_us: float = 80.0,
@@ -45,13 +43,12 @@ def jacobi(iterations: int = 25, *, base_compute_us: float = 80.0,
     def program(mpi):
         weight = 1.0 + imbalance * ((mpi.rank % 4) / 3.0)
         my_compute = base_compute_us * weight
-        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0, 0.0)
+        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0)
         block = np.linspace(1.0, 2.0, 64) * (mpi.rank + 1)
         t_start = mpi.now
         for _ in range(iterations):
             block = 0.5 * (block + np.roll(block, 1))
             yield from mpi.compute(my_compute)
-            stats.compute_us += my_compute
             residual = np.full(elements, float(np.abs(block).sum()))
             t0 = mpi.now
             result = yield from mpi.reduce(residual, op=SUM, root=0)
@@ -79,12 +76,11 @@ def conjugate_gradient(iterations: int = 20, *, n_local: int = 128,
         rng = mpi.rng_stream("kernel/cg")
         x = np.linspace(0.0, 1.0, n_local) + mpi.rank
         r = np.ones(n_local)
-        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0, 0.0)
+        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0)
         t_start = mpi.now
         for _ in range(iterations):
             cost = matvec_us * (1.0 + jitter * float(rng.random()))
             yield from mpi.compute(cost)
-            stats.compute_us += cost
             local_dot = np.array([float(r @ r)])
             t0 = mpi.now
             rr = yield from mpi.allreduce(local_dot, op=SUM)
@@ -124,14 +120,13 @@ def particle_timestep(iterations: int = 20, *, base_compute_us: float = 60.0,
 
     def program(mpi):
         rng = mpi.rng_stream("kernel/particles")
-        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0, 0.0)
+        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0)
         t_start = mpi.now
         for step in range(iterations):
             cost = base_compute_us
             if float(rng.random()) < hotspot_prob:
                 cost += hotspot_extra_us * float(rng.random())
             yield from mpi.compute(cost)
-            stats.compute_us += cost
             density = np.array([cost + mpi.rank])
             t0 = mpi.now
             result = yield from mpi.reduce(density, op=MAX, root=0)
@@ -174,7 +169,7 @@ def cg_pipelined(iterations: int = 20, *, n_local: int = 128,
         rng = mpi.rng_stream("kernel/cg")
         x = np.linspace(0.0, 1.0, n_local) + mpi.rank
         r = np.ones(n_local)
-        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0, 0.0)
+        stats = KernelStats(mpi.rank, iterations, 0.0, 0.0)
         t_start = mpi.now
         for _ in range(iterations):
             local_dot = np.array([float(r @ r)])
@@ -184,7 +179,6 @@ def cg_pipelined(iterations: int = 20, *, n_local: int = 128,
             stats.collective_us += mpi.now - t0
             cost = matvec_us * (1.0 + jitter * float(rng.random()))
             yield from mpi.compute(cost)            # overlaps the reduce
-            stats.compute_us += cost
             t0 = mpi.now
             reduced = yield from split.wait(handle)
             if mpi.rank == 0:

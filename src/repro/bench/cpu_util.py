@@ -27,7 +27,7 @@ independent bookkeeping path.  ``tests/integration`` asserts the two agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -73,12 +73,22 @@ class CpuUtilResult(BenchResult):
     sim_counters: dict = field(default_factory=dict)
 
 
+def mpi_reduce(mpi) -> Callable[[np.ndarray], Generator]:
+    """The collective the paper measures: ``MPI_Reduce(SUM)`` to rank 0."""
+    return lambda data: mpi.reduce(data, SUM, 0)
+
+
 def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
                        elements: int = 4, max_skew_us: float = 0.0,
                        iterations: int = 100, warmup: int = 3,
-                       catchup_us: Optional[float] = None
-                       ) -> CpuUtilResult:
-    """Run the paper's CPU-utilization microbenchmark on ``config``."""
+                       catchup_us: Optional[float] = None,
+                       collective=mpi_reduce) -> CpuUtilResult:
+    """Run the paper's CPU-utilization microbenchmark on ``config``.
+
+    ``collective`` is the reduction under test: called once per rank with
+    its ``mpi``, it returns ``data -> generator`` (the root's generator
+    returns the reduced array).
+    """
     if iterations < 1:
         raise ValueError("need at least one measured iteration")
     size = config.size
@@ -108,6 +118,7 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
         catchup_us += max(trace.spread(it) for it in range(trace.iterations))
 
     def program(mpi):
+        reduce = collective(mpi)
         skew_model = SkewModel(mpi.node.rng, config.noise, max_skew_us)
         rank = mpi.rank
         data = np.full(elements, float(rank + 1), dtype=np.float64)
@@ -122,7 +133,7 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
             noise = skew_model.noise_delay(rank, it)
             arrival = 0.0 if workload is None else workload.charge(rank, it)
             yield from mpi.compute(skew + noise + arrival)
-            result = yield from mpi.reduce(data, op=SUM, root=0)
+            result = yield from reduce(data)
             if rank == 0:
                 if not np.allclose(result, expected):
                     raise AssertionError(

@@ -37,10 +37,6 @@ class FaultReduceResult(BenchResult):
     BENCH_METRICS = ("first_result", "last_result", "completed_ranks",
                      "survivor_ok", "makespan_us", "signals")
 
-    build: MpiBuild
-    size: int
-    elements: int
-    iterations: int
     #: Ranks whose program ran to completion (a crashed rank never does).
     completed_ranks: int
     #: Reduce iterations the root completed (== iterations unless the
@@ -49,11 +45,6 @@ class FaultReduceResult(BenchResult):
     #: Root-side result of the first and last completed iteration.
     first_result: float
     last_result: float
-    #: Sum of every rank's contribution (rank r contributes r + 1).
-    expected_full: float
-    #: Same sum minus the crashed rank's contribution (== expected_full
-    #: when no crash is scheduled).
-    expected_survivors: float
     #: Last iteration's result is one of the two honest answers: the
     #: surviving-rank sum, or — when the final iteration collected the
     #: victim's contribution before the crash landed — the full sum.
@@ -102,22 +93,17 @@ def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
     first = float(root_values[0]) if root_values else float("nan")
     last = float(root_values[-1]) if root_values else float("nan")
 
+    # Rank r contributes r + 1; a crashed rank's share leaves the sum.
     expected_full = float(size * (size + 1) // 2)
     crashed = (faults.crash_rank >= 0
                and faults.crash_at_us <= run.finished_at)
     expected_survivors = (expected_full - float(faults.crash_rank + 1)
                           if crashed else expected_full)
     return FaultReduceResult(
-        build=build,
-        size=size,
-        elements=elements,
-        iterations=iterations,
         completed_ranks=completed,
         root_iterations=root_done,
         first_result=first,
         last_result=last,
-        expected_full=expected_full,
-        expected_survivors=expected_survivors,
         survivor_ok=bool(root_values) and (
             last == expected_survivors
             or (crashed and last == expected_full)),

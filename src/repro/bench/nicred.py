@@ -17,7 +17,15 @@ from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import run_program
 from ..schedule.table import config_tree_shape
-from .skew import SkewModel, conservative_latency_estimate
+from .cpu_util import cpu_util_benchmark
+from .skew import conservative_latency_estimate
+
+
+def nic_reduce(mpi):
+    """:func:`cpu_util_benchmark`'s collective: NIC-based reduce to rank 0."""
+    nicred = NicReduce(mpi)
+    nicred.register_comm(mpi.comm_world)
+    return lambda data: nicred.reduce(data, SUM, 0, mpi.comm_world)
 
 
 def nicred_cpu_util(config: ClusterConfig, *, elements: int,
@@ -27,36 +35,21 @@ def nicred_cpu_util(config: ClusterConfig, *, elements: int,
     size = config.size
     catchup = (max_skew_us + conservative_latency_estimate(size, elements) +
                0.1 * elements * size)  # LANai ALU serialization headroom
-    total = warmup + iterations
-    expected = size * (size + 1) / 2
-
-    def program(mpi):
-        nicred = NicReduce(mpi.mpi)
-        nicred.register_comm(mpi.comm_world)
-        skew_model = SkewModel(mpi.node.rng, config.noise, max_skew_us)
-        data = np.full(elements, float(mpi.rank + 1))
-        samples = []
-        for it in range(total):
-            yield from mpi.barrier()
-            t0 = mpi.now
-            skew = skew_model.skew_delay(mpi.rank, it)
-            noise = skew_model.noise_delay(mpi.rank, it)
-            yield from mpi.compute(skew + noise)
-            result = yield from nicred.reduce(data, SUM, 0, mpi.comm_world)
-            if mpi.rank == 0:
-                assert np.allclose(result, expected)
-            yield from mpi.compute(catchup)
-            if it >= warmup:
-                samples.append((mpi.now - t0) - skew - catchup)
-        return samples
-
-    out = run_program(config, program, build=MpiBuild.DEFAULT)
-    return float(np.mean([np.mean(s) for s in out.results]))
+    result = cpu_util_benchmark(
+        config, MpiBuild.DEFAULT, elements=elements, max_skew_us=max_skew_us,
+        iterations=iterations, warmup=warmup, catchup_us=catchup,
+        collective=nic_reduce)
+    return float(result.per_node_util_us.mean())
 
 
 def nicred_latency(config: ClusterConfig, *, elements: int,
                    iterations: int, warmup: int = 3) -> float:
-    """Last-node-to-notification reduction latency with NIC combining."""
+    """Last-node-to-notification reduction latency with NIC combining.
+
+    Not :func:`~repro.bench.latency.latency_benchmark` with another
+    collective: this one times without the noise compute and without the
+    one-way subtraction, so folding it in would move the numbers.
+    """
     size = config.size
     last = config_tree_shape(
         config, elements * np.dtype(np.float64).itemsize).deepest_rel(size)
@@ -64,7 +57,7 @@ def nicred_latency(config: ClusterConfig, *, elements: int,
     total = warmup + iterations
 
     def program(mpi):
-        nicred = NicReduce(mpi.mpi)
+        nicred = NicReduce(mpi)
         nicred.register_comm(mpi.comm_world)
         data = np.full(elements, 1.0)
         buf = np.zeros(1)

@@ -26,7 +26,6 @@ Algorithms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from ..runtime.program import build_cluster, run_program
 from ..schedule.lower import lower
 from ..schedule.table import config_tree_shape
 from .skew import arrival_spread_stats, conservative_latency_estimate
-from .stats import BenchResult, SampleSummary, summarize
+from .stats import BenchResult
 
 #: Algorithm tag -> MpiBuild for the run.  The schedule-driven variants
 #: execute host-level reduce steps, i.e. the nab engine underneath.
@@ -62,11 +61,6 @@ class PapResult(BenchResult):
 
     BENCH_METRICS = ("avg_makespan_us", "median_makespan_us", "signals")
 
-    algo: str
-    build: MpiBuild
-    size: int
-    elements: int
-    iterations: int
     pattern: str
     #: Mean/median over iterations of (last rank done) - (barrier exit).
     avg_makespan_us: float
@@ -76,7 +70,6 @@ class PapResult(BenchResult):
     #: (empty when the workload is disarmed) — the skew.py bridge.
     arrival_stats: dict = field(default_factory=dict)
     signals: int = 0
-    summary: Optional[SampleSummary] = None
     sim_counters: dict = field(default_factory=dict)
 
     def metrics(self) -> dict:
@@ -145,8 +138,8 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
             yield from mpi.compute(arrival)
             if schedules is not None:
                 result = yield from execute_schedule(
-                    mpi.mpi, schedules[it], data, SUM,
-                    comm=mpi.mpi.comm_world)
+                    mpi, schedules[it], data, SUM,
+                    comm=mpi.comm_world)
             else:
                 result = yield from mpi.allreduce(data, op=SUM)
             if not np.allclose(result, expected):
@@ -163,11 +156,6 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
     dones = np.array([r[1] for r in out.results])
     samples = dones.max(axis=0) - starts.min(axis=0)
     return PapResult(
-        algo=algo,
-        build=build,
-        size=size,
-        elements=elements,
-        iterations=iterations,
         pattern=config.workload.pattern,
         avg_makespan_us=float(samples.mean()),
         median_makespan_us=float(np.median(samples)),
@@ -175,6 +163,5 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
         arrival_stats=arrival_spread_stats(trace, size, elements,
                                            shape=shape),
         signals=out.cluster.total_signals(),
-        summary=summarize(samples),
         sim_counters=dict(out.sim_counters()),
     )

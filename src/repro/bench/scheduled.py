@@ -14,7 +14,7 @@ and tuning sweeps share one measurement path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..schedule.lower import lower
 from ..schedule.passes import apply_passes
 from ..schedule.table import config_tree_shape, resolve_pipeline_params
 from .skew import SkewModel
-from .stats import BenchResult, SampleSummary, summarize
+from .stats import BenchResult
 
 
 @dataclass
@@ -37,21 +37,12 @@ class ScheduledResult(BenchResult):
     BENCH_METRICS = ("avg_latency_us", "median_latency_us", "nseg", "steps",
                      "signals")
 
-    build: MpiBuild
-    size: int
-    elements: int
-    iterations: int
-    lowering: str
-    passes: tuple
-    tree_shape: str
     nseg: int
     #: Total steps across all ranks of the executed schedule.
     steps: int
     avg_latency_us: float
     median_latency_us: float
-    samples: np.ndarray
     signals: int
-    summary: Optional[SampleSummary] = None
     sim_counters: dict = field(default_factory=dict)
 
 
@@ -103,6 +94,8 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
     size = config.size
     if size < 2:
         raise ValueError("scheduled benchmark needs at least two nodes")
+    if iterations < 1:
+        raise ValueError("need at least one measured iteration")
     schedule = build_schedule(config, lowering=lowering, passes=passes,
                               elements=elements)
     expected = float(size * (size + 1) / 2)
@@ -120,7 +113,7 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
             yield from mpi.compute(noise)
             t0 = mpi.now
             result = yield from execute_schedule(
-                mpi.mpi, schedule, data, SUM, comm=mpi.mpi.comm_world)
+                mpi, schedule, data, SUM, comm=mpi.comm_world)
             if rank == 0:
                 if it >= warmup:
                     samples.append(mpi.now - t0)
@@ -138,19 +131,10 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
     out = run_program(config, program, build=build)
     samples = np.asarray(out.results[0], dtype=np.float64)
     return ScheduledResult(
-        build=build,
-        size=size,
-        elements=elements,
-        iterations=iterations,
-        lowering=lowering,
-        passes=tuple(p if isinstance(p, str) else p[0] for p in passes),
-        tree_shape=schedule.meta_dict().get("shape", ""),
         nseg=schedule.nseg,
         steps=schedule.step_count,
         avg_latency_us=float(samples.mean()),
         median_latency_us=float(np.median(samples)),
-        samples=samples,
         signals=out.cluster.total_signals(),
-        summary=summarize(samples),
         sim_counters=dict(out.sim_counters()),
     )

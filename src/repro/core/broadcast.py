@@ -40,12 +40,8 @@ KIND = "bcast"
 
 @dataclass(slots=True)
 class AbBroadcastStats:
-    bcasts: int = 0
     forwards: int = 0
     early_arrivals: int = 0   # data arrived before the local call
-    late_calls: int = 0       # local call had to block for data
-    copies: int = 0
-    copied_bytes: int = 0
 
 
 class AbBroadcast:
@@ -54,7 +50,6 @@ class AbBroadcast:
     def __init__(self, engine: AbEngine):
         self.engine = engine
         self.costs = engine.costs
-        self.sim = engine.sim
         self.stats = AbBroadcastStats()
         self._comms: dict[int, Communicator] = {}
         #: Broadcasts that follow a schedule instead of the configured
@@ -112,8 +107,6 @@ class AbBroadcast:
         trigger = self._waiting.pop(key, None)
         data = np.array(env.data, copy=True)
         ledger.charge(self.costs.copy_us(env.nbytes), "copy")
-        self.stats.copies += 1
-        self.stats.copied_bytes += env.nbytes
         if trigger is not None:
             trigger.fire(data)
         else:
@@ -143,7 +136,6 @@ class AbBroadcast:
         """Application-bypass ``MPI_Bcast``; returns the array everywhere."""
         if comm.coll_context not in self._comms:
             raise AbProtocolError("register_comm(comm) must precede bcast")
-        self.stats.bcasts += 1
         me = comm.rank_of_world(self.engine.rank.rank)
         instance = self._instances.next(comm)
         ledger = Ledger()
@@ -170,7 +162,6 @@ class AbBroadcast:
             return self._deliver(stored, data, count, dtype)
 
         # Data not here yet: block (polling) until the hook hands it over.
-        self.stats.late_calls += 1
         trigger = Trigger()
         self._waiting[key] = trigger
         yield Busy.from_ledger(ledger)

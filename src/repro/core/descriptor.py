@@ -26,9 +26,8 @@ class ReduceDescriptor:
 
     __slots__ = ("context_id", "root_world", "instance", "parent_world",
                  "children_world", "op", "acc", "tag", "_pending",
-                 "created_at", "removed", "sync_children", "async_children",
-                 "comm", "shape", "root", "size", "rel", "timeout_event",
-                 "seg", "nseg", "on_complete")
+                 "created_at", "removed", "comm", "shape", "root", "size",
+                 "rel", "timeout_event", "seg", "nseg", "on_complete")
 
     def __init__(self, context_id: int, root_world: int, instance: int,
                  parent_world: int, children_world: list[int], op: Op,
@@ -49,10 +48,6 @@ class ReduceDescriptor:
         self._pending = set(children_world)
         self.created_at = created_at
         self.removed = False
-        #: How many children were folded in synchronously / asynchronously
-        #: (for the skew diagnostics in the reports).
-        self.sync_children = 0
-        self.async_children = 0
         #: Tree context for fault recovery (repro.faults tree_heal): with
         #: these the engine can recompute live subtrees after a crash.
         #: All None on fault-free descriptors (and in direct-construction

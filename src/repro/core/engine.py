@@ -71,22 +71,18 @@ class AbStats:
     fallback_size: int = 0
     root_reduces: int = 0
     leaf_sends: int = 0
-    children_sync: int = 0
     children_async: int = 0
     children_from_unexpected: int = 0
     expected_zero_copy: int = 0
     unexpected_one_copy: int = 0
     ab_copies: int = 0
-    ab_copied_bytes: int = 0
     descriptors_completed_sync: int = 0
     descriptors_completed_async: int = 0
     window_expires: int = 0
     window_catches: int = 0
     # Fault-recovery counters (repro.faults; all zero on healthy runs).
     descriptors_timed_out: int = 0
-    descriptor_retries: int = 0
     subtrees_healed: int = 0
-    children_abandoned: int = 0
     sends_rerouted: int = 0
 
 
@@ -559,7 +555,6 @@ class AbEngine:
             data = np.array(env.data, copy=True)
             ledger.charge(self.costs.copy_us(env.nbytes), "copy")
             self.stats.ab_copies += 1
-            self.stats.ab_copied_bytes += env.nbytes
             self.stats.unexpected_one_copy += 1
             if self.params.reuse_mpich_queues:
                 # Ablation: the rejected design buffers through MPICH's
@@ -567,7 +562,6 @@ class AbEngine:
                 ledger.charge(self.costs.copy_us(env.nbytes), "copy")
                 ledger.charge(self.costs.ab_reuse_mgmt_us, "ab")
                 self.stats.ab_copies += 1
-                self.stats.ab_copied_bytes += env.nbytes
             self.unexpected.put(env.src, header, data, self.sim.now)
             if header.seg >= 0 and self.pipeline is not None:
                 # A segment the window wasn't ready for: the pipeline
@@ -592,7 +586,6 @@ class AbEngine:
             ledger.charge(self.costs.copy_us(env.nbytes), "copy")
             ledger.charge(self.costs.ab_reuse_mgmt_us, "ab")
             self.stats.ab_copies += 1
-            self.stats.ab_copied_bytes += env.nbytes
         if self.monitor is not None:
             self.monitor.on_ab_message(
                 self.rank.rank, "expected",
@@ -623,11 +616,7 @@ class AbEngine:
         desc.op.apply(desc.acc, data.reshape(desc.acc.shape))
         desc.mark_done(child_world)
         in_sync = self._sync_depth > 0
-        if in_sync:
-            desc.sync_children += 1
-            self.stats.children_sync += 1
-        else:
-            desc.async_children += 1
+        if not in_sync:
             self.stats.children_async += 1
         if desc.seg >= 0:
             if self.pipeline is not None:
@@ -820,12 +809,10 @@ class AbEngine:
             if desc.removed:
                 return
         if attempt < self._timeout_retries:
-            self.stats.descriptor_retries += 1
             self._arm_timeout(desc, attempt + 1)
             return
         for child in desc.pending_children():
             desc.mark_done(child)
-            self.stats.children_abandoned += 1
             if desc.seg >= 0:
                 # Purge anything this child already delivered for the
                 # segment, and remember the key so a straggling late packet

@@ -73,7 +73,7 @@ def execute_schedule(rank, schedule: Schedule, sendbuf,
                 "no interpreter for collective %r" % (schedule.collective,))
 
         buf = np.asarray(sendbuf)
-        engine = rank.ab
+        engine = rank.ab_engine
         segments = None if engine is None else engine.route(buf, comm.size)
         reduce = partial(reduce_nab, rank)
         if lowering in _AB_LOWERINGS:

@@ -51,11 +51,11 @@ class _NicState:
     """Combining state for one reduction instance, resident in NIC SRAM."""
 
     __slots__ = ("acc", "pending", "op", "root_world", "parent_world",
-                 "instance", "context_id", "created_at", "buffered")
+                 "instance", "context_id", "buffered")
 
     def __init__(self, context_id: int, instance: int, root_world: int,
                  parent_world: Optional[int], expected: set,
-                 op: Optional[Op], created_at: float):
+                 op: Optional[Op]):
         self.context_id = context_id
         self.instance = instance
         self.root_world = root_world
@@ -63,7 +63,6 @@ class _NicState:
         self.acc: Optional[np.ndarray] = None
         self.pending = set(expected)
         self.op = op
-        self.created_at = created_at
         #: Remote contributions that arrived before the local hand-off
         #: named the operation; folded as soon as it does.
         self.buffered: list[tuple[object, np.ndarray]] = []
@@ -71,11 +70,7 @@ class _NicState:
 
 @dataclass(slots=True)
 class NicReduceStats:
-    reduces: int = 0
     nic_combines: int = 0
-    forwards: int = 0
-    root_deliveries: int = 0
-    max_states: int = 0
 
 
 LOCAL = "local"
@@ -135,9 +130,8 @@ class NicReduceUnit:
         parent_world = None if parent is None else comm.world_rank(parent)
         expected = {comm.world_rank(c) for c in kids} | {LOCAL}
         state = _NicState(context_id, instance, root_world, parent_world,
-                          expected, op, self.sim.now)
+                          expected, op)
         self._states[key] = state
-        self.stats.max_states = max(self.stats.max_states, len(self._states))
         return state
 
     def _combine_local(self, context_id: int, instance: int, root_world: int,
@@ -188,12 +182,10 @@ class NicReduceUnit:
                            nbytes=state.acc.nbytes, ab=header)
             packet = Packet(self.node.id, state.parent_world,
                             PacketType.NIC_COLLECTIVE, env.nbytes, env)
-            self.stats.forwards += 1
             self.nic.send(packet, launch_offset=0.0)
             return
         # Root: DMA the finished result up to the host as a plain eager
         # message the blocked root receive will match.
-        self.stats.root_deliveries += 1
         env = Envelope(src=self.node.id, dst=self.node.id,
                        tag=TAG_NICRED_BASE + state.instance,
                        context_id=state.context_id,
@@ -228,7 +220,6 @@ class NicReduce:
         me = comm.rank_of_world(self.rank.rank)
         if not (0 <= root < comm.size):
             raise ValueError(f"root {root} outside comm of size {comm.size}")
-        self.unit.stats.reduces += 1
         instance = self._instances.next(comm)
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")

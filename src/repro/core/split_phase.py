@@ -39,14 +39,11 @@ EXT_KEY = "ireduce_root"
 class ReduceHandle:
     """Completion handle returned by :meth:`SplitPhaseReduce.start`."""
 
-    __slots__ = ("comm", "root", "instance", "is_root", "trigger")
+    __slots__ = ("comm", "instance", "trigger")
 
-    def __init__(self, comm: Communicator, root: int, instance: int,
-                 is_root: bool):
+    def __init__(self, comm: Communicator, instance: int):
         self.comm = comm
-        self.root = root
         self.instance = instance
-        self.is_root = is_root
         self.trigger = Trigger()
 
     @property
@@ -55,8 +52,7 @@ class ReduceHandle:
 
 
 class _RootState:
-    __slots__ = ("acc", "pending", "op", "handle", "sync_absorbed",
-                 "segments")
+    __slots__ = ("acc", "pending", "op", "handle", "segments")
 
     def __init__(self, acc: np.ndarray, pending: set, op: Op,
                  handle: ReduceHandle, segments=None):
@@ -67,7 +63,6 @@ class _RootState:
         self.pending = pending
         self.op = op
         self.handle = handle
-        self.sync_absorbed = 0
         #: Segment plan, or None for a whole-message reduction.
         self.segments = segments
 
@@ -79,11 +74,7 @@ class _RootState:
 
 @dataclass(slots=True)
 class SplitPhaseStats:
-    starts: int = 0
-    root_starts: int = 0
     async_root_children: int = 0
-    pre_arrived_children: int = 0
-    waits: int = 0
 
 
 class SplitPhaseReduce:
@@ -100,7 +91,6 @@ class SplitPhaseReduce:
     def start(self, sendbuf: np.ndarray, op: Op, root: int,
               comm: Communicator) -> Generator:
         """Initiate; returns a :class:`ReduceHandle` without blocking."""
-        self.stats.starts += 1
         sendbuf = np.asarray(sendbuf)
         me = comm.rank_of_world(self.engine.rank.rank)
         if me != root:
@@ -108,13 +98,12 @@ class SplitPhaseReduce:
             # non-root ranks; the eager snapshot makes the send buffer
             # immediately reusable.
             yield from self.engine.reduce(sendbuf, op, root, comm)
-            handle = ReduceHandle(comm, root, -1, is_root=False)
+            handle = ReduceHandle(comm, -1)
             handle.trigger.fire(None)
             return handle
 
-        self.stats.root_starts += 1
         instance = self.engine.instances.next(comm)
-        handle = ReduceHandle(comm, root, instance, is_root=True)
+        handle = ReduceHandle(comm, instance)
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")
         ledger.charge(self.costs.ab_decision_us, "ab")
@@ -157,25 +146,22 @@ class SplitPhaseReduce:
         matching = self.engine.rank.progress.matching
         for child in sorted(children):
             while state.child_outstanding(child):
-                entry = matching.take_unexpected(child, TAG_REDUCE,
-                                                 comm.coll_context)
-                if entry is None:
+                env = matching.take_unexpected(child, TAG_REDUCE,
+                                               comm.coll_context)
+                if env is None:
                     break
-                env = entry.envelope
                 if env.ab is None or env.ab.instance != instance:
                     raise AbProtocolError(
                         f"split-phase root found instance "
                         f"{getattr(env.ab, 'instance', None)} in the "
                         f"unexpected queue, expected {instance}")
                 ledger.charge(self.costs.ab_descriptor_match_us, "ab")
-                self.stats.pre_arrived_children += 1
                 self._fold(state, env, ledger)
         yield Busy.from_ledger(ledger)
         return handle
 
     def wait(self, handle: ReduceHandle) -> Generator:
         """Block until locally complete; root returns the result array."""
-        self.stats.waits += 1
         yield from self.engine.rank.progress.spin(handle.trigger)
         return handle.result
 

@@ -37,11 +37,9 @@ from ..sim import access
 class AbUnexpectedEntry:
     """One buffered early AB message."""
 
-    __slots__ = ("src_world", "header", "data", "arrived_at", "consumed")
+    __slots__ = ("header", "data", "arrived_at", "consumed")
 
-    def __init__(self, src_world: int, header: AbHeader, data: np.ndarray,
-                 arrived_at: float):
-        self.src_world = src_world
+    def __init__(self, header: AbHeader, data: np.ndarray, arrived_at: float):
         self.header = header
         self.data = data
         self.arrived_at = arrived_at
@@ -79,7 +77,7 @@ class AbUnexpectedQueue:
             access.trace(access.WRITE, ("ab_unexpected", self.owner),
                          note=f"put src={src_world} "
                               f"inst={header.instance} seg={header.seg}")
-        entry = AbUnexpectedEntry(src_world, header, data, arrived_at)
+        entry = AbUnexpectedEntry(header, data, arrived_at)
         sender_q = self._by_sender.get(src_world)
         if sender_q is None:
             sender_q = self._by_sender[src_world] = deque()

@@ -19,59 +19,24 @@ in BENCH_fig_faults.json via ``--bench-json``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
-from ..config import FaultParams, NetParams
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..config import NetParams
+from ..orchestrate.points import (FATTREE_4, FAULT_SCENARIOS, ConfigSpec,
+                                  SweepPoint, burst_loss)
 from .common import ExperimentOutput
 
 #: Burst-loss sweep: probability that any packet starts a 3-packet burst.
 RATES = (0.0, 0.01, 0.05)
 TOPOLOGIES = ("crossbar", "fattree")
 
-#: One scenario per non-loss injector, on the crossbar.  Crash and
-#: suppression are AB-only: the blocking non-bypass reduce would hang on
-#: a dead rank and never arms NIC signals (see repro.bench.faulted).
-SCENARIOS = (
-    ("degrade",
-     FaultParams(degrade_start_us=200.0, degrade_end_us=1200.0,
-                 degrade_latency_factor=4.0, degrade_bandwidth_factor=3.0),
-     ("nab", "ab")),
-    ("suppress",
-     FaultParams(suppress_node=4, suppress_start_us=0.0,
-                 suppress_end_us=1500.0),
-     ("ab",)),
-    ("pause",
-     FaultParams(pause_rank=2, pause_at_us=300.0, pause_duration_us=800.0),
-     ("nab", "ab")),
-    ("crash+heal",
-     FaultParams(crash_rank=6, crash_at_us=400.0, tree_heal=True,
-                 descriptor_timeout_us=300.0, timeout_retries=2),
-     ("ab",)),
-)
-
-
-def _loss_faults(rate: float) -> Optional[FaultParams]:
-    if rate == 0.0:
-        return None
-    return FaultParams(burst_prob=rate, burst_len=3,
-                       descriptor_timeout_us=20000.0, timeout_retries=3)
-
-
-def _net_for(topo: str) -> NetParams:
-    if topo == "fattree":
-        # Four hosts per leaf switch so the default 8-node run actually
-        # crosses the spine instead of degenerating to one crossbar.
-        return NetParams(topology="fattree", fattree_hosts_per_switch=4)
-    return NetParams(topology=topo)
-
 
 def run(*, size: int = 8, elements: int = 4,
         rates: Sequence[float] = RATES,
         topologies: Sequence[str] = TOPOLOGIES,
-        scenarios: Sequence[tuple] = SCENARIOS,
+        scenarios: Sequence[tuple] = FAULT_SCENARIOS,
         iterations: int = 40, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     def point(build: str, **config) -> SweepPoint:
@@ -83,8 +48,10 @@ def run(*, size: int = 8, elements: int = 4,
 
     loss = sweep(
         {"topo": topologies, "build": BUILD_TAGS, "rate": rates},
-        lambda topo, build, rate: point(build, net=_net_for(topo),
-                                        faults=_loss_faults(rate)),
+        lambda topo, build, rate: point(
+            build,
+            net=FATTREE_4 if topo == "fattree" else NetParams(topology=topo),
+            faults=burst_loss(rate) if rate else None),
         jobs=jobs, progress=progress)
     by_label = {label: (faults, builds)
                 for label, faults, builds in scenarios}

@@ -19,8 +19,9 @@ from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import sweep
-from ..config import NetParams, PipelineParams, WorkloadParams
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..config import WorkloadParams
+from ..orchestrate.points import (FATTREE_4, SEGMENTED, ConfigSpec,
+                                  SweepPoint)
 from .common import ExperimentOutput
 
 #: (pattern tag, WorkloadParams) — the kappa axis: constant arrivals are
@@ -35,7 +36,7 @@ ALGOS = ("nab", "ab", "pipelined", "sra", "pra")
 #: Topology axis: the ideal crossbar and a 4-hosts-per-switch fat tree.
 TOPOLOGIES = (
     ("crossbar", None),
-    ("fattree", NetParams(topology="fattree", fattree_hosts_per_switch=4)),
+    ("fattree", FATTREE_4),
 )
 
 
@@ -49,14 +50,12 @@ def run(*, size: int = 16, elements: int = 512,
         # The pipelined variant arms PipelineParams (512 doubles -> two
         # 2 KiB segments); the schedule-driven variants execute
         # whole-message by design.
-        pipeline = (PipelineParams(segment_size_bytes=2048,
-                                   max_inflight_segments=3)
-                    if algo == "pipelined" else None)
         return SweepPoint(
             experiment=f"fig_pap-{pattern}-{algo}", kind="pap",
             config=ConfigSpec("quiet", size, seed, net=nets[topo],
                               workload=workloads[pattern],
-                              pipeline=pipeline),
+                              pipeline=(SEGMENTED if algo == "pipelined"
+                                        else None)),
             build="ab" if algo in ("ab", "pipelined") else "nab",
             elements=elements, iterations=iterations, warmup=1,
             options={"algo": algo}, collect_invariants=True)

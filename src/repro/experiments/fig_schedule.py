@@ -25,7 +25,7 @@ from typing import Sequence
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
 from ..config import MpiParams, NetParams, PipelineParams
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..orchestrate.points import SEGMENTED, ConfigSpec, SweepPoint
 from .common import ExperimentOutput
 
 #: Message-size axis in 8-byte elements: 128 stays single-chunk at the
@@ -37,9 +37,7 @@ LOWERINGS = {"nab": "reduce.nab", "ab": "reduce.ab"}
 #: tag -> (pipeline override or None, passes) — pass-off vs pass-on.
 VARIANTS = {
     "whole": (None, ()),
-    "pass": (PipelineParams(segment_size_bytes=2048,
-                            max_inflight_segments=3),
-             ("pipeline_segments",)),
+    "pass": (SEGMENTED, ("pipeline_segments",)),
 }
 #: Autotune cells, topology x elements; must overlap the tuned table's
 #: (topology, nranks, size-bucket) coverage for "auto" to bite.

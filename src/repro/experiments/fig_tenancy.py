@@ -20,42 +20,12 @@ from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
-from ..orchestrate.points import SweepPoint
-from ..tenancy import ClusterSpec, JobSpec
+from ..orchestrate.points import TENANT_RANKS, SweepPoint, tenancy_point
 from .common import ExperimentOutput
 
 #: Swept axes: jobs contending, on which interconnect, which build.
 CO_TENANTS = (1, 2, 4, 8)
 TOPOLOGIES = ("fattree", "torus")
-
-#: Fixed per-job shape: 4 ranks, alternating reduce/allreduce, large
-#: payload, modest injected skew, staggered arrivals.
-JOB_RANKS = 4
-COLLECTIVES = ("reduce", "allreduce")
-
-
-def _cluster_spec(topology: str, *, hosts: int, seed: int) -> ClusterSpec:
-    if topology == "fattree":
-        # 4 hosts per edge switch, 4:1 oversubscribed uplinks — the
-        # contended regime (full bisection would hide the co-tenants).
-        return ClusterSpec(hosts=hosts, factory="quiet", seed=seed,
-                           topology="fattree",
-                           fattree_hosts_per_switch=4,
-                           fattree_oversubscription=4.0)
-    return ClusterSpec(hosts=hosts, factory="quiet", seed=seed,
-                       topology=topology)
-
-
-def _jobs(njobs: int, build: str, *, elements: int,
-          iterations: int) -> list[JobSpec]:
-    return [
-        JobSpec(name=f"t{i}", nranks=JOB_RANKS,
-                collective=COLLECTIVES[i % len(COLLECTIVES)],
-                elements=elements, build=build, iterations=iterations,
-                warmup=1, max_skew_us=100.0, arrival_us=25.0 * i,
-                placement="spread")
-        for i in range(njobs)
-    ]
 
 
 def run(*, hosts: int = 32, elements: int = 2048,
@@ -64,18 +34,9 @@ def run(*, hosts: int = 32, elements: int = 2048,
         iterations: int = 10, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     def point(topo: str, build: str, njobs: int) -> SweepPoint:
-        cluster = _cluster_spec(topo, hosts=hosts, seed=seed)
-        tenants = _jobs(njobs, build, elements=elements,
-                        iterations=iterations)
-        # The co-tenant count rides in the experiment tag (SweepPoint.key).
-        return SweepPoint(
-            experiment=f"fig_tenancy-{njobs}j", kind="tenancy",
-            config=cluster.to_config_spec(),
-            build=build, elements=elements, max_skew_us=100.0,
-            iterations=iterations, warmup=1, collect_invariants=True,
-            options={"cluster": cluster.to_dict(),
-                     "jobs": [j.to_dict() for j in tenants],
-                     "solo": True})
+        return tenancy_point("fig_tenancy", topo, njobs, build, hosts=hosts,
+                             elements=elements, iterations=iterations,
+                             seed=seed)
 
     cells = sweep({"topo": topologies, "build": BUILD_TAGS,
                    "njobs": co_tenants}, point,
@@ -83,7 +44,7 @@ def run(*, hosts: int = 32, elements: int = 2048,
 
     slowdown_table = Table(
         f"fig_tenancy: mean contention slowdown vs co-tenant count "
-        f"(hosts={hosts}, {JOB_RANKS}-rank jobs, {elements} elements, "
+        f"(hosts={hosts}, {TENANT_RANKS}-rank jobs, {elements} elements, "
         f"spread placement)",
         "co_tenants", co_tenants)
     fairness_table = Table(

@@ -53,8 +53,6 @@ class NicStats:
 
     packets_sent: int = 0
     packets_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
     signals_raised: int = 0
     signals_suppressed: int = 0
     signal_toggles: int = 0
@@ -62,12 +60,9 @@ class NicStats:
     send_token_stalls: int = 0
     #: Arrivals delayed waiting for a host receive buffer.
     recv_token_stalls: int = 0
-    #: Arrivals discarded because this NIC is crashed (repro.faults).
-    crash_drops: int = 0
     #: Segment-tagged collective traffic (repro.pipeline; zero unless
     #: the pipeline subsystem is armed).
     segment_packets_sent: int = 0
-    segment_packets_received: int = 0
     segment_bytes_sent: int = 0
 
 
@@ -164,7 +159,6 @@ class Nic:
         self.tx_free_at = finish
         inflight.append(finish)
         self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.nbytes
         if packet.seg >= 0:
             self.stats.segment_packets_sent += 1
             self.stats.segment_bytes_sent += packet.nbytes
@@ -259,7 +253,6 @@ class Nic:
 
     def _on_wire_arrival(self, packet: Packet, arrival: float) -> None:
         if self.crashed:
-            self.stats.crash_drops += 1
             return
         if self.reliable is not None and not self.reliable.accept(packet):
             return  # ACK handled, duplicate, or out-of-order (go-back-N)
@@ -281,7 +274,6 @@ class Nic:
                     self.params.lanai_recv_us * self.lanai_scale)
             self.rx_free_at = done
             self.stats.packets_received += 1
-            self.stats.bytes_received += packet.nbytes
             self.sim.at(done, self.collective_unit.on_packet, packet)
             return
         self._recv_tokens_free -= 1
@@ -300,7 +292,6 @@ class Nic:
 
     def _rx_complete(self, packet: Packet) -> None:
         if self.crashed:
-            self.stats.crash_drops += 1
             return
         if access.TRACER is not None:
             # RX-queue order is meaningful: the progress engine preprocesses
@@ -311,9 +302,6 @@ class Nic:
                          note=f"rx src={packet.src} pkt={packet.seq}")
         self.rx_queue.append(packet)
         self.stats.packets_received += 1
-        self.stats.bytes_received += packet.nbytes
-        if packet.seg >= 0:
-            self.stats.segment_packets_received += 1
         if self.tracer.enabled:
             self.tracer.emit("nic.recv", node=self.node_id, pkt=packet.seq,
                              src=packet.src, ptype=packet.ptype.value)

@@ -23,7 +23,7 @@ from ..operations import Op
 def allreduce_reduce_bcast(rank, sendbuf: np.ndarray, op: Op,
                            comm: Communicator) -> Generator:
     """Reduce to comm rank 0, then broadcast; every rank returns the total."""
-    ab = rank.ab
+    ab = rank.ab_engine
     segments = ab.route(sendbuf, comm.size) if ab is not None else None
     if segments:
         result = yield from ab.pipeline.allreduce(sendbuf, op, comm,

@@ -51,16 +51,6 @@ class PostedRecv:
         return True
 
 
-class UnexpectedEntry:
-    """One buffered early arrival (data already copied once)."""
-
-    __slots__ = ("envelope", "arrived_at")
-
-    def __init__(self, envelope: Envelope, arrived_at: float):
-        self.envelope = envelope
-        self.arrived_at = arrived_at
-
-
 @dataclass(slots=True)
 class MatchStats:
     """Counters for queue activity and copy accounting."""
@@ -70,7 +60,6 @@ class MatchStats:
     copies: int = 0
     copied_bytes: int = 0
     max_unexpected_len: int = 0
-    max_posted_len: int = 0
 
     def count_copy(self, nbytes: int) -> None:
         self.copies += 1
@@ -82,7 +71,7 @@ class MatchingEngine:
 
     def __init__(self) -> None:
         self.posted: list[PostedRecv] = []
-        self.unexpected: list[UnexpectedEntry] = []
+        self.unexpected: list[Envelope] = []
         self.stats = MatchStats()
 
     # -- arrival side ---------------------------------------------------
@@ -94,28 +83,25 @@ class MatchingEngine:
                 return posted
         return None
 
-    def store_unexpected(self, env: Envelope, now: float) -> UnexpectedEntry:
-        entry = UnexpectedEntry(env, now)
-        self.unexpected.append(entry)
+    def store_unexpected(self, env: Envelope) -> None:
+        """Buffer an early arrival (its data already copied once)."""
+        self.unexpected.append(env)
         self.stats.unexpected_msgs += 1
         self.stats.max_unexpected_len = max(self.stats.max_unexpected_len,
                                             len(self.unexpected))
-        return entry
 
     # -- posting side ----------------------------------------------------
     def take_unexpected(self, source: int, tag: int,
-                        context_id: int) -> Optional[UnexpectedEntry]:
+                        context_id: int) -> Optional[Envelope]:
         """Oldest unexpected message matching the receive criteria."""
-        for i, entry in enumerate(self.unexpected):
-            if entry.envelope.matches(source, tag, context_id):
+        for i, env in enumerate(self.unexpected):
+            if env.matches(source, tag, context_id):
                 del self.unexpected[i]
-                return entry
+                return env
         return None
 
     def add_posted(self, posted: PostedRecv) -> None:
         self.posted.append(posted)
-        self.stats.max_posted_len = max(self.stats.max_posted_len,
-                                        len(self.posted))
 
     def remove_posted(self, request: Request) -> bool:
         """Withdraw a posted receive by its request (for cancel)."""

@@ -52,15 +52,14 @@ class ProgressHook(Protocol):
 
 
 class _RndvSend:
-    __slots__ = ("data", "request", "tag", "context_id", "dest")
+    __slots__ = ("data", "request", "tag", "context_id")
 
     def __init__(self, data: np.ndarray, request: Request, tag: int,
-                 context_id: int, dest: int):
+                 context_id: int):
         self.data = data
         self.request = request
         self.tag = tag
         self.context_id = context_id
-        self.dest = dest
 
 
 class _RndvRecv:
@@ -74,14 +73,11 @@ class _RndvRecv:
 @dataclass(slots=True)
 class ProgressStats:
     drains: int = 0
-    packets_processed: int = 0
     signals_ignored: int = 0
     signal_progress_runs: int = 0
     sends_eager: int = 0
     sends_rndv: int = 0
     send_copies: int = 0
-    send_copied_bytes: int = 0
-    self_sends: int = 0
 
 
 _rndv_seq = itertools.count(1)
@@ -118,7 +114,6 @@ class ProgressEngine:
             packet = self.nic.pop_rx()
             env: Envelope = packet.payload
             handled += 1
-            self.stats.packets_processed += 1
             if hook is not None:
                 # The AB build checks every packet (constant added cost).
                 ledger.charge(self.costs.ab_hook_us, "ab_hook")
@@ -161,14 +156,14 @@ class ProgressEngine:
             ledger.charge(self.costs.copy_us(env.nbytes), "copy")
             self.matching.stats.count_copy(env.nbytes)
         ledger.charge(self.costs.unexpected_insert_us, "match")
-        self.matching.store_unexpected(env, self.sim.now)
+        self.matching.store_unexpected(env)
 
     def _deliver_rts(self, env: Envelope, ledger: Ledger) -> None:
         ledger.charge(self.costs.match_us, "match")
         posted = self.matching.find_posted(env)
         if posted is None:
             ledger.charge(self.costs.unexpected_insert_us, "match")
-            self.matching.store_unexpected(env, self.sim.now)
+            self.matching.store_unexpected(env)
             return
         self._setup_rndv_recv(env, posted, ledger)
 
@@ -242,7 +237,6 @@ class ProgressEngine:
         # Eager mode: copy into the pre-pinned GM bounce buffer.
         ledger.charge(self.costs.copy_us(nbytes), "copy")
         self.stats.send_copies += 1
-        self.stats.send_copied_bytes += nbytes
         env = Envelope(src=self.node.id, dst=dest, tag=tag,
                        context_id=context_id, kind=TransferKind.EAGER,
                        data=snapshot, nbytes=nbytes, ab=ab)
@@ -259,7 +253,7 @@ class ProgressEngine:
         request = Request("send")
         seq = next(_rndv_seq)
         self._rndv_sends[seq] = _RndvSend(np.array(data, copy=True), request,
-                                          tag, context_id, dest)
+                                          tag, context_id)
         rts = Envelope(src=self.node.id, dst=dest, tag=tag,
                        context_id=context_id, kind=TransferKind.RNDV_RTS,
                        data=None, nbytes=0, rndv_seq=seq,
@@ -273,7 +267,6 @@ class ProgressEngine:
                   ledger: Ledger) -> None:
         if env.dst == self.node.id:
             # Self-send: deliver locally without touching the fabric.
-            self.stats.self_sends += 1
             self._deliver(env, ledger)
             return
         seg = env.ab.seg if env.ab is not None else -1
@@ -287,12 +280,11 @@ class ProgressEngine:
         matches (the second copy of the default unexpected path)."""
         ledger.charge(self.costs.post_recv_us, "match")
         request = Request("recv")
-        entry = self.matching.take_unexpected(source, tag, context_id)
-        if entry is None:
+        env = self.matching.take_unexpected(source, tag, context_id)
+        if env is None:
             self.matching.add_posted(PostedRecv(source, tag, context_id,
                                                 buffer, request, self.sim.now))
             return request
-        env = entry.envelope
         if env.kind is TransferKind.EAGER:
             if buffer is not None and env.data is not None:
                 self.matching.copy_payload(buffer, env.data, env.nbytes)

@@ -10,12 +10,21 @@ Two *builds* exist, mirroring the paper's experimental setup:
 
 * ``MpiBuild.DEFAULT`` — unmodified MPICH-over-GM semantics;
 * ``MpiBuild.AB`` — the application-bypass build: an
-  :class:`~repro.core.engine.AbEngine` installs itself as the progress
-  engine's pre-processing hook and takes over eligible ``MPI_Reduce`` calls.
+  :class:`~repro.core.engine.AbEngine` is the progress engine's
+  pre-processing hook and takes over eligible ``MPI_Reduce`` calls.
   The AB build pays the paper's infrastructure overheads (per-packet hook
   check, per-call decision logic) even when an operation falls back to the
   default path — which is exactly why the paper's Fig. 8(b) shows factors
   below 1.0 at small node counts.
+
+A rank program receives its ``MpiRank`` and is a generator::
+
+    def program(mpi):
+        yield from mpi.barrier()
+        data = np.full(4, float(mpi.rank))
+        result = yield from mpi.reduce(data, op=SUM, root=0)
+        yield from mpi.compute(250.0)   # overlap-able application work
+        return result
 """
 
 from __future__ import annotations
@@ -25,9 +34,8 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..errors import MpiError
 from ..sim.cpu import Ledger
-from ..sim.process import Busy
+from ..sim.process import Busy, Compute
 from .communicator import Communicator
 from .message import ANY_TAG, AbHeader
 from .operations import SUM, Op
@@ -48,23 +56,47 @@ class MpiRank:
         self.node = node
         self.sim = node.sim
         self.costs = node.costs
-        self.tree_shape = node.tree_shape
         self.rank = node.id
         self.comm_world = comm_world
         self.build = build
         self.progress = ProgressEngine(node)
-        self.ab = None  # AbEngine, installed by install_ab()
+        #: The application-bypass engine; None on the DEFAULT build.
+        self.ab_engine = None
+        if build is MpiBuild.AB:
+            from ..core.engine import AbEngine
+            self.ab_engine = self.progress.hook = AbEngine(self)
 
     def tree_shape_for(self, nbytes: int):
         """Per-message tree shape ("auto" configs consult the tuning table)."""
         return self.node.tree_shape_for(nbytes)
 
-    def install_ab(self, ab_engine) -> None:
-        """Attach the application-bypass engine (AB build only)."""
-        if self.build is not MpiBuild.AB:
-            raise MpiError("install_ab on a DEFAULT build")
-        self.ab = ab_engine
-        self.progress.hook = ab_engine
+    # ------------------------------------------------------------------
+    # the application side of the process
+    # ------------------------------------------------------------------
+    @property
+    def size(self) -> int:
+        return self.comm_world.size
+
+    @property
+    def now(self) -> float:
+        """Current virtual time in microseconds."""
+        return self.sim.now
+
+    def rng_stream(self, purpose: str) -> np.random.Generator:
+        """Deterministic per-rank random stream, seeded from the cluster
+        seed and ``(purpose, rank)``: adding a consumer never perturbs
+        existing streams."""
+        return self.node.rng.node_stream(purpose, self.rank)
+
+    def compute(self, duration_us: float, category: str = "app") -> Generator:
+        """Interruptible application busy-loop (paper's delay loops).
+
+        NIC signals preempt it; the asynchronous reduction work then extends
+        the loop's wall-clock span by exactly its CPU cost, which is how the
+        paper's measurement methodology captures bypassed processing.
+        """
+        if duration_us > 0.0:
+            yield Compute(duration_us, category)
 
     # ------------------------------------------------------------------
     # point-to-point
@@ -137,8 +169,8 @@ class MpiRank:
         from .collectives.reduce import reduce_nab
         comm = comm or self.comm_world
         sendbuf = np.asarray(sendbuf)
-        if self.ab is not None:
-            return self.ab.reduce(sendbuf, op, root, comm, recvbuf)
+        if self.ab_engine is not None:
+            return self.ab_engine.reduce(sendbuf, op, root, comm, recvbuf)
         return reduce_nab(self, sendbuf, op, root, comm, recvbuf)
 
     def bcast(self, data: Optional[np.ndarray], root: int = 0,

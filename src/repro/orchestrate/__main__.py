@@ -11,9 +11,8 @@
     protocol-invariant monitor (any violation exits 1).  ``--iterations``
     defaults to the grid's own; ``--sizes`` reaches grids with a size
     axis; ``--cache DIR`` serves points through the content-addressed
-    result cache and writes ``<bench>-cache-stats.json`` (a cached grid
-    does so by default, in ``<out>/result-cache``; ``--no-cache`` always
-    re-simulates).  ``smoke-<grid>`` is an alias for ``smoke <grid>``.
+    result cache and writes ``<bench>-cache-stats.json``.
+    ``smoke-<grid>`` is an alias for ``smoke <grid>``.
 
 ``refresh-baseline [grid ...] [--dir DIR]``
     Re-run the named grids — default: every grid with a committed
@@ -26,13 +25,8 @@
     Render BENCH_*.json files as a GitHub-flavored markdown table — what
     the CI jobs append to ``$GITHUB_STEP_SUMMARY``.
 
-``race-smoke [--scenario GRID ...] [--runs N]``
-    The determinism gate: run the named grids (default: fig7 + pipeline)
-    under :mod:`repro.analysis.races` — FIFO plus N tiebreak-shuffled
-    schedules per point — and fail on any bit-level divergence of
-    metrics, counters, or invariant reports.  Writes ``race-report.json``.
-
-(The compare gate lives at ``python -m repro.orchestrate.compare``.)
+(The compare gate lives at ``python -m repro.orchestrate.compare``, the
+determinism gate at ``python -m repro.analysis.races``.)
 
 Registered grids (``repro.orchestrate.points.GRIDS``):
 """
@@ -47,6 +41,7 @@ from typing import Optional, Sequence
 
 from ..config import loads
 from ..errors import ConfigError
+from ..schedule.ir import ScheduleError
 from .benchjson import events_per_sec, load_bench_json, write_bench_json
 from .points import GRIDS, SweepPoint, execute_point
 from .runner import run_points
@@ -56,7 +51,6 @@ def grid_table() -> str:
     """One line per registered grid: name, default point count, files."""
     return "\n".join(
         f"  {g.name:<9} {len(g.points()):>2} points -> BENCH_{g.bench}.json"
-        + (", result cache on" if g.cached else "")
         for g in GRIDS.values())
 
 
@@ -74,7 +68,8 @@ def _progress(line: str) -> None:
 def _cmd_run_point(args: argparse.Namespace) -> int:
     try:
         res = execute_point(SweepPoint.from_dict(loads(args.spec, "point")))
-    except ConfigError as exc:
+    except (ConfigError, ScheduleError, ValueError) as exc:
+        # The door's refusal, or the executor's own of a spec it cannot run.
         print(f"error: bad point spec: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({
@@ -100,9 +95,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = None
-    if not args.no_cache and (args.cache or grid.cached):
+    if args.cache:
         from ..tenancy import ResultCache
-        cache = ResultCache(args.cache or str(out_dir / "result-cache"))
+        cache = ResultCache(args.cache)
     results = run_points(points, jobs=args.jobs, cache=cache,
                          progress=_progress)
     bench_path = write_bench_json(grid.bench, results, directory=out_dir,
@@ -189,20 +184,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_race_smoke(args: argparse.Namespace) -> int:
-    from ..analysis import races
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    race_argv = ["--runs", str(args.runs), "--seed", str(args.seed),
-                 "--jobs", str(args.jobs),
-                 "--out", str(out_dir / "race-report.json")]
-    for scenario in args.scenario or ("fig7", "pipeline"):
-        race_argv += ["--scenario", scenario]
-    if args.iterations is not None:
-        race_argv += ["--iterations", str(args.iterations)]
-    return races.main(race_argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     raw, table = argparse.RawDescriptionHelpFormatter, grid_table()
     parser = argparse.ArgumentParser(
@@ -232,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="node counts, for grids with a size axis")
     p_smoke.add_argument("--cache", default=None, metavar="DIR",
                          help="serve points through this result cache")
-    p_smoke.add_argument("--no-cache", action="store_true",
-                         help="always re-simulate, cached grid or not")
 
     p_base = sub.add_parser("refresh-baseline", parents=[sweep],
                             help="re-run grids, overwrite their baselines")
@@ -247,14 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.set_defaults(run=_cmd_summarize)
     p_sum.add_argument("bench", nargs="+", help="BENCH_*.json file(s)")
 
-    p_race = sub.add_parser("race-smoke", parents=[sweep],
-                            help="schedule-perturbation determinism gate")
-    p_race.set_defaults(run=_cmd_race_smoke)
-    p_race.add_argument("--scenario", action="append", default=None,
-                        help="grid (repeatable; default fig7 + pipeline)")
-    p_race.add_argument("--runs", type=int, default=8,
-                        help="perturbed schedules per point")
-    p_race.add_argument("--out", default="ci-artifacts")
     return parser
 
 

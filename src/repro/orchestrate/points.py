@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from ..config import (AbParams, ClusterConfig, FaultParams, MpiParams,
                       NetParams, NicParams, NoiseParams, PipelineParams,
-                      Record, WorkloadParams, check_name, encode,
+                      Record, RecordError, WorkloadParams, check_name, encode,
                       extrapolated_cluster, homogeneous_cluster,
                       paper_cluster, quiet_cluster)
 from ..mpich.rank import MpiBuild
@@ -118,6 +118,25 @@ class SweepPoint(Record):
     tiebreak_seed: Optional[int] = None
     #: Free-form executor options (e.g. the chaos kind's failure script).
     options: dict = field(default_factory=dict)
+
+    def validate(self) -> None:
+        """Refuse what would otherwise simulate something else than was
+        asked for: counts out of range, an option the kind never reads."""
+        check_name("point kind", self.kind, KINDS)
+        if self.iterations < 1 or self.warmup < 0 or self.elements < 1:
+            raise RecordError(
+                "point needs iterations >= 1, warmup >= 0 and elements >= 1,"
+                f" got iterations={self.iterations} warmup={self.warmup} "
+                f"elements={self.elements}")
+        unknown = sorted(set(self.options) - set(KIND_OPTIONS[self.kind]))
+        if unknown:
+            raise RecordError(
+                f"options has unknown key(s) {', '.join(map(repr, unknown))}"
+                f" for kind {self.kind!r}; known: "
+                f"{sorted(KIND_OPTIONS[self.kind])}")
+        gap = self.options.get("gap_us", 0.0)
+        if type(gap) not in (int, float):
+            raise RecordError(f"options.gap_us must be a number, got {gap!r}")
 
     def key(self) -> dict:
         """The identity the merge and BENCH_*.json are keyed by.
@@ -292,6 +311,86 @@ def _run_pap(point: SweepPoint, config: ClusterConfig):
                          iterations=point.iterations, warmup=point.warmup)
 
 
+# ---------------------------------------------------------------------------
+# scenario tables: what a CI grid and the figure that scales it up share
+# ---------------------------------------------------------------------------
+
+#: The armed pipeline of every segmented smoke and figure point: 2 KiB
+#: segments, three in flight.
+SEGMENTED = PipelineParams(segment_size_bytes=2048, max_inflight_segments=3)
+
+#: Four hosts per leaf switch, so an 8-node run crosses the spine instead
+#: of degenerating to one crossbar.
+FATTREE_4 = NetParams(topology="fattree", fattree_hosts_per_switch=4)
+
+#: ``(label, FaultParams, builds)``, one per non-loss injector.  Crash and
+#: suppression are AB-only: the blocking non-bypass reduce has no recovery
+#: layer and would hang on the victim (see ``repro.bench.faulted``), and
+#: never arms NIC signals.
+FAULT_SCENARIOS = (
+    ("degrade",
+     FaultParams(degrade_start_us=200.0, degrade_end_us=1200.0,
+                 degrade_latency_factor=4.0, degrade_bandwidth_factor=3.0),
+     ("nab", "ab")),
+    ("suppress",
+     FaultParams(suppress_node=4, suppress_start_us=0.0,
+                 suppress_end_us=1500.0),
+     ("ab",)),
+    ("pause",
+     FaultParams(pause_rank=2, pause_at_us=300.0, pause_duration_us=800.0),
+     ("nab", "ab")),
+    ("crash+heal",
+     FaultParams(crash_rank=6, crash_at_us=400.0, tree_heal=True,
+                 descriptor_timeout_us=300.0, timeout_retries=2),
+     ("ab",)),
+)
+
+
+def burst_loss(rate: float) -> FaultParams:
+    """Any packet starts a 3-packet burst drop with probability ``rate``;
+    the descriptor timeout sits far above go-back-N's recovery time."""
+    return FaultParams(burst_prob=rate, burst_len=3,
+                       descriptor_timeout_us=20000.0, timeout_retries=3)
+
+
+#: Ranks per tenant job.
+TENANT_RANKS = 4
+
+
+def tenancy_point(tag: str, topology: str, njobs: int, build: str, *,
+                  hosts: int, elements: int, iterations: int, seed: int,
+                  collect_invariants: bool = True) -> "SweepPoint":
+    """``njobs`` co-tenant jobs of :data:`TENANT_RANKS` ranks on one shared
+    quiet cluster: alternating reduce/allreduce, staggered arrivals, modest
+    injected skew, the adversarial ``spread`` placement, solo baselines on.
+    The co-tenant count rides in the experiment tag (``SweepPoint.key``)."""
+    from ..tenancy import ClusterSpec, JobSpec
+    # 4 hosts per edge switch, 4:1 oversubscribed uplinks — the contended
+    # regime (full bisection would hide the co-tenants).
+    knobs = (dict(fattree_hosts_per_switch=4, fattree_oversubscription=4.0)
+             if topology == "fattree" else {})
+    cluster = ClusterSpec(hosts=hosts, factory="quiet", seed=seed,
+                          topology=topology, **knobs)
+    collectives = ("reduce", "allreduce")
+    jobs = [
+        JobSpec(name=f"t{i}", nranks=TENANT_RANKS,
+                collective=collectives[i % len(collectives)],
+                elements=elements, build=build, iterations=iterations,
+                warmup=1, max_skew_us=100.0, arrival_us=25.0 * i,
+                placement="spread")
+        for i in range(njobs)
+    ]
+    return SweepPoint(
+        experiment=f"{tag}-{njobs}j", kind="tenancy",
+        config=cluster.to_config_spec(),
+        build=build, elements=elements, max_skew_us=100.0,
+        iterations=iterations, warmup=1,
+        collect_invariants=collect_invariants,
+        options={"cluster": cluster.to_dict(),
+                 "jobs": [j.to_dict() for j in jobs],
+                 "solo": True})
+
+
 def pap_smoke_points(*, seed: int = 1, iterations: int = 6, size: int = 8,
                      collect_invariants: bool = True) -> list["SweepPoint"]:
     """CI smoke grid for the PAP workload layer (repro.workload): two
@@ -359,41 +458,15 @@ def faults_smoke_points(*, seed: int = 1, iterations: int = 6,
                         size: int = 8,
                         collect_invariants: bool = True
                         ) -> list["SweepPoint"]:
-    """CI smoke grid for the fault-injection subsystem: one scenario per
-    injector (plus a fault-free baseline), mostly on the crossbar with one
-    fattree cross-check.  Crash scenarios are AB-only — the blocking
-    non-bypass reduce has no recovery layer and would hang on the victim
-    (see ``repro.bench.faulted``); suppression is AB-only because the
-    non-bypass build never arms NIC signals."""
+    """CI smoke grid for the fault-injection subsystem: a fault-free
+    baseline, burst loss on the crossbar with one fattree cross-check, and
+    every :data:`FAULT_SCENARIOS` injector."""
     scenarios = [
-        # (tag, FaultParams, net override or None, builds)
-        ("baseline", None, None, ("nab", "ab")),
-        ("burst",
-         FaultParams(burst_prob=0.02, burst_len=3,
-                     descriptor_timeout_us=20000.0, timeout_retries=3),
-         None, ("nab", "ab")),
-        ("burst_fattree",
-         FaultParams(burst_prob=0.02, burst_len=3,
-                     descriptor_timeout_us=20000.0, timeout_retries=3),
-         NetParams(topology="fattree", fattree_hosts_per_switch=4),
-         ("ab",)),
-        ("degrade",
-         FaultParams(degrade_start_us=200.0, degrade_end_us=1200.0,
-                     degrade_latency_factor=4.0,
-                     degrade_bandwidth_factor=3.0),
-         None, ("nab", "ab")),
-        ("suppress",
-         FaultParams(suppress_node=4, suppress_start_us=0.0,
-                     suppress_end_us=1500.0),
-         None, ("ab",)),
-        ("pause",
-         FaultParams(pause_rank=2, pause_at_us=300.0,
-                     pause_duration_us=800.0),
-         None, ("nab", "ab")),
-        ("crash",
-         FaultParams(crash_rank=6, crash_at_us=400.0, tree_heal=True,
-                     descriptor_timeout_us=300.0, timeout_retries=2),
-         None, ("ab",)),
+        # (FaultParams, net override or None, builds)
+        (None, None, ("nab", "ab")),
+        (burst_loss(0.02), None, ("nab", "ab")),
+        (burst_loss(0.02), FATTREE_4, ("ab",)),
+        *((faults, None, builds) for _, faults, builds in FAULT_SCENARIOS),
     ]
     return [
         SweepPoint(
@@ -401,7 +474,7 @@ def faults_smoke_points(*, seed: int = 1, iterations: int = 6,
             config=ConfigSpec("paper", size, seed, net=net, faults=faults),
             build=build, elements=4, iterations=iterations,
             collect_invariants=collect_invariants)
-        for _tag, faults, net, builds in scenarios
+        for faults, net, builds in scenarios
         for build in builds
     ]
 
@@ -421,10 +494,8 @@ def pipeline_smoke_points(*, seed: int = 1, iterations: int = 6,
     variants = [
         # (pipeline override or None, builds)
         (None, ("nab", "ab")),
-        (PipelineParams(segment_size_bytes=2048, max_inflight_segments=3),
-         ("nab", "ab")),
-        (PipelineParams(segment_size_bytes=2048, max_inflight_segments=3,
-                        schedule="greedy"), ("ab",)),
+        (SEGMENTED, ("nab", "ab")),
+        (replace(SEGMENTED, schedule="greedy"), ("ab",)),
     ]
     points = [
         SweepPoint(
@@ -443,8 +514,7 @@ def pipeline_smoke_points(*, seed: int = 1, iterations: int = 6,
                                tree_heal=True,
                                descriptor_timeout_us=300.0,
                                timeout_retries=2),
-            pipeline=PipelineParams(segment_size_bytes=2048,
-                                    max_inflight_segments=3)),
+            pipeline=SEGMENTED),
         build="ab", elements=2048, iterations=iterations,
         options={"gap_us": 1200.0},
         collect_invariants=collect_invariants))
@@ -466,9 +536,7 @@ def schedule_smoke_points(*, seed: int = 1, iterations: int = 6,
     variants = [
         # (tag, pipeline override or None, passes)
         ("whole", None, ()),
-        ("pass",
-         PipelineParams(segment_size_bytes=2048, max_inflight_segments=3),
-         ("pipeline_segments",)),
+        ("pass", SEGMENTED, ("pipeline_segments",)),
     ]
     return [
         SweepPoint(
@@ -489,47 +557,19 @@ def tenancy_smoke_points(*, seed: int = 1, iterations: int = 5,
                          collect_invariants: bool = True
                          ) -> list["SweepPoint"]:
     """CI smoke grid for the multi-tenant service (repro.tenancy): 1 and
-    2 co-tenant jobs on an oversubscribed fat-tree and a torus, both
-    builds, spread placement (the adversarial one — every collective
-    crosses uplinks, so fat-tree co-tenants genuinely contend; on the
-    torus, dimension-order routing keeps column-spread tenants
-    link-disjoint, a free demonstration that placement x topology
-    decides contention).  Jobs alternate reduce/allreduce and arrive
-    staggered.  Each point also runs the per-job solo baselines, so
-    slowdown and min-max fairness land in BENCH json.  The co-tenant
-    count rides in the experiment tag (see ``SweepPoint.key``)."""
-    from ..tenancy import ClusterSpec, JobSpec
-    clusters = [
-        ClusterSpec(hosts=16, factory="quiet", seed=seed,
-                    topology="fattree", fattree_hosts_per_switch=4,
-                    fattree_oversubscription=4.0),
-        ClusterSpec(hosts=16, factory="quiet", seed=seed,
-                    topology="torus"),
+    2 co-tenant :func:`tenancy_point` jobs on an oversubscribed fat-tree
+    and a torus, both builds (spread placement: every collective crosses
+    uplinks, so fat-tree co-tenants genuinely contend; on the torus,
+    dimension-order routing keeps column-spread tenants link-disjoint, a
+    free demonstration that placement x topology decides contention)."""
+    return [
+        tenancy_point("tenancy_smoke", topology, njobs, build, hosts=16,
+                      elements=2048, iterations=iterations, seed=seed,
+                      collect_invariants=collect_invariants)
+        for topology in ("fattree", "torus")
+        for njobs in (1, 2)
+        for build in ("nab", "ab")
     ]
-    collectives = ("reduce", "allreduce")
-    points = []
-    for cluster in clusters:
-        for njobs in (1, 2):
-            for build in ("nab", "ab"):
-                jobs = [
-                    JobSpec(name=f"t{i}", nranks=4,
-                            collective=collectives[i % len(collectives)],
-                            elements=2048, build=build,
-                            iterations=iterations, warmup=1,
-                            max_skew_us=100.0, arrival_us=25.0 * i,
-                            placement="spread")
-                    for i in range(njobs)
-                ]
-                points.append(SweepPoint(
-                    experiment=f"tenancy_smoke-{njobs}j", kind="tenancy",
-                    config=cluster.to_config_spec(),
-                    build=build, elements=2048, max_skew_us=100.0,
-                    iterations=iterations, warmup=1,
-                    collect_invariants=collect_invariants,
-                    options={"cluster": cluster.to_dict(),
-                             "jobs": [j.to_dict() for j in jobs],
-                             "solo": True}))
-    return points
 
 
 def scale_smoke_points(*, seed: int = 1, iterations: int = 2,
@@ -561,7 +601,7 @@ def scale_smoke_points(*, seed: int = 1, iterations: int = 2,
 @dataclass(frozen=True)
 class Grid:
     """One registered CI grid.  ``name`` is the only handle consumers use
-    (``orchestrate smoke <name>``, ``race-smoke --scenario <name>``,
+    (``orchestrate smoke <name>``, ``analysis.races --scenario <name>``,
     ``refresh-baseline <name>``, the CI matrix entry and
     ``<name>-invariant-report.json``); ``bench`` is the historical
     ``BENCH_<bench>.json`` name, kept because committed baselines and
@@ -570,8 +610,6 @@ class Grid:
     name: str
     bench: str
     builder: Callable[..., list]
-    #: Serve points through the result cache unless told otherwise.
-    cached: bool = False
 
     def points(self, *, seed: int = 1, iterations: Optional[int] = None,
                **axes) -> list["SweepPoint"]:
@@ -597,7 +635,7 @@ GRIDS: dict[str, Grid] = {g.name: g for g in (
     Grid("faults", "faults_smoke", faults_smoke_points),
     Grid("pipeline", "pipeline_smoke", pipeline_smoke_points),
     Grid("schedule", "schedule_smoke", schedule_smoke_points),
-    Grid("tenancy", "tenancy_smoke", tenancy_smoke_points, cached=True),
+    Grid("tenancy", "tenancy_smoke", tenancy_smoke_points),
     Grid("pap", "pap_smoke", pap_smoke_points),
     Grid("scale", "scale", scale_smoke_points),
 )}
@@ -613,6 +651,19 @@ KINDS: dict[str, Callable] = {
     "chaos": _run_chaos,
     "schedule": _run_schedule,
     "pap": _run_pap,
+}
+
+#: The ``options`` keys each kind's executor reads.
+KIND_OPTIONS: dict[str, tuple] = {
+    "cpu_util": (),
+    "latency": (),
+    "nicred_cpu_util": (),
+    "nicred_latency": (),
+    "fault_reduce": ("gap_us",),
+    "tenancy": ("cluster", "jobs", "solo"),
+    "chaos": ("counter_file", "succeed_after"),
+    "schedule": ("lowering", "passes"),
+    "pap": ("algo",),
 }
 
 

@@ -107,14 +107,8 @@ def chrome_trace_json(tracer: Tracer, *, label: str = "repro") -> str:
 
 def write_chrome_trace(tracer: Tracer, path: str, *,
                        label: str = "repro") -> int:
-    """Write the trace to ``path``; returns the number of events."""
-    events = chrome_trace_events(tracer)
-    doc = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"tool": "repro", "label": label,
-                      "timeUnit": "microseconds"},
-    }
+    """Write :func:`chrome_trace_json`'s text to ``path``; returns the
+    number of events."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    return len(events)
+        fh.write(chrome_trace_json(tracer, label=label))
+    return len(chrome_trace_events(tracer))

@@ -15,11 +15,10 @@ from typing import Any, Callable, Generator, Optional, Union
 from ..cluster.cluster import Cluster
 from ..config import ClusterConfig
 from ..mpich.communicator import world_communicator
-from ..mpich.rank import MpiBuild
+from ..mpich.rank import MpiBuild, MpiRank
 from ..sim.trace import Tracer
-from .context import MpiContext
 
-RankProgram = Callable[[MpiContext], Generator]
+RankProgram = Callable[[MpiRank], Generator]
 
 
 @dataclass
@@ -27,7 +26,7 @@ class ProgramResult:
     """Everything a finished run exposes."""
 
     cluster: Cluster
-    contexts: list[MpiContext]
+    contexts: list[MpiRank]
     results: list[Any]
     finished_at: float
 
@@ -54,14 +53,15 @@ def run_program(config_or_cluster: Union[ClusterConfig, Cluster],
     """Run ``program`` as one process per node; returns a ProgramResult.
 
     ``program`` is called once per rank with that rank's
-    :class:`MpiContext` and must return a generator (the rank's main).
+    :class:`~repro.mpich.rank.MpiRank` and must return a generator (the
+    rank's main).
     """
     if isinstance(config_or_cluster, Cluster):
         cluster = config_or_cluster
     else:
         cluster = Cluster(config_or_cluster, tracer)
     world = world_communicator(cluster.size)
-    contexts = [MpiContext(node, world, build) for node in cluster.nodes]
+    contexts = [MpiRank(node, world, build) for node in cluster.nodes]
     processes = [
         cluster.sim.spawn(program(ctx), name=f"{name}{ctx.rank}",
                           cpu=ctx.node.cpu)

@@ -69,7 +69,6 @@ def register_lowering(name: str):
         if name in LOWERINGS:
             raise ScheduleError("duplicate lowering %r" % (name,))
         LOWERINGS[name] = fn
-        fn.lowering_name = name
         # What lower() may forward besides root= and nseg=, read off the
         # signature once so a misspelt keyword is refused by name.
         fn.lowering_options = frozenset(

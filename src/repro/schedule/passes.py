@@ -38,7 +38,6 @@ def register_pass(name: str):
         if name in PASSES:
             raise ScheduleError("duplicate pass %r" % (name,))
         PASSES[name] = fn
-        fn.pass_name = name
         return fn
 
     return deco

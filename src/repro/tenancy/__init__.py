@@ -14,15 +14,14 @@ from .placement import (PLACEMENTS, PlacementPolicy, locality_block_size,
                         make_placement, register_placement)
 from .scheduler import AdmissionError, Placement, Scheduler
 from .spec import BUILDS, COLLECTIVES, ClusterSpec, JobSpec, SpecError
-from .service import (JobResult, TenancyResult, TenantContext,
-                      run_tenancy)
+from .service import JobResult, TenancyResult, run_tenancy
 from .workload import JobRankSample, job_program
 
 __all__ = [
     "AdmissionError", "BUILDS", "CACHE_SCHEMA", "COLLECTIVES",
     "ClusterSpec", "JobRankSample", "JobResult", "JobSpec", "PLACEMENTS",
     "Placement", "PlacementPolicy", "ResultCache", "Scheduler",
-    "SpecError", "TenancyResult", "TenantContext", "job_program",
+    "SpecError", "TenancyResult", "job_program",
     "locality_block_size", "make_placement",
     "point_cache_key", "register_placement", "run_tenancy",
 ]

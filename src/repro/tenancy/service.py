@@ -36,31 +36,12 @@ from typing import Optional
 
 from ..cluster.cluster import Cluster
 from ..mpich.communicator import Communicator
-from ..mpich.rank import MpiBuild
-from ..runtime.context import MpiContext
+from ..mpich.rank import MpiBuild, MpiRank
 from .scheduler import Placement, Scheduler
 from .spec import ClusterSpec
 from .workload import JobRankSample, job_program
 
 _BUILDS = {"nab": MpiBuild.DEFAULT, "ab": MpiBuild.AB}
-
-
-class TenantContext(MpiContext):
-    """One rank's handle inside a tenant job.
-
-    The job's communicator is installed as the context's *default*
-    communicator, so rank programs written against the plain
-    :class:`MpiContext` API run unchanged — collectives stay inside the
-    job, while ``node``/``rank`` keep addressing the shared world.
-    """
-
-    def __init__(self, node, comm: Communicator, placement: Placement):
-        super().__init__(node, comm, _BUILDS[placement.job.build])
-        self.placement = placement
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<TenantContext job={self.placement.job.name!r} "
-                f"size={self.size} on node {self.node.id}>")
 
 
 @dataclass
@@ -82,9 +63,8 @@ class JobResult:
     signals: int
     #: Numerically-verified collective results across ranks.
     checks: int
-    #: Same job alone on an identical cluster (same slots/seed/arrival).
-    solo_makespan_us: Optional[float] = None
-    #: makespan / solo_makespan — contention-induced degradation.
+    #: makespan / makespan of the same job alone on an identical cluster
+    #: (same slots/seed/arrival) — contention-induced degradation.
     slowdown: Optional[float] = None
 
 
@@ -142,10 +122,13 @@ def _run_jobs_on_cluster(spec: ClusterSpec, placements: list):
         comm = Communicator(p.slots, name=f"job{p.job_id}")
         procs = []
         for jrank, slot in enumerate(p.slots):
-            ctx = TenantContext(cluster.nodes[slot], comm, p)
+            # The job's communicator is the rank's default communicator:
+            # collectives stay inside the job, while ``node``/``rank``
+            # keep addressing the shared world.
+            mpi = MpiRank(cluster.nodes[slot], comm, _BUILDS[p.job.build])
             procs.append(cluster.sim.spawn(
-                job_program(ctx, p.job),
-                name=f"{p.job.name}.r{jrank}", cpu=ctx.node.cpu))
+                job_program(mpi, p.job),
+                name=f"{p.job.name}.r{jrank}", cpu=mpi.node.cpu))
         processes[p.job_id] = procs
     cluster.sim.run()
     monitor = cluster.monitor
@@ -201,7 +184,6 @@ def run_tenancy(spec: ClusterSpec, jobs, *,
                 spec, [placement])
             solo = _job_result(placement, solo_samples[placement.job_id],
                                solo_cluster)
-            shared.solo_makespan_us = solo.makespan_us
             shared.slowdown = (shared.makespan_us / solo.makespan_us
                                if solo.makespan_us > 0.0 else 1.0)
     return TenancyResult(

@@ -1,8 +1,8 @@
 """The per-rank program every tenant job runs.
 
 One generator body serves both worlds: under the tenancy service each
-rank's context is a :class:`~repro.tenancy.service.TenantContext` whose
-default communicator *is* the job's communicator, and under the legacy
+rank's :class:`~repro.mpich.rank.MpiRank` is built on the job's
+communicator, so its default communicator *is* the job's, and under the legacy
 single-job path (``repro.runtime.run_program``) the default communicator
 is the world — the code is identical either way, which is what the
 solo-job bit-identity test in ``tests/integration`` leans on.
@@ -49,7 +49,7 @@ class JobRankSample:
 
 
 def job_program(mpi, job: JobSpec):
-    """Generator body for one rank of ``job`` (any context whose default
+    """Generator body for one rank of ``job`` (``mpi``'s default
     communicator is the job's communicator)."""
     comm = mpi.comm_world
     jrank = comm.rank_of_world(mpi.rank)

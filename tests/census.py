@@ -104,18 +104,15 @@ def entry_points(out: Path) -> list[list[str]]:
     for grid in ("fig7", "topo", "faults", "pipeline", "schedule", "tenancy",
                  "pap"):
         commands += [
-            orchestrate + ["smoke", grid, "--jobs", "1", "--no-cache",
-                           "--out", str(out / "serial")],
+            orchestrate + ["smoke", grid, "--jobs", "1", "--out",
+                           str(out / "serial")],
             orchestrate + ["smoke", grid, "--jobs", "2", "--out", str(out)]]
     commands += [
         orchestrate + ["smoke", "tenancy", "--jobs", "2", "--cache",
-                       str(out / "result-cache"), "--out",
-                       str(out / "warm")],
+                       str(out / "result-cache"), "--out", str(out / temp)]
+        for temp in ("cold", "warm")]
+    commands += [
         orchestrate + ["smoke-scale", "--sizes", "64", "--out", str(out)],
-        orchestrate + ["race-smoke", "--scenario", "fig7", "--scenario",
-                       "pipeline", "--scenario", "tenancy", "--scenario",
-                       "schedule", "--scenario", "pap", "--runs", "2",
-                       "--jobs", "2", "--out", str(out)],
         py + ["-m", "repro.analysis.races", "--scenario", "fig7", "--runs",
               "2", "--hb", "always", "--quiet"],
         py + ["-m", "repro.schedule.tune", "--nranks", "4", "--iterations",

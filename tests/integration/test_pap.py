@@ -171,7 +171,7 @@ def _schedule_program(schedule, data_factory):
     def program(mpi):
         data = data_factory(mpi.rank)
         result = yield from execute_schedule(
-            mpi.mpi, schedule, data, SUM, comm=mpi.mpi.comm_world)
+            mpi, schedule, data, SUM, comm=mpi.comm_world)
         return np.array(result, copy=True)
     return program
 

@@ -84,11 +84,11 @@ def scheduled_program(schedule):
         data = np.full(ELEMENTS, float(mpi.rank + 1), dtype=np.float64)
         if collective == "bcast" and mpi.rank != 0:
             result = yield from execute_schedule(
-                mpi.mpi, schedule, None, SUM, comm=mpi.mpi.comm_world,
+                mpi, schedule, None, SUM, comm=mpi.comm_world,
                 count=ELEMENTS)
         else:
             result = yield from execute_schedule(
-                mpi.mpi, schedule, data, SUM, comm=mpi.mpi.comm_world)
+                mpi, schedule, data, SUM, comm=mpi.comm_world)
         return None if result is None else result.copy()
     return program
 
@@ -148,7 +148,7 @@ def test_interpreter_rejects_mismatched_segmentation():
     def program(mpi):
         data = np.full(ELEMENTS, float(mpi.rank + 1), dtype=np.float64)
         result = yield from execute_schedule(
-            mpi.mpi, whole, data, SUM, comm=mpi.mpi.comm_world)
+            mpi, whole, data, SUM, comm=mpi.comm_world)
         return result
 
     with pytest.raises(ProcessFailed, match="nseg"):
@@ -176,7 +176,7 @@ def test_reshaped_pipelined_allreduce_follows_its_schedule(via):
 
     def program(mpi):
         data = np.arange(ELEMENTS, dtype=np.float64) * (mpi.rank + 1)
-        result = yield from execute_schedule(mpi.mpi, schedule, data, SUM)
+        result = yield from execute_schedule(mpi, schedule, data, SUM)
         return result
 
     # run_program builds the cluster under the suite's ASSERT-mode
@@ -356,7 +356,7 @@ def test_every_refusal_is_one_line_naming_rank_and_lowering(
 
     def program(mpi):
         data = np.ones(elements)
-        result = yield from execute_schedule(mpi.mpi, schedule, data, SUM)
+        result = yield from execute_schedule(mpi, schedule, data, SUM)
         return result
 
     with pytest.raises(ProcessFailed) as failure:

@@ -96,7 +96,7 @@ def test_nic_reduce_correct_under_skew(params):
     elements = params["elements"]
 
     def program(mpi):
-        nicred = NicReduce(mpi.mpi)
+        nicred = NicReduce(mpi)
         nicred.register_comm(mpi.comm_world)
         got = []
         for i in range(rounds):

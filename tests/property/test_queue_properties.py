@@ -123,13 +123,13 @@ def test_matching_engine_conserves_messages(ops):
                 posted.buffer[:] = env.data
                 delivered.setdefault(env.src, []).append(int(env.data[0]))
             else:
-                engine.store_unexpected(env, 0.0)
+                engine.store_unexpected(env)
         else:
             buf = np.zeros(1)
             entry = engine.take_unexpected(src, 7, 1)
             if entry is not None:
                 delivered.setdefault(src, []).append(
-                    int(entry.envelope.data[0]))
+                    int(entry.data[0]))
             else:
                 req = Request("recv")
                 engine.add_posted(PostedRecv(src, 7, 1, buf, req, 0.0))
@@ -147,9 +147,9 @@ def test_matching_engine_conserves_messages(ops):
         delivered.setdefault(src, []).append(int(env.data[0]))
     # and posts for every still-queued unexpected message
     while engine.unexpected:
-        env = engine.unexpected[0].envelope
+        env = engine.unexpected[0]
         entry = engine.take_unexpected(env.src, 7, 1)
-        delivered.setdefault(env.src, []).append(int(entry.envelope.data[0]))
+        delivered.setdefault(env.src, []).append(int(entry.data[0]))
 
     for src, count in sent.items():
         assert delivered.get(src, []) == list(range(count))

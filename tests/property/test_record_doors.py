@@ -50,9 +50,10 @@ from repro.workload.trace import ArrivalTrace, WorkloadError
 # ---------------------------------------------------------------------------
 
 POINT = SweepPoint(
-    experiment="doors", kind="pap", build="ab", elements=256,
+    experiment="doors", kind="schedule", build="ab", elements=256,
     max_skew_us=100.0, iterations=3, warmup=1, collect_invariants=True,
-    tiebreak_seed=7, options={"algo": "pra", "passes": [["p", {"k": 1}]]},
+    tiebreak_seed=7,
+    options={"lowering": "reduce.ab", "passes": [["p", {"k": 1}]]},
     config=ConfigSpec(
         "paper", 8, 1,
         ab=AbParams(eager_limit_bytes=512),
@@ -435,6 +436,24 @@ MALFORMED = [
      "a tuned entry needs nranks >= 1: TunedEntry(topology='crossbar', "),
     ("table", "an inverted bucket", _set(_entry(0, "min_msg_bytes"), 9000),
      "a tuned entry needs 0 <= min_msg_bytes <= max_msg_bytes: "),
+    # accepted until ISSUE 23: a point that measures something else
+    ("point", "no measured iteration", _set(("iterations",), 0),
+     "point needs iterations >= 1, warmup >= 0 and elements >= 1, got "
+     "iterations=0 "),
+    ("point", "a negative warmup", _set(("warmup",), -1),
+     "point needs iterations >= 1, warmup >= 0 and elements >= 1, got "
+     "iterations=3 warmup=-1 "),
+    ("point", "an empty message", _set(("elements",), 0),
+     "point needs iterations >= 1, warmup >= 0 and elements >= 1, got "
+     "iterations=3 warmup=1 elements=0"),
+    ("point", "another kind's option", _set(("options", "algo"), "pra"),
+     "options has unknown key(s) 'algo' for kind 'schedule'; known: "
+     "['lowering', 'passes']"),
+    ("point", "a gap in words",
+     lambda d: dict(d, kind="fault_reduce", options={"gap_us": "soon"}),
+     "options.gap_us must be a number, got 'soon'"),
+    ("point", "an unknown kind", _set(("kind",), "cpu_utl"),
+     "unknown point kind 'cpu_utl'"),
 ]
 
 
@@ -516,7 +535,7 @@ CORRUPT_BENCH = [
                                "fast"),
      "points[0].metrics.avg_latency_us must be a number, got 'fast'"),
     ("twins without skew_us", _two_keyless_twins,
-     "duplicate BENCH key: points #0 and #1 are both doors/pap n=8 "
+     "duplicate BENCH key: points #0 and #1 are both doors/schedule n=8 "
      "skew=None ab"),
     ("cut short", lambda payload: json.dumps(payload)[:120],
      "BENCH json is not valid JSON: "),
@@ -583,8 +602,22 @@ RUN_POINT = {"experiment": "t", "kind": "cpu_util", "build": "ab",
     (_set(("config", "noise"), {"spike_prob": 7}),
      ("spike_prob out of range",)),
     (lambda d: json.dumps(d)[:60], ("point is not valid JSON",)),
+    # the probes of ISSUE 23: each simulated or tracebacked at 3ce697d
+    (_set(("warmup",), -1), ("warmup=-1",)),
+    (_set(("elements",), 0), ("elements=0",)),
+    (lambda d: dict(d, kind="latency", iterations=0), ("iterations=0",)),
+    (lambda d: _set(("config", "size"), 1)(dict(d, kind="latency")),
+     ("latency benchmark needs at least two nodes",)),
+    (lambda d: dict(d, kind="schedule", options={"passes": ["nope"]}),
+     ("unknown pass 'nope'",)),
+    (lambda d: dict(d, kind="fault_reduce", options={"gap_us": "soon"}),
+     ("options.gap_us must be a number, got 'soon'",)),
+    (_set(("options",), {"lowering": "reduce.ab"}),
+     ("options has unknown key(s) 'lowering' for kind 'cpu_util'",)),
 ], ids=["misspelt keys", "unknown topology", "unknown tree shape",
-        "unknown kind", "unknown build", "out of range", "cut short"])
+        "unknown kind", "unknown build", "out of range", "cut short",
+        "negative warmup", "no elements", "no iterations", "one node",
+        "unknown pass", "gap in words", "another kind's option"])
 def test_run_point_refuses_in_one_line(capsys, edit, named):
     spec = edit(copy.deepcopy(RUN_POINT))
     spec = spec if isinstance(spec, str) else json.dumps(spec)

@@ -97,8 +97,8 @@ def test_ab_always_quiesces(params):
         assert not ctx.node.nic.signals_enabled
         assert eng.signal_pins == 0
         # matching queues drained too: no stray collective traffic
-        assert not ctx.mpi.progress.matching.posted
-        assert not ctx.mpi.progress.matching.unexpected
+        assert not ctx.progress.matching.posted
+        assert not ctx.progress.matching.unexpected
         assert not ctx.node.nic.rx_queue
 
 

@@ -97,7 +97,7 @@ def test_two_tree_allreduce_matches_numpy_on_both_builds(drawn):
             results = []
             for schedule in schedules:
                 result = yield from execute_schedule(
-                    mpi.mpi, schedule, contribution(mpi.rank), SUM)
+                    mpi, schedule, contribution(mpi.rank), SUM)
                 results.append(result.copy())
             return results
 

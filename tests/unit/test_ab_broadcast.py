@@ -174,7 +174,7 @@ def test_stand_alone_bcast_between_scheduled_allreduces():
         data = np.arange(elements, dtype=np.float64) * (mpi.rank + 1)
         seen = []
         for i in range(rounds):
-            total = yield from execute_schedule(mpi.mpi, chain, data, SUM)
+            total = yield from execute_schedule(mpi, chain, data, SUM)
             if mpi.rank == 3:
                 token = yield from bcaster.bcast(np.full(4, 42.0 + i), 3,
                                                  mpi.comm_world)

@@ -22,8 +22,7 @@ from repro.errors import InvariantViolation
 from repro.mpich.communicator import world_communicator
 from repro.mpich.message import TAG_REDUCE
 from repro.mpich.operations import SUM
-from repro.mpich.rank import MpiBuild
-from repro.runtime.context import MpiContext
+from repro.mpich.rank import MpiBuild, MpiRank
 from repro.runtime.program import run_program
 from repro.sim.cpu import Ledger
 from conftest import contribution, expected_sum
@@ -35,7 +34,7 @@ def build_ab_cluster(size=4, mode=COLLECT, seed=0):
     monitor = InvariantMonitor(mode=mode)
     cluster = Cluster(cfg, monitor=monitor)
     world = world_communicator(size)
-    contexts = [MpiContext(node, world, MpiBuild.AB)
+    contexts = [MpiRank(node, world, MpiBuild.AB)
                 for node in cluster.nodes]
     return cluster, contexts, monitor
 

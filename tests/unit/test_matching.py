@@ -51,17 +51,17 @@ def test_posted_context_never_wildcards():
 def test_unexpected_fifo_per_criteria():
     m = MatchingEngine()
     e1, e2 = env(src=3), env(src=3)
-    m.store_unexpected(e1, 0.0)
-    m.store_unexpected(e2, 1.0)
+    m.store_unexpected(e1)
+    m.store_unexpected(e2)
     taken = m.take_unexpected(3, 1, 100)
-    assert taken.envelope is e1
-    assert m.take_unexpected(3, 1, 100).envelope is e2
+    assert taken is e1
+    assert m.take_unexpected(3, 1, 100) is e2
     assert m.take_unexpected(3, 1, 100) is None
 
 
 def test_take_unexpected_with_wildcards():
     m = MatchingEngine()
-    m.store_unexpected(env(src=5, tag=9), 0.0)
+    m.store_unexpected(env(src=5, tag=9))
     assert m.take_unexpected(ANY_SOURCE, ANY_TAG, 100) is not None
 
 
@@ -84,8 +84,8 @@ def test_copy_payload_and_truncation():
 
 def test_stats_tracking():
     m = MatchingEngine()
-    m.store_unexpected(env(), 0.0)
-    m.store_unexpected(env(), 0.0)
+    m.store_unexpected(env())
+    m.store_unexpected(env())
     m.stats.count_copy(64)
     assert m.stats.unexpected_msgs == 2
     assert m.stats.max_unexpected_len == 2

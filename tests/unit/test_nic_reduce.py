@@ -12,7 +12,7 @@ from conftest import contribution, expected_sum, run_ranks
 def nicred_program(*, elements=8, root=0, op=SUM, rounds=1, skew_fn=None,
                    post_compute=400.0):
     def program(mpi):
-        nicred = NicReduce(mpi.mpi)
+        nicred = NicReduce(mpi)
         nicred.register_comm(mpi.comm_world)
         results, calls = [], []
         for i in range(rounds):
@@ -77,7 +77,7 @@ def test_back_to_back_instances_with_straggler():
         assert np.allclose(results[i], expected_sum(8, 8) * (i + 1))
     # all NIC states drained everywhere
     for ctx in out.contexts:
-        assert ctx.mpi.node.nic.collective_unit._states == {}
+        assert ctx.node.nic.collective_unit._states == {}
 
 
 def test_nic_alu_cost_scales_with_elements():
@@ -131,7 +131,7 @@ def test_nicred_follows_the_configured_tree_shape():
     out = run_ranks(size, nicred_program(), config=config)
     results, _ = out.results[0]
     assert np.array_equal(results[0], expected_sum(size, 8))
-    combines = [ctx.mpi.node.nic.collective_unit.stats.nic_combines
+    combines = [ctx.node.nic.collective_unit.stats.nic_combines
                 for ctx in out.contexts]
     assert combines == [2] * (size - 1) + [1]     # 1 + children, per node
     # The latency protocol times the chain's last node, not the binomial's.

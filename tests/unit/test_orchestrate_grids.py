@@ -23,7 +23,6 @@ def test_registry_names_and_bench_files():
     assert [g.bench for g in GRIDS.values()] == [
         "smoke", "topo_smoke", "faults_smoke", "pipeline_smoke",
         "schedule_smoke", "tenancy_smoke", "pap_smoke", "scale"]
-    assert [g.name for g in GRIDS.values() if g.cached] == ["tenancy"]
 
 
 @pytest.mark.parametrize("name", list(GRIDS))
@@ -84,9 +83,10 @@ def test_sizes_reach_only_grids_with_a_size_axis(tmp_path, capsys):
 def test_tenancy_cache_flags(tmp_path):
     args = ["smoke-tenancy", "--jobs", "1", "--iterations", "1"]
     no_cache = tmp_path / "nocache"
-    assert main([*args, "--no-cache", "--out", str(no_cache)]) == 0
+    assert main([*args, "--out", str(no_cache)]) == 0
     assert sorted(p.name for p in no_cache.iterdir()) == [
         "BENCH_tenancy_smoke.json", "tenancy-invariant-report.json"]
+    assert main([*args, "--no-cache", "--out", str(no_cache)]) == 2
 
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     cache = tmp_path / "shared-cache"
@@ -98,10 +98,6 @@ def test_tenancy_cache_flags(tmp_path):
     assert (stats["hits"], stats["misses"]) == (8, 0)
     assert (load_bench_json(cold / "BENCH_tenancy_smoke.json")["points"]
             == load_bench_json(warm / "BENCH_tenancy_smoke.json")["points"])
-
-    default = tmp_path / "default"
-    assert main([*args, "--out", str(default)]) == 0
-    assert (default / "result-cache").is_dir()
 
 
 def test_ci_matrix_lists_exactly_the_registered_grids():

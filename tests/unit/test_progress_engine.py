@@ -125,7 +125,7 @@ def test_progress_stats_counters():
         return None
 
     out = run_ranks(2, program)
-    stats = out.contexts[0].mpi.progress.stats
+    stats = out.contexts[0].progress.stats
     assert stats.sends_eager >= 1
     assert stats.sends_rndv == 1
     assert stats.send_copies >= 1
@@ -148,7 +148,7 @@ def test_interrupt_penalty_observable_in_latency():
             return mpi.now - t0
         yield from mpi.compute(20.0)
         led = Ledger()
-        mpi.mpi.progress.start_send(np.ones(1), 0, 8,
+        mpi.progress.start_send(np.ones(1), 0, 8,
                                     mpi.comm_world.pt2pt_context, led,
                                     ab=AbHeader(root=0, instance=0))
         yield Busy.from_ledger(led)
@@ -158,7 +158,7 @@ def test_interrupt_penalty_observable_in_latency():
 
     out = run_ranks(2, program)
     blocked_us = out.results[0]
-    engine = out.contexts[0].mpi.progress
+    engine = out.contexts[0].progress
     # the signal was delivered mid-poll and ignored, and its cost shows up
     assert engine.stats.signals_ignored >= 1
     assert blocked_us > 60.0
@@ -208,16 +208,16 @@ def test_spin_catches_an_arrival_before_the_deadline():
             yield from mpi.compute(50.0)
             yield from mpi.send(np.ones(1), 1, tag=3)
             return None
-        request = yield from mpi.mpi.irecv(np.zeros(1), 0, tag=3)
+        request = yield from mpi.irecv(np.zeros(1), 0, tag=3)
         deadline = mpi.now + 500.0
-        caught = yield from mpi.mpi.progress.spin(request.completion,
+        caught = yield from mpi.progress.spin(request.completion,
                                                   deadline)
         return caught, mpi.now < deadline
 
     out = run_program(cluster, program)
     assert out.results[1] == (True, True)
     assert len(timers) == 1               # one wait, one deadline timer
-    assert out.contexts[1].mpi.progress.active_depth == 0
+    assert out.contexts[1].progress.active_depth == 0
 
 
 def test_spin_expires_at_the_deadline_with_one_timer_per_wait():
@@ -233,7 +233,7 @@ def test_spin_expires_at_the_deadline_with_one_timer_per_wait():
             yield from mpi.send(np.ones(1), 1, tag=3)
             return None
         deadline = mpi.now + 100.0
-        caught = yield from mpi.mpi.progress.spin(Trigger(), deadline)
+        caught = yield from mpi.progress.spin(Trigger(), deadline)
         return caught, mpi.now - deadline, deadline
 
     out = run_program(cluster, program)
@@ -241,9 +241,9 @@ def test_spin_expires_at_the_deadline_with_one_timer_per_wait():
     assert caught is False
     # Woken at the deadline; only the final (empty) poll is billed past it.
     assert overshoot == pytest.approx(
-        out.contexts[1].mpi.costs.poll_empty_us)
+        out.contexts[1].costs.poll_empty_us)
     assert timers == [deadline, deadline]
-    assert out.contexts[1].mpi.progress.active_depth == 0
+    assert out.contexts[1].progress.active_depth == 0
 
 
 def test_spin_restores_active_depth_on_exception():

@@ -45,7 +45,7 @@ def test_unexpected_message_buffered_then_matched():
 
     out = run_ranks(3, program)
     assert out.results[1] == 42.0
-    stats = out.contexts[1].mpi.progress.matching.stats
+    stats = out.contexts[1].progress.matching.stats
     assert stats.unexpected_msgs == 1
     assert stats.copies == 3   # 2 for the unexpected path + 1 expected
 
@@ -61,7 +61,7 @@ def test_expected_message_single_copy():
         return buf[0]
 
     out = run_ranks(2, program)
-    stats = out.contexts[1].mpi.progress.matching.stats
+    stats = out.contexts[1].progress.matching.stats
     assert stats.expected_msgs == 1
     assert stats.copies == 1
 
@@ -150,13 +150,13 @@ def test_rendezvous_large_message():
     assert out.results[1] == (1000.0, float(elements - 1))
     sender = out.contexts[0]
     receiver = out.contexts[1]
-    assert sender.mpi.progress.stats.sends_rndv == 1
+    assert sender.progress.stats.sends_rndv == 1
     assert sender.node.pinned.pins == 1
     assert sender.node.pinned.live_registrations == 0
     assert receiver.node.pinned.pins == 1
     assert receiver.node.pinned.live_registrations == 0
     # zero receive-side host copies (DMA lands in the pinned user buffer)
-    assert receiver.mpi.progress.matching.stats.copies == 0
+    assert receiver.progress.matching.stats.copies == 0
 
 
 def test_rendezvous_unexpected_rts():

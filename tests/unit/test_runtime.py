@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import MpiBuild, quiet_cluster, run_program
-from repro.errors import MpiError, ProcessFailed
+from repro.errors import ProcessFailed
 from repro.runtime.program import build_cluster
 from conftest import run_ranks
 
@@ -34,7 +34,7 @@ def test_default_build_has_no_ab_engine():
 
     out = run_ranks(2, program, build=MpiBuild.DEFAULT)
     assert all(c.ab_engine is None for c in out.contexts)
-    assert all(c.mpi.progress.hook is None for c in out.contexts)
+    assert all(c.progress.hook is None for c in out.contexts)
 
 
 def test_ab_build_installs_engine_and_hook():
@@ -44,16 +44,7 @@ def test_ab_build_installs_engine_and_hook():
     out = run_ranks(2, program, build=MpiBuild.AB)
     for c in out.contexts:
         assert c.ab_engine is not None
-        assert c.mpi.progress.hook is c.ab_engine
-
-
-def test_install_ab_rejected_on_default_build():
-    def program(mpi):
-        yield from mpi.compute(0.0)
-
-    out = run_ranks(1, program, build=MpiBuild.DEFAULT)
-    with pytest.raises(MpiError):
-        out.contexts[0].mpi.install_ab(object())
+        assert c.progress.hook is c.ab_engine
 
 
 def test_prebuilt_cluster_reuse():

@@ -57,7 +57,7 @@ def test_wait_all_collects_statuses():
         for tag in range(4):
             r = yield from mpi.irecv(bufs[tag], 0, tag=tag)
             reqs.append(r)
-        statuses = yield from mpi.mpi.progress.wait_all(reqs)
+        statuses = yield from mpi.progress.wait_all(reqs)
         return [s.tag for s in statuses], [b[0] for b in bufs]
 
     out = run_ranks(2, program)
@@ -72,7 +72,7 @@ def test_request_cancel_withdraws_posted_recv():
             buf = np.zeros(1)
             req = yield from mpi.irecv(buf, 0, tag=1)
             req.cancel()
-            assert mpi.mpi.progress.matching.remove_posted(req)
+            assert mpi.progress.matching.remove_posted(req)
             # now receive the message that actually comes (tag 2)
             yield from mpi.recv(buf, 0, tag=2)
             return buf[0]

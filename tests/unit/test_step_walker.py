@@ -16,8 +16,8 @@ from conftest import run_ranks
 def scheduled(schedule, make_data):
     def program(mpi):
         result = yield from execute_schedule(
-            mpi.mpi, schedule, make_data(mpi.rank), SUM,
-            comm=mpi.mpi.comm_world)
+            mpi, schedule, make_data(mpi.rank), SUM,
+            comm=mpi.comm_world)
         return result
     return program
 
