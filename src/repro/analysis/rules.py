@@ -305,7 +305,7 @@ class UnconsumedLedger(Rule):
                 ctx.emit("SIM004", site,
                          f"Ledger `{name}` accumulates charges that are "
                          f"never consumed — the simulated CPU time is "
-                         f"lost (yield `Busy.from_ledger({name})`)")
+                         f"lost (yield `{name}`)")
 
 
 @register

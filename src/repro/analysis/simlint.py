@@ -9,9 +9,9 @@ The simulation's correctness rests on conventions ``pytest`` cannot see:
   (``Simulator.now``) and the named streams of
   :class:`~repro.sim.random.RngStreams` — one stray ``time.time()`` makes
   runs non-reproducible;
-* CPU costs tallied on a :class:`~repro.sim.cpu.Ledger` must eventually be
-  yielded as ``Busy`` time or handed to a consumer, or the simulated work
-  becomes free;
+* CPU costs tallied on a :class:`~repro.sim.process.Ledger` must eventually
+  be yielded (a ledger is its own Busy segment) or handed to a consumer, or
+  the simulated work becomes free;
 * nothing may depend on the *order* of same-time events or of unordered
   containers — that is a schedule race, the dynamic side of which is
   checked by :mod:`repro.analysis.races`.
@@ -26,7 +26,7 @@ SIM002    wall-clock time or ambient randomness in simulation-critical
           code (use ``Simulator.now`` / ``RngStreams``)
 SIM003    float equality comparison on simulation timestamps
 SIM004    ``Ledger`` charged but never consumed (missing
-          ``yield Busy.from_ledger(...)`` or hand-off)
+          ``yield ledger`` or hand-off)
 SIM005    mutable default argument
 SIM006    late-binding capture of a loop variable in a callback
 SIM007    direct ``CrossbarSwitch``/``Link`` construction outside the

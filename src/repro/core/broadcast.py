@@ -31,8 +31,7 @@ from ..mpich.datatypes import DOUBLE, Datatype
 from ..mpich.message import TAG_BCAST, AbHeader, Envelope
 from ..schedule.ir import bcast_children
 from ..schedule.lower import bcast_rank_steps
-from ..sim.cpu import Ledger
-from ..sim.process import Busy, Trigger
+from ..sim.process import Ledger, Trigger
 from .engine import AbEngine
 
 KIND = "bcast"
@@ -152,19 +151,19 @@ class AbBroadcast:
                 self.engine.rank.progress.start_send(
                     buf, comm.world_rank(child), TAG_BCAST,
                     comm.coll_context, ledger, ab=header)
-            yield Busy.from_ledger(ledger)
+            yield ledger
             return buf
 
         key = (comm.coll_context, instance)
         stored = self._received.pop(key, None)
         if stored is not None:
-            yield Busy.from_ledger(ledger)
+            yield ledger
             return self._deliver(stored, data, count, dtype)
 
         # Data not here yet: block (polling) until the hook hands it over.
         trigger = Trigger()
         self._waiting[key] = trigger
-        yield Busy.from_ledger(ledger)
+        yield ledger
         yield from self.engine.rank.progress.spin(trigger)
         return self._deliver(trigger.value, data, count, dtype)
 

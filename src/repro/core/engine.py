@@ -51,12 +51,11 @@ from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import TAG_REDUCE, AbHeader, Envelope
 from ..mpich.operations import Op
 from ..sim import access
-from ..sim.cpu import Ledger
 from ..sim.events import PRIORITY_TIMER
 from ..pipeline.segmenter import Segment
 from ..schedule.ir import reduce_neighbors
 from ..schedule.lower import ab_reduce_rank_steps
-from ..sim.process import Busy, Trigger
+from ..sim.process import Ledger, Trigger
 from ..topo import ranks as tree
 from .delay import exit_delay_window
 from .descriptor import DescriptorQueue, ReduceDescriptor
@@ -268,13 +267,13 @@ class AbEngine:
             # Every rank sees the same size, so the decision is globally
             # consistent and no instance number is consumed.
             self.stats.fallback_size += 1
-            yield Busy.from_ledger(ledger)
+            yield ledger
             result = yield from reduce_nab(self.rank, sendbuf, op, root,
                                            comm, recvbuf, steps=steps)
             return result
 
         if size == 1:
-            yield Busy.from_ledger(ledger)
+            yield ledger
             return _finish_root(sendbuf, recvbuf)
 
         rel = tree.relative_rank(me, root, size)
@@ -298,7 +297,7 @@ class AbEngine:
             # default matching path by the hook.
             self.stats.root_reduces += 1
             if not segments:
-                yield Busy.from_ledger(ledger)
+                yield ledger
                 result = yield from reduce_nab(
                     self.rank, sendbuf, op, root, comm, recvbuf, steps=steps)
                 return result
@@ -326,7 +325,7 @@ class AbEngine:
                 self._emit(flat[s.offset:s.offset + s.count], parent_world,
                            comm.coll_context, root_world, instance, s.index,
                            len(segments), ledger)
-            yield Busy.from_ledger(ledger)
+            yield ledger
             return None
 
         # ----- internal node: the Fig. 3 flow -------------------------
@@ -351,7 +350,7 @@ class AbEngine:
             st = _Window(segments, staging, comm, shape, root, rel, instance,
                          op, width, neighbors)
             self._advance(st, ledger)
-            yield Busy.from_ledger(ledger)
+            yield ledger
 
             # Walk/poll with the exit-delay window (Sec. IV-E); segments
             # still open at the deadline complete asynchronously, each one
@@ -375,7 +374,7 @@ class AbEngine:
         if self.monitor is not None:
             self.monitor.on_reduce_exit(self.rank.rank, self.sim.now)
         if exit_ledger.total > 0.0:
-            yield Busy.from_ledger(exit_ledger)
+            yield exit_ledger
         return None
 
     def neighbors(self, comm: Communicator, shape, root: int, rel: int,

@@ -36,8 +36,7 @@ from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import AbHeader, Envelope, TransferKind
 from ..mpich.operations import Op
 from ..gm.packet import Packet, PacketType
-from ..sim.cpu import Ledger
-from ..sim.process import Busy
+from ..sim.process import Ledger
 from ..topo import ranks as tree
 
 #: Base tag for root-side result delivery; instance number is added so
@@ -232,12 +231,12 @@ class NicReduce:
                                    comm.world_rank(root), op, data,
                                    self.node.sim.now + ledger.total + dma_us)
         if me != root:
-            yield Busy.from_ledger(ledger)
+            yield ledger
             return None
         buffer = np.empty_like(data)
         request = self.rank.progress.post_recv(
             buffer, self.rank.rank, TAG_NICRED_BASE + instance,
             comm.coll_context, ledger)
-        yield Busy.from_ledger(ledger)
+        yield ledger
         yield from self.rank.progress.wait(request)
         return buffer

@@ -29,8 +29,7 @@ from ..mpich.communicator import Communicator
 from ..mpich.message import TAG_REDUCE, Envelope, TransferKind
 from ..mpich.operations import Op
 from ..schedule.lower import reduce_rank_steps
-from ..sim.cpu import Ledger
-from ..sim.process import Busy, Trigger
+from ..sim.process import Ledger, Trigger
 from .engine import AbEngine
 
 EXT_KEY = "ireduce_root"
@@ -111,7 +110,7 @@ class SplitPhaseReduce:
 
         size = comm.size
         if size == 1:
-            yield Busy.from_ledger(ledger)
+            yield ledger
             handle.trigger.fire(np.array(sendbuf, copy=True))
             return handle
 
@@ -157,7 +156,7 @@ class SplitPhaseReduce:
                         f"unexpected queue, expected {instance}")
                 ledger.charge(self.costs.ab_descriptor_match_us, "ab")
                 self._fold(state, env, ledger)
-        yield Busy.from_ledger(ledger)
+        yield ledger
         return handle
 
     def wait(self, handle: ReduceHandle) -> Generator:

@@ -41,6 +41,12 @@ class ProcessFailed(SimulationError):
         super().__init__(f"process {name!r} failed: {original!r}")
 
 
+class LedgerChargedError(SimulationError):
+    """A ledger was charged while the Busy segment it was yielded as ran:
+    the segment's length was fixed when it began, so the charge would be
+    billed without ever being spent."""
+
+
 class ConfigError(ReproError):
     """Invalid or inconsistent configuration parameters."""
 

@@ -15,7 +15,7 @@ import itertools
 
 from ..config import NicParams
 from ..errors import PinError
-from ..sim.cpu import Ledger
+from ..sim.process import Ledger
 
 PAGE_BYTES = 4096
 

@@ -34,8 +34,8 @@ from typing import Callable, Optional
 
 from ..config import NicParams
 from ..sim import access
-from ..sim.cpu import HostCpu, Ledger
-from ..sim.process import Notifier
+from ..sim.cpu import HostCpu
+from ..sim.process import Ledger, Notifier
 from ..sim.trace import Tracer
 from .packet import Packet, PacketType
 

@@ -17,7 +17,7 @@ import numpy as np
 from ...errors import MpiError
 from ...pipeline.segmenter import plan_segments
 from ...schedule.lower import bcast_rank_steps
-from ...sim.cpu import Ledger
+from ...sim.process import Ledger
 from ..communicator import Communicator
 from ..datatypes import DOUBLE, Datatype
 from .walk import own_steps, walk_steps

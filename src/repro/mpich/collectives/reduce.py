@@ -20,8 +20,7 @@ import numpy as np
 from ...pipeline.segmenter import plan_segments
 from ...schedule.ir import FoldStep, SendStep
 from ...schedule.lower import reduce_rank_steps
-from ...sim.cpu import Ledger
-from ...sim.process import Busy
+from ...sim.process import Ledger
 from ..communicator import Communicator
 from ..operations import Op
 from .walk import own_steps, walk_steps
@@ -53,7 +52,7 @@ def reduce_nab(rank, sendbuf: np.ndarray, op: Op, root: int,
 
     if size == 1:
         result = _finish_root(sendbuf, recvbuf)
-        yield Busy.from_ledger(ledger)
+        yield ledger
         return result
 
     ledger.charge(costs.tree_setup_us, "mpi")

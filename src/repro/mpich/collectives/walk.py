@@ -23,8 +23,7 @@ import numpy as np
 from ...errors import ReproError
 from ...schedule.ir import BcastStep, FoldStep, RecvStep, SendStep
 from ...schedule.lower import seg_ids
-from ...sim.cpu import Ledger
-from ...sim.process import Busy
+from ...sim.process import Ledger
 from ...topo import ranks as tree
 from ..communicator import Communicator
 from ..message import TAG_BCAST, TAG_REDUCE
@@ -42,15 +41,27 @@ def own_steps(rank, comm: Communicator, root: int, nbytes: int, segments,
 
     With ``steps`` None they are derived: ``derive`` — a per-rank function
     of :mod:`repro.schedule.lower` — over this rank's family in the
-    configured tree, resolved once from the message size.  A caller's own
-    ``steps`` are refused, before anything is simulated, unless they span
-    exactly the config's segment plan.
+    configured tree, resolved once from the message size.  Whole-message
+    steps are a pure function of ``(derive, shape, root, me)`` over a
+    fixed group, so they are interned on ``comm`` and every later call
+    returns the same tuple; segmented ones are derived per call (their
+    tuples are long, and interning them grows the resident set).  A
+    caller's own ``steps`` are refused, before anything is simulated,
+    unless they span exactly the config's segment plan.
     """
     nseg = len(segments or ())
     if steps is None:
-        return derive(
-            *tree.family(rank.tree_shape_for(nbytes), comm.size, root,
-                         comm.rank_of_world(rank.rank)), seg_ids(nseg))
+        shape = rank.tree_shape_for(nbytes)
+        me = comm.rank_of_world(rank.rank)
+        if nseg:
+            return derive(*tree.family(shape, comm.size, root, me),
+                          seg_ids(nseg))
+        key = (derive, shape, root, me)
+        steps = comm.interned_steps.get(key)
+        if steps is None:
+            steps = comm.interned_steps[key] = tuple(
+                derive(*tree.family(shape, comm.size, root, me), seg_ids(0)))
+        return steps
     if steps:
         span = 1 + max(step.seg for step in steps)   # whole message: -1
         if span != nseg:
@@ -79,7 +90,7 @@ def walk_steps(rank, comm: Communicator, steps: Sequence, buf: np.ndarray, *,
     costs = rank.costs
     context = comm.coll_context
     if ledger is not None:
-        yield Busy.from_ledger(ledger)
+        yield ledger
     tmp = None
     for step in steps:
         if segments is None:
@@ -99,7 +110,7 @@ def walk_steps(rank, comm: Communicator, steps: Sequence, buf: np.ndarray, *,
             op.apply(chunk, tmp[:chunk.size])
             if on_fold is not None:
                 on_fold(step)
-            yield Busy.from_ledger(op_ledger)
+            yield op_ledger
         elif kind is SendStep:
             yield from rank.send(chunk, step.peer, TAG_REDUCE, comm,
                                  _context=context)

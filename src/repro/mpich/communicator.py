@@ -47,7 +47,8 @@ class InstanceCounter:
 class Communicator:
     """A group of world ranks with private matching contexts."""
 
-    __slots__ = ("world_ranks", "_rank_of", "context_id", "name")
+    __slots__ = ("world_ranks", "_rank_of", "context_id", "name",
+                 "interned_steps")
 
     def __init__(self, world_ranks: tuple[int, ...], name: str = "comm"):
         if len(set(world_ranks)) != len(world_ranks):
@@ -56,6 +57,9 @@ class Communicator:
         self._rank_of = {w: i for i, w in enumerate(world_ranks)}
         self.context_id = _fresh_context()
         self.name = name
+        #: whole-message steps by (derive, shape, root, me), shared by the
+        #: members (see :func:`repro.mpich.collectives.walk.own_steps`)
+        self.interned_steps: dict[tuple, tuple] = {}
 
     # -- structure -------------------------------------------------------
     @property

@@ -19,8 +19,8 @@ The engine also exposes the two integration points the paper adds:
   wall time.
 
 All matching/copy/rendezvous logic is written as *instantaneous* functions
-that tally their would-be CPU cost on a :class:`~repro.sim.cpu.Ledger`.
-Process-context callers then yield ``Busy.from_ledger``; signal-context
+that tally their would-be CPU cost on a :class:`~repro.sim.process.Ledger`.
+Process-context callers then yield the ledger; signal-context
 callers let the CPU's preemption machinery apply the cost.  This keeps a
 single implementation for both execution contexts (the paper achieves the
 same by routing both through the progress engine).
@@ -36,8 +36,7 @@ import numpy as np
 
 from ..errors import MatchError
 from ..gm.packet import Packet, PacketType
-from ..sim.cpu import Ledger
-from ..sim.process import Busy, Trigger, WaitFor
+from ..sim.process import Ledger, Trigger, WaitFor
 from .matching import MatchingEngine, PostedRecv
 from .message import AbHeader, Envelope, TransferKind
 from .requests import Request, Status
@@ -322,7 +321,7 @@ class ProgressEngine:
                 ledger = Ledger()
                 self.drain(ledger)
                 if ledger.total > 0.0:
-                    yield Busy.from_ledger(ledger)
+                    yield ledger
                 if until.fired:
                     break
                 if deadline is not None:

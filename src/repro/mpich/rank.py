@@ -34,8 +34,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..sim.cpu import Ledger
-from ..sim.process import Busy, Compute
+from ..sim.process import Compute, Ledger
 from .communicator import Communicator
 from .message import ANY_TAG, AbHeader
 from .operations import SUM, Op
@@ -113,7 +112,7 @@ class MpiRank:
         ledger.charge(self.costs.call_overhead_us, "mpi")
         request = self.progress.start_send(np.asarray(data), world_dest, tag,
                                            context, ledger, ab=_ab)
-        yield Busy.from_ledger(ledger)
+        yield ledger
         return request
 
     def send(self, data: np.ndarray, dest: int, tag: int = 0,
@@ -137,7 +136,7 @@ class MpiRank:
         ledger.charge(self.costs.call_overhead_us, "mpi")
         request = self.progress.post_recv(buffer, world_source, tag, context,
                                           ledger)
-        yield Busy.from_ledger(ledger)
+        yield ledger
         return request
 
     def recv(self, buffer: Optional[np.ndarray], source: int,

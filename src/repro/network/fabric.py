@@ -24,6 +24,7 @@ Responsibilities:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from ..config import NetParams
@@ -36,7 +37,8 @@ class Fabric:
     """The cluster interconnect."""
 
     #: Minimal spacing used to enforce FIFO between same-pair packets that
-    #: would otherwise compute identical delivery times.
+    #: would otherwise compute identical delivery times (at least one ulp:
+    #: from 2**24 us on, half an ulp exceeds it and ``prev + 1e-9 == prev``).
     FIFO_EPSILON = 1e-9
 
     def __init__(self, sim, params: NetParams, nodes: int, rng=None):
@@ -53,9 +55,6 @@ class Fabric:
         # primitives, so a module-level import would be circular.
         from ..topo import make_topology
         self.topology = make_topology(params, nodes)
-        # Legacy accessors for the single-crossbar case (tests, diagnostics).
-        self.switch = getattr(self.topology, "switch", None)
-        self.host_links = self.topology.host_links
         #: invariant monitor hook (set by InvariantMonitor.attach)
         self.monitor = None
         #: fault-injection hooks (set by repro.faults injectors); both are
@@ -136,7 +135,8 @@ class Fabric:
         key = (src, dst)
         prev = self._last_delivery.get(key)
         if prev is not None and arrival <= prev:
-            arrival = prev + self.FIFO_EPSILON
+            arrival = max(prev + self.FIFO_EPSILON,
+                          math.nextafter(prev, math.inf))
         self._last_delivery[key] = arrival
 
         if self.monitor is not None:

@@ -1,9 +1,10 @@
-"""Serializing link model.
+"""Serializing link state.
 
 A Myrinet link transmits one packet at a time at the full link rate; packets
-that find the link busy queue behind it.  ``Link`` tracks the time at which
-the link becomes free and computes, for each transfer, when its last byte
-leaves the link.
+that find the link busy queue behind it.  ``Link`` holds the time at which
+the link becomes free and how long it has spent busy;
+:meth:`repro.topo.Topology.transit` is the one place that advances them
+(every link of a fabric runs at ``NetParams.link_bytes_per_us``).
 """
 
 from __future__ import annotations
@@ -12,38 +13,11 @@ from __future__ import annotations
 class Link:
     """One direction of a full-duplex link."""
 
-    __slots__ = ("name", "bytes_per_us", "free_at", "bytes_carried",
-                 "packets_carried", "busy_time")
+    __slots__ = ("free_at", "busy_time")
 
-    def __init__(self, name: str, bytes_per_us: float):
-        if bytes_per_us <= 0:
-            raise ValueError("link bandwidth must be positive")
-        self.name = name
-        self.bytes_per_us = bytes_per_us
+    def __init__(self) -> None:
         self.free_at = 0.0
-        self.bytes_carried = 0
-        self.packets_carried = 0
         self.busy_time = 0.0
-
-    def serialization_us(self, nbytes: int) -> float:
-        """Time to clock ``nbytes`` onto the wire."""
-        return nbytes / self.bytes_per_us
-
-    def transmit(self, at: float, nbytes: int) -> tuple[float, float]:
-        """Occupy the link for one packet.
-
-        Returns ``(start, finish)``: the packet starts serializing at
-        ``start = max(at, free_at)`` and its last byte leaves at ``finish``.
-        """
-        if nbytes < 0:
-            raise ValueError("negative packet size")
-        start = max(at, self.free_at)
-        finish = start + self.serialization_us(nbytes)
-        self.free_at = finish
-        self.bytes_carried += nbytes
-        self.packets_carried += 1
-        self.busy_time += finish - start
-        return start, finish
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` the link spent busy."""

@@ -41,8 +41,7 @@ import numpy as np
 from ..mpich.collectives.walk import own_steps, walk_steps
 from ..mpich.communicator import Communicator
 from ..mpich.operations import Op
-from ..sim.cpu import Ledger
-from ..sim.process import Busy
+from ..sim.process import Ledger
 from ..schedule.ir import BcastStep, bcast_children
 from ..schedule.lower import pipelined_rank_steps
 from .segmenter import Segment, plan_segments
@@ -165,7 +164,7 @@ class AbPipeline:
         self.stats.pipelined_reduces += 1
         acc = np.array(flat, copy=True)
         ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
-        yield Busy.from_ledger(ledger)
+        yield ledger
         on_fold = self.root_fold_hook(comm, instance)
         for down, run in groupby(steps, lambda s: type(s) is BcastStep):
             if not down:

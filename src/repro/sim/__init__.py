@@ -3,17 +3,18 @@
 Public surface:
 
 * :class:`~repro.sim.simulator.Simulator` — event loop + process driver
-* :class:`~repro.sim.cpu.HostCpu` / :class:`~repro.sim.cpu.Ledger` —
-  preemptive CPU with per-category accounting
-* command objects ``Busy``, ``Compute``, ``WaitFor`` and the
-  synchronization primitives ``Trigger`` / ``Notifier``
+* :class:`~repro.sim.cpu.HostCpu` — preemptive CPU with per-category
+  accounting
+* command objects ``Ledger`` (and its one-charge form ``Busy``),
+  ``Compute``, ``WaitFor`` and the synchronization primitives
+  ``Trigger`` / ``Notifier``
 * :class:`~repro.sim.random.RngStreams` — deterministic named RNG streams
 * :class:`~repro.sim.trace.Tracer` — optional structured tracing
 """
 
-from .cpu import BUSY, COMPUTE, IDLE, POLL, HostCpu, Ledger
+from .cpu import BUSY, COMPUTE, IDLE, POLL, HostCpu
 from .events import Event, EventQueue
-from .process import (Busy, Command, Compute, Notifier, SimProcess,
+from .process import (Busy, Command, Compute, Ledger, Notifier, SimProcess,
                       Trigger, WaitFor)
 from .random import RngStreams
 from .simulator import Simulator

@@ -35,9 +35,11 @@ subtract-the-known-delays protocol.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
+from ..errors import LedgerChargedError
 from .events import PRIORITY_WAKE
+from .process import Compute, Ledger, SimProcess
 
 IDLE = "idle"
 BUSY = "busy"
@@ -45,40 +47,12 @@ COMPUTE = "compute"
 POLL = "poll"
 
 
-class Ledger:
-    """Accumulator for CPU costs computed by *instantaneous* logic.
-
-    MPI-internal logic in this code base executes as plain Python at a single
-    simulation instant while tallying how long it *would* have taken on the
-    host; the caller then either yields ``Busy(ledger)`` time (process
-    context) or lets the CPU charge-and-shift machinery apply it (signal
-    handler context).  ``total`` is also used to timestamp side effects: a
-    packet handed to the NIC halfway through a handler departs at
-    ``now + ledger.total``-at-that-point.
-    """
-
-    __slots__ = ("charges", "total")
-
-    def __init__(self) -> None:
-        self.charges: dict[str, float] = {}
-        self.total = 0.0
-
-    def charge(self, duration: float, category: str) -> float:
-        """Add ``duration`` us under ``category``; returns the new total."""
-        if duration < 0:
-            raise ValueError(f"negative charge: {duration}")
-        charges = self.charges
-        charges[category] = charges.get(category, 0.0) + duration
-        total = self.total = self.total + duration
-        return total
-
-
 class HostCpu:
     """One node's processor; see module docstring for the state machine."""
 
     __slots__ = (
         "sim", "name", "usage", "state",
-        "_wake_event", "_wake_time", "_resume_cb", "_segment",
+        "_wake_event", "_wake_time", "_process", "_segment", "_billed",
         "_poll_start", "_poll_category", "_pending_handlers",
         "preemptions", "deferred_handlers", "handler_runs",
         "_interrupt_penalty",
@@ -92,9 +66,12 @@ class HostCpu:
         self.state = IDLE
         self._wake_event = None
         self._wake_time = 0.0
-        self._resume_cb: Optional[Callable[[], None]] = None
-        # (duration, category, charges-breakdown-or-None)
-        self._segment: Optional[tuple[float, str, Optional[dict]]] = None
+        #: the process whose segment is running, resumed when it ends
+        self._process: Optional[SimProcess] = None
+        #: the running segment: a yielded ledger (BUSY) or a Compute
+        self._segment: Optional[Union[Ledger, Compute]] = None
+        #: the BUSY segment's ``total`` when it began (see _busy_done)
+        self._billed = 0.0
         self._poll_start = 0.0
         self._poll_category = ""
         self._pending_handlers: deque[Callable[[Ledger], None]] = deque()
@@ -139,19 +116,15 @@ class HostCpu:
     # ------------------------------------------------------------------
     # process-driver entry points (called by the Simulator)
     # ------------------------------------------------------------------
-    def begin_busy(self, duration: float, category: str,
-                   resume: Callable[[], None],
-                   charges: Optional[dict] = None) -> None:
-        """Start a non-interruptible work segment.
-
-        ``charges`` optionally provides a multi-category breakdown (whose sum
-        should equal ``duration``) recorded instead of the single category.
-        """
+    def begin_busy(self, ledger: Ledger, proc: SimProcess) -> None:
+        """Start a non-interruptible work segment of ``ledger.total`` us,
+        billed as the ledger's ``charges`` when it ends."""
         if self.state is not IDLE:
             self._assert_free("begin_busy")
         self.state = BUSY
-        self._segment = (duration, category, charges)
-        self._resume_cb = resume
+        self._segment = ledger
+        self._billed = duration = ledger.total
+        self._process = proc
         sim = self.sim
         # A frozen CPU (rank_pause) cannot start work until it thaws.
         start = sim.now
@@ -163,19 +136,18 @@ class HostCpu:
         self._wake_event = sim.queue.push(wake, self._busy_done, (),
                                           PRIORITY_WAKE)
 
-    def begin_compute(self, duration: float, category: str,
-                      resume: Callable[[], None]) -> None:
+    def begin_compute(self, cmd: Compute, proc: SimProcess) -> None:
         """Start an interruptible application-compute segment."""
         if self.state is not IDLE:
             self._assert_free("begin_compute")
         self.state = COMPUTE
-        self._segment = (duration, category, None)
-        self._resume_cb = resume
+        self._segment = cmd
+        self._process = proc
         sim = self.sim
         start = sim.now
         if self._frozen_until > start:
             start = self._frozen_until
-        self._wake_time = wake = start + duration
+        self._wake_time = wake = start + cmd.duration
         self._wake_event = sim.queue.push(wake, self._compute_done, (),
                                           PRIORITY_WAKE)
 
@@ -252,7 +224,7 @@ class HostCpu:
             self.sim.cancel(self._wake_event)
             self._wake_event = None
         self._segment = None
-        self._resume_cb = None
+        self._process = None
         self._pending_handlers.clear()
 
     def thaw_delay(self) -> float:
@@ -309,15 +281,19 @@ class HostCpu:
         return ledger.total
 
     def _busy_done(self) -> None:
-        duration, category, charges = self._segment
+        ledger = self._segment
+        proc = self._process
+        if ledger.total != self._billed:
+            raise LedgerChargedError(
+                f"process {proc.name!r} charged "
+                f"{ledger.total - self._billed!r} us to a ledger during its "
+                "own Busy segment (a yielded ledger is spent: charge a new "
+                "one)")
         # Billed in place (no per-category call): every amount was already
         # checked non-negative by ``Busy`` / ``Ledger.charge``.
         usage = self.usage
-        if charges:
-            for cat, dur in charges.items():
-                usage[cat] = usage.get(cat, 0.0) + dur
-        else:
-            usage[category] = usage.get(category, 0.0) + duration
+        for cat, dur in ledger.charges.items():
+            usage[cat] = usage.get(cat, 0.0) + dur
         # Handlers deferred during the segment run now, back to back; the
         # process resumes only after they complete.
         extra = 0.0
@@ -334,22 +310,21 @@ class HostCpu:
         self.state = IDLE
         self._segment = None
         self._wake_event = None
-        resume = self._resume_cb
-        self._resume_cb = None
+        self._process = None
         if extra > 0.0:
-            self.sim.schedule(extra, resume, priority=PRIORITY_WAKE)
+            self.sim.schedule(extra, proc.resume, priority=PRIORITY_WAKE)
         else:
-            resume()
+            proc.resume()
 
     def _compute_done(self) -> None:
-        duration, category, _ = self._segment
-        self.charge(duration, category)
+        cmd = self._segment
+        self.charge(cmd.duration, cmd.category)
         self.state = IDLE
         self._segment = None
         self._wake_event = None
-        resume = self._resume_cb
-        self._resume_cb = None
-        resume()
+        proc = self._process
+        self._process = None
+        proc.resume()
 
     def _assert_free(self, op: str) -> None:
         if self.state is not IDLE:

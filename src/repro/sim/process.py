@@ -14,11 +14,16 @@ straight-line blocking code::
 
 Commands
 --------
+``ledger`` (a :class:`Ledger`)
+    Hold this process's host CPU for ``ledger.total`` microseconds of
+    *non-interruptible* work (MPI-internal bookkeeping, memory copies...),
+    billed as the ledger's per-category ``charges``.  NIC signals arriving
+    during the segment are deferred until it ends.  A yielded ledger is
+    the segment itself: charging it before the segment ends is an error
+    (:class:`~repro.errors.LedgerChargedError`).
+
 ``Busy(duration, category)``
-    Hold this process's host CPU for ``duration`` microseconds of
-    *non-interruptible* work (MPI-internal bookkeeping, memory copies...).
-    NIC signals arriving during a ``Busy`` segment are deferred until the
-    segment ends.
+    The one-charge ledger: ``duration`` microseconds under ``category``.
 
 ``Compute(duration, category)``
     Application-level compute (the paper's busy loops).  *Interruptible*: a
@@ -48,12 +53,9 @@ class Cpu(Protocol):
     #: Fail-stop flag: a process whose CPU crashed never advances again.
     crashed: bool
 
-    def begin_busy(self, duration: float, category: str,
-                   resume: Callable[[], None],
-                   charges: Optional[dict] = None) -> None: ...
+    def begin_busy(self, ledger: Ledger, proc: SimProcess) -> None: ...
 
-    def begin_compute(self, duration: float, category: str,
-                      resume: Callable[[], None]) -> None: ...
+    def begin_compute(self, cmd: Compute, proc: SimProcess) -> None: ...
 
     def begin_poll(self, category: str) -> None: ...
 
@@ -70,35 +72,45 @@ class Command:
     __slots__ = ()
 
 
-class Busy(Command):
-    """Non-interruptible CPU work (see module docstring).
+class Ledger(Command):
+    """Accumulator for CPU costs computed by *instantaneous* logic, and the
+    non-interruptible segment that bills them.
 
-    Either a single ``(duration, category)`` pair or, via
-    :meth:`from_ledger`, a multi-category breakdown accumulated by
-    instantaneous MPI-layer logic.
+    MPI-internal logic in this code base executes as plain Python at a single
+    simulation instant while tallying how long it *would* have taken on the
+    host; the caller then either yields the ledger itself (process context:
+    a Busy segment of ``total`` us) or lets the CPU charge-and-shift
+    machinery apply it (signal handler context).  ``total`` is also used to
+    timestamp side effects: a packet handed to the NIC halfway through a
+    handler departs at ``now + ledger.total``-at-that-point.
     """
 
-    __slots__ = ("duration", "category", "charges")
+    __slots__ = ("charges", "total")
 
-    def __init__(self, duration: float, category: str = "work",
-                 charges: Optional[dict] = None):
+    def __init__(self) -> None:
+        self.charges: dict[str, float] = {}
+        self.total = 0.0
+
+    def charge(self, duration: float, category: str) -> float:
+        """Add ``duration`` us under ``category``; returns the new total."""
+        if duration < 0:
+            raise ValueError(f"negative charge: {duration}")
+        charges = self.charges
+        charges[category] = charges.get(category, 0.0) + duration
+        total = self.total = self.total + duration
+        return total
+
+
+class Busy(Ledger):
+    """Non-interruptible CPU work of one category (see module docstring)."""
+
+    __slots__ = ()
+
+    def __init__(self, duration: float, category: str = "work"):
         if duration < 0:
             raise ValueError(f"negative busy duration: {duration}")
-        self.duration = duration
-        self.category = category
-        self.charges = charges
-
-    @classmethod
-    def from_ledger(cls, ledger: Any) -> "Busy":
-        """Busy segment whose cost breakdown comes from a CPU ledger
-        (a snapshot: later charges do not leak into the command)."""
-        # Filled in directly: a ledger total is a sum of amounts
-        # ``Ledger.charge`` already checked, and this runs once per Busy.
-        busy = cls.__new__(cls)
-        busy.duration = ledger.total
-        busy.category = "work"
-        busy.charges = dict(ledger.charges)
-        return busy
+        self.charges = {category: duration}
+        self.total = duration
 
 
 class Compute(Command):

@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 from ..errors import DeadlockError, ProcessFailed, ReproError
 from . import access
 from .events import Event, EventQueue, PRIORITY_DELIVERY, PRIORITY_WAKE
-from .process import Busy, Compute, Cpu, SimGen, SimProcess, WaitFor
+from .process import Busy, Compute, Cpu, Ledger, SimGen, SimProcess, WaitFor
 from .trace import Tracer
 
 
@@ -215,17 +215,16 @@ class Simulator:
             raise ProcessFailed(proc.name, exc) from exc
 
         kind = type(cmd)
-        if kind is Busy:
+        if kind is Ledger or kind is Busy:
             if cpu is None:
-                self.schedule(cmd.duration, self._step, proc, None)
+                self.schedule(cmd.total, self._step, proc, None)
             else:
-                cpu.begin_busy(cmd.duration, cmd.category, proc.resume,
-                               cmd.charges)
+                cpu.begin_busy(cmd, proc)
         elif kind is Compute:
             if cpu is None:
                 self.schedule(cmd.duration, self._step, proc, None)
             else:
-                cpu.begin_compute(cmd.duration, cmd.category, proc.resume)
+                cpu.begin_compute(cmd, proc)
         elif kind is WaitFor:
             if cmd.poll_category is not None and cpu is not None:
                 cpu.begin_poll(cmd.poll_category)

@@ -18,10 +18,8 @@ class CrossbarTopology(Topology):
 
     def __init__(self, params, nodes: int):
         super().__init__(params, nodes)
-        self.switch = CrossbarSwitch(
-            nodes, params.switch_latency_us, params.link_bytes_per_us
-        )
+        self.switch = CrossbarSwitch(nodes)
         self.switches = [self.switch]
 
     def _compute_route(self, src: int, dst: int):
-        return [(self.switch, dst)]
+        return (self.switch.out(dst),)

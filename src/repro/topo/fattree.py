@@ -39,27 +39,21 @@ class FatTreeTopology(Topology):
         self.down = down
         self.n_edge = (nodes + down - 1) // down
         self.up = max(1, round(down / ratio))
-        latency = params.switch_latency_us
-        rate = params.link_bytes_per_us
         # Edge ports: 0..down-1 face hosts, down..down+up-1 face spines.
-        self.edge = [
-            CrossbarSwitch(down + self.up, latency, rate)
-            for _ in range(self.n_edge)
-        ]
+        self.edge = [CrossbarSwitch(down + self.up)
+                     for _ in range(self.n_edge)]
         # Spine ports: one per edge switch (down-links only).
-        self.spine = [
-            CrossbarSwitch(self.n_edge, latency, rate)
-            for _ in range(self.up)
-        ] if self.n_edge > 1 else []
+        self.spine = [CrossbarSwitch(self.n_edge)
+                      for _ in range(self.up)] if self.n_edge > 1 else []
         self.switches = self.edge + self.spine
 
     def _compute_route(self, src: int, dst: int):
         es, ed = src // self.down, dst // self.down
         if es == ed:
-            return [(self.edge[es], dst % self.down)]
+            return (self.edge[es].out(dst % self.down),)
         s = (src + dst) % self.up
-        return [
-            (self.edge[es], self.down + s),
-            (self.spine[s], ed),
-            (self.edge[ed], dst % self.down),
-        ]
+        return (
+            self.edge[es].out(self.down + s),
+            self.spine[s].out(ed),
+            self.edge[ed].out(dst % self.down),
+        )

@@ -48,11 +48,7 @@ class TorusTopology(Topology):
                 f"torus_width {w} does not divide node count {nodes}")
         self.width = w
         self.height = nodes // w
-        self.routers = [
-            CrossbarSwitch(5, params.switch_latency_us,
-                           params.link_bytes_per_us)
-            for _ in range(nodes)
-        ]
+        self.routers = [CrossbarSwitch(5) for _ in range(nodes)]
         self.switches = list(self.routers)
 
     def _coords(self, node: int) -> tuple[int, int]:
@@ -66,12 +62,12 @@ class TorusTopology(Topology):
         step = _signed_step(dx - sx, self.width)
         while cur_x != dx:
             port = _POS_X if step > 0 else _NEG_X
-            hops.append((self.routers[cur_y * self.width + cur_x], port))
+            hops.append(self.routers[cur_y * self.width + cur_x].out(port))
             cur_x = (cur_x + (1 if step > 0 else -1)) % self.width
         step = _signed_step(dy - sy, self.height)
         while cur_y != dy:
             port = _POS_Y if step > 0 else _NEG_Y
-            hops.append((self.routers[cur_y * self.width + cur_x], port))
+            hops.append(self.routers[cur_y * self.width + cur_x].out(port))
             cur_y = (cur_y + (1 if step > 0 else -1)) % self.height
-        hops.append((self.routers[dst], _EJECT))
+        hops.append(self.routers[dst].out(_EJECT))
         return hops

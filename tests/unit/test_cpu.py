@@ -43,7 +43,7 @@ def test_busy_with_ledger_breakdown(sim, cpu):
     led.charge(2.0, "b")
 
     def main():
-        yield Busy.from_ledger(led)
+        yield led
 
     sim.run_process(main(), cpu=cpu)
     assert cpu.usage == {"a": 1.0, "b": 2.0}

@@ -19,6 +19,7 @@ from repro.faults import (FaultInjector, FaultSchedule, INJECTORS,
                           register_injector)
 from repro.orchestrate.points import ConfigSpec
 from repro.sim.cpu import HostCpu
+from repro.sim.process import Busy
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,17 @@ def test_configspec_build_applies_faults():
 # HostCpu fault entry points (freeze / crash)
 # ---------------------------------------------------------------------------
 
+def copy_then_log(sim, log):
+    """A process that holds its CPU for 10 us of copying, then logs when
+    it resumed."""
+    yield Busy(10.0, "copy")
+    log.append(sim.now)
+
+
 def test_freeze_extends_running_busy_segment(sim):
     cpu = HostCpu(sim, "cpu0")
     done = []
-    cpu.begin_busy(10.0, "copy", lambda: done.append(sim.now))
+    sim.spawn(copy_then_log(sim, done), "p", cpu)
     sim.schedule(3.0, cpu.freeze, 20.0)
     sim.run()
     assert done == [30.0]               # 10us of work stretched by the pause
@@ -184,7 +192,7 @@ def test_freeze_defers_new_segments_until_thaw(sim):
     cpu = HostCpu(sim, "cpu0")
     cpu.freeze(15.0)
     done = []
-    cpu.begin_busy(10.0, "copy", lambda: done.append(sim.now))
+    sim.spawn(copy_then_log(sim, done), "p", cpu)
     sim.run()
     assert done == [25.0]
 
@@ -211,11 +219,12 @@ def test_handler_held_until_thaw(sim):
 def test_crash_discards_segment_and_pending_handlers(sim):
     cpu = HostCpu(sim, "cpu0")
     resumed = []
-    cpu.begin_busy(10.0, "copy", lambda: resumed.append(sim.now))
-    cpu.run_handler(lambda ledger: ledger.charge(1.0, "async"))
-    assert cpu.deferred_handlers == 1
+    sim.spawn(copy_then_log(sim, resumed), "p", cpu)
+    sim.schedule(1.0, cpu.run_handler,
+                 lambda ledger: ledger.charge(1.0, "async"))
     sim.schedule(3.0, cpu.crash)
     sim.run(error_on_deadlock=False)
+    assert cpu.deferred_handlers == 1
     assert cpu.crashed
     assert resumed == []                # the process never runs again
     assert cpu.handler_runs == 0        # the deferred handler was discarded

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.sim.process import Busy, Compute, Notifier, Trigger
+from repro.errors import LedgerChargedError
+from repro.sim.cpu import HostCpu
+from repro.sim.process import Busy, Compute, Ledger, Notifier, Trigger
+from repro.sim.simulator import Simulator
 
 
 def test_trigger_single_shot():
@@ -63,11 +66,21 @@ def test_busy_rejects_negative_duration():
         Compute(-0.1)
 
 
-def test_busy_from_ledger_snapshot():
-    from repro.sim.cpu import Ledger
+def test_ledger_charged_during_its_own_segment_is_refused():
+    """A yielded ledger is the Busy segment: its length was fixed when the
+    segment began, so a charge made before it ends is refused there,
+    naming the process, instead of being billed but never spent."""
+    sim = Simulator()
+    cpu = HostCpu(sim, "cpu0")
     led = Ledger()
     led.charge(2.0, "x")
-    cmd = Busy.from_ledger(led)
-    led.charge(5.0, "y")     # later charges must not leak into the command
-    assert cmd.duration == 2.0
-    assert cmd.charges == {"x": 2.0}
+
+    def main():
+        yield led
+
+    sim.spawn(main(), "rank7", cpu)
+    sim.schedule(1.0, led.charge, 5.0, "y")      # mid-segment
+    with pytest.raises(LedgerChargedError, match="process 'rank7' charged"):
+        sim.run()
+    assert sim.now == 2.0                        # at the segment's end
+    assert cpu.usage == {}                       # nothing was billed

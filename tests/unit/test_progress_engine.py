@@ -136,7 +136,6 @@ def test_interrupt_penalty_observable_in_latency():
     kernel overhead — measurable end to end."""
     def program(mpi):
         from repro.mpich.message import AbHeader
-        from repro.sim.process import Busy
         if mpi.rank == 0:
             # Pretend there is an outstanding AB reduction so signals fire.
             mpi.node.nic.enable_signals(Ledger())
@@ -151,7 +150,7 @@ def test_interrupt_penalty_observable_in_latency():
         mpi.progress.start_send(np.ones(1), 0, 8,
                                     mpi.comm_world.pt2pt_context, led,
                                     ab=AbHeader(root=0, instance=0))
-        yield Busy.from_ledger(led)
+        yield led
         yield from mpi.compute(40.0)
         yield from mpi.send(np.ones(1), 0, tag=9)
         return None

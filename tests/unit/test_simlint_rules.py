@@ -185,6 +185,7 @@ def test_sim004_charged_but_never_consumed(tmp_path):
             yield 1
     """)
     assert rules_of(findings) == ["SIM004"]
+    assert "(yield `ledger`)" in findings[0].message
 
 
 def test_sim004_consumed_via_busy_or_call(tmp_path):
@@ -192,7 +193,7 @@ def test_sim004_consumed_via_busy_or_call(tmp_path):
         def a(costs):
             ledger = Ledger()
             ledger.charge(1.0, "x")
-            yield Busy.from_ledger(ledger)
+            yield ledger
 
         def b(costs, engine):
             ledger = Ledger()
@@ -204,7 +205,7 @@ def test_sim004_consumed_via_busy_or_call(tmp_path):
             ledger = Ledger()
             ledger.charge(1.0, "x")
             if ledger.total > 0.0:
-                yield Busy.from_ledger(ledger)
+                yield ledger
     """)
     assert findings == []
 

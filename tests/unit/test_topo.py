@@ -55,8 +55,7 @@ def test_crossbar_matches_legacy_fabric_constant():
     assert arrival == pytest.approx(0.4 + 0.35 + 0.2)
     assert arrival == pytest.approx(unloaded_arrival(params, 100, hops=1))
     assert topo.hops == 1
-    assert [(sw, port) for sw, port in topo.route(2, 3)] == \
-        [(topo.switch, 3)]
+    assert topo.route(2, 3) == (topo.switch.out_links[3],)
 
 
 def test_crossbar_counters():
@@ -76,7 +75,7 @@ def test_fattree_same_edge_is_single_hop():
     topo = FatTreeTopology(params, 16)
     assert topo.n_edge == 2 and topo.up == 8
     route = topo.route(0, 3)
-    assert route == [(topo.edge[0], 3)]
+    assert route == (topo.edge[0].out_links[3],)
     arrival = topo.transit(0.0, 0, 3, 100)
     assert arrival == pytest.approx(unloaded_arrival(params, 100, hops=1))
 
@@ -86,9 +85,10 @@ def test_fattree_cross_edge_goes_over_a_spine():
     topo = FatTreeTopology(params, 16)
     route = topo.route(0, 9)
     assert len(route) == 3
-    (sw1, _), (sw2, _), (sw3, p3) = route
-    assert sw1 is topo.edge[0] and sw3 is topo.edge[1]
-    assert sw2 in topo.spine and p3 == 1
+    up, across, down = route
+    assert up in topo.edge[0].out_links[8:]          # an uplink port
+    assert any(across in spine.out_links for spine in topo.spine)
+    assert down is topo.edge[1].out_links[1]
     arrival = topo.transit(0.0, 0, 9, 100)
     assert arrival == pytest.approx(unloaded_arrival(params, 100, hops=3))
 
@@ -144,9 +144,9 @@ def test_torus_dimension_order_and_wraparound():
     # (0,0) -> (1,1): one +X hop, one +Y hop, then eject at the dst router
     route = topo.route(0, 5)
     assert len(route) == 3
-    assert route[0][0] is topo.routers[0]          # X first
-    assert route[1][0] is topo.routers[1]          # then Y
-    assert route[-1][0] is topo.routers[5]         # eject at destination
+    assert route[0] in topo.routers[0].out_links   # X first
+    assert route[1] in topo.routers[1].out_links   # then Y
+    assert route[-1] is topo.routers[5].out_links[-1]  # eject at destination
     # (0,0) -> (3,0) wraps: one -X hop is shorter than three +X hops
     assert len(topo.route(0, 3)) == 2
     arrival = topo.transit(0.0, 0, 5, 100)
