@@ -630,11 +630,18 @@ _KINDS = {
 }
 
 
-def loads(text, where: str):
+def _refuse_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
+def loads(text, where: str, allow_nan: bool = False):
     """``json.loads`` for outside input: text that is not JSON is a
-    :class:`RecordError` naming ``where`` it was meant for."""
+    :class:`RecordError` naming ``where`` it was meant for.  So are the
+    literals ``NaN`` and ``±Infinity`` that ``json.loads`` would accept,
+    unless ``allow_nan`` (a BENCH file, whose metrics may be NaN)."""
     try:
-        return json.loads(text)
+        return json.loads(
+            text, parse_constant=None if allow_nan else _refuse_constant)
     except (TypeError, ValueError) as exc:
         raise RecordError("%s is not valid JSON: %s" % (where, exc)) from None
 

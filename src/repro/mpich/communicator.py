@@ -47,33 +47,25 @@ class InstanceCounter:
 class Communicator:
     """A group of world ranks with private matching contexts."""
 
-    __slots__ = ("world_ranks", "_rank_of", "context_id", "name",
-                 "interned_steps")
+    __slots__ = ("world_ranks", "size", "_rank_of", "context_id",
+                 "pt2pt_context", "coll_context", "name", "interned_steps")
 
     def __init__(self, world_ranks: tuple[int, ...], name: str = "comm"):
         if len(set(world_ranks)) != len(world_ranks):
             raise MpiError("duplicate ranks in communicator group")
         self.world_ranks = tuple(world_ranks)
+        self.size = len(self.world_ranks)
         self._rank_of = {w: i for i, w in enumerate(world_ranks)}
         self.context_id = _fresh_context()
+        #: point-to-point traffic and collectives match in separate contexts
+        self.pt2pt_context = self.context_id
+        self.coll_context = self.context_id + 1
         self.name = name
         #: whole-message steps by (derive, shape, root, me), shared by the
         #: members (see :func:`repro.mpich.collectives.walk.own_steps`)
         self.interned_steps: dict[tuple, tuple] = {}
 
     # -- structure -------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self.world_ranks)
-
-    @property
-    def pt2pt_context(self) -> int:
-        return self.context_id
-
-    @property
-    def coll_context(self) -> int:
-        return self.context_id + 1
-
     def rank_of_world(self, world_rank: int) -> int:
         """Translate a world rank into this communicator's rank."""
         try:

@@ -135,7 +135,9 @@ def load_bench_json(path: Union[str, Path]) -> dict:
     are objects, metric values and ``wall_time_s`` numbers, no key twice);
     anything else is one :class:`~repro.config.RecordError` line."""
     try:
-        payload = loads(Path(path).read_bytes(), "BENCH json")
+        # A metric may be NaN (a fault_reduce root that never finished a
+        # reduce), and write_bench_json writes it as the literal NaN.
+        payload = loads(Path(path).read_bytes(), "BENCH json", allow_nan=True)
         if type(payload) is not dict or "points" not in payload:
             raise RecordError("not a BENCH json (no 'points')")
         schema = payload.get("schema")

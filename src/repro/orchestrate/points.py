@@ -579,7 +579,7 @@ def scale_smoke_points(*, seed: int = 1, iterations: int = 2,
     """The large-scale DES throughput sweep (``orchestrate smoke-scale``):
     1024/2048/4096-rank extrapolated clusters on the two multi-hop
     topologies, AB build only.  This grid exists to exercise the scaled
-    event core (calendar queue, route cache, indexed unexpected queue) at
+    event core (event heap, route cache, indexed unexpected queue) at
     sizes the fig-grade sweeps never reach, and to put an ``events_per_sec``
     number in CI for every (size, topology) cell.  Iterations are tiny and
     the invariant monitor is off by default — the hard ``timeout-minutes``

@@ -1,17 +1,19 @@
 """Event objects and the time-ordered event queue.
 
-The queue is a **calendar (bucket) queue keyed on timestamp**: events that
-share an instant live in one bucket, buckets are ordered by a small heap of
-*distinct* timestamps, and only the bucket currently being drained is
-ordered internally — by ``(priority, key, seq)`` tuples, compared at C
-speed.  Observably the queue behaves exactly like the previous binary heap
-keyed on ``(time, priority, key, seq)``; the property suite
-(``tests/property/test_calendar_queue.py``) pins the equivalence against a
-reference heap model under arbitrary interleavings of push / pop / cancel.
-The win is raw speed: the old heap ran one Python ``Event.__lt__`` call per
-comparison (~3.3 M calls for a 1024-rank sweep); the calendar queue
-compares floats and int tuples natively and shrinks the heap to one entry
-per *instant* (barrier and arbitration instants carry hundreds of events).
+The queue is **one binary heap of ``(time, priority, key, event)``
+tuples**.  Python compares these tuples in C, and ``key`` is unique per
+queue (below), so a comparison never reaches the event itself.  A pop
+therefore returns the live event that minimises ``(time, priority,
+key)``: the queue's whole order is that tuple, and nothing else defines
+it.  ``tests/property/test_event_queue.py`` pins it against a brute-force
+oracle under arbitrary interleavings of push / pop / cancel / peek.
+
+Why not buckets per instant: in the paper regime (a barrier plus a small
+reduce under skew) 90 % of pushes open a new instant and the live queue
+holds about 20 events, so a bucket per timestamp is a dict entry, a
+one-element list and a heap push per event, and the reverse on pop.  Only
+the 1024–4096-rank scale grid has wide instants, and there the heap runs
+as fast as a calendar queue (DESIGN.md §13).
 
 ``seq`` is a global, monotonically increasing counter; in the default FIFO
 mode ``key == seq`` so events scheduled for the same instant (and priority
@@ -49,7 +51,8 @@ order.  The shuffle only ever permutes *within* a class.
 :mod:`repro.analysis.races`): when a queue is built with a
 ``tiebreak_seed``, ``key`` is instead a splitmix64 hash of ``(seed, seq)``,
 so same-time events fire in a *deterministic pseudo-random permutation* of
-their insertion order.  Any run whose results depend on the arbitrary FIFO
+their insertion order.  splitmix64 is a bijection on 64-bit words, so the
+key is still unique.  Any run whose results depend on the arbitrary FIFO
 tiebreak — the discrete-event analogue of a data race — diverges under a
 shuffled schedule and is caught by the perturbation harness.  Causality is
 preserved by construction: an event pushed while another executes cannot
@@ -68,7 +71,7 @@ fault-recovery timers cancelled on every completed descriptor — shows up in
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from . import access
@@ -124,9 +127,9 @@ class Event:
     time:
         Absolute simulation time (microseconds) at which the event fires.
     priority:
-        Same-instant ordering class (``PRIORITY_DELIVERY`` /
-        ``PRIORITY_WAKE`` / ``PRIORITY_TIMER``); compared before the
-        tiebreak, so the shuffle never reorders across classes.
+        Same-instant ordering class (one of the ``PRIORITY_*`` constants);
+        compared before the tiebreak, so the shuffle never reorders across
+        classes.
     seq:
         Global insertion counter (unique per queue).
     key:
@@ -142,15 +145,14 @@ class Event:
         live count.
     """
 
-    __slots__ = ("time", "priority", "seq", "key", "fn", "args", "cancelled")
+    __slots__ = ("time", "priority", "key", "seq", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: tuple, key: Optional[int] = None,
-                 priority: int = PRIORITY_DELIVERY):
+    def __init__(self, time: float, priority: int, key: int, seq: int,
+                 fn: Callable[..., Any], args: tuple):
         self.time = time
         self.priority = priority
+        self.key = key
         self.seq = seq
-        self.key = seq if key is None else key
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -163,54 +165,18 @@ class Event:
         """Human-readable identity (used by race reports)."""
         return getattr(self.fn, "__qualname__", None) or repr(self.fn)
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        if self.key != other.key:
-            return self.key < other.key
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.3f} seq={self.seq} fn={self.label()}{state}>"
 
 
-#: A bucket-internal heap entry: ``(priority, key, seq, event)``.  The
-#: ``seq`` component is unique per queue, so comparison never reaches the
-#: (incomparable-by-tuple) event itself.
-_CurrentItem = tuple[int, int, int, "Event"]
-
-
 class EventQueue:
-    """Calendar/bucket queue ordered by ``(time, priority, key, seq)``.
+    """Binary heap of ``(time, priority, key, event)`` (see module doc)."""
 
-    Structure (see module doc):
-
-    * ``_buckets`` maps each *future* timestamp to an unordered list of
-      its events — pushes append in O(1);
-    * ``_times`` is a min-heap of the distinct timestamps with a bucket;
-    * ``_current`` is the instant being drained, held as a small heap of
-      ``(priority, key, seq, event)`` tuples (built once, when the bucket's
-      time becomes the earliest).  Same-instant pushes that arrive *while*
-      the instant drains (the ``schedule(0.0, ...)`` pattern the process
-      driver leans on) land directly in this heap, preserving the exact
-      ``(priority, key, seq)`` order the old binary heap produced.
-
-    Pops therefore return events in exactly the old ``(time, priority,
-    key, seq)`` order — FIFO tiebreak, shuffle mode and lazy cancellation
-    semantics are all unchanged.
-    """
-
-    __slots__ = ("_buckets", "_times", "_current", "_current_time",
-                 "_seq", "_live", "_cancelled", "tiebreak_seed")
+    __slots__ = ("_heap", "_seq", "_live", "_cancelled", "tiebreak_seed")
 
     def __init__(self, tiebreak_seed: Optional[int] = None) -> None:
-        self._buckets: dict[float, list[Event]] = {}
-        self._times: list[float] = []
-        self._current: list[_CurrentItem] = []
-        self._current_time: float = 0.0
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._live = 0
         self._cancelled = 0
@@ -228,123 +194,32 @@ class EventQueue:
         seq = self._seq = self._seq + 1
         seed = self.tiebreak_seed
         key = seq if seed is None else tiebreak_key(seed, seq)
-        ev = Event(time, seq, fn, args, key, priority)
-        current = self._current
-        # Exact float equality is the *design* here, not an accident: the
-        # calendar keys buckets on raw timestamps, and "same instant"
-        # means bit-equal time (identical arithmetic ⇒ identical floats,
-        # the determinism contract's premise).  A tolerance would merge
-        # distinct instants and change delivery order.
-        if current and time == self._current_time:  # simlint: ignore[SIM003]
-            # The instant is mid-drain: join it directly so the new event
-            # still fires this instant, in (priority, key, seq) position.
-            heappush(current, (priority, key, seq, ev))
-        else:
-            if current and time < self._current_time:
-                # A push into the past of the draining instant (never the
-                # simulator — it cannot schedule before ``now`` — but the
-                # raw queue API allows it and the heap honoured it).
-                self._reinstate_current()
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [ev]
-                heappush(self._times, time)
-            else:
-                bucket.append(ev)
+        ev = Event(time, priority, key, seq, fn, args)
+        heappush(self._heap, (time, priority, key, ev))
         self._live += 1
         tracer = access.TRACER
         if tracer is not None:
             tracer.on_event_scheduled(ev)
         return ev
 
-    def _reinstate_current(self) -> None:
-        """Demote the partially drained instant back to a bucket (only
-        needed when a push targets an earlier time than ``_current_time``)."""
-        events = [item[3] for item in self._current]
-        self._current = []
-        if not events:
-            return
-        t = self._current_time
-        bucket = self._buckets.get(t)
-        if bucket is None:
-            self._buckets[t] = events
-            heappush(self._times, t)
-        else:
-            bucket.extend(events)
-
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty."""
-        times = self._times
-        buckets = self._buckets
-        while True:
-            current = self._current
-            if current:
-                if times and times[0] < self._current_time:
-                    self._reinstate_current()
-                    continue
-                ev = heappop(current)[3]
-                if ev.cancelled:
-                    continue
+        heap = self._heap
+        while heap:
+            ev = heappop(heap)[3]
+            if not ev.cancelled:
                 ev.cancelled = True  # fired = spent (see Event)
                 self._live -= 1
                 return ev
-            if not times:
-                return None
-            t = heappop(times)
-            bucket = buckets.pop(t, None)
-            if bucket is None:
-                continue  # stale heap entry left by peek-time compaction
-            if len(bucket) == 1:
-                # Singleton instant — the common case (most timestamps
-                # carry one event): skip the per-instant heap entirely.
-                # ``_current`` stays empty, so a same-instant push from
-                # this event's callback opens a fresh bucket at ``t``,
-                # which the times heap delivers next — same order.
-                ev = bucket[0]
-                self._current_time = t
-                if ev.cancelled:
-                    continue
-                ev.cancelled = True
-                self._live -= 1
-                return ev
-            items: list[_CurrentItem] = [
-                (e.priority, e.key, e.seq, e) for e in bucket
-                if not e.cancelled
-            ]
-            if not items:
-                continue
-            heapify(items)
-            self._current = items
-            self._current_time = t
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None`` if empty."""
-        times = self._times
-        buckets = self._buckets
-        current = self._current
-        if current and times and times[0] < self._current_time:
-            self._reinstate_current()
-            current = self._current
-        while current:
-            if current[0][3].cancelled:
-                heappop(current)
-            else:
-                return self._current_time
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if bucket is None:
-                heappop(times)
-                continue
-            live = [e for e in bucket if not e.cancelled]
-            if not live:
-                del buckets[t]
-                heappop(times)
-                continue
-            if len(live) != len(bucket):
-                buckets[t] = live  # compact so repeated peeks stay cheap
-            return t
+        heap = self._heap
+        while heap:
+            if not heap[0][3].cancelled:
+                return heap[0][0]
+            heappop(heap)
         return None
 
     def note_cancelled(self) -> None:

@@ -198,7 +198,7 @@ class SimProcess:
     """Bookkeeping for one running generator."""
 
     __slots__ = ("gen", "name", "cpu", "done", "result", "error", "finished_at",
-                 "resume", "_completion")
+                 "resume", "wake", "poll_wake", "_completion")
 
     def __init__(self, gen: SimGen, name: str,
                  cpu: Optional[Cpu] = None):
@@ -206,9 +206,13 @@ class SimProcess:
         self.name = name
         self.cpu = cpu  # HostCpu or None for hardware/helper processes
         #: ``resume()`` sends ``None`` into the generator: the one callable
-        #: every Busy/Compute segment of this process completes into, bound
-        #: by :meth:`Simulator.spawn` once instead of once per segment.
+        #: every Busy/Compute segment of this process completes into.
+        #: ``wake(value)`` / ``poll_wake(value)`` are what a passive /
+        #: polled ``WaitFor`` hands its trigger.  :meth:`Simulator.spawn`
+        #: binds all three once instead of once per command.
         self.resume: Callable[[], None]
+        self.wake: Callable[[Any], None]
+        self.poll_wake: Callable[[Any], None]
         self.done = False
         self.result: Any = None
         self.error: Optional[BaseException] = None

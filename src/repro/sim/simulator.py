@@ -85,6 +85,8 @@ class Simulator:
         """Register a generator as a process and start it at the current time."""
         proc = SimProcess(gen, name, cpu)
         proc.resume = partial(self._step, proc, None)
+        proc.wake = partial(self._wake, proc)
+        proc.poll_wake = partial(self._poll_woken, proc, cpu)
         self.processes.append(proc)
         self._live_processes += 1
         self.processes_spawned += 1
@@ -228,9 +230,9 @@ class Simulator:
         elif kind is WaitFor:
             if cmd.poll_category is not None and cpu is not None:
                 cpu.begin_poll(cmd.poll_category)
-                cmd.trigger.add_waiter(partial(self._poll_woken, proc, cpu))
+                cmd.trigger.add_waiter(proc.poll_wake)
             else:
-                cmd.trigger.add_waiter(partial(self._wake, proc))
+                cmd.trigger.add_waiter(proc.wake)
         else:
             raise TypeError(f"process {proc.name!r} yielded {cmd!r}, "
                             "expected a sim command")

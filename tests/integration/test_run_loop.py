@@ -5,10 +5,13 @@ the per-event path (DESIGN.md §13), so these tests pin what that must not
 change: a simulation driven in one-event or one-instant slices is the same
 simulation, armed hooks see every event exactly once, and the per-point
 work counters of the paper regime are what they were — an accidental event
-merge (or split) fails here, in tier-1, not in a CI grid.
+merge (or split) fails here, in tier-1, not in a CI grid.  The fire order
+itself is pinned too, as a digest that holds across commits.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -155,3 +158,34 @@ def test_paper8_work_counters_are_pinned(build):
     counters = execute_point(_cpu_util_point(build)).counters
     assert {key: counters[key] for key in PAPER8_COUNTERS[build]} \
         == PAPER8_COUNTERS[build]
+
+
+# ---------------------------------------------------------------------------
+# (iv) the fire order, pinned across commits
+# ---------------------------------------------------------------------------
+
+#: sha256 over one ``time.hex() priority seq`` line per popped event.  A
+#: same-instant reorder that leaves every metric and counter equal still
+#: moves these; a faster queue or process driver must not.
+FIRE_ORDER = [
+    pytest.param(
+        _cpu_util_point,
+        "2bbc4931c59812b7857e5055624411e2f2e2d81c92e88990545fb48399da19b5",
+        id="cpu_util-ab-8"),
+    pytest.param(
+        lambda: _cpu_util_point("nab"),
+        "c6c5aa5111f864620f585de654c5380c172458c0f6492e838a933df13ce0d72d",
+        id="cpu_util-nab-8"),
+    pytest.param(
+        _lossy_point,
+        "ffc0b92ded6f57051e555c67388a56e2b98d161d0b406d99cb28835898ca4be3",
+        id="fault_reduce-lossy-8"),
+]
+
+
+@pytest.mark.parametrize("make_point,sha256", FIRE_ORDER)
+def test_fire_order_is_pinned(make_point, sha256, monkeypatch):
+    fired = _drive(make_point(), _whole, monkeypatch)["fired"]
+    lines = "".join(f"{time.hex()} {priority} {seq}\n"
+                    for time, priority, seq, _ in fired)
+    assert hashlib.sha256(lines.encode()).hexdigest() == sha256

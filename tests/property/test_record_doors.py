@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import tempfile
 from dataclasses import dataclass
 from typing import Callable
@@ -614,10 +615,23 @@ RUN_POINT = {"experiment": "t", "kind": "cpu_util", "build": "ab",
      ("options.gap_us must be a number, got 'soon'",)),
     (_set(("options",), {"lowering": "reduce.ab"}),
      ("options has unknown key(s) 'lowering' for kind 'cpu_util'",)),
+    # Literals json.loads accepts: a NaN switch latency used to run to the
+    # end with NaN results, a NaN skew to die inside a rank.
+    (lambda d: _set(("config",), {
+        "factory": "paper", "size": 4, "seed": 1,
+        "net": {"topology": "fattree", "fattree_hosts_per_switch": 2,
+                "switch_latency_us": math.nan}})(
+            dict(d, kind="latency", build="nab", iterations=3)),
+     ("point is not valid JSON: NaN is not a JSON number",)),
+    (_set(("max_skew_us",), math.nan),
+     ("point is not valid JSON: NaN is not a JSON number",)),
+    (_set(("max_skew_us",), -math.inf),
+     ("point is not valid JSON: -Infinity is not a JSON number",)),
 ], ids=["misspelt keys", "unknown topology", "unknown tree shape",
         "unknown kind", "unknown build", "out of range", "cut short",
         "negative warmup", "no elements", "no iterations", "one node",
-        "unknown pass", "gap in words", "another kind's option"])
+        "unknown pass", "gap in words", "another kind's option",
+        "NaN latency", "NaN skew", "-Infinity skew"])
 def test_run_point_refuses_in_one_line(capsys, edit, named):
     spec = edit(copy.deepcopy(RUN_POINT))
     spec = spec if isinstance(spec, str) else json.dumps(spec)
@@ -631,3 +645,19 @@ def test_run_point_refuses_in_one_line(capsys, edit, named):
 def test_run_point_still_runs_a_good_point(capsys):
     assert orchestrate_cli.main(["run-point", json.dumps(RUN_POINT)]) == 0
     assert json.loads(capsys.readouterr().out)["key"]["variant"] == "paper"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_refused(doors, literal):
+    """``json.loads`` takes these non-standard literals; the codec names
+    them instead, so a cache record holding one is a miss.  Only a BENCH
+    file, whose metrics may be NaN, reads them."""
+    with pytest.raises(RecordError) as err:
+        loads('{"x": [1, %s]}' % literal, "the record")
+    assert str(err.value) == (f"the record is not valid JSON: {literal} "
+                              "is not a JSON number")
+    text = json.dumps(doors["cache record"].valid)
+    assert '"wall_time_s": 0.25' in text
+    with pytest.raises(_Refused):
+        doors["cache record"].decode(
+            text.replace('"wall_time_s": 0.25', f'"wall_time_s": {literal}'))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 
 
 def test_pop_orders_by_time():
@@ -63,14 +63,6 @@ def test_peek_time_skips_cancelled():
 
 def test_peek_time_empty():
     assert EventQueue().peek_time() is None
-
-
-def test_event_ordering_operator():
-    a = Event(1.0, 1, lambda: None, ())
-    b = Event(1.0, 2, lambda: None, ())
-    c = Event(0.5, 3, lambda: None, ())
-    assert a < b
-    assert c < a
 
 
 def test_pop_empty_returns_none():
