@@ -602,8 +602,7 @@ class TreeDerivedOutsideTheHelper(LayeringRule):
     first routed by *schedule*, which is how the AB broadcast came to
     forward along a different tree than the reduce climbed.  Allowed: the
     tree shapes and lowerings themselves, the derivation helper's module
-    (``own_steps``), the NIC reduction (its own protocol, no steps yet)
-    and tests."""
+    (``own_steps``) and tests."""
 
     spec = RuleSpec(
         "SIM017",
@@ -612,7 +611,7 @@ class TreeDerivedOutsideTheHelper(LayeringRule):
     boundaries = (Boundary(
         frozenset({"family"}),
         ("repro/topo/", "repro/schedule/", "repro/mpich/collectives/walk.py",
-         "repro/core/nic_reduce.py", "test_", "conftest"),
+         "test_", "conftest"),
         "direct `{name}(...)` re-derives the tree from config — take "
         "neighbours from your steps (`steps=` / `own_steps`, then "
         "`reduce_neighbors` / `bcast_children`)",

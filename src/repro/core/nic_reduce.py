@@ -26,7 +26,7 @@ freedom at the price of latency that grows steeply with message size.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 import numpy as np
@@ -36,8 +36,10 @@ from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import AbHeader, Envelope, TransferKind
 from ..mpich.operations import Op
 from ..gm.packet import Packet, PacketType
+from ..mpich.collectives.walk import own_steps
+from ..schedule.ir import reduce_neighbors
+from ..schedule.lower import reduce_rank_steps
 from ..sim.process import Ledger
-from ..topo import ranks as tree
 
 #: Base tag for root-side result delivery; instance number is added so
 #: out-of-order completions across back-to-back reductions cannot cross.
@@ -46,25 +48,20 @@ TAG_NICRED_BASE = 2_000_000
 KIND = "nicred"
 
 
+@dataclass(slots=True, eq=False)
 class _NicState:
     """Combining state for one reduction instance, resident in NIC SRAM."""
 
-    __slots__ = ("acc", "pending", "op", "root_world", "parent_world",
-                 "instance", "context_id", "buffered")
-
-    def __init__(self, context_id: int, instance: int, root_world: int,
-                 parent_world: Optional[int], expected: set,
-                 op: Optional[Op]):
-        self.context_id = context_id
-        self.instance = instance
-        self.root_world = root_world
-        self.parent_world = parent_world
-        self.acc: Optional[np.ndarray] = None
-        self.pending = set(expected)
-        self.op = op
-        #: Remote contributions that arrived before the local hand-off
-        #: named the operation; folded as soon as it does.
-        self.buffered: list[tuple[object, np.ndarray]] = []
+    context_id: int
+    instance: int
+    root_world: int
+    parent_world: Optional[int]
+    pending: set
+    op: Optional[Op]
+    acc: Optional[np.ndarray] = None
+    #: Remote contributions that arrived before the local hand-off named
+    #: the operation; folded as soon as it does.
+    buffered: list = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -76,10 +73,11 @@ LOCAL = "local"
 
 
 class NicReduceUnit:
-    """The modified LANai control program for one NIC."""
+    """The modified LANai control program for one rank's NIC."""
 
-    def __init__(self, node):
-        self.node = node
+    def __init__(self, mpi_rank):
+        self.rank = mpi_rank
+        self.node = node = mpi_rank.node
         self.nic = node.nic
         self.sim = node.sim
         self._comms: dict[int, Communicator] = {}
@@ -123,14 +121,13 @@ class NicReduceUnit:
         if comm is None:
             raise AbProtocolError(
                 f"nicred packet for unregistered context {context_id}")
-        parent, kids = tree.family(
-            self.node.tree_shape_for(nbytes), comm.size,
-            comm.rank_of_world(root_world), comm.rank_of_world(self.node.id))
-        parent_world = None if parent is None else comm.world_rank(parent)
-        expected = {comm.world_rank(c) for c in kids} | {LOCAL}
-        state = _NicState(context_id, instance, root_world, parent_world,
-                          expected, op)
-        self._states[key] = state
+        parent, kids = reduce_neighbors(own_steps(
+            self.rank, comm, comm.rank_of_world(root_world), nbytes, None,
+            reduce_rank_steps))
+        state = self._states[key] = _NicState(
+            context_id, instance, root_world,
+            None if parent is None else comm.world_rank(parent),
+            {comm.world_rank(c) for c in kids} | {LOCAL}, op)
         return state
 
     def _combine_local(self, context_id: int, instance: int, root_world: int,
@@ -156,7 +153,7 @@ class NicReduceUnit:
             state.buffered.append((who, np.array(data, copy=True)))
             return
         # Serialize on the LANai ALU; arithmetic is slow on the NIC.
-        cost = (self.node.config.nic.nic_op_us_per_element * data.size *
+        cost = (self.nic.params.nic_op_us_per_element * data.size *
                 self.node.spec.lanai_scale())
         start = max(self.sim.now, self.busy_until)
         self.busy_until = start + cost
@@ -204,7 +201,7 @@ class NicReduce:
         self.rank = mpi_rank
         self.node = mpi_rank.node
         self.costs = mpi_rank.costs
-        self.unit = NicReduceUnit(mpi_rank.node)
+        self.unit = NicReduceUnit(mpi_rank)
         self._instances = InstanceCounter()
 
     def register_comm(self, comm: Communicator) -> None:
@@ -225,7 +222,7 @@ class NicReduce:
         # Host hand-off: doorbell plus DMA of the contribution into NIC
         # SRAM (charged to the host like any gm_send staging cost).
         ledger.charge(self.costs.host_send_overhead_us, "send")
-        dma_us = (self.node.config.nic.dma_setup_us +
+        dma_us = (self.node.nic.params.dma_setup_us +
                   data.nbytes / self.node.spec.pci_bytes_per_us)
         self.unit.contribute_local(comm.coll_context, instance,
                                    comm.world_rank(root), op, data,

@@ -11,7 +11,7 @@ The schedule interpreter (:mod:`repro.core.interpreter`) passes
 blocking (non-bypass) path then walks its steps here; what differs between
 the callers is the *prologue* (the ledger charges billed before the first
 step).  The receive → fold → send order itself lives only in
-:func:`walk_steps`.
+:func:`walk_steps`, which ``mpi.barrier`` walks too.
 """
 
 from __future__ import annotations
@@ -75,23 +75,30 @@ def own_steps(rank, comm: Communicator, root: int, nbytes: int, segments,
 def walk_steps(rank, comm: Communicator, steps: Sequence, buf: np.ndarray, *,
                op: Optional[Op] = None, segments=None,
                ledger: Optional[Ledger] = None,
-               on_fold: Optional[Callable] = None) -> Generator:
+               on_fold: Optional[Callable] = None,
+               tag: int = TAG_REDUCE) -> Generator:
     """Walk ``steps`` (one rank's) over the flat buffer ``buf``.
 
     ``buf`` is the accumulator of a reduce (folds land in it, sends read
-    it) or the payload buffer of a bcast.  A step's chunk is ``buf`` itself
-    for a whole message (``segments`` None) or the slice of
-    ``segments[step.seg]``.  ``ledger`` carries the caller's prologue
-    charges and is billed before the first step; ``on_fold(step)`` runs
-    after each fold, before its cost is billed.  A step the host cannot
-    execute (a :class:`~repro.schedule.ir.WaitStep` completes on the NIC; a
-    fold needs an ``op``) raises :class:`ScheduleExecutionError`.
+    it), the payload buffer of a bcast or a barrier's zero-byte token.  A
+    step's chunk is ``buf`` itself for a whole message (``segments`` None)
+    or the slice of ``segments[step.seg]``.  ``ledger`` carries the
+    caller's prologue charges and is billed before the first step;
+    ``on_fold(step)`` runs after each fold, before its cost is billed.
+    Receives (on ``tag``, as sends) follow the receive rule of
+    :mod:`repro.schedule.ir`, into one scratch buffer per unfolded operand
+    (none without an ``op``).  A step the host cannot execute (a
+    :class:`~repro.schedule.ir.WaitStep` completes on the NIC; a fold needs
+    an ``op``) raises :class:`ScheduleExecutionError`.
     """
     costs = rank.costs
+    progress = rank.progress
     context = comm.coll_context
     if ledger is not None:
         yield ledger
-    tmp = None
+    spare: list = []    # scratch buffers no unfolded operand holds
+    held: dict = {}     # (peer, seg) -> scratch received into, not folded
+    posted = None       # the receive the rule has yet to complete
     for step in steps:
         if segments is None:
             chunk = buf
@@ -99,21 +106,34 @@ def walk_steps(rank, comm: Communicator, steps: Sequence, buf: np.ndarray, *,
             s = segments[step.seg]
             chunk = buf[s.offset:s.offset + s.count]
         kind = type(step)
+        if kind is SendStep:
+            request = yield from rank.isend(chunk, step.peer, tag, comm,
+                                            _context=context)
+            if not request.done:  # an eager send is complete on return
+                yield from progress.wait(request)
+            continue
+        if posted is not None and not posted.done:
+            yield from progress.wait(posted)
+        posted = None
         if kind is RecvStep:
-            if tmp is None or tmp.size < chunk.size:
-                tmp = np.empty(chunk.size, dtype=buf.dtype)
-            yield from rank.recv(tmp[:chunk.size], step.peer, TAG_REDUCE,
-                                 comm, _context=context)
+            scratch = None
+            if op is not None:
+                n = chunk.size
+                scratch = (spare.pop() if spare and spare[-1].size >= n
+                           else np.empty(n, dtype=buf.dtype))
+                held.setdefault((step.peer, step.seg), []).append(scratch)
+                scratch = scratch[:n]
+            posted = yield from rank.irecv(scratch, step.peer, tag, comm,
+                                           _context=context)
         elif kind is FoldStep and op is not None:
+            scratch = held[step.child, step.seg].pop()
+            spare.append(scratch)
             op_ledger = Ledger()
             op_ledger.charge(costs.op_us(chunk.size), "op")
-            op.apply(chunk, tmp[:chunk.size])
+            op.apply(chunk, scratch[:chunk.size])
             if on_fold is not None:
                 on_fold(step)
             yield op_ledger
-        elif kind is SendStep:
-            yield from rank.send(chunk, step.peer, TAG_REDUCE, comm,
-                                 _context=context)
         elif kind is BcastStep and step.direction == "recv":
             yield from rank.recv(chunk, step.peer, TAG_BCAST, comm,
                                  _context=context)
@@ -123,3 +143,5 @@ def walk_steps(rank, comm: Communicator, steps: Sequence, buf: np.ndarray, *,
         else:
             raise ScheduleExecutionError(
                 "%r cannot be walked on the host" % (step,))
+    if posted is not None and not posted.done:
+        yield from progress.wait(posted)

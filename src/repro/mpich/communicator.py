@@ -61,8 +61,8 @@ class Communicator:
         self.pt2pt_context = self.context_id
         self.coll_context = self.context_id + 1
         self.name = name
-        #: whole-message steps by (derive, shape, root, me), shared by the
-        #: members (see :func:`repro.mpich.collectives.walk.own_steps`)
+        #: whole-message steps by (derive, shape, root, me) or
+        #: (barrier_rank_steps, me), shared by the members (``walk.own_steps``)
         self.interned_steps: dict[tuple, tuple] = {}
 
     # -- structure -------------------------------------------------------

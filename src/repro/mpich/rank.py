@@ -36,10 +36,12 @@ import numpy as np
 
 from ..sim.process import Compute, Ledger
 from .communicator import Communicator
-from .message import ANY_TAG, AbHeader
+from .message import ANY_TAG, TAG_BARRIER, AbHeader
 from .operations import SUM, Op
 from .progress import ProgressEngine
 from .requests import Request, Status
+
+_TOKEN = np.empty(0, dtype=np.uint8)
 
 
 class MpiBuild(enum.Enum):
@@ -182,9 +184,20 @@ class MpiRank:
                               count=count, dtype=dtype)
 
     def barrier(self, comm: Optional[Communicator] = None) -> Generator:
-        """``MPI_Barrier`` (dissemination algorithm)."""
-        from .collectives.barrier import barrier_dissemination
-        return barrier_dissemination(self, comm or self.comm_world)
+        """``MPI_Barrier``: this rank's dissemination steps (interned per
+        communicator) walked with zero-byte tokens, on their own tag: an AB
+        rank leaves ``MPI_Reduce`` before forwarding its partial, which a
+        reduce-tagged token could overtake into the root's receive."""
+        from ..schedule.lower import barrier_rank_steps
+        from .collectives.walk import walk_steps
+        comm = comm or self.comm_world
+        me = comm.rank_of_world(self.rank)
+        key = (barrier_rank_steps, me)
+        steps = comm.interned_steps.get(key)
+        if steps is None:
+            steps = comm.interned_steps[key] = tuple(
+                barrier_rank_steps(me, comm.size))
+        return walk_steps(self, comm, steps, _TOKEN, tag=TAG_BARRIER)
 
     def allreduce(self, sendbuf: np.ndarray, op: Op = SUM,
                   comm: Optional[Communicator] = None) -> Generator:

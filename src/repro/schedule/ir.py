@@ -8,7 +8,7 @@ ranks as, for every rank, an *ordered* tuple of steps:
     on the reduce channel.
 ``RecvStep(peer, seg)``
     Receive a reduce-channel contribution for ``seg`` from ``peer`` into a
-    scratch buffer.
+    scratch buffer, under the receive rule below.
 ``FoldStep(child, seg)``
     Fold the most recent unconsumed receive from ``child`` for ``seg`` into
     the local accumulator.
@@ -22,6 +22,14 @@ ranks as, for every rank, an *ordered* tuple of steps:
 
 Segment ids are ``-1`` for whole-message schedules (``nseg == 0``) and
 ``0 <= seg < nseg`` otherwise.  Peers are communicator ranks.
+
+**The receive rule**, one for the walker
+(:func:`repro.mpich.collectives.walk.walk_steps`) and the validator: a
+``RecvStep`` posts its receive when it is reached, and the receive
+completes before the rank's next step that is not a ``SendStep``, or at the
+end of its steps; other receives block where they stand.  Sends never
+block here, but a walker send past the eager limit waits for its CTS, so a
+send-first exchange of such messages validates clean and deadlocks.
 
 Validation (:meth:`Schedule.validate`) checks structure, that the send and
 receive multisets match exactly on each channel, that every fold has an
@@ -183,7 +191,7 @@ def step_from_dict(d: dict) -> AnyStep:
 class Schedule:
     """An immutable collective schedule over ``nranks`` communicator ranks."""
 
-    collective: str                      # "reduce" | "bcast" | "allreduce"
+    collective: str     # "reduce" | "bcast" | "allreduce" | "barrier"
     lowering: str                        # registry name that produced it
     nranks: int
     root: int = 0
@@ -278,7 +286,7 @@ class Schedule:
         return self
 
     def _check_header(self) -> None:
-        if self.collective not in ("reduce", "bcast", "allreduce"):
+        if self.collective not in ("reduce", "bcast", "allreduce", "barrier"):
             raise ScheduleValidationError(
                 "unknown collective %r" % (self.collective,))
         if self.nranks < 1:
@@ -384,6 +392,9 @@ class Schedule:
 
     def _check_progress(self) -> None:
         """Abstractly execute all ranks; sends buffer, receives block.
+        The receive rule (module docstring) is run as a rewrite: a
+        ``RecvStep`` the cursor meets with a ``SendStep`` right behind it
+        trades places with it, so every receive then blocks where it stands.
 
         A worklist: a rank runs until it blocks on one channel key
         ``(channel, src, me, seg)``, is parked under that key, and is
@@ -395,7 +406,7 @@ class Schedule:
         :class:`WaitStep` takes its children's contributions one at a time
         in order, which completes exactly when all of them arrive.
         """
-        steps = self.steps
+        steps = list(self.steps)
         cursors = [0] * self.nranks
         channels: dict = {}     # key -> messages sent and not yet received
         parked: dict = {}       # key -> the rank blocked on it
@@ -408,6 +419,12 @@ class Schedule:
             while i < len(rank):
                 step = rank[i]
                 kind = type(step)
+                if (kind is RecvStep and i + 1 < len(rank)
+                        and type(rank[i + 1]) is SendStep):
+                    if type(rank) is tuple:     # copy on first rewrite
+                        rank = steps[me] = list(rank)
+                    rank[i], rank[i + 1] = rank[i + 1], step
+                    step, kind = rank[i], SendStep
                 if kind is SendStep or (kind is BcastStep
                                         and step.direction == "send"):
                     key = ("p2p" if kind is SendStep else "bc",

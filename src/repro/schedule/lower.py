@@ -14,6 +14,7 @@ An ``mpi.<collective>`` call runs the same per-rank function
 (:func:`repro.mpich.collectives.walk.own_steps`), so it and the interpreter
 executing the matching lowering run the same steps.  Anything a rank does
 per call is therefore O(its own steps); only :func:`lower` is O(all steps).
+``mpi.barrier`` walks the unregistered :func:`barrier_rank_steps`.
 
 Registered lowerings:
 
@@ -171,6 +172,14 @@ def pipelined_rank_steps(parent, kids, segs) -> List:
         steps += reduce_rank_steps(None, kids, (s,))
         steps += bcast_rank_steps(None, kids, (s,))
     return steps
+
+
+def barrier_rank_steps(me: int, size: int) -> List:
+    """Dissemination barrier: round *k* takes a token from ``me - 2^k`` and
+    sends one to ``me + 2^k`` (mod ``size``), send first (receive rule)."""
+    return [step for k in range((size - 1).bit_length())
+            for step in (RecvStep((me - (1 << k)) % size),
+                         SendStep((me + (1 << k)) % size))]
 
 
 def _then_bcast(reduce_steps):

@@ -3,7 +3,9 @@
 ``DEFECTS`` maps a case name to a hand-built :class:`Schedule`; every one
 must be rejected, and ``tests/unit/golden/schedule_defects.json`` holds the
 exact ``ScheduleValidationError`` text each raised at commit 9dd9f3b (the
-round-robin validator).  The cases cover the four deadlock shapes, every
+round-robin validator, before the receive rule of :mod:`repro.schedule.ir`;
+the deadlock cases fold before they send, so both models reject them with
+the same text).  The cases cover the four deadlock shapes, every
 structure / matching / fold message, and multi-defect schedules that pin
 which check speaks first.  Built from the public constructors only, so the
 same file runs against any commit: ``python tests/schedule_defects.py``
@@ -32,13 +34,16 @@ def _build() -> dict:
     d = {}
 
     # -- progress: the four deadlock shapes, and partial ones ------------
+    # A receive directly followed by a send completes after the send (the
+    # receive rule), so each cycle below folds what it receives before it
+    # sends: the send needs the data.
     d["deadlock.two_rank_recv_before_send"] = _sched([
-        [RecvStep(1), SendStep(1)],
-        [RecvStep(0), SendStep(0)]])
+        _recv_fold(1) + [SendStep(1)],
+        _recv_fold(0) + [SendStep(0)]])
     d["deadlock.three_rank_ring"] = _sched([
-        [RecvStep(2), SendStep(1)],
-        [RecvStep(0), SendStep(2)],
-        [RecvStep(1), SendStep(0)]])
+        _recv_fold(2) + [SendStep(1)],
+        _recv_fold(0) + [SendStep(2)],
+        _recv_fold(1) + [SendStep(0)]])
     d["deadlock.wait_cycle"] = _sched([
         [WaitStep((1,)), SendStep(1)],
         [WaitStep((0,)), SendStep(0)]])
@@ -57,19 +62,19 @@ def _build() -> dict:
     d["deadlock.partial_stuck_first_is_rank_2"] = _sched([
         _recv_fold(1),
         [SendStep(0)],
-        [RecvStep(3), SendStep(3)],
-        [RecvStep(2), SendStep(2)]])
+        _recv_fold(3) + [SendStep(3)],
+        _recv_fold(2) + [SendStep(2)]])
     # One child of the wait delivers, the other sits behind the wait.
     d["deadlock.wait_one_child_arrives"] = _sched([
         [WaitStep((1, 2)), SendStep(2)],
         [SendStep(0)],
-        [RecvStep(0), SendStep(0)]])
+        _recv_fold(0) + [SendStep(0)]])
     # Progress is made for a while before the chain jams mid-way.
     d["deadlock.after_progress"] = _sched([
-        [SendStep(1), RecvStep(1), RecvStep(1), SendStep(1)],
-        [RecvStep(0), SendStep(0), RecvStep(2), SendStep(2), SendStep(0),
-         RecvStep(0)],
-        [RecvStep(1), SendStep(1)],
+        [SendStep(1)] + _recv_fold(1) + _recv_fold(1) + [SendStep(1)],
+        _recv_fold(0) + [SendStep(0)] + _recv_fold(2)
+        + [SendStep(2), SendStep(0)] + _recv_fold(0),
+        _recv_fold(1) + [SendStep(1)],
         []])
 
     # -- structure: one case per message ---------------------------------
@@ -144,8 +149,8 @@ def _build() -> dict:
          [RecvStep(2), SendStep(0)],
          [RecvStep(1), SendStep(1)]])
     d["precedence.fold_beats_deadlock"] = _sched(
-        [[RecvStep(1), SendStep(1)],
-         [RecvStep(0), SendStep(0)],
+        [_recv_fold(1) + [SendStep(1)],
+         _recv_fold(0) + [SendStep(0)],
          [FoldStep(0)]])
     d["precedence.first_rank_first_step"] = _sched(
         [[SendStep(1), SendStep(0)], [SendStep(9)]])

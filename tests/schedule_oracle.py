@@ -8,8 +8,11 @@ on a chain, which is why it left ``src/``.  Its verdicts and messages are
 the specification the worklist validator in :mod:`repro.schedule.ir` is
 held to (``tests/property/test_schedule_properties.py``); the one
 deliberate difference, duplicate ``WaitStep`` children, is a rule the
-oracle never had and the strategies there avoid.  Do not optimise or
-"fix" this file.
+oracle never had and the strategies there avoid.  Two edits since: the
+progress check follows the receive rule of :mod:`repro.schedule.ir`,
+modelled directly (a posted receive is due before the next non-send step)
+where the worklist validator rewrites the program, and ``"barrier"`` is a
+known collective.  Do not optimise or "fix" this file otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def validate(self: Schedule) -> Schedule:
 
 
 def _check_structure(self: Schedule) -> None:
-    if self.collective not in ("reduce", "bcast", "allreduce"):
+    if self.collective not in ("reduce", "bcast", "allreduce", "barrier"):
         raise ScheduleValidationError(
             "unknown collective %r" % (self.collective,))
     if self.nranks < 1:
@@ -126,9 +129,12 @@ def _check_fold_operands(self: Schedule) -> None:
 
 
 def _check_progress(self: Schedule) -> None:
-    """Abstractly execute all ranks; sends buffer, receives block."""
+    """Abstractly execute all ranks; sends buffer, a ``RecvStep`` posts and
+    is due before the rank's next step that is not a ``SendStep``, every
+    other receive blocks."""
     channels: Counter = Counter()
     cursors = [0] * self.nranks
+    posted: list = [None] * self.nranks     # rank -> RecvStep not yet due
 
     def runnable(me: int, step: AnyStep) -> bool:
         if isinstance(step, (SendStep, FoldStep)):
@@ -160,18 +166,30 @@ def _check_progress(self: Schedule) -> None:
     while progressed:
         progressed = False
         for me, rank in enumerate(self.steps):
-            while cursors[me] < len(rank):
-                step = rank[cursors[me]]
-                if not runnable(me, step):
+            while True:
+                step = rank[cursors[me]] if cursors[me] < len(rank) else None
+                due = posted[me]
+                if due is not None and not isinstance(step, SendStep):
+                    if not runnable(me, due):
+                        break
+                    execute(me, due)
+                    posted[me] = None
+                elif step is None:
                     break
-                execute(me, step)
-                cursors[me] += 1
+                elif isinstance(step, RecvStep):
+                    posted[me] = step
+                    cursors[me] += 1
+                elif runnable(me, step):
+                    execute(me, step)
+                    cursors[me] += 1
+                else:
+                    break
                 progressed = True
     stuck = [me for me in range(self.nranks)
-             if cursors[me] < len(self.steps[me])]
+             if posted[me] is not None or cursors[me] < len(self.steps[me])]
     if stuck:
         me = stuck[0]
         raise ScheduleValidationError(
             "deadlock: %d rank(s) blocked forever (rank %d stuck at %r)"
-            % (len(stuck), me, self.steps[me][cursors[me]]))
+            % (len(stuck), me, posted[me] or self.steps[me][cursors[me]]))
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.mpich.communicator import Communicator
 from repro.mpich.operations import MAX, MIN, PROD, SUM
+from repro.mpich.rank import MpiBuild
 from conftest import contribution, expected_sum, run_ranks
 
 
@@ -102,6 +103,21 @@ def test_barrier_synchronizes(size):
     last_entry = max(entered for entered, _ in out.results)
     for entered, left in out.results:
         assert left >= last_entry
+
+
+@pytest.mark.parametrize("build", list(MpiBuild), ids=lambda b: b.value)
+def test_barrier_releases_no_rank_before_the_last_enters(build):
+    """Powers of two and others, entry order scrambled across ranks."""
+    for size in range(1, 34):
+        def program(mpi):
+            yield from mpi.compute(float(mpi.rank * 7 % size) * 37.0)
+            entered = mpi.now
+            yield from mpi.barrier()
+            return entered, mpi.now
+
+        out = run_ranks(size, program, build=build)
+        last_entry = max(entered for entered, _ in out.results)
+        assert min(left for _, left in out.results) >= last_entry, size
 
 
 def test_back_to_back_barriers():

@@ -23,6 +23,7 @@ from schedule_defects import DEFECTS, messages
 from repro.schedule import lower
 from repro.schedule.ir import (STEP_TYPES, RecvStep, Schedule, ScheduleError,
                                ScheduleValidationError, SendStep, WaitStep)
+from repro.schedule.lower import barrier_rank_steps
 from repro.topo.trees import make_tree_shape
 
 GOLDEN = json.loads(
@@ -65,6 +66,29 @@ def test_corpus_covers_every_deadlock_shape_and_message_family():
                      "send without a matching receive",
                      "has no unconsumed receive", "blocked forever"):
         assert any(fragment in t for t in texts), fragment
+
+
+# ---------------------------------------------------------------------------
+# the receive rule: a receive directly followed by sends completes after them
+# ---------------------------------------------------------------------------
+
+def test_receive_then_send_exchange_is_clean():
+    """The shape ``deadlock.two_rank_recv_before_send`` had before the
+    rule: each rank posts, sends, then waits."""
+    schedule = Schedule("reduce", "hand-built", 2, steps=[
+        [RecvStep(1), SendStep(1)],
+        [RecvStep(0), SendStep(0)]])
+    assert schedule.validate() is schedule
+    assert schedule_oracle.validate(schedule) is schedule
+
+
+def test_dissemination_barrier_steps_validate():
+    for n in [*range(1, 65), 4096]:
+        schedule = Schedule("barrier", "barrier.dissemination", n, steps=[
+            barrier_rank_steps(me, n) for me in range(n)])
+        assert schedule.validate() is schedule, n
+        if n <= 64:
+            assert schedule_oracle.validate(schedule) is schedule, n
 
 
 # ---------------------------------------------------------------------------
