@@ -14,9 +14,9 @@ Three layers keep the codebase safe to refactor aggressively:
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis`` with text/JSON
   output, wired into the tier-1 test suite.
 
-simlint lints *this* repository: every registered rule runs, at the
-severity its ``RuleSpec`` declares, and a finding that is meant to stay is
-suppressed where it is with ``# simlint: ignore[SIMnnn]``.
+simlint lints *this* repository: every registered rule runs, every finding
+gates, and a finding that is meant to stay is suppressed where it is with
+``# simlint: ignore[SIMnnn]``.
 """
 
 from .findings import Finding, Violation, normalize_path

@@ -1,8 +1,7 @@
 """Command-line front end: ``python -m repro.analysis [options] paths...``
 
-Exit codes: 0 — no error-severity finding; 1 — findings; 2 — usage error
-(bad flags, missing paths).  Warnings (SIM012) are reported and counted
-but do not gate.
+Exit codes: 0 — no finding; 1 — findings (every one gates); 2 — usage
+error (bad flags, missing paths).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .rules import REGISTRY
 from .simlint import RULES, lint_paths
 
 EXIT_CLEAN = 0
@@ -44,9 +42,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list_rules:
         for rule_id in sorted(RULES):
-            cls = REGISTRY.get(rule_id)
-            sev = cls.spec.severity if cls is not None else "error"
-            print(f"{rule_id}  [{sev}] {RULES[rule_id]}")
+            print(f"{rule_id}  {RULES[rule_id]}")
         return EXIT_CLEAN
 
     if not args.paths:
@@ -60,8 +56,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
 
     findings = lint_paths(args.paths)
-    errors = [f for f in findings if f.severity == "error"]
-    warnings = [f for f in findings if f.severity != "error"]
 
     if args.format == "json":
         counts: dict[str, int] = {}
@@ -71,19 +65,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "version": 1,
             "findings": [f.to_dict() for f in findings],
             "counts": counts,
-            "errors": len(errors),
-            "warnings": len(warnings),
+            "errors": len(findings),
         }, indent=2, sort_keys=True)
     else:
         lines = [f.render() for f in findings]
-        summary = [f"{len(findings)} finding(s)"]
-        if warnings:
-            summary.append(f"{len(warnings)} warning(s)")
-        lines.append("simlint: " + ", ".join(summary))
+        lines.append(f"simlint: {len(findings)} finding(s)")
         output = "\n".join(lines)
     print(output)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(output + "\n")
 
-    return EXIT_FINDINGS if errors else EXIT_CLEAN
+    return EXIT_FINDINGS if findings else EXIT_CLEAN

@@ -39,13 +39,10 @@ class Finding:
     message: str
     #: The source line, where a ``# simlint: ignore[...]`` pragma is read.
     line_text: str = ""
-    #: "error" gates CI; "warning" reports without failing the run.
-    severity: str = "error"
 
     def render(self) -> str:
-        sev = "" if self.severity == "error" else f" {self.severity}"
         return (f"{self.path}:{self.line}:{self.col}: "
-                f"{self.rule}{sev} {self.message}")
+                f"{self.rule} {self.message}")
 
     def to_dict(self) -> dict:
         return {
@@ -54,7 +51,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
         }
 
 

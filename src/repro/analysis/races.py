@@ -1,30 +1,14 @@
-"""Determinism race detector (dynamic layers of the sanitizer).
+"""Determinism race detector (the dynamic layer of the sanitizer).
 
-Two complementary checkers for *schedule races* — places where a
-simulation's result silently depends on the arbitrary FIFO tiebreak among
-same-timestamp events:
-
-1. **Schedule-perturbation harness** (:func:`check_points` /
-   ``python -m repro.analysis.races``): run a scenario once under the
-   default FIFO schedule and N more times under seeded tiebreak-shuffle
-   schedules (:mod:`repro.sim.events`), then diff metrics, simulator
-   counters and invariant reports bit-for-bit.  Any divergence is a
-   *confirmed* race: same inputs, same seeds, different answer — only the
-   same-time event order changed.
-
-2. **Happens-before checker** (:class:`HappensBeforeTracer`): an opt-in
-   :class:`~repro.sim.access.AccessTracer` that records, per event, every
-   read/write of shared engine state (descriptor tables, fold buffers, NIC
-   RX queues, AB unexpected queues) plus the schedule DAG (which event
-   scheduled which).  Two same-timestamp events with conflicting accesses
-   and no scheduling ancestry between them are a *latent* race: this run
-   happened to agree, but nothing orders them.  Latent conflicts are
-   reported with both events' scheduling-ancestry chains so the race is
-   debuggable without re-running.
-
-The perturbation verdict gates CI (``race-smoke``); the happens-before
-report is diagnostic — it explains a divergence, and surfaces races the
-tried permutations did not happen to expose.
+A *schedule race* is a place where a simulation's result silently depends
+on the arbitrary FIFO tiebreak among same-timestamp events.  The
+schedule-perturbation harness (:func:`check_points` / ``python -m
+repro.analysis.races``) runs a scenario once under the default FIFO
+schedule and N more times under seeded tiebreak-shuffle schedules
+(:mod:`repro.sim.events`), then diffs metrics, simulator counters and
+invariant reports bit-for-bit.  Any divergence is a *confirmed* race: same
+inputs, same seeds, different answer — only the same-time event order
+changed.  The verdict gates CI (``race-smoke``).
 """
 
 from __future__ import annotations
@@ -32,220 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from ..config import check_name
-from ..sim.access import (READ, WRITE, Location, get_access_tracer,
-                          set_access_tracer)
 from ..sim.events import tiebreak_key
 
 EXIT_CLEAN = 0
 EXIT_DIVERGED = 1
 EXIT_USAGE = 2
-
-# ---------------------------------------------------------------------------
-# happens-before tracer
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Access:
-    """One traced read/write of shared state."""
-
-    kind: str                  # repro.sim.access.READ | WRITE
-    location: Location
-    order_sensitive: bool
-    note: str
-
-
-@dataclass
-class EventRecord:
-    """One simulation event, as the tracer saw it."""
-
-    idx: int                   # tracer-assigned id, unique across queues
-    seq: int                   # queue-local insertion counter
-    time: float                # scheduled (then actual) fire time
-    label: str                 # callback __qualname__
-    parent: Optional[int]      # idx of the event that scheduled this one
-    priority: int = 0          # same-instant class (repro.sim.events)
-    executed: bool = False
-    accesses: list[Access] = field(default_factory=list)
-
-
-@dataclass
-class Conflict:
-    """Two same-timestamp, causally unordered events touching the same
-    shared state, at least one writing."""
-
-    time: float
-    location: Location
-    a: EventRecord
-    b: EventRecord
-    kinds: tuple[str, str]     # the conflicting access kinds (a, b)
-    notes: tuple[str, str]
-
-    def signature(self) -> tuple:
-        """Dedup key: the *pattern*, not the instance."""
-        return (self.location, self.a.label, self.b.label, self.kinds)
-
-    def to_dict(self, tracer: "HappensBeforeTracer") -> dict:
-        return {
-            "time": self.time,
-            "location": list(self.location),
-            "events": [
-                {"label": rec.label, "seq": rec.seq, "kind": kind,
-                 "note": note, "stack": tracer.ancestry(rec)}
-                for rec, kind, note in ((self.a, self.kinds[0], self.notes[0]),
-                                        (self.b, self.kinds[1], self.notes[1]))
-            ],
-        }
-
-
-class HappensBeforeTracer:
-    """Concrete :class:`~repro.sim.access.AccessTracer` that reconstructs
-    the schedule DAG and flags unordered conflicting accesses.
-
-    Install with :func:`repro.sim.access.set_access_tracer` (or use
-    :func:`trace_point`), run the simulation, then call
-    :meth:`find_conflicts`.
-    """
-
-    #: Events considered per same-(time, location) group; a wider group is
-    #: truncated (and noted) to keep pair checking linear in practice.
-    MAX_GROUP = 16
-
-    def __init__(self) -> None:
-        self.records: list[EventRecord] = []
-        #: Live (scheduled, not yet begun) events by python id.  Entries
-        #: are popped at begin so a recycled id cannot resolve stale.
-        self._by_id: dict[int, EventRecord] = {}
-        self._current: Optional[EventRecord] = None
-        self.truncated_groups = 0
-
-    # -- AccessTracer interface -------------------------------------------
-    def on_event_scheduled(self, event: Any) -> None:
-        rec = EventRecord(
-            idx=len(self.records), seq=event.seq, time=event.time,
-            label=event.label(),
-            parent=None if self._current is None else self._current.idx,
-            priority=getattr(event, "priority", 0))
-        self.records.append(rec)
-        self._by_id[id(event)] = rec
-
-    def on_event_begin(self, event: Any) -> None:
-        rec = self._by_id.pop(id(event), None)
-        if rec is None:
-            # Scheduled before the tracer was installed.
-            rec = EventRecord(idx=len(self.records), seq=event.seq,
-                              time=event.time, label=event.label(),
-                              parent=None)
-            self.records.append(rec)
-        rec.time = event.time
-        rec.executed = True
-        self._current = rec
-
-    def on_access(self, kind: str, location: Location, *,
-                  order_sensitive: bool = True, note: str = "") -> None:
-        if self._current is not None:
-            self._current.accesses.append(
-                Access(kind, location, order_sensitive, note))
-
-    # -- analysis ---------------------------------------------------------
-    def ancestry(self, rec: EventRecord, *, depth: int = 8) -> list[str]:
-        """The event's scheduling-ancestry chain, innermost first —
-        the discrete-event analogue of a stack trace."""
-        chain = []
-        cur: Optional[EventRecord] = rec
-        while cur is not None and len(chain) < depth:
-            chain.append(f"t={cur.time:.3f} {cur.label} (seq {cur.seq})")
-            cur = None if cur.parent is None else self.records[cur.parent]
-        if cur is not None:
-            chain.append("...")
-        return chain
-
-    def _ordered(self, a: EventRecord, b: EventRecord) -> bool:
-        """True when the pair has a defined same-time order: different
-        priority classes (deliveries < wake-ups < timers, a total order by
-        construction) or one event is a scheduling ancestor of the other
-        (if A scheduled B, A necessarily popped first)."""
-        if a.priority != b.priority:
-            return True
-        for start, target in ((a, b.idx), (b, a.idx)):
-            cur: Optional[EventRecord] = start
-            while cur is not None:
-                if cur.idx == target:
-                    return True
-                cur = None if cur.parent is None else self.records[cur.parent]
-        return False
-
-    def find_conflicts(self, *, max_conflicts: int = 50) -> list[Conflict]:
-        """All distinct unordered same-time conflicts, deduped by access
-        pattern ``(location, label_a, label_b, kinds)``."""
-        # (time, location) -> [(record, access)]
-        groups: dict[tuple, list[tuple[EventRecord, Access]]] = {}
-        for rec in self.records:
-            if not rec.executed:
-                continue
-            for acc in rec.accesses:
-                groups.setdefault((rec.time, acc.location), []).append(
-                    (rec, acc))
-
-        conflicts: list[Conflict] = []
-        seen: set[tuple] = set()
-        for (time, location), entries in sorted(
-                groups.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))):
-            # One access per event per group is enough for pairing.
-            per_event: dict[int, tuple[EventRecord, Access]] = {}
-            for rec, acc in entries:
-                prev = per_event.get(rec.idx)
-                # Prefer a write (and among those, an order-sensitive one)
-                # as the event's representative access.
-                if (prev is None
-                        or (acc.kind == WRITE) > (prev[1].kind == WRITE)
-                        or (acc.kind == prev[1].kind
-                            and acc.order_sensitive
-                            and not prev[1].order_sensitive)):
-                    per_event[rec.idx] = (rec, acc)
-            if len(per_event) < 2:
-                continue
-            group = sorted(per_event.values(), key=lambda ra: ra[0].idx)
-            if len(group) > self.MAX_GROUP:
-                self.truncated_groups += 1
-                group = group[:self.MAX_GROUP]
-            for i, (ra, aa) in enumerate(group):
-                for rb, ab in group[i + 1:]:
-                    if aa.kind != WRITE and ab.kind != WRITE:
-                        continue
-                    if not (aa.order_sensitive or ab.order_sensitive):
-                        continue
-                    conflict = Conflict(time=time, location=location,
-                                        a=ra, b=rb,
-                                        kinds=(aa.kind, ab.kind),
-                                        notes=(aa.note, ab.note))
-                    if conflict.signature() in seen:
-                        continue
-                    if self._ordered(ra, rb):
-                        continue
-                    seen.add(conflict.signature())
-                    conflicts.append(conflict)
-                    if len(conflicts) >= max_conflicts:
-                        return conflicts
-        return conflicts
-
-
-def trace_point(point: Any) -> "HappensBeforeTracer":
-    """Re-run one sweep point under the happens-before tracer and return
-    the populated tracer (serial, in-process)."""
-    from ..orchestrate.points import execute_point
-    tracer = HappensBeforeTracer()
-    prev = get_access_tracer()
-    set_access_tracer(tracer)
-    try:
-        execute_point(point)
-    finally:
-        set_access_tracer(prev)
-    return tracer
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +90,18 @@ class PointVerdict:
     clean: bool
     #: Per diverging perturbed run: tiebreak seed + exact diffs.
     divergences: list[dict]
-    #: Latent (or confirming) happens-before conflicts, when HB ran.
-    conflicts: list[dict] = field(default_factory=list)
-    hb_truncated_groups: int = 0
 
     def to_dict(self) -> dict:
         return {"label": self.label, "key": self.key, "clean": self.clean,
-                "divergences": self.divergences,
-                "conflicts": self.conflicts,
-                "hb_truncated_groups": self.hb_truncated_groups}
+                "divergences": self.divergences}
 
 
 def check_points(points: list, *, runs: int = 8, seed: int = 1,
-                 jobs: int = 1, hb: str = "on-divergence",
-                 max_diffs_per_run: int = 20,
+                 jobs: int = 1, max_diffs_per_run: int = 20,
                  progress: Optional[Callable[[str], None]] = None
                  ) -> list[PointVerdict]:
     """Run every point under FIFO + ``runs`` shuffled schedules and
-    return one verdict per point.
-
-    ``hb``: ``"never"`` | ``"on-divergence"`` (default: explain diverging
-    points with the happens-before checker) | ``"always"`` (also surface
-    latent conflicts on clean points).
-    """
+    return one verdict per point."""
     from ..orchestrate.runner import run_points
     seeds = perturbation_seeds(seed, runs)
     batch = []
@@ -359,11 +127,6 @@ def check_points(points: list, *, runs: int = 8, seed: int = 1,
         verdict = PointVerdict(label=point.label(), key=point.key(),
                                clean=not divergences,
                                divergences=divergences)
-        if hb == "always" or (hb == "on-divergence" and divergences):
-            tracer = trace_point(replace(point, tiebreak_seed=None))
-            conflicts = tracer.find_conflicts()
-            verdict.conflicts = [c.to_dict(tracer) for c in conflicts]
-            verdict.hb_truncated_groups = tracer.truncated_groups
         verdicts.append(verdict)
         if progress is not None:
             state = "clean" if verdict.clean else (
@@ -419,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override per-point benchmark iterations")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default serial)")
-    parser.add_argument("--hb", choices=("never", "on-divergence", "always"),
-                        default="on-divergence",
-                        help="when to run the happens-before checker")
     parser.add_argument("--out", default=None,
                         help="write the JSON race report to this file")
     parser.add_argument("-q", "--quiet", action="store_true",
@@ -449,8 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         verdicts = check_points(points, runs=args.runs, seed=args.seed,
-                                jobs=args.jobs, hb=args.hb,
-                                progress=progress)
+                                jobs=args.jobs, progress=progress)
         report = build_report(name, verdicts, runs=args.runs,
                               seed=args.seed)
         reports.append(report)
@@ -471,15 +230,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"SCHEDULE RACE: {verdict['label']} diverged in "
                   f"{len(verdict['divergences'])}/{report['runs_per_point']} "
                   f"perturbed schedules", file=sys.stderr)
-            for conflict in verdict["conflicts"][:3]:
-                loc = conflict["location"]
-                print(f"  unordered same-time conflict on {loc} "
-                      f"at t={conflict['time']:.3f}:", file=sys.stderr)
-                for ev in conflict["events"]:
-                    print(f"    [{ev['kind']}] {ev['note'] or ev['label']}",
-                          file=sys.stderr)
-                    for frame in ev["stack"]:
-                        print(f"      {frame}", file=sys.stderr)
     return EXIT_DIVERGED if any_dirty else EXIT_CLEAN
 
 

@@ -1,20 +1,18 @@
 """The simlint rule registry.
 
 Each lint rule is a small class registered under a stable ID with a
-:class:`RuleSpec` (summary, severity, whether it only applies in
-simulation-scoped packages).  The driver (:mod:`repro.analysis.simlint`)
+:class:`RuleSpec` (summary, whether it only applies in simulation-scoped
+packages).  The driver (:mod:`repro.analysis.simlint`)
 does **one** shared AST walk per file and dispatches each node to the
 rules subscribed to its type, so adding a rule never adds a pass.
 
-Every registered rule runs, at the severity its spec declares (``error``
-gates CI, ``warning`` reports only); a finding that is meant to stay is
-suppressed where it is, with ``# simlint: ignore[SIMnnn]``.
+Every registered rule runs and every finding gates CI; a finding that is
+meant to stay is suppressed where it is, with ``# simlint: ignore[SIMnnn]``.
 
 Rules see a ``ctx`` object (``LintContext`` in the driver) exposing the
 shared per-file analyses: import alias resolution (``ctx.dotted``), the
 cross-file generator-name set (``ctx.gen_call_name``), set-typed value
-inference (``ctx.unordered_reason``), callback-name inference
-(``ctx.callback_functions``), the enclosing loop/function stacks, and
+inference (``ctx.unordered_reason``), the enclosing loop stacks, and
 ``ctx.emit(rule_id, node, message)``.
 """
 
@@ -25,17 +23,12 @@ import re
 from dataclasses import dataclass
 from typing import Any, ClassVar, Optional
 
-ERROR = "error"
-WARNING = "warning"
-
-
 @dataclass(frozen=True)
 class RuleSpec:
     """Identity and policy of one rule."""
 
     id: str
     summary: str
-    severity: str = ERROR
     #: Rule only fires in files under ``simlint.SIM_SCOPED_PACKAGES``.
     sim_scope_only: bool = False
 
@@ -132,17 +125,9 @@ RECEIVER_GEN_CALLS = frozenset({
 #: Attribute/variable names that denote simulation timestamps (SIM003).
 TIME_NAME = re.compile(r"^(now|deadline)$|(_at|_time)$")
 
-#: Methods that schedule a simulation event (SIM011/SIM012's notion of a
-#: callback registration point): ``Simulator.schedule/at`` and
-#: ``EventQueue.push``.
+#: Methods that schedule a simulation event (SIM011):
+#: ``Simulator.schedule/at`` and ``EventQueue.push``.
 SCHEDULE_METHODS = frozenset({"schedule", "at", "push"})
-
-#: Attribute names that are integer bookkeeping, not result state — no
-#: SIM012 float-accumulation concern.
-COUNTER_NAME = re.compile(
-    r"(count|counter|seq|len$|idx|index|events|ops|inserted|consumed|"
-    r"enqueued|dequeued|charges|retries|attempts|signals|pending|spawned|"
-    r"processed|cancelled|bytes|packets|tokens|stalls|_n$)")
 
 
 def is_generator_def(fn: ast.AST) -> bool:
@@ -639,7 +624,7 @@ class JsonDecodedOutsideTheCodec(LayeringRule):
 
 
 # ---------------------------------------------------------------------------
-# the determinism dataflow rules (SIM010–SIM012)
+# the determinism dataflow rules (SIM010–SIM011)
 # ---------------------------------------------------------------------------
 
 @register
@@ -699,46 +684,3 @@ class UnorderedScheduling(Rule):
                  f"iteration order; iterate `sorted(...)` so every run "
                  f"schedules identically")
 
-
-@register
-class SharedFloatAccumulation(Rule):
-    """``obj.attr += value`` in an event callback reassociates float
-    arithmetic across whatever order same-time callbacks happen to fire
-    in; unless the values are exact, results differ under a reshuffled
-    schedule.  Heuristic (callback = ``on_*``/``_on_*`` or a function
-    passed to ``schedule``/``at``/``push``), so it reports as a
-    warning."""
-
-    spec = RuleSpec(
-        "SIM012",
-        "float accumulation into shared state from an event callback "
-        "(order-sensitive under same-time reordering)",
-        severity=WARNING, sim_scope_only=True)
-    node_types = (ast.AugAssign,)
-
-    _ACC_OPS = (ast.Add, ast.Mult, ast.Sub)
-
-    def check(self, ctx: Any, node: ast.AugAssign) -> None:
-        if not isinstance(node.target, ast.Attribute):
-            return
-        if not isinstance(node.op, self._ACC_OPS):
-            return
-        fn = ctx.current_function()
-        if fn is None or fn.name not in ctx.callback_functions:
-            return
-        attr = node.target.attr
-        if COUNTER_NAME.search(attr) or TIME_NAME.search(attr):
-            # Integer bookkeeping and clock advancement are not result
-            # folds — SIM012 is about accumulating *contributions*.
-            return
-        value = node.value
-        if isinstance(value, ast.Constant) and isinstance(value.value, int):
-            return
-        if isinstance(value, ast.Constant) and value.value is True:
-            return
-        ctx.emit("SIM012", node,
-                 f"`{attr} {type(node.op).__name__.lower()}=` accumulates "
-                 f"into shared state from callback `{fn.name}` — same-time "
-                 f"callbacks fire in tiebreak order, so float accumulation "
-                 f"here is schedule-sensitive; fold via a deterministic "
-                 f"reduction (sorted inputs / exact dtype) instead")

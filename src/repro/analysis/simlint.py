@@ -16,41 +16,17 @@ The simulation's correctness rests on conventions ``pytest`` cannot see:
   containers — that is a schedule race, the dynamic side of which is
   checked by :mod:`repro.analysis.races`.
 
-Rules (stable IDs; suppress per line with ``# simlint: ignore[SIM001]``):
-
-========  ==============================================================
-SIM000    file does not parse (syntax error)
-SIM001    generator-process call result discarded / yielded without
-          ``from`` (dropped SimGen)
-SIM002    wall-clock time or ambient randomness in simulation-critical
-          code (use ``Simulator.now`` / ``RngStreams``)
-SIM003    float equality comparison on simulation timestamps
-SIM004    ``Ledger`` charged but never consumed (missing
-          ``yield ledger`` or hand-off)
-SIM005    mutable default argument
-SIM006    late-binding capture of a loop variable in a callback
-SIM007    direct ``CrossbarSwitch``/``Link`` construction outside the
-          ``repro.topo``/``repro.network`` factories
-SIM008    direct ``random``/``time`` stdlib import in simulation-scoped
-          code
-SIM009    segment/descriptor object construction or hard-coded segment
-          sizes outside ``repro.pipeline``/``repro.core``
-SIM010    iteration over an unordered set of simulation state — visit
-          order is a hash/insertion accident; iterate ``sorted(...)``
-SIM011    event scheduled from inside a loop over an unordered container
-          — same-time event order leaks from set iteration
-SIM012    float accumulation into shared state from an event callback
-          (warning) — order-sensitive under same-time reordering
-========  ==============================================================
+Rules have stable IDs; ``python -m repro.analysis --list-rules`` prints
+the registry, and ``# simlint: ignore[SIM001]`` suppresses one per line.
 
 Architecture: each rule is a class registered in
 :mod:`repro.analysis.rules` with a :class:`~repro.analysis.rules.RuleSpec`
-(summary, severity, sim-scope-only flag).  This module owns the *driver*:
-file discovery, the cross-file generator-name pass, the shared per-file
-AST walk that dispatches nodes to subscribed rules, suppression pragmas,
-and dedup/sort of findings.  There is no per-run policy: every registered
-rule runs at its declared severity, and the pragma is the one way to
-accept a finding.
+(summary, sim-scope-only flag).  This module owns the *driver*: file
+discovery, the cross-file generator-name pass, the shared per-file AST
+walk that dispatches nodes to subscribed rules, suppression pragmas, and
+dedup/sort of findings.  There is no per-run policy: every registered
+rule runs, every finding gates, and the pragma is the one way to accept
+a finding.
 
 Detection of dropped SimGens is *two-pass*: pass 1 collects every function
 or method defined in the linted file set and records whether it is a
@@ -74,8 +50,8 @@ from .rules import (REGISTRY, RECEIVER_GEN_CALLS, Rule, callee_name,
 #: Rule-ID -> summary table (backwards-compatible face of the registry).
 RULES: dict[str, str] = rule_table()
 
-#: repro sub-packages in which the determinism rules (SIM002/008/010/011/
-#: 012) apply.  Everything that executes *inside* the simulated world is
+#: repro sub-packages in which the determinism rules (SIM002/008/010/011)
+#: apply.  Everything that executes *inside* the simulated world is
 #: here; report/bench/experiments drivers run outside it and may
 #: legitimately look at the host clock.
 SIM_SCOPED_PACKAGES = frozenset({
@@ -120,17 +96,14 @@ class LintContext:
         #: For each enclosing loop over an unordered container, the
         #: human-readable reason string (innermost last).
         self.unordered_loop_stack: list[str] = []
-        self.function_stack: list[ast.FunctionDef] = []
-        # per-file dataflow pre-passes (shared by SIM010/011/012)
+        # per-file dataflow pre-pass (shared by SIM010/011)
         self._set_names: set[str] = set()
         self._set_attrs: set[str] = set()
-        self.callback_functions: set[str] = set()
         self._prescan(tree)
 
     # -- pre-pass ------------------------------------------------------
     def _prescan(self, tree: ast.AST) -> None:
-        """Collect set-typed names and callback-registered functions."""
-        from .rules import SCHEDULE_METHODS
+        """Collect set-typed names."""
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
                 if is_set_expr(node.value):
@@ -140,17 +113,6 @@ class LintContext:
                 if ((node.value is not None and is_set_expr(node.value))
                         or self._is_set_annotation(node.annotation)):
                     self._mark_set_target(node.target)
-            elif isinstance(node, ast.FunctionDef):
-                if node.name.startswith(("on_", "_on_")):
-                    self.callback_functions.add(node.name)
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in SCHEDULE_METHODS):
-                for arg in node.args:
-                    if isinstance(arg, ast.Attribute):
-                        self.callback_functions.add(arg.attr)
-                    elif isinstance(arg, ast.Name):
-                        self.callback_functions.add(arg.id)
 
     def _mark_set_target(self, target: ast.AST) -> None:
         if isinstance(target, ast.Name):
@@ -177,8 +139,7 @@ class LintContext:
         self.findings.append(Finding(
             rule=rule_id, path=self.path, line=line,
             col=getattr(node, "col_offset", 0) + 1,
-            message=message, line_text=text,
-            severity=REGISTRY[rule_id].spec.severity))
+            message=message, line_text=text))
 
     def dotted(self, node: ast.AST) -> Optional[str]:
         """Resolve a call target to a dotted module path via imports."""
@@ -216,9 +177,6 @@ class LintContext:
             if hint is not None and (hint, func.attr) in RECEIVER_GEN_CALLS:
                 return f"{hint}.{func.attr}"
         return None
-
-    def current_function(self) -> Optional[ast.FunctionDef]:
-        return self.function_stack[-1] if self.function_stack else None
 
     def unordered_reason(self, it: ast.AST) -> Optional[str]:
         """Why iterating ``it`` has unspecified order, or None if it is
@@ -286,14 +244,12 @@ class _Walker(ast.NodeVisitor):
             # Checked in the *enclosing* loop context (SIM006), then the
             # body gets a fresh one.
             self._check(node)
-            ctx.function_stack.append(node)
             saved_loops, ctx.loop_targets = ctx.loop_targets, []
             saved_unordered, ctx.unordered_loop_stack = \
                 ctx.unordered_loop_stack, []
             self.generic_visit(node)
             ctx.unordered_loop_stack = saved_unordered
             ctx.loop_targets = saved_loops
-            ctx.function_stack.pop()
         else:
             self._check(node)
             self.generic_visit(node)

@@ -5,9 +5,9 @@ Runs back-to-back ``MPI_Reduce`` iterations under a deterministic
 The program is deliberately **barrier-free**: with a ``rank_crash``
 schedule a barrier would hang every survivor on the dead rank, whereas a
 tree reduce with ``tree_heal`` + descriptor timeouts routes around it.
-Crash scenarios are therefore AB-build-only (the blocking non-bypass
-reduce has no recovery layer and would deadlock); loss, degradation,
-suppression and pauses run under both builds.
+A crash schedule on the default build is refused before it simulates:
+the blocking non-bypass reduce has no recovery layer and would deadlock.
+Loss, degradation, suppression and pauses run under both builds.
 
 Correctness model with a crash: iterations completed strictly before
 ``crash_at_us`` sum every rank's contribution (``expected_full``); the
@@ -70,6 +70,11 @@ def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
         raise ValueError("need at least one iteration")
     size = config.size
     faults = config.faults
+    if faults.crash_rank >= 0 and build is not MpiBuild.AB:
+        raise ValueError(
+            "a rank_crash schedule needs the ab build: the blocking "
+            "default reduce has no recovery layer and would hang on the "
+            "crashed rank")
 
     def program(mpi):
         rank = mpi.rank

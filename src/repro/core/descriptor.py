@@ -5,9 +5,11 @@ reduction after ``MPI_Reduce`` has returned: the intermediate result, the
 identity of the parent to send the final result to, and the list of children
 whose contributions are still pending.  The child list doubles as the
 matching key for late messages: an incoming AB packet matches the *oldest*
-descriptor still waiting on its sender, which is correct because GM delivers
-in order between any pair of endpoints and all ranks execute collectives in
-the same program order.
+descriptor of its communicator context still waiting on its sender, which is
+correct because GM delivers in order between any pair of endpoints and all
+ranks execute one communicator's collectives in the same order.  (MPI orders
+collectives per communicator only: two ranks may reduce on two communicators
+in opposite orders, so the sender alone is not a key.)
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from ..errors import AbProtocolError
 from ..mpich.operations import Op
-from ..sim import access
 
 
 class ReduceDescriptor:
@@ -112,41 +113,27 @@ class ReduceDescriptor:
 
 
 class DescriptorQueue:
-    """FIFO of outstanding descriptors with sender-based matching.
+    """FIFO of outstanding descriptors, matched by (sender, context)."""
 
-    Shared between the synchronous MPI_Reduce path and the asynchronous
-    signal handlers, so every mutation/lookup is access-traced for the
-    happens-before checker (:mod:`repro.analysis.races`): the FIFO match
-    rule makes queue *order* semantically meaningful, which is exactly
-    what an arbitrary same-timestamp event order could silently change.
-    """
-
-    __slots__ = ("_entries", "enqueued", "dequeued", "max_len", "owner")
+    __slots__ = ("_entries", "enqueued", "dequeued", "max_len")
 
     def __init__(self) -> None:
         self._entries: list[ReduceDescriptor] = []
         self.enqueued = 0
         self.dequeued = 0
         self.max_len = 0
-        #: World rank of the owning engine (None in raw unit tests);
-        #: identifies this queue in access traces.
-        self.owner: Optional[int] = None
 
     def push(self, desc: ReduceDescriptor) -> None:
-        if access.TRACER is not None:
-            access.trace(access.WRITE, ("descriptors", self.owner),
-                         note=f"push inst={desc.instance} seg={desc.seg}")
         self._entries.append(desc)
         self.enqueued += 1
         self.max_len = max(self.max_len, len(self._entries))
 
-    def match(self, sender_world: int) -> Optional[ReduceDescriptor]:
-        """Oldest descriptor still waiting on ``sender_world``."""
-        if access.TRACER is not None:
-            access.trace(access.READ, ("descriptors", self.owner),
-                         note=f"match src={sender_world}")
+    def match(self, sender_world: int,
+              context_id: int) -> Optional[ReduceDescriptor]:
+        """Oldest descriptor of ``context_id`` still waiting on
+        ``sender_world``."""
         for desc in self._entries:
-            if desc.is_pending(sender_world):
+            if desc.context_id == context_id and desc.is_pending(sender_world):
                 return desc
         return None
 
@@ -164,10 +151,6 @@ class DescriptorQueue:
         (``seg == -1``) are matched this way too: a heal can leave an older
         descriptor pending on a sender that will never serve it.
         """
-        if access.TRACER is not None:
-            access.trace(access.READ, ("descriptors", self.owner),
-                         note=f"match_segment src={sender_world} "
-                              f"inst={instance} seg={seg}")
         for desc in self._entries:
             if (desc.seg == seg and desc.instance == instance
                     and desc.context_id == context_id
@@ -176,9 +159,6 @@ class DescriptorQueue:
         return None
 
     def remove(self, desc: ReduceDescriptor) -> None:
-        if access.TRACER is not None:
-            access.trace(access.WRITE, ("descriptors", self.owner),
-                         note=f"remove inst={desc.instance} seg={desc.seg}")
         if desc.removed:
             raise AbProtocolError(
                 f"descriptor {desc.instance} removed twice")

@@ -50,7 +50,6 @@ from ..mpich.collectives.walk import ScheduleExecutionError, own_steps
 from ..mpich.communicator import Communicator, InstanceCounter
 from ..mpich.message import TAG_REDUCE, AbHeader, Envelope
 from ..mpich.operations import Op
-from ..sim import access
 from ..sim.events import PRIORITY_TIMER
 from ..pipeline.segmenter import Segment
 from ..schedule.ir import reduce_neighbors
@@ -83,22 +82,6 @@ class AbStats:
     descriptors_timed_out: int = 0
     subtrees_healed: int = 0
     sends_rerouted: int = 0
-
-
-#: Ops whose element-wise fold is exact and commutative for every dtype,
-#: so fold *order* can never change the result.
-_ORDER_FREE_OPS = frozenset({"min", "max", "band", "bor", "bxor"})
-
-
-def _fold_order_sensitive(op: Op, acc: np.ndarray) -> bool:
-    """True if reordering folds into ``acc`` could change the result:
-    non-commutative user ops always; float sum/prod reassociate; integer
-    and boolean arithmetic is exact."""
-    if not op.commutative:
-        return True
-    if op.name in _ORDER_FREE_OPS:
-        return False
-    return acc.dtype.kind not in "iub"
 
 
 @dataclass(slots=True)
@@ -143,9 +126,7 @@ class AbEngine:
         self.params = config.ab
         self.nic = rank.node.nic
         self.descriptors = DescriptorQueue()
-        self.descriptors.owner = rank.rank
         self.unexpected = AbUnexpectedQueue()
-        self.unexpected.owner = rank.rank
         self.stats = AbStats()
         #: Protocol-invariant monitor (repro.analysis.invariants), shared
         #: cluster-wide via the NIC; None in unmonitored runs.
@@ -548,7 +529,7 @@ class AbEngine:
             desc = self.descriptors.match_segment(
                 env.src, env.context_id, header.instance, header.seg)
         else:
-            desc = self.descriptors.match(env.src)
+            desc = self.descriptors.match(env.src, env.context_id)
         if desc is None:
             # Early (truly unexpected): one copy into the AB queue.
             data = np.array(env.data, copy=True)
@@ -561,7 +542,8 @@ class AbEngine:
                 ledger.charge(self.costs.copy_us(env.nbytes), "copy")
                 ledger.charge(self.costs.ab_reuse_mgmt_us, "ab")
                 self.stats.ab_copies += 1
-            self.unexpected.put(env.src, header, data, self.sim.now)
+            self.unexpected.put(env.src, header, data, self.sim.now,
+                                env.context_id)
             if header.seg >= 0 and self.pipeline is not None:
                 # A segment the window wasn't ready for: the pipeline
                 # stalled (copy paid instead of a zero-copy fold).
@@ -600,18 +582,6 @@ class AbEngine:
                 data: np.ndarray, ledger: Ledger) -> None:
         """Fold one child's contribution into the descriptor."""
         ledger.charge(self.costs.op_us(desc.acc.size), "op")
-        if access.TRACER is not None:
-            # Fold-buffer write for the happens-before checker: float
-            # sum/prod (and any non-commutative user op) reassociate, so
-            # two same-timestamp unordered folds into one accumulator are
-            # a latent schedule race even when today's FIFO order happens
-            # to be consistent.
-            access.trace(
-                access.WRITE,
-                ("acc", self.rank.rank, desc.context_id, desc.instance,
-                 desc.seg),
-                order_sensitive=_fold_order_sensitive(desc.op, desc.acc),
-                note=f"fold child={child_world}")
         desc.op.apply(desc.acc, data.reshape(desc.acc.shape))
         desc.mark_done(child_world)
         in_sync = self._sync_depth > 0
@@ -688,9 +658,9 @@ class AbEngine:
         for child in desc.pending_children():
             if desc.seg >= 0 or self._heal:
                 entry = self.unexpected.take_for(child, desc.instance,
-                                                 desc.seg)
+                                                 desc.seg, desc.context_id)
             else:
-                entry = self.unexpected.take(child)
+                entry = self.unexpected.take(child, desc.context_id)
             if entry is None:
                 continue
             if entry.header.instance != desc.instance:
@@ -816,7 +786,8 @@ class AbEngine:
                 # Purge anything this child already delivered for the
                 # segment, and remember the key so a straggling late packet
                 # is discarded instead of stranding in the unexpected queue.
-                self.unexpected.take_for(child, desc.instance, desc.seg)
+                self.unexpected.take_for(child, desc.instance, desc.seg,
+                                         desc.context_id)
                 self._stale_segments.add(
                     (desc.context_id, desc.instance, desc.seg, child))
             self._report_fault("child_abandoned", instance=desc.instance,

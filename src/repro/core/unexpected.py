@@ -11,10 +11,14 @@ reduction, Sec. V-C).
 Lookups are **dict-indexed**, not scanned: entries are registered under two
 indexes at insertion —
 
-* per-sender FIFO (``src_world -> deque``), serving :meth:`take`'s
-  oldest-from-sender rule in O(1);
-* exact segment identity (``(src_world, instance, seg) -> deque``), serving
-  :meth:`take_for`'s segmented match in O(1).
+* per-sender FIFO (``(src_world, context) -> deque``), serving
+  :meth:`take`'s oldest-from-sender rule in O(1);
+* exact segment identity (``(src_world, context, instance, seg) -> deque``),
+  serving :meth:`take_for`'s segmented match in O(1).
+
+Both keys carry the communicator context: MPI orders collectives per
+communicator only, and instance numbers are per context, so two
+communicators' reduces from one sender are told apart by nothing else.
 
 The previous implementation scanned one flat list per lookup; at thousands
 of ranks with pipelined windows the scans went quadratic.  An entry taken
@@ -31,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from ..mpich.message import AbHeader
-from ..sim import access
 
 
 class AbUnexpectedEntry:
@@ -49,40 +52,29 @@ class AbUnexpectedEntry:
 
 
 class AbUnexpectedQueue:
-    """FIFO of early AB messages, matched by sender.
-
-    Access-traced like :class:`~repro.core.descriptor.DescriptorQueue`:
-    the per-sender FIFO take rule makes insertion order meaningful, so
-    same-timestamp puts/takes from unordered events are latent schedule
-    races the happens-before checker must see.
-    """
+    """FIFO of early AB messages, matched by (sender, context)."""
 
     __slots__ = ("_by_sender", "_by_key", "_size",
-                 "inserted", "consumed", "max_len", "owner")
+                 "inserted", "consumed", "max_len")
 
     def __init__(self) -> None:
-        self._by_sender: dict[int, deque[AbUnexpectedEntry]] = {}
-        self._by_key: dict[tuple[int, int, int],
+        self._by_sender: dict[tuple[int, int], deque[AbUnexpectedEntry]] = {}
+        self._by_key: dict[tuple[int, int, int, int],
                            deque[AbUnexpectedEntry]] = {}
         self._size = 0
         self.inserted = 0
         self.consumed = 0
         self.max_len = 0
-        #: World rank of the owning engine (None in raw unit tests).
-        self.owner: Optional[int] = None
 
     def put(self, src_world: int, header: AbHeader, data: np.ndarray,
-            arrived_at: float) -> AbUnexpectedEntry:
-        if access.TRACER is not None:
-            access.trace(access.WRITE, ("ab_unexpected", self.owner),
-                         note=f"put src={src_world} "
-                              f"inst={header.instance} seg={header.seg}")
+            arrived_at: float, context: int = 0) -> AbUnexpectedEntry:
         entry = AbUnexpectedEntry(header, data, arrived_at)
-        sender_q = self._by_sender.get(src_world)
+        sender = (src_world, context)
+        sender_q = self._by_sender.get(sender)
         if sender_q is None:
-            sender_q = self._by_sender[src_world] = deque()
+            sender_q = self._by_sender[sender] = deque()
         sender_q.append(entry)
-        key = (src_world, header.instance, header.seg)
+        key = (src_world, context, header.instance, header.seg)
         key_q = self._by_key.get(key)
         if key_q is None:
             key_q = self._by_key[key] = deque()
@@ -99,29 +91,24 @@ class AbUnexpectedQueue:
         self.consumed += 1
         return entry
 
-    def take(self, src_world: int) -> Optional[AbUnexpectedEntry]:
-        """Oldest entry from ``src_world`` (FIFO per sender)."""
-        if access.TRACER is not None:
-            access.trace(access.WRITE, ("ab_unexpected", self.owner),
-                         note=f"take src={src_world}")
-        queue = self._by_sender.get(src_world)
+    def take(self, src_world: int,
+             context: int = 0) -> Optional[AbUnexpectedEntry]:
+        """Oldest entry from ``src_world`` in ``context`` (FIFO per
+        sender and context)."""
+        queue = self._by_sender.get((src_world, context))
         while queue:
             entry = queue.popleft()
             if not entry.consumed:
                 return self._claim(entry)
         return None
 
-    def take_for(self, src_world: int, instance: int,
-                 seg: int) -> Optional[AbUnexpectedEntry]:
+    def take_for(self, src_world: int, instance: int, seg: int,
+                 context: int = 0) -> Optional[AbUnexpectedEntry]:
         """Exact-match take for a segmented entry (repro.pipeline): the
         per-sender FIFO rule cannot tell two buffered segments of the same
         instance apart, so segmented consumers name the segment (and, with
         tree healing armed, whole-message consumers the instance)."""
-        if access.TRACER is not None:
-            access.trace(access.WRITE, ("ab_unexpected", self.owner),
-                         note=f"take_for src={src_world} inst={instance} "
-                              f"seg={seg}")
-        queue = self._by_key.get((src_world, instance, seg))
+        queue = self._by_key.get((src_world, context, instance, seg))
         while queue:
             entry = queue.popleft()
             if not entry.consumed:

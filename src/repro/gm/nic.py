@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..config import NicParams
-from ..sim import access
 from ..sim.cpu import HostCpu
 from ..sim.process import Ledger, Notifier
 from ..sim.trace import Tracer
@@ -241,9 +240,6 @@ class Nic:
         The progress engine must use this (not the raw queue) so that GM
         receive-buffer flow control stays balanced.
         """
-        if access.TRACER is not None:
-            access.trace(access.WRITE, ("nic_rx", self.node_id),
-                         note="pop_rx")
         packet = self.rx_queue.popleft()
         self._recv_tokens_free += 1
         if self._rx_backlog:
@@ -293,13 +289,6 @@ class Nic:
     def _rx_complete(self, packet: Packet) -> None:
         if self.crashed:
             return
-        if access.TRACER is not None:
-            # RX-queue order is meaningful: the progress engine preprocesses
-            # packets in queue order and the AB descriptor match is
-            # FIFO-by-sender, so two same-timestamp unordered deposits are
-            # a latent schedule race.
-            access.trace(access.WRITE, ("nic_rx", self.node_id),
-                         note=f"rx src={packet.src} pkt={packet.seq}")
         self.rx_queue.append(packet)
         self.stats.packets_received += 1
         if self.tracer.enabled:

@@ -20,10 +20,9 @@ import numpy as np
 class Op:
     """A reduction operator."""
 
-    __slots__ = ("name", "fn", "commutative")
+    __slots__ = ("name", "fn")
 
-    def __init__(self, name: str, fn: Callable[..., None],
-                 commutative: bool = True):
+    def __init__(self, name: str, fn: Callable[..., None]):
         self.name = name
         #: ``fn(a, b, out=)``, the calling convention of a numpy binary
         #: ufunc — every built-in *is* one, so ``apply`` folds with a
@@ -31,7 +30,6 @@ class Op:
         #: segmented reduce: a Python frame per segment is measurable at
         #: large scale).
         self.fn = fn
-        self.commutative = commutative
 
     def apply(self, acc: np.ndarray, operand: np.ndarray) -> None:
         """In-place ``acc = acc (op) operand``."""
@@ -55,11 +53,11 @@ BXOR = Op("bxor", np.bitwise_xor)
 BUILTIN_OPS = (SUM, PROD, MIN, MAX)
 
 
-def user_op(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            commutative: bool = True) -> Op:
+def user_op(name: str,
+            fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Op:
     """Wrap a plain ``f(a, b) -> array`` into an :class:`Op`."""
 
     def apply(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         out[...] = fn(a, b)
 
-    return Op(name, apply, commutative)
+    return Op(name, apply)

@@ -324,9 +324,9 @@ SEGMENTED = PipelineParams(segment_size_bytes=2048, max_inflight_segments=3)
 FATTREE_4 = NetParams(topology="fattree", fattree_hosts_per_switch=4)
 
 #: ``(label, FaultParams, builds)``, one per non-loss injector.  Crash and
-#: suppression are AB-only: the blocking non-bypass reduce has no recovery
-#: layer and would hang on the victim (see ``repro.bench.faulted``), and
-#: never arms NIC signals.
+#: suppression are AB-only: ``repro.bench.faulted`` refuses a crash on the
+#: blocking non-bypass reduce, which has no recovery layer, and that
+#: build never arms the NIC signals suppression swallows.
 FAULT_SCENARIOS = (
     ("degrade",
      FaultParams(degrade_start_us=200.0, degrade_end_us=1200.0,

@@ -74,8 +74,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from . import access
-
 _MASK64 = (1 << 64) - 1
 
 #: Same-instant ordering classes (see module doc): hardware deliveries
@@ -161,13 +159,10 @@ class Event:
         """Mark this event so it will never fire."""
         self.cancelled = True
 
-    def label(self) -> str:
-        """Human-readable identity (used by race reports)."""
-        return getattr(self.fn, "__qualname__", None) or repr(self.fn)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.3f} seq={self.seq} fn={self.label()}{state}>"
+        fn = getattr(self.fn, "__qualname__", None) or repr(self.fn)
+        return f"<Event t={self.time:.3f} seq={self.seq} fn={fn}{state}>"
 
 
 class EventQueue:
@@ -197,9 +192,6 @@ class EventQueue:
         ev = Event(time, priority, key, seq, fn, args)
         heappush(self._heap, (time, priority, key, ev))
         self._live += 1
-        tracer = access.TRACER
-        if tracer is not None:
-            tracer.on_event_scheduled(ev)
         return ev
 
     def pop(self) -> Optional[Event]:

@@ -14,7 +14,6 @@ from functools import partial
 from typing import Any, Callable, Optional
 
 from ..errors import DeadlockError, ProcessFailed, ReproError
-from . import access
 from .events import Event, EventQueue, PRIORITY_DELIVERY, PRIORITY_WAKE
 from .process import Busy, Compute, Cpu, Ledger, SimGen, SimProcess, WaitFor
 from .trace import Tracer
@@ -98,17 +97,15 @@ class Simulator:
             error_on_deadlock: bool = True) -> float:
         """Drain the event queue (optionally bounded); returns final time.
 
-        One loop for every caller: the bounds and the armed hooks are
-        folded into locals once, so the unbounded, unhooked production
-        run pays one test of a local for each per event.  A monitor or
-        tracer installed while a run is in flight takes effect at the
-        next ``run``.
+        One loop for every caller: the bounds and the monitors are
+        folded into locals once, so the unbounded, unmonitored production
+        run pays one test of a local for each per event.  A monitor
+        added while a run is in flight takes effect at the next ``run``.
         """
         queue = self.queue
         pop = queue.pop
         monitors = self.monitors
-        tracer = access.TRACER
-        hooked = bool(monitors) or tracer is not None
+        hooked = bool(monitors)
         # -1 never equals the non-negative count: no event limit.
         limit = -1 if max_events is None else max(0, max_events)
         processed = 0
@@ -133,8 +130,6 @@ class Simulator:
                 if hooked:
                     for monitor in monitors:
                         monitor.on_event(ev.time, self.now)
-                    if tracer is not None:
-                        tracer.on_event_begin(ev)
                 self.now = ev.time
                 # Counted before it fires: an event whose callback raises
                 # was still popped and executed.

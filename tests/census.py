@@ -114,7 +114,7 @@ def entry_points(out: Path) -> list[list[str]]:
     commands += [
         orchestrate + ["smoke-scale", "--sizes", "64", "--out", str(out)],
         py + ["-m", "repro.analysis.races", "--scenario", "fig7", "--runs",
-              "2", "--hb", "always", "--quiet"],
+              "2", "--quiet"],
         py + ["-m", "repro.schedule.tune", "--nranks", "4", "--iterations",
               "2", "--out", str(out / "tuned.json")],
         py + ["-m", "repro.analysis", "src", "--format", "json", "--out",

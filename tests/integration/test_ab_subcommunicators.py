@@ -63,6 +63,31 @@ def test_ab_reduces_interleaved_across_communicators():
         assert b == base * 10
 
 
+@pytest.mark.parametrize("build", [MpiBuild.DEFAULT, MpiBuild.AB])
+def test_reduces_on_two_communicators_in_different_orders(build):
+    """MPI orders collectives per communicator, not across them: rank 5
+    reduces on ``dup`` before ``comm_world``.  Both reduces are instance 0
+    of their own context, so its parent must match each packet by sender
+    *and* context, never by sender alone."""
+    size = 8
+    dup = Communicator(tuple(range(size)), "dup")
+
+    def program(mpi):
+        calls = [(mpi.comm_world, 1.0), (dup, 100.0)]
+        if mpi.rank == 5:
+            calls.reverse()
+        sums = {}
+        for comm, scale in calls:
+            r = yield from mpi.reduce(np.array([scale * (mpi.rank + 1)]),
+                                      op=SUM, root=0, comm=comm)
+            if r is not None:
+                sums[scale] = float(r[0])
+        return sums
+
+    out = run_ranks(size, program, build=build)
+    assert out.results[0] == {1.0: 36.0, 100.0: 3600.0}
+
+
 def test_ab_reduce_different_roots_same_comm_interleaved():
     """Rotating roots back to back: descriptors for different trees from
     the same children must stay separate."""

@@ -11,6 +11,7 @@ including the INV-FAULT/INV-DRAIN bookkeeping for crashed ranks —
 fails the test by raising.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,24 @@ def test_crash_composes_with_bursty_loss():
     assert res.metrics["survivor_ok"] == 1.0
     assert res.metrics["last_result"] == 36.0 - 7.0
     assert res.counters["burst_packets_dropped"] > 0
+
+
+def test_crash_on_the_default_build_is_refused_in_one_line(capsys):
+    """The blocking default reduce cannot route around a dead rank, so a
+    crash schedule there is refused before it simulates, not left to end
+    in a multi-line DeadlockError."""
+    from repro.orchestrate.__main__ import main
+    spec = SweepPoint(
+        experiment="crash_nab", kind="fault_reduce",
+        config=ConfigSpec("paper", 8, 1, faults=FaultParams(
+            crash_rank=6, crash_at_us=400.0, tree_heal=True,
+            descriptor_timeout_us=300.0, timeout_retries=2)),
+        build="nab", elements=4, iterations=6)
+    with pytest.raises(ValueError, match="needs the ab build"):
+        fault_reduce_benchmark(spec.config.build(), MpiBuild.DEFAULT)
+    assert main(["run-point", json.dumps(spec.to_dict())]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no recovery layer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The event loop hoists its ``until`` / ``max_events`` / hook tests out of
 the per-event path (DESIGN.md §13), so these tests pin what that must not
 change: a simulation driven in one-event or one-instant slices is the same
-simulation, armed hooks see every event exactly once, and the per-point
+simulation, an armed monitor sees every event exactly once, and the per-point
 work counters of the paper regime are what they were — an accidental event
 merge (or split) fails here, in tier-1, not in a CI grid.  The fire order
 itself is pinned too, as a digest that holds across commits.
@@ -16,10 +16,8 @@ import hashlib
 import pytest
 
 from repro.analysis.invariants import InvariantMonitor
-from repro.analysis.races import HappensBeforeTracer
 from repro.config import FaultParams, NetParams
 from repro.orchestrate.points import ConfigSpec, SweepPoint, execute_point
-from repro.sim import access
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
@@ -77,7 +75,7 @@ def _drive(point: SweepPoint, driver, monkeypatch) -> dict:
     def recording_pop(queue):
         ev = _REAL_POP(queue)
         if ev is not None:
-            fired.append((ev.time, ev.priority, ev.seq, ev.label()))
+            fired.append((ev.time, ev.priority, ev.seq, ev.fn.__qualname__))
         return ev
 
     def sliced_run(sim, *args, **kwargs):
@@ -105,7 +103,7 @@ def test_bounded_slices_are_the_same_simulation(make_point, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (ii) armed hooks see every event exactly once
+# (ii) an armed monitor sees every event exactly once
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("make_point", POINTS)
@@ -121,22 +119,6 @@ def test_monitor_hook_fires_once_per_event(make_point, monkeypatch):
     # The suite's conftest arms an InvariantMonitor on every cluster.
     result = execute_point(make_point())
     assert len(calls) == result.counters["events"] > 1000
-
-
-@pytest.mark.parametrize("make_point", POINTS)
-def test_tracer_hook_fires_once_per_event(make_point):
-    tracer = HappensBeforeTracer()
-    prev = access.get_access_tracer()
-    access.set_access_tracer(tracer)
-    try:
-        result = execute_point(make_point())
-    finally:
-        access.set_access_tracer(prev)
-    begun = sum(1 for rec in tracer.records if rec.executed)
-    assert begun == result.counters["events"] > 1000
-    # Every push was announced too: fired + cancelled + (none left queued).
-    assert len(tracer.records) == (result.counters["events"]
-                                   + result.counters["events_cancelled"])
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_descriptor_queue_matches_in_instance_order(child_counts):
         expected_instances = [d.instance for d in descs
                               if child in d.children_world]
         for want in expected_instances:
-            match = q.match(child)
+            match = q.match(child, 1)
             assert match is not None and match.instance == want
             match.mark_done(child)
             if match.complete:

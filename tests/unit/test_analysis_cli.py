@@ -76,8 +76,8 @@ def test_exit_usage_on_bad_flag(capsys):
     ["--fail-on-warnings"], ["--sim-scope", "sim"]],
     ids=lambda flag: flag[0])
 def test_removed_flag_is_a_usage_error(flag, tmp_path, capsys):
-    """simlint has no per-run policy: every rule, at its declared
-    severity, suppressed only by the inline pragma."""
+    """simlint has no per-run policy: every rule runs, every finding
+    gates, suppressed only by the inline pragma."""
     write_module(tmp_path, CLEAN_SOURCE)
     assert main(flag + [str(tmp_path)]) == EXIT_USAGE
     assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
@@ -87,17 +87,6 @@ def test_help_lists_exactly_the_three_options(capsys):
     assert main(["--help"]) == EXIT_CLEAN
     options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert options == {"--help", "--format", "--out", "--list-rules"}
-
-
-def test_warnings_are_reported_but_do_not_gate(tmp_path, capsys):
-    write_module(tmp_path, """
-        class Nic:
-            def on_packet(self, value):
-                self.total += value
-    """)
-    assert main([str(tmp_path)]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "SIM012 warning" in out and "1 warning(s)" in out
 
 
 def test_list_rules(capsys):
@@ -115,15 +104,12 @@ def test_json_output_schema(tmp_path, capsys):
     assert main(["--format", "json", str(tmp_path)]) == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
-    assert set(payload) == {"version", "findings", "counts", "errors",
-                            "warnings"}
+    assert set(payload) == {"version", "findings", "counts", "errors"}
     assert payload["counts"]["SIM001"] == 1
     assert payload["counts"]["SIM002"] == 1
     assert payload["errors"] >= 2
     for finding in payload["findings"]:
-        assert set(finding) == {"rule", "path", "line", "col", "message",
-                                "severity"}
-        assert finding["severity"] in ("error", "warning")
+        assert set(finding) == {"rule", "path", "line", "col", "message"}
         assert finding["path"].startswith("repro/")
         assert finding["line"] > 0 and finding["col"] > 0
 

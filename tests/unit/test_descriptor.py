@@ -11,9 +11,9 @@ from repro.mpich.message import AbHeader
 from repro.mpich.operations import SUM
 
 
-def make_desc(instance=0, children=(1, 2), parent=0):
+def make_desc(instance=0, children=(1, 2), parent=0, context=101):
     return ReduceDescriptor(
-        context_id=101, root_world=0, instance=instance, parent_world=parent,
+        context_id=context, root_world=0, instance=instance, parent_world=parent,
         children_world=list(children), op=SUM, acc=np.zeros(4),
         tag=1_000_001, created_at=0.0)
 
@@ -62,20 +62,33 @@ def test_queue_matches_oldest_pending():
     d1 = make_desc(instance=1, children=(7,))
     q.push(d0)
     q.push(d1)
-    assert q.match(7) is d0
+    assert q.match(7, 101) is d0
     d0.mark_done(7)
-    assert q.match(7) is d1
+    assert q.match(7, 101) is d1
 
 
 def test_queue_match_by_sender_only_pending():
     q = DescriptorQueue()
     d = make_desc(children=(4, 6))
     q.push(d)
-    assert q.match(4) is d
-    assert q.match(5) is None
+    assert q.match(4, 101) is d
+    assert q.match(5, 101) is None
     d.mark_done(4)
-    assert q.match(4) is None
-    assert q.match(6) is d
+    assert q.match(4, 101) is None
+    assert q.match(6, 101) is d
+
+
+def test_queue_match_keeps_contexts_apart():
+    """Two communicators' instance-0 reduces from one sender: the older
+    descriptor must not take the other context's packet."""
+    q = DescriptorQueue()
+    world = make_desc(children=(7,), context=1)
+    dup = make_desc(children=(7,), context=3)
+    q.push(world)
+    q.push(dup)
+    assert q.match(7, 3) is dup
+    assert q.match(7, 1) is world
+    assert q.match(7, 5) is None
 
 
 def test_queue_remove_and_stats():
@@ -121,6 +134,16 @@ def test_ab_unexpected_fifo_per_sender():
     assert q.take(3).header.instance == 1
     assert q.take(3) is None
     assert q.take(5).data[0] == 3.0
+
+
+def test_ab_unexpected_fifo_per_sender_and_context():
+    q = AbUnexpectedQueue()
+    q.put(3, head(0), np.array([1.0]), 0.0, context=1)
+    q.put(3, head(0), np.array([2.0]), 1.0, context=3)
+    assert q.take(3, 3).data[0] == 2.0
+    assert q.take_for(3, 0, -1, 3) is None
+    assert q.take_for(3, 0, -1, 1).data[0] == 1.0
+    assert q.empty
 
 
 def test_ab_unexpected_stats():

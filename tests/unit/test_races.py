@@ -3,12 +3,10 @@
 
 The centrepiece is the planted order-dependent fold: two same-time events
 fold into shared state non-commutatively (``acc = acc * 3`` vs
-``acc += 1``).  The dynamic schedule-perturbation harness must catch it
-(FIFO vs shuffled schedules disagree on the result) AND the
-happens-before checker must flag it even on the runs that agreed (two
-unordered same-instant writes to one location).  The static half of the
-same regression — SIM010/SIM011/SIM012 flagging the pattern in source —
-lives in ``test_simlint_rules.py``.
+``acc += 1``).  The schedule-perturbation harness must catch it (FIFO vs
+shuffled schedules disagree on the result).  The static half — SIM010/
+SIM011 flagging unordered iteration and scheduling in source — lives in
+``test_simlint_rules.py``.
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ import math
 
 import pytest
 
-from repro.analysis.races import (HappensBeforeTracer, diff_captures,
-                                  perturbation_seeds, scenario_points)
-from repro.sim import access
+from repro.analysis.races import (diff_captures, perturbation_seeds,
+                                  scenario_points)
 from repro.sim.events import (PRIORITY_TIMER, PRIORITY_WAKE,
                               set_default_tiebreak_seed)
 from repro.sim.simulator import Simulator
@@ -102,11 +99,9 @@ class SharedAcc:
         self.value = 1.0
 
     def scale(self):
-        access.trace(access.WRITE, ("acc",), note="scale")
         self.value *= 3.0
 
     def bump(self):
-        access.trace(access.WRITE, ("acc",), note="bump")
         self.value += 1.0
 
 
@@ -135,68 +130,6 @@ def test_planted_fold_caught_by_perturbation_harness():
     diffs = [diff_captures({"acc": baseline}, {"acc": value})
              for value in perturbed]
     assert any(d for d in diffs)
-
-
-def test_planted_fold_caught_by_happens_before_checker():
-    """Even on the FIFO run — where results agree with themselves — the
-    happens-before checker must flag the two unordered same-instant
-    writes, with both event stacks in the report."""
-    tracer = HappensBeforeTracer()
-    access.set_access_tracer(tracer)
-    try:
-        sim = Simulator()
-        acc = SharedAcc()
-        sim.schedule(1.0, acc.scale)
-        sim.schedule(1.0, acc.bump)
-        sim.run()
-    finally:
-        access.set_access_tracer(None)
-    conflicts = tracer.find_conflicts()
-    assert len(conflicts) == 1
-    conflict = conflicts[0]
-    assert conflict.location == ("acc",)
-    assert set(conflict.kinds) == {access.WRITE}
-    payload = conflict.to_dict(tracer)
-    labels = {ev["label"] for ev in payload["events"]}
-    assert labels == {"SharedAcc.scale", "SharedAcc.bump"}
-    assert all(ev["stack"] for ev in payload["events"])
-    assert {ev["note"] for ev in payload["events"]} == {"scale", "bump"}
-
-
-def test_happens_before_ignores_causally_ordered_events():
-    """A write whose event was scheduled *by* the other writer is ordered
-    (parent edge) and must not be reported."""
-    tracer = HappensBeforeTracer()
-    access.set_access_tracer(tracer)
-    try:
-        sim = Simulator()
-        acc = SharedAcc()
-
-        def parent():
-            acc.scale()
-            sim.schedule(0.0, acc.bump)  # child: runs later, same instant
-
-        sim.schedule(1.0, parent)
-        sim.run()
-    finally:
-        access.set_access_tracer(None)
-    assert tracer.find_conflicts() == []
-
-
-def test_happens_before_ignores_priority_ordered_events():
-    """Same-instant events in different priority classes have a defined
-    order (deliveries < wake-ups < timers) — no race to report."""
-    tracer = HappensBeforeTracer()
-    access.set_access_tracer(tracer)
-    try:
-        sim = Simulator()
-        acc = SharedAcc()
-        sim.schedule(1.0, acc.scale, priority=PRIORITY_WAKE)
-        sim.schedule(1.0, acc.bump, priority=PRIORITY_TIMER)
-        sim.run()
-    finally:
-        access.set_access_tracer(None)
-    assert tracer.find_conflicts() == []
 
 
 def test_priority_classes_fire_in_order_regardless_of_shuffle():
