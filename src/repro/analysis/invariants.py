@@ -29,10 +29,10 @@ and each rank's :class:`~repro.core.engine.AbEngine` and checks:
 
 ``INV-FIFO`` (Sec. IV-D)
     Per-(src, dst) deliveries leave the fabric in strictly increasing
-    arrival order.  The AB protocol matches late messages to reduce
-    descriptors by sender, which is only sound if the network never
-    reorders a pair's packets — multi-hop topologies (repro.topo) keep
-    routes deterministic per pair precisely to preserve this.
+    arrival order.  MPI's non-overtaking rule and the root's in-order
+    receive of segments are only sound if the network never reorders a
+    pair's packets — multi-hop topologies (repro.topo) keep routes
+    deterministic per pair precisely to preserve this.
 
 ``INV-SEGMENT`` (repro.pipeline)
     Segmented pipelined collectives must conserve segments: every emitted
@@ -195,8 +195,7 @@ class InvariantMonitor:
                 "INV-FIFO", dst, now,
                 f"delivery from node {src} at t={arrival} does not follow "
                 f"the pair's previous delivery at t={prev} — per-(src,dst) "
-                f"FIFO broken; AB late-message matching depends on it "
-                f"(paper Sec. IV-D)",
+                "FIFO broken (paper Sec. IV-D)",
                 src=src, arrival=arrival, prev=prev)
             return
         self._fifo_last[key] = arrival

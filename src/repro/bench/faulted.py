@@ -5,8 +5,9 @@ Runs back-to-back ``MPI_Reduce`` iterations under a deterministic
 The program is deliberately **barrier-free**: with a ``rank_crash``
 schedule a barrier would hang every survivor on the dead rank, whereas a
 tree reduce with ``tree_heal`` + descriptor timeouts routes around it.
-A crash schedule on the default build is refused before it simulates:
-the blocking non-bypass reduce has no recovery layer and would deadlock.
+A crash schedule on the default build, or without descriptor timeouts, is
+refused before it simulates: with no recovery layer, or no timer to start
+it, a reduce waiting on the dead rank would deadlock.
 Loss, degradation, suppression and pauses run under both builds.
 
 Correctness model with a crash: iterations completed strictly before
@@ -75,6 +76,11 @@ def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
             "a rank_crash schedule needs the ab build: the blocking "
             "default reduce has no recovery layer and would hang on the "
             "crashed rank")
+    if faults.crash_rank >= 0 and faults.descriptor_timeout_us <= 0.0:
+        raise ValueError(
+            "a rank_crash schedule needs descriptor_timeout_us > 0: "
+            "without recovery timers a descriptor waiting on the crashed "
+            "rank would hang")
 
     def program(mpi):
         rank = mpi.rank

@@ -3,13 +3,12 @@
 A descriptor holds everything the asynchronous side needs to finish a
 reduction after ``MPI_Reduce`` has returned: the intermediate result, the
 identity of the parent to send the final result to, and the list of children
-whose contributions are still pending.  The child list doubles as the
-matching key for late messages: an incoming AB packet matches the *oldest*
-descriptor of its communicator context still waiting on its sender, which is
-correct because GM delivers in order between any pair of endpoints and all
-ranks execute one communicator's collectives in the same order.  (MPI orders
-collectives per communicator only: two ranks may reduce on two communicators
-in opposite orders, so the sender alone is not a key.)
+whose contributions are still pending.
+
+The matching rule (DESIGN.md §6.10): an AB packet feeds the descriptor
+with the ``(context, instance, seg)`` it carries, if its sender is still
+pending there, and is otherwise an early arrival for
+:mod:`repro.core.unexpected`.  A rank holds one descriptor per identity.
 """
 
 from __future__ import annotations
@@ -26,13 +25,13 @@ class ReduceDescriptor:
     """State of one in-flight application-bypass reduction instance."""
 
     __slots__ = ("context_id", "root_world", "instance", "parent_world",
-                 "children_world", "op", "acc", "tag", "_pending",
+                 "children_world", "op", "acc", "_pending",
                  "created_at", "removed", "comm", "shape", "root", "size",
                  "rel", "timeout_event", "seg", "nseg", "on_complete")
 
     def __init__(self, context_id: int, root_world: int, instance: int,
                  parent_world: int, children_world: list[int], op: Op,
-                 acc: np.ndarray, tag: int, created_at: float, *,
+                 acc: np.ndarray, created_at: float, *,
                  comm=None, shape=None, root=None, size=None, rel=None,
                  seg: int = -1, nseg: int = 1, on_complete=None):
         if not children_world:
@@ -45,7 +44,6 @@ class ReduceDescriptor:
         self.children_world = list(children_world)
         self.op = op
         self.acc = acc
-        self.tag = tag
         self._pending = set(children_world)
         self.created_at = created_at
         self.removed = False
@@ -61,9 +59,9 @@ class ReduceDescriptor:
         #: Pending recovery-timer event, cancelled on completion so a
         #: defunct timer never stretches the simulation's makespan.
         self.timeout_event = None
-        #: Segment identity (repro.pipeline): index within the instance and
-        #: total segment count.  ``seg == -1`` marks a whole-message
-        #: descriptor and keeps every legacy code path byte-identical.
+        #: Segment index within the instance (``-1``: a whole message) —
+        #: the third part of the matching identity — and the instance's
+        #: segment count, which only trace records read.
         self.seg = seg
         self.nseg = nseg
         #: Called once by the engine right after this descriptor is removed
@@ -113,60 +111,42 @@ class ReduceDescriptor:
 
 
 class DescriptorQueue:
-    """FIFO of outstanding descriptors, matched by (sender, context)."""
+    """Outstanding descriptors, keyed by ``(context, instance, seg)``."""
 
     __slots__ = ("_entries", "enqueued", "dequeued", "max_len")
 
     def __init__(self) -> None:
-        self._entries: list[ReduceDescriptor] = []
+        self._entries: dict[tuple[int, int, int], ReduceDescriptor] = {}
         self.enqueued = 0
         self.dequeued = 0
         self.max_len = 0
 
     def push(self, desc: ReduceDescriptor) -> None:
-        self._entries.append(desc)
+        key = (desc.context_id, desc.instance, desc.seg)
+        if key in self._entries:
+            raise AbProtocolError(f"descriptor {key} already queued")
+        self._entries[key] = desc
         self.enqueued += 1
         self.max_len = max(self.max_len, len(self._entries))
 
-    def match(self, sender_world: int,
-              context_id: int) -> Optional[ReduceDescriptor]:
-        """Oldest descriptor of ``context_id`` still waiting on
-        ``sender_world``."""
-        for desc in self._entries:
-            if desc.context_id == context_id and desc.is_pending(sender_world):
-                return desc
-        return None
-
-    def match_segment(self, sender_world: int, context_id: int,
-                      instance: int, seg: int
-                      ) -> Optional[ReduceDescriptor]:
-        """Exact match for a segmented packet (repro.pipeline).
-
-        The FIFO rule of :meth:`match` assumes one descriptor per
-        (sender, instance); a pipelined instance keeps a *window* of
-        per-segment descriptors open at once — and a later instance may
-        open its window while an earlier one still has stragglers — so
-        segmented packets carry their (instance, seg) identity and are
-        matched on it exactly.  With tree healing armed whole messages
-        (``seg == -1``) are matched this way too: a heal can leave an older
-        descriptor pending on a sender that will never serve it.
-        """
-        for desc in self._entries:
-            if (desc.seg == seg and desc.instance == instance
-                    and desc.context_id == context_id
-                    and desc.is_pending(sender_world)):
-                return desc
-        return None
+    def match(self, sender_world: int, context_id: int, instance: int,
+              seg: int) -> Optional[ReduceDescriptor]:
+        """The descriptor a packet with this identity feeds, if it still
+        waits on ``sender_world``."""
+        desc = self._entries.get((context_id, instance, seg))
+        if desc is None or not desc.is_pending(sender_world):
+            return None
+        return desc
 
     def remove(self, desc: ReduceDescriptor) -> None:
         if desc.removed:
             raise AbProtocolError(
                 f"descriptor {desc.instance} removed twice")
-        try:
-            self._entries.remove(desc)
-        except ValueError:
+        key = (desc.context_id, desc.instance, desc.seg)
+        if self._entries.get(key) is not desc:
             raise AbProtocolError(
                 f"descriptor {desc.instance} not in queue")
+        del self._entries[key]
         desc.removed = True
         self.dequeued += 1
 

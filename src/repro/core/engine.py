@@ -19,9 +19,9 @@ One :class:`AbEngine` is attached to each rank of an AB-build MPI library
 2. **Progress-engine hook** (:meth:`AbEngine.preprocess`, Fig. 4 gray boxes)
    — pre-processes every incoming packet: non-AB packets pass through;
    AB packets bound for a reduction this rank roots are routed to the
-   default synchronous path; everything else is matched against the
-   descriptor queue and absorbed (Fig. 5), or copied *once* into the custom
-   AB unexpected queue.
+   default synchronous path; everything else is matched on its identity
+   (:mod:`repro.core.descriptor` states the rule) and absorbed (Fig. 5),
+   or copied *once* into the custom AB unexpected queue.
 
 3. **Asynchronous completion** — when a descriptor's last child is absorbed
    (from the hook, regardless of whether a signal or an application MPI call
@@ -158,9 +158,9 @@ class AbEngine:
         #: failure detector; None on fault-free clusters.
         self._crash_oracle = rank.node.crash_oracle
         #: ``(context, instance, seg, child)`` keys whose descriptor
-        #: abandoned the child: a late segment packet matching one is
-        #: discarded on arrival (see :meth:`preprocess`).
-        self._stale_segments: set[tuple[int, int, int, int]] = set()
+        #: abandoned the child: a late packet matching one is discarded on
+        #: arrival (see :meth:`preprocess`).
+        self._stale: set[tuple[int, int, int, int]] = set()
         self._heal = bool(faults.tree_heal
                           and self._crash_oracle is not None)
         #: Segmented pipelined collectives (repro.pipeline).  Built only
@@ -305,7 +305,7 @@ class AbEngine:
             for s in segments:
                 self._emit(flat[s.offset:s.offset + s.count], parent_world,
                            comm.coll_context, root_world, instance, s.index,
-                           len(segments), ledger)
+                           ledger)
             yield ledger
             return None
 
@@ -422,13 +422,13 @@ class AbEngine:
             # Every subtree below crashed mid-pipeline: degenerate to a
             # leaf-style stream for the remaining segments.
             self._emit(acc, parent_world, comm.coll_context, root_world,
-                       st.instance, s.index, nseg, ledger)
+                       st.instance, s.index, ledger)
             return
         desc = ReduceDescriptor(
             context_id=comm.coll_context, root_world=root_world,
             instance=st.instance, parent_world=parent_world,
             children_world=children_world, op=st.op, acc=acc,
-            tag=TAG_REDUCE, created_at=self.sim.now,
+            created_at=self.sim.now,
             comm=comm, shape=st.shape, root=st.root, size=comm.size,
             rel=st.rel, seg=s.index, nseg=nseg,
             on_complete=lambda d, lg, _st=st: self._segment_done(_st, lg))
@@ -467,12 +467,12 @@ class AbEngine:
         self._advance(st, ledger)
 
     def _emit(self, data: np.ndarray, dst_world: int, context_id: int,
-              root_world: int, instance: int, seg: int, nseg: int,
+              root_world: int, instance: int, seg: int,
               ledger: Ledger) -> None:
         """One AB-framed eager send up the tree (``seg == -1``: a whole
         message)."""
         header = AbHeader(root=root_world, instance=instance, kind="reduce",
-                          seg=seg, nseg=nseg)
+                          seg=seg)
         self.rank.progress.start_send(data, dst_world, TAG_REDUCE,
                                       context_id, ledger, ab=header)
         if seg >= 0:
@@ -507,30 +507,18 @@ class AbEngine:
             return False
 
         ledger.charge(self.costs.ab_descriptor_match_us, "ab")
-        if header.seg >= 0:
+        desc = self.descriptors.match(env.src, env.context_id,
+                                      header.instance, header.seg)
+        if desc is None:
             key = (env.context_id, header.instance, header.seg, env.src)
-            if key in self._stale_segments:
-                # The segment's descriptor already abandoned this child
-                # (timeout-recovery gave up on it): its late contribution is
-                # dropped, not buffered — nothing will ever consume it.
-                self._stale_segments.discard(key)
+            if key in self._stale:
+                # The descriptor already abandoned this child
+                # (timeout-recovery gave up on it): its late contribution
+                # is dropped, not buffered — nothing will ever consume it.
+                self._stale.discard(key)
                 if self.pipeline is not None:
                     self.pipeline.stats.stale_segments_dropped += 1
                 return True
-        if header.seg >= 0 or self._heal:
-            # Segmented packet (repro.pipeline): the window keeps several
-            # per-segment descriptors of one instance open at once, so the
-            # FIFO sender match is ambiguous — match the exact (instance,
-            # segment) named by the header.  Armed healing does the same to
-            # a whole message: an older descriptor may have adopted this
-            # sender after its contribution went to a rank that then died,
-            # and that stale slot must not take a later instance's packet
-            # (the retry budget abandons it).
-            desc = self.descriptors.match_segment(
-                env.src, env.context_id, header.instance, header.seg)
-        else:
-            desc = self.descriptors.match(env.src, env.context_id)
-        if desc is None:
             # Early (truly unexpected): one copy into the AB queue.
             data = np.array(env.data, copy=True)
             ledger.charge(self.costs.copy_us(env.nbytes), "copy")
@@ -555,11 +543,6 @@ class AbEngine:
                     self.params.reuse_mpich_queues, self.sim.now)
             return True
 
-        if header.seg < 0 and desc.instance != header.instance:
-            raise AbProtocolError(
-                f"rank {self.rank.rank}: packet from {env.src} carries "
-                f"instance {header.instance} but matched descriptor "
-                f"{desc.instance} (FIFO ordering violated)")
         # Expected or late: combined straight from the packet buffer —
         # zero host copies (100% copy reduction, Sec. V-C).
         self.stats.expected_zero_copy += 1
@@ -618,8 +601,7 @@ class AbEngine:
                 desc.comm, desc.shape, desc.root, desc.size, desc.rel,
                 desc.instance, desc.parent_world)
         self._emit(desc.acc, desc.parent_world, desc.context_id,
-                   desc.root_world, desc.instance, desc.seg, desc.nseg,
-                   ledger)
+                   desc.root_world, desc.instance, desc.seg, ledger)
         self.descriptors.remove(desc)
         if desc.timeout_event is not None:
             self.sim.cancel(desc.timeout_event)
@@ -656,18 +638,10 @@ class AbEngine:
         copy they already paid on arrival is their only one (Sec. V-B).
         """
         for child in desc.pending_children():
-            if desc.seg >= 0 or self._heal:
-                entry = self.unexpected.take_for(child, desc.instance,
-                                                 desc.seg, desc.context_id)
-            else:
-                entry = self.unexpected.take(child, desc.context_id)
+            entry = self.unexpected.take_for(child, desc.instance, desc.seg,
+                                             desc.context_id)
             if entry is None:
                 continue
-            if entry.header.instance != desc.instance:
-                raise AbProtocolError(
-                    f"rank {self.rank.rank}: unexpected entry from "
-                    f"{child} has instance {entry.header.instance}, "
-                    f"descriptor expects {desc.instance}")
             ledger.charge(self.costs.ab_descriptor_match_us, "ab")
             self.stats.children_from_unexpected += 1
             self._absorb(desc, child, entry.data, ledger)
@@ -782,14 +756,12 @@ class AbEngine:
             return
         for child in desc.pending_children():
             desc.mark_done(child)
-            if desc.seg >= 0:
-                # Purge anything this child already delivered for the
-                # segment, and remember the key so a straggling late packet
-                # is discarded instead of stranding in the unexpected queue.
-                self.unexpected.take_for(child, desc.instance, desc.seg,
-                                         desc.context_id)
-                self._stale_segments.add(
-                    (desc.context_id, desc.instance, desc.seg, child))
+            # Purge anything this child already delivered for the
+            # descriptor, and remember the key so a straggling late packet
+            # is discarded instead of stranding in the unexpected queue.
+            self.unexpected.take_for(child, desc.instance, desc.seg,
+                                     desc.context_id)
+            self._stale.add((desc.context_id, desc.instance, desc.seg, child))
             self._report_fault("child_abandoned", instance=desc.instance,
                                child=child)
         self._finish(desc, ledger, completed_async=True)

@@ -49,13 +49,10 @@ class AbHeader:
     #: Which collective this belongs to ("reduce" or "bcast" extension).
     kind: str = "reduce"
     #: Segment index within a pipelined collective (repro.pipeline); -1
-    #: marks a whole-message packet, keeping the legacy path untouched.
-    #: Segmented packets are matched *exactly* by (instance, seg) instead
-    #: of the FIFO sender rule, because an in-flight window may hold
-    #: descriptors for several segments of the same instance at once.
+    #: marks a whole-message packet.  With the envelope's context and
+    #: ``instance`` it is the identity the packet is matched on
+    #: (:mod:`repro.core.descriptor` states the rule).
     seg: int = -1
-    #: Total segments of the instance this packet belongs to (1 = whole).
-    nseg: int = 1
 
 
 _seq = itertools.count(1)

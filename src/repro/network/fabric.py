@@ -7,11 +7,11 @@ Responsibilities:
   configured :class:`repro.topo.Topology` (``NetParams.topology``; the
   default single crossbar is bit-identical to the pre-registry fabric);
 * enforce **per-(source, destination) FIFO ordering** — Myrinet/GM delivers
-  in order between a pair of endpoints, and the application-bypass protocol
-  relies on this when matching late messages to reduce descriptors by
-  sender (paper Sec. IV-D); topologies keep routes deterministic per pair
-  so multi-hop paths compose into the same guarantee, and the runtime
-  invariant monitor (INV-FIFO) checks it on every delivery;
+  in order between a pair of endpoints (paper Sec. IV-D), and MPI's
+  non-overtaking rule and the root's in-order receive of segments rely on
+  it; topologies keep routes deterministic per pair so multi-hop paths
+  compose into the same guarantee, and the runtime invariant monitor
+  (INV-FIFO) checks it on every delivery;
 * invoke a delivery callback registered by the destination NIC;
 * arbitrate same-instant port contention deterministically: injections
   are buffered per simulation instant and granted links at the end of the

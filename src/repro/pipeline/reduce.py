@@ -20,9 +20,9 @@ what only exists when a message is actually cut up:
   still climbing up, so the reduce and broadcast phases overlap almost
   entirely for long messages.
 
-Segmented packets carry their ``(instance, seg)`` identity and are matched
-exactly, because FIFO matching cannot tell two open segments of the same
-instance apart.  Fault composition (repro.faults): the engine recomputes
+Segmented packets are matched on their ``(context, instance, seg)``
+identity like every AB packet (:mod:`repro.core.descriptor`).  Fault
+composition (repro.faults): the engine recomputes
 neighbors heal-aware at every segment descriptor *push*, so a subtree
 healed mid-pipeline re-parents the remaining segments while earlier
 segments are still in flight; per-segment descriptors carry their tree

@@ -20,8 +20,8 @@ For a single-crossbar route this reproduces the original
 configuration stays bit-identical.
 
 Routes must be a *deterministic pure function of (src, dst)* — never of
-load or time.  The fabric's per-(src, dst) FIFO guarantee (which the AB
-late-message matching depends on, paper Sec. IV-D) relies on consecutive
+load or time.  The fabric's per-(src, dst) FIFO guarantee (paper
+Sec. IV-D; MPI's non-overtaking rule depends on it) relies on consecutive
 packets of a pair sharing one path: each shared resource (host TX link,
 switch output link) is itself FIFO, and a fixed path composes those into
 an end-to-end FIFO order.  Adaptive per-packet routing would break that;

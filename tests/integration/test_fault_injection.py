@@ -104,10 +104,9 @@ def test_crash_composes_with_bursty_loss():
     """Crash x loss (ROADMAP 2d).  Rank 7 sent its instance-1 contribution
     to rank 6, which then died; rank 4's instance-1 descriptor adopted 7
     all the same, and 7's re-routed instance-3 packet — retransmission
-    had delayed everything in between — met that stale slot first.  With
-    healing armed a whole message matches the descriptor of its own
-    instance, so the stale slot is abandoned by the retry budget instead
-    of raising "FIFO ordering violated"."""
+    had delayed everything in between — arrived while that stale slot was
+    still open.  The packet feeds the descriptor of its own instance, and
+    the retry budget abandons the stale slot."""
     point = SweepPoint(
         experiment="crash_x_loss", kind="fault_reduce",
         config=ConfigSpec("paper", 8, 3, faults=FaultParams(
@@ -121,6 +120,43 @@ def test_crash_composes_with_bursty_loss():
     assert res.metrics["survivor_ok"] == 1.0
     assert res.metrics["last_result"] == 36.0 - 7.0
     assert res.counters["burst_packets_dropped"] > 0
+
+
+@pytest.mark.parametrize("tree_heal", [False, True])
+def test_long_pause_under_descriptor_timeouts_completes(tree_heal):
+    """Pause x descriptor timeout: rank 7 freezes for ten timeouts, so
+    rank 6 abandons it and rank 4, waiting on 6, abandons 6.  Their late
+    contributions arrive after later instances opened; each is dropped as
+    stale, and neither feeds a later instance nor strands in the
+    unexpected queue."""
+    point = SweepPoint(
+        experiment="pause_x_timeout", kind="fault_reduce",
+        config=ConfigSpec("paper", 8, 1, faults=FaultParams(
+            pause_rank=7, pause_at_us=300.0, pause_duration_us=3000.0,
+            descriptor_timeout_us=300.0, timeout_retries=1,
+            tree_heal=tree_heal)),
+        build="ab", elements=4, collect_invariants=True)
+    res = execute_point(point)
+    assert res.invariant_report["checks"] > 0
+    assert res.invariant_report["violation_count"] == 0
+    assert res.metrics["last_result"] == 36.0 - 8.0
+    assert res.counters["descriptors_timed_out"] > 0
+
+
+def test_crash_without_recovery_timers_is_refused_in_one_line(capsys):
+    """A crash schedule with no descriptor timeout leaves a descriptor
+    waiting on the dead rank forever; it is refused before it simulates."""
+    from repro.orchestrate.__main__ import main
+    spec = SweepPoint(
+        experiment="crash_no_timers", kind="fault_reduce",
+        config=ConfigSpec("paper", 8, 1, faults=FaultParams(
+            crash_rank=6, crash_at_us=400.0)),
+        build="ab", elements=4, iterations=6)
+    with pytest.raises(ValueError, match="descriptor_timeout_us > 0"):
+        fault_reduce_benchmark(spec.config.build(), MpiBuild.AB)
+    assert main(["run-point", json.dumps(spec.to_dict())]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "recovery timers" in err
 
 
 def test_crash_on_the_default_build_is_refused_in_one_line(capsys):

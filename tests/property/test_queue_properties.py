@@ -57,35 +57,35 @@ def test_ab_unexpected_per_sender_fifo(senders):
 
 
 # ---------------------------------------------------------------------------
-# DescriptorQueue: oldest-pending matching
+# DescriptorQueue: every packet feeds the descriptor of its own identity
 # ---------------------------------------------------------------------------
 
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1,
-                max_size=12))
-def test_descriptor_queue_matches_in_instance_order(child_counts):
-    """Feeding each child's messages in instance order always matches
-    descriptors in instance order (the FIFO invariant the AB protocol
-    relies on)."""
+                max_size=12), st.randoms(use_true_random=False))
+def test_descriptor_queue_matches_each_packet_to_its_instance(child_counts,
+                                                               rnd):
+    """Per-child deliveries in any interleaving — one child's instances
+    late, another's early — fold each packet into its own instance's
+    descriptor, and only once."""
     q = DescriptorQueue()
     descs = []
     for inst, k in enumerate(child_counts):
-        children = list(range(1, k + 1))
         d = ReduceDescriptor(context_id=1, root_world=0, instance=inst,
-                             parent_world=0, children_world=children, op=SUM,
-                             acc=np.zeros(1), tag=0, created_at=0.0)
+                             parent_world=0,
+                             children_world=list(range(1, k + 1)), op=SUM,
+                             acc=np.zeros(1), created_at=0.0)
         q.push(d)
         descs.append(d)
-    # deliver: for each child id, all its instances in order
-    max_children = max(child_counts)
-    for child in range(1, max_children + 1):
-        expected_instances = [d.instance for d in descs
-                              if child in d.children_world]
-        for want in expected_instances:
-            match = q.match(child, 1)
-            assert match is not None and match.instance == want
-            match.mark_done(child)
-            if match.complete:
-                q.remove(match)
+    packets = [(child, d.instance) for d in descs
+               for child in d.children_world]
+    rnd.shuffle(packets)
+    for child, inst in packets:
+        match = q.match(child, 1, inst, -1)
+        assert match is descs[inst]
+        match.mark_done(child)
+        assert q.match(child, 1, inst, -1) is None
+        if match.complete:
+            q.remove(match)
     assert q.empty
 
 

@@ -102,9 +102,10 @@ def test_unbalanced_unpin_rejected():
         out.contexts[0].ab_engine.unpin_signals()
 
 
-def test_descriptor_queue_protocol_violations_detected():
-    """Injecting a rogue AB packet with a stale instance number trips the
-    engine's FIFO-ordering assertion instead of corrupting a reduction."""
+def test_rogue_instance_packet_is_parked_not_folded():
+    """A rogue AB packet naming an instance no descriptor has is parked in
+    the AB unexpected queue; the pending descriptor of its sender stays
+    pending with its accumulator untouched."""
     from repro.mpich.message import AbHeader, Envelope, TransferKind
     from repro.sim.cpu import Ledger
 
@@ -117,14 +118,17 @@ def test_descriptor_queue_protocol_violations_detected():
 
     out = run_ranks(4, program, build=MpiBuild.AB)
     engine = out.contexts[2].ab_engine
-    # craft a descriptor then feed it a wrong-instance packet
     from repro.core.descriptor import ReduceDescriptor
     desc = ReduceDescriptor(context_id=555, root_world=0, instance=7,
                             parent_world=0, children_world=[3], op=SUM,
-                            acc=np.zeros(2), tag=1, created_at=0.0)
+                            acc=np.zeros(2), created_at=0.0)
     engine.descriptors.push(desc)
     rogue = Envelope(src=3, dst=2, tag=1, context_id=555,
                      kind=TransferKind.EAGER, data=np.ones(2), nbytes=16,
                      ab=AbHeader(root=0, instance=99))
-    with pytest.raises(AbProtocolError):
-        engine.preprocess(rogue, Ledger())
+    assert engine.preprocess(rogue, Ledger())
+    assert desc.is_pending(3) and not desc.removed
+    assert np.array_equal(desc.acc, np.zeros(2))
+    entry = engine.unexpected.take_for(3, 99, -1, 555)
+    assert entry is not None and np.array_equal(entry.data, np.ones(2))
+    assert engine.unexpected.empty

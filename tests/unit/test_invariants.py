@@ -20,7 +20,6 @@ from repro.config import quiet_cluster
 from repro.core.descriptor import ReduceDescriptor
 from repro.errors import InvariantViolation
 from repro.mpich.communicator import world_communicator
-from repro.mpich.message import TAG_REDUCE
 from repro.mpich.operations import SUM
 from repro.mpich.rank import MpiBuild, MpiRank
 from repro.runtime.program import run_program
@@ -199,8 +198,7 @@ def test_finalize_catches_undrained_descriptor_queue():
     engine = contexts[2].ab_engine
     engine.descriptors.push(ReduceDescriptor(
         context_id=0, root_world=0, instance=0, parent_world=0,
-        children_world=[3], op=SUM, acc=np.zeros(2), tag=TAG_REDUCE,
-        created_at=0.0))
+        children_world=[3], op=SUM, acc=np.zeros(2), created_at=0.0))
     report = monitor.finalize()
     drains = [v for v in monitor.violations if v.invariant == "INV-DRAIN"]
     assert len(drains) == 1 and drains[0].node == 2
