@@ -67,7 +67,7 @@ def main() -> None:
     print(f"reduce wait() cost elsewhere: max {waits[1:].max():.1f} us")
     print(f"broadcast answer verified on all ranks: {expected:.0f}")
     eng = out.contexts[4].ab_engine     # rank 4 is internal (children 5, 6)
-    bc = eng.extensions["bcast"]
+    bc = eng.bcast
     print(f"rank 4 forwarded {bc.stats.forwards} bcast packet(s) to its "
           f"subtree the moment the data arrived")
 

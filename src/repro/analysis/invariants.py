@@ -6,11 +6,11 @@ tests alone.  :class:`InvariantMonitor` hooks the simulator, the GM NICs
 and each rank's :class:`~repro.core.engine.AbEngine` and checks:
 
 ``INV-SIGNAL`` (Sec. IV, Figs. 3 & 5)
-    NIC signals may only be *enabled* while work is outstanding (a reduce
-    descriptor is queued or an extension holds a signal pin), and whenever
-    the descriptor queue drains with no pins held the signals must end up
-    disabled.  At the exit of every AB ``MPI_Reduce`` the paper's diamond
-    holds exactly: signals enabled *iff* descriptors remain (or pins).
+    NIC signals are enabled *iff* a reduce descriptor is outstanding or
+    the rank's AB broadcast is armed: they may only be *enabled* then,
+    and whenever the descriptor queue drains with no broadcast armed they
+    must end up disabled.  At the exit of every AB ``MPI_Reduce`` the
+    paper's diamond holds exactly.
 
 ``INV-COPY`` (Sec. V-B/V-C)
     Per AB message class the host copy count is fixed: expected/late
@@ -38,8 +38,8 @@ and each rank's :class:`~repro.core.engine.AbEngine` and checks:
     Segmented pipelined collectives must conserve segments: every emitted
     segment (a leaf stream send or an internal forward, identified by
     ``(dst, context, instance, seg, src)``) is folded **exactly once** at
-    its destination — by a descriptor, the root's synchronous loop, or the
-    split-phase root state.  A duplicate fold is always a violation (a
+    its destination — by a descriptor (a split-phase root's included) or
+    the root's synchronous loop.  A duplicate fold is always a violation (a
     contribution counted twice); an emit that was never folded is a
     violation unless a crash accounts for it (the source or destination
     crashed, or the destination abandoned the source after its retry
@@ -209,17 +209,16 @@ class InvariantMonitor:
         engine = self._engines.get(node_id)
         if engine is None:
             return  # raw-NIC use (tests) — nothing to cross-check against
-        if engine.descriptors.empty and engine.signal_pins == 0:
+        if engine.descriptors.empty and engine.bcast is None:
             self.record(
                 "INV-SIGNAL", node_id, now,
                 "signals enabled with an empty descriptor queue and no "
-                "signal pins — nothing outstanding can justify them "
+                "AB broadcast armed — nothing outstanding can justify them "
                 "(paper Fig. 3 exit diamond)",
-                descriptors=len(engine.descriptors),
-                pins=engine.signal_pins)
+                descriptors=len(engine.descriptors))
 
     def on_queue_drained(self, node_id: int, now: float) -> None:
-        """Descriptor queue reached empty with no pins held."""
+        """Descriptor queue reached empty with no AB broadcast armed."""
         self.checks += 1
         engine = self._engines.get(node_id)
         if engine is None:
@@ -227,7 +226,7 @@ class InvariantMonitor:
         if engine.nic.signals_enabled:
             self.record(
                 "INV-SIGNAL", node_id, now,
-                "descriptor queue drained (no pins) but NIC signals are "
+                "descriptor queue drained (no broadcast) but NIC signals are "
                 "still enabled (paper Fig. 5: 'descriptor queue empty? -> "
                 "disable signals')")
 
@@ -238,17 +237,17 @@ class InvariantMonitor:
         if engine is None:
             return
         outstanding = (not engine.descriptors.empty
-                       or engine.signal_pins > 0)
+                       or engine.bcast is not None)
         enabled = engine.nic.signals_enabled
         if outstanding != enabled:
             self.record(
                 "INV-SIGNAL", node_id, now,
                 f"MPI_Reduce exit: signals_enabled={enabled} but "
                 f"outstanding work={outstanding} (descriptors="
-                f"{len(engine.descriptors)}, pins={engine.signal_pins}) — "
-                f"Fig. 3 requires them to match",
-                descriptors=len(engine.descriptors),
-                pins=engine.signal_pins)
+                f"{len(engine.descriptors)}, broadcast="
+                f"{engine.bcast is not None}) — Fig. 3 requires them to "
+                f"match",
+                descriptors=len(engine.descriptors))
 
     def on_fault_report(self, node_id: int, kind: str, now: float,
                         **context: Any) -> None:
@@ -334,11 +333,11 @@ class InvariantMonitor:
                     + (" (injected fault neither recovered nor reported)"
                        if faulted else ""),
                     unexpected=len(engine.unexpected))
-            if engine.nic.signals_enabled and engine.signal_pins == 0:
+            if engine.nic.signals_enabled and engine.bcast is None:
                 self.record(
                     "INV-SIGNAL", node_id, now,
-                    "NIC signals still enabled at finalize with no pins "
-                    "held and an empty descriptor queue")
+                    "NIC signals still enabled at finalize with no AB "
+                    "broadcast armed and an empty descriptor queue")
             self._check_copy_identity(node_id, engine, now)
         self._check_segment_conservation()
         return self.report()

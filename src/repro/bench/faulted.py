@@ -5,9 +5,10 @@ Runs back-to-back ``MPI_Reduce`` iterations under a deterministic
 The program is deliberately **barrier-free**: with a ``rank_crash``
 schedule a barrier would hang every survivor on the dead rank, whereas a
 tree reduce with ``tree_heal`` + descriptor timeouts routes around it.
-A crash schedule on the default build, or without descriptor timeouts, is
-refused before it simulates: with no recovery layer, or no timer to start
-it, a reduce waiting on the dead rank would deadlock.
+A crash schedule on the default build, without descriptor timeouts, or
+aimed at the root or a child of it is refused before it simulates: with no
+recovery layer (the default build, the root's blocking receive), or no
+timer to start it, a reduce waiting on the dead rank would deadlock.
 Loss, degradation, suppression and pauses run under both builds.
 
 Correctness model with a crash: iterations completed strictly before
@@ -28,6 +29,7 @@ from ..config import ClusterConfig
 from ..mpich.operations import SUM
 from ..mpich.rank import MpiBuild
 from ..runtime.program import run_program
+from ..schedule.table import config_tree_shape
 from .stats import BenchResult
 
 
@@ -81,6 +83,12 @@ def fault_reduce_benchmark(config: ClusterConfig, build: MpiBuild, *,
             "a rank_crash schedule needs descriptor_timeout_us > 0: "
             "without recovery timers a descriptor waiting on the crashed "
             "rank would hang")
+    if faults.crash_rank >= 0 and faults.crash_rank in (
+            0, *config_tree_shape(config, elements * 8).children(0, size)):
+        raise ValueError(
+            "a rank_crash schedule cannot crash the root (rank 0) or a "
+            "child of it: the root's blocking receive has no recovery "
+            "layer, so it would hang or lose the result")
 
     def program(mpi):
         rank = mpi.rank

@@ -13,8 +13,8 @@ so a skewed (late) parent never delays its entire subtree.  The local
 blocks for it.
 
 Because broadcast data can arrive before the application announces any
-interest, ranks that enable this extension keep NIC signals pinned on (see
-:meth:`repro.core.engine.AbEngine.pin_signals`).
+interest, a rank's AB broadcast keeps its NIC signals armed for the rest of
+the run (:attr:`repro.core.engine.AbEngine.bcast`); a rank has at most one.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class AbBroadcast:
     """Per-rank application-bypass broadcast extension."""
 
     def __init__(self, engine: AbEngine):
+        if engine.bcast is not None:
+            raise AbProtocolError(
+                f"rank {engine.rank.rank} already has an AB broadcast")
         self.engine = engine
         self.costs = engine.costs
         self.stats = AbBroadcastStats()
@@ -59,8 +62,9 @@ class AbBroadcast:
         self._received: dict[tuple[int, int], np.ndarray] = {}
         #: Local calls blocked for data: (ctx, inst) -> trigger.
         self._waiting: dict[tuple[int, int], Trigger] = {}
-        engine.extensions[KIND] = self
-        engine.pin_signals()
+        engine.bcast = self
+        if not engine.nic.signals_enabled:
+            engine.nic.enable_signals(Ledger())
 
     def register_comm(self, comm: Communicator) -> None:
         """Make a communicator's tree known before any data can arrive

@@ -2,8 +2,9 @@
 
 A descriptor holds everything the asynchronous side needs to finish a
 reduction after ``MPI_Reduce`` has returned: the intermediate result, the
-identity of the parent to send the final result to, and the list of children
-whose contributions are still pending.
+identity of the parent to send the final result to (None at a split-phase
+root, which keeps the result), and the list of children whose contributions
+are still pending.
 
 The matching rule (DESIGN.md §6.10): an AB packet feeds the descriptor
 with the ``(context, instance, seg)`` it carries, if its sender is still
@@ -30,7 +31,7 @@ class ReduceDescriptor:
                  "rel", "timeout_event", "seg", "nseg", "on_complete")
 
     def __init__(self, context_id: int, root_world: int, instance: int,
-                 parent_world: int, children_world: list[int], op: Op,
+                 parent_world: Optional[int], children_world: list[int], op: Op,
                  acc: np.ndarray, created_at: float, *,
                  comm=None, shape=None, root=None, size=None, rel=None,
                  seg: int = -1, nseg: int = 1, on_complete=None):

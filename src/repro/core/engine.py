@@ -18,15 +18,18 @@ One :class:`AbEngine` is attached to each rank of an AB-build MPI library
 
 2. **Progress-engine hook** (:meth:`AbEngine.preprocess`, Fig. 4 gray boxes)
    — pre-processes every incoming packet: non-AB packets pass through;
-   AB packets bound for a reduction this rank roots are routed to the
-   default synchronous path; everything else is matched on its identity
-   (:mod:`repro.core.descriptor` states the rule) and absorbed (Fig. 5),
-   or copied *once* into the custom AB unexpected queue.
+   every AB packet is matched on its identity (:mod:`repro.core.descriptor`
+   states the rule) and absorbed (Fig. 5).  One bound for a reduction
+   this rank roots that no descriptor (a split-phase root's, see
+   :mod:`repro.core.split_phase`) matches takes the default synchronous
+   path; any other is copied *once* into the custom AB unexpected queue.
 
 3. **Asynchronous completion** — when a descriptor's last child is absorbed
    (from the hook, regardless of whether a signal or an application MPI call
-   triggered progress), the final result is sent to the parent, the
-   descriptor is dequeued, and signals are disabled once the queue drains.
+   triggered progress), the final result is sent to the parent (a root's
+   descriptor has none), the descriptor is dequeued, and signals are
+   disabled once the queue drains — unless the AB broadcast
+   (:mod:`repro.core.broadcast`) holds them armed.
 
 Copy accounting (paper Sec. V-B/V-C): expected/late AB messages are combined
 straight from the packet buffer (zero host copies); early AB messages pay a
@@ -136,13 +139,11 @@ class AbEngine:
         #: Reduce instance numbers (shared with the split-phase root and
         #: the pipelined allreduce root, which consume the same sequence).
         self.instances = InstanceCounter()
-        #: Extension hooks (application-bypass broadcast) keyed by
-        #: AbHeader.kind; see :mod:`repro.core.broadcast`.
-        self.extensions: dict[str, object] = {}
-        #: While > 0, NIC signals stay armed regardless of the reduce
-        #: descriptor queue (used by the broadcast and split-phase
-        #: extensions, whose asynchronous work is not descriptor-driven).
-        self.signal_pins = 0
+        #: The rank's AB broadcast (:mod:`repro.core.broadcast`), or None.
+        #: It handles ``kind == "bcast"`` packets, and while it exists NIC
+        #: signals stay armed regardless of the descriptor queue: its
+        #: data can arrive before anything announces interest in it.
+        self.bcast = None
         #: >0 while this rank is inside the synchronous component of an AB
         #: MPI_Reduce (Fig. 3).  Children absorbed then count as
         #: synchronous; everything else is the asynchronous component.
@@ -171,25 +172,10 @@ class AbEngine:
             from ..pipeline.reduce import AbPipeline
             self.pipeline = AbPipeline(self)
 
-    # ------------------------------------------------------------------
-    # signal pinning (extensions)
-    # ------------------------------------------------------------------
-    def pin_signals(self) -> None:
-        """Keep NIC signals enabled until :meth:`unpin_signals`."""
-        self.signal_pins += 1
-        if not self.nic.signals_enabled:
-            self.nic.enable_signals(Ledger())
-
-    def unpin_signals(self, ledger: Optional[Ledger] = None) -> None:
-        if self.signal_pins <= 0:
-            raise AbProtocolError("unbalanced unpin_signals")
-        self.signal_pins -= 1
-        self._idle_if_drained(ledger if ledger is not None else Ledger())
-
     def _idle_if_drained(self, ledger: Ledger) -> None:
         """"Descriptor queue empty? -> Disable signals" (Fig. 5) — unless
-        an extension still has them pinned."""
-        if not self.descriptors.empty or self.signal_pins > 0:
+        the AB broadcast holds them armed."""
+        if not self.descriptors.empty or self.bcast is not None:
             return
         if self.nic.signals_enabled:
             self.nic.disable_signals(ledger)
@@ -319,9 +305,9 @@ class AbEngine:
         self._sync_depth += 1
         try:
             # "Disable signals": we are about to make progress explicitly.
-            # (Skipped while an extension has signals pinned — its
-            # asynchronous traffic must stay signal-driven.)
-            if self.signal_pins == 0:
+            # (Skipped while the AB broadcast is armed — its asynchronous
+            # traffic must stay signal-driven.)
+            if self.bcast is None:
                 self.nic.disable_signals(ledger)
 
             # One staging copy for the whole message; each segment's
@@ -350,7 +336,7 @@ class AbEngine:
         # Exit: enable signals iff any descriptor remains outstanding
         # (ours or an older one) — Fig. 3 bottom-left diamond.
         exit_ledger = Ledger()
-        if not self.descriptors.empty or self.signal_pins > 0:
+        if not self.descriptors.empty or self.bcast is not None:
             self.nic.enable_signals(exit_ledger)
         if self.monitor is not None:
             self.monitor.on_reduce_exit(self.rank.rank, self.sim.now)
@@ -492,19 +478,21 @@ class AbEngine:
         if header is None:
             return False
         if header.kind != "reduce":
-            ext = self.extensions.get(header.kind)
-            if ext is None:
+            if header.kind != "bcast" or self.bcast is None:
                 raise AbProtocolError(f"no handler for AB kind {header.kind!r}")
-            return ext.preprocess(env, ledger)
+            return self.bcast.preprocess(env, ledger)
         if header.root == self.rank.rank:
-            # This rank roots the instance.  The split-phase extension may
-            # have registered an asynchronous root state; otherwise the
-            # packet is strictly synchronous and handled by the default
-            # matching path (Fig. 4 "Root?" diamond).
-            ireduce = self.extensions.get("ireduce_root")
-            if ireduce is not None and ireduce.try_absorb(env, ledger):
-                return True
-            return False
+            # Fig. 4 "Root?" diamond: this rank roots the instance.  A
+            # split-phase root's descriptor absorbs what it matches;
+            # otherwise the packet is strictly synchronous and handled by
+            # the default matching path.
+            desc = self.descriptors.match(env.src, env.context_id,
+                                          header.instance, header.seg)
+            if desc is None:
+                return False
+            ledger.charge(self.costs.ab_descriptor_match_us, "ab")
+            self._absorb(desc, env.src, env.data, ledger)
+            return True
 
         ledger.charge(self.costs.ab_descriptor_match_us, "ab")
         desc = self.descriptors.match(env.src, env.context_id,
@@ -592,7 +580,8 @@ class AbEngine:
 
     def _finish(self, desc: ReduceDescriptor, ledger: Ledger,
                 completed_async: bool) -> None:
-        """All children handled: send to parent, dequeue, idle the NIC."""
+        """All children handled: send to the parent (if any), dequeue,
+        idle the NIC."""
         if (self._heal and desc.rel is not None
                 and self._crashed(desc.parent_world)):
             # The parent crashed after this descriptor was built: climb the
@@ -600,8 +589,9 @@ class AbEngine:
             desc.parent_world = self._live_parent_world(
                 desc.comm, desc.shape, desc.root, desc.size, desc.rel,
                 desc.instance, desc.parent_world)
-        self._emit(desc.acc, desc.parent_world, desc.context_id,
-                   desc.root_world, desc.instance, desc.seg, ledger)
+        if desc.parent_world is not None:
+            self._emit(desc.acc, desc.parent_world, desc.context_id,
+                       desc.root_world, desc.instance, desc.seg, ledger)
         self.descriptors.remove(desc)
         if desc.timeout_event is not None:
             self.sim.cancel(desc.timeout_event)

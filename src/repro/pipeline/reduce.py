@@ -56,11 +56,12 @@ class PipelineStats:
     pipelined_allreduces: int = 0
     #: Segment-tagged AB sends (leaf streams + internal forwards).
     segments_sent: int = 0
-    #: Segment folds on internal nodes, and the subset performed by the
-    #: asynchronous component (progress driven by signals/other calls).
+    #: Segment folds into descriptors (internal nodes and split-phase
+    #: roots), and the subset performed by the asynchronous component
+    #: (progress driven by signals/other calls).
     segments_folded: int = 0
     segments_folded_async: int = 0
-    #: Segment folds performed synchronously at the root.
+    #: Segment folds performed synchronously at a blocking root.
     root_segment_folds: int = 0
     #: Segmented packets that arrived before their descriptor was open
     #: (window exhausted or sender raced ahead) and had to be buffered —
@@ -199,5 +200,5 @@ class AbPipeline:
         return on_fold
 
     def _broadcaster(self):
-        from ..core.broadcast import KIND, AbBroadcast
-        return self.engine.extensions.get(KIND) or AbBroadcast(self.engine)
+        from ..core.broadcast import AbBroadcast
+        return self.engine.bcast or AbBroadcast(self.engine)

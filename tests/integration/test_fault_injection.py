@@ -177,6 +177,28 @@ def test_crash_on_the_default_build_is_refused_in_one_line(capsys):
     assert err.count("\n") == 1 and "no recovery layer" in err
 
 
+@pytest.mark.parametrize("size,crash_rank", [
+    (8, 0), (8, 1), (8, 2), (8, 4), (16, 1), (16, 2), (16, 4), (16, 8)])
+def test_crashing_the_root_or_a_root_child_is_refused_in_one_line(
+        capsys, size, crash_rank):
+    """The root's blocking receive has no recovery layer: a crashed child
+    of it used to end in a multi-line DeadlockError, and a crashed root in
+    a run that "succeeded" with no result.  Both are refused before they
+    simulate; every other victim composes with healing."""
+    from repro.orchestrate.__main__ import main
+    spec = SweepPoint(
+        experiment="crash_root_family", kind="fault_reduce",
+        config=ConfigSpec("paper", size, 1, faults=FaultParams(
+            crash_rank=crash_rank, crash_at_us=400.0, tree_heal=True,
+            descriptor_timeout_us=300.0, timeout_retries=2)),
+        build="ab", elements=4, iterations=6)
+    with pytest.raises(ValueError, match="cannot crash the root"):
+        fault_reduce_benchmark(spec.config.build(), MpiBuild.AB)
+    assert main(["run-point", json.dumps(spec.to_dict())]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no recovery layer" in err
+
+
 # ---------------------------------------------------------------------------
 # one heal-aware neighbour derivation behind both AB routes
 # ---------------------------------------------------------------------------

@@ -230,6 +230,27 @@ def test_pap_benchmark_guards():
         pap_benchmark(piped, algo="sra")  # whole-message only
 
 
+@pytest.mark.parametrize("algo", ["sra", "pra"])
+def test_pap_schedule_with_armed_pipeline_is_refused_in_one_line(capsys,
+                                                                 algo):
+    """The PAP schedules execute whole-message: with an armed pipeline
+    ``run-point`` refuses the point in one line, before it simulates."""
+    import json
+
+    from repro.config import PipelineParams
+    from repro.orchestrate.__main__ import main
+    from repro.orchestrate.points import ConfigSpec, SweepPoint
+    spec = SweepPoint(
+        experiment="pap_piped", kind="pap",
+        config=ConfigSpec("quiet", 8, 1, pipeline=PipelineParams(
+            segment_size_bytes=512)),
+        build="nab", elements=256, iterations=2,
+        options={"algo": algo})
+    assert main(["run-point", json.dumps(spec.to_dict())]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "execute whole-message" in err
+
+
 def test_pap_benchmark_deterministic():
     config = replace(quiet_cluster(SIZE, seed=17), workload=BURSTY)
     a = pap_benchmark(config, algo="sra", elements=128, iterations=3,

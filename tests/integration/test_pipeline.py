@@ -154,7 +154,7 @@ def test_auto_resolved_allreduce_uses_one_tree_for_both_legs(tmp_path,
     expected = np.arange(elements, dtype=np.float64) * (size * (size + 1) / 2)
     for result in out.results:
         assert np.array_equal(result, expected)
-    forwards = [ctx.ab_engine.extensions["bcast"].stats.forwards
+    forwards = [ctx.ab_engine.bcast.stats.forwards
                 for ctx in out.contexts]
     assert forwards == [0] + [nseg] * (size - 2) + [0]
     for ctx in out.contexts:

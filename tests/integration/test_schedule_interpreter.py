@@ -187,7 +187,7 @@ def test_reshaped_pipelined_allreduce_follows_its_schedule(via):
                               for r in range(SIZE)])
     for result in out.results:
         assert np.array_equal(result, expected)
-    forwards = [ctx.ab_engine.extensions["bcast"].stats.forwards
+    forwards = [ctx.ab_engine.bcast.stats.forwards
                 for ctx in out.contexts]
     assert forwards == [0] + [4] * (SIZE - 2) + [0]   # one chain child each
 

@@ -82,7 +82,7 @@ def test_split_phase_correct_under_skew(params):
         np.testing.assert_allclose(out.results[root][i],
                                    expected_sum(size, elements) * (i + 1))
     for ctx in out.contexts:
-        assert ctx.ab_engine.signal_pins == 0
+        assert ctx.ab_engine.bcast is None
         assert ctx.ab_engine.descriptors.empty
 
 

@@ -95,7 +95,7 @@ def test_ab_always_quiesces(params):
         assert eng.descriptors.empty
         assert eng.unexpected.empty
         assert not ctx.node.nic.signals_enabled
-        assert eng.signal_pins == 0
+        assert eng.bcast is None
         # matching queues drained too: no stray collective traffic
         assert not ctx.progress.matching.posted
         assert not ctx.progress.matching.unexpected

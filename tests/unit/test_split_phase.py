@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import SplitPhaseReduce
+from repro.core import AbBroadcast, SplitPhaseReduce
+from repro.errors import AbProtocolError, ProcessFailed
 from repro.mpich.operations import MAX, SUM
 from repro.mpich.rank import MpiBuild
 from conftest import contribution, expected_sum, run_ranks
@@ -61,8 +62,7 @@ def test_root_start_does_not_block():
     assert start_cost < 20.0
     assert wait_cost < 20.0            # the 800us compute hid everything
     assert np.allclose(results[0], expected_sum(8, 4))
-    split0 = out.contexts[0].ab_engine.extensions["ireduce_root"]
-    assert split0.stats.async_root_children >= 1
+    assert out.contexts[0].ab_engine.stats.children_async >= 1
 
 
 def test_wait_blocks_when_overlap_too_short():
@@ -112,10 +112,9 @@ def test_mixing_split_and_blocking_reduces():
 def test_signals_unpinned_after_completion():
     out = run_ranks(8, split_program(), build=MpiBuild.AB)
     for ctx in out.contexts:
-        assert ctx.ab_engine.signal_pins == 0
+        assert ctx.ab_engine.bcast is None
         assert not ctx.node.nic.signals_enabled
-    split0 = out.contexts[0].ab_engine.extensions["ireduce_root"]
-    assert split0.outstanding_roots == 0
+    assert out.contexts[0].ab_engine.descriptors.empty
 
 
 def test_handle_properties():
@@ -164,3 +163,66 @@ def test_root_children_follow_the_auto_resolved_tree(tmp_path, monkeypatch):
         clear_table_cache()
     results, _ = out.results[0]
     assert np.allclose(results[0], expected_sum(8, 4))
+
+
+def test_second_split_phase_reduce_keeps_the_first_root():
+    """Regression: building another ``SplitPhaseReduce`` on a rank while
+    the first one's root is outstanding used to orphan that root (the run
+    deadlocked); the outstanding root lives in the engine's descriptor
+    queue, so every instance completes it."""
+    def program(mpi):
+        first = SplitPhaseReduce(mpi.ab_engine)
+        h = yield from first.start(contribution(mpi.rank, 4), SUM, 0,
+                                   mpi.comm_world)
+        SplitPhaseReduce(mpi.ab_engine)
+        result = yield from first.wait(h)
+        yield from mpi.barrier()
+        return None if result is None else float(result[0])
+
+    out = run_ranks(8, program, build=MpiBuild.AB)
+    assert out.results[0] == 36.0
+
+
+def test_second_ab_broadcast_on_one_engine_is_refused():
+    """A rank has one AB broadcast: a second would silently replace the
+    first and the communicators registered with it."""
+    def program(mpi):
+        AbBroadcast(mpi.ab_engine)
+        AbBroadcast(mpi.ab_engine)
+        yield from mpi.compute(0.0)
+
+    with pytest.raises(ProcessFailed) as exc:
+        run_ranks(2, program, build=MpiBuild.AB)
+    assert isinstance(exc.value.original, AbProtocolError)
+    assert "already has an AB broadcast" in str(exc.value.original)
+
+
+def test_split_root_inside_a_blocking_reduce_follows_fig3():
+    """A rank that holds an outstanding split-phase root while it is an
+    internal node of a blocking AB reduce (rank 2: it has child 3 in the
+    binomial tree rooted at 0) disables signals in that reduce's
+    synchronous component and re-enables them at its exit: both results
+    are right and the assert-mode monitor stays clean."""
+    from repro.config import paper_cluster
+
+    def program(mpi):
+        split = SplitPhaseReduce(mpi.ab_engine)
+        got = []
+        for i in range(5):
+            data = contribution(mpi.rank, 4) * (i + 1)
+            h = yield from split.start(data, SUM, 2, mpi.comm_world)
+            blocking = yield from mpi.reduce(data * 10.0, op=SUM, root=0)
+            result = yield from split.wait(h)
+            got.append((None if result is None else float(result[0]),
+                        None if blocking is None else float(blocking[0])))
+        yield from mpi.compute(200.0)
+        yield from mpi.barrier()
+        return got
+
+    out = run_ranks(8, program, build=MpiBuild.AB,
+                    config=paper_cluster(8, seed=2))
+    assert [r for r, _ in out.results[2]] == [36.0 * k for k in range(1, 6)]
+    assert [b for _, b in out.results[0]] == [360.0 * k for k in range(1, 6)]
+    assert out.cluster.monitor.ok and out.cluster.monitor.checks > 0
+    engine = out.contexts[2].ab_engine
+    assert engine.stats.ab_reduces == 5 and engine.descriptors.empty
