@@ -42,7 +42,7 @@ class Cluster:
                  monitor=None):
         self.config = config
         self.tracer = tracer or Tracer()
-        self.sim = Simulator(self.tracer)
+        self.sim = Simulator()
         self.tracer.bind_clock(lambda: self.sim.now)
         self.rng = RngStreams(config.seed)
         self.fabric = Fabric(self.sim, config.net, config.size,

@@ -394,7 +394,6 @@ class AbEngine:
         st.next_seg += 1
         comm = st.comm
         root_world = comm.world_rank(st.root)
-        nseg = len(st.segments)
         if self._heal and s.index >= 0:
             # Heal-aware neighbors at *push* time: a subtree healed while
             # earlier segments were in flight re-parents the remaining
@@ -416,7 +415,7 @@ class AbEngine:
             children_world=children_world, op=st.op, acc=acc,
             created_at=self.sim.now,
             comm=comm, shape=st.shape, root=st.root, size=comm.size,
-            rel=st.rel, seg=s.index, nseg=nseg,
+            rel=st.rel, seg=s.index, nseg=len(st.segments),
             on_complete=lambda d, lg, _st=st: self._segment_done(_st, lg))
         ledger.charge(self.costs.ab_descriptor_us, "descriptor")
         self.descriptors.push(desc)
@@ -424,16 +423,6 @@ class AbEngine:
         if s.index >= 0:
             stats = self.pipeline.stats
             stats.inflight_hwm = max(stats.inflight_hwm, st.open)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            if s.index >= 0:
-                tracer.emit("ab.segment.enqueue", node=self.rank.rank,
-                            instance=st.instance, seg=s.index, nseg=nseg,
-                            children=len(children_world))
-            else:
-                tracer.emit("ab.descriptor.enqueue", node=self.rank.rank,
-                            instance=st.instance,
-                            children=len(children_world))
         if self._timeout_us > 0.0:
             # Recovery timer (repro.faults): if children are still
             # pending when it fires, progress is forced, crashed
@@ -602,15 +591,12 @@ class AbEngine:
             self.stats.descriptors_completed_sync += 1
         tracer = self.node.tracer
         if tracer.enabled:
-            mode = "async" if completed_async else "sync"
-            span = self.sim.now - desc.created_at
-            if desc.seg >= 0:
-                tracer.emit("ab.segment.complete", node=self.rank.rank,
-                            instance=desc.instance, seg=desc.seg,
-                            nseg=desc.nseg, mode=mode, span=span)
-            else:
-                tracer.emit("ab.descriptor.complete", node=self.rank.rank,
-                            instance=desc.instance, mode=mode, span=span)
+            # The descriptor's one trace record: its span, stamped at the
+            # end and keyed on the identity packets match on.
+            tracer.emit("ab.descriptor", node=self.rank.rank,
+                        context=desc.context_id, instance=desc.instance,
+                        seg=desc.seg, nseg=desc.nseg, start=desc.created_at,
+                        mode="async" if completed_async else "sync")
         callback = desc.on_complete
         if callback is not None:
             # Window advance: runs before the queue-drained check below so

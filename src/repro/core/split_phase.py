@@ -57,11 +57,18 @@ class SplitPhaseReduce:
 
     def start(self, sendbuf: np.ndarray, op: Op, root: int,
               comm: Communicator) -> Generator:
-        """Initiate; returns a :class:`ReduceHandle` without blocking."""
+        """Initiate; returns a :class:`ReduceHandle` without blocking.
+        A rendezvous-sized payload raises ``ValueError`` on every rank."""
         engine = self.engine
         costs = engine.costs
         rank = engine.rank
         sendbuf = np.asarray(sendbuf)
+        # The decision every rank makes alike; a rendezvous-sized payload
+        # has no AB path, and the root's descriptors would never complete.
+        segments = engine.route(sendbuf, comm.size)
+        if segments is None:
+            raise ValueError(f"split-phase reduce of {sendbuf.nbytes} bytes "
+                             "is rendezvous-sized: no application bypass")
         handle = ReduceHandle()
         if comm.rank_of_world(rank.rank) != root:
             # The ordinary AB path already returns without blocking for
@@ -86,11 +93,8 @@ class SplitPhaseReduce:
         acc = np.array(sendbuf, copy=True)
         ledger.charge(costs.copy_us(acc.nbytes), "copy")
         flat = acc.reshape(-1)
-        # The routing decision uses only (config, buffer geometry), so it
-        # matches the one every non-root rank makes; the tree is the one
-        # they send along (message-size-aware, healed when faults are
-        # armed).
-        segments = engine.route(sendbuf, size)
+        # The tree is the one the non-root ranks send along
+        # (message-size-aware, healed when faults are armed).
         _, children = engine.neighbors(
             comm, rank.tree_shape_for(sendbuf.nbytes), root, 0, instance,
             own_steps(rank, comm, root, sendbuf.nbytes, segments,

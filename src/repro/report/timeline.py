@@ -12,9 +12,10 @@ Enable tracing on a cluster, run a program, then render::
 
 Each node gets one lane.  Markers:
 
-* ``E`` — AB reduce descriptor enqueued (the rank left ``MPI_Reduce``)
-* ``C`` — descriptor completed (final result sent to the parent)
-* ``e`` / ``c`` — segment descriptor enqueued / completed (repro.pipeline)
+* ``E`` / ``C`` — an AB reduce descriptor's span (one ``ab.descriptor``
+  record): ``E`` at its ``start``, when the rank left ``MPI_Reduce``, and
+  ``C`` at its end, when the result went to the parent
+* ``e`` / ``c`` — the same for a segment descriptor (repro.pipeline)
 * ``!`` — NIC signal delivered to the host
 * ``s`` / ``r`` — packet send / receive at the NIC
 """
@@ -25,15 +26,11 @@ from typing import Iterable, Optional
 
 from ..sim.trace import Tracer
 
-#: Marker priority: later entries overwrite earlier ones in a cell.
+#: NIC instants' markers; later entries overwrite earlier ones in a cell.
 _MARKERS = (
     ("nic.send", "s"),
     ("nic.recv", "r"),
     ("nic.signal", "!"),
-    ("ab.segment.enqueue", "e"),
-    ("ab.segment.complete", "c"),
-    ("ab.descriptor.enqueue", "E"),
-    ("ab.descriptor.complete", "C"),
 )
 
 
@@ -41,27 +38,28 @@ def render_timeline(tracer: Tracer, *, nodes: Iterable[int],
                     t_start: float = 0.0, t_end: Optional[float] = None,
                     width: int = 100) -> str:
     """Render one lane per node over ``[t_start, t_end]``."""
-    records = tracer.records
     if t_end is None:
-        t_end = max((r["t"] for r in records), default=1.0)
+        t_end = max((r["t"] for r in tracer.records), default=1.0)
     if t_end <= t_start:
         raise ValueError("empty time window")
     span = t_end - t_start
     nodes = list(nodes)
     lanes = {n: ["-"] * width for n in nodes}
-    counts: dict[int, int] = {n: 0 for n in nodes}
-    for kind, marker in _MARKERS:
-        for rec in records:
-            if rec["kind"] != kind:
-                continue
+    spans = tracer.of_kind("ab.descriptor")
+    segs = [r for r in spans if r["seg"] >= 0]
+    whole = [r for r in spans if r["seg"] < 0]
+    # (records, time field, marker), in overwrite priority: NIC instants,
+    # then segment opens, segment closes, descriptor opens, closes.
+    layers = [(tracer.of_kind(kind), "t", marker) for kind, marker in _MARKERS]
+    layers += [(segs, "start", "e"), (segs, "t", "c"),
+               (whole, "start", "E"), (whole, "t", "C")]
+    for recs, field, marker in layers:
+        for rec in recs:
             node = rec.get("node")
-            if node not in lanes:
+            if node not in lanes or not (t_start <= rec[field] <= t_end):
                 continue
-            if not (t_start <= rec["t"] <= t_end):
-                continue
-            col = min(width - 1, int((rec["t"] - t_start) / span * width))
+            col = min(width - 1, int((rec[field] - t_start) / span * width))
             lanes[node][col] = marker
-            counts[node] += 1
 
     header = (f"timeline {t_start:.0f}..{t_end:.0f} us   "
               f"(s=send r=recv !=signal E=descriptor C=complete "
@@ -76,13 +74,7 @@ def render_timeline(tracer: Tracer, *, nodes: Iterable[int],
 
 
 def descriptor_spans(tracer: Tracer) -> list[dict]:
-    """Extract (node, instance, enqueue-to-complete span, mode) tuples."""
-    spans = []
-    for rec in tracer.of_kind("ab.descriptor.complete"):
-        spans.append({
-            "node": rec["node"],
-            "instance": rec["instance"],
-            "span_us": rec["span"],
-            "mode": rec["mode"],
-        })
-    return spans
+    """Each whole-message descriptor's node, instance, span and mode."""
+    return [{"node": rec["node"], "instance": rec["instance"],
+             "span_us": rec["t"] - rec["start"], "mode": rec["mode"]}
+            for rec in tracer.of_kind("ab.descriptor") if rec["seg"] < 0]

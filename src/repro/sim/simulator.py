@@ -16,16 +16,14 @@ from typing import Any, Callable, Optional
 from ..errors import DeadlockError, ProcessFailed, ReproError
 from .events import Event, EventQueue, PRIORITY_DELIVERY, PRIORITY_WAKE
 from .process import Busy, Compute, Cpu, Ledger, SimGen, SimProcess, WaitFor
-from .trace import Tracer
 
 
 class Simulator:
     """Event loop, virtual clock and process driver."""
 
-    def __init__(self, tracer: Optional[Tracer] = None):
+    def __init__(self):
         self.now: float = 0.0
         self.queue = EventQueue()
-        self.tracer = tracer or Tracer()
         self.processes: list[SimProcess] = []
         self._live_processes = 0
         self.events_processed = 0

@@ -1,26 +1,27 @@
 """Lightweight event tracing.
 
 Disabled by default (a single ``if`` per emit).  Tests and debugging sessions
-enable it to get a structured log of packet sends, signal deliveries,
-descriptor transitions and so on.  Records are plain dicts so they can be
-filtered with ordinary comprehensions.
+enable it to get a structured log: instants for packet sends, receives,
+retransmits and signal deliveries (``nic.*``), and one ``ab.descriptor``
+record per completed AB reduce descriptor — its span, stamped at the end
+with ``start`` and the descriptor's ``(context, instance, seg)`` identity.
+Records are plain dicts so they can be filtered with ordinary
+comprehensions; :mod:`repro.report` renders them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class Tracer:
     """Collects ``(time, kind, fields)`` records when enabled."""
 
-    __slots__ = ("enabled", "records", "sink", "_clock")
+    __slots__ = ("enabled", "records", "_clock")
 
-    def __init__(self, enabled: bool = False,
-                 sink: Optional[Callable[[dict], None]] = None):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self.records: list[dict[str, Any]] = []
-        self.sink = sink
         self._clock: Callable[[], float] = lambda: 0.0
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -32,10 +33,7 @@ class Tracer:
             return
         record = {"t": self._clock(), "kind": kind}
         record.update(fields)
-        if self.sink is not None:
-            self.sink(record)
-        else:
-            self.records.append(record)
+        self.records.append(record)
 
     def of_kind(self, kind: str) -> list[dict[str, Any]]:
         """All collected records with the given kind."""

@@ -72,10 +72,11 @@ def test_compute_overlap(capsys):
 
 
 def test_timeline_demo(capsys):
+    """The Fig. 2 rendering, byte for byte (``golden/timeline_demo.txt``
+    holds ``python examples/timeline_demo.py``'s stdout)."""
     load_example("timeline_demo").main()
-    out = capsys.readouterr().out
-    assert "completed async after" in out
-    assert "rank  2 E" in out or "E" in out
+    golden = REPO_ROOT / "tests" / "unit" / "golden" / "timeline_demo.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_heterogeneous_cluster(capsys):

@@ -76,14 +76,6 @@ def test_tracer_records_with_clock():
     assert len(t.of_kind("send")) == 1
 
 
-def test_tracer_sink():
-    sunk = []
-    t = Tracer(enabled=True, sink=sunk.append)
-    t.emit("e", v=3)
-    assert sunk[0]["v"] == 3
-    assert t.records == []
-
-
 # ---------------------------------------------------------------------------
 # units
 # ---------------------------------------------------------------------------

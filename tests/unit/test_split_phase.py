@@ -1,8 +1,11 @@
 """Tests for the split-phase (non-blocking) reduce extension."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.config import PipelineParams, quiet_cluster
 from repro.core import AbBroadcast, SplitPhaseReduce
 from repro.errors import AbProtocolError, ProcessFailed
 from repro.mpich.operations import MAX, SUM
@@ -226,3 +229,30 @@ def test_split_root_inside_a_blocking_reduce_follows_fig3():
     assert out.cluster.monitor.ok and out.cluster.monitor.checks > 0
     engine = out.contexts[2].ab_engine
     assert engine.stats.ab_reduces == 5 and engine.descriptors.empty
+
+
+@pytest.mark.parametrize("elements, pipeline, refused", [
+    (2048, None, False),
+    (2049, None, True),
+    (4096, PipelineParams(segment_size_bytes=2048), False),
+])
+def test_rendezvous_sized_split_reduce_is_refused(elements, pipeline,
+                                                  refused):
+    """Beyond the eager limit with no segment plan there is no AB path: the
+    non-roots fell back to the default reduction while the root waited for
+    AB packets that never came (DeadlockError).  Every rank now refuses in
+    one line; a segmented payload of the same size still runs."""
+    config = quiet_cluster(4)
+    if pipeline is not None:
+        config = dataclasses.replace(config, pipeline=pipeline)
+    program = split_program(elements=elements)
+    if not refused:
+        out = run_ranks(4, program, build=MpiBuild.AB, config=config)
+        assert np.allclose(out.results[0][0][0], expected_sum(4, elements))
+        return
+    with pytest.raises(ProcessFailed) as exc:
+        run_ranks(4, program, build=MpiBuild.AB, config=config)
+    assert isinstance(exc.value.original, ValueError)
+    assert str(exc.value.original) == (
+        f"split-phase reduce of {elements * 8} bytes is rendezvous-sized: "
+        "no application bypass")
