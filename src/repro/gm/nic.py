@@ -92,7 +92,7 @@ class Nic:
         # and free host receive buffers (receive tokens).
         self._send_inflight: deque[float] = deque()
         self._recv_tokens_free = params.recv_tokens
-        self._rx_backlog: deque[tuple[Packet, float]] = deque()
+        self._rx_backlog: list[tuple[Packet, float]] = []
 
         self.signals_enabled = False
         self._signal_handler: Optional[SignalHandler] = None
@@ -243,7 +243,7 @@ class Nic:
         packet = self.rx_queue.popleft()
         self._recv_tokens_free += 1
         if self._rx_backlog:
-            backlog_packet, backlog_arrival = self._rx_backlog.popleft()
+            backlog_packet, backlog_arrival = self._rx_backlog.pop(0)
             self._start_rx(backlog_packet, max(backlog_arrival, self.sim.now))
         return packet
 

@@ -16,6 +16,7 @@ metrics; the orchestrator's tests enforce that across process boundaries.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -673,7 +674,22 @@ def execute_point(point: SweepPoint) -> PointResult:
     This is the function worker processes execute; it must stay importable
     at module top level (picklable by reference) and free of global state
     beyond the registries above.
+
+    An enabled cyclic collector is paused for the point, then frees what it
+    left (its cluster is the one cycle) with one young pass once the
+    point's frame is gone (DESIGN §13).
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _execute_point(point)
+    finally:
+        if enabled:
+            gc.collect(0)
+            gc.enable()
+
+
+def _execute_point(point: SweepPoint) -> PointResult:
     check_name("point kind", point.kind, KINDS)
     runner = KINDS[point.kind]
     config = point.config.build()

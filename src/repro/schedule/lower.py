@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import inspect
 import operator
+from functools import lru_cache
 from typing import Callable, Dict, List
 
 from ..topo import ranks
@@ -174,12 +175,22 @@ def pipelined_rank_steps(parent, kids, segs) -> List:
     return steps
 
 
+@lru_cache(maxsize=None)
+def _barrier_steps(size: int) -> tuple:
+    """``(RecvStep(p) ..., SendStep(p) ...)`` by peer ``p``: every rank's
+    barrier steps are drawn from these ``2 * size`` immutable objects (one
+    table per communicator size the process meets)."""
+    return (tuple(RecvStep(p) for p in range(size)),
+            tuple(SendStep(p) for p in range(size)))
+
+
 def barrier_rank_steps(me: int, size: int) -> List:
     """Dissemination barrier: round *k* takes a token from ``me - 2^k`` and
     sends one to ``me + 2^k`` (mod ``size``), send first (receive rule)."""
+    recv, send = _barrier_steps(size)
     return [step for k in range((size - 1).bit_length())
-            for step in (RecvStep((me - (1 << k)) % size),
-                         SendStep((me + (1 << k)) % size))]
+            for step in (recv[(me - (1 << k)) % size],
+                         send[(me + (1 << k)) % size])]
 
 
 def _then_bcast(reduce_steps):

@@ -34,7 +34,6 @@ subtract-the-known-delays protocol.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Optional, Union
 
 from ..errors import LedgerChargedError
@@ -74,7 +73,7 @@ class HostCpu:
         self._billed = 0.0
         self._poll_start = 0.0
         self._poll_category = ""
-        self._pending_handlers: deque[Callable[[Ledger], None]] = deque()
+        self._pending_handlers: list[Callable[[Ledger], None]] = []
         self.preemptions = 0
         self.deferred_handlers = 0
         self.handler_runs = 0
@@ -299,7 +298,7 @@ class HostCpu:
         extra = 0.0
         pending = self._pending_handlers
         while pending:
-            extra += self._execute(pending.popleft())
+            extra += self._execute(pending.pop(0))
         penalty = self.consume_interrupt_penalty()
         if penalty > 0.0:
             # Ignored signals during (or right after) the segment: the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.mpich.rank import MpiBuild
 from repro.orchestrate.benchjson import bench_payload
 from repro.orchestrate.points import (ConfigSpec, PointResult, SweepPoint,
                                       execute_point, smoke_points)
+from repro.sim.cpu import HostCpu
 
 
 def test_config_spec_round_trip_plain():
@@ -82,6 +84,45 @@ def test_execute_point_matches_direct_benchmark():
     assert res.counters["events"] == direct.sim_counters["events"]
     assert res.wall_time_s > 0.0
     assert res.invariant_report is None  # not requested
+
+
+def _paper8_point() -> SweepPoint:
+    return SweepPoint(experiment="t", kind="cpu_util",
+                      config=ConfigSpec("paper", 8, 1), build="ab",
+                      elements=4, max_skew_us=1000.0, iterations=3)
+
+
+def test_execute_point_frees_its_cluster():
+    """The point's cluster is cyclic garbage once the point returns; the
+    one young pass after it frees all of it, so nothing is left for the
+    next collection (the next point would otherwise build beside it)."""
+    gc.collect()
+    execute_point(_paper8_point())
+    assert not [o for o in gc.get_objects() if isinstance(o, HostCpu)]
+    assert gc.collect() == 0
+
+
+def test_execute_point_reenables_collector_after_failure(tmp_path):
+    point = SweepPoint(experiment="t", kind="chaos",
+                       config=ConfigSpec("paper", 2, 1), build="ab",
+                       elements=4,
+                       options={"counter_file": str(tmp_path / "count"),
+                                "succeed_after": 1})
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="failing on purpose"):
+        execute_point(point)
+    assert gc.isenabled()
+
+
+def test_execute_point_leaves_a_disabled_collector_alone():
+    gc.disable()
+    try:
+        before = [s["collections"] for s in gc.get_stats()]
+        execute_point(_paper8_point())
+        assert not gc.isenabled()
+        assert [s["collections"] for s in gc.get_stats()] == before
+    finally:
+        gc.enable()
 
 
 def test_bench_payload_refuses_option_only_twins():

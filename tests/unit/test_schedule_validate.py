@@ -84,8 +84,16 @@ def test_receive_then_send_exchange_is_clean():
 
 def test_dissemination_barrier_steps_validate():
     for n in [*range(1, 65), 4096]:
-        schedule = Schedule("barrier", "barrier.dissemination", n, steps=[
-            barrier_rank_steps(me, n) for me in range(n)])
+        steps = [barrier_rank_steps(me, n) for me in range(n)]
+        # all ranks draw on one table of steps per size
+        assert len({id(step) for rank in steps for step in rank}) <= 2 * n
+        assert steps == [
+            [step for k in range((n - 1).bit_length())
+             for step in (RecvStep((me - 2 ** k) % n),
+                          SendStep((me + 2 ** k) % n))]
+            for me in range(n)], n
+        schedule = Schedule("barrier", "barrier.dissemination", n,
+                            steps=steps)
         assert schedule.validate() is schedule, n
         if n <= 64:
             assert schedule_oracle.validate(schedule) is schedule, n
