@@ -41,26 +41,23 @@ def own_steps(rank, comm: Communicator, root: int, nbytes: int, segments,
 
     With ``steps`` None they are derived: ``derive`` — a per-rank function
     of :mod:`repro.schedule.lower` — over this rank's family in the
-    configured tree, resolved once from the message size.  Whole-message
-    steps are a pure function of ``(derive, shape, root, me)`` over a
-    fixed group, so they are interned on ``comm`` and every later call
-    returns the same tuple; segmented ones are derived per call (their
-    tuples are long, and interning them grows the resident set).  A
-    caller's own ``steps`` are refused, before anything is simulated,
+    configured tree, resolved once from the message size.  They are a pure
+    function of ``(derive, shape, root, me, nseg)`` over a fixed group, so
+    they are interned on ``comm`` and every later call returns the same
+    tuple (its steps are interned values, :class:`~repro.schedule.ir.Step`).
+    A caller's own ``steps`` are refused, before anything is simulated,
     unless they span exactly the config's segment plan.
     """
     nseg = len(segments or ())
     if steps is None:
         shape = rank.tree_shape_for(nbytes)
         me = comm.rank_of_world(rank.rank)
-        if nseg:
-            return derive(*tree.family(shape, comm.size, root, me),
-                          seg_ids(nseg))
-        key = (derive, shape, root, me)
+        key = (derive, shape, root, me, nseg)
         steps = comm.interned_steps.get(key)
         if steps is None:
             steps = comm.interned_steps[key] = tuple(
-                derive(*tree.family(shape, comm.size, root, me), seg_ids(0)))
+                derive(*tree.family(shape, comm.size, root, me),
+                       seg_ids(nseg)))
         return steps
     if steps:
         span = 1 + max(step.seg for step in steps)   # whole message: -1

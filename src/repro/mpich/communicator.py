@@ -61,7 +61,7 @@ class Communicator:
         self.pt2pt_context = self.context_id
         self.coll_context = self.context_id + 1
         self.name = name
-        #: whole-message steps by (derive, shape, root, me) or
+        #: rank steps by (derive, shape, root, me, nseg) or
         #: (barrier_rank_steps, me), shared by the members (``walk.own_steps``)
         self.interned_steps: dict[tuple, tuple] = {}
 

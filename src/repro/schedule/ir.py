@@ -62,19 +62,53 @@ class ScheduleValidationError(ScheduleError):
 
 
 class Step:
-    """Base class for schedule steps (frozen dataclass subclasses).
+    """Base class for schedule steps (slotted frozen dataclass subclasses).
 
     Every step class ends in a ``seg`` field.  :func:`_step_type` reflects
     over a class's fields once, at import, into ``_fields`` (names in
     declaration = JSON order), ``_checks`` (name, default, message path,
     annotation, the record codec's check for it) and ``_keys``;
     nothing on the per-step paths below calls :func:`dataclasses.fields`.
+
+    A step is an interned value: the dataclass writes no ``__init__``, and
+    a class's ``__new__`` returns the one object its ``_table`` holds for
+    the field values, built on the first call.  Only values whose every
+    field has exactly its annotated type are interned, so ``SendStep(True)``,
+    ``SendStep(1.0)`` or a NumPy integer get a private object and never
+    alias ``SendStep(1)``.  ``WaitStep`` (a tuple field) is not interned.
     """
 
+    __slots__ = ()
     op = "step"
     _fields: tuple = ()
     _checks: tuple = ()
     _keys: frozenset = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = {}     # per class: a subclass never answers for its base
+
+    @classmethod
+    def _build(cls, values: tuple) -> "Step":
+        """A new step with ``values`` in field order."""
+        step = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(step, name, value)
+        step._check_fields()
+        return step
+
+    @classmethod
+    def _intern(cls, values: tuple) -> "Step":
+        step = cls._table[values] = cls._build(values)
+        return step
+
+    def _check_fields(self) -> None:
+        """Refuse a step :meth:`_build` has just filled (nothing to refuse
+        unless a class says so)."""
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the interned step
+        return self.__class__, tuple(getattr(self, n) for n in self._fields)
 
     def with_seg(self, seg: int) -> "Step":
         """Return a copy of this step tagged with segment id ``seg``."""
@@ -106,38 +140,63 @@ def _step_type(cls):
 
 
 @_step_type
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SendStep(Step):
     peer: int
     seg: int = -1
     op = "send"
 
+    def __new__(cls, peer: int, seg: int = -1) -> "SendStep":
+        values = (peer, seg)
+        if type(peer) is int and type(seg) is int:
+            return cls._table.get(values) or cls._intern(values)
+        return cls._build(values)
+
 
 @_step_type
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RecvStep(Step):
     peer: int
     seg: int = -1
     op = "recv"
 
+    def __new__(cls, peer: int, seg: int = -1) -> "RecvStep":
+        values = (peer, seg)
+        if type(peer) is int and type(seg) is int:
+            return cls._table.get(values) or cls._intern(values)
+        return cls._build(values)
+
 
 @_step_type
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FoldStep(Step):
     child: int
     seg: int = -1
     op = "fold"
 
+    def __new__(cls, child: int, seg: int = -1) -> "FoldStep":
+        values = (child, seg)
+        if type(child) is int and type(seg) is int:
+            return cls._table.get(values) or cls._intern(values)
+        return cls._build(values)
+
 
 @_step_type
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BcastStep(Step):
     peer: int
     direction: str = "send"
     seg: int = -1
     op = "bcast"
 
-    def __post_init__(self) -> None:
+    def __new__(cls, peer: int, direction: str = "send",
+                seg: int = -1) -> "BcastStep":
+        values = (peer, direction, seg)
+        if type(peer) is int and type(direction) is str and type(seg) is int:
+            return cls._table.get(values) or cls._intern(values)
+        return cls._build(values)
+
+    def _check_fields(self) -> None:
         if self.direction not in ("send", "recv"):
             raise ScheduleError(
                 "BcastStep direction must be 'send' or 'recv', got %r"
@@ -145,14 +204,14 @@ class BcastStep(Step):
 
 
 @_step_type
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WaitStep(Step):
     children: tuple[int, ...] = ()
     seg: int = -1
     op = "wait"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __new__(cls, children: tuple = (), seg: int = -1) -> "WaitStep":
+        return cls._build((tuple(children), seg))
 
     def to_dict(self) -> dict:
         return {"step": "wait", "children": list(self.children),

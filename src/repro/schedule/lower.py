@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import inspect
 import operator
-from functools import lru_cache
 from typing import Callable, Dict, List
 
 from ..topo import ranks
@@ -127,10 +126,10 @@ def reduce_rank_steps(parent, kids, segs=(-1,)) -> List:
     steps: List = []
     for s in segs:
         for c in kids:
-            steps.append(RecvStep(c, seg=s))
-            steps.append(FoldStep(c, seg=s))
+            steps.append(RecvStep(c, s))
+            steps.append(FoldStep(c, s))
         if parent is not None:
-            steps.append(SendStep(parent, seg=s))
+            steps.append(SendStep(parent, s))
     return steps
 
 
@@ -141,9 +140,9 @@ def bcast_rank_steps(parent, kids, segs=(-1,)) -> List:
     steps: List = []
     for s in segs:
         if parent is not None:
-            steps.append(BcastStep(parent, "recv", seg=s))
+            steps.append(BcastStep(parent, "recv", s))
         for c in rkids:
-            steps.append(BcastStep(c, "send", seg=s))
+            steps.append(BcastStep(c, "send", s))
     return steps
 
 
@@ -155,8 +154,8 @@ def ab_reduce_rank_steps(parent, kids, segs) -> List:
     kids = tuple(kids)
     steps: List = []
     for s in segs:
-        steps.append(WaitStep(kids, seg=s))
-        steps.append(SendStep(parent, seg=s))
+        steps.append(WaitStep(kids, s))
+        steps.append(SendStep(parent, s))
     return steps
 
 
@@ -175,22 +174,12 @@ def pipelined_rank_steps(parent, kids, segs) -> List:
     return steps
 
 
-@lru_cache(maxsize=None)
-def _barrier_steps(size: int) -> tuple:
-    """``(RecvStep(p) ..., SendStep(p) ...)`` by peer ``p``: every rank's
-    barrier steps are drawn from these ``2 * size`` immutable objects (one
-    table per communicator size the process meets)."""
-    return (tuple(RecvStep(p) for p in range(size)),
-            tuple(SendStep(p) for p in range(size)))
-
-
 def barrier_rank_steps(me: int, size: int) -> List:
     """Dissemination barrier: round *k* takes a token from ``me - 2^k`` and
     sends one to ``me + 2^k`` (mod ``size``), send first (receive rule)."""
-    recv, send = _barrier_steps(size)
     return [step for k in range((size - 1).bit_length())
-            for step in (recv[(me - (1 << k)) % size],
-                         send[(me + (1 << k)) % size])]
+            for step in (RecvStep((me - (1 << k)) % size),
+                         SendStep((me + (1 << k)) % size))]
 
 
 def _then_bcast(reduce_steps):

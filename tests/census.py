@@ -50,6 +50,7 @@ WHYS = {
             "of the span stream)",
     "registry": "registered under a name a committed pin or a spec default "
                 "spells",
+    "copy": "copy/pickle hook of a value type; the program copies none",
 }
 
 _HOOK = '''\
@@ -70,13 +71,14 @@ threading.settrace(_call)
 '''
 
 _COMPILE_4096 = '''\
-from repro.schedule import LOWERINGS, lower
+from repro.schedule import LOWERINGS, Schedule, lower
 from repro.topo.trees import make_tree_shape
 order = list(range(4096))
 for shape in ("chain", "binomial"):
     for name in sorted(LOWERINGS):
         options = {"order": order} if ".pap_" in name else {"nseg": 8}
-        lower(name, make_tree_shape(shape), 4096, **options).validate()
+        s = lower(name, make_tree_shape(shape), 4096, **options).validate()
+        assert Schedule.from_json(s.to_json()) == s
 '''
 
 _RUN_POINT = json.dumps({

@@ -1,13 +1,14 @@
-"""Interned whole-message steps: ``walk.own_steps`` derives a rank's steps
-once per communicator and hands the same tuple back on every later call.
+"""Interned rank steps: ``walk.own_steps`` derives a rank's steps once per
+communicator and segment count and hands the same tuple back on every
+later call.
 
-Sound because whole-message steps are a pure function of the key
-``(derive, resolved shape, root, me)`` over the communicator's fixed
+Sound because rank steps are a pure function of the key
+``(derive, resolved shape, root, me, nseg)`` over the communicator's fixed
 group: the property test checks the interned tuple against a fresh
-derivation for every per-rank lowering × shape × size 1–64 × root × rank.
-The unit tests pin the key's edges — one communicator never answers for
-another, a message size that resolves to another shape gets that shape's
-steps, and a segmented call interns nothing.
+derivation for every per-rank lowering × shape × size 1–64 × root × rank ×
+segment count.  The unit tests pin the key's edges — one communicator
+never answers for another, a message size that resolves to another shape
+gets that shape's steps, and another segment count gets its own entry.
 """
 
 from __future__ import annotations
@@ -51,20 +52,27 @@ class FixedShapeRank:
         return self.shape
 
 
+def segments(nseg: int):
+    """An ``nseg``-segment plan of 2 doubles a segment (None: whole)."""
+    return [Segment(i, 2 * i, 2, 8) for i in range(nseg)] if nseg else None
+
+
 @settings(max_examples=60, deadline=None)
 @given(derive=st.sampled_from(DERIVES), shape=st.sampled_from(sorted(SHAPES)),
        data=st.data())
 def test_interned_steps_are_the_fresh_derivation(derive, shape, data):
     size = data.draw(st.integers(1, 64), label="size")
     root = data.draw(st.integers(0, size - 1), label="root")
+    nseg = data.draw(st.sampled_from([0, *range(2, 9)]), label="nseg")
     comm = world_communicator(size)
     tree = SHAPES[shape]
     for me in range(size):
         rank = FixedShapeRank(me, tree)
-        steps = own_steps(rank, comm, root, 32, None, derive)
+        steps = own_steps(rank, comm, root, 32, segments(nseg), derive)
         assert steps == tuple(derive(*family(tree, size, root, me),
-                                     seg_ids(0)))
-        assert own_steps(rank, comm, root, 32, (), derive) is steps
+                                     seg_ids(nseg)))
+        again = segments(nseg) if nseg else ()
+        assert own_steps(rank, comm, root, 32, again, derive) is steps
     assert len(comm.interned_steps) == size
 
 
@@ -120,10 +128,13 @@ def test_auto_sizes_resolving_to_other_shapes_get_other_steps(
     assert own_steps(rank, comm, 0, 2048, None, reduce_rank_steps) is small
 
 
-def test_segmented_call_interns_nothing():
+def test_segmented_calls_intern_one_entry_per_segment_count():
     rank = cluster_ranks(8)[0]
     comm = rank.comm_world
-    segments = [Segment(i, 2 * i, 2, 8) for i in range(4)]
-    steps = own_steps(rank, comm, 0, 64, segments, reduce_rank_steps)
-    assert {step.seg for step in steps} == {0, 1, 2, 3}
-    assert comm.interned_steps == {}
+    four = own_steps(rank, comm, 0, 64, segments(4), reduce_rank_steps)
+    assert {step.seg for step in four} == {0, 1, 2, 3}
+    assert own_steps(rank, comm, 0, 64, segments(4), reduce_rank_steps) is four
+    eight = own_steps(rank, comm, 0, 128, segments(8), reduce_rank_steps)
+    assert {step.seg for step in eight} == set(range(8))
+    whole = own_steps(rank, comm, 0, 64, None, reduce_rank_steps)
+    assert list(comm.interned_steps.values()) == [four, eight, whole]

@@ -11,19 +11,22 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import pickle
 import random
 import statistics
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schedule_oracle
 from schedule_defects import DEFECTS, messages
 from repro.schedule import lower
-from repro.schedule.ir import (STEP_TYPES, RecvStep, Schedule, ScheduleError,
-                               ScheduleValidationError, SendStep, WaitStep)
-from repro.schedule.lower import barrier_rank_steps
+from repro.schedule.ir import (STEP_TYPES, BcastStep, RecvStep, Schedule,
+                               ScheduleError, ScheduleValidationError,
+                               SendStep, WaitStep)
+from repro.schedule.lower import LOWERINGS, barrier_rank_steps
 from repro.topo.trees import make_tree_shape
 
 GOLDEN = json.loads(
@@ -161,7 +164,7 @@ def test_one_wide_wait_is_linear_in_its_children():
 
 
 # ---------------------------------------------------------------------------
-# step classes: field tables built once, canonical JSON
+# step classes: field tables built once, canonical JSON, interned values
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("cls", list(STEP_TYPES.values()),
@@ -169,11 +172,50 @@ def test_one_wide_wait_is_linear_in_its_children():
 def test_step_tables_agree_with_the_dataclass_fields(cls):
     names = tuple(f.name for f in dataclasses.fields(cls))
     assert cls._fields == names and names[-1] == "seg"
-    step = cls(*[(3,) if n == "children" else "recv" if n == "direction"
-                 else 3 for n in names[:-1]], 1)
+    args = [(3,) if n == "children" else "recv" if n == "direction" else 3
+            for n in names[:-1]]
+    step = cls(*args, 1)
     assert list(step.to_dict()) == ["step", *names]
     assert step.with_seg(0) == dataclasses.replace(step, seg=0)
     assert type(step.with_seg(0)) is cls
+    assert not hasattr(step, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.seg = 2
+    twins = [cls(*args, 1), cls(**dict(zip(names, [*args, 1]))),
+             cls(*args, 0).with_seg(1), copy.copy(step), copy.deepcopy(step),
+             pickle.loads(pickle.dumps(step))]
+    assert twins == [step] * len(twins)
+    if cls is not WaitStep:     # a tuple field: equal, not interned
+        assert all(twin is step for twin in twins)
+
+
+def test_json_round_trip_shares_every_interned_step():
+    for name in sorted(LOWERINGS):
+        schedule = lower(name, BINOMIAL, 16, nseg=2 if "pipelined" in name
+                         else 0)
+        back = Schedule.from_json(schedule.to_json())
+        assert back == schedule, name
+        for mine, theirs in zip(schedule.steps, back.steps):
+            for a, b in zip(mine, theirs):
+                assert a is b or type(a) is WaitStep, (name, a)
+
+
+def test_inexact_values_and_subclasses_never_alias_an_interned_step():
+    exact = SendStep(1)
+    for peer in (True, 1.0, np.int64(1)):
+        private = SendStep(peer)
+        assert private is not exact and private.peer is peer
+        assert SendStep(peer) is not private
+    assert type(SendStep(True, 7).peer) is bool
+    assert type(SendStep(1, 7).peer) is int     # built after, never aliased
+
+    class Tagged(SendStep):
+        pass
+
+    assert type(Tagged(1)) is Tagged and Tagged(1) is Tagged(1)
+    for bad in ("up", 1):   # interned and private paths check alike
+        with pytest.raises(ScheduleError, match="direction must be"):
+            BcastStep(1, bad)
 
 
 def test_compile_path_never_reflects_per_step(monkeypatch):
