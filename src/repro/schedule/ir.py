@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Union, get_type_hints
 
 from ..config import RecordError, decode, encode, loads, typed
@@ -76,9 +77,14 @@ class Step:
     field has exactly its annotated type are interned, so ``SendStep(True)``,
     ``SendStep(1.0)`` or a NumPy integer get a private object and never
     alias ``SendStep(1)``.  ``WaitStep`` (a tuple field) is not interned.
+
+    An interned step keeps its JSON text in ``_json`` once it is first
+    written (``None`` until then; ``False`` on a step that is not interned,
+    which is written afresh each time), so :meth:`Schedule.to_json` costs
+    one ``json.dumps`` per distinct step.
     """
 
-    __slots__ = ()
+    __slots__ = ("_json",)
     op = "step"
     _fields: tuple = ()
     _checks: tuple = ()
@@ -89,18 +95,26 @@ class Step:
         cls._table = {}     # per class: a subclass never answers for its base
 
     @classmethod
-    def _build(cls, values: tuple) -> "Step":
-        """A new step with ``values`` in field order."""
+    def _build(cls, values: tuple, text=False) -> "Step":
+        """A new step with ``values`` in field order and ``_json`` ``text``."""
         step = object.__new__(cls)
         for name, value in zip(cls._fields, values):
             object.__setattr__(step, name, value)
+        object.__setattr__(step, "_json", text)
         step._check_fields()
         return step
 
     @classmethod
     def _intern(cls, values: tuple) -> "Step":
-        step = cls._table[values] = cls._build(values)
+        step = cls._table[values] = cls._build(values, None)
         return step
+
+    def _text(self) -> str:
+        """This step's JSON text, kept by an interned step."""
+        text = json.dumps(self.to_dict())
+        if self._json is None:
+            object.__setattr__(self, "_json", text)
+        return text
 
     def _check_fields(self) -> None:
         """Refuse a step :meth:`_build` has just filled (nothing to refuse
@@ -220,6 +234,32 @@ class WaitStep(Step):
 
 AnyStep = Union[SendStep, RecvStep, FoldStep, BcastStep, WaitStep]
 
+#: tag -> (key count, field getter, exact field types, intern table) of each
+#: interned step class, for :func:`_known_step`.
+_SHAPES = {cls.op: (len(cls._keys), itemgetter(*cls._fields),
+                    tuple(check[3] for check in cls._checks), cls._table)
+           for cls in (SendStep, RecvStep, FoldStep, BcastStep)}
+
+
+def _known_step(d) -> Optional[Step]:
+    """The interned step an exactly shaped step object names: ``"step"``
+    plus one key per field, each of exactly its annotated type, checked
+    before anything is hashed.  None for any other object, and for a value
+    not yet built; :func:`step_from_dict` answers those."""
+    if type(d) is dict:
+        tag = d.get("step")
+        shape = _SHAPES.get(tag) if type(tag) is str else None
+        if shape is not None and len(d) == shape[0]:
+            try:
+                values = shape[1](d)
+            except KeyError:        # a field missing, an unknown key instead
+                return None
+            for value, kind in zip(values, shape[2]):
+                if type(value) is not kind:
+                    return None
+            return shape[3].get(values)
+    return None
+
 
 def step_from_dict(d: dict) -> AnyStep:
     """One step from its JSON object, typed by the class's annotations as
@@ -310,7 +350,8 @@ class Schedule:
                 row: list = []
                 try:
                     for step in rank:
-                        row.append(step_from_dict(step))
+                        row.append(_known_step(step)
+                                   or step_from_dict(step))
                 except (RecordError, ScheduleError) as exc:
                     raise RecordError("ranks[%d][%d]: %s" % (
                         len(steps), len(row), exc)) from None
@@ -320,7 +361,16 @@ class Schedule:
         return replace(header, meta=meta, steps=steps)
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+        """``json.dumps(self.to_dict(), indent=indent)``.  Without
+        ``indent``: a step-less copy's text, its ``"ranks": []}`` filled
+        with the steps' kept texts (:class:`Step`)."""
+        if indent is not None:
+            return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+        ranks = ", ".join(["[%s]" % ", ".join([step._json or step._text()
+                                               for step in rank])
+                           for rank in self.steps])
+        return "%s%s]}" % (json.dumps(replace(self, steps=()).to_dict())[:-2],
+                           ranks)
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":

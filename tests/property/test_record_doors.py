@@ -426,6 +426,9 @@ MALFORMED = [
      "nranks must be an int, got '2'"),
     ("schedule", "nseg is a float", _set(("nseg",), 2.0),
      "nseg must be an int, got 2.0"),
+    # an exactly shaped step is one intern-table lookup: types before hash
+    ("schedule", "a list-valued peer", _set(("ranks", 1, 0, "peer"), [0]),
+     "ranks[1][0]: send.peer must be an int, got [0]"),
     # refused at the door since this PR: names and ranges
     ("cluster", "an unknown topology", _set(("topology",), "moebius"),
      "unknown topology 'moebius'; known: ['crossbar', 'fattree', 'torus']"),
