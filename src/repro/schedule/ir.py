@@ -33,8 +33,9 @@ send-first exchange of such messages validates clean and deadlocks.
 
 Validation (:meth:`Schedule.validate`) checks structure, that the send and
 receive multisets match exactly on each channel, that every fold has an
-unconsumed operand, and — by abstractly executing all ranks against buffered
-channels — that no rank blocks forever.  Lowering, validation and the JSON
+unconsumed operand, and that no rank blocks forever — all in one sweep that
+abstractly executes every rank against buffered channels, with a second
+sweep only to name a defect it found.  Lowering, validation and the JSON
 round trip are all O(steps) (DESIGN.md §15); :meth:`Schedule.from_json` is
 the front door for outside input and answers anything malformed with one
 :class:`ScheduleError` line.
@@ -76,7 +77,8 @@ class Step:
     the field values, built on the first call.  Only values whose every
     field has exactly its annotated type are interned, so ``SendStep(True)``,
     ``SendStep(1.0)`` or a NumPy integer get a private object and never
-    alias ``SendStep(1)``.  ``WaitStep`` (a tuple field) is not interned.
+    alias ``SendStep(1)``; a ``WaitStep`` is keyed on its children as a
+    tuple, interned when each child is exactly an ``int``.
 
     An interned step keeps its JSON text in ``_json`` once it is first
     written (``None`` until then; ``False`` on a step that is not interned,
@@ -225,7 +227,14 @@ class WaitStep(Step):
     op = "wait"
 
     def __new__(cls, children: tuple = (), seg: int = -1) -> "WaitStep":
-        return cls._build((tuple(children), seg))
+        values = (tuple(children), seg)
+        if type(seg) is int:
+            for child in values[0]:
+                if type(child) is not int:
+                    break
+            else:
+                return cls._table.get(values) or cls._intern(values)
+        return cls._build(values)
 
     def to_dict(self) -> dict:
         return {"step": "wait", "children": list(self.children),
@@ -235,17 +244,20 @@ class WaitStep(Step):
 AnyStep = Union[SendStep, RecvStep, FoldStep, BcastStep, WaitStep]
 
 #: tag -> (key count, field getter, exact field types, intern table) of each
-#: interned step class, for :func:`_known_step`.
+#: step class, for :func:`_known_step`; a wait's children arrive as a list.
 _SHAPES = {cls.op: (len(cls._keys), itemgetter(*cls._fields),
                     tuple(check[3] for check in cls._checks), cls._table)
            for cls in (SendStep, RecvStep, FoldStep, BcastStep)}
+_SHAPES["wait"] = (3, itemgetter("children", "seg"), (list, int),
+                   WaitStep._table)
 
 
 def _known_step(d) -> Optional[Step]:
     """The interned step an exactly shaped step object names: ``"step"``
-    plus one key per field, each of exactly its annotated type, checked
-    before anything is hashed.  None for any other object, and for a value
-    not yet built; :func:`step_from_dict` answers those."""
+    plus one key per field, each of exactly its annotated type (a wait's
+    children a list of exact ints), checked before anything is hashed.
+    None for any other object, and for a value not yet built;
+    :func:`step_from_dict` answers those."""
     if type(d) is dict:
         tag = d.get("step")
         shape = _SHAPES.get(tag) if type(tag) is str else None
@@ -257,6 +269,11 @@ def _known_step(d) -> Optional[Step]:
             for value, kind in zip(values, shape[2]):
                 if type(value) is not kind:
                     return None
+            if tag == "wait":
+                for child in values[0]:
+                    if type(child) is not int:
+                        return None
+                values = (tuple(values[0]), values[1])
             return shape[3].get(values)
     return None
 
@@ -386,12 +403,13 @@ class Schedule:
     def validate(self) -> "Schedule":
         """Raise :class:`ScheduleValidationError` on any defect; return self.
 
-        O(steps): one sweep for structure, matching and fold operands, one
-        worklist run for progress.
+        O(steps): one worklist sweep runs every rank and tallies structure,
+        fold operands and channel balance as it goes; only a schedule it
+        leaves flagged, stuck or unbalanced is swept again, by
+        :meth:`_check_steps`, to name the defect.
         """
         self._check_header()
-        self._check_steps()
-        self._check_progress()
+        self._sweep()
         return self
 
     def _check_header(self) -> None:
@@ -411,8 +429,9 @@ class Schedule:
                 % (len(self.steps), self.nranks))
 
     def _check_steps(self) -> None:
-        """Structure, then matching, then fold operands — three checks, one
-        sweep, one dispatch on ``type(step)`` per step.
+        """Name the structure, matching or fold defect of a schedule the
+        sweep flagged — three checks, one sweep, one dispatch on
+        ``type(step)`` per step.
 
         A structure defect raises where it is met (nothing outranks it).
         Matching needs every step, so it is judged after the sweep; the
@@ -499,7 +518,7 @@ class Schedule:
                 "rank %d: fold of child %d seg %d has no unconsumed receive"
                 % fold_defect)
 
-    def _check_progress(self) -> None:
+    def _sweep(self) -> None:
         """Abstractly execute all ranks; sends buffer, receives block.
         The receive rule (module docstring) is run as a rewrite: a
         ``RecvStep`` the cursor meets with a ``SendStep`` right behind it
@@ -514,13 +533,27 @@ class Schedule:
         who is visited when, and each step is visited O(1) times.  A
         :class:`WaitStep` takes its children's contributions one at a time
         in order, which completes exactly when all of them arrive.
+
+        As a step completes the sweep tallies the rest of validation.  A
+        fold takes a receive its rank completed; a wait lists each child
+        once; a send is checked for a self-edge and its segment.  A
+        receive reads only the key a send wrote, so a receive from itself,
+        out of range or on a bad segment either matches a flagged send or
+        never completes, and a send out of range is never received: a
+        stuck rank or a leftover count shows it.  A flag never stops a
+        rank, so when :meth:`_check_steps` finds nothing the stuck set is
+        the deadlock's.
         """
+        nranks = self.nranks
+        valid_segs = frozenset(range(self.nseg) if self.nseg else (-1,))
         steps = list(self.steps)
-        cursors = [0] * self.nranks
+        cursors = [0] * nranks
         channels: dict = {}     # key -> messages sent and not yet received
+        unfolded: dict = {}     # p2p key -> receives not yet folded
         parked: dict = {}       # key -> the rank blocked on it
         taken: dict = {}        # rank parked inside a WaitStep -> children done
-        ready = list(range(self.nranks))
+        flawed = False          # a defect no stuck rank or leftover shows
+        ready = list(range(nranks))
         while ready:
             me = ready.pop()
             rank = steps[me]
@@ -536,37 +569,55 @@ class Schedule:
                     step, kind = rank[i], SendStep
                 if kind is SendStep or (kind is BcastStep
                                         and step.direction == "send"):
-                    key = ("p2p" if kind is SendStep else "bc",
-                           me, step.peer, step.seg)
+                    peer, seg = step.peer, step.seg
+                    if peer == me or seg not in valid_segs:
+                        flawed = True
+                    key = ("p2p" if kind is SendStep else "bc", me, peer, seg)
                     channels[key] = channels.get(key, 0) + 1
                     waiter = parked.pop(key, None)
                     if waiter is not None:
                         ready.append(waiter)
-                elif kind is not FoldStep:
-                    if kind is WaitStep:
-                        channel, sources = "p2p", step.children
-                        j = taken.pop(me, 0)
+                elif kind is FoldStep:
+                    key = ("p2p", step.child, me, step.seg)
+                    have = unfolded.get(key, 0)
+                    if have:
+                        unfolded[key] = have - 1
                     else:
-                        channel = "p2p" if kind is RecvStep else "bc"
-                        sources = (step.peer,)
-                        j = 0
-                    while j < len(sources):
-                        key = (channel, sources[j], me, step.seg)
+                        flawed = True
+                elif kind is RecvStep or kind is BcastStep:
+                    key = ("p2p" if kind is RecvStep else "bc",
+                           step.peer, me, step.seg)
+                    have = channels.get(key, 0)
+                    if not have:
+                        parked[key] = me
+                        break
+                    channels[key] = have - 1
+                    if kind is RecvStep:
+                        unfolded[key] = unfolded.get(key, 0) + 1
+                elif kind is WaitStep:
+                    children = step.children
+                    if not children or len(set(children)) < len(children):
+                        flawed = True
+                    j = taken.pop(me, 0)
+                    while j < len(children):
+                        key = ("p2p", children[j], me, step.seg)
                         have = channels.get(key, 0)
                         if not have:
+                            parked[key] = me
+                            if j:
+                                taken[me] = j
                             break
                         channels[key] = have - 1
                         j += 1
-                    if j < len(sources):
-                        parked[key] = me
-                        if j:
-                            taken[me] = j
+                    if j < len(children):
                         break
+                else:
+                    break               # unknown: the rank stays stuck
                 i += 1
             cursors[me] = i
-        stuck = [me for me in range(self.nranks)
-                 if cursors[me] < len(steps[me])]
-        if stuck:
+        stuck = [me for me in range(nranks) if cursors[me] < len(steps[me])]
+        if flawed or stuck or any(channels.values()):
+            self._check_steps()
             me = stuck[0]
             raise ScheduleValidationError(
                 "deadlock: %d rank(s) blocked forever (rank %d stuck at %r)"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import RecordError
 from repro.schedule.ir import (STEP_TYPES, BcastStep, FoldStep, RecvStep,
@@ -37,6 +37,8 @@ steps = st.one_of(
     st.builds(FoldStep, ints, ints),
     st.builds(BcastStep, ints, st.sampled_from(("send", "recv")), ints),
     st.builds(WaitStep, st.lists(ints, max_size=3).map(tuple), ints),
+    st.builds(WaitStep, st.lists(st.booleans(), min_size=1, max_size=2),
+              ints),
     st.builds(SendStep, st.sampled_from((True, False, 1.0, -0.5)), ints),
     st.builds(MarkedSend, ints, ints),
 )
@@ -100,6 +102,9 @@ def walked(value):
 
 
 @given(value=step_objects())
+@example(value={"step": "wait", "children": [1, True], "seg": 0})
+@example(value={"step": "wait", "children": [1, 1.0], "seg": 0})
+@example(value={"step": "wait", "children": [1, 2], "seg": 0})
 @settings(max_examples=600, deadline=None)
 def test_from_json_decodes_a_step_as_the_checked_walk_does(value):
     text = json.dumps({"schema": 1, "collective": "reduce", "lowering": "x",
@@ -114,4 +119,4 @@ def test_from_json_decodes_a_step_as_the_checked_walk_does(value):
     for step, refusal in outcomes:
         assert refusal == message
         assert step == expected
-        assert step is expected or type(step) is WaitStep
+        assert step is expected

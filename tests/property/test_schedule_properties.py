@@ -221,17 +221,19 @@ def _blocks(step):
 
 
 def _mutate(rng, schedule):
-    """Drop, duplicate, swap adjacent or retarget one step of one rank.
-    Half the swaps go for a send with a blocking step right behind it —
-    hoisting the block over the send is what makes a cycle, and the
-    deadlock branch is the one under test."""
+    """Drop, duplicate, swap adjacent, retarget or move to another segment
+    (maybe one out of range) one step of one rank.  Half the swaps go for
+    a send with a blocking step right behind it — hoisting the block over
+    the send is what makes a cycle, and the deadlock branch is the one
+    under test."""
     busy = [r for r, steps in enumerate(schedule.steps) if steps]
     if not busy:
         return schedule
     rank = rng.choice(busy)
     steps = list(schedule.steps[rank])
     i = rng.randrange(len(steps))
-    kind = rng.choice(("drop", "duplicate", "swap", "swap", "retarget"))
+    kind = rng.choice(("drop", "duplicate", "swap", "swap", "retarget",
+                       "reseg"))
     if kind == "drop":
         del steps[i]
     elif kind == "duplicate":
@@ -242,6 +244,10 @@ def _mutate(rng, schedule):
         i = (rng.choice(hoists) if hoists and rng.random() < 0.5
              else min(i, len(steps) - 2))
         steps[i], steps[i + 1] = steps[i + 1], steps[i]
+    elif kind == "reseg":
+        steps[i] = steps[i].with_seg(rng.choice(
+            [seg for seg in range(-1, schedule.nseg + 1)
+             if seg != steps[i].seg]))
     else:
         steps[i] = _retarget(rng, steps[i], schedule.nranks)
     return _mutate_rank(schedule, rank, steps)

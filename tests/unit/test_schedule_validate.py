@@ -193,8 +193,7 @@ def test_step_tables_agree_with_the_dataclass_fields(cls):
              cls(*args, 0).with_seg(1), copy.copy(step), copy.deepcopy(step),
              pickle.loads(pickle.dumps(step))]
     assert twins == [step] * len(twins)
-    if cls is not WaitStep:     # a tuple field: equal, not interned
-        assert all(twin is step for twin in twins)
+    assert all(twin is step for twin in twins)
 
 
 def test_json_round_trip_shares_every_interned_step():
@@ -205,7 +204,7 @@ def test_json_round_trip_shares_every_interned_step():
         assert back == schedule, name
         for mine, theirs in zip(schedule.steps, back.steps):
             for a, b in zip(mine, theirs):
-                assert a is b or type(a) is WaitStep, (name, a)
+                assert a is b, (name, a)
 
 
 def test_inexact_values_and_subclasses_never_alias_an_interned_step():
@@ -216,6 +215,16 @@ def test_inexact_values_and_subclasses_never_alias_an_interned_step():
         assert SendStep(peer) is not private
     assert type(SendStep(True, 7).peer) is bool
     assert type(SendStep(1, 7).peer) is int     # built after, never aliased
+
+    assert WaitStep([1, 2]) is WaitStep((1, 2))
+    exact = WaitStep((1,), 1)
+    for children, seg in (((True,), 1), ((np.int64(1),), 1), ((1,), True)):
+        private = WaitStep(children, seg)
+        assert private is not exact and private.seg is seg
+        assert private.children[0] is children[0]
+        assert WaitStep(children, seg) is not private
+    assert type(WaitStep((True,), 7).children[0]) is bool
+    assert type(WaitStep((1,), 7).children[0]) is int   # never aliased
 
     class Tagged(SendStep):
         pass
@@ -307,6 +316,13 @@ JSON_FUZZ = [
      "ranks[3][0]: send.peer must be an int, got True"),
     ("a child is a bool", _set(("ranks", *WAIT, "children"), [True]),
      "ranks[%d][%d]: wait.children must be a list of ints, got [True]"
+     % WAIT),
+    ("a child is a bool after an int",
+     _set(("ranks", *WAIT, "children"), [1, True]),
+     "ranks[%d][%d]: wait.children must be a list of ints, got [1, True]"
+     % WAIT),
+    ("a child is a float", _set(("ranks", *WAIT, "children"), [1, 1.0]),
+     "ranks[%d][%d]: wait.children must be a list of ints, got [1, 1.0]"
      % WAIT),
     ("unknown step key", _set(("ranks", 3, 0, "pear"), 1),
      "ranks[3][0]: send step has unknown key(s) 'pear'"),
