@@ -660,7 +660,7 @@ def _shape(hint):
     origin, args = get_origin(hint), get_args(hint)
     if is_dataclass(hint):
         def convert(path, v, unknown):
-            return _walk(hint, v, path, path + ".", unknown)
+            return hint(**_walk(hint, v, path, path + ".", unknown))
         return (lambda v: type(v) is dict), convert, "an object", "objects"
     if origin in (tuple, list) and args:        # tuple[X, ...], list[X]
         fits_each, convert_each, _, several = _shape(args[0])
@@ -711,7 +711,9 @@ def _plan(cls) -> tuple:
 
 
 def _walk(cls, d: dict, where: str, prefix: str, unknown: list,
-          own=(), given=()):
+          own=(), given=()) -> dict:
+    """The keyword arguments that build the ``cls`` record ``d`` describes;
+    its unknown keys go to ``unknown``."""
     plan = [entry for entry in _plan(cls) if entry[0] not in given]
     known = {name for name, _, _ in plan}.union(own)
     if not known.issuperset(d):
@@ -723,19 +725,21 @@ def _walk(cls, d: dict, where: str, prefix: str, unknown: list,
             kwargs[name] = check(prefix + name, d[name], unknown)
         elif required:
             raise RecordError("%s has no %r" % (where, name))
-    return cls(**kwargs)
+    return kwargs
 
 
 def decode(cls, d, where: str, *, schema: Optional[int] = None, own=(),
-           **given):
+           prefix: str = "", **given):
     """The ``cls`` record that JSON object ``d`` describes, typed by the
     dataclass declaration alone: each key decodes as its field's annotation
     says (:func:`typed`), a missing key takes the dataclass default or is
     refused, and no key may be unknown, here or in a record inside (``config
     has unknown key(s) 'nett'``; all of them in one line).  ``where`` names
-    the record in messages, ``schema`` is the version its ``"schema"`` key
-    must carry, ``own`` names keys the door reads by itself and ``given``
-    supplies fields it has decoded by hand."""
+    the record in messages and ``prefix`` its fields (``send.peer``),
+    ``schema`` is the version its ``"schema"`` key must carry, ``own``
+    names keys the door reads by itself and ``given`` supplies fields it
+    has decoded by hand.  The record is built only once its keys are all
+    known, so nothing its constructor refuses outranks an unknown key."""
     if type(d) is not dict:
         raise RecordError("a %s must be a JSON object, got %r" % (where, d))
     if schema is not None:
@@ -744,10 +748,10 @@ def decode(cls, d, where: str, *, schema: Optional[int] = None, own=(),
                               % (where, d.get("schema"), schema))
         own = (*own, "schema")
     unknown: list = []
-    record = _walk(cls, d, where, "", unknown, own, given)
+    kwargs = _walk(cls, d, where, prefix, unknown, own, given)
     if unknown:
         raise RecordError("; ".join(unknown))
-    return record
+    return cls(**kwargs)
 
 
 def encode(value, **given):

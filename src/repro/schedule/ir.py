@@ -47,7 +47,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Optional, Union, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from ..config import RecordError, decode, encode, loads, typed
 from ..errors import ReproError
@@ -66,31 +66,26 @@ class ScheduleValidationError(ScheduleError):
 class Step:
     """Base class for schedule steps (slotted frozen dataclass subclasses).
 
-    Every step class ends in a ``seg`` field.  :func:`_step_type` reflects
-    over a class's fields once, at import, into ``_fields`` (names in
-    declaration = JSON order), ``_checks`` (name, default, message path,
-    annotation, the record codec's check for it) and ``_keys``;
-    nothing on the per-step paths below calls :func:`dataclasses.fields`.
+    Every step class ends in a ``seg`` field, and :func:`_step_type` builds
+    the rest of it from its fields, once, at import: ``_fields`` (names in
+    declaration = JSON order), ``__new__`` and a row of :data:`_SHAPES`;
+    no per-step path calls :func:`dataclasses.fields`.
 
-    A step is an interned value: the dataclass writes no ``__init__``, and
-    a class's ``__new__`` returns the one object its ``_table`` holds for
-    the field values, built on the first call.  Only values whose every
-    field has exactly its annotated type are interned, so ``SendStep(True)``,
-    ``SendStep(1.0)`` or a NumPy integer get a private object and never
-    alias ``SendStep(1)``; a ``WaitStep`` is keyed on its children as a
-    tuple, interned when each child is exactly an ``int``.
+    A step is an interned value: ``__new__`` returns the one object the
+    class's ``_table`` holds for the field values, built on the first call,
+    if every field has exactly its annotated type (a tuple field is made a
+    tuple, each item of exactly its type).  ``SendStep(True)``,
+    ``SendStep(1.0)`` or a NumPy integer get a private object instead.
 
     An interned step keeps its JSON text in ``_json`` once it is first
-    written (``None`` until then; ``False`` on a step that is not interned,
-    which is written afresh each time), so :meth:`Schedule.to_json` costs
-    one ``json.dumps`` per distinct step.
+    written (``None`` until then; ``False`` on a private step, written
+    afresh each time), so :meth:`Schedule.to_json` costs one
+    ``json.dumps`` per distinct step.
     """
 
     __slots__ = ("_json",)
     op = "step"
     _fields: tuple = ()
-    _checks: tuple = ()
-    _keys: frozenset = frozenset()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -106,11 +101,6 @@ class Step:
         step._check_fields()
         return step
 
-    @classmethod
-    def _intern(cls, values: tuple) -> "Step":
-        step = cls._table[values] = cls._build(values, None)
-        return step
-
     def _text(self) -> str:
         """This step's JSON text, kept by an interned step."""
         text = json.dumps(self.to_dict())
@@ -119,8 +109,7 @@ class Step:
         return text
 
     def _check_fields(self) -> None:
-        """Refuse a step :meth:`_build` has just filled (nothing to refuse
-        unless a class says so)."""
+        """Refuse a step :meth:`_build` has just filled (if a class says)."""
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor: the interned step
@@ -134,23 +123,53 @@ class Step:
     def to_dict(self) -> dict:
         d = {"step": self.op}
         for name in self._fields:
-            d[name] = getattr(self, name)
+            value = getattr(self, name)
+            d[name] = list(value) if type(value) is tuple else value
         return d
 
 
 STEP_TYPES: dict = {}
 
+#: tag -> (key count, field getter, exact JSON type of each field, intern
+#: table, (position, {item type}) of each tuple field) of each step class.
+_SHAPES: dict = {}
+
+#: A step class's ``__new__``, written as :mod:`dataclasses` writes __init__.
+_NEW = """def __new__(cls, {params}):
+    values = ({values},)
+    if {exact}:
+        return cls._table.get(values) or cls._table.setdefault(
+            values, cls._build(values, None))
+    return cls._build(values)"""
+
 
 def _step_type(cls):
     """Class decorator: register a step dataclass under its ``op`` tag and
-    build its field tables (see :class:`Step`)."""
+    build the rest of it from its fields (see :class:`Step`).  A field is a
+    scalar or a ``tuple[X, ...]``, which JSON writes as a list."""
     hints = get_type_hints(cls)
     fields = dataclasses.fields(cls)
-    cls._fields = tuple(f.name for f in fields)
-    cls._checks = tuple(
-        (f.name, f.default, "%s.%s" % (cls.op, f.name), hints[f.name],
-         typed(hints[f.name])) for f in fields)
-    cls._keys = frozenset(cls._fields) | {"step"}
+    cls._fields = names = tuple(f.name for f in fields)
+    items = {i: frozenset(get_args(hints[name])[:1])
+             for i, name in enumerate(names)
+             if get_origin(hints[name]) is tuple}
+    kinds = [list if i in items else hints[name]
+             for i, name in enumerate(names)]
+    values = ["tuple(%s)" % name if i in items else name
+              for i, name in enumerate(names)]
+    exact = ["_items[%d].issuperset(map(type, values[%d]))" % (i, i)
+             if i in items else "type(%s) is %s" % (name, kinds[i].__name__)
+             for i, name in enumerate(names)]
+    space = {kind.__name__: kind for kind in kinds}
+    space["_items"] = items
+    space.update(("_" + f.name, f.default) for f in fields
+                 if f.default is not dataclasses.MISSING)
+    exec(_NEW.format(params=", ".join(
+        name + "=_" + name if "_" + name in space else name for name in names),
+        values=", ".join(values), exact=" and ".join(exact)), space)
+    cls.__new__ = staticmethod(space["__new__"])
+    _SHAPES[cls.op] = (len(names) + 1, itemgetter(*names), tuple(kinds),
+                       cls._table, tuple(items.items()))
     STEP_TYPES[cls.op] = cls
     return cls
 
@@ -162,12 +181,6 @@ class SendStep(Step):
     seg: int = -1
     op = "send"
 
-    def __new__(cls, peer: int, seg: int = -1) -> "SendStep":
-        values = (peer, seg)
-        if type(peer) is int and type(seg) is int:
-            return cls._table.get(values) or cls._intern(values)
-        return cls._build(values)
-
 
 @_step_type
 @dataclass(frozen=True, slots=True, init=False)
@@ -175,12 +188,6 @@ class RecvStep(Step):
     peer: int
     seg: int = -1
     op = "recv"
-
-    def __new__(cls, peer: int, seg: int = -1) -> "RecvStep":
-        values = (peer, seg)
-        if type(peer) is int and type(seg) is int:
-            return cls._table.get(values) or cls._intern(values)
-        return cls._build(values)
 
 
 @_step_type
@@ -190,12 +197,6 @@ class FoldStep(Step):
     seg: int = -1
     op = "fold"
 
-    def __new__(cls, child: int, seg: int = -1) -> "FoldStep":
-        values = (child, seg)
-        if type(child) is int and type(seg) is int:
-            return cls._table.get(values) or cls._intern(values)
-        return cls._build(values)
-
 
 @_step_type
 @dataclass(frozen=True, slots=True, init=False)
@@ -204,13 +205,6 @@ class BcastStep(Step):
     direction: str = "send"
     seg: int = -1
     op = "bcast"
-
-    def __new__(cls, peer: int, direction: str = "send",
-                seg: int = -1) -> "BcastStep":
-        values = (peer, direction, seg)
-        if type(peer) is int and type(direction) is str and type(seg) is int:
-            return cls._table.get(values) or cls._intern(values)
-        return cls._build(values)
 
     def _check_fields(self) -> None:
         if self.direction not in ("send", "recv"):
@@ -226,38 +220,16 @@ class WaitStep(Step):
     seg: int = -1
     op = "wait"
 
-    def __new__(cls, children: tuple = (), seg: int = -1) -> "WaitStep":
-        values = (tuple(children), seg)
-        if type(seg) is int:
-            for child in values[0]:
-                if type(child) is not int:
-                    break
-            else:
-                return cls._table.get(values) or cls._intern(values)
-        return cls._build(values)
-
-    def to_dict(self) -> dict:
-        return {"step": "wait", "children": list(self.children),
-                "seg": self.seg}
-
 
 AnyStep = Union[SendStep, RecvStep, FoldStep, BcastStep, WaitStep]
-
-#: tag -> (key count, field getter, exact field types, intern table) of each
-#: step class, for :func:`_known_step`; a wait's children arrive as a list.
-_SHAPES = {cls.op: (len(cls._keys), itemgetter(*cls._fields),
-                    tuple(check[3] for check in cls._checks), cls._table)
-           for cls in (SendStep, RecvStep, FoldStep, BcastStep)}
-_SHAPES["wait"] = (3, itemgetter("children", "seg"), (list, int),
-                   WaitStep._table)
 
 
 def _known_step(d) -> Optional[Step]:
     """The interned step an exactly shaped step object names: ``"step"``
-    plus one key per field, each of exactly its annotated type (a wait's
-    children a list of exact ints), checked before anything is hashed.
-    None for any other object, and for a value not yet built;
-    :func:`step_from_dict` answers those."""
+    plus one key per field, each of exactly its JSON type (a tuple field a
+    list of exact items), checked before anything is hashed.  None for any
+    other object or a value not yet built, which :func:`step_from_dict`
+    answers."""
     if type(d) is dict:
         tag = d.get("step")
         shape = _SHAPES.get(tag) if type(tag) is str else None
@@ -269,38 +241,25 @@ def _known_step(d) -> Optional[Step]:
             for value, kind in zip(values, shape[2]):
                 if type(value) is not kind:
                     return None
-            if tag == "wait":
-                for child in values[0]:
-                    if type(child) is not int:
+            if shape[4]:            # tuple fields arrive as lists
+                for i, exact in shape[4]:
+                    if not exact.issuperset(map(type, values[i])):
                         return None
-                values = (tuple(values[0]), values[1])
+                    values = (*values[:i], tuple(values[i]), *values[i + 1:])
             return shape[3].get(values)
     return None
 
 
 def step_from_dict(d: dict) -> AnyStep:
-    """One step from its JSON object, typed by the class's annotations as
-    every record is (:func:`repro.config.decode`; this loop is that walk
-    over tables built at import, because it runs once per step)."""
+    """One step from its JSON object, decoded as every record is
+    (:func:`repro.config.decode`) into the class its ``"step"`` tag names."""
     if type(d) is not dict:
         raise RecordError("a step must be a JSON object, got %r" % (d,))
     kind = d.get("step")
     cls = STEP_TYPES.get(kind) if type(kind) is str else None
     if cls is None:
         raise RecordError("unknown step tag %r" % (kind,))
-    args = []
-    for name, default, path, hint, check in cls._checks:
-        if name in d:
-            value = d[name]     # exactly the annotated type: nothing to check
-            args.append(value if type(value) is hint else check(path, value))
-        elif default is dataclasses.MISSING:
-            raise RecordError("%s step has no %r" % (kind, name))
-        else:
-            args.append(default)
-    if not cls._keys.issuperset(d):
-        raise RecordError("%s step has unknown key(s) %s" % (kind, ", ".join(
-            sorted(repr(k) for k in set(d) - cls._keys))))
-    return cls(*args)
+    return decode(cls, d, kind + " step", own=("step",), prefix=kind + ".")
 
 
 @dataclass(frozen=True)

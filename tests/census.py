@@ -70,15 +70,33 @@ sys.settrace(_call)
 threading.settrace(_call)
 '''
 
+#: CI's 4096-rank compile step: lower, validate and round-trip every
+#: lowering, dumping each text into the directory ``argv[1]`` ...
 _COMPILE_4096 = '''\
+import os, sys
 from repro.schedule import LOWERINGS, Schedule, lower
 from repro.topo.trees import make_tree_shape
+os.makedirs(sys.argv[1])
 order = list(range(4096))
 for shape in ("chain", "binomial"):
     for name in sorted(LOWERINGS):
         options = {"order": order} if ".pap_" in name else {"nseg": 8}
         s = lower(name, make_tree_shape(shape), 4096, **options).validate()
-        assert Schedule.from_json(s.to_json()) == s
+        text = s.to_json()
+        assert Schedule.from_json(text) == s
+        path = os.path.join(sys.argv[1], f"{name} {shape}.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+'''
+
+#: ... and its cold decode of those texts in an interpreter that has built
+#: no step.
+_COLD_DECODE_4096 = '''\
+import glob, os, sys
+from repro.schedule import Schedule
+for path in sorted(glob.glob(os.path.join(sys.argv[1], "*.json"))):
+    with open(path) as fh:
+        Schedule.from_json(fh.read())
 '''
 
 _RUN_POINT = json.dumps({
@@ -127,7 +145,8 @@ def entry_points(out: Path) -> list[list[str]]:
         orchestrate + ["summarize", str(out / "BENCH_smoke.json")],
         orchestrate + ["run-point", _RUN_POINT],
         orchestrate + ["refresh-baseline", "fig7", "--dir", str(out)],
-        py + ["-c", _COMPILE_4096],
+        py + ["-c", _COMPILE_4096, str(out / "schedules")],
+        py + ["-c", _COLD_DECODE_4096, str(out / "schedules")],
         py + ["-m", "pytest", "benchmarks", "--benchmark-disable", "-q",
               "-p", "no:cacheprovider"],
         py + ["perf/run.py", "--quick"],

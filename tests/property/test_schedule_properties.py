@@ -220,12 +220,48 @@ def _blocks(step):
             or isinstance(step, BcastStep) and step.direction == "recv")
 
 
+def _takes(step, send, src):
+    """Whether ``step`` takes or folds what ``send``, on rank ``src``,
+    delivers."""
+    if step.seg != send.seg:
+        return False
+    if isinstance(send, BcastStep):
+        return (isinstance(step, BcastStep) and step.direction == "recv"
+                and step.peer == src)
+    if isinstance(step, WaitStep):
+        return src in step.children
+    return (isinstance(step, RecvStep) and step.peer == src
+            or isinstance(step, FoldStep) and step.child == src)
+
+
+def _reseg_message(rng, schedule):
+    """Move one send, and every step of its peer that takes or folds it,
+    to one segment outside the valid set: the message still matches and
+    its fold keeps its operand, so only the segment check can say why."""
+    sends = [(r, i) for r, steps in enumerate(schedule.steps)
+             for i, step in enumerate(steps)
+             if isinstance(step, SendStep) or isinstance(step, BcastStep)
+             and step.direction == "send"]
+    if not sends:
+        return schedule
+    src, i = rng.choice(sends)
+    send = schedule.steps[src][i]
+    bad = rng.choice([schedule.nseg, -2] if schedule.nseg else [0, -2])
+    steps = [list(rank) for rank in schedule.steps]
+    steps[src][i] = send.with_seg(bad)
+    if 0 <= send.peer < schedule.nranks:
+        steps[send.peer] = [
+            step.with_seg(bad) if _takes(step, send, src) else step
+            for step in steps[send.peer]]
+    return dataclasses.replace(schedule, steps=tuple(map(tuple, steps)))
+
+
 def _mutate(rng, schedule):
     """Drop, duplicate, swap adjacent, retarget or move to another segment
-    (maybe one out of range) one step of one rank.  Half the swaps go for
-    a send with a blocking step right behind it — hoisting the block over
-    the send is what makes a cycle, and the deadlock branch is the one
-    under test."""
+    (maybe one out of range) one step of one rank, or move a whole message
+    to a segment out of range.  Half the swaps go for a send with a
+    blocking step right behind it — hoisting the block over the send is
+    what makes a cycle, and the deadlock branch is the one under test."""
     busy = [r for r, steps in enumerate(schedule.steps) if steps]
     if not busy:
         return schedule
@@ -233,7 +269,9 @@ def _mutate(rng, schedule):
     steps = list(schedule.steps[rank])
     i = rng.randrange(len(steps))
     kind = rng.choice(("drop", "duplicate", "swap", "swap", "retarget",
-                       "reseg"))
+                       "reseg", "reseg_message"))
+    if kind == "reseg_message":
+        return _reseg_message(rng, schedule)
     if kind == "drop":
         del steps[i]
     elif kind == "duplicate":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import inspect
 import json
 import pickle
 import random
@@ -180,6 +181,14 @@ def test_one_wide_wait_is_linear_in_its_children():
 def test_step_tables_agree_with_the_dataclass_fields(cls):
     names = tuple(f.name for f in dataclasses.fields(cls))
     assert cls._fields == names and names[-1] == "seg"
+    # the generated constructor takes each field positionally or by name,
+    # with the dataclass's default
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.kind, p.default)
+            for p in inspect.signature(cls).parameters.values()] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)]
     args = [(3,) if n == "children" else "recv" if n == "direction" else 3
             for n in names[:-1]]
     step = cls(*args, 1)
@@ -336,6 +345,10 @@ JSON_FUZZ = [
     ("direction is neither", _set(("ranks", *BCAST, "direction"), "up"),
      "ranks[%d][%d]: BcastStep direction must be 'send' or 'recv', got 'up'"
      % BCAST),
+    # an unknown key outranks a value the step's constructor refuses
+    ("unknown key beside a bad direction",
+     lambda d: d["ranks"][BCAST[0]][BCAST[1]].update(direction="up", x=1),
+     "ranks[%d][%d]: bcast step has unknown key(s) 'x'" % BCAST),
     ("unknown step tag", _set(("ranks", 2, 0, "step"), "scan"),
      "ranks[2][0]: unknown step tag 'scan'"),
     ("unhashable step tag", _set(("ranks", 2, 0, "step"), ["send"]),
