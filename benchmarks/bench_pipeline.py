@@ -13,7 +13,7 @@ import pytest
 
 from repro.orchestrate.benchjson import load_bench_json
 from repro.orchestrate.compare import compare_payloads
-from repro.orchestrate.points import pipeline_smoke_points
+from repro.orchestrate.points import GRIDS
 from repro.orchestrate.runner import run_points
 
 from conftest import JOBS, SEED, iters, run_once, save_bench_json
@@ -23,7 +23,7 @@ pytestmark = pytest.mark.smoke
 
 def test_pipeline_parallel_merge_matches_serial(benchmark):
     jobs = max(2, JOBS)
-    points = pipeline_smoke_points(seed=SEED, iterations=iters(6, 7))
+    points = GRIDS["pipeline"].points(seed=SEED, iterations=iters(6, 7))
     serial = run_points(points, jobs=1)
 
     def run():

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import scale
 from repro.orchestrate.benchjson import load_bench_json
-from repro.orchestrate.points import scale_smoke_points
+from repro.orchestrate.points import GRIDS
 from repro.orchestrate.runner import run_points
 
 from conftest import (JOBS, SEED, SMOKE, iters, run_once, save_bench_json,
@@ -44,7 +44,7 @@ def test_scale_sweep_reports_events_per_sec(benchmark):
     Smoke preset shrinks the sizes; the real 1024-4096 sweep belongs to
     the dedicated scale-smoke CI job and its timeout."""
     sizes = (64, 128) if SMOKE else (1024, 2048, 4096)
-    points = scale_smoke_points(seed=SEED, sizes=sizes)
+    points = GRIDS["scale"].points(seed=SEED, size=sizes)
 
     def run():
         return run_points(points, jobs=max(2, JOBS))

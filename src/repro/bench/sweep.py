@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Mapping, Optional, Sequence
 
-from ..orchestrate.points import PointResult, SweepPoint
+from ..orchestrate.points import PointResult, SweepPoint, grid_cells
 from ..orchestrate.runner import run_points
 from .report import Table
 
@@ -86,14 +86,9 @@ def sweep(axes: Mapping[str, Sequence],
           make: Callable[..., Optional[SweepPoint]], *, jobs: int = 1,
           progress: Optional[Callable[[str], None]] = None) -> Cells:
     """Run the grid ``axes`` declares: ``make(**cell)`` builds each cell's
-    point (``None`` skips the cell — a non-rectangular grid)."""
-    for name, values in axes.items():
-        if len(set(values)) != len(values):
-            raise ValueError(f"axis {name!r} repeats a value: "
-                             f"{list(values)}")
-    made = [(cell, make(**dict(zip(axes, cell))))
-            for cell in itertools.product(*axes.values())]
-    kept = [(cell, point) for cell, point in made if point is not None]
+    point (``None`` skips it), walked and validated by
+    :func:`~repro.orchestrate.points.grid_cells` as every CI grid is."""
+    kept = grid_cells(axes, make)
     results = run_points([point for _cell, point in kept], jobs=jobs,
                          progress=progress)
     index = {cell: res for (cell, _point), res in zip(kept, results)}

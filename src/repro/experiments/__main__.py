@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+from ..config import RecordError
 from . import EXPERIMENTS
 from .common import main as run_experiment
 
@@ -22,8 +23,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiment {name!r}; "
               f"choose from {sorted(EXPERIMENTS)} or 'all'", file=sys.stderr)
         return 2
-    for key in (EXPERIMENTS if name == "all" else [name]):
-        run_experiment(key, rest)
+    try:
+        for key in (EXPERIMENTS if name == "all" else [name]):
+            run_experiment(key, rest)
+    except RecordError as exc:  # a point no sweep can make
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
 from ..config import AbParams, NicParams
-from ..orchestrate.points import ConfigSpec, PointResult, SweepPoint
+from ..orchestrate.points import PointResult, cpu_util_point
 from .common import ExperimentOutput
 
 #: What each study hands back: its table and the orchestrator results
@@ -30,25 +30,16 @@ from .common import ExperimentOutput
 Study = tuple[Table, list[PointResult]]
 
 
-def _cpu_point(spec: ConfigSpec, build: str, *, elements: int,
-               skew: float, iterations: int,
-               experiment: str) -> SweepPoint:
-    return SweepPoint(experiment=experiment, kind="cpu_util", config=spec,
-                      build=build, elements=elements, max_skew_us=skew,
-                      iterations=iterations)
-
-
 def ablate_exit_delay(*, size: int = 32, iterations: int = 60, seed: int = 1,
                       jobs: int = 1, progress=None) -> Study:
     policies = (("none", 0.0), ("fixed", 8.0), ("log", 2.0), ("linear", 0.5))
     cells = sweep(
         {"policy": policies, "skew": (1000.0, 0.0)},
-        lambda policy, skew: _cpu_point(
-            ConfigSpec("paper", size, seed,
-                       ab=AbParams(exit_delay_policy=policy[0],
-                                   exit_delay_coeff_us=policy[1])),
-            "ab", elements=4, skew=skew, iterations=iterations,
-            experiment="ablation_exit_delay"),
+        lambda policy, skew: cpu_util_point(
+            "ablation_exit_delay", size, "ab", seed=seed,
+            iterations=iterations, elements=4, skew=skew,
+            ab=AbParams(exit_delay_policy=policy[0],
+                        exit_delay_coeff_us=policy[1])),
         jobs=jobs, progress=progress)
     labels = [f"{policy}({coeff:g})" for policy, coeff in policies]
     table = Table("Ablation: exit-delay policy (32 nodes, 4 elements)"
@@ -69,11 +60,10 @@ def ablate_signal_cost(*, size: int = 32, iterations: int = 60, seed: int = 1,
     overheads = (2.0, 5.0, 10.0, 20.0)
     cells = sweep(
         {"overhead": overheads, "build": BUILD_TAGS},
-        lambda overhead, build: _cpu_point(
-            ConfigSpec("paper", size, seed,
-                       nic=NicParams(signal_overhead_us=overhead)),
-            build, elements=4, skew=1000.0, iterations=iterations,
-            experiment="ablation_signal_cost"),
+        lambda overhead, build: cpu_util_point(
+            "ablation_signal_cost", size, build, seed=seed,
+            iterations=iterations, elements=4, skew=1000.0,
+            nic=NicParams(signal_overhead_us=overhead)),
         jobs=jobs, progress=progress)
     table = Table("Ablation: per-signal kernel overhead (32 nodes, "
                   "4 elements, skew 1000us)", "signal_us", overheads)
@@ -90,11 +80,10 @@ def ablate_queue_strategy(*, size: int = 32, iterations: int = 60,
     variants = (False, True)
     cells = sweep(
         {"reuse": variants, "skew": (1000.0, 0.0)},
-        lambda reuse, skew: _cpu_point(
-            ConfigSpec("paper", size, seed,
-                       ab=AbParams(reuse_mpich_queues=reuse)),
-            "ab", elements=128, skew=skew, iterations=iterations,
-            experiment="ablation_queue_strategy"),
+        lambda reuse, skew: cpu_util_point(
+            "ablation_queue_strategy", size, "ab", seed=seed,
+            iterations=iterations, elements=128, skew=skew,
+            ab=AbParams(reuse_mpich_queues=reuse)),
         jobs=jobs, progress=progress)
     table = Table("Ablation: custom AB queue vs. reusing MPICH non-blocking "
                   "machinery (32 nodes, 128 elements)", "reuse_mpich",
@@ -113,16 +102,15 @@ def ablate_eager_limit(*, size: int = 16, iterations: int = 40, seed: int = 1,
     disappears (but correctness holds)."""
     limit_bytes = 512
     element_sizes = (16, 48, 64, 80, 128)  # 128B .. 1KiB around the limit
-    limited = ConfigSpec("paper", size, seed,
-                         ab=AbParams(eager_limit_bytes=limit_bytes))
-    baseline = ConfigSpec("paper", size, seed)
-    variants = {"ab-limited": (limited, "ab"), "ab": (baseline, "ab"),
-                "nab": (baseline, "nab")}
+    limited = AbParams(eager_limit_bytes=limit_bytes)
+    variants = {"ab-limited": ("ab", limited), "ab": ("ab", None),
+                "nab": ("nab", None)}
     cells = sweep(
         {"elements": element_sizes, "variant": tuple(variants)},
-        lambda elements, variant: _cpu_point(
-            *variants[variant], elements=elements, skew=1000.0,
-            iterations=iterations, experiment="ablation_eager_limit"),
+        lambda elements, variant: cpu_util_point(
+            "ablation_eager_limit", size, variants[variant][0], seed=seed,
+            iterations=iterations, elements=elements, skew=1000.0,
+            ab=variants[variant][1]),
         jobs=jobs, progress=progress)
     table = Table(f"Ablation: AB eager-limit fallback (limit={limit_bytes}B, "
                   f"{size} nodes, skew 1000us)", "elements", element_sizes)

@@ -8,10 +8,11 @@ and 1000 us of skew, and the factor is greatest for small messages.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..orchestrate.points import cpu_util_point
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SKEWS
 
 
@@ -21,10 +22,8 @@ def run(*, size: int = 32, skews: Sequence[float] = PAPER_SKEWS,
         progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "elements": element_sizes, "skew": skews},
-        lambda build, elements, skew: SweepPoint(
-            experiment="fig6", kind="cpu_util",
-            config=ConfigSpec("paper", size, seed), build=build,
-            elements=elements, max_skew_us=skew, iterations=iterations),
+        partial(cpu_util_point, "fig6", size, seed=seed,
+                iterations=iterations),
         jobs=jobs, progress=progress)
     table = build_by_size_table(
         cells, f"Average CPU utilization vs. max skew ({size} nodes)",

@@ -8,10 +8,11 @@ scalability of the application-bypass implementation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..orchestrate.points import cpu_util_point
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
 
@@ -21,11 +22,8 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         jobs: int = 1, progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "elements": element_sizes, "size": sizes},
-        lambda build, elements, size: SweepPoint(
-            experiment="fig7", kind="cpu_util",
-            config=ConfigSpec("paper", size, seed), build=build,
-            elements=elements, max_skew_us=max_skew_us,
-            iterations=iterations),
+        partial(cpu_util_point, "fig7", skew=max_skew_us, seed=seed,
+                iterations=iterations),
         jobs=jobs, progress=progress)
     table = build_by_size_table(
         cells,

@@ -10,10 +10,11 @@ messages cross over at smaller node counts.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..orchestrate.points import cpu_util_point
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
 
@@ -31,10 +32,7 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "elements": element_sizes, "size": sizes},
-        lambda build, elements, size: SweepPoint(
-            experiment="fig8", kind="cpu_util",
-            config=ConfigSpec("paper", size, seed), build=build,
-            elements=elements, iterations=iterations),
+        partial(cpu_util_point, "fig8", seed=seed, iterations=iterations),
         jobs=jobs, progress=progress)
     table = build_by_size_table(
         cells, "Average CPU utilization vs. nodes (max skew 0us)",

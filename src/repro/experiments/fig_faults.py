@@ -19,7 +19,7 @@ in BENCH_fig_faults.json via ``--bench-json``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
@@ -36,7 +36,7 @@ TOPOLOGIES = ("crossbar", "fattree")
 def run(*, size: int = 8, elements: int = 4,
         rates: Sequence[float] = RATES,
         topologies: Sequence[str] = TOPOLOGIES,
-        scenarios: Sequence[tuple] = FAULT_SCENARIOS,
+        scenarios: Mapping[str, tuple] = FAULT_SCENARIOS,
         iterations: int = 40, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     def point(build: str, **config) -> SweepPoint:
@@ -53,13 +53,11 @@ def run(*, size: int = 8, elements: int = 4,
             net=FATTREE_4 if topo == "fattree" else NetParams(topology=topo),
             faults=burst_loss(rate) if rate else None),
         jobs=jobs, progress=progress)
-    by_label = {label: (faults, builds)
-                for label, faults, builds in scenarios}
     injected = sweep(
-        {"scenario": tuple(by_label), "build": BUILD_TAGS},
+        {"scenario": tuple(scenarios), "build": BUILD_TAGS},
         lambda scenario, build: (
-            point(build, faults=by_label[scenario][0])
-            if build in by_label[scenario][1] else None),
+            point(build, faults=scenarios[scenario][0])
+            if build in scenarios[scenario][1] else None),
         jobs=jobs, progress=progress)
 
     table = Table(
@@ -68,7 +66,7 @@ def run(*, size: int = 8, elements: int = 4,
     loss.fill(table, "makespan_us", along="rate", label="{topo}-{build}")
     out = ExperimentOutput("fig_faults", [table],
                            points=loss.points + injected.points)
-    for label, (_faults, builds) in by_label.items():
+    for label, (_faults, builds) in scenarios.items():
         for build in builds:
             r = injected[label, build]
             extras = {k: int(v) for k, v in r.counters.items()

@@ -20,25 +20,21 @@ halves of the story:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
 from ..config import MpiParams, NetParams, PipelineParams
-from ..orchestrate.points import SEGMENTED, ConfigSpec, SweepPoint
+from ..orchestrate.points import (PASS_VARIANTS, ConfigSpec, SweepPoint,
+                                  crossover_point)
 from .common import ExperimentOutput
 
 #: Message-size axis in 8-byte elements: 128 stays single-chunk at the
-#: armed segment size below; 512/1024 segment into 2/4 chunks.
+#: armed 2 KiB segment size (``SEGMENTED``); 512/1024 segment into 2/4
+#: chunks.
 MSG_SIZES = (128, 512, 1024)
 TREE_SHAPES = ("binomial", "chain")
-#: Per-build reduce lowerings (the schedule the build would execute).
-LOWERINGS = {"nab": "reduce.nab", "ab": "reduce.ab"}
-#: tag -> (pipeline override or None, passes) — pass-off vs pass-on.
-VARIANTS = {
-    "whole": (None, ()),
-    "pass": (SEGMENTED, ("pipeline_segments",)),
-}
 #: Autotune cells, topology x elements; must overlap the tuned table's
 #: (topology, nranks, size-bucket) coverage for "auto" to bite.
 AUTO_TOPOLOGIES = ("crossbar", "torus")
@@ -58,24 +54,6 @@ def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
     from ..schedule.table import (clear_table_cache, resolve_pipeline_params,
                                   resolve_tree_shape)
 
-    def crossover_point(shape: str, build: str, variant: str,
-                        elements: int) -> SweepPoint:
-        pipeline, passes = VARIANTS[variant]
-        # Single-chunk sizes decline segmentation bit-exactly, so the
-        # pass-on variant drops the rewrite there (nothing to pipeline)
-        # and the crossover plot shows identical small-message cells.
-        if (pipeline is not None
-                and elements * 8 <= pipeline.segment_size_bytes):
-            passes = ()
-        return SweepPoint(
-            experiment=f"fig_schedule-{variant}", kind="schedule",
-            config=ConfigSpec("paper", size, seed,
-                              mpi=MpiParams(tree_shape=shape),
-                              pipeline=pipeline),
-            build=build, elements=elements, iterations=iterations,
-            options={"lowering": LOWERINGS[build], "passes": list(passes)},
-            collect_invariants=True)
-
     def auto_point(topo: str, elements: int, mode: str) -> SweepPoint:
         mpi, pipeline = AUTO_MODES[mode]
         return SweepPoint(
@@ -88,8 +66,10 @@ def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
             collect_invariants=True)
 
     crossover = sweep(
-        {"shape": shapes, "build": BUILD_TAGS, "variant": tuple(VARIANTS),
-         "elements": msg_sizes}, crossover_point,
+        {"shape": shapes, "build": BUILD_TAGS,
+         "variant": tuple(PASS_VARIANTS), "elements": msg_sizes},
+        partial(crossover_point, "fig_schedule", size=size, seed=seed,
+                iterations=iterations),
         jobs=jobs, progress=progress)
     auto = sweep(
         {"topo": AUTO_TOPOLOGIES, "elements": AUTO_ELEMENTS,

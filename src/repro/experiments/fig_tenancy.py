@@ -16,11 +16,12 @@ neighbours pile on?
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
-from ..orchestrate.points import TENANT_RANKS, SweepPoint, tenancy_point
+from ..orchestrate.points import TENANT_RANKS, tenancy_point
 from .common import ExperimentOutput
 
 #: Swept axes: jobs contending, on which interconnect, which build.
@@ -33,13 +34,11 @@ def run(*, hosts: int = 32, elements: int = 2048,
         topologies: Sequence[str] = TOPOLOGIES,
         iterations: int = 10, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    def point(topo: str, build: str, njobs: int) -> SweepPoint:
-        return tenancy_point("fig_tenancy", topo, njobs, build, hosts=hosts,
-                             elements=elements, iterations=iterations,
-                             seed=seed)
-
     cells = sweep({"topo": topologies, "build": BUILD_TAGS,
-                   "njobs": co_tenants}, point,
+                   "njobs": co_tenants},
+                  partial(tenancy_point, "fig_tenancy", hosts=hosts,
+                          elements=elements, iterations=iterations,
+                          seed=seed),
                   jobs=jobs, progress=progress)
 
     slowdown_table = Table(

@@ -16,8 +16,7 @@ from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
-from ..config import MpiParams, NetParams
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..orchestrate.points import topo_point
 from .common import ExperimentOutput
 
 #: The swept registries: every topology, and a spread of tree shapes from
@@ -41,15 +40,9 @@ def run(*, size: int = 16, elements: int = 4,
     cells = sweep(
         {"topo": topologies, "shape": tuple(trees), "build": BUILD_TAGS,
          "skew": skews},
-        lambda topo, shape, build, skew: SweepPoint(
-            experiment="fig_topo", kind="cpu_util",
-            config=ConfigSpec(
-                "paper", size, seed,
-                net=NetParams(topology=topo),
-                mpi=MpiParams(tree_shape=trees[shape][0],
-                              tree_radix=trees[shape][1])),
-            build=build, elements=elements, max_skew_us=skew,
-            iterations=iterations, collect_invariants=True),
+        lambda topo, shape, build, skew: topo_point(
+            "fig_topo", topo, trees[shape], build, size=size, seed=seed,
+            iterations=iterations, elements=elements, skew=skew),
         jobs=jobs, progress=progress)
 
     table = Table(

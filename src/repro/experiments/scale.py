@@ -14,11 +14,12 @@ keeps climbing — the trend the whole paper is arguing for.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from ..bench.report import Table
 from ..bench.sweep import BUILD_TAGS, sweep
-from ..orchestrate.points import ConfigSpec, SweepPoint
+from ..orchestrate.points import cpu_util_point
 from .common import ExperimentOutput
 
 SCALE_SIZES = (16, 32, 64, 128, 256)
@@ -29,11 +30,9 @@ def run(*, sizes: Sequence[int] = SCALE_SIZES, elements: int = 4,
         jobs: int = 1, progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "size": sizes},
-        lambda build, size: SweepPoint(
-            experiment="scale", kind="cpu_util",
-            config=ConfigSpec("extrapolated", size, seed), build=build,
-            elements=elements, max_skew_us=max_skew_us,
-            iterations=iterations),
+        partial(cpu_util_point, "scale", factory="extrapolated",
+                elements=elements, skew=max_skew_us, seed=seed,
+                iterations=iterations),
         jobs=jobs, progress=progress)
     table = Table(
         f"Scalability extrapolation: factor of improvement vs. nodes "

@@ -9,9 +9,10 @@
     ``BENCH_<bench>.json`` to ``--out``, plus
     ``<grid>-invariant-report.json`` when its points run under the
     protocol-invariant monitor (any violation exits 1).  ``--iterations``
-    defaults to the grid's own; ``--sizes`` reaches grids with a size
-    axis; ``--cache DIR`` serves points through the content-addressed
-    result cache and writes ``<bench>-cache-stats.json``.
+    defaults to the grid's own; ``--sizes`` replaces the grid's ``size``
+    axis, if it has one; ``--cache DIR`` serves points through the
+    content-addressed result cache and writes ``<bench>-cache-stats.json``.
+    A point no grid can make (``--iterations 0``) is one ``error:`` line.
     ``smoke-<grid>`` is an alias for ``smoke <grid>``.
 
 ``refresh-baseline [grid ...] [--dir DIR]``
@@ -84,14 +85,13 @@ def _cmd_run_point(args: argparse.Namespace) -> int:
 
 def _cmd_smoke(args: argparse.Namespace) -> int:
     grid = args.grid
-    axes = {}
-    if args.sizes is not None:
-        if "sizes" not in grid.builder.__kwdefaults__:
-            print(f"error: grid {grid.name!r} has no size axis",
-                  file=sys.stderr)
-            return 2
-        axes["sizes"] = tuple(args.sizes)
-    points = grid.points(seed=args.seed, iterations=args.iterations, **axes)
+    axes = {} if args.sizes is None else {"size": tuple(args.sizes)}
+    try:
+        points = grid.points(seed=args.seed, iterations=args.iterations,
+                             **axes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = None
@@ -143,10 +143,14 @@ def _cmd_refresh_baseline(args: argparse.Namespace) -> int:
         print(f"error: no grid has a baseline in {args.dir}; name the "
               f"grids to create", file=sys.stderr)
         return 2
-    for grid in grids:
-        results = run_points(
-            grid.points(seed=args.seed, iterations=args.iterations),
-            jobs=args.jobs, progress=_progress)
+    try:
+        batches = [(g, g.points(seed=args.seed, iterations=args.iterations))
+                   for g in grids]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for grid, points in batches:
+        results = run_points(points, jobs=args.jobs, progress=_progress)
         written = write_bench_json(grid.bench, results, jobs=args.jobs,
                                    path=grid.baseline_path(args.dir))
         print(f"wrote {written} — commit it to refresh the CI perf-gate "

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, is_dataclass, replace
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..config import (AbParams, ClusterConfig, FaultParams, MpiParams,
                       NetParams, NicParams, NoiseParams, PipelineParams,
@@ -313,7 +315,7 @@ def _run_pap(point: SweepPoint, config: ClusterConfig):
 
 
 # ---------------------------------------------------------------------------
-# scenario tables: what a CI grid and the figure that scales it up share
+# point makers: what a CI grid and the figure that scales it up share
 # ---------------------------------------------------------------------------
 
 #: The armed pipeline of every segmented smoke and figure point: 2 KiB
@@ -324,27 +326,27 @@ SEGMENTED = PipelineParams(segment_size_bytes=2048, max_inflight_segments=3)
 #: of degenerating to one crossbar.
 FATTREE_4 = NetParams(topology="fattree", fattree_hosts_per_switch=4)
 
-#: ``(label, FaultParams, builds)``, one per non-loss injector.  Crash and
-#: suppression are AB-only: ``repro.bench.faulted`` refuses a crash on the
-#: blocking non-bypass reduce, which has no recovery layer, and that
+#: label -> ``(FaultParams, builds)``, one per non-loss injector.  Crash
+#: and suppression are AB-only: ``repro.bench.faulted`` refuses a crash on
+#: the blocking non-bypass reduce, which has no recovery layer, and that
 #: build never arms the NIC signals suppression swallows.
-FAULT_SCENARIOS = (
-    ("degrade",
-     FaultParams(degrade_start_us=200.0, degrade_end_us=1200.0,
-                 degrade_latency_factor=4.0, degrade_bandwidth_factor=3.0),
-     ("nab", "ab")),
-    ("suppress",
-     FaultParams(suppress_node=4, suppress_start_us=0.0,
-                 suppress_end_us=1500.0),
-     ("ab",)),
-    ("pause",
-     FaultParams(pause_rank=2, pause_at_us=300.0, pause_duration_us=800.0),
-     ("nab", "ab")),
-    ("crash+heal",
-     FaultParams(crash_rank=6, crash_at_us=400.0, tree_heal=True,
-                 descriptor_timeout_us=300.0, timeout_retries=2),
-     ("ab",)),
-)
+FAULT_SCENARIOS = {
+    "degrade": (
+        FaultParams(degrade_start_us=200.0, degrade_end_us=1200.0,
+                    degrade_latency_factor=4.0, degrade_bandwidth_factor=3.0),
+        ("nab", "ab")),
+    "suppress": (
+        FaultParams(suppress_node=4, suppress_start_us=0.0,
+                    suppress_end_us=1500.0),
+        ("ab",)),
+    "pause": (
+        FaultParams(pause_rank=2, pause_at_us=300.0, pause_duration_us=800.0),
+        ("nab", "ab")),
+    "crash+heal": (
+        FaultParams(crash_rank=6, crash_at_us=400.0, tree_heal=True,
+                    descriptor_timeout_us=300.0, timeout_retries=2),
+        ("ab",)),
+}
 
 
 def burst_loss(rate: float) -> FaultParams:
@@ -357,10 +359,69 @@ def burst_loss(rate: float) -> FaultParams:
 #: Ranks per tenant job.
 TENANT_RANKS = 4
 
+#: The build axis: both builds, the non-bypass baseline first.
+BUILDS = tuple(BUILD_TAGS)
 
-def tenancy_point(tag: str, topology: str, njobs: int, build: str, *,
-                  hosts: int, elements: int, iterations: int, seed: int,
-                  collect_invariants: bool = True) -> "SweepPoint":
+
+def cpu_util_point(experiment: str, size: int, build: str, *, seed: int,
+                   iterations: int, elements: int, skew: float = 0.0,
+                   factory: str = "paper", warmup: int = 3,
+                   collect_invariants: bool = False,
+                   **blocks) -> SweepPoint:
+    """The paper's CPU-utilization benchmark (Figs. 6-8) on a ``size``-rank
+    ``factory`` cluster; ``blocks`` are :class:`ConfigSpec` overrides."""
+    return SweepPoint(experiment=experiment, kind="cpu_util",
+                      config=ConfigSpec(factory, size, seed, **blocks),
+                      build=build, elements=elements, max_skew_us=skew,
+                      iterations=iterations, warmup=warmup,
+                      collect_invariants=collect_invariants)
+
+
+def topo_point(experiment: str, topo: str, tree: tuple, build: str, *,
+               size: int, seed: int, iterations: int, elements: int = 4,
+               skew: float = 1000.0) -> SweepPoint:
+    """CPU utilization on topology ``topo`` with the ``(shape, radix)``
+    reduction tree ``tree``, under the invariant monitor (INV-FIFO
+    included)."""
+    shape, radix = tree
+    return cpu_util_point(
+        experiment, size, build, seed=seed, iterations=iterations,
+        elements=elements, skew=skew, collect_invariants=True,
+        net=NetParams(topology=topo),
+        mpi=MpiParams(tree_shape=shape, tree_radix=radix))
+
+
+#: The reduce lowering each build executes.
+BUILD_LOWERINGS = {"nab": "reduce.nab", "ab": "reduce.ab"}
+#: tag -> (pipeline override or None, passes): pass-off vs pass-on.
+PASS_VARIANTS = {"whole": (None, ()),
+                 "pass": (SEGMENTED, ("pipeline_segments",))}
+
+
+def crossover_point(experiment: str, shape: str, build: str, variant: str,
+                    elements: int, *, size: int, seed: int,
+                    iterations: int) -> SweepPoint:
+    """The build's reduce lowering on a ``shape`` tree, whole-message or
+    rewritten by ``pipeline_segments`` (dropped for a single-chunk message,
+    which declines segmentation bit-exactly); the variant rides in the
+    experiment tag (see ``SweepPoint.key``)."""
+    pipeline, passes = PASS_VARIANTS[variant]
+    if pipeline and elements * 8 <= pipeline.segment_size_bytes:
+        passes = ()
+    return SweepPoint(
+        experiment=f"{experiment}-{variant}", kind="schedule",
+        config=ConfigSpec("paper", size, seed,
+                          mpi=MpiParams(tree_shape=shape),
+                          pipeline=pipeline),
+        build=build, elements=elements, iterations=iterations,
+        options={"lowering": BUILD_LOWERINGS[build],
+                 "passes": list(passes)},
+        collect_invariants=True)
+
+
+def tenancy_point(tag: str, topo: str, njobs: int, build: str, *,
+                  hosts: int, elements: int, iterations: int,
+                  seed: int) -> SweepPoint:
     """``njobs`` co-tenant jobs of :data:`TENANT_RANKS` ranks on one shared
     quiet cluster: alternating reduce/allreduce, staggered arrivals, modest
     injected skew, the adversarial ``spread`` placement, solo baselines on.
@@ -369,9 +430,9 @@ def tenancy_point(tag: str, topology: str, njobs: int, build: str, *,
     # 4 hosts per edge switch, 4:1 oversubscribed uplinks — the contended
     # regime (full bisection would hide the co-tenants).
     knobs = (dict(fattree_hosts_per_switch=4, fattree_oversubscription=4.0)
-             if topology == "fattree" else {})
+             if topo == "fattree" else {})
     cluster = ClusterSpec(hosts=hosts, factory="quiet", seed=seed,
-                          topology=topology, **knobs)
+                          topology=topo, **knobs)
     collectives = ("reduce", "allreduce")
     jobs = [
         JobSpec(name=f"t{i}", nranks=TENANT_RANKS,
@@ -385,240 +446,58 @@ def tenancy_point(tag: str, topology: str, njobs: int, build: str, *,
         experiment=f"{tag}-{njobs}j", kind="tenancy",
         config=cluster.to_config_spec(),
         build=build, elements=elements, max_skew_us=100.0,
-        iterations=iterations, warmup=1,
-        collect_invariants=collect_invariants,
+        iterations=iterations, warmup=1, collect_invariants=True,
         options={"cluster": cluster.to_dict(),
                  "jobs": [j.to_dict() for j in jobs],
                  "solo": True})
 
 
-def pap_smoke_points(*, seed: int = 1, iterations: int = 6, size: int = 8,
-                     collect_invariants: bool = True) -> list["SweepPoint"]:
-    """CI smoke grid for the PAP workload layer (repro.workload): two
-    arrival patterns x four allreduce algorithms on one quiet cluster.
-    The algorithm rides in the experiment tag (see ``SweepPoint.key``);
-    the workload override distinguishes the config variant digest per
-    pattern."""
-    patterns = {
-        "uniform": WorkloadParams(pattern="uniform_random", scale_us=400.0),
-        "bursty": WorkloadParams(pattern="bursty", scale_us=1200.0,
-                                 jitter_us=50.0, straggler_frac=0.25),
-    }
-    algos = ("nab", "ab", "sra", "pra")
-    return [
-        SweepPoint(
-            experiment=f"pap_smoke-{tag}-{algo}", kind="pap",
-            config=ConfigSpec("quiet", size, seed, workload=workload),
-            build="ab" if algo == "ab" else "nab",
-            elements=256, iterations=iterations, warmup=1,
-            options={"algo": algo},
-            collect_invariants=collect_invariants)
-        for tag, workload in patterns.items()
-        for algo in algos
-    ]
+# ---------------------------------------------------------------------------
+# the CI grids: axes over a point maker
+# ---------------------------------------------------------------------------
 
-
-def smoke_points(*, seed: int = 1, iterations: int = 10,
-                 sizes: tuple = (2, 4, 8),
-                 collect_invariants: bool = True) -> list["SweepPoint"]:
-    """The CI smoke grid: fig7-shaped, seconds not minutes."""
-    return [
-        SweepPoint(experiment="smoke", kind="cpu_util",
-                   config=ConfigSpec("paper", size, seed),
-                   build=build, elements=4, max_skew_us=1000.0,
-                   iterations=iterations,
-                   collect_invariants=collect_invariants)
-        for size in sizes
-        for build in ("nab", "ab")
-    ]
-
-
-def topo_smoke_points(*, seed: int = 1, iterations: int = 8, size: int = 8,
-                      collect_invariants: bool = True) -> list["SweepPoint"]:
-    """CI smoke grid for the topology/tree-shape registries: every
-    topology crossed with two tree shapes, both builds, under the
-    invariant monitor (INV-FIFO included)."""
-    shapes = (("binomial", 2), ("bine", 2))
-    return [
-        SweepPoint(
-            experiment="topo_smoke", kind="cpu_util",
-            config=ConfigSpec(
-                "paper", size, seed,
-                net=NetParams(topology=topo),
-                mpi=MpiParams(tree_shape=shape, tree_radix=radix)),
-            build=build, elements=4, max_skew_us=1000.0,
-            iterations=iterations,
-            collect_invariants=collect_invariants)
-        for topo in ("crossbar", "fattree", "torus")
-        for shape, radix in shapes
-        for build in ("nab", "ab")
-    ]
-
-
-def faults_smoke_points(*, seed: int = 1, iterations: int = 6,
-                        size: int = 8,
-                        collect_invariants: bool = True
-                        ) -> list["SweepPoint"]:
-    """CI smoke grid for the fault-injection subsystem: a fault-free
-    baseline, burst loss on the crossbar with one fattree cross-check, and
-    every :data:`FAULT_SCENARIOS` injector."""
-    scenarios = [
-        # (FaultParams, net override or None, builds)
-        (None, None, ("nab", "ab")),
-        (burst_loss(0.02), None, ("nab", "ab")),
-        (burst_loss(0.02), FATTREE_4, ("ab",)),
-        *((faults, None, builds) for _, faults, builds in FAULT_SCENARIOS),
-    ]
-    return [
-        SweepPoint(
-            experiment="faults_smoke", kind="fault_reduce",
-            config=ConfigSpec("paper", size, seed, net=net, faults=faults),
-            build=build, elements=4, iterations=iterations,
-            collect_invariants=collect_invariants)
-        for faults, net, builds in scenarios
-        for build in builds
-    ]
-
-
-def pipeline_smoke_points(*, seed: int = 1, iterations: int = 6,
-                          size: int = 16,
-                          collect_invariants: bool = True
-                          ) -> list["SweepPoint"]:
-    """CI smoke grid for the segmented pipeline (repro.pipeline): a
-    large-message latency comparison of the whole-message baseline
-    against the fixed and greedy schedules (segment_size_bytes=0 maps to
-    no override, so the baseline keys stay identical to a pipeline-free
-    checkout), plus the crash+heal-mid-pipeline scenario.  The fault
-    point's pacing must stay inside the busiest parent's RX budget —
-    eager segmented reduces have no end-to-end flow control, so
-    overpacing turns into honest abandons, not a hang (DESIGN.md §11)."""
-    variants = [
-        # (pipeline override or None, builds)
-        (None, ("nab", "ab")),
-        (SEGMENTED, ("nab", "ab")),
-        (replace(SEGMENTED, schedule="greedy"), ("ab",)),
-    ]
-    points = [
-        SweepPoint(
-            experiment="pipeline_smoke", kind="latency",
-            config=ConfigSpec("paper", size, seed, pipeline=pipeline),
-            build=build, elements=1024, iterations=iterations,
-            collect_invariants=collect_invariants)
-        for pipeline, builds in variants
-        for build in builds
-    ]
-    points.append(SweepPoint(
-        experiment="pipeline_smoke", kind="fault_reduce",
-        config=ConfigSpec(
-            "quiet", 32, seed,
-            faults=FaultParams(crash_rank=24, crash_at_us=900.0,
-                               tree_heal=True,
-                               descriptor_timeout_us=300.0,
-                               timeout_retries=2),
-            pipeline=SEGMENTED),
-        build="ab", elements=2048, iterations=iterations,
-        options={"gap_us": 1200.0},
-        collect_invariants=collect_invariants))
-    return points
-
-
-def schedule_smoke_points(*, seed: int = 1, iterations: int = 6,
-                          size: int = 8,
-                          collect_invariants: bool = True
-                          ) -> list["SweepPoint"]:
-    """CI smoke grid for the schedule IR (repro.schedule): each build's
-    reduce lowering (``reduce.nab`` / ``reduce.ab``) on two tree shapes,
-    pass-off (lowered whole-message, pipeline disarmed) against pass-on
-    (the ``pipeline_segments`` rewrite produces the segmentation the armed
-    config plans).  1024 doubles on the chain shape is where pipelining
-    visibly wins — the crossover ``fig_schedule`` plots.  The pass variant
-    rides in the experiment tag (see ``SweepPoint.key``)."""
-    lowerings = {"nab": "reduce.nab", "ab": "reduce.ab"}
-    variants = [
-        # (tag, pipeline override or None, passes)
-        ("whole", None, ()),
-        ("pass", SEGMENTED, ("pipeline_segments",)),
-    ]
-    return [
-        SweepPoint(
-            experiment=f"schedule_smoke-{tag}", kind="schedule",
-            config=ConfigSpec("paper", size, seed,
-                              mpi=MpiParams(tree_shape=shape),
-                              pipeline=pipeline),
-            build=build, elements=1024, iterations=iterations,
-            options={"lowering": lowerings[build], "passes": list(passes)},
-            collect_invariants=collect_invariants)
-        for shape in ("binomial", "chain")
-        for tag, pipeline, passes in variants
-        for build in ("nab", "ab")
-    ]
-
-
-def tenancy_smoke_points(*, seed: int = 1, iterations: int = 5,
-                         collect_invariants: bool = True
-                         ) -> list["SweepPoint"]:
-    """CI smoke grid for the multi-tenant service (repro.tenancy): 1 and
-    2 co-tenant :func:`tenancy_point` jobs on an oversubscribed fat-tree
-    and a torus, both builds (spread placement: every collective crosses
-    uplinks, so fat-tree co-tenants genuinely contend; on the torus,
-    dimension-order routing keeps column-spread tenants link-disjoint, a
-    free demonstration that placement x topology decides contention)."""
-    return [
-        tenancy_point("tenancy_smoke", topology, njobs, build, hosts=16,
-                      elements=2048, iterations=iterations, seed=seed,
-                      collect_invariants=collect_invariants)
-        for topology in ("fattree", "torus")
-        for njobs in (1, 2)
-        for build in ("nab", "ab")
-    ]
-
-
-def scale_smoke_points(*, seed: int = 1, iterations: int = 2,
-                       sizes: tuple = (1024, 2048, 4096),
-                       collect_invariants: bool = False
-                       ) -> list["SweepPoint"]:
-    """The large-scale DES throughput sweep (``orchestrate smoke-scale``):
-    1024/2048/4096-rank extrapolated clusters on the two multi-hop
-    topologies, AB build only.  This grid exists to exercise the scaled
-    event core (event heap, route cache, indexed unexpected queue) at
-    sizes the fig-grade sweeps never reach, and to put an ``events_per_sec``
-    number in CI for every (size, topology) cell.  Iterations are tiny and
-    the invariant monitor is off by default — the hard ``timeout-minutes``
-    on the CI job is the wall-clock gate, so the whole sweep must stay
-    minutes, not hours."""
-    nets = (NetParams(topology="fattree", fattree_hosts_per_switch=32),
-            NetParams(topology="torus"))
-    return [
-        SweepPoint(experiment="scale_smoke", kind="cpu_util",
-                   config=ConfigSpec("extrapolated", size, seed, net=net),
-                   build="ab", elements=4, max_skew_us=1000.0,
-                   iterations=iterations, warmup=1,
-                   collect_invariants=collect_invariants)
-        for size in sizes
-        for net in nets
-    ]
+def grid_cells(axes: Mapping[str, Sequence],
+               make: Callable[..., Optional[SweepPoint]]) -> list[tuple]:
+    """The one walk over a sweep grid: ``(cell, make(**cell))`` per cell of
+    the product of ``axes``, first axis slowest, each point validated
+    before anything runs; a ``None`` point skips its cell."""
+    for name, values in axes.items():
+        if len(set(values)) != len(values):
+            raise ValueError(f"axis {name!r} repeats a value: "
+                             f"{list(values)}")
+    cells = []
+    for cell in itertools.product(*axes.values()):
+        point = make(**dict(zip(axes, cell)))
+        if point is not None:
+            point.validate()
+            cells.append((cell, point))
+    return cells
 
 
 @dataclass(frozen=True)
 class Grid:
-    """One registered CI grid.  ``name`` is the only handle consumers use
-    (``orchestrate smoke <name>``, ``analysis.races --scenario <name>``,
-    ``refresh-baseline <name>``, the CI matrix entry and
-    ``<name>-invariant-report.json``); ``bench`` is the historical
-    ``BENCH_<bench>.json`` name, kept because committed baselines and
-    BENCH ``"name"`` fields carry it."""
+    """One registered CI grid: ``make(**cell, seed=, iterations=)`` is the
+    point of each cell of ``axes`` (see :func:`grid_cells`).  ``name`` is
+    every consumer's handle (``smoke``, ``races --scenario``,
+    ``refresh-baseline``, the CI matrix, the invariant report); ``bench``
+    is the historical ``BENCH_<bench>.json`` name baselines carry."""
 
     name: str
     bench: str
-    builder: Callable[..., list]
+    axes: dict
+    make: Callable[..., Optional[SweepPoint]]
+    iterations: int = 6
 
     def points(self, *, seed: int = 1, iterations: Optional[int] = None,
-               **axes) -> list["SweepPoint"]:
-        """The grid's points; ``iterations=None`` keeps the builder's own
-        default, ``axes`` reach builders that take them (``sizes``)."""
-        if iterations is not None:
-            axes["iterations"] = iterations
-        return self.builder(seed=seed, **axes)
+               **axes) -> list[SweepPoint]:
+        """The grid's points; ``iterations=None`` keeps the grid's own,
+        ``axes`` replace axes the grid has (``size=(4, 8)``)."""
+        for name in set(axes) - set(self.axes):
+            raise RecordError(f"grid {self.name!r} has no {name} axis")
+        make = partial(self.make, seed=seed, iterations=(
+            self.iterations if iterations is None else iterations))
+        return [point for _cell, point
+                in grid_cells({**self.axes, **axes}, make)]
 
     def baseline_path(self, directory: str = "benchmarks/baselines") -> str:
         """Where the committed perf-gate baseline lives; the grid is gated
@@ -626,20 +505,129 @@ class Grid:
         return f"{directory}/BENCH_{self.bench}.baseline.json"
 
 
-#: The one registration per grid: to add a grid, write its builder above
-#: and add a line here (plus its name in ci.yml's ``grid:`` matrix, which
-#: a tier-1 test holds equal to this table).  The first entry is the
-#: ``smoke`` command's default.
+#: The faults grid, label -> (faults, net override, builds): no fault,
+#: burst loss (crossbar, one fattree check), every :data:`FAULT_SCENARIOS`.
+FAULTS_GRID = {
+    "healthy": (None, None, BUILDS),
+    "loss": (burst_loss(0.02), None, BUILDS),
+    "loss-fattree": (burst_loss(0.02), FATTREE_4, ("ab",)),
+    **{label: (faults, None, builds)
+       for label, (faults, builds) in FAULT_SCENARIOS.items()},
+}
+
+
+def _faults_point(scenario: str, build: str, *, seed: int,
+                  iterations: int) -> Optional[SweepPoint]:
+    faults, net, builds = FAULTS_GRID[scenario]
+    if build not in builds:
+        return None
+    return SweepPoint(
+        experiment="faults_smoke", kind="fault_reduce",
+        config=ConfigSpec("paper", 8, seed, net=net, faults=faults),
+        build=build, elements=4, iterations=iterations,
+        collect_invariants=True)
+
+
+#: The pipeline grid's schedules; the whole-message baseline adds no
+#: override, so its keys stay identical to a pipeline-free checkout.
+PIPELINES = {"whole": None, "fixed": SEGMENTED,
+             "greedy": replace(SEGMENTED, schedule="greedy")}
+
+
+def _pipeline_point(variant: str, build: str, *, seed: int,
+                    iterations: int) -> Optional[SweepPoint]:
+    """Large-message latency per schedule, plus an AB crash+heal
+    mid-pipeline paced inside the busiest parent's RX budget: eager
+    segmented reduces have no end-to-end flow control, so overpacing turns
+    into honest abandons, not a hang (DESIGN.md §11)."""
+    if build == "nab" and variant in ("greedy", "crash+heal"):
+        return None
+    if variant in PIPELINES:
+        return SweepPoint(
+            "pipeline_smoke", "latency",
+            ConfigSpec("paper", 16, seed, pipeline=PIPELINES[variant]),
+            build, 1024, iterations=iterations, collect_invariants=True)
+    crash = FaultParams(crash_rank=24, crash_at_us=900.0, tree_heal=True,
+                        descriptor_timeout_us=300.0, timeout_retries=2)
+    return SweepPoint(
+        "pipeline_smoke", "fault_reduce",
+        ConfigSpec("quiet", 32, seed, faults=crash, pipeline=SEGMENTED),
+        build, 2048, iterations=iterations, options={"gap_us": 1200.0},
+        collect_invariants=True)
+
+
+#: The pap grid's arrival patterns.
+PAP_PATTERNS = {
+    "uniform": WorkloadParams(pattern="uniform_random", scale_us=400.0),
+    "bursty": WorkloadParams(pattern="bursty", scale_us=1200.0,
+                             jitter_us=50.0, straggler_frac=0.25),
+}
+
+
+def _pap_point(pattern: str, algo: str, *, seed: int,
+               iterations: int) -> SweepPoint:
+    """The algorithm rides in the experiment tag (``SweepPoint.key``)."""
+    return SweepPoint(
+        experiment=f"pap_smoke-{pattern}-{algo}", kind="pap",
+        config=ConfigSpec("quiet", 8, seed, workload=PAP_PATTERNS[pattern]),
+        build="ab" if algo == "ab" else "nab",
+        elements=256, iterations=iterations, warmup=1,
+        options={"algo": algo}, collect_invariants=True)
+
+
+#: The one registration per grid: its axes over a point maker, the
+#: figure's own where the grid is a slice of one.  Add the name to
+#: ci.yml's ``grid:`` matrix too (a tier-1 test holds the two equal).  The
+#: first entry is the ``smoke`` command's default.
 GRIDS: dict[str, Grid] = {g.name: g for g in (
-    Grid("fig7", "smoke", smoke_points),
-    Grid("topo", "topo_smoke", topo_smoke_points),
-    Grid("faults", "faults_smoke", faults_smoke_points),
-    Grid("pipeline", "pipeline_smoke", pipeline_smoke_points),
-    Grid("schedule", "schedule_smoke", schedule_smoke_points),
-    Grid("tenancy", "tenancy_smoke", tenancy_smoke_points),
-    Grid("pap", "pap_smoke", pap_smoke_points),
-    Grid("scale", "scale", scale_smoke_points),
+    # Fig. 7 in seconds: 4 doubles at 1000 us skew.
+    Grid("fig7", "smoke", {"size": (2, 4, 8), "build": BUILDS},
+         partial(cpu_util_point, "smoke", elements=4, skew=1000.0,
+                 collect_invariants=True), iterations=10),
+    # fig_topo at 1000 us skew: every topology, two tree shapes.
+    Grid("topo", "topo_smoke",
+         {"topo": ("crossbar", "fattree", "torus"),
+          "tree": (("binomial", 2), ("bine", 2)), "build": BUILDS},
+         partial(topo_point, "topo_smoke", size=8), iterations=8),
+    Grid("faults", "faults_smoke",
+         {"scenario": tuple(FAULTS_GRID), "build": BUILDS}, _faults_point),
+    Grid("pipeline", "pipeline_smoke",
+         {"variant": (*PIPELINES, "crash+heal"), "build": BUILDS},
+         _pipeline_point),
+    # fig_schedule's crossover at 1024 doubles, where pipelining visibly
+    # wins (most on the chain shape).
+    Grid("schedule", "schedule_smoke",
+         {"shape": ("binomial", "chain"), "variant": tuple(PASS_VARIANTS),
+          "build": BUILDS},
+         partial(crossover_point, "schedule_smoke", elements=1024, size=8)),
+    # fig_tenancy's 1 and 2 co-tenants: they contend on the fat-tree only.
+    Grid("tenancy", "tenancy_smoke",
+         {"topo": ("fattree", "torus"), "njobs": (1, 2), "build": BUILDS},
+         partial(tenancy_point, "tenancy_smoke", hosts=16, elements=2048),
+         iterations=5),
+    Grid("pap", "pap_smoke",
+         {"pattern": tuple(PAP_PATTERNS), "algo": ("nab", "ab", "sra", "pra")},
+         _pap_point),
+    # The scaled event core at sizes no figure reaches, unmonitored: CI's
+    # timeout-minutes on this job is the wall-clock gate.
+    Grid("scale", "scale",
+         {"size": (1024, 2048, 4096),
+          "net": (NetParams(topology="fattree", fattree_hosts_per_switch=32),
+                  NetParams(topology="torus"))},
+         partial(cpu_util_point, "scale_smoke", build="ab", elements=4,
+                 skew=1000.0, factory="extrapolated", warmup=1),
+         iterations=2),
 )}
+
+# The builder names perf/workloads.py's SMOKE_BUILDERS resolves under
+# ``run.py --pin``.  ROADMAP 1 points that list at GRIDS and deletes these.
+smoke_points = GRIDS["fig7"].points
+topo_smoke_points = GRIDS["topo"].points
+faults_smoke_points = GRIDS["faults"].points
+pipeline_smoke_points = GRIDS["pipeline"].points
+schedule_smoke_points = GRIDS["schedule"].points
+tenancy_smoke_points = GRIDS["tenancy"].points
+pap_smoke_points = GRIDS["pap"].points
 
 
 KINDS: dict[str, Callable] = {

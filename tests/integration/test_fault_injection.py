@@ -21,8 +21,8 @@ from repro import MpiBuild, NetParams, quiet_cluster
 from repro.bench.faulted import fault_reduce_benchmark
 from repro.config import AbParams, FaultParams, PipelineParams
 from repro.mpich.operations import SUM
-from repro.orchestrate.points import (ConfigSpec, SweepPoint, execute_point,
-                                      faults_smoke_points)
+from repro.orchestrate.points import (GRIDS, ConfigSpec, SweepPoint,
+                                      execute_point)
 from repro.orchestrate.runner import run_points
 
 from conftest import contribution, expected_sum, run_ranks
@@ -307,7 +307,7 @@ def test_link_degrade_slows_the_run_but_never_the_answer():
 # ---------------------------------------------------------------------------
 
 def test_faults_smoke_grid_parallel_matches_serial():
-    points = faults_smoke_points(seed=1, iterations=3)
+    points = GRIDS["faults"].points(seed=1, iterations=3)
     serial = run_points(points, jobs=1)
     parallel = run_points(points, jobs=2)
     assert [r.point.key() for r in parallel] == \
@@ -317,3 +317,19 @@ def test_faults_smoke_grid_parallel_matches_serial():
     assert all(r.metrics["survivor_ok"] == 1.0 for r in serial)
     assert all((r.invariant_report or {}).get("violation_count", 0) == 0
                for r in serial)
+    # The grid as a whole injected faults; the time-scheduled injectors
+    # (pause, crash) fire deterministically even at smoke iteration
+    # counts, unlike the probabilistic burst-loss trigger.
+    armed = [r for r in serial if r.point.config.faults is not None]
+    assert armed and sum(r.counters["faults_injected"] for r in armed) > 0
+    for r in armed:
+        f = r.point.config.faults
+        if f.pause_rank >= 0:
+            assert r.counters["ranks_paused"] == 1
+        if f.crash_rank >= 0:
+            assert r.counters["ranks_crashed"] == 1
+            assert r.metrics["completed_ranks"] == r.point.config.size - 1
+            if r.metrics["last_result"] != r.metrics["first_result"]:
+                # At least one iteration ran entirely after the crash, so
+                # the victim's child was healed out of the tree.
+                assert r.counters["subtrees_healed"] >= 1

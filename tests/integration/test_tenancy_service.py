@@ -5,12 +5,13 @@ round-trip byte-identity."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.mpich.rank import MpiBuild
 from repro.orchestrate.benchjson import bench_payload
-from repro.orchestrate.points import tenancy_smoke_points
+from repro.orchestrate.points import GRIDS
 from repro.orchestrate.runner import run_points
 from repro.runtime.program import run_program
 from repro.tenancy import (ClusterSpec, JobSpec, ResultCache, Scheduler,
@@ -75,8 +76,13 @@ def _point_fingerprint(result):
             tuple(sorted(result.counters.items())))
 
 
+def _unmonitored_tenancy_grid():
+    return [replace(p, collect_invariants=False)
+            for p in GRIDS["tenancy"].points(iterations=2)]
+
+
 def test_serial_and_pooled_tenancy_points_bit_identical():
-    points = tenancy_smoke_points(iterations=2, collect_invariants=False)
+    points = _unmonitored_tenancy_grid()
     serial = run_points(points, jobs=1)
     pooled = run_points(points, jobs=2)
     assert ([_point_fingerprint(r) for r in serial]
@@ -87,7 +93,7 @@ def test_serial_and_pooled_tenancy_points_bit_identical():
 # result cache: warm run serves byte-identical BENCH points
 # ----------------------------------------------------------------------
 def test_warm_cache_serves_byte_identical_bench_points(tmp_path):
-    points = tenancy_smoke_points(iterations=2, collect_invariants=False)
+    points = _unmonitored_tenancy_grid()
     cache_dir = str(tmp_path / "rc")
 
     cold_cache = ResultCache(cache_dir)

@@ -1,9 +1,11 @@
 """The grid registry (``repro.orchestrate.points.GRIDS``) is the single
-source of truth: builders, CLI names, aliases and the CI matrix all have
-to agree with it."""
+source of truth: each grid is its axes over a point maker, and the pinned
+points, CLI names, aliases, the CI matrix and race-smoke's scenario list
+all have to agree with it."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -27,7 +29,7 @@ def test_registry_names_and_bench_files():
 
 @pytest.mark.parametrize("name", list(GRIDS))
 def test_builder_matches_the_committed_pin(name):
-    """Each registered builder at seed 0 is its slice of the 59-point pin
+    """Each registered grid at seed 0 is its slice of the 59-point pin
     the host-time benchmark replays (read-only here); the scale grid is
     not pinned there and only has to keep its six distinct keys."""
     grid = GRIDS[name]
@@ -58,7 +60,7 @@ def test_alias_and_positional_parse_equal(name):
     alias = parse_args([f"smoke-{name}", *flags])
     assert alias == parse_args(["smoke", name, *flags])
     assert alias.grid is GRIDS[name]
-    assert alias.iterations is None     # = the builder's own default
+    assert alias.iterations is None     # = the grid's own default
 
 
 def test_bare_smoke_is_the_first_grid():
@@ -106,3 +108,34 @@ def test_ci_matrix_lists_exactly_the_registered_grids():
     text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     (matrix,) = re.findall(r"^\s+grid: \[(.*)\]$", text, flags=re.M)
     assert [name.strip() for name in matrix.split(",")] == list(GRIDS)
+
+
+def test_race_smoke_checks_every_grid_but_scale():
+    """CI's race-smoke job hand-lists its ``--scenario`` flags: every
+    registered grid but the minutes-long scale grid, each once."""
+    text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    job = text[text.index("\n  race-smoke:"):text.index("\n  bench-smoke:")]
+    assert sorted(re.findall(r"--scenario (\S+)", job)) == sorted(
+        set(GRIDS) - {"scale"})
+
+
+@pytest.mark.parametrize("module,argv", [
+    ("repro.orchestrate.__main__", ["smoke", "fig7", "--out", "{tmp}"]),
+    ("repro.orchestrate.__main__", ["refresh-baseline", "fig7", "--dir",
+                                    "{tmp}"]),
+    ("repro.analysis.races", ["--scenario", "fig7", "--out", "{tmp}/r"]),
+    ("repro.experiments.__main__", ["fig7", "--bench-json", "{tmp}/b"]),
+], ids=["smoke", "refresh-baseline", "races", "experiments"])
+def test_zero_iterations_is_refused_in_one_line(tmp_path, capsys, module,
+                                                argv):
+    """Every made point is validated before any runs, so a zero
+    iteration count is one ``error:`` line and exit 2, and nothing is
+    written."""
+    main = importlib.import_module(module).main
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    capsys.readouterr()
+    assert main([*argv, "--iterations", "0", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "iterations=0" in err
+    assert not list(tmp_path.iterdir())

@@ -11,8 +11,8 @@ from repro.bench.cpu_util import cpu_util_benchmark
 from repro.config import AbParams, NetParams
 from repro.mpich.rank import MpiBuild
 from repro.orchestrate.benchjson import bench_payload
-from repro.orchestrate.points import (ConfigSpec, PointResult, SweepPoint,
-                                      execute_point, smoke_points)
+from repro.orchestrate.points import (GRIDS, ConfigSpec, PointResult,
+                                      SweepPoint, execute_point)
 from repro.sim.cpu import HostCpu
 
 
@@ -165,7 +165,7 @@ def test_execute_point_unknown_kind():
 
 
 def test_smoke_points_grid():
-    points = smoke_points(seed=9, iterations=4)
+    points = GRIDS["fig7"].points(seed=9, iterations=4)
     assert len(points) == 6  # 3 sizes x 2 builds
     assert {p.build for p in points} == {"nab", "ab"}
     assert all(p.config.seed == 9 and p.collect_invariants for p in points)

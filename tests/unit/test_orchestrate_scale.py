@@ -1,4 +1,4 @@
-"""Unit tests for the scale sweep path: ``scale_smoke_points``, the
+"""Unit tests for the scale sweep path: the ``scale`` grid, the
 ``smoke-scale`` / ``refresh-baseline`` / ``summarize`` CLI commands, and
 the events/sec plumbing they share.  The CLI runs use toy sizes — the
 real 1024-4096 grid is the CI scale-smoke job's business."""
@@ -9,11 +9,11 @@ import json
 
 from repro.orchestrate.__main__ import main
 from repro.orchestrate.benchjson import load_bench_json
-from repro.orchestrate.points import GRIDS, scale_smoke_points
+from repro.orchestrate.points import GRIDS
 
 
 def test_scale_grid_covers_sizes_and_topologies():
-    points = scale_smoke_points()
+    points = GRIDS["scale"].points()
     assert len(points) == 6
     cells = {(p.config.size, p.config.net.topology) for p in points}
     assert cells == {(size, topo)
@@ -31,7 +31,7 @@ def test_scale_grid_covers_sizes_and_topologies():
 
 def test_scale_keys_are_distinct():
     keys = [json.dumps(p.key(), sort_keys=True)
-            for p in scale_smoke_points()]
+            for p in GRIDS["scale"].points()]
     assert len(set(keys)) == len(keys)
 
 

@@ -79,7 +79,7 @@ def test_scenario_points_registry():
         points = scenario_points(name, seed=3)
         assert points, name
         assert [p.key() for p in points] == [
-            p.key() for p in grid.builder(seed=3)]
+            p.key() for p in grid.points(seed=3)]
     two = scenario_points("fig7", iterations=2)
     assert {p.iterations for p in two} == {2}
     with pytest.raises(ValueError, match="unknown scenario") as exc:
@@ -151,9 +151,9 @@ def test_priority_classes_fire_in_order_regardless_of_shuffle():
 # SweepPoint plumbing
 # ----------------------------------------------------------------------
 def test_sweep_point_tiebreak_seed_round_trip():
-    from repro.orchestrate.points import SweepPoint, smoke_points
+    from repro.orchestrate.points import GRIDS, SweepPoint
     import dataclasses
-    base = smoke_points(iterations=2)[0]
+    base = GRIDS["fig7"].points(iterations=2)[0]
     assert "tiebreak" not in base.key()
     assert "tiebreak_seed" not in base.to_dict()
     shuffled = dataclasses.replace(base, tiebreak_seed=42)
