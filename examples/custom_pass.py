@@ -5,7 +5,7 @@ Collective schedules are *data* (DESIGN.md Sec. 15): a ``Schedule`` is a
 frozen, JSON-round-trippable program of per-rank send/recv/fold/wait
 steps, and a rewrite pass is just a function ``Schedule -> Schedule``
 registered by name.  Once registered, every driver in the repo — the
-scheduled benchmark, ``orchestrate smoke-schedule``, the autotuner — can
+scheduled benchmark, ``orchestrate smoke schedule``, the autotuner — can
 apply your pass by name, and the validator checks the result the same
 way it checks the built-in lowerings.
 

@@ -15,7 +15,7 @@ def main() -> int:
     print("  python -m repro.experiments <name|all>  # no name: lists them")
     print("  python -m repro.orchestrate smoke [grid] # the CI grids")
     print("  pytest tests/                       # unit/integration/property")
-    print("  pytest benchmarks/ --benchmark-only # regenerate every figure")
+    print("  pytest benchmarks --benchmark-disable # check every claim")
     print("  python examples/quickstart.py       # (and 8 more examples)")
     print()
     print("docs: README.md, DESIGN.md (system inventory), "

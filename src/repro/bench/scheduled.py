@@ -6,7 +6,7 @@ interpreter (:mod:`repro.core.interpreter`) on every rank — the measurement
 loop mirrors :mod:`repro.bench.latency` (barrier, natural noise, timed
 collective), with the root timing call-to-result.
 
-This is what ``orchestrate smoke-schedule``, the ``fig_schedule``
+This is what ``orchestrate smoke schedule``, the ``fig_schedule``
 experiment and the autotuner all run, so pass-on vs pass-off comparisons
 and tuning sweeps share one measurement path.
 """

@@ -27,8 +27,6 @@ from ..orchestrate.points import PointResult, SweepPoint, grid_cells
 from ..orchestrate.runner import run_points
 from .report import Table
 
-BUILD_TAGS = ("nab", "ab")
-
 
 class Cells:
     """One executed grid: ``cells[topo, build]`` is the

@@ -540,7 +540,7 @@ def interlaced_roster(total: int = 32) -> tuple[MachineSpec, ...]:
     evenly through the fast group's slots (positions 1, 9, 17, 25).
     """
     if not (1 <= total <= 32):
-        raise ConfigError(f"paper cluster has up to 32 nodes, asked for {total}")
+        raise ConfigError(f"paper cluster has 1 to 32 nodes, asked for {total}")
     roster: list[MachineSpec] = []
     l92_slots = {1, 9, 17, 25}
     for i in range(total):

@@ -21,7 +21,7 @@ The trade-off ref. [11] examines falls out of the cost model: the LANai is
 roughly an order of magnitude slower than the host at arithmetic
 (``NicParams.nic_op_us_per_element``), so NIC-based reduction buys host-CPU
 freedom at the price of latency that grows steeply with message size.  The
-``bench_ext_nic_reduce`` benchmark reproduces that crossover.
+``extensions`` experiment claims that crossover.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..bench.report import Table
 from ..orchestrate.benchjson import write_bench_json
@@ -28,9 +28,23 @@ PAPER_SKEWS = (0.0, 200.0, 400.0, 600.0, 800.0, 1000.0)
 PAPER_MSG_SIZES = (1, 8, 16, 32, 48, 64, 96, 128)
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim of the paper (or of a beyond-paper study) as this
+    run measured it: the finding, numbers included, and whether it held."""
+
+    text: str
+    holds: bool
+
+    def __str__(self) -> str:
+        return self.text if self.holds else f"FAILS: {self.text}"
+
+
 @dataclass
 class ExperimentOutput:
-    """Tables plus free-form findings from one experiment driver."""
+    """Tables, checked claims and free-form notes from one experiment
+    driver.  A claim is a verdict (``benchmarks/bench_claims.py`` asserts
+    every one holds); a note only reports."""
 
     name: str
     tables: list[Table] = field(default_factory=list)
@@ -38,16 +52,52 @@ class ExperimentOutput:
     #: Orchestrator point results (key, metrics, wall time) for the sweeps
     #: behind the tables — the payload of BENCH_<name>.json.
     points: list[PointResult] = field(default_factory=list)
+    claims: list[Claim] = field(default_factory=list)
+
+    def claim(self, text: str, holds) -> None:
+        """Record one claim; ``holds`` may be any truth value (a numpy
+        bool included)."""
+        self.claims.append(Claim(text, bool(holds)))
+
+    def add(self, part: "ExperimentOutput") -> None:
+        """Append one study's tables, points, claims and notes."""
+        self.tables += part.tables
+        self.points += part.points
+        self.claims += part.claims
+        self.notes += part.notes
 
     def render(self) -> str:
         parts = []
         for table in self.tables:
             parts.append(table.render())
             parts.append("")
-        if self.notes:
+        lines = [*map(str, self.claims), *self.notes]
+        if lines:
             parts.append("Notes:")
-            parts.extend(f"  - {n}" for n in self.notes)
+            parts.extend(f"  - {line}" for line in lines)
         return "\n".join(parts)
+
+
+def claim_segmentation(out: ExperimentOutput, label: str, seg: int,
+                       elements: Sequence[int], whole: dict,
+                       piped: dict) -> None:
+    """The two claims of segment size ``seg`` (bytes) over message sizes
+    ``elements`` (doubles): a message that fits one chunk runs
+    bit-identical to the whole-message path, and the largest one, if it
+    segments, runs faster.  ``whole``/``piped`` map each build to its
+    latency series along ``elements``."""
+    fits = [i for i, e in enumerate(elements) if e * 8 <= seg]
+    if fits:
+        out.claim(f"{label}a one-chunk plan is bit-identical: segment {seg}B "
+                  "equals whole-message at "
+                  f"{[elements[i] for i in fits]} elements on both builds",
+                  all(piped[b][i] == whole[b][i] for b in whole for i in fits))
+    if elements[-1] * 8 > seg:
+        out.claim(f"{label}segment {seg}B beats whole-message at "
+                  f"{elements[-1]} elements: " + ", ".join(
+                      f"{b} {whole[b][-1]:.1f} -> {piped[b][-1]:.1f}us "
+                      f"({whole[b][-1] / piped[b][-1]:.2f}x)" for b in whole),
+                  all(piped[b][-1] < whole[b][-1] for b in whole))
 
 
 def make_parser(description: str, *, default_iterations: int) -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ from ..bench.report import Table
 from ..bench.sweep import sweep
 from ..config import paper_cluster
 from ..mpich.rank import MpiBuild
-from ..orchestrate.points import ConfigSpec, PointResult, SweepPoint
+from ..orchestrate.points import ConfigSpec, SweepPoint
 from ..runtime.program import run_program
 from .common import ExperimentOutput
 
@@ -29,8 +29,7 @@ NICRED_IMPLS = {"nab": ("nab", "cpu_util"), "host-ab": ("ab", "cpu_util"),
 
 
 def run_nicred(*, size: int = 16, iterations: int = 30, seed: int = 1,
-               jobs: int = 1, progress=None
-               ) -> tuple[Table, list[PointResult]]:
+               jobs: int = 1, progress=None) -> ExperimentOutput:
     element_sizes = (4, 32, 128, 512)
     spec = ConfigSpec("paper", size, seed)
     cells = sweep(
@@ -43,10 +42,23 @@ def run_nicred(*, size: int = 16, iterations: int = 30, seed: int = 1,
     table = Table(f"NIC-based vs host-ab vs nab: CPU util @1000us skew "
                   f"({size} nodes)", "elements", element_sizes)
     cells.fill(table, "avg_util_us", along="elements", label="{impl}")
-    return table, cells.points
+    nab, ab, nic = (table._find(impl).values for impl in NICRED_IMPLS)
+    out = ExperimentOutput("ext_nicred", [table], points=cells.points)
+    out.claim("NIC-based reduction beats nab on host CPU at every size: "
+              + ", ".join(f"{e}: {x:.1f} vs {n:.1f}us"
+                          for e, x, n in zip(element_sizes, nic, nab)),
+              all(x < n for x, n in zip(nic, nab)))
+    small = [(e, x, a) for e, x, a in zip(element_sizes, nic, ab)
+             if e <= 128]
+    out.claim("NIC-based reduction is within 3us of host-ab up to 128 "
+              "elements: " + ", ".join(f"{e}: {x:.1f} vs {a:.1f}us"
+                                       for e, x, a in small),
+              all(x < a + 3.0 for _e, x, a in small))
+    return out
 
 
-def run_apps(*, size: int = 16, seed: int = 1, progress=None) -> Table:
+def run_apps(*, size: int = 16, seed: int = 1,
+             progress=None) -> ExperimentOutput:
     cases = [
         ("jacobi", dict(iterations=15, imbalance=1.0)),
         ("cg", dict(iterations=10)),
@@ -55,23 +67,32 @@ def run_apps(*, size: int = 16, seed: int = 1, progress=None) -> Table:
     ]
     table = Table(f"Application kernels ({size} ranks): non-root us "
                   "blocked in collectives", "case", list(range(len(cases))))
-    nab_col, ab_col, factor_col, labels = [], [], [], []
+    nab_col, ab_col, gains = [], [], {}
     for kernel, kwargs in cases:
         comp = compare_builds(kernel, paper_cluster(size, seed=seed),
                               **kwargs)
         label = kernel + ("+bcast" if kwargs.get("rebalance_every") else "")
-        labels.append(label)
         nab_col.append(comp.nonroot_mean_collective_us(MpiBuild.DEFAULT))
         ab_col.append(comp.nonroot_mean_collective_us(MpiBuild.AB))
-        factor_col.append(comp.blocking_improvement)
+        gains[label] = comp.blocking_improvement
         if progress:
             progress(comp.summary())
     table.add_series("nab", nab_col)
     table.add_series("ab", ab_col)
-    table.add_series("improvement", factor_col)
+    table.add_series("improvement", list(gains.values()))
     table.title += "  [" + ", ".join(f"{i}={l}" for i, l in
-                                     enumerate(labels)) + "]"
-    return table
+                                     enumerate(gains)) + "]"
+    out = ExperimentOutput("apps", [table])
+    out.claim(f"reduction-punctuated kernels gain: jacobi "
+              f"{gains['jacobi']:.2f}x (above 2), particles "
+              f"{gains['particles']:.2f}x (above 1.5)",
+              gains["jacobi"] > 2.0 and gains["particles"] > 1.5)
+    out.claim(f"synchronizing collectives cap the gain (Sec. II): cg "
+              f"{gains['cg']:.2f}x (below 2), particles+bcast "
+              f"{gains['particles+bcast']:.2f}x (below particles)",
+              gains["cg"] < 2.0
+              and gains["particles+bcast"] < gains["particles"])
+    return out
 
 
 def run_pipelined_cg(*, size: int = 16, iterations: int = 12, seed: int = 1,
@@ -97,16 +118,16 @@ def run_pipelined_cg(*, size: int = 16, iterations: int = 12, seed: int = 1,
 
 def run(*, iterations: int = 30, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
-    nicred_table, nicred_points = run_nicred(
-        iterations=iterations, seed=seed, jobs=jobs, progress=progress)
-    out = ExperimentOutput("extensions", [nicred_table],
-                           points=nicred_points)
-    out.tables.append(run_apps(seed=seed, progress=progress))
+    out = ExperimentOutput("extensions")
+    out.add(run_nicred(iterations=iterations, seed=seed, jobs=jobs,
+                       progress=progress))
+    out.add(run_apps(seed=seed, progress=progress))
     out.notes.append(run_pipelined_cg(seed=seed, progress=progress))
     cfg = paper_cluster(16, seed=seed)
     lat_small = nicred_latency(cfg, elements=4, iterations=iterations)
     lat_big = nicred_latency(cfg, elements=512, iterations=iterations)
-    out.notes.append(
+    out.claim(
         f"nicred latency {lat_small:.1f}us @4 elements vs {lat_big:.1f}us "
-        "@512 — ref. [11]'s slow-NIC-ALU caveat")
+        "@512 — ref. [11]'s slow-NIC-ALU caveat (more than 30us apart)",
+        lat_big > lat_small + 30.0)
     return out

@@ -11,7 +11,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Sequence
 
-from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
+from ..bench.sweep import build_by_size_table, sweep
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import cpu_util_point
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
@@ -31,15 +32,21 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         "nodes", along="size")
     out = ExperimentOutput("fig7", [table], points=cells.points)
 
-    smallest = min(element_sizes)
-    factors = table._find(f"factor-{smallest}").values
-    out.notes.append(
-        f"factor at {sizes[-1]} nodes, {smallest} elements: "
-        f"{factors[-1]:.2f} (paper: 5.1)")
-    grows = factors[-1] > factors[0]
-    out.notes.append(
-        "factor of improvement increases with system size: "
-        f"{'yes' if grows else 'NO'} "
-        f"({factors[0]:.2f} at {sizes[0]} nodes -> "
-        f"{factors[-1]:.2f} at {sizes[-1]} nodes)")
+    factors = {e: table._find(f"factor-{e}").values for e in element_sizes}
+    first, last = sizes[0], sizes[-1]
+    out.claim(f"factor of improvement grows from {first} to {last} nodes at "
+              "every message size: "
+              + ", ".join(f"{e}: {f[0]:.2f} -> {f[-1]:.2f}"
+                          for e, f in factors.items()),
+              all(f[-1] > f[0] for f in factors.values()))
+    lowest = min(f[-1] for f in factors.values())
+    out.claim(f"ab wins by more than 2.5x at {last} nodes at every message "
+              f"size: lowest factor {lowest:.2f}", lowest > 2.5)
+    small = min(element_sizes)
+    f_small = factors[small]
+    out.claim(f"factor at {last} nodes, {small} elements: {f_small[-1]:.2f}, "
+              "within 4.0-6.5 (paper: 5.1)", 4.0 < f_small[-1] < 6.5)
+    out.claim(f"factor grows with system size at {small} elements, no step "
+              "down by more than 0.4",
+              all(hi > lo - 0.4 for lo, hi in zip(f_small, f_small[1:])))
     return out

@@ -13,7 +13,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional, Sequence
 
-from ..bench.sweep import BUILD_TAGS, build_by_size_table, sweep
+from ..bench.sweep import build_by_size_table, sweep
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import cpu_util_point
 from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
@@ -39,20 +40,22 @@ def run(*, sizes: Sequence[int] = PAPER_SIZES,
         "nodes", along="size")
     out = ExperimentOutput("fig8", [table], points=cells.points)
 
-    largest = max(element_sizes)
-    f_large = table._find(f"factor-{largest}").values
-    out.notes.append(
-        f"max factor at {sizes[-1]} nodes / {largest} elements: "
-        f"{f_large[-1]:.2f} (paper: 1.5)")
-    crossings = {
-        e: crossover_size(sizes, table._find(f"factor-{e}").values)
-        for e in element_sizes
-    }
-    out.notes.append(f"crossover node counts (ab starts winning): {crossings} "
-                     "— paper: larger messages cross over earlier")
-    smallest = min(element_sizes)
-    f_small_first = table._find(f"factor-{smallest}").values[0]
-    out.notes.append(
-        f"factor at {sizes[0]} nodes / {smallest} elements: "
-        f"{f_small_first:.2f} (paper: below 1.0 — pure overhead)")
+    factors = {e: table._find(f"factor-{e}").values for e in element_sizes}
+    small, large = min(element_sizes), max(element_sizes)
+    out.claim(f"ab loses at {small} elements on "
+              + " and ".join(f"{s} nodes ({f:.2f})"
+                             for s, f in zip(sizes, factors[small][:2]))
+              + " (paper: 0.7-0.9, pure overhead)",
+              all(f < 1.0 for f in factors[small][:2]))
+    best = factors[large][-1]
+    out.claim(f"ab wins at {sizes[-1]} nodes / {large} elements: factor "
+              f"{best:.2f}, within 1.15-2.0 (paper: 1.5)", 1.15 < best < 2.0)
+    out.claim(f"the largest message gains most at {sizes[-1]} nodes: "
+              f"{best:.2f} at {large} elements vs {factors[small][-1]:.2f} "
+              f"at {small}", best > factors[small][-1])
+    crossings = {e: crossover_size(sizes, f) for e, f in factors.items()}
+    out.claim(f"larger messages cross over earlier: node counts where ab "
+              f"starts winning {crossings}",
+              crossings[large] is not None
+              and crossings[large] <= (crossings[small] or sizes[-1]))
     return out

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import BUILD_TAGS, Cells, sweep
+from ..bench.sweep import Cells, sweep
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import ConfigSpec, SweepPoint
 from .common import ExperimentOutput
 
@@ -53,15 +54,23 @@ def run(*, hetero_sizes: Sequence[int] = HETERO_SIZES,
     out = ExperimentOutput("fig9", [table_a, table_b],
                            points=cells_a.points + cells_b.points)
 
-    nab_a = table_a._find("nab").values
-    ab_a = table_a._find("ab").values
-    small_gap = abs(ab_a[0] - nab_a[0])
-    big_gap = ab_a[-1] - nab_a[-1]
-    out.notes.append(
-        f"gap at {hetero_sizes[0]} nodes: {small_gap:.1f}us "
-        f"(paper: nearly identical); gap at {hetero_sizes[-1]} nodes: "
-        f"{big_gap:.1f}us (paper: ab visibly above nab)")
-    out.notes.append(
-        "ab latency exceeds nab past small node counts: "
-        f"{'yes' if big_gap > small_gap else 'NO'}")
+    tables = {"9a": table_a, "9b": table_b}
+    nab = {panel: table._find("nab").values for panel, table in tables.items()}
+    ab = {panel: table._find("ab").values for panel, table in tables.items()}
+    out.claim("latency grows with node count on both builds and both "
+              "clusters",
+              all(v[-1] > v[0] for v in (*nab.values(), *ab.values())))
+    first = {panel: ab[panel][0] - nab[panel][0] for panel in tables}
+    last = {panel: ab[panel][-1] - nab[panel][-1] for panel in tables}
+    out.claim(f"nearly identical at {hetero_sizes[0]} nodes: ab-nab gap "
+              + ", ".join(f"{g:.1f}us ({panel})" for panel, g in first.items())
+              + ", under 6us (paper: nearly identical)",
+              all(abs(g) < 6.0 for g in first.values()))
+    out.claim("ab visibly above nab at the largest size: gap "
+              + ", ".join(f"{g:.1f}us ({panel})" for panel, g in last.items())
+              + ", above 3us and above the smallest size's gap",
+              all(last[panel] > max(3.0, first[panel]) for panel in tables))
+    out.claim(f"9a nab latency at {hetero_sizes[-1]} nodes: "
+              f"{nab['9a'][-1]:.1f}us, within 50-150us (paper: near "
+              "110-120us)", 50.0 < nab["9a"][-1] < 150.0)
     return out

@@ -22,8 +22,9 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import BUILD_TAGS, sweep
+from ..bench.sweep import sweep
 from ..config import NetParams
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import (FATTREE_4, FAULT_SCENARIOS, ConfigSpec,
                                   SweepPoint, burst_loss)
 from .common import ExperimentOutput
@@ -83,9 +84,9 @@ def run(*, size: int = 8, elements: int = 4,
     out.notes.append(
         f"retransmissions across the loss sweep: {retransmissions}")
     wrong = sum(1 for r in out.points if not r.metrics["survivor_ok"])
-    out.notes.append(
-        f"points with a wrong surviving-rank result: {wrong}")
-    out.notes.append(
-        f"invariant violations across the sweep (incl. INV-FAULT): "
-        f"{loss.violations() + injected.violations()}")
+    out.claim(f"points with a wrong surviving-rank result: {wrong}",
+              wrong == 0)
+    violations = loss.violations() + injected.violations()
+    out.claim(f"invariant violations across the sweep (incl. INV-FAULT): "
+              f"{violations}", violations == 0)
     return out

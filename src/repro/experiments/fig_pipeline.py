@@ -19,10 +19,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import BUILD_TAGS, sweep
+from ..bench.sweep import sweep
 from ..config import MpiParams, PipelineParams
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import ConfigSpec, SweepPoint
-from .common import ExperimentOutput
+from .common import ExperimentOutput, claim_segmentation
 
 #: Segment-size axis in bytes; 0 = whole-message baseline (no override,
 #: so its BENCH variant tag matches a pipeline-free checkout).
@@ -55,30 +56,25 @@ def run(*, size: int = 16, segment_sizes: Sequence[int] = SEGMENT_SIZES,
         jobs=jobs, progress=progress)
 
     out = ExperimentOutput("fig_pipeline", points=cells.points)
-    largest = msg_sizes[-1]
     for shape in shapes:
         table = Table(
             f"fig_pipeline: reduce latency (us) vs message size, "
             f"{shape} tree, n={size}", "elements", msg_sizes)
-        for build in BUILD_TAGS:
-            for seg in segment_sizes:
-                table.add_series(
-                    f"{build}-seg{seg}" if seg else f"{build}-whole",
-                    cells.series("avg_latency_us", along="elements",
-                                 shape=shape, build=build, seg=seg))
-        for seg in segment_sizes:
-            if seg:
-                table.factor_series(f"ab speedup seg{seg}",
-                                    "ab-whole", f"ab-seg{seg}")
+        latency = {(build, seg): cells.series(
+                       "avg_latency_us", along="elements", shape=shape,
+                       build=build, seg=seg)
+                   for build in BUILD_TAGS for seg in segment_sizes}
+        for (build, seg), series in latency.items():
+            table.add_series(
+                f"{build}-seg{seg}" if seg else f"{build}-whole", series)
+        for seg in filter(None, segment_sizes):
+            table.factor_series(f"ab speedup seg{seg}",
+                                "ab-whole", f"ab-seg{seg}")
+            claim_segmentation(
+                out, f"{shape}: ", seg, msg_sizes,
+                {build: latency[build, 0] for build in BUILD_TAGS},
+                {build: latency[build, seg] for build in BUILD_TAGS})
         out.tables.append(table)
-
-        ab = {seg: cells[shape, "ab", seg, largest].metrics["avg_latency_us"]
-              for seg in segment_sizes}
-        best_seg = min((s for s in segment_sizes if s), key=ab.get)
-        out.notes.append(
-            f"{shape}: {largest} elements, ab whole {ab[0]:.1f}us -> "
-            f"seg{best_seg} {ab[best_seg]:.1f}us "
-            f"({ab[0] / ab[best_seg]:.2f}x)")
 
     def total(counter: str) -> int:
         return sum(int(r.counters.get(counter, 0)) for r in cells.points)
@@ -88,7 +84,6 @@ def run(*, size: int = 16, segment_sizes: Sequence[int] = SEGMENT_SIZES,
         f"{total('segments_folded_async')} folded asynchronously, "
         f"{total('pipeline_stalls')} window stalls, "
         f"in-flight high-water mark {hwm}")
-    out.notes.append(
-        f"invariant violations across the sweep (incl. INV-SEGMENT): "
-        f"{cells.violations()}")
+    out.claim(f"invariant violations across the sweep (incl. INV-SEGMENT): "
+              f"{cells.violations()}", cells.violations() == 0)
     return out

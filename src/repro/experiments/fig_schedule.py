@@ -24,11 +24,12 @@ from functools import partial
 from typing import Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import BUILD_TAGS, sweep
+from ..bench.sweep import sweep
 from ..config import MpiParams, NetParams, PipelineParams
-from ..orchestrate.points import (PASS_VARIANTS, ConfigSpec, SweepPoint,
-                                  crossover_point)
-from .common import ExperimentOutput
+from ..mpich.rank import BUILD_TAGS
+from ..orchestrate.points import (PASS_VARIANTS, SEGMENTED, ConfigSpec,
+                                  SweepPoint, crossover_point)
+from .common import ExperimentOutput, claim_segmentation
 
 #: Message-size axis in 8-byte elements: 128 stays single-chunk at the
 #: armed 2 KiB segment size (``SEGMENTED``); 512/1024 segment into 2/4
@@ -78,7 +79,6 @@ def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
     out = ExperimentOutput("fig_schedule",
                            points=crossover.points + auto.points)
 
-    largest = msg_sizes[-1]
     for shape in shapes:
         table = Table(
             f"fig_schedule: scheduled reduce latency (us) vs message "
@@ -89,13 +89,12 @@ def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
             table.factor_series(f"{build} pass speedup",
                                 f"{build}-whole", f"{build}-pass")
         out.tables.append(table)
-        whole, best = (
-            crossover[shape, "ab", variant, largest].metrics[
-                "avg_latency_us"] for variant in ("whole", "pass"))
-        out.notes.append(
-            f"{shape}: {largest} elements, ab whole {whole:.1f}us "
-            f"-> pipeline_segments pass {best:.1f}us "
-            f"({whole / best:.2f}x)")
+        whole, passed = ({build: table._find(f"{build}-{variant}").values
+                          for build in BUILD_TAGS}
+                         for variant in ("whole", "pass"))
+        claim_segmentation(out, f"{shape}, pipeline_segments pass: ",
+                           SEGMENTED.segment_size_bytes, msg_sizes, whole,
+                           passed)
 
     auto_table = Table(
         f"fig_schedule: auto vs static-binomial AB latency (us), n={size}",
@@ -119,12 +118,12 @@ def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
                    if pparams.armed else "whole")
             resolved.append((topo, elems, tshape.name, seg))
     winners = {(name, seg) for _t, _e, name, seg in resolved}
-    out.notes.append(
+    out.claim(
         f"tuned table resolves {len(winners)} distinct winner(s) "
         f"across {len(resolved)} (topology, msgsize) cells: "
         + "; ".join(f"{t}/{e * 8}B -> {name} {seg}"
-                    for t, e, name, seg in resolved))
-    out.notes.append(
-        f"invariant violations across the sweep: "
-        f"{crossover.violations() + auto.violations()}")
+                    for t, e, name, seg in resolved), len(winners) > 1)
+    violations = crossover.violations() + auto.violations()
+    out.claim(f"invariant violations across the sweep: {violations}",
+              violations == 0)
     return out

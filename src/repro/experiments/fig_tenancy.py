@@ -20,7 +20,8 @@ from functools import partial
 from typing import Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import BUILD_TAGS, sweep
+from ..bench.sweep import sweep
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import TENANT_RANKS, tenancy_point
 from .common import ExperimentOutput
 
@@ -69,7 +70,7 @@ def run(*, hosts: int = 32, elements: int = 2048,
             f"{topo}: contention tax at {most} co-tenants "
             f"nab {degradation_at_max[topo, 'nab']:.3f}x vs "
             f"ab {degradation_at_max[topo, 'ab']:.3f}x")
-    out.notes.append(
-        f"invariant violations across the sweep "
-        f"(job-tagged, incl. INV-FIFO): {cells.violations()}")
+    out.claim(f"invariant violations across the sweep "
+              f"(job-tagged, incl. INV-FIFO): {cells.violations()}",
+              cells.violations() == 0)
     return out

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import BUILD_TAGS, sweep
+from ..bench.sweep import sweep
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import topo_point
 from .common import ExperimentOutput
 
@@ -51,32 +52,37 @@ def run(*, size: int = 16, elements: int = 4,
     cells.fill(table, "avg_util_us", along="skew",
                label="{topo}/{shape}-{build}")
     hot: dict[str, float] = {}
-    factors: list[tuple[str, float]] = []
+    factors: dict[str, float] = {}
+    hops = dict.fromkeys(topologies, 0)
     for topo in topologies:
         for shape in trees:
             label = f"{topo}/{shape}"
-            hot[label] = max(
-                float(cells[topo, shape, build, skew].counters.get(
-                    "net_max_port_utilization", 0.0))
-                for build in BUILD_TAGS for skew in skews)
+            runs = [cells[topo, shape, build, skew]
+                    for build in BUILD_TAGS for skew in skews]
+            hot[label] = max(float(r.counters.get(
+                "net_max_port_utilization", 0.0)) for r in runs)
+            hops[topo] += sum(int(r.counters.get("net_hops", 0))
+                              for r in runs)
             # AB improvement factor at maximal skew for this combination.
             at_max = {build: cells[topo, shape, build, skews[-1]]
                       .metrics["avg_util_us"] for build in BUILD_TAGS}
-            factors.append((label, at_max["nab"] / at_max["ab"]))
+            factors[label] = at_max["nab"] / at_max["ab"]
 
     out = ExperimentOutput("fig_topo", [table], points=cells.points)
-    best = max(factors, key=lambda kv: kv[1])
-    worst = min(factors, key=lambda kv: kv[1])
-    out.notes.append(
-        f"AB factor of improvement at skew {skews[-1]:g}us: "
-        f"best {best[1]:.2f} on {best[0]}, "
-        f"worst {worst[1]:.2f} on {worst[0]}")
-    if hot:
-        hottest = max(hot.items(), key=lambda kv: kv[1])
-        out.notes.append(
-            f"hottest network port utilization: {hottest[1]:.3f} "
-            f"({hottest[0]})")
-    out.notes.append(
-        f"invariant violations across the sweep (incl. INV-FIFO): "
-        f"{cells.violations()}")
+    best = max(factors, key=factors.get)
+    worst = min(factors, key=factors.get)
+    out.claim(
+        f"ab wins at skew {skews[-1]:g}us on every topology and tree shape: "
+        f"factor best {factors[best]:.2f} on {best}, "
+        f"worst {factors[worst]:.2f} on {worst}", factors[worst] > 1.0)
+    if "crossbar" in hops:
+        out.claim("multi-hop topologies take multi-hop routes: net_hops "
+                  + ", ".join(f"{topo} {n}" for topo, n in hops.items()),
+                  all(n > hops["crossbar"] for topo, n in hops.items()
+                      if topo != "crossbar"))
+    out.claim(f"invariant violations across the sweep (incl. INV-FIFO): "
+              f"{cells.violations()}", cells.violations() == 0)
+    hottest = max(hot, key=hot.get)
+    out.notes.append(f"hottest network port utilization: {hot[hottest]:.3f} "
+                     f"({hottest})")
     return out

@@ -18,7 +18,8 @@ from functools import partial
 from typing import Sequence
 
 from ..bench.report import Table
-from ..bench.sweep import BUILD_TAGS, sweep
+from ..bench.sweep import sweep
+from ..mpich.rank import BUILD_TAGS
 from ..orchestrate.points import cpu_util_point
 from .common import ExperimentOutput
 
@@ -43,11 +44,15 @@ def run(*, sizes: Sequence[int] = SCALE_SIZES, elements: int = 4,
 
     out = ExperimentOutput("scale", [table], points=cells.points)
     factors = table._find("factor").values
-    grows = all(b > a for a, b in zip(factors, factors[1:]))
-    out.notes.append(
-        f"factor keeps increasing beyond the paper's 32 nodes: "
-        f"{'yes' if grows else 'NO'} "
-        f"({', '.join(f'{s}:{f:.2f}' for s, f in zip(sizes, factors))})")
+    out.claim(
+        f"factor keeps increasing beyond the paper's 32 nodes "
+        f"({', '.join(f'{s}:{f:.2f}' for s, f in zip(sizes, factors))})",
+        all(b > a for a, b in zip(factors, factors[1:])))
+    if 32 in sizes:
+        at_32 = factors[sizes.index(32)]
+        out.claim(f"the factor at 32 nodes ({at_32:.2f}, above 4.0) grows "
+                  f"more than 1.6x by {sizes[-1]} nodes ({factors[-1]:.2f})",
+                  at_32 > 4.0 and factors[-1] > 1.6 * at_32)
     out.notes.append(
         "mechanism: the default build's average utilization saturates near "
         "E[max skew] x tree-shape while the bypass build's per-node cost "

@@ -34,6 +34,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from ..config import check_name
 from ..sim.process import Compute, Ledger
 from .communicator import Communicator
 from .message import ANY_TAG, TAG_BARRIER, AbHeader
@@ -47,6 +48,16 @@ _TOKEN = np.empty(0, dtype=np.uint8)
 class MpiBuild(enum.Enum):
     DEFAULT = "default"
     AB = "ab"
+
+
+#: The one build vocabulary — ``SweepPoint.build``, ``JobSpec.build`` and
+#: every build axis — with the non-bypass baseline first.
+BUILD_TAGS = {"nab": MpiBuild.DEFAULT, "ab": MpiBuild.AB}
+
+
+def build_from_tag(tag: str) -> MpiBuild:
+    check_name("build tag", tag, BUILD_TAGS)
+    return BUILD_TAGS[tag]
 
 
 class MpiRank:

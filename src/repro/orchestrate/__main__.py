@@ -12,8 +12,8 @@
     defaults to the grid's own; ``--sizes`` replaces the grid's ``size``
     axis, if it has one; ``--cache DIR`` serves points through the
     content-addressed result cache and writes ``<bench>-cache-stats.json``.
-    A point no grid can make (``--iterations 0``) is one ``error:`` line.
-    ``smoke-<grid>`` is an alias for ``smoke <grid>``.
+    A point no grid can make (``--iterations 0``, ``--sizes 0``) is one
+    ``error:`` line.
 
 ``refresh-baseline [grid ...] [--dir DIR]``
     Re-run the named grids — default: every grid with a committed
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_smoke = sub.add_parser(
         "smoke", parents=[sweep], formatter_class=raw,
-        help="run one registered CI grid (smoke-<grid> = smoke <grid>)",
+        help="run one registered CI grid",
         description="registered grids:\n" + table)
     p_smoke.set_defaults(run=_cmd_smoke)
     p_smoke.add_argument("grid", nargs="?", type=_grid,
@@ -233,19 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """Parse after rewriting the generated alias ``smoke-<grid>`` to
-    ``smoke <grid>``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    alias, _, name = (argv[0] if argv else "").partition("-")
-    if alias == "smoke" and name in GRIDS:
-        argv[:1] = ["smoke", name]
-    return build_parser().parse_args(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return args.run(args)

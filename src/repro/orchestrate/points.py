@@ -30,7 +30,8 @@ from ..config import (AbParams, ClusterConfig, FaultParams, MpiParams,
                       Record, RecordError, WorkloadParams, check_name, encode,
                       extrapolated_cluster, homogeneous_cluster,
                       paper_cluster, quiet_cluster)
-from ..mpich.rank import MpiBuild
+from ..errors import ConfigError
+from ..mpich.rank import BUILD_TAGS, build_from_tag
 from ..topo import TOPOLOGIES, TREE_SHAPES
 
 #: Named cluster factories a ConfigSpec may reference.  Registry-based so
@@ -90,14 +91,6 @@ class ConfigSpec(Record):
         return f"{self.factory}+{digest}"
 
 
-BUILD_TAGS = {"nab": MpiBuild.DEFAULT, "ab": MpiBuild.AB}
-
-
-def build_from_tag(tag: str) -> MpiBuild:
-    check_name("build tag", tag, BUILD_TAGS)
-    return BUILD_TAGS[tag]
-
-
 @dataclass
 class SweepPoint(Record):
     """One independent simulation run inside a sweep."""
@@ -124,19 +117,24 @@ class SweepPoint(Record):
 
     def validate(self) -> None:
         """Refuse what would otherwise simulate something else than was
-        asked for: counts out of range, an option the kind never reads."""
+        asked for, or fail inside a worker: counts out of range, a cluster
+        size the factory cannot build, an option the kind never reads."""
         check_name("point kind", self.kind, KINDS)
         if self.iterations < 1 or self.warmup < 0 or self.elements < 1:
             raise RecordError(
                 "point needs iterations >= 1, warmup >= 0 and elements >= 1,"
                 f" got iterations={self.iterations} warmup={self.warmup} "
                 f"elements={self.elements}")
-        unknown = sorted(set(self.options) - set(KIND_OPTIONS[self.kind]))
+        try:
+            self.config.build()
+        except ConfigError as exc:
+            raise RecordError(f"point config: {exc}") from None
+        known = KINDS[self.kind][1]
+        unknown = sorted(set(self.options) - set(known))
         if unknown:
             raise RecordError(
                 f"options has unknown key(s) {', '.join(map(repr, unknown))}"
-                f" for kind {self.kind!r}; known: "
-                f"{sorted(KIND_OPTIONS[self.kind])}")
+                f" for kind {self.kind!r}; known: {sorted(known)}")
         gap = self.options.get("gap_us", 0.0)
         if type(gap) not in (int, float):
             raise RecordError(f"options.gap_us must be a number, got {gap!r}")
@@ -239,12 +237,6 @@ def _run_nicred_cpu(point: SweepPoint, config: ClusterConfig):
     return Scalars(avg_util_us=nicred_cpu_util(
         config, elements=point.elements, max_skew_us=point.max_skew_us,
         iterations=point.iterations))
-
-
-def _run_nicred_latency(point: SweepPoint, config: ClusterConfig):
-    from ..bench.nicred import nicred_latency
-    return Scalars(avg_latency_us=nicred_latency(
-        config, elements=point.elements, iterations=point.iterations))
 
 
 def _run_fault_reduce(point: SweepPoint, config: ClusterConfig):
@@ -358,9 +350,6 @@ def burst_loss(rate: float) -> FaultParams:
 
 #: Ranks per tenant job.
 TENANT_RANKS = 4
-
-#: The build axis: both builds, the non-bypass baseline first.
-BUILDS = tuple(BUILD_TAGS)
 
 
 def cpu_util_point(experiment: str, size: int, build: str, *, seed: int,
@@ -508,8 +497,8 @@ class Grid:
 #: The faults grid, label -> (faults, net override, builds): no fault,
 #: burst loss (crossbar, one fattree check), every :data:`FAULT_SCENARIOS`.
 FAULTS_GRID = {
-    "healthy": (None, None, BUILDS),
-    "loss": (burst_loss(0.02), None, BUILDS),
+    "healthy": (None, None, BUILD_TAGS),
+    "loss": (burst_loss(0.02), None, BUILD_TAGS),
     "loss-fattree": (burst_loss(0.02), FATTREE_4, ("ab",)),
     **{label: (faults, None, builds)
        for label, (faults, builds) in FAULT_SCENARIOS.items()},
@@ -581,28 +570,28 @@ def _pap_point(pattern: str, algo: str, *, seed: int,
 #: first entry is the ``smoke`` command's default.
 GRIDS: dict[str, Grid] = {g.name: g for g in (
     # Fig. 7 in seconds: 4 doubles at 1000 us skew.
-    Grid("fig7", "smoke", {"size": (2, 4, 8), "build": BUILDS},
+    Grid("fig7", "smoke", {"size": (2, 4, 8), "build": BUILD_TAGS},
          partial(cpu_util_point, "smoke", elements=4, skew=1000.0,
                  collect_invariants=True), iterations=10),
     # fig_topo at 1000 us skew: every topology, two tree shapes.
     Grid("topo", "topo_smoke",
          {"topo": ("crossbar", "fattree", "torus"),
-          "tree": (("binomial", 2), ("bine", 2)), "build": BUILDS},
+          "tree": (("binomial", 2), ("bine", 2)), "build": BUILD_TAGS},
          partial(topo_point, "topo_smoke", size=8), iterations=8),
     Grid("faults", "faults_smoke",
-         {"scenario": tuple(FAULTS_GRID), "build": BUILDS}, _faults_point),
+         {"scenario": tuple(FAULTS_GRID), "build": BUILD_TAGS}, _faults_point),
     Grid("pipeline", "pipeline_smoke",
-         {"variant": (*PIPELINES, "crash+heal"), "build": BUILDS},
+         {"variant": (*PIPELINES, "crash+heal"), "build": BUILD_TAGS},
          _pipeline_point),
     # fig_schedule's crossover at 1024 doubles, where pipelining visibly
     # wins (most on the chain shape).
     Grid("schedule", "schedule_smoke",
          {"shape": ("binomial", "chain"), "variant": tuple(PASS_VARIANTS),
-          "build": BUILDS},
+          "build": BUILD_TAGS},
          partial(crossover_point, "schedule_smoke", elements=1024, size=8)),
     # fig_tenancy's 1 and 2 co-tenants: they contend on the fat-tree only.
     Grid("tenancy", "tenancy_smoke",
-         {"topo": ("fattree", "torus"), "njobs": (1, 2), "build": BUILDS},
+         {"topo": ("fattree", "torus"), "njobs": (1, 2), "build": BUILD_TAGS},
          partial(tenancy_point, "tenancy_smoke", hosts=16, elements=2048),
          iterations=5),
     Grid("pap", "pap_smoke",
@@ -630,29 +619,16 @@ tenancy_smoke_points = GRIDS["tenancy"].points
 pap_smoke_points = GRIDS["pap"].points
 
 
-KINDS: dict[str, Callable] = {
-    "cpu_util": _run_cpu_util,
-    "latency": _run_latency,
-    "nicred_cpu_util": _run_nicred_cpu,
-    "nicred_latency": _run_nicred_latency,
-    "fault_reduce": _run_fault_reduce,
-    "tenancy": _run_tenancy,
-    "chaos": _run_chaos,
-    "schedule": _run_schedule,
-    "pap": _run_pap,
-}
-
-#: The ``options`` keys each kind's executor reads.
-KIND_OPTIONS: dict[str, tuple] = {
-    "cpu_util": (),
-    "latency": (),
-    "nicred_cpu_util": (),
-    "nicred_latency": (),
-    "fault_reduce": ("gap_us",),
-    "tenancy": ("cluster", "jobs", "solo"),
-    "chaos": ("counter_file", "succeed_after"),
-    "schedule": ("lowering", "passes"),
-    "pap": ("algo",),
+#: kind -> (executor, the ``options`` keys it reads).
+KINDS: dict[str, tuple[Callable, tuple]] = {
+    "cpu_util": (_run_cpu_util, ()),
+    "latency": (_run_latency, ()),
+    "nicred_cpu_util": (_run_nicred_cpu, ()),
+    "fault_reduce": (_run_fault_reduce, ("gap_us",)),
+    "tenancy": (_run_tenancy, ("cluster", "jobs", "solo")),
+    "chaos": (_run_chaos, ("counter_file", "succeed_after")),
+    "schedule": (_run_schedule, ("lowering", "passes")),
+    "pap": (_run_pap, ("algo",)),
 }
 
 
@@ -679,7 +655,7 @@ def execute_point(point: SweepPoint) -> PointResult:
 
 def _execute_point(point: SweepPoint) -> PointResult:
     check_name("point kind", point.kind, KINDS)
-    runner = KINDS[point.kind]
+    runner = KINDS[point.kind][0]
     config = point.config.build()
 
     monitor = None

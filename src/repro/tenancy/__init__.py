@@ -13,12 +13,12 @@ from .cache import CACHE_SCHEMA, ResultCache, point_cache_key
 from .placement import (PLACEMENTS, PlacementPolicy, locality_block_size,
                         make_placement, register_placement)
 from .scheduler import AdmissionError, Placement, Scheduler
-from .spec import BUILDS, COLLECTIVES, ClusterSpec, JobSpec, SpecError
+from .spec import COLLECTIVES, ClusterSpec, JobSpec, SpecError
 from .service import JobResult, TenancyResult, run_tenancy
 from .workload import JobRankSample, job_program
 
 __all__ = [
-    "AdmissionError", "BUILDS", "CACHE_SCHEMA", "COLLECTIVES",
+    "AdmissionError", "CACHE_SCHEMA", "COLLECTIVES",
     "ClusterSpec", "JobRankSample", "JobResult", "JobSpec", "PLACEMENTS",
     "Placement", "PlacementPolicy", "ResultCache", "Scheduler",
     "SpecError", "TenancyResult", "job_program",

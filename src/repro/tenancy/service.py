@@ -36,12 +36,10 @@ from typing import Optional
 
 from ..cluster.cluster import Cluster
 from ..mpich.communicator import Communicator
-from ..mpich.rank import MpiBuild, MpiRank
+from ..mpich.rank import BUILD_TAGS, MpiRank
 from .scheduler import Placement, Scheduler
 from .spec import ClusterSpec
 from .workload import JobRankSample, job_program
-
-_BUILDS = {"nab": MpiBuild.DEFAULT, "ab": MpiBuild.AB}
 
 
 @dataclass
@@ -125,7 +123,7 @@ def _run_jobs_on_cluster(spec: ClusterSpec, placements: list):
             # The job's communicator is the rank's default communicator:
             # collectives stay inside the job, while ``node``/``rank``
             # keep addressing the shared world.
-            mpi = MpiRank(cluster.nodes[slot], comm, _BUILDS[p.job.build])
+            mpi = MpiRank(cluster.nodes[slot], comm, BUILD_TAGS[p.job.build])
             procs.append(cluster.sim.spawn(
                 job_program(mpi, p.job),
                 name=f"{p.job.name}.r{jrank}", cpu=mpi.node.cpu))

@@ -20,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import ClusterConfig, MpiParams, NetParams, Record, check_name
+from ..mpich.rank import BUILD_TAGS
 from ..topo import TOPOLOGIES, TREE_SHAPES
 
 #: Collectives a JobSpec may request (dispatched by repro.tenancy.workload).
 COLLECTIVES = ("reduce", "allreduce", "bcast", "barrier")
-
-#: Build tags a JobSpec may request (same vocabulary as SweepPoint.build).
-BUILDS = ("nab", "ab")
 
 
 class SpecError(ValueError):
@@ -73,9 +71,9 @@ class JobSpec(Record):
             raise SpecError(
                 f"job {self.name!r}: unknown collective "
                 f"{self.collective!r}; known: {list(COLLECTIVES)}")
-        if self.build not in BUILDS:
+        if self.build not in BUILD_TAGS:
             raise SpecError(f"job {self.name!r}: unknown build "
-                            f"{self.build!r}; known: {list(BUILDS)}")
+                            f"{self.build!r}; known: {list(BUILD_TAGS)}")
         if self.elements < 1:
             raise SpecError(f"job {self.name!r}: elements must be >= 1")
         if self.iterations < 1:

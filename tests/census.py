@@ -3,7 +3,7 @@ reach?
 
 ``python tests/census.py`` runs every non-test entry point of the repository
 (``entry_points`` below: the experiment drivers, the examples, every smoke
-grid serial and pooled, the race harness, the CLIs, the smoke benchmarks and
+grid serial and pooled, the race harness, the CLIs, the claims benchmark and
 the host-time benchmark) with a ``sitecustomize`` directory first on
 ``PYTHONPATH``.  That module installs a ``sys.settrace`` call hook in every
 interpreter the run starts — pool workers and subprocess children included —
@@ -132,7 +132,7 @@ def entry_points(out: Path) -> list[list[str]]:
                        str(out / "result-cache"), "--out", str(out / temp)]
         for temp in ("cold", "warm")]
     commands += [
-        orchestrate + ["smoke-scale", "--sizes", "64", "--out", str(out)],
+        orchestrate + ["smoke", "scale", "--sizes", "64", "--out", str(out)],
         py + ["-m", "repro.analysis.races", "--scenario", "fig7", "--runs",
               "2", "--quiet"],
         py + ["-m", "repro.schedule.tune", "--nranks", "4", "--iterations",
@@ -147,8 +147,8 @@ def entry_points(out: Path) -> list[list[str]]:
         orchestrate + ["refresh-baseline", "fig7", "--dir", str(out)],
         py + ["-c", _COMPILE_4096, str(out / "schedules")],
         py + ["-c", _COLD_DECODE_4096, str(out / "schedules")],
-        py + ["-m", "pytest", "benchmarks", "--benchmark-disable", "-q",
-              "-p", "no:cacheprovider"],
+        ["env", "REPRO_JOBS=2", *py, "-m", "pytest", "benchmarks",
+         "--benchmark-disable", "-q", "-p", "no:cacheprovider"],
         py + ["perf/run.py", "--quick"],
         py + ["perf/run.py", "--quick", "--traced"],
     ]
@@ -198,8 +198,7 @@ def measure() -> set[tuple[str, int]]:
                    PYTHONPATH=os.pathsep.join(
                        [str(work / "site"), str(ROOT / "src")]),
                    REPRO_CENSUS_ROOT=str(PACKAGE) + os.sep,
-                   REPRO_CENSUS_OUT=str(calls),
-                   REPRO_BENCH_PRESET="smoke", REPRO_BENCH_JOBS="2")
+                   REPRO_CENSUS_OUT=str(calls))
         for command in entry_points(work / "out"):
             shown = " ".join(arg if len(arg) < 60 else arg[:57] + "..."
                              for arg in command[1:])

@@ -1,11 +1,16 @@
 """Smoke tests for the figure-reproduction drivers (tiny configurations:
-the full-size runs live in benchmarks/)."""
+``benchmarks/bench_claims.py`` checks every claim at full size)."""
 
-import pytest
+import importlib.util
+import inspect
+from pathlib import Path
 
-from repro.experiments import ablations, fig6, fig7, fig8, fig9, fig10, \
-    fig_faults, fig_topo
+from repro.experiments import EXPERIMENTS, ablations, fig6, fig7, fig8, \
+    fig9, fig10, fig_faults, fig_topo
+from repro.experiments.common import ExperimentOutput
 from repro.experiments.fig8 import crossover_size
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def test_fig6_driver_small():
@@ -30,7 +35,8 @@ def test_fig6_driver_small():
                r.metrics["avg_util_us"] for r in out.points}
     assert table._find("ab-128").values == \
         [by_cell["ab", 128, skew] for skew in skews]
-    assert out.notes
+    assert out.claims[0].text.startswith("ab uses no more CPU than nab")
+    assert out.claims[0].holds
 
 
 def test_fig7_driver_small():
@@ -80,9 +86,10 @@ def test_fig_topo_driver_small():
             nab = table._find(f"{topo}/{shape}-nab").values
             ab = table._find(f"{topo}/{shape}-ab").values
             assert nab[-1] > ab[-1]
-    assert any("AB factor of improvement" in n for n in out.notes)
-    assert any("invariant violations" in n and n.endswith(": 0")
-               for n in out.notes)
+    texts = {claim.text.split(":")[0]: claim.holds for claim in out.claims}
+    assert texts["ab wins at skew 500us on every topology and tree shape"]
+    assert texts["multi-hop topologies take multi-hop routes"]
+    assert texts["invariant violations across the sweep (incl. INV-FIFO)"]
 
 
 def test_fig_faults_driver_small():
@@ -107,9 +114,9 @@ def test_fig_faults_driver_small():
         "crash+heal/ab"]
     crash = next(n for n in out.notes if n.startswith("crash+heal/ab"))
     assert "last=29" in crash and "subtrees_healed" in crash
-    assert "points with a wrong surviving-rank result: 0" in out.notes
-    assert any("invariant violations" in n and n.endswith(": 0")
-               for n in out.notes)
+    assert [(c.text, c.holds) for c in out.claims] == [
+        ("points with a wrong surviving-rank result: 0", True),
+        ("invariant violations across the sweep (incl. INV-FAULT): 0", True)]
 
 
 def test_crossover_size_helper():
@@ -119,7 +126,8 @@ def test_crossover_size_helper():
 
 
 def test_ablation_exit_delay_small():
-    table, points = ablations.ablate_exit_delay(size=8, iterations=8, seed=1)
+    out = ablations.ablate_exit_delay(size=8, iterations=8, seed=1)
+    (table,), points = out.tables, out.points
     assert len(table._find("signals@noskew").values) == 4
     # policy-major, skewed before unskewed; 'none' raises the most signals
     assert [(r.point.config.ab.exit_delay_policy, r.point.max_skew_us)
@@ -140,4 +148,27 @@ def test_cli_runs_quick_fig(capsys):
     assert main(["fig6", "--iterations", "8", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "factor-4" in out
-    assert "max factor of improvement" in out
+    assert "factor at max skew, 4 elements" in out
+
+
+def test_a_failing_claim_is_marked():
+    out = ExperimentOutput("toy")
+    out.claim("holds", True)
+    out.claim("does not", 0.5 > 1.0)
+    out.notes.append("a note")
+    assert out.render() == ("Notes:\n  - holds\n  - FAILS: does not\n"
+                            "  - a note")
+
+
+def test_the_claims_bench_runs_every_experiment():
+    """Each ``EXPERIMENTS`` driver has a row in ``bench_claims.RUNS``, so
+    no figure skips the claims check, and each row's arguments are ones
+    its driver takes."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_claims", REPO / "benchmarks" / "bench_claims.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert {name for name, _kwargs in bench.RUNS} == set(EXPERIMENTS)
+    for name, kwargs in bench.RUNS:
+        inspect.signature(EXPERIMENTS[name][0]).bind(seed=1, jobs=1,
+                                                     **kwargs)

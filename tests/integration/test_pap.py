@@ -293,9 +293,11 @@ def test_fig_pap_shows_both_crossover_directions():
         assert table._find(algo).values == [
             cells[f"fig_pap-{p}-{algo}"].metrics["avg_makespan_us"]
             for p in ("constant", "bursty")]
-    assert out.notes[0].startswith("crossbar/constant (kappa=")
-    assert "-> ab wins" in out.notes[0]
-    assert out.notes[1].startswith("crossbar/bursty (kappa=")
+    constant, bursty, violations = out.claims
+    assert constant.text.startswith("crossbar/constant (kappa=")
+    assert "-> ab wins" in constant.text
+    assert bursty.text.startswith("crossbar/bursty (kappa=")
+    assert constant.holds and bursty.holds and violations.holds
     # No invariant violations anywhere in the sweep.
     assert all((r.invariant_report or {}).get("violation_count", 0) == 0
                for r in out.points)

@@ -29,7 +29,7 @@ def test_scale_driver_small():
     factors = out.tables[0]._find("factor").values
     assert len(factors) == 2
     assert factors[1] > factors[0]
-    assert out.notes
+    assert out.claims[0].holds          # the factor keeps increasing
 
 
 def test_nicred_cpu_util_protocol():

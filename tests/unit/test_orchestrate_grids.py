@@ -1,7 +1,7 @@
 """The grid registry (``repro.orchestrate.points.GRIDS``) is the single
 source of truth: each grid is its axes over a point maker, and the pinned
-points, CLI names, aliases, the CI matrix and race-smoke's scenario list
-all have to agree with it."""
+points, CLI names, the CI matrix and race-smoke's scenario list all have
+to agree with it."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.orchestrate.__main__ import main, parse_args
+from repro.orchestrate.__main__ import build_parser, main
 from repro.orchestrate.benchjson import load_bench_json
 from repro.orchestrate.points import GRIDS
 
@@ -55,22 +55,21 @@ def test_pin_is_covered_by_registered_grids():
 
 
 @pytest.mark.parametrize("name", list(GRIDS))
-def test_alias_and_positional_parse_equal(name):
-    flags = ["--jobs", "1", "--seed", "3", "--out", "x"]
-    alias = parse_args([f"smoke-{name}", *flags])
-    assert alias == parse_args(["smoke", name, *flags])
-    assert alias.grid is GRIDS[name]
-    assert alias.iterations is None     # = the grid's own default
+def test_smoke_parses_every_grid_name(name):
+    args = build_parser().parse_args(
+        ["smoke", name, "--jobs", "1", "--seed", "3", "--out", "x"])
+    assert args.grid is GRIDS[name]
+    assert args.iterations is None      # = the grid's own default
 
 
 def test_bare_smoke_is_the_first_grid():
-    assert parse_args(["smoke"]).grid is GRIDS["fig7"]
+    assert build_parser().parse_args(["smoke"]).grid is GRIDS["fig7"]
     assert main(["smoke", "nope"]) == 2
-    assert main(["smoke-nope"]) == 2
+    assert main(["smoke-fig7"]) == 2    # one spelling per command
 
 
 def test_sizes_reach_only_grids_with_a_size_axis(tmp_path, capsys):
-    assert main(["smoke-scale", "--jobs", "1", "--sizes", "4", "8",
+    assert main(["smoke", "scale", "--jobs", "1", "--sizes", "4", "8",
                  "--out", str(tmp_path)]) == 0
     payload = load_bench_json(tmp_path / "BENCH_scale.json")
     assert sorted({r["key"]["size"] for r in payload["points"]}) == [4, 8]
@@ -83,7 +82,7 @@ def test_sizes_reach_only_grids_with_a_size_axis(tmp_path, capsys):
 
 
 def test_tenancy_cache_flags(tmp_path):
-    args = ["smoke-tenancy", "--jobs", "1", "--iterations", "1"]
+    args = ["smoke", "tenancy", "--jobs", "1", "--iterations", "1"]
     no_cache = tmp_path / "nocache"
     assert main([*args, "--out", str(no_cache)]) == 0
     assert sorted(p.name for p in no_cache.iterdir()) == [
@@ -114,7 +113,7 @@ def test_race_smoke_checks_every_grid_but_scale():
     """CI's race-smoke job hand-lists its ``--scenario`` flags: every
     registered grid but the minutes-long scale grid, each once."""
     text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    job = text[text.index("\n  race-smoke:"):text.index("\n  bench-smoke:")]
+    job = text[text.index("\n  race-smoke:"):text.index("\n  bench-claims:")]
     assert sorted(re.findall(r"--scenario (\S+)", job)) == sorted(
         set(GRIDS) - {"scale"})
 
@@ -131,11 +130,31 @@ def test_zero_iterations_is_refused_in_one_line(tmp_path, capsys, module,
     """Every made point is validated before any runs, so a zero
     iteration count is one ``error:`` line and exit 2, and nothing is
     written."""
+    _assert_refused(tmp_path, capsys, module,
+                    [*argv, "--iterations", "0"], "iterations=0")
+
+
+@pytest.mark.parametrize("grid,sizes,refusal", [
+    ("fig7", ["0"], "asked for 0"),
+    ("fig7", ["-3"], "asked for -3"),
+    ("fig7", ["8", "40"], "asked for 40"),    # the paper factory's 32
+    ("scale", ["0"], "size must be >= 1"),
+], ids=["zero", "negative", "past-the-factory", "scale-zero"])
+def test_a_size_the_factory_cannot_build_is_refused_in_one_line(
+        tmp_path, capsys, grid, sizes, refusal):
+    """``validate`` builds each point's config, so a cluster size its
+    factory refuses fails before any point runs, not twice in a worker."""
+    _assert_refused(tmp_path, capsys, "repro.orchestrate.__main__",
+                    ["smoke", grid, "--out", "{tmp}", "--sizes", *sizes],
+                    refusal)
+
+
+def _assert_refused(tmp_path, capsys, module, argv, refusal):
     main = importlib.import_module(module).main
     argv = [a.format(tmp=tmp_path) for a in argv]
     capsys.readouterr()
-    assert main([*argv, "--iterations", "0", "--jobs", "1"]) == 2
+    assert main([*argv, "--jobs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "iterations=0" in err
+    assert refusal in err
     assert not list(tmp_path.iterdir())

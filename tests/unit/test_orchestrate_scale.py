@@ -1,5 +1,5 @@
 """Unit tests for the scale sweep path: the ``scale`` grid, the
-``smoke-scale`` / ``refresh-baseline`` / ``summarize`` CLI commands, and
+``smoke scale`` / ``refresh-baseline`` / ``summarize`` CLI commands, and
 the events/sec plumbing they share.  The CLI runs use toy sizes — the
 real 1024-4096 grid is the CI scale-smoke job's business."""
 
@@ -36,7 +36,7 @@ def test_scale_keys_are_distinct():
 
 
 def test_smoke_scale_cli_writes_bench_json(tmp_path, capsys):
-    rc = main(["smoke-scale", "--jobs", "1", "--sizes", "4", "8",
+    rc = main(["smoke", "scale", "--jobs", "1", "--sizes", "4", "8",
                "--out", str(tmp_path)])
     assert rc == 0
     payload = load_bench_json(tmp_path / "BENCH_scale.json")
@@ -92,7 +92,7 @@ def test_default_baseline_is_committed():
 
 
 def test_summarize_cli_renders_markdown(tmp_path, capsys):
-    rc = main(["smoke-scale", "--jobs", "1", "--sizes", "4",
+    rc = main(["smoke", "scale", "--jobs", "1", "--sizes", "4",
                "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
