@@ -12,10 +12,9 @@ def main() -> int:
           "Large-Scale Clusters (CLUSTER 2003), simulation reproduction")
     print()
     print("entry points:")
-    print("  python -m repro.experiments <name|all>  # no name: lists them")
+    print("  python -m repro.experiments <name|all>  # all: every claim")
     print("  python -m repro.orchestrate smoke [grid] # the CI grids")
     print("  pytest tests/                       # unit/integration/property")
-    print("  pytest benchmarks --benchmark-disable # check every claim")
     print("  python examples/quickstart.py       # (and 8 more examples)")
     print()
     print("docs: README.md, DESIGN.md (system inventory), "

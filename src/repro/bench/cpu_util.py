@@ -100,7 +100,8 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
         catchup_us = max_skew_us + conservative_latency_estimate(
             size, elements, shape=shape)
 
-    expected = float(size * (size + 1) / 2)  # sum of (rank+1)
+    # Sum of (rank + 1): integers, exact in float64, so compared exactly.
+    expected = np.full(elements, size * (size + 1) / 2)
     check_counts = [0]
 
     # Armed PAP workload: pre-build the cluster so the trace exists before
@@ -135,10 +136,10 @@ def cpu_util_benchmark(config: ClusterConfig, build: MpiBuild, *,
             yield from mpi.compute(skew + noise + arrival)
             result = yield from reduce(data)
             if rank == 0:
-                if not np.allclose(result, expected):
+                if not np.array_equal(result, expected):
                     raise AssertionError(
                         f"iteration {it}: root got {result[0]}, "
-                        f"expected {expected}")
+                        f"expected {expected[0]}")
                 check_counts[0] += 1
             yield from mpi.compute(catchup_us)
             t1 = mpi.now

@@ -123,7 +123,7 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
                 memo[order] = sched
             schedules.append(sched)
 
-    expected = float(size * (size + 1) / 2)
+    expected = np.full(elements, size * (size + 1) / 2)
 
     def program(mpi):
         from ..core.interpreter import execute_schedule
@@ -142,10 +142,10 @@ def pap_benchmark(config: ClusterConfig, *, algo: str, elements: int = 256,
                     comm=mpi.comm_world)
             else:
                 result = yield from mpi.allreduce(data, op=SUM)
-            if not np.allclose(result, expected):
+            if not np.array_equal(result, expected):
                 raise AssertionError(
                     f"iteration {it}: rank {rank} got {result.flat[0]}, "
-                    f"expected {expected}")
+                    f"expected {expected[0]}")
             if it >= warmup:
                 starts.append(t0)
                 dones.append(mpi.now)

@@ -98,7 +98,7 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
         raise ValueError("need at least one measured iteration")
     schedule = build_schedule(config, lowering=lowering, passes=passes,
                               elements=elements)
-    expected = float(size * (size + 1) / 2)
+    expected = np.full(elements, size * (size + 1) / 2)
     total_iters = warmup + iterations
     is_reduce = schedule.collective == "reduce"
 
@@ -117,15 +117,15 @@ def scheduled_benchmark(config: ClusterConfig, build: MpiBuild, *,
             if rank == 0:
                 if it >= warmup:
                     samples.append(mpi.now - t0)
-                if result is None or not np.allclose(result, expected):
+                if result is None or not np.array_equal(result, expected):
                     raise AssertionError(
                         f"iteration {it}: schedule produced "
                         f"{None if result is None else result.flat[0]}, "
-                        f"expected {expected}")
-            elif not is_reduce and not np.allclose(result, expected):
+                        f"expected {expected[0]}")
+            elif not is_reduce and not np.array_equal(result, expected):
                 raise AssertionError(
                     f"iteration {it}: rank {rank} got {result.flat[0]}, "
-                    f"expected {expected}")
+                    f"expected {expected[0]}")
         return samples if rank == 0 else None
 
     out = run_program(config, program, build=build)

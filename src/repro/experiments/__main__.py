@@ -1,4 +1,8 @@
-"""CLI dispatcher: ``python -m repro.experiments <experiment> [flags]``."""
+"""CLI dispatcher: ``python -m repro.experiments <experiment> [flags]``.
+
+Standard output is the record (``all`` prints EXPERIMENTS.md); progress
+and file notices go to stderr.  Exit 1 when a claim does not hold.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import sys
 
 from ..config import RecordError
 from . import EXPERIMENTS
-from .common import main as run_experiment
+from .common import header, make_parser, run_experiment
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -23,13 +27,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiment {name!r}; "
               f"choose from {sorted(EXPERIMENTS)} or 'all'", file=sys.stderr)
         return 2
+    names = list(EXPERIMENTS) if name == "all" else [name]
+    args = make_parser(f"run {' '.join(names)}").parse_args(rest)
+    if name == "all":
+        print(header(args), flush=True)
     try:
-        for key in (EXPERIMENTS if name == "all" else [name]):
-            run_experiment(key, rest)
+        outs = [run_experiment(key, args) for key in names]
     except RecordError as exc:  # a point no sweep can make
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return int(any(not claim.holds for out in outs for claim in out.claims))
 
 
 if __name__ == "__main__":

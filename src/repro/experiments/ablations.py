@@ -191,7 +191,7 @@ def ablate_loss(*, size: int = 16, iterations: int = 20, seed: int = 1,
     return out
 
 
-def run(*, iterations: int = 60, seed: int = 1, jobs: int = 1,
+def run(*, iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     out = ExperimentOutput("ablations")
     common = dict(seed=seed, jobs=jobs, progress=progress)

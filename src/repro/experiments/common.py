@@ -2,7 +2,7 @@
 
 Every experiment module exposes ``run(**kwargs) -> ExperimentOutput``; the
 ``EXPERIMENTS`` table in the package gives each its banner title and
-default iteration count, and :func:`main` is the one CLI behind::
+iteration count, and :func:`run_experiment` runs one for the CLI::
 
     python -m repro.experiments <experiment|all> [flags]
 """
@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..bench.report import Table
 from ..orchestrate.benchjson import write_bench_json
@@ -23,9 +23,9 @@ from ..orchestrate.points import PointResult
 PAPER_SIZES = (2, 4, 8, 16, 32)
 PAPER_ELEMENTS = (4, 32, 128)
 #: Fig. 6 skew axis (paper: 0..1000 us).
-PAPER_SKEWS = (0.0, 200.0, 400.0, 600.0, 800.0, 1000.0)
+PAPER_SKEWS = (0.0, 250.0, 500.0, 750.0, 1000.0)
 #: Fig. 10 message-size axis (paper: 1..128 elements).
-PAPER_MSG_SIZES = (1, 8, 16, 32, 48, 64, 96, 128)
+PAPER_MSG_SIZES = (1, 16, 32, 64, 96, 128)
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class Claim:
 @dataclass
 class ExperimentOutput:
     """Tables, checked claims and free-form notes from one experiment
-    driver.  A claim is a verdict (``benchmarks/bench_claims.py`` asserts
-    every one holds); a note only reports."""
+    driver.  A claim is a verdict (``python -m repro.experiments`` exits 1
+    when one does not hold); a note only reports."""
 
     name: str
     tables: list[Table] = field(default_factory=list)
@@ -69,8 +69,7 @@ class ExperimentOutput:
     def render(self) -> str:
         parts = []
         for table in self.tables:
-            parts.append(table.render())
-            parts.append("")
+            parts += ["```", table.render(), "```", ""]
         lines = [*map(str, self.claims), *self.notes]
         if lines:
             parts.append("Notes:")
@@ -100,11 +99,11 @@ def claim_segmentation(out: ExperimentOutput, label: str, seg: int,
                   all(piped[b][-1] < whole[b][-1] for b in whole))
 
 
-def make_parser(description: str, *, default_iterations: int) -> argparse.ArgumentParser:
+def make_parser(description: str = "") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--iterations", type=int, default=default_iterations,
-                        help="measured iterations per data point "
-                             f"(default {default_iterations}; the paper "
+    parser.add_argument("--iterations", type=int, default=None,
+                        help="measured iterations per data point (default: "
+                             "each driver's count in EXPERIMENTS; the paper "
                              "used 10,000 on noisy real hardware — virtual "
                              "time needs far fewer)")
     parser.add_argument("--seed", type=int, default=1,
@@ -124,53 +123,47 @@ def make_parser(description: str, *, default_iterations: int) -> argparse.Argume
     return parser
 
 
-def effective_iterations(args: argparse.Namespace) -> int:
-    iters = args.iterations
+def header(args: argparse.Namespace) -> str:
+    """What ``all`` prints first: the record's title and how it was made
+    (EXPERIMENTS.md is this output at the defaults)."""
+    flags = ("" if args.iterations is None
+             else f" --iterations {args.iterations}")
     if args.quick:
-        iters = max(5, iters // 4)
-    return iters
+        flags += " --quick"
+    return f"""# EXPERIMENTS: paper vs. measured
+
+The standard output, at seed {args.seed}, of
+
+    python -m repro.experiments all{flags}
+
+for the paper's evaluation (Sec. VI, Figs. 6-10) and the studies past it,
+each driver at its default axes and `EXPERIMENTS` iteration count.  Each
+claim is a Notes line with the numbers this run measured; one that does
+not hold reads `FAILS:` and the command exits 1.  Claims are about shape,
+not absolute microseconds: the substrate is a calibrated simulator
+(DESIGN.md §2, §6)."""
 
 
-def print_progress(line: str) -> None:
-    print(f"    {line}", flush=True)
+def progress_line(line: str) -> None:
+    print(f"    {line}", file=sys.stderr, flush=True)
 
 
-def maybe_write_bench_json(out: ExperimentOutput,
-                           args: argparse.Namespace) -> None:
-    """Honour --bench-json: record the sweep for the bit-identity gate
-    (``python -m repro.orchestrate.compare OLD NEW``)."""
-    if getattr(args, "bench_json", None) is None:
-        return
-    if not out.points:
-        print(f"(no orchestrated points in {out.name}; BENCH json skipped)")
-        return
-    path = None if args.bench_json == "auto" else args.bench_json
-    written = write_bench_json(out.name, out.points, path=path,
-                               jobs=getattr(args, "jobs", 1))
-    print(f"wrote {written}")
-
-
-def banner(title: str) -> None:
-    print()
-    print(f"### {title}")
-    print()
-
-
-def main(name: str, argv: Optional[list[str]] = None) -> ExperimentOutput:
-    """Parse the common flags (plus the experiment module's
-    ``EXTRA_ARGUMENTS``, if any), run ``EXPERIMENTS[name]`` and render."""
+def run_experiment(name: str, args: argparse.Namespace) -> ExperimentOutput:
+    """Run ``EXPERIMENTS[name]`` with the parsed flags; print its banner
+    and rendered output to stdout, progress and file notices to stderr."""
     from . import EXPERIMENTS
-    run, title, default_iterations = EXPERIMENTS[name]
-    module = sys.modules[run.__module__]
-    parser = make_parser(module.__doc__.splitlines()[0],
-                         default_iterations=default_iterations)
-    extra = [parser.add_argument(flag, **spec).dest
-             for flag, spec in getattr(module, "EXTRA_ARGUMENTS", ())]
-    args = parser.parse_args(argv)
-    banner(title)
-    out = run(iterations=effective_iterations(args), seed=args.seed,
-              jobs=args.jobs, progress=print_progress,
-              **{dest: getattr(args, dest) for dest in extra})
-    print(out.render())
-    maybe_write_bench_json(out, args)
+    run, title, iterations = EXPERIMENTS[name]
+    if args.iterations is not None:
+        iterations = args.iterations
+    if args.quick:
+        iterations = max(5, iterations // 4)
+    print(f"\n## {title}\n", flush=True)
+    out = run(iterations=iterations, seed=args.seed, jobs=args.jobs,
+              progress=progress_line)
+    print(out.render(), flush=True)
+    if args.bench_json is not None and out.points:
+        path = None if args.bench_json == "auto" else args.bench_json
+        written = write_bench_json(out.name, out.points, path=path,
+                                   jobs=args.jobs)
+        print(f"wrote {written}", file=sys.stderr, flush=True)
     return out

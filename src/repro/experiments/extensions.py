@@ -116,7 +116,7 @@ def run_pipelined_cg(*, size: int = 16, iterations: int = 12, seed: int = 1,
     return line
 
 
-def run(*, iterations: int = 30, seed: int = 1, jobs: int = 1,
+def run(*, iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     out = ExperimentOutput("extensions")
     out.add(run_nicred(iterations=iterations, seed=seed, jobs=jobs,

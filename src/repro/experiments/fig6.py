@@ -19,7 +19,7 @@ from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SKEWS
 
 def run(*, size: int = 32, skews: Sequence[float] = PAPER_SKEWS,
         element_sizes: Sequence[int] = PAPER_ELEMENTS,
-        iterations: int = 100, seed: int = 1, jobs: int = 1,
+        iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "elements": element_sizes, "skew": skews},
@@ -51,4 +51,9 @@ def run(*, size: int = 32, skews: Sequence[float] = PAPER_SKEWS,
               "more than 0.35",
               all(lo <= hi + 0.35
                   for lo, hi in zip(factors[small], factors[small][1:])))
+    nab_max = [table._find(f"nab-{e}").values[-1] for e in element_sizes]
+    out.notes.append(
+        f"deviation: nab's utilization at max skew runs {min(nab_max):.1f}-"
+        f"{max(nab_max):.1f}us where the paper's plot shows ~100-150us; the "
+        "expected maximum of the uniform skews sits at the paper's high end")
     return out

@@ -19,7 +19,7 @@ from .common import ExperimentOutput, PAPER_ELEMENTS, PAPER_SIZES
 
 def run(*, sizes: Sequence[int] = PAPER_SIZES,
         element_sizes: Sequence[int] = PAPER_ELEMENTS,
-        max_skew_us: float = 1000.0, iterations: int = 100, seed: int = 1,
+        max_skew_us: float = 1000.0, iterations: int, seed: int = 1,
         jobs: int = 1, progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "elements": element_sizes, "size": sizes},

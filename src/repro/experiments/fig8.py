@@ -29,7 +29,7 @@ def crossover_size(sizes: Sequence[int], factors: Sequence[float]) -> Optional[i
 
 def run(*, sizes: Sequence[int] = PAPER_SIZES,
         element_sizes: Sequence[int] = PAPER_ELEMENTS,
-        iterations: int = 150, seed: int = 1, jobs: int = 1,
+        iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "elements": element_sizes, "size": sizes},

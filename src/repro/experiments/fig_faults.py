@@ -38,7 +38,7 @@ def run(*, size: int = 8, elements: int = 4,
         rates: Sequence[float] = RATES,
         topologies: Sequence[str] = TOPOLOGIES,
         scenarios: Mapping[str, tuple] = FAULT_SCENARIOS,
-        iterations: int = 40, seed: int = 1, jobs: int = 1,
+        iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     def point(build: str, **config) -> SweepPoint:
         return SweepPoint(

@@ -42,7 +42,7 @@ TOPOLOGIES = (
 
 def run(*, size: int = 16, elements: int = 512,
         patterns: Sequence = PATTERNS, topologies: Sequence = TOPOLOGIES,
-        iterations: int = 8, seed: int = 1, jobs: int = 1,
+        iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     workloads, nets = dict(patterns), dict(topologies)
 

@@ -43,7 +43,7 @@ def _spec(size: int, seed: int, shape: str, seg: int) -> ConfigSpec:
 def run(*, size: int = 16, segment_sizes: Sequence[int] = SEGMENT_SIZES,
         msg_sizes: Sequence[int] = MSG_SIZES,
         shapes: Sequence[str] = TREE_SHAPES,
-        iterations: int = 60, seed: int = 1, jobs: int = 1,
+        iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     cells = sweep(
         {"shape": shapes, "build": BUILD_TAGS, "seg": segment_sizes,

@@ -50,7 +50,7 @@ AUTO_MODES = {
 
 
 def run(*, size: int = 8, msg_sizes: Sequence[int] = MSG_SIZES,
-        shapes: Sequence[str] = TREE_SHAPES, iterations: int = 40,
+        shapes: Sequence[str] = TREE_SHAPES, iterations: int,
         seed: int = 1, jobs: int = 1, progress=None) -> ExperimentOutput:
     from ..schedule.table import (clear_table_cache, resolve_pipeline_params,
                                   resolve_tree_shape)

@@ -33,7 +33,7 @@ TOPOLOGIES = ("fattree", "torus")
 def run(*, hosts: int = 32, elements: int = 2048,
         co_tenants: Sequence[int] = CO_TENANTS,
         topologies: Sequence[str] = TOPOLOGIES,
-        iterations: int = 10, seed: int = 1, jobs: int = 1,
+        iterations: int, seed: int = 1, jobs: int = 1,
         progress=None) -> ExperimentOutput:
     cells = sweep({"topo": topologies, "build": BUILD_TAGS,
                    "njobs": co_tenants},

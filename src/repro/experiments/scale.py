@@ -27,7 +27,7 @@ SCALE_SIZES = (16, 32, 64, 128, 256)
 
 
 def run(*, sizes: Sequence[int] = SCALE_SIZES, elements: int = 4,
-        max_skew_us: float = 1000.0, iterations: int = 20, seed: int = 1,
+        max_skew_us: float = 1000.0, iterations: int, seed: int = 1,
         jobs: int = 1, progress=None) -> ExperimentOutput:
     cells = sweep(
         {"build": BUILD_TAGS, "size": sizes},

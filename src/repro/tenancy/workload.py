@@ -66,7 +66,7 @@ def job_program(mpi, job: JobSpec):
                            job.max_skew_us)
     data = np.full(job.elements, float(jrank + 1), dtype=np.float64)
     n = comm.size
-    expected = float(n * (n + 1) / 2)
+    expected = np.full(job.elements, n * (n + 1) / 2)
     sample = JobRankSample(job_rank=jrank, world_rank=mpi.rank,
                            start_us=start, end_us=start)
     total_iters = job.warmup + job.iterations
@@ -80,16 +80,16 @@ def job_program(mpi, job: JobSpec):
         if job.collective == "reduce":
             result = yield from mpi.reduce(data, op=SUM, root=0)
             if jrank == 0:
-                ok = bool(np.allclose(result, expected))
+                ok = np.array_equal(result, expected)
         elif job.collective == "allreduce":
             result = yield from mpi.allreduce(data, op=SUM)
-            ok = bool(np.allclose(result, expected))
+            ok = np.array_equal(result, expected)
         elif job.collective == "bcast":
             payload = data if jrank == 0 else None
             result = yield from mpi.bcast(payload, root=0,
                                           count=job.elements,
                                           dtype=np.float64)
-            ok = bool(np.allclose(result, 1.0))
+            ok = np.array_equal(result, np.ones(job.elements))
         elif job.collective == "barrier":
             yield from mpi.barrier()
         else:  # pragma: no cover - JobSpec.validate rejects this earlier

@@ -3,7 +3,7 @@ reach?
 
 ``python tests/census.py`` runs every non-test entry point of the repository
 (``entry_points`` below: the experiment drivers, the examples, every smoke
-grid serial and pooled, the race harness, the CLIs, the claims benchmark and
+grid serial and pooled, the race harness, the CLIs, ``experiments all`` and
 the host-time benchmark) with a ``sitecustomize`` directory first on
 ``PYTHONPATH``.  That module installs a ``sys.settrace`` call hook in every
 interpreter the run starts — pool workers and subprocess children included —
@@ -116,7 +116,7 @@ def entry_points(out: Path) -> list[list[str]]:
         py + ["-m", "repro.experiments", "all", "--iterations", "5",
               "--quick"],
         py + ["-m", "repro.experiments", "fig10", "--iterations", "5",
-              "--quick", "--segment-sizes", "0", "2048", "--jobs", "2",
+              "--quick", "--jobs", "2",
               "--bench-json", str(out / "BENCH_fig10.json")],
     ]
     commands += [py + [str(path)]
@@ -147,8 +147,7 @@ def entry_points(out: Path) -> list[list[str]]:
         orchestrate + ["refresh-baseline", "fig7", "--dir", str(out)],
         py + ["-c", _COMPILE_4096, str(out / "schedules")],
         py + ["-c", _COLD_DECODE_4096, str(out / "schedules")],
-        ["env", "REPRO_JOBS=2", *py, "-m", "pytest", "benchmarks",
-         "--benchmark-disable", "-q", "-p", "no:cacheprovider"],
+        ["env", "REPRO_JOBS=2", *py, "-m", "repro.experiments", "all"],
         py + ["perf/run.py", "--quick"],
         py + ["perf/run.py", "--quick", "--traced"],
     ]
@@ -204,8 +203,10 @@ def measure() -> set[tuple[str, int]]:
                              for arg in command[1:])
             print(f"census: {shown}", flush=True)
             done = subprocess.run(command, cwd=ROOT, env=env,
-                                  stdout=subprocess.DEVNULL)
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True)
             if done.returncode != 0:
+                sys.stderr.write(done.stderr)
                 sys.exit(f"census: entry point exited {done.returncode}: "
                          f"{shown}")
         return {(file, int(line)) for file, _, line in

@@ -7,6 +7,7 @@ import pytest
 from repro import MpiBuild, NO_NOISE, homogeneous_cluster, paper_cluster
 from repro.bench import (cpu_util_benchmark, latency_benchmark,
                          measure_one_way)
+from repro.errors import ProcessFailed
 
 SEED = 1
 
@@ -163,3 +164,22 @@ def test_benchmark_results_are_reproducible():
 def test_benchmark_validates_reduction_values():
     r = util(MpiBuild.AB, skew=400.0, iterations=10)
     assert r.checked_reductions == 13   # 10 measured + 3 warmup, all checked
+
+
+def test_a_root_result_missing_one_rank_is_refused():
+    """The checked sums are integers, exact in float64, so the check is
+    exact: at 1024 ranks a root result short of rank 1's 2.0 (inside a
+    relative tolerance of 1e-5 on 524 800) fails the run."""
+    size = 1024
+    short = size * (size + 1) / 2 - 2.0
+
+    def short_by_rank_1(mpi):
+        def reduce(data):
+            yield from mpi.compute(0.0)
+            return np.full(data.shape, short) if mpi.rank == 0 else None
+        return reduce
+
+    with pytest.raises(ProcessFailed, match="root got 524798.0"):
+        cpu_util_benchmark(homogeneous_cluster(size, noise=NO_NOISE),
+                           MpiBuild.DEFAULT, iterations=1, warmup=0,
+                           collective=short_by_rank_1)

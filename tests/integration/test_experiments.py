@@ -1,16 +1,13 @@
 """Smoke tests for the figure-reproduction drivers (tiny configurations:
-``benchmarks/bench_claims.py`` checks every claim at full size)."""
+``python -m repro.experiments all`` checks every claim at full size)."""
 
-import importlib.util
-import inspect
-from pathlib import Path
+import pytest
 
 from repro.experiments import EXPERIMENTS, ablations, fig6, fig7, fig8, \
     fig9, fig10, fig_faults, fig_topo
+from repro.experiments.__main__ import main
 from repro.experiments.common import ExperimentOutput
 from repro.experiments.fig8 import crossover_size
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 def test_fig6_driver_small():
@@ -138,13 +135,11 @@ def test_ablation_exit_delay_small():
 
 
 def test_cli_dispatcher():
-    from repro.experiments.__main__ import main
     assert main([]) == 0                      # help
     assert main(["not-a-fig"]) == 2           # unknown
 
 
 def test_cli_runs_quick_fig(capsys):
-    from repro.experiments.__main__ import main
     assert main(["fig6", "--iterations", "8", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "factor-4" in out
@@ -160,15 +155,26 @@ def test_a_failing_claim_is_marked():
                             "  - a note")
 
 
-def test_the_claims_bench_runs_every_experiment():
-    """Each ``EXPERIMENTS`` driver has a row in ``bench_claims.RUNS``, so
-    no figure skips the claims check, and each row's arguments are ones
-    its driver takes."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_claims", REPO / "benchmarks" / "bench_claims.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    assert {name for name, _kwargs in bench.RUNS} == set(EXPERIMENTS)
-    for name, kwargs in bench.RUNS:
-        inspect.signature(EXPERIMENTS[name][0]).bind(seed=1, jobs=1,
-                                                     **kwargs)
+@pytest.mark.parametrize("holds, status", [(True, 0), (False, 1)])
+def test_cli_exits_1_when_a_claim_fails(monkeypatch, capsys, holds, status):
+    """Standard output is the record; progress goes to stderr."""
+    def toy(*, iterations, seed, jobs, progress):
+        progress("a point")
+        out = ExperimentOutput("toy")
+        out.claim("the toy claim", holds)
+        return out
+
+    monkeypatch.setitem(EXPERIMENTS, "toy", (toy, "Toy", 1))
+    assert main(["toy"]) == status
+    out, err = capsys.readouterr()
+    assert out == ("\n## Toy\n\nNotes:\n  - " + "FAILS: " * (not holds)
+                   + "the toy claim\n")
+    assert err == "    a point\n"
+
+
+def test_every_experiment_makes_a_claim_at_quick_counts():
+    """``all`` checks only what the drivers claim: each entry claims
+    something at the counts of ``--iterations 5 --quick``."""
+    silent = [name for name, (run, _, _) in EXPERIMENTS.items()
+              if not run(iterations=5, seed=1).claims]
+    assert not silent

@@ -28,14 +28,13 @@ import argparse
 import ast
 import dataclasses
 import json
-import sys
 from pathlib import Path
 
 import census
 from repro import config
 from repro.analysis import cli as simlint_cli
 from repro.analysis import races
-from repro.experiments import EXPERIMENTS, common
+from repro.experiments import common
 from repro.orchestrate import __main__ as orchestrate_cli
 from repro.orchestrate import compare
 from repro.schedule import tune
@@ -74,17 +73,13 @@ def cli_flags() -> dict:
     flags = {}
     for name, parser in [
             ("repro.experiments",
-             common.make_parser("", default_iterations=1)),
+             common.make_parser()),
             ("repro.orchestrate", orchestrate_cli.build_parser()),
             ("repro.orchestrate.compare", compare.build_parser()),
             ("repro.analysis", simlint_cli.build_parser()),
             ("repro.analysis.races", races.build_parser()),
             ("repro.schedule.tune", tune.build_parser())]:
         flags.update(_flags(name, parser))
-    for name, (run, _, _) in EXPERIMENTS.items():
-        extra = getattr(sys.modules[run.__module__], "EXTRA_ARGUMENTS", ())
-        if extra:
-            flags[f"repro.experiments {name}"] = sorted(f for f, _ in extra)
     return flags
 
 
