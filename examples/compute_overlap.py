@@ -17,7 +17,8 @@ Run:  python examples/compute_overlap.py
 import numpy as np
 
 from repro import MpiBuild, SUM, paper_cluster, run_program
-from repro.core import AbBroadcast, SplitPhaseReduce
+from repro.core.broadcast import AbBroadcast
+from repro.core.split_phase import SplitPhaseReduce
 
 ELEMENTS = 32
 COMPUTE_US = 500.0

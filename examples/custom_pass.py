@@ -22,7 +22,8 @@ from dataclasses import replace
 from repro.bench.scheduled import build_schedule, scheduled_benchmark
 from repro.config import PipelineParams, quiet_cluster
 from repro.mpich.rank import MpiBuild
-from repro.schedule import Schedule, get_pass, register_pass
+from repro.schedule import Schedule
+from repro.schedule.passes import get_pass, register_pass
 
 ELEMENTS = 1024          # 8 KiB payload -> 4 segments at 2048 B
 SIZE = 8

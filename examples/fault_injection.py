@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro import MpiBuild, NetParams, SUM, paper_cluster
-from repro.bench import cpu_util_benchmark
+from repro.bench.cpu_util import cpu_util_benchmark
 from repro.runtime.program import run_program
 
 DROP = 0.10

@@ -12,7 +12,7 @@ Run:  python examples/heterogeneous_cluster.py
 import numpy as np
 
 from repro import MpiBuild, homogeneous_cluster, paper_cluster
-from repro.bench import latency_benchmark, measure_one_way
+from repro.bench.latency import latency_benchmark, measure_one_way
 from repro.topo import ranks as tree
 
 

@@ -17,17 +17,16 @@ Three layers keep the codebase safe to refactor aggressively:
 simlint lints *this* repository: every registered rule runs, every finding
 gates, and a finding that is meant to stay is suppressed where it is with
 ``# simlint: ignore[SIMnnn]``.
+
+The package re-exports only the monitor: the linter is imported from
+:mod:`.simlint`, so a simulation that arms a monitor never loads it.
 """
 
 from .findings import Finding, Violation, normalize_path
-from .invariants import (ASSERT, COLLECT, InvariantMonitor,
-                         make_default_monitor, set_default_monitor_factory)
-from .simlint import RULES, lint_paths
+from .invariants import ASSERT, COLLECT, InvariantMonitor
 
 __all__ = [
     "ASSERT", "COLLECT",
     "Finding", "Violation", "normalize_path",
-    "InvariantMonitor", "make_default_monitor",
-    "set_default_monitor_factory",
-    "RULES", "lint_paths",
+    "InvariantMonitor",
 ]

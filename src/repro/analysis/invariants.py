@@ -62,28 +62,13 @@ is inspected afterwards (for diagnosis).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import InvariantViolation
 from .findings import Violation
 
 COLLECT = "collect"
 ASSERT = "assert"
-
-#: Process-wide default factory; installed by test harnesses so every
-#: :class:`~repro.cluster.cluster.Cluster` built while it is set gets a
-#: monitor without plumbing one through each call site.
-_default_factory: Optional[Callable[[], "InvariantMonitor"]] = None
-
-
-def set_default_monitor_factory(
-        factory: Optional[Callable[[], "InvariantMonitor"]]) -> None:
-    global _default_factory
-    _default_factory = factory
-
-
-def make_default_monitor() -> Optional["InvariantMonitor"]:
-    return _default_factory() if _default_factory is not None else None
 
 
 class InvariantMonitor:

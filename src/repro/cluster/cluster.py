@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Optional
+from typing import Callable, Optional
 
-from ..analysis.invariants import make_default_monitor
 from ..config import ClusterConfig
 from ..gm.reliability import ReliabilityStats
 from ..network.fabric import Fabric
@@ -13,6 +12,19 @@ from ..sim.random import RngStreams
 from ..sim.simulator import Simulator
 from ..sim.trace import Tracer
 from .node import Node
+
+
+#: Process-wide default monitor factory; a test harness installs one so
+#: every :class:`Cluster` built while it is set gets a monitor without
+#: plumbing one through each call site.  Unset (production), no monitor is
+#: built and :mod:`repro.analysis` is never imported.
+_default_monitor_factory: Optional[Callable[[], object]] = None
+
+
+def set_default_monitor_factory(
+        factory: Optional[Callable[[], object]]) -> None:
+    global _default_monitor_factory
+    _default_monitor_factory = factory
 
 
 #: Counter fields that are high-water marks: a cluster's is the largest
@@ -82,8 +94,9 @@ class Cluster:
             self.sim.add_counter_source(self.workload.counters)
         #: Protocol-invariant monitor; explicit, or the process-wide
         #: default the test harness installs, or None (production).
-        self.monitor = monitor if monitor is not None else \
-            make_default_monitor()
+        if monitor is None and _default_monitor_factory is not None:
+            monitor = _default_monitor_factory()
+        self.monitor = monitor
         if self.monitor is not None:
             self.monitor.attach(self)
 

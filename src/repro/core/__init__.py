@@ -7,14 +7,15 @@
 * :class:`~repro.core.unexpected.AbUnexpectedQueue` — the custom one-copy
   unexpected queue
 * :func:`~repro.core.delay.exit_delay_window` — the Sec. IV-E heuristic
+
+The extensions an AB run does not arm are imported from their modules:
+:mod:`.broadcast` (``AbBroadcast``), :mod:`.split_phase`
+(``SplitPhaseReduce``) and :mod:`.nic_reduce` (``NicReduce``).
 """
 
-from .broadcast import AbBroadcast
 from .delay import POLICIES, exit_delay_window
 from .descriptor import DescriptorQueue, ReduceDescriptor
 from .engine import AbEngine, AbStats
-from .nic_reduce import NicReduce, NicReduceUnit
-from .split_phase import ReduceHandle, SplitPhaseReduce
 from .unexpected import AbUnexpectedEntry, AbUnexpectedQueue
 
 __all__ = [
@@ -22,6 +23,4 @@ __all__ = [
     "ReduceDescriptor", "DescriptorQueue",
     "AbUnexpectedQueue", "AbUnexpectedEntry",
     "exit_delay_window", "POLICIES",
-    "AbBroadcast", "SplitPhaseReduce", "ReduceHandle",
-    "NicReduce", "NicReduceUnit",
 ]

@@ -29,6 +29,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     names = list(EXPERIMENTS) if name == "all" else [name]
     args = make_parser(f"run {' '.join(names)}").parse_args(rest)
+    if name == "all" and args.bench_json not in (None, "auto"):
+        print("error: all writes one BENCH_<name>.json per driver; pass "
+              "--bench-json without a PATH", file=sys.stderr)
+        return 2
     if name == "all":
         print(header(args), flush=True)
     try:

@@ -119,7 +119,7 @@ def make_parser(description: str = "") -> argparse.ArgumentParser:
                         default=None, metavar="PATH",
                         help="write the sweep's BENCH_<name>.json perf "
                              "record (default path BENCH_<name>.json in "
-                             "the current directory)")
+                             "the current directory; all takes no PATH)")
     return parser
 
 

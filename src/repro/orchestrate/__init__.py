@@ -16,16 +16,13 @@ Entry points:
 * ``python -m repro.orchestrate smoke [grid]`` — any CI grid registered in
   :data:`.points.GRIDS`; emits its BENCH json plus an InvariantMonitor
   report.
+
+The package re-exports only :mod:`.points`, what every run uses; the pool
+runner and the BENCH writer are imported from :mod:`.runner` and
+:mod:`.benchjson`, so a single point never loads ``multiprocessing`` or
+``subprocess``.
 """
 
-from .benchjson import (bench_payload, git_sha, load_bench_json,
-                        write_bench_json)
-from .points import (ConfigSpec, PointResult, SweepPoint, execute_point)
-from .runner import PointFailed, run_points
+from .points import ConfigSpec, PointResult, SweepPoint, execute_point
 
-
-__all__ = [
-    "ConfigSpec", "SweepPoint", "PointResult", "execute_point",
-    "run_points", "PointFailed",
-    "bench_payload", "write_bench_json", "load_bench_json", "git_sha",
-]
+__all__ = ["ConfigSpec", "SweepPoint", "PointResult", "execute_point"]

@@ -96,7 +96,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = None
     if args.cache:
-        from ..tenancy import ResultCache
+        from ..tenancy.cache import ResultCache
         cache = ResultCache(args.cache)
     results = run_points(points, jobs=args.jobs, cache=cache,
                          progress=_progress)

@@ -44,9 +44,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..config import RecordError, loads, typed
-from .points import PointResult
-
-SCHEMA_VERSION = 1
+from .points import SCHEMA_VERSION, PointResult
 
 
 def git_sha(cwd: Optional[Union[str, Path]] = None) -> str:

@@ -177,6 +177,11 @@ class SweepPoint(Record):
                 f"'{spec}'")
 
 
+#: Version of the BENCH json a :class:`PointResult` is written as
+#: (:mod:`.benchjson`); the result cache keys on it too.
+SCHEMA_VERSION = 1
+
+
 @dataclass
 class PointResult:
     """What a worker hands back for one completed point."""
@@ -660,8 +665,8 @@ def _execute_point(point: SweepPoint) -> PointResult:
 
     monitor = None
     if point.collect_invariants:
-        from ..analysis import COLLECT, InvariantMonitor, \
-            set_default_monitor_factory
+        from ..analysis.invariants import COLLECT, InvariantMonitor
+        from ..cluster.cluster import set_default_monitor_factory
         reports: list = []
 
         def _factory():

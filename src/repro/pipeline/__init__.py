@@ -32,12 +32,10 @@ Modules
     The documented reassociation-tolerance policy for floating-point SUM.
 """
 
-from .numerics import reassociation_tolerance
 from .segmenter import Segment, Segmenter, plan_segments
 
 __all__ = [
     "Segment",
     "Segmenter",
     "plan_segments",
-    "reassociation_tolerance",
 ]

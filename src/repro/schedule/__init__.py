@@ -14,7 +14,8 @@ instead of orderings baked into engine code.  The package provides:
     ``mpi.bcast`` also call for their own rank.
 ``passes``
     Pure ``Schedule -> Schedule`` rewrite passes behind a registry:
-    Lowery–Langou greedy segment pipelining and tree reshaping.
+    Lowery–Langou greedy segment pipelining and tree reshaping (imported
+    from the module: only a point that names a pass loads it).
 ``table``
     The persisted tuning table consulted by ``tree_shape="auto"`` /
     ``segment_size_bytes="auto"`` configs, with a deterministic fallback.
@@ -33,7 +34,6 @@ from .ir import (BcastStep, FoldStep, RecvStep, Schedule, ScheduleError,
                  ScheduleValidationError, SendStep, Step, WaitStep,
                  reduce_neighbors)
 from .lower import LOWERINGS, lower, register_lowering
-from .passes import PASSES, PassError, apply_passes, get_pass, register_pass
 from .table import (TunedEntry, TuningTable, clear_table_cache,
                     config_tree_shape, default_table_path,
                     load_default_table, resolve_pipeline_params,
@@ -44,7 +44,6 @@ __all__ = [
     "Schedule", "ScheduleError", "ScheduleValidationError",
     "reduce_neighbors",
     "LOWERINGS", "lower", "register_lowering",
-    "PASSES", "PassError", "register_pass", "get_pass", "apply_passes",
     "TunedEntry", "TuningTable", "default_table_path", "load_default_table",
     "clear_table_cache", "resolve_tree_shape", "resolve_pipeline_params",
     "config_tree_shape",

@@ -158,7 +158,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     cache = None
     if args.cache:
-        from ..tenancy import ResultCache
+        from ..tenancy.cache import ResultCache
         cache = ResultCache(args.cache)
     table = tune(nranks=args.nranks, seed=args.seed,
                  iterations=args.iterations, jobs=args.jobs, cache=cache,

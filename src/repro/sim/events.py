@@ -87,7 +87,7 @@ PRIORITY_ARBITRATE = 3
 #: Process-wide default tiebreak seed (None = FIFO).  Installed by the
 #: schedule-perturbation harness so every EventQueue built while it is set
 #: runs shuffled, without plumbing a seed through cluster construction —
-#: the same pattern as ``repro.analysis.invariants``'s default monitor
+#: the same pattern as ``repro.cluster.cluster``'s default monitor
 #: factory.
 _default_tiebreak_seed: Optional[int] = None
 

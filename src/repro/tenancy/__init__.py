@@ -4,12 +4,11 @@ Concurrent collective jobs sharing one simulated fabric: declarative
 :class:`JobSpec`/:class:`ClusterSpec` requests, a :class:`Scheduler`
 with pluggable placement policies (``packed`` / ``spread`` /
 ``topology_aware``), per-job namespacing and metrics (makespan,
-slowdown vs. solo, min-max fairness), and a content-addressed
-:class:`ResultCache` the orchestrator consults so repeated sweep points
-are served bit-identically without re-simulating.
+slowdown vs. solo, min-max fairness).  The content-addressed result
+cache the orchestrator consults is imported from :mod:`.cache`, so a
+tenancy run never loads it.
 """
 
-from .cache import CACHE_SCHEMA, ResultCache, point_cache_key
 from .placement import (PLACEMENTS, PlacementPolicy, locality_block_size,
                         make_placement, register_placement)
 from .scheduler import AdmissionError, Placement, Scheduler
@@ -18,10 +17,10 @@ from .service import JobResult, TenancyResult, run_tenancy
 from .workload import JobRankSample, job_program
 
 __all__ = [
-    "AdmissionError", "CACHE_SCHEMA", "COLLECTIVES",
+    "AdmissionError", "COLLECTIVES",
     "ClusterSpec", "JobRankSample", "JobResult", "JobSpec", "PLACEMENTS",
-    "Placement", "PlacementPolicy", "ResultCache", "Scheduler",
+    "Placement", "PlacementPolicy", "Scheduler",
     "SpecError", "TenancyResult", "job_program",
     "locality_block_size", "make_placement",
-    "point_cache_key", "register_placement", "run_tenancy",
+    "register_placement", "run_tenancy",
 ]

@@ -23,8 +23,7 @@ import os
 from typing import Optional
 
 from ..config import RecordError, decode, encode, loads
-from ..orchestrate.benchjson import SCHEMA_VERSION
-from ..orchestrate.points import PointResult, SweepPoint
+from ..orchestrate.points import SCHEMA_VERSION, PointResult, SweepPoint
 
 #: Bump when the cached record's shape (not the BENCH schema) changes.
 CACHE_SCHEMA = 1

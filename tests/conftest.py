@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro import MpiBuild, quiet_cluster, run_program
-from repro.analysis import (ASSERT, InvariantMonitor,
-                            set_default_monitor_factory)
+from repro.analysis.invariants import ASSERT, InvariantMonitor
+from repro.cluster.cluster import set_default_monitor_factory
 from repro.sim.simulator import Simulator
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro import MpiBuild, NO_NOISE, homogeneous_cluster, paper_cluster
-from repro.bench import (cpu_util_benchmark, latency_benchmark,
-                         measure_one_way)
+from repro.bench.cpu_util import cpu_util_benchmark
+from repro.bench.latency import latency_benchmark, measure_one_way
 from repro.errors import ProcessFailed
 
 SEED = 1

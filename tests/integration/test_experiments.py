@@ -146,6 +146,20 @@ def test_cli_runs_quick_fig(capsys):
     assert "factor at max skew, 4 elements" in out
 
 
+def test_all_refuses_one_bench_json_path(monkeypatch, tmp_path, capsys):
+    """One PATH cannot hold every driver's record: ``all`` refuses it in
+    one line before any driver runs (bare ``--bench-json`` writes one
+    ``BENCH_<name>.json`` per driver)."""
+    ran = []
+    for name, (_run, title, count) in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, (
+            lambda name=name, **_: ran.append(name), title, count))
+    assert main(["all", "--bench-json", str(tmp_path / "one.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ran == [] and not list(tmp_path.iterdir())
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_a_failing_claim_is_marked():
     out = ExperimentOutput("toy")
     out.claim("holds", True)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro import MpiBuild, homogeneous_cluster, paper_cluster
-from repro.bench import cpu_util_benchmark, latency_benchmark
+from repro.bench.cpu_util import cpu_util_benchmark
+from repro.bench.latency import latency_benchmark
 from repro.config import MACHINE_P3_700, MACHINE_P3_1000
 
 
@@ -34,7 +35,7 @@ def test_pci_and_nic_differences_negligible_for_small_messages():
     """Sec. VI: "The differences in PCI and NIC capabilities are not much
     of a factor either, as our reduction operations involve fairly small
     amounts of data."""
-    from repro.bench import measure_one_way
+    from repro.bench.latency import measure_one_way
     # one-way latency between the two machine classes differs by < 2 us
     # for single-double messages
     slow_pair = measure_one_way(homogeneous_cluster(4,

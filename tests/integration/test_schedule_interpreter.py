@@ -161,7 +161,8 @@ def test_reshaped_pipelined_allreduce_follows_its_schedule(via):
     directly, or rewritten by the ``reshape_tree`` pass — executes: the AB
     broadcast forwards where the steps point, not along the configured
     tree (it used to be refused: "cannot follow a reshaped schedule")."""
-    from repro.schedule import apply_passes, lower
+    from repro.schedule import lower
+    from repro.schedule.passes import apply_passes
     from repro.topo import make_tree_shape
     config = make_config("binomial", True)
     if via == "lowered":

@@ -14,8 +14,9 @@ from repro.orchestrate.benchjson import bench_payload
 from repro.orchestrate.points import GRIDS
 from repro.orchestrate.runner import run_points
 from repro.runtime.program import run_program
-from repro.tenancy import (ClusterSpec, JobSpec, ResultCache, Scheduler,
-                           job_program, run_tenancy)
+from repro.tenancy import (ClusterSpec, JobSpec, Scheduler, job_program,
+                           run_tenancy)
+from repro.tenancy.cache import ResultCache
 from repro.tenancy.service import _run_jobs_on_cluster
 
 

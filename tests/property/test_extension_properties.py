@@ -4,7 +4,9 @@ NIC-based reduction stay correct under arbitrary skew patterns."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AbBroadcast, NicReduce, SplitPhaseReduce
+from repro.core.broadcast import AbBroadcast
+from repro.core.nic_reduce import NicReduce
+from repro.core.split_phase import SplitPhaseReduce
 from repro.mpich.operations import SUM
 from repro.mpich.rank import MpiBuild
 from conftest import contribution, expected_sum, run_ranks

@@ -40,8 +40,8 @@ from repro.orchestrate.points import ConfigSpec, PointResult, SweepPoint
 from repro.schedule import lower
 from repro.schedule.ir import Schedule, ScheduleError
 from repro.schedule.table import TunedEntry, TuningTable
-from repro.tenancy import (ClusterSpec, JobSpec, ResultCache, SpecError,
-                           point_cache_key)
+from repro.tenancy import ClusterSpec, JobSpec, SpecError
+from repro.tenancy.cache import ResultCache, point_cache_key
 from repro.topo.trees import make_tree_shape
 from repro.workload.trace import ArrivalTrace, WorkloadError
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AbBroadcast
+from repro.core.broadcast import AbBroadcast
 from repro.errors import AbProtocolError, ProcessFailed
 from repro.mpich.rank import MpiBuild
 from conftest import run_ranks

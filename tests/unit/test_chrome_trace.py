@@ -8,7 +8,7 @@ import pytest
 
 from repro import SUM, Communicator, MpiBuild, quiet_cluster, run_program
 from repro.config import PipelineParams
-from repro.core import SplitPhaseReduce
+from repro.core.split_phase import SplitPhaseReduce
 from repro.report import (chrome_trace_events, chrome_trace_json,
                           write_chrome_trace)
 from repro.sim.trace import Tracer

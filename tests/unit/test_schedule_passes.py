@@ -12,8 +12,9 @@ import dataclasses
 
 import pytest
 
-from repro.schedule import (LOWERINGS, PASSES, PassError, Schedule,
-                            apply_passes, get_pass, lower, register_pass)
+from repro.schedule import LOWERINGS, Schedule, lower
+from repro.schedule.passes import (PASSES, PassError, apply_passes, get_pass,
+                                   register_pass)
 from repro.schedule.ir import ScheduleError
 from repro.topo.trees import make_tree_shape
 

@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
-from repro.analysis.simlint import collect_generator_names
+from repro.analysis.simlint import collect_generator_names, lint_paths
 import ast
 
 

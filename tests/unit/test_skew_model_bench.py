@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro import MpiBuild, NO_NOISE, NoiseParams, paper_cluster
-from repro.bench import cpu_util_benchmark, latency_benchmark
+from repro.bench.cpu_util import cpu_util_benchmark
+from repro.bench.latency import latency_benchmark
 from repro.bench.skew import SkewModel, conservative_latency_estimate
 from repro.sim.random import RngStreams
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.config import PipelineParams, quiet_cluster
-from repro.core import AbBroadcast, SplitPhaseReduce
+from repro.core.broadcast import AbBroadcast
+from repro.core.split_phase import SplitPhaseReduce
 from repro.errors import AbProtocolError, ProcessFailed
 from repro.mpich.operations import MAX, SUM
 from repro.mpich.rank import MpiBuild

@@ -33,7 +33,8 @@ def test_summarize_flattens():
 
 def test_benchmarks_attach_summaries():
     from repro import MpiBuild, paper_cluster
-    from repro.bench import cpu_util_benchmark, latency_benchmark
+    from repro.bench.cpu_util import cpu_util_benchmark
+    from repro.bench.latency import latency_benchmark
 
     r = cpu_util_benchmark(paper_cluster(4, seed=1), MpiBuild.AB,
                            elements=4, max_skew_us=200.0, iterations=12)

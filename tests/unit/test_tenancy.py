@@ -11,10 +11,10 @@ import pytest
 
 from repro.config import NetParams
 from repro.orchestrate.points import ConfigSpec, PointResult, SweepPoint
-from repro.tenancy import (AdmissionError, CACHE_SCHEMA, ClusterSpec,
-                           JobSpec, PLACEMENTS, ResultCache, Scheduler,
-                           SpecError, locality_block_size, make_placement,
-                           point_cache_key)
+from repro.tenancy import (AdmissionError, ClusterSpec, JobSpec, PLACEMENTS,
+                           Scheduler, SpecError, locality_block_size,
+                           make_placement)
+from repro.tenancy.cache import CACHE_SCHEMA, ResultCache, point_cache_key
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from repro import SUM, MpiBuild, quiet_cluster, run_program
 from repro.config import PipelineParams
-from repro.core import SplitPhaseReduce
+from repro.core.split_phase import SplitPhaseReduce
 from repro.report import descriptor_spans, render_timeline
 from repro.sim.trace import Tracer
 
